@@ -1,5 +1,5 @@
 (* The reconstruction bench: times the alignment kernels (full matrix vs
-   Ukkonen-banded) and the whole consensus path built on them, and writes
+   bit-parallel) and the whole consensus path built on them, and writes
    BENCH_recon.json so future perf changes have a trajectory to regress
    against.
 
@@ -9,8 +9,8 @@
      dune exec bench/bench_recon.exe -- --smoke      # tiny budget: checks the
                                                      # harness and JSON, not timing
 
-   Three tiers, each with an exactness guard (the banded kernel is only
-   a perf knob — any output difference is a bug and fails the bench):
+   Three tiers, each with an exactness guard (the bit-parallel kernel is
+   only a perf knob — any output difference is a bug and fails the bench):
 
    - align: ns/op for sibling pairs at 120nt and 300nt, per backend;
    - reconstruct: ns per whole-cluster NW consensus at coverage 5/10/20,
@@ -18,7 +18,7 @@
    - pipeline: end-to-end [Pipeline.run] stage timings per backend, with
      identical decoded bytes required.
 
-   The job also fails if banded is slower than full on the 120nt align
+   The job also fails if auto is slower than full on the 120nt align
    case (threshold 1.0, relaxed to 0.8 under --smoke where timings are
    noise). *)
 
@@ -101,7 +101,7 @@ let sibling rng s =
 
 let check_same_alignment name (f : Dna.Alignment.t) (b : Dna.Alignment.t) =
   if f.Dna.Alignment.score <> b.Dna.Alignment.score || f.script <> b.script then begin
-    Printf.eprintf "backend disagreement on %s (full score %d, banded score %d)\n" name
+    Printf.eprintf "backend disagreement on %s (full score %d, auto score %d)\n" name
       f.Dna.Alignment.score b.Dna.Alignment.score;
     exit 1
   end
@@ -123,23 +123,21 @@ let run_align () =
       (fun (name, a, b) ->
         check_same_alignment name
           (Dna.Alignment.align ~backend:Dna.Alignment.Full a b)
-          (Dna.Alignment.align ~backend:Dna.Alignment.Banded a b);
+          (Dna.Alignment.align ~backend:Dna.Alignment.Auto a b);
         let ns_full = ns_per_op (fun () -> Dna.Alignment.align ~backend:Dna.Alignment.Full a b) in
-        let ns_banded =
-          ns_per_op (fun () -> Dna.Alignment.align ~backend:Dna.Alignment.Banded a b)
-        in
-        let speedup = ns_full /. ns_banded in
-        Printf.printf "%-28s full %10.1f ns   banded %10.1f ns   %5.1fx\n" name ns_full ns_banded
+        let ns_auto = ns_per_op (fun () -> Dna.Alignment.align ~backend:Dna.Alignment.Auto a b) in
+        let speedup = ns_full /. ns_auto in
+        Printf.printf "%-28s full %10.1f ns   auto %10.1f ns   %5.1fx\n" name ns_full ns_auto
           speedup;
-        (name, ns_full, ns_banded, speedup))
+        (name, ns_full, ns_auto, speedup))
       cases
   in
   let entries =
     List.concat_map
-      (fun (name, ns_full, ns_banded, speedup) ->
+      (fun (name, ns_full, ns_auto, speedup) ->
         [
           entry ~ns:ns_full ~speedup:1.0 (name ^ "/full");
-          entry ~ns:ns_banded ~speedup (name ^ "/banded");
+          entry ~ns:ns_auto ~speedup (name ^ "/auto");
         ])
       results
   in
@@ -164,13 +162,13 @@ let run_reconstruct () =
             Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Full
               ~target_len:read_len reads
           in
-          let banded =
-            Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Banded
+          let auto =
+            Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Auto
               ~target_len:read_len reads
           in
-          if not (Dna.Strand.equal full banded) then begin
-            Printf.eprintf "consensus mismatch at coverage %d:\n  full   %s\n  banded %s\n"
-              coverage (Dna.Strand.to_string full) (Dna.Strand.to_string banded);
+          if not (Dna.Strand.equal full auto) then begin
+            Printf.eprintf "consensus mismatch at coverage %d:\n  full %s\n  auto %s\n"
+              coverage (Dna.Strand.to_string full) (Dna.Strand.to_string auto);
             exit 1
           end)
         clusters;
@@ -182,14 +180,14 @@ let run_reconstruct () =
       in
       let per_cluster ns = ns /. float_of_int n_clusters in
       let ns_full = per_cluster (ns_per_op (sweep Dna.Alignment.Full)) in
-      let ns_banded = per_cluster (ns_per_op (sweep Dna.Alignment.Banded)) in
-      let speedup = ns_full /. ns_banded in
+      let ns_auto = per_cluster (ns_per_op (sweep Dna.Alignment.Auto)) in
+      let speedup = ns_full /. ns_auto in
       let name = Printf.sprintf "reconstruct/len-%d-cov-%d" read_len coverage in
-      Printf.printf "%-28s full %10.1f ns   banded %10.1f ns   %5.1fx\n" name ns_full ns_banded
+      Printf.printf "%-28s full %10.1f ns   auto %10.1f ns   %5.1fx\n" name ns_full ns_auto
         speedup;
       [
         entry ~ns:ns_full ~speedup:1.0 (name ^ "/full");
-        entry ~ns:ns_banded ~speedup (name ^ "/banded");
+        entry ~ns:ns_auto ~speedup (name ^ "/auto");
       ])
     [ 5; 10; 20 ]
 
@@ -207,15 +205,15 @@ let run_pipeline () =
     Dnastore.Pipeline.run ~stages ~domains:1 rng data
   in
   let out_full = run Dna.Alignment.Full in
-  let out_banded = run Dna.Alignment.Banded in
-  (match (out_full.Dnastore.Pipeline.file, out_banded.Dnastore.Pipeline.file) with
+  let out_auto = run Dna.Alignment.Auto in
+  (match (out_full.Dnastore.Pipeline.file, out_auto.Dnastore.Pipeline.file) with
   | Some a, Some b when Bytes.equal a b -> ()
   | _ ->
       Printf.eprintf "pipeline decode differs between backends\n";
       exit 1);
-  let tf = out_full.Dnastore.Pipeline.timings and tb = out_banded.Dnastore.Pipeline.timings in
+  let tf = out_full.Dnastore.Pipeline.timings and tb = out_auto.Dnastore.Pipeline.timings in
   Printf.printf
-    "pipeline reconstruct: full %.3fs (p50 %.2f ms, p95 %.2f ms)  banded %.3fs (p50 %.2f ms, p95 %.2f ms)  %.1fx\n"
+    "pipeline reconstruct: full %.3fs (p50 %.2f ms, p95 %.2f ms)  auto %.3fs (p50 %.2f ms, p95 %.2f ms)  %.1fx\n"
     tf.Dnastore.Pipeline.reconstruct_s
     (1000.0 *. tf.Dnastore.Pipeline.reconstruct_p50_s)
     (1000.0 *. tf.Dnastore.Pipeline.reconstruct_p95_s)
@@ -223,10 +221,10 @@ let run_pipeline () =
     (1000.0 *. tb.Dnastore.Pipeline.reconstruct_p50_s)
     (1000.0 *. tb.Dnastore.Pipeline.reconstruct_p95_s)
     (tf.Dnastore.Pipeline.reconstruct_s /. tb.Dnastore.Pipeline.reconstruct_s);
-  let stage name full banded =
+  let stage name full auto =
     [
       entry ~s:full ~speedup:1.0 (name ^ "/full");
-      entry ~s:banded ~speedup:(if banded > 0.0 then full /. banded else 1.0) (name ^ "/banded");
+      entry ~s:auto ~speedup:(if auto > 0.0 then full /. auto else 1.0) (name ^ "/auto");
     ]
   in
   stage "pipeline/reconstruct_s" tf.Dnastore.Pipeline.reconstruct_s
@@ -352,7 +350,6 @@ let run_spines () =
   (entries, extras)
 
 let () =
-  Dna.Alignment.reset_banded_fallbacks ();
   let spine_entries, spine_extras = run_spines () in
   let align_entries, speedup_120 = run_align () in
   let recon_entries = run_reconstruct () in
@@ -363,14 +360,13 @@ let () =
       ([
          ("read_len", string_of_int read_len);
          ("error_rate", string_of_float error_rate);
-         ("banded_fallbacks", string_of_int (Dna.Alignment.banded_fallbacks ()));
          ("smoke", string_of_bool !smoke);
        ]
       @ spine_extras)
     (align_entries @ recon_entries @ pipeline_entries @ spine_entries);
   let threshold = if !smoke then 0.8 else 1.0 in
   if speedup_120 < threshold then begin
-    Printf.eprintf "banded slower than full on %dnt align (%.2fx < %.2fx)\n" read_len speedup_120
+    Printf.eprintf "auto slower than full on %dnt align (%.2fx < %.2fx)\n" read_len speedup_120
       threshold;
     exit 1
   end

@@ -153,13 +153,14 @@ let make_recon_pool = function
 
 (* The alignment-kernel knob is process-wide (it defaults every
    [Dna.Alignment.align] call), so one flag covers NW consensus, the
-   ensemble's NW member, trellis rate estimation and POA alike. *)
+   ensemble's NW member and trellis rate estimation alike. *)
 let recon_backend_arg =
   Arg.(value
-       & opt (enum [ ("auto", Dna.Alignment.Auto); ("full", Dna.Alignment.Full); ("banded", Dna.Alignment.Banded) ])
-           Dna.Alignment.Auto
+       & opt (enum [ ("auto", Dna.Alignment.Auto); ("full", Dna.Alignment.Full) ]) Dna.Alignment.Auto
        & info [ "recon-backend" ] ~docv:"KERNEL"
-         ~doc:"Alignment kernel for reconstruction: $(b,auto), $(b,full) (reference matrix), or                $(b,banded) (Ukkonen band, exact via full-matrix fallback). Output is identical                for every choice.")
+         ~doc:"Alignment kernel for reconstruction: $(b,auto) (bit-parallel, one pass plus \
+               traceback over its delta bits) or $(b,full) (the reference DP matrix, \
+               an order of magnitude slower). Output is identical for both.")
 
 (* The two reconstruction spines stay A/B-able from the shell: [auto]
    is pooled wherever pool-native stages exist for the request. *)

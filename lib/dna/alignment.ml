@@ -10,22 +10,19 @@
     via {!backend} (mirroring [Distance]'s kernel dispatch):
 
     - [Full]: the classic O(la*lb) matrix, kept as the reference oracle;
-    - [Banded] (and [Auto]): a Ukkonen band of half-width [band] around
-      the main diagonal, O(la*band) cells. Banded results are exact: the
-      unit-cost matrix satisfies D[i][j] >= |i-j| everywhere, so whenever
-      the banded score is <= band every cell of an optimal path — and
-      every cell the greedy traceback consults — carries its true value,
-      making both the score and the script bit-identical to the full
-      matrix's; when the banded score exceeds the band (the optimal path
-      may have hit the band edge) the kernel falls back to a full-matrix
-      recompute ({!banded_fallbacks} counts these).
+    - [Auto]: Myers' bit-vector recurrence with Hyyrö's blocking (as in
+      Edlib), one pass over ceil(la/63) words per column of [b] that
+      records every column's horizontal and vertical delta words; the
+      traceback then reads each neighbor's value off those bits. The
+      deltas encode the full matrix exactly, so the traceback makes the
+      same greedy choices as the oracle's and the script is bit-identical
+      to it by construction — no band, no fallback.
 
-    Both kernels run over a single flat [int array] drawn from a
-    per-domain scratch arena (domain-local storage, in the same spirit as
-    [Strand.eq_masks]' per-strand cache), so hot consensus loops — and
-    the [Par.map_array] reconstruction workers — never reallocate DP
-    state between calls: no [Array.make_matrix] boxed rows, no per-call
-    garbage beyond the returned script. *)
+    Both kernels run over flat scratch arrays drawn from a per-domain
+    arena (domain-local storage), so hot consensus loops — and the
+    [Par.map_array] reconstruction workers — never reallocate alignment
+    state between calls: no per-call garbage beyond the returned
+    script. *)
 
 type op =
   | Match of Nucleotide.t
@@ -43,9 +40,9 @@ let gap_char = '-'
 
 (* ---------- Backend selection ---------- *)
 
-type backend = Auto | Full | Banded
+type backend = Auto | Full
 
-let backend_name = function Auto -> "auto" | Full -> "full" | Banded -> "banded"
+let backend_name = function Auto -> "auto" | Full -> "full"
 
 let default_backend = Atomic.make Auto
 
@@ -53,30 +50,22 @@ let set_default_backend b = Atomic.set default_backend b
 
 let current_default_backend () = Atomic.get default_backend
 
-(* [Auto] resolves to the banded kernel: its fallback guard makes it
-   exact, so the full matrix is only ever needed as an oracle or for
-   benchmarking. *)
-let use_banded = function
-  | Some Full -> false
-  | Some (Auto | Banded) -> true
-  | None -> ( match Atomic.get default_backend with Full -> false | Auto | Banded -> true)
-
-let default_band = 16
-
-let fallbacks = Atomic.make 0
-
-let banded_fallbacks () = Atomic.get fallbacks
-
-let reset_banded_fallbacks () = Atomic.set fallbacks 0
+let use_full = function
+  | Some Full -> true
+  | Some Auto -> false
+  | None -> ( match Atomic.get default_backend with Full -> true | Auto -> false)
 
 (* ---------- Per-domain scratch arena ---------- *)
 
-(* One arena per domain: the DP cells and both strands' integer codes.
-   Buffers only grow; a reconstruction worker aligning thousands of reads
-   against references of similar length reuses the same three arrays for
-   its whole lifetime. Arrays handed out here must never escape a call. *)
+(* One arena per domain: the oracle's DP cells, the bit-parallel
+   kernel's delta words, both strands' integer codes and the packed
+   script. Buffers only grow; a reconstruction worker aligning thousands
+   of reads against references of similar length reuses the same arrays
+   for its whole lifetime. Arrays handed out here must never escape a
+   call. *)
 type scratch = {
   mutable cells : int array;
+  mutable deltas : int array;
   mutable codes_a : int array;
   mutable codes_b : int array;
   mutable ops : int array;
@@ -90,23 +79,24 @@ type scratch = {
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      { cells = [||]; codes_a = [||]; codes_b = [||]; ops = [||]; last_a = Strand.empty })
+      {
+        cells = [||];
+        deltas = [||];
+        codes_a = [||];
+        codes_b = [||];
+        ops = [||];
+        last_a = Strand.empty;
+      })
 
 (* Capacity held by the calling domain's alignment arena, in array
    slots — lets allocation accounting (and tests) see that repeated
    aligns reuse buffers instead of growing them. *)
 let scratch_capacity_words () =
   let s = Domain.DLS.get scratch_key in
-  Array.length s.cells + Array.length s.codes_a + Array.length s.codes_b + Array.length s.ops
+  Array.length s.cells + Array.length s.deltas + Array.length s.codes_a
+  + Array.length s.codes_b + Array.length s.ops
 
 let ensure arr n = if Array.length arr >= n then arr else Array.make (max n (2 * Array.length arr)) 0
-
-(* Branchless minimum: DP cell values depend on random base matches, so
-   a compare-and-branch min mispredicts constantly on real reads (unlike
-   a microbenchmark aligning one pair, where the predictor memorizes the
-   whole matrix). [asr 62] smears the sign of [a - b] into a full mask,
-   which is safe at any magnitude a DP cell can hold. *)
-let[@inline] imin a b = b + ((a - b) land ((a - b) asr 62))
 
 let fill_codes dst s len =
   for i = 0 to len - 1 do
@@ -150,19 +140,32 @@ let script_of_packed p =
 
 (* ---------- Traceback ---------- *)
 
-(* Iterative tracebacks (no recursion: 300nt+ strands stay off the call
-   stack), preferring diagonal moves so scripts stay maximally aligned
-   (fewer spurious indel pairs). One specialized copy per cell layout:
-   the per-step cell reads are plain index arithmetic, not calls through
-   a layout closure — at ~la steps per alignment the indirection was
-   costing as much as the banded DP itself. Codes come from the
-   prefilled arrays rather than per-step bounds-checked [Strand.get].
-   The walk runs corner-to-origin, writing packed ops back-to-front
-   starting at index [la + lb] (the longest possible script), so the
-   finished script reads forward from the returned offset; the cell
-   value in hand is carried from step to step (the chosen predecessor's
-   value is always known: [diag] for a diagonal move, [here - 1] for a
-   gap) instead of being reloaded. *)
+(* Both tracebacks are iterative (no recursion: 300nt+ strands stay off
+   the call stack) and greedy with the same preference order: diagonal
+   when D[i-1][j-1] + cost = D[i][j], else delete when
+   D[i-1][j] + 1 = D[i][j], else insert — diagonal first keeps scripts
+   maximally aligned (fewer spurious indel pairs). The walk runs
+   corner-to-origin, writing packed ops back-to-front from index
+   [la + lb] (the longest possible script), so the finished script
+   reads forward from the returned offset. Codes come from the prefilled
+   arrays rather than per-step bounds-checked [Strand.get]. *)
+
+(* Once the walk reaches row 0 or column 0 only gaps remain. *)
+let gap_tail ca cb i j k ops =
+  let k = ref k in
+  for i = i downto 1 do
+    decr k;
+    Array.unsafe_set ops !k ((2 lsl 4) lor (Array.unsafe_get ca (i - 1) lsl 2))
+  done;
+  for j = j downto 1 do
+    decr k;
+    Array.unsafe_set ops !k ((3 lsl 4) lor Array.unsafe_get cb (j - 1))
+  done;
+  !k
+
+(* Over the full matrix, carrying the cell value in hand from step to
+   step (the chosen predecessor's value is always known: [diag] for a
+   diagonal move, [here - 1] for a gap) instead of reloading it. *)
 let full_traceback cells ca cb la lb ops =
   let stride = lb + 1 in
   let k = ref (la + lb) in
@@ -196,17 +199,7 @@ let full_traceback cells ca cb la lb ops =
       decr j
     end
   done;
-  while !i > 0 do
-    decr k;
-    Array.unsafe_set ops !k ((2 lsl 4) lor (Array.unsafe_get ca (!i - 1) lsl 2));
-    decr i
-  done;
-  while !j > 0 do
-    decr k;
-    Array.unsafe_set ops !k ((3 lsl 4) lor Array.unsafe_get cb (!j - 1));
-    decr j
-  done;
-  !k
+  gap_tail ca cb !i !j !k ops
 
 (* ---------- Full-matrix kernel (the oracle) ---------- *)
 
@@ -242,222 +235,117 @@ let align_full s ca cb la lb =
   let off = full_traceback cells ca cb la lb ops in
   { packed_score = cells.((la * stride) + lb); ops; off; lim = la + lb }
 
-(* ---------- Banded kernel ---------- *)
+(* ---------- Bit-parallel kernel ---------- *)
 
-(* Cells with xlo <= j - i <= xhi (an asymmetric diagonal window,
-   xlo <= -1 and xhi >= 1), stored at [i * w + (j - i - xlo)] with
-   w = xhi - xlo + 1. The only cells missing a neighbor are the first of
-   a row (no left when the window start is the band edge rather than
-   column 0) and the last (no up when the window end is the band edge
-   rather than [lb]); both are peeled out of the loop so the hot middle
-   runs guard-free, reads every neighbor unconditionally, and needs no
-   prefill. Returns the banded score, an upper bound on the true
-   distance that is exact whenever every cell of an optimal path lies in
-   the window (see the module header). *)
-let banded_dp cells ca cb la lb xlo xhi =
-  let w = xhi - xlo + 1 in
-  for j = 0 to min lb xhi do
-    Array.unsafe_set cells (j - xlo) j
-  done;
-  (* General row: handles windows clipped by column 0 (lo = 0) or by
-     column lb (hi = lb). Only the few rows near the matrix corners need
-     it; recomputing a row is idempotent, so overlap between the edge
-     ranges below (possible on tiny matrices) is harmless. *)
-  let general_row i =
-    let lo = max 0 (i + xlo) and hi = min lb (i + xhi) in
-    (* index of (i, j) = rb + j; of (i-1, j) = pb + j *)
-    let rb = (i * w) - i - xlo and pb = ((i - 1) * w) - (i - 1) - xlo in
-    let c = Array.unsafe_get ca (i - 1) in
-    (* First cell of the row: column 0 is a gap run; a band-clipped
-       window start has only its diagonal and up neighbors (both in row
-       i-1's window, whose left edge is one column further left). *)
-    let jstart =
-      if lo = 0 then begin
-        Array.unsafe_set cells rb i;
-        1
-      end
-      else begin
-        let cost = if c = Array.unsafe_get cb (lo - 1) then 0 else 1 in
-        let d = Array.unsafe_get cells (pb + lo - 1) + cost in
-        let d =
-          let v = Array.unsafe_get cells (pb + lo) + 1 in
-          if v < d then v else d
-        in
-        Array.unsafe_set cells (rb + lo) d;
-        lo + 1
-      end
-    in
-    (* Last cell: when the window end is the band edge (hi = i + xhi),
-       cell (i-1, hi) is outside row i-1's window. *)
-    let clipped = hi = i + xhi && hi >= jstart in
-    let jend = if clipped then hi - 1 else hi in
-    for j = jstart to jend do
-      let cost = if c = Array.unsafe_get cb (j - 1) then 0 else 1 in
-      let d = Array.unsafe_get cells (pb + j - 1) + cost in
-      let d =
-        let v = Array.unsafe_get cells (rb + j - 1) + 1 in
-        if v < d then v else d
-      in
-      let d =
-        let v = Array.unsafe_get cells (pb + j) + 1 in
-        if v < d then v else d
-      in
-      Array.unsafe_set cells (rb + j) d
-    done;
-    if clipped then begin
-      let cost = if c = Array.unsafe_get cb (hi - 1) then 0 else 1 in
-      let d = Array.unsafe_get cells (pb + hi - 1) + cost in
-      let d =
-        let v = Array.unsafe_get cells (rb + hi - 1) + 1 in
-        if v < d then v else d
-      in
-      Array.unsafe_set cells (rb + hi) d
-    end
-  in
-  (* Interior rows — both window edges band-clipped (0 < lo, hi < lb) —
-     are the bulk of the matrix and occupy exactly [i*w .. i*w + w) in
-     storage, so they run with two counters bumped by constants instead
-     of per-row max/min/multiply: [ib] the row base and [jb] the cb
-     index of the row's first column. At narrow bands (the score-first
-     window is ~d wide) the general row's edge logic costs as much as
-     its cells, so this is where the banded kernel earns its keep. *)
-  let mid_lo = max 1 (1 - xlo) and mid_hi = min la (lb - xhi) in
-  for i = 1 to min la (mid_lo - 1) do
-    general_row i
-  done;
-  let ib = ref (mid_lo * w) and jb = ref (mid_lo + xlo - 1) in
-  for i = mid_lo to mid_hi do
-    let ib0 = !ib and jb0 = !jb in
-    let c = Array.unsafe_get ca (i - 1) in
-    (* first cell (i, lo): diagonal and up only *)
-    let cost = if c = Array.unsafe_get cb jb0 then 0 else 1 in
-    let d = imin (Array.unsafe_get cells (ib0 - w) + cost) (Array.unsafe_get cells (ib0 - w + 1) + 1) in
-    Array.unsafe_set cells ib0 d;
-    (* The left neighbor is the cell the previous iteration just wrote:
-       carry it in a register instead of reloading it. *)
-    let prev = ref d in
-    for t = 1 to w - 2 do
-      let cost = if c = Array.unsafe_get cb (jb0 + t) then 0 else 1 in
-      let dg = Array.unsafe_get cells (ib0 - w + t) + cost in
-      let up = Array.unsafe_get cells (ib0 - w + t + 1) in
-      let d = imin dg (imin !prev up + 1) in
-      Array.unsafe_set cells (ib0 + t) d;
-      prev := d
-    done;
-    (* last cell (i, hi): diagonal and left only *)
-    let cost = if c = Array.unsafe_get cb (jb0 + w - 1) then 0 else 1 in
-    let d = imin (Array.unsafe_get cells (ib0 - 1) + cost) (!prev + 1) in
-    Array.unsafe_set cells (ib0 + w - 1) d;
-    ib := ib0 + w;
-    incr jb
-  done;
-  for i = max mid_lo (mid_hi + 1) to la do
-    general_row i
-  done;
-  cells.((la * w) - la + lb - xlo)
+let word_bits = Strand.mask_bits
 
-(* Banded layout: cell (i, j) at [i*w + j - i - xlo]. Every cell the
-   traceback visits is on an optimal path and hence in the window, as is
-   its chosen predecessor; of the candidate reads, only the up neighbor
-   (i-1, j) can fall outside (j - (i-1) > xhi), so that is the only
-   window check needed — diag keeps the same offset and left moves it
-   down, and a rejected out-of-window up can never be "equal" anyway
-   because the insert move is then the one that holds. *)
-let banded_traceback cells ca cb la lb xlo xhi ops =
-  let w = xhi - xlo + 1 in
+(* Forward pass: the blocked Myers/Hyyrö recurrence of [Distance], with
+   [a] as the pattern (row i is bit (i-1) mod 63 of block (i-1) / 63;
+   [masks] is [Strand.eq_masks a], [nw] words per base) and [b] as the
+   text, one column per base. For column j (0..lb) and block w it keeps
+   four words at [4 * (j * nw + w)]:
+   - Ph/Mh: the horizontal deltas D[i][j] - D[i][j-1] of the block's
+     rows, unshifted (+1 / -1 bits; unused in column 0);
+   - Pv/Mv: the vertical deltas D[i][j] - D[i-1][j].
+   Column 0 is all +1 vertically (D[i][0] = i). A block's top row takes
+   its horizontal delta from the block above, +1 for block 0 (row 0 is
+   D[0][j] = j). Rows past [la] in the last block are padding: values
+   only flow downward, so they never disturb real rows. Returns
+   D[la][lb], threaded along row [la] by its horizontal deltas. *)
+let bit_forward deltas masks nw la cb lb =
+  for w = 0 to nw - 1 do
+    Array.unsafe_set deltas ((4 * w) + 2) (-1);
+    Array.unsafe_set deltas ((4 * w) + 3) 0
+  done;
+  let rbit = (la - 1) mod word_bits and rlast = 4 * (nw - 1) in
+  let score = ref la in
+  for j = 1 to lb do
+    let base = Array.unsafe_get cb (j - 1) * nw in
+    let col = 4 * j * nw in
+    (* the carried-in horizontal delta as separate +1 / -1 bits *)
+    let hp = ref 1 and hm = ref 0 in
+    for w = 0 to nw - 1 do
+      let o = col + (4 * w) in
+      let p = o - (4 * nw) in
+      let eq = Array.unsafe_get masks (base + w) in
+      let pv = Array.unsafe_get deltas (p + 2) and mv = Array.unsafe_get deltas (p + 3) in
+      let eq_in = eq lor !hm in
+      let xv = eq lor mv in
+      let xh = (((eq_in land pv) + pv) lxor pv) lor eq_in in
+      let ph = mv lor lnot (xh lor pv) in
+      let mh = pv land xh in
+      Array.unsafe_set deltas o ph;
+      Array.unsafe_set deltas (o + 1) mh;
+      let phs = (ph lsl 1) lor !hp and mhs = (mh lsl 1) lor !hm in
+      Array.unsafe_set deltas (o + 2) (mhs lor lnot (xv lor phs));
+      Array.unsafe_set deltas (o + 3) (phs land xv);
+      hp := ph lsr (word_bits - 1);
+      hm := mh lsr (word_bits - 1)
+    done;
+    let o = col + rlast in
+    score :=
+      !score
+      + ((Array.unsafe_get deltas o lsr rbit) land 1)
+      - ((Array.unsafe_get deltas (o + 1) lsr rbit) land 1)
+  done;
+  !score
+
+(* The greedy walk over the stored deltas: every neighbor's value is the
+   full matrix's, read off bits relative to here = D[i][j]:
+   left = here - h(i, j), diag = left - v(i, j-1), up = here - v(i, j).
+   So the diagonal holds iff h(i, j) + v(i, j-1) = cost, and the delete
+   iff v(i, j) = +1 — the value itself is never needed. *)
+let bit_traceback deltas nw ca cb la lb ops =
   let k = ref (la + lb) in
   let i = ref la and j = ref lb in
-  let here = ref (Array.unsafe_get cells ((la * w) - la + lb - xlo)) in
-  (* row base of (i - 1) minus the diagonal offset, kept incrementally:
-     pbase = (i-1)*(w-1) - xlo drops by w-1 on every vertical move *)
-  let pbase_r = ref (((la - 1) * (w - 1)) - xlo) in
   while !i > 0 && !j > 0 do
-    let pbase = !pbase_r in
-    let xa = Array.unsafe_get ca (!i - 1) and xb = Array.unsafe_get cb (!j - 1) in
-    let diag = Array.unsafe_get cells (pbase + !j - 1) in
+    let r = !i - 1 in
+    let bit = r mod word_bits in
+    let o = 4 * ((!j * nw) + (r / word_bits)) in
+    let p = o - (4 * nw) in
+    let h =
+      ((Array.unsafe_get deltas o lsr bit) land 1)
+      - ((Array.unsafe_get deltas (o + 1) lsr bit) land 1)
+    in
+    let v_left =
+      ((Array.unsafe_get deltas (p + 2) lsr bit) land 1)
+      - ((Array.unsafe_get deltas (p + 3) lsr bit) land 1)
+    in
+    let xa = Array.unsafe_get ca r and xb = Array.unsafe_get cb (!j - 1) in
     let cost = if xa = xb then 0 else 1 in
     decr k;
-    if diag + cost = !here then begin
+    if h + v_left = cost then begin
       Array.unsafe_set ops !k ((cost lsl 4) lor (xa lsl 2) lor xb);
-      here := diag;
       decr i;
-      decr j;
-      pbase_r := pbase - w + 1
+      decr j
     end
-    else if !j - !i + 1 <= xhi && Array.unsafe_get cells (pbase + !j) + 1 = !here then begin
+    else if (Array.unsafe_get deltas (o + 2) lsr bit) land 1 = 1 then begin
       Array.unsafe_set ops !k ((2 lsl 4) lor (xa lsl 2));
-      here := !here - 1;
-      decr i;
-      pbase_r := pbase - w + 1
+      decr i
     end
     else begin
       Array.unsafe_set ops !k ((3 lsl 4) lor xb);
-      here := !here - 1;
       decr j
     end
   done;
-  while !i > 0 do
-    decr k;
-    Array.unsafe_set ops !k ((2 lsl 4) lor (Array.unsafe_get ca (!i - 1) lsl 2));
-    decr i
-  done;
-  while !j > 0 do
-    decr k;
-    Array.unsafe_set ops !k ((3 lsl 4) lor Array.unsafe_get cb (!j - 1));
-    decr j
-  done;
-  !k
+  gap_tail ca cb !i !j !k ops
 
-let banded_run s ca cb la lb xlo xhi =
-  let cells = ensure s.cells ((la + 1) * (xhi - xlo + 1)) in
-  s.cells <- cells;
-  banded_dp cells ca cb la lb xlo xhi
-
-(* Fixed symmetric band with full-matrix fallback: the [?band]
-   contract. Exact whenever the score is <= band: the unit-cost matrix
-   satisfies D[i][j] >= |i - j|, so a path costing <= band never leaves
-   the window. *)
-let align_banded s ca cb la lb band =
-  let score = banded_run s ca cb la lb (-band) band in
-  if score > band then begin
-    (* The optimal path may have left the band: recompute in full so the
-       result stays exact (and identical to the oracle's). *)
-    Atomic.incr fallbacks;
-    align_full s ca cb la lb
-  end
+let align_bit (s : scratch) a ca cb la lb =
+  let ops = ensure s.ops (la + lb) in
+  s.ops <- ops;
+  if la = 0 then { packed_score = lb; ops; off = gap_tail ca cb 0 lb lb ops; lim = lb }
   else begin
-    let ops = ensure s.ops (la + lb) in
-    s.ops <- ops;
-    let off = banded_traceback s.cells ca cb la lb (-band) band ops in
-    { packed_score = score; ops; off; lim = la + lb }
-  end
-
-(* Score-first banding (edlib-style two-pass): with the exact distance d
-   already pinned by the bit-parallel Myers kernel, every cell (i, j) of
-   an optimal path satisfies both the prefix bound (cost so far
-   >= |j - i|) and the suffix bound (cost to come >= |c - (j - i)| for
-   c = lb - la), so |x| + |c - x| <= d for x = j - i: a window of width
-   ~d+1, half the classic Ukkonen band's 2d+1. The corner score then
-   equals d by construction; anything else would be a kernel bug, so it
-   falls back to the oracle rather than returning a wrong script. *)
-let align_scored s ca cb la lb d =
-  let c = lb - la in
-  let h = max 1 ((d - abs c) / 2) in
-  let score = banded_run s ca cb la lb (min 0 c - h) (max 0 c + h) in
-  if score <> d then begin
-    Atomic.incr fallbacks;
-    align_full s ca cb la lb
-  end
-  else begin
-    let ops = ensure s.ops (la + lb) in
-    s.ops <- ops;
-    let off = banded_traceback s.cells ca cb la lb (min 0 c - h) (max 0 c + h) ops in
+    let nw = (la + word_bits - 1) / word_bits in
+    let deltas = ensure s.deltas (4 * nw * (lb + 1)) in
+    s.deltas <- deltas;
+    let score = bit_forward deltas (Strand.eq_masks a) nw la cb lb in
+    let off = bit_traceback deltas nw ca cb la lb ops in
     { packed_score = score; ops; off; lim = la + lb }
   end
 
 (* ---------- Entry points ---------- *)
 
-let align_packed ?backend ?band (a : Strand.t) (b : Strand.t) : packed =
+let align_packed ?backend (a : Strand.t) (b : Strand.t) : packed =
   let la = Strand.length a and lb = Strand.length b in
   let s = Domain.DLS.get scratch_key in
   let ca =
@@ -473,28 +361,10 @@ let align_packed ?backend ?band (a : Strand.t) (b : Strand.t) : packed =
   let cb = ensure s.codes_b lb in
   s.codes_b <- cb;
   fill_codes cb b lb;
-  if use_banded backend then
-    match band with
-    | Some w ->
-        let w = max 1 w in
-        if abs (la - lb) > w then begin
-          (* the band cannot even reach the corner: the same "band too
-             narrow" signal as a score overflow, and counted as one *)
-          Atomic.incr fallbacks;
-          align_full s ca cb la lb
-        end
-        else align_banded s ca cb la lb w
-    | None ->
-        (* The bit-parallel Myers kernel pins the exact distance d in
-           O(la) words; [align_scored] then needs a single pass over a
-           ~d-wide window. Once that window covers most of the columns
-           the plain full matrix is cheaper. *)
-        let d = Distance.levenshtein a b in
-        if d + 2 >= lb then align_full s ca cb la lb else align_scored s ca cb la lb d
-  else align_full s ca cb la lb
+  if use_full backend then align_full s ca cb la lb else align_bit s a ca cb la lb
 
-let align ?backend ?band (a : Strand.t) (b : Strand.t) : t =
-  let p = align_packed ?backend ?band a b in
+let align ?backend (a : Strand.t) (b : Strand.t) : t =
+  let p = align_packed ?backend a b in
   { score = p.packed_score; script = script_of_packed p }
 
 (* Render both strands padded with '-' so that aligned positions line up. *)

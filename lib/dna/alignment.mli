@@ -2,13 +2,14 @@
     costs — the optimal score equals the edit distance.
 
     Two kernels, selected per call or process-wide via {!backend}: the
-    full O(la*lb) matrix (the reference oracle) and a Ukkonen-banded
-    variant that computes O(la*band) cells and falls back to a full
-    recompute whenever the optimal path may have hit the band edge, so
-    scores and scripts are always exact and bit-identical to the
-    oracle's. Both kernels run over flat scratch arrays drawn from a
-    per-domain arena: parallel reconstruction workers never reallocate
-    DP state between calls. *)
+    full O(la*lb) matrix (the reference oracle) and a bit-parallel one
+    (Myers/Hyyrö blocked recurrence over 63-bit words, as in Edlib) that
+    records every column's delta words in one pass and traces back over
+    their bits. The deltas encode the full matrix exactly, so scores and
+    scripts are bit-identical to the oracle's by construction. Both
+    kernels run over flat scratch arrays drawn from a per-domain arena:
+    parallel reconstruction workers never reallocate alignment state
+    between calls. *)
 
 type op =
   | Match of Nucleotide.t
@@ -25,12 +26,11 @@ val gap_char : char
 (** '-', used by {!padded}. *)
 
 type backend =
-  | Auto  (** resolve to the banded kernel (its fallback guard keeps it exact) *)
+  | Auto  (** the bit-parallel kernel *)
   | Full  (** the full DP matrix: the reference oracle, and a benchmark baseline *)
-  | Banded  (** Ukkonen band with full-matrix fallback at the band edge *)
 
 val backend_name : backend -> string
-(** ["auto"], ["full"] or ["banded"]; benchmark/report labels. *)
+(** ["auto"] or ["full"]; benchmark/report labels. *)
 
 val set_default_backend : backend -> unit
 (** Set the process-wide backend used when [?backend] is omitted. The
@@ -38,36 +38,19 @@ val set_default_backend : backend -> unit
 
 val current_default_backend : unit -> backend
 
-val default_band : int
-(** Default half-width for band-limited consumers that want a fixed
-    band (e.g. {!Poa.add}): 16, comfortably above the edit distance of
-    sibling reads at realistic sequencing error rates. *)
-
-val banded_fallbacks : unit -> int
-(** Process-wide count of banded runs that fell back to the full matrix
-    because their score exceeded the band. Only an explicit [?band] can
-    trigger this (a high rate signals it is too narrow for the
-    workload); the score-first default band never retries. *)
-
-val reset_banded_fallbacks : unit -> unit
-
 val scratch_capacity_words : unit -> int
 (** Capacity currently held by the calling domain's alignment arena
-    (DP cells, code buffers, op scripts), in array slots. Grow-only:
-    steady under a fixed workload once the largest alignment has been
-    seen — the invariant pool-native reconstruction leans on. *)
+    (oracle DP cells, bit-parallel delta words, code buffers, op
+    scripts), in array slots. Grow-only: steady under a fixed workload
+    once the largest alignment has been seen — the invariant pool-native
+    reconstruction leans on. *)
 
-val align : ?backend:backend -> ?band:int -> Strand.t -> Strand.t -> t
+val align : ?backend:backend -> Strand.t -> Strand.t -> t
 (** [align a b] computes an optimal global alignment, preferring
     diagonal moves on ties so scripts stay maximally aligned. The result
-    (score and script) is identical for every backend and band: a banded
-    run is only accepted when its score is certifiably exact
-    (score <= band). With an explicit [band] (clamped to at least 1, the
-    half-width around the main diagonal), a failed attempt recomputes in
-    full; when [band] is omitted the kernel first pins the exact
-    distance d with the bit-parallel {!Distance.levenshtein} and runs a
-    single banded pass at band d — the minimal exact band — taking the
-    full matrix once that band covers half the columns. *)
+    (score and script) is identical for every backend. The bit-parallel
+    kernel costs O(ceil(la/63) * lb) words for its single forward pass
+    plus O(la + lb) steps of traceback, whatever the distance. *)
 
 (** {2 Packed scripts — the zero-allocation hot path}
 
@@ -86,7 +69,7 @@ type packed = {
   lim : int;  (** one past the last op *)
 }
 
-val align_packed : ?backend:backend -> ?band:int -> Strand.t -> Strand.t -> packed
+val align_packed : ?backend:backend -> Strand.t -> Strand.t -> packed
 (** Exactly {!align} (same dispatch, same script, same exactness
     guarantees) without building the [op list]: ops are packed ints in
     [ops.(off .. lim - 1)], forward order, decoded by {!packed_kind} /

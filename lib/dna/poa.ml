@@ -339,7 +339,9 @@ let add_banded g (s : Strand.t) order ~band =
     true
   end
 
-let add ?(band = Alignment.default_band) g (s : Strand.t) =
+let default_band = 16
+
+let add ?(band = default_band) g (s : Strand.t) =
   if g.size = 0 then add_first g s
   else begin
     let order = topo_order g in

@@ -15,12 +15,17 @@ type t
 val create : unit -> t
 val node_count : t -> int
 
+val default_band : int
+(** Default half-width of {!add}'s scoring window: 16, comfortably
+    above the edit distance of sibling reads at realistic sequencing
+    error rates. *)
+
 val add : ?band:int -> t -> Strand.t -> unit
 (** Globally align the read against the graph (unit costs, generalized
     Needleman-Wunsch over the DAG) and fuse it: matches reinforce
     existing nodes, mismatches join their column's alignment clique,
     insertions add fresh nodes. The first read seeds the backbone.
-    [band] (clamped to at least 1; default {!Alignment.default_band})
+    [band] (clamped to at least 1; default {!default_band})
     prunes scoring to a window around each node's topological position;
     the graph produced is identical for every band. *)
 

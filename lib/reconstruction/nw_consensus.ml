@@ -19,7 +19,7 @@
 type outcome = { consensus : Dna.Strand.t; trimmed : int; padded : int }
 
 (* A round's candidate columns in reference order, as parallel flat
-   arrays (only the first [n] slots are meaningful). Alignment is ~95%
+   arrays (only the first [n] slots are meaningful). Alignment is most
    of a cluster's reconstruction time; everything around it stays in
    flat int arrays so the bookkeeping never becomes the bottleneck. *)
 type profile = { codes : int array; support : int array; n : int }
@@ -29,7 +29,7 @@ type profile = { codes : int array; support : int array; n : int }
    [codes]/[support] are overwritten. Returns the candidate count. Both
    the boxed and the pool-native surfaces run through here, so their
    profiles are bit-identical by construction. *)
-let profile_core ?backend ?band (reference : Dna.Strand.t) (reads : Dna.Strand.t array) n_reads
+let profile_core ?backend (reference : Dna.Strand.t) (reads : Dna.Strand.t array) n_reads
     ~counts ~ins ~codes ~support : int =
   let m = Dna.Strand.length reference in
   (* Flat count tables: match column i holds votes at [i*5 .. i*5+4]
@@ -38,7 +38,7 @@ let profile_core ?backend ?band (reference : Dna.Strand.t) (reads : Dna.Strand.t
      read per refinement round and never allocates. *)
   for r = 0 to n_reads - 1 do
     let read = Array.unsafe_get reads r in
-    let p = Dna.Alignment.align_packed ?backend ?band reference read in
+    let p = Dna.Alignment.align_packed ?backend reference read in
     let ops = p.Dna.Alignment.ops in
     let pos = ref 0 in
     for k = p.Dna.Alignment.off to p.Dna.Alignment.lim - 1 do
@@ -93,7 +93,7 @@ let profile_core ?backend ?band (reference : Dna.Strand.t) (reads : Dna.Strand.t
 (* Boxed entry point: fresh buffers per round. At most one insertion
    column before every match column plus one trailing slot: 2m + 1
    candidates. *)
-let profile_columns ?backend ?band (reference : Dna.Strand.t) (reads : Dna.Strand.t array) :
+let profile_columns ?backend (reference : Dna.Strand.t) (reads : Dna.Strand.t array) :
     profile =
   let m = Dna.Strand.length reference in
   let counts = Array.make (m * 5) 0 in
@@ -101,7 +101,7 @@ let profile_columns ?backend ?band (reference : Dna.Strand.t) (reads : Dna.Stran
   let codes = Array.make ((2 * m) + 1) 0 in
   let support = Array.make ((2 * m) + 1) 0 in
   let n =
-    profile_core ?backend ?band reference reads (Array.length reads) ~counts ~ins ~codes ~support
+    profile_core ?backend reference reads (Array.length reads) ~counts ~ins ~codes ~support
   in
   { codes; support; n }
 
@@ -195,7 +195,7 @@ let select_columns (p : profile) target_len =
   in
   (Array.sub out 0 written, padded)
 
-let reconstruct_full ?backend ?band ?(refinements = 2) ~target_len
+let reconstruct_full ?backend ?(refinements = 2) ~target_len
     (reads : Dna.Strand.t array) : outcome =
   let reads =
     if Array.for_all (fun r -> Dna.Strand.length r > 0) reads then reads
@@ -215,13 +215,13 @@ let reconstruct_full ?backend ?band ?(refinements = 2) ~target_len
      so later rounds — and the final selection pass — reuse it instead of
      realigning every read again. Output is identical to always
      re-profiling; only the redundant alignments are skipped. *)
-  let columns = ref (profile_columns ?backend ?band !reference reads) in
+  let columns = ref (profile_columns ?backend !reference reads) in
   (try
      for _ = 1 to refinements do
        let voted = vote_columns !reference ~n_reads !columns in
        if Dna.Strand.equal voted !reference then raise Exit;
        reference := voted;
-       columns := profile_columns ?backend ?band !reference reads
+       columns := profile_columns ?backend !reference reads
      done
    with Exit -> ());
   let columns = !columns in
@@ -236,8 +236,8 @@ let reconstruct_full ?backend ?band ?(refinements = 2) ~target_len
     { consensus = Dna.Strand.of_codes out; trimmed = 0; padded }
   end
 
-let reconstruct ?backend ?band ?refinements ~target_len reads =
-  (reconstruct_full ?backend ?band ?refinements ~target_len reads).consensus
+let reconstruct ?backend ?refinements ~target_len reads =
+  (reconstruct_full ?backend ?refinements ~target_len reads).consensus
 
 (* ---------- pool-native surface ----------
 
@@ -248,7 +248,7 @@ let reconstruct ?backend ?band ?refinements ~target_len reads =
    Bit-identical to the boxed path (the cores above are shared and the
    selection order is strict). *)
 
-let reconstruct_pool_full ?backend ?band ?(refinements = 2) ~target_len pool (idxs : int array) :
+let reconstruct_pool_full ?backend ?(refinements = 2) ~target_len pool (idxs : int array) :
     outcome =
   let open Recon_arena in
   let a = get () in
@@ -271,7 +271,7 @@ let reconstruct_pool_full ?backend ?band ?(refinements = 2) ~target_len pool (id
     Array.fill a.ins 0 ((m + 1) * 4) 0;
     a.codes <- ints a.codes ((2 * m) + 1);
     a.support <- ints a.support ((2 * m) + 1);
-    profile_core ?backend ?band !reference reads n_reads ~counts:a.counts ~ins:a.ins
+    profile_core ?backend !reference reads n_reads ~counts:a.counts ~ins:a.ins
       ~codes:a.codes ~support:a.support
   in
   let n = ref (profile ()) in
@@ -307,5 +307,5 @@ let reconstruct_pool_full ?backend ?band ?(refinements = 2) ~target_len pool (id
     }
   end
 
-let reconstruct_pool ?backend ?band ?refinements ~target_len pool idxs =
-  (reconstruct_pool_full ?backend ?band ?refinements ~target_len pool idxs).consensus
+let reconstruct_pool ?backend ?refinements ~target_len pool idxs =
+  (reconstruct_pool_full ?backend ?refinements ~target_len pool idxs).consensus

@@ -14,12 +14,11 @@ type outcome = {
 
 val reconstruct_full :
   ?backend:Dna.Alignment.backend ->
-  ?band:int ->
   ?refinements:int ->
   target_len:int ->
   Dna.Strand.t array ->
   outcome
-(** Default 2 refinement rounds. [backend]/[band] select the pairwise
+(** Default 2 refinement rounds. [backend] selects the pairwise
     alignment kernel (see {!Dna.Alignment.align}); the consensus is
     identical for every choice. Refinement rounds whose vote reproduces
     the reference reuse the round's column profile instead of realigning
@@ -27,7 +26,6 @@ val reconstruct_full :
 
 val reconstruct :
   ?backend:Dna.Alignment.backend ->
-  ?band:int ->
   ?refinements:int ->
   target_len:int ->
   Dna.Strand.t array ->
@@ -35,7 +33,6 @@ val reconstruct :
 
 val reconstruct_pool_full :
   ?backend:Dna.Alignment.backend ->
-  ?band:int ->
   ?refinements:int ->
   target_len:int ->
   Dna.Strand_pool.t ->
@@ -51,7 +48,6 @@ val reconstruct_pool_full :
 
 val reconstruct_pool :
   ?backend:Dna.Alignment.backend ->
-  ?band:int ->
   ?refinements:int ->
   target_len:int ->
   Dna.Strand_pool.t ->

@@ -1,10 +1,10 @@
-(* The banded alignment kernel is a perf knob, never a semantics knob:
-   on every input, every backend and every band must return the same
-   score (equal to the edit distance) and the same script, bit for bit.
+(* The bit-parallel alignment kernel is a perf knob, never a semantics
+   knob: on every input it must return the score (equal to the edit
+   distance) and the script of the full-matrix oracle, bit for bit.
    These tests sweep random pairs — siblings at several error rates plus
-   unrelated strands — across lengths 0..300 and bands from degenerate
-   (1) through the score-first default to read-length, including the
-   explicit-band fallback path. *)
+   unrelated strands — across lengths 0..300, every pairing of the
+   63-bit block boundaries, the degenerate shapes (identical, unrelated,
+   empty) and the memoized-reference path consensus rounds take. *)
 
 let seeds = [ 1; 7; 42 ]
 
@@ -24,28 +24,24 @@ let random_pair rng =
   in
   (a, b)
 
-let check_exact (a, b) =
-  let f = Dna.Alignment.align ~backend:Dna.Alignment.Full a b in
+(* A physically distinct copy: the oracle run on it misses the arena's
+   reference memo, so it cannot share state with the run under test. *)
+let copy s = Dna.Strand.of_string (Dna.Strand.to_string s)
+
+let check_exact ?(name = "auto") (a, b) =
+  let f = Dna.Alignment.align ~backend:Dna.Alignment.Full (copy a) b in
   let d = Dna.Distance.levenshtein a b in
   Alcotest.(check int) "full score is the edit distance" d f.Dna.Alignment.score;
   (* the script must replay to the second strand *)
   Alcotest.(check bool) "full script replays" true
     (Dna.Strand.equal b (Dna.Alignment.apply_script f.Dna.Alignment.script));
-  let same name (g : Dna.Alignment.t) =
-    Alcotest.(check int) (name ^ " score") f.Dna.Alignment.score g.Dna.Alignment.score;
-    Alcotest.(check bool) (name ^ " script identical") true
-      (g.Dna.Alignment.script = f.Dna.Alignment.script)
-  in
-  same "banded(auto)" (Dna.Alignment.align ~backend:Dna.Alignment.Banded a b);
-  same "auto" (Dna.Alignment.align ~backend:Dna.Alignment.Auto a b);
-  List.iter
-    (fun w ->
-      same
-        (Printf.sprintf "banded(band=%d)" w)
-        (Dna.Alignment.align ~backend:Dna.Alignment.Banded ~band:w a b))
-    [ 1; 8; 16; max 1 (Dna.Strand.length b) ]
+  let g = Dna.Alignment.align ~backend:Dna.Alignment.Auto a b in
+  let shape = Printf.sprintf "%s (%d x %d)" name (Dna.Strand.length a) (Dna.Strand.length b) in
+  Alcotest.(check int) (shape ^ " score") f.Dna.Alignment.score g.Dna.Alignment.score;
+  Alcotest.(check bool) (shape ^ " script identical") true
+    (g.Dna.Alignment.script = f.Dna.Alignment.script)
 
-let test_banded_matches_oracle () =
+let test_auto_matches_oracle () =
   List.iter
     (fun seed ->
       let rng = Dna.Rng.create seed in
@@ -54,23 +50,93 @@ let test_banded_matches_oracle () =
       done)
     seeds
 
-(* Tiny explicit bands force the fallback: the result is still exact and
-   the process-wide counter records that the band was too narrow. *)
-let test_explicit_band_fallback_counted () =
-  Dna.Alignment.reset_banded_fallbacks ();
-  let rng = Dna.Rng.create 99 in
-  let a = Dna.Strand.random rng 120 in
-  let b = sibling rng ~error_rate:0.15 a in
-  let f = Dna.Alignment.align ~backend:Dna.Alignment.Full a b in
-  Alcotest.(check bool) "pair is distant enough to overflow band 1" true
-    (f.Dna.Alignment.score > 1);
-  let g = Dna.Alignment.align ~backend:Dna.Alignment.Banded ~band:1 a b in
-  Alcotest.(check int) "fallback result exact" f.Dna.Alignment.score g.Dna.Alignment.score;
-  Alcotest.(check bool) "fallback counted" true (Dna.Alignment.banded_fallbacks () > 0);
-  (* the score-first default band never falls back *)
-  Dna.Alignment.reset_banded_fallbacks ();
-  ignore (Dna.Alignment.align ~backend:Dna.Alignment.Banded a b);
-  Alcotest.(check int) "score-first path never retries" 0 (Dna.Alignment.banded_fallbacks ())
+(* Every length 0..300 for the reference, against a sibling and against
+   an unrelated strand; then every pairing of lengths on either side of
+   the 63-bit block boundaries, so la < lb, la = lb and la > lb all
+   cross them (the reference is the pattern, split into blocks). *)
+let test_length_sweep () =
+  let rng = Dna.Rng.create 5 in
+  for la = 0 to 300 do
+    let a = Dna.Strand.random rng la in
+    check_exact ~name:"sibling" (a, sibling rng ~error_rate:0.1 a);
+    check_exact ~name:"unrelated" (a, Dna.Strand.random rng (Dna.Rng.int rng 301))
+  done;
+  let boundaries = [ 1; 62; 63; 64; 125; 126; 127; 189 ] in
+  List.iter
+    (fun la ->
+      List.iter
+        (fun lb ->
+          let a = Dna.Strand.random rng la in
+          check_exact ~name:"boundary unrelated" (a, Dna.Strand.random rng lb);
+          (* a sibling trimmed or padded to exactly [lb] bases *)
+          let s = Dna.Strand.to_string (sibling rng ~error_rate:0.06 a) in
+          let s =
+            if String.length s >= lb then String.sub s 0 lb
+            else s ^ Dna.Strand.to_string (Dna.Strand.random rng (lb - String.length s))
+          in
+          check_exact ~name:"boundary sibling" (a, Dna.Strand.of_string s))
+        boundaries)
+    boundaries
+
+let test_degenerate_shapes () =
+  let rng = Dna.Rng.create 11 in
+  List.iter
+    (fun len ->
+      let a = Dna.Strand.random rng len in
+      check_exact ~name:"identical" (a, copy a);
+      check_exact ~name:"same strand" (a, a);
+      check_exact ~name:"unrelated" (a, Dna.Strand.random rng len);
+      check_exact ~name:"empty read" (a, Dna.Strand.empty);
+      check_exact ~name:"empty reference" (Dna.Strand.empty, a))
+    [ 0; 1; 2; 62; 63; 64; 127; 150; 300 ]
+
+(* Consensus rounds align one reference against every read, and the
+   arena skips refilling the reference's codes while it stays the same
+   strand: repeated calls — interleaved with other references and with
+   the oracle — must each match a fresh oracle run. *)
+let test_memoized_reference () =
+  let rng = Dna.Rng.create 13 in
+  let refs = Array.init 3 (fun i -> Dna.Strand.random rng (60 + (70 * i))) in
+  for round = 1 to 4 do
+    Array.iter
+      (fun r ->
+        for _ = 1 to 10 do
+          let read = sibling rng ~error_rate:0.1 r in
+          let expect = Dna.Alignment.align ~backend:Dna.Alignment.Full (copy r) read in
+          let p = Dna.Alignment.align_packed r read in
+          Alcotest.(check int)
+            (Printf.sprintf "round %d score" round)
+            expect.Dna.Alignment.score p.Dna.Alignment.packed_score;
+          Alcotest.(check bool)
+            (Printf.sprintf "round %d script" round)
+            true
+            (Dna.Alignment.script_of_packed p = expect.Dna.Alignment.script);
+          (* the oracle on the same reference shares the memo *)
+          ignore (Dna.Alignment.align_packed ~backend:Dna.Alignment.Full r read)
+        done)
+      refs
+  done
+
+(* The arena is grow-only: once a warm-up batch has run, a second batch
+   of pairs with the same lengths, through both kernels, reuses every
+   buffer — the capacity the pool-native reconstruction leans on. *)
+let test_arena_capacity_steady () =
+  let shapes = [ (120, 117); (120, 126); (150, 150); (189, 64); (64, 189); (0, 40); (40, 0) ] in
+  let batch seed =
+    let rng = Dna.Rng.create seed in
+    List.iter
+      (fun (la, lb) ->
+        let a = Dna.Strand.random rng la and b = Dna.Strand.random rng lb in
+        ignore (Dna.Alignment.align_packed a b);
+        ignore (Dna.Alignment.align_packed ~backend:Dna.Alignment.Full a b))
+      shapes
+  in
+  batch 1;
+  let warm = Dna.Alignment.scratch_capacity_words () in
+  Alcotest.(check bool) "warm-up allocated the arena" true (warm > 0);
+  batch 2;
+  Alcotest.(check int) "second batch reuses the arena" warm
+    (Dna.Alignment.scratch_capacity_words ())
 
 (* The packed script is the same alignment as the decoded one. *)
 let test_packed_roundtrip () =
@@ -104,7 +170,7 @@ let test_poa_band_invariant () =
                 (Printf.sprintf "cov %d band %d consensus unchanged" coverage band)
                 true
                 (Dna.Strand.equal unpruned (consensus_at (Some band))))
-            [ 1; 8; Dna.Alignment.default_band ];
+            [ 1; 8; Dna.Poa.default_band ];
           Alcotest.(check bool)
             (Printf.sprintf "cov %d default band consensus unchanged" coverage)
             true
@@ -124,13 +190,13 @@ let test_consensus_backend_invariant () =
           Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Full ~target_len:120
             reads
         in
-        let banded =
-          Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Banded ~target_len:120
+        let auto =
+          Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Auto ~target_len:120
             reads
         in
         Alcotest.(check bool)
           (Printf.sprintf "cov %d consensus byte-identical" coverage)
-          true (Dna.Strand.equal full banded)
+          true (Dna.Strand.equal full auto)
       done)
     [ 5; 10; 20 ]
 
@@ -214,9 +280,9 @@ let algorithms =
   [
     ( "nw",
       (fun ~target_len reads ->
-        Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Banded ~target_len reads),
+        Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Auto ~target_len reads),
       fun ~target_len pool idxs ->
-        Reconstruction.Nw_consensus.reconstruct_pool ~backend:Dna.Alignment.Banded ~target_len
+        Reconstruction.Nw_consensus.reconstruct_pool ~backend:Dna.Alignment.Auto ~target_len
           pool idxs );
     ( "bma",
       (fun ~target_len reads -> Reconstruction.Bma.reconstruct ~target_len reads),
@@ -227,9 +293,9 @@ let algorithms =
         Reconstruction.Bma.reconstruct_double_pool ~target_len pool idxs );
     ( "ensemble",
       (fun ~target_len reads ->
-        Reconstruction.Ensemble.reconstruct ~backend:Dna.Alignment.Banded ~target_len reads),
+        Reconstruction.Ensemble.reconstruct ~backend:Dna.Alignment.Auto ~target_len reads),
       fun ~target_len pool idxs ->
-        Reconstruction.Ensemble.reconstruct_pool ~backend:Dna.Alignment.Banded ~target_len pool
+        Reconstruction.Ensemble.reconstruct_pool ~backend:Dna.Alignment.Auto ~target_len pool
           idxs );
     ( "majority",
       (fun ~target_len reads -> Reconstruction.Ensemble.majority ~target_len reads),
@@ -285,7 +351,7 @@ let test_pool_arena_isolation_across_domains () =
   let serial =
     Array.map
       (fun (reads, target_len) ->
-        Reconstruction.Ensemble.reconstruct ~backend:Dna.Alignment.Banded ~target_len reads)
+        Reconstruction.Ensemble.reconstruct ~backend:Dna.Alignment.Auto ~target_len reads)
       clusters
   in
   List.iter
@@ -295,7 +361,7 @@ let test_pool_arena_isolation_across_domains () =
           (fun i ->
             let _, target_len = clusters.(i) in
             let pool, idxs = pools.(i) in
-            Reconstruction.Ensemble.reconstruct_pool ~backend:Dna.Alignment.Banded ~target_len
+            Reconstruction.Ensemble.reconstruct_pool ~backend:Dna.Alignment.Auto ~target_len
               pool idxs)
           (Array.init (Array.length clusters) Fun.id)
       in
@@ -312,8 +378,12 @@ let () =
     [
       ( "exactness",
         [
-          Alcotest.test_case "banded == full == levenshtein" `Quick test_banded_matches_oracle;
-          Alcotest.test_case "explicit band fallback" `Quick test_explicit_band_fallback_counted;
+          Alcotest.test_case "auto == full == levenshtein" `Quick test_auto_matches_oracle;
+          Alcotest.test_case "lengths 0..300 and block boundaries" `Quick test_length_sweep;
+          Alcotest.test_case "identical, unrelated, empty" `Quick test_degenerate_shapes;
+          Alcotest.test_case "memoized reference" `Quick test_memoized_reference;
+          Alcotest.test_case "arena capacity steady after warm-up" `Quick
+            test_arena_capacity_steady;
           Alcotest.test_case "packed roundtrip" `Quick test_packed_roundtrip;
         ] );
       ( "consensus",
