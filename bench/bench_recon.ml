@@ -9,14 +9,17 @@
      dune exec bench/bench_recon.exe -- --smoke      # tiny budget: checks the
                                                      # harness and JSON, not timing
 
-   Three tiers, each with an exactness guard (the bit-parallel kernel is
-   only a perf knob — any output difference is a bug and fails the bench):
+   Four tiers, each with an exactness guard (the bit-parallel kernel and
+   the arena surfaces are only perf knobs — any output difference is a
+   bug and fails the bench):
 
    - align: ns/op for sibling pairs at 120nt and 300nt, per backend;
    - reconstruct: ns per whole-cluster NW consensus at coverage 5/10/20,
      with byte-identical consensus required between backends;
    - pipeline: end-to-end [Pipeline.run] stage timings per backend, with
-     identical decoded bytes required.
+     identical decoded bytes required;
+   - trip slices: one pipeline trip's clusters reconstructed pool-native
+     and by the boxed oracle, with identical consensus required.
 
    The job also fails if auto is slower than full on the 120nt align
    case (threshold 1.0, relaxed to 0.8 under --smoke where timings are
@@ -237,123 +240,117 @@ let run_pipeline () =
       (Dnastore.Pipeline.total_s tf)
       (Dnastore.Pipeline.total_s tb)
 
-(* Tier 4: the pooled reconstruction spine against the boxed one. Both
-   legs share the channel/sequencing config and run at [~domains:1] with
-   the same seed; the boxed leg clusters through
-   [cluster_scaled_default], which is draw-for-draw identical to the
-   pooled spine's [cluster_pool_default] — so the decoded bytes must be
-   byte-identical, and any divergence fails the bench. The pooled leg
-   runs first so its VmHWM reading is not inflated by the boxed leg
-   (the counter is a process-lifetime high-water mark; the boxed
-   reading still includes the pooled leg's footprint and is reported
-   as an upper bound only).
+(* Tier 4: pool-native consensus against the boxed oracle on the same
+   clusters. One pipeline trip — encode, sequence into one arena,
+   default clustering, sorted slices: the calls [Pipeline.run] makes —
+   yields the clusters. Each is reconstructed by
+   [Nw_consensus.reconstruct_pool] over its index slice and by the boxed
+   [Nw_consensus.reconstruct] over its views, materialized once outside
+   the timed region. The two sides alternate over [reps] sweeps; each
+   side reports its fastest sweep.
 
-   Guards: identical decoded bytes (always); pooled allocates strictly
-   fewer minor words per cluster (always); pooled reconstruct wall not
-   slower than boxed (full run — relaxed to 2x under --smoke, where a
-   128-byte file gives timing noise, not timing). *)
-let run_spines () =
+   Guards: identical consensus on every cluster (always); the pool path
+   allocates strictly fewer minor words per cluster (always); the pool
+   path is not slower in total (full run — relaxed to 2x under --smoke,
+   where a 128-byte file gives timing noise, not timing). *)
+let run_oracle () =
   let file_bytes = if !smoke then 128 else 2048 in
   let data =
     let r = Dna.Rng.create 11 in
     Bytes.init file_bytes (fun _ -> Char.chr (Dna.Rng.int r 256))
   in
-  let reps = if !smoke then 1 else 3 in
-  let best runs =
+  let reps = if !smoke then 1 else 5 in
+  let params = Codec.Params.default in
+  let target_len = Codec.Params.strand_nt params in
+  let rng = Dna.Rng.create 5 in
+  let stages = Dnastore.Pipeline.default_stages ~error_rate () in
+  let encoded = Codec.File_codec.encode ~params data in
+  let pool = Dna.Strand_pool.create () in
+  ignore
+    (Simulator.Sequencer.sequence_pool stages.Dnastore.Pipeline.sequencing stages.channel rng
+       encoded.Codec.File_codec.strands ~pool);
+  let slices = Array.of_list (stages.cluster rng pool) in
+  Dnastore.Pipeline.sort_cluster_slices pool slices;
+  let slices = Array.of_list (List.filter (fun s -> Array.length s > 0) (Array.to_list slices)) in
+  let views = Array.map (Array.map (Dna.Strand_pool.get pool)) slices in
+  let n = Array.length slices in
+  let pool_recon i = Reconstruction.Nw_consensus.reconstruct_pool ~target_len pool slices.(i) in
+  let boxed_recon i = Reconstruction.Nw_consensus.reconstruct ~target_len views.(i) in
+  for i = 0 to n - 1 do
+    let p = pool_recon i and b = boxed_recon i in
+    if not (Dna.Strand.equal p b) then begin
+      Printf.eprintf "pool and boxed consensus differ on cluster %d of %d:\n  pool  %s\n  boxed %s\n"
+        i n (Dna.Strand.to_string p) (Dna.Strand.to_string b);
+      exit 1
+    end
+  done;
+  (* One sweep over every cluster: per-cluster wall seconds and minor
+     words, measured around the consensus call alone. *)
+  let sweep recon =
+    let times = Array.make n 0.0 and words = Array.make n 0.0 in
+    for i = 0 to n - 1 do
+      let w0 = Gc.minor_words () in
+      let t0 = Unix.gettimeofday () in
+      ignore (Sys.opaque_identity (recon i));
+      times.(i) <- Unix.gettimeofday () -. t0;
+      words.(i) <- Gc.minor_words () -. w0
+    done;
+    (times, words)
+  in
+  let sum = Array.fold_left ( +. ) 0.0 in
+  let runs = List.init reps (fun _ -> (sweep pool_recon, sweep boxed_recon)) in
+  let fastest side =
     List.fold_left
-      (fun acc (o : Dnastore.Pipeline.outcome) ->
-        match acc with
-        | Some (b : Dnastore.Pipeline.outcome)
-          when b.Dnastore.Pipeline.timings.Dnastore.Pipeline.reconstruct_s
-               <= o.Dnastore.Pipeline.timings.Dnastore.Pipeline.reconstruct_s ->
-            acc
-        | _ -> Some o)
+      (fun best r ->
+        let ((t, _) as r) = side r in
+        match best with Some (bt, _) when sum bt <= sum t -> best | _ -> Some r)
       None runs
     |> Option.get
   in
-  let run_pooled () =
-    let rng = Dna.Rng.create 5 in
-    Dnastore.Pipeline.run ~recon_pool:Dnastore.Pipeline.Pool_on ~domains:1 rng data
-  in
-  let run_boxed () =
-    let rng = Dna.Rng.create 5 in
-    let stages =
-      {
-        (Dnastore.Pipeline.default_stages ~error_rate ()) with
-        Dnastore.Pipeline.cluster = Dnastore.Pipeline.cluster_scaled_default ~domains:1 ();
-      }
-    in
-    Dnastore.Pipeline.run ~stages ~recon_pool:Dnastore.Pipeline.Pool_off ~domains:1 rng data
-  in
-  let pooled_runs = List.init reps (fun _ -> run_pooled ()) in
-  let rss_pooled = Scale_stream.peak_rss_mb () in
-  let boxed_runs = List.init reps (fun _ -> run_boxed ()) in
-  let rss_boxed = Scale_stream.peak_rss_mb () in
-  let pooled = best pooled_runs and boxed = best boxed_runs in
-  (match (pooled.Dnastore.Pipeline.file, boxed.Dnastore.Pipeline.file) with
-  | Some a, Some b when Bytes.equal a b -> ()
-  | _ ->
-      Printf.eprintf "pooled and boxed spines decoded different bytes\n";
-      exit 1);
-  let tp = pooled.Dnastore.Pipeline.timings and tb = boxed.Dnastore.Pipeline.timings in
-  let wp = pooled.Dnastore.Pipeline.reconstruct_words_per_cluster
-  and wb = boxed.Dnastore.Pipeline.reconstruct_words_per_cluster in
+  let tp, words_p = fastest fst and tb, words_b = fastest snd in
+  let wp = sum words_p /. float_of_int n and wb = sum words_b /. float_of_int n in
+  let sp = sum tp and sb = sum tb in
+  let pct = Dnastore.Pipeline.percentile in
   Printf.printf
-    "pipeline spines: pooled %.3fs (p50 %.2f ms, p95 %.2f ms, %.0f words/cluster)\n\
-    \                 boxed  %.3fs (p50 %.2f ms, p95 %.2f ms, %.0f words/cluster)  %.2fx, %.1fx fewer words\n"
-    tp.Dnastore.Pipeline.reconstruct_s
-    (1000.0 *. tp.Dnastore.Pipeline.reconstruct_p50_s)
-    (1000.0 *. tp.Dnastore.Pipeline.reconstruct_p95_s)
-    wp tb.Dnastore.Pipeline.reconstruct_s
-    (1000.0 *. tb.Dnastore.Pipeline.reconstruct_p50_s)
-    (1000.0 *. tb.Dnastore.Pipeline.reconstruct_p95_s)
-    wb
-    (tb.Dnastore.Pipeline.reconstruct_s /. tp.Dnastore.Pipeline.reconstruct_s)
+    "trip slices (%d clusters): pool %.3fs (p50 %.2f ms, p95 %.2f ms, %.0f words/cluster)\n\
+    \                           boxed %.3fs (p50 %.2f ms, p95 %.2f ms, %.0f words/cluster)  %.2fx, %.1fx fewer words\n"
+    n sp (1000.0 *. pct tp 0.50) (1000.0 *. pct tp 0.95) wp sb (1000.0 *. pct tb 0.50)
+    (1000.0 *. pct tb 0.95) wb (sb /. sp)
     (if wp > 0.0 then wb /. wp else infinity);
   if wp >= wb then begin
-    Printf.eprintf "pooled spine did not allocate fewer words/cluster (%.0f >= %.0f)\n" wp wb;
+    Printf.eprintf "pool consensus did not allocate fewer words/cluster (%.0f >= %.0f)\n" wp wb;
     exit 1
   end;
   let slack = if !smoke then 2.0 else 1.0 in
-  if tp.Dnastore.Pipeline.reconstruct_s > slack *. tb.Dnastore.Pipeline.reconstruct_s then begin
-    Printf.eprintf "pooled reconstruct slower than boxed (%.3fs > %.1fx * %.3fs)\n"
-      tp.Dnastore.Pipeline.reconstruct_s slack tb.Dnastore.Pipeline.reconstruct_s;
+  if sp > slack *. sb then begin
+    Printf.eprintf "pool consensus slower than boxed (%.3fs > %.1fx * %.3fs)\n" sp slack sb;
     exit 1
   end;
-  let stage name boxed_v pooled_v =
+  let stage name boxed_v pool_v =
     [
       entry ~s:boxed_v ~speedup:1.0 (name ^ "/boxed");
-      entry ~s:pooled_v
-        ~speedup:(if pooled_v > 0.0 then boxed_v /. pooled_v else 1.0)
-        (name ^ "/pooled");
+      entry ~s:pool_v ~speedup:(if pool_v > 0.0 then boxed_v /. pool_v else 1.0) (name ^ "/pool");
     ]
   in
   let entries =
-    stage "pipeline_spine/reconstruct_s" tb.Dnastore.Pipeline.reconstruct_s
-      tp.Dnastore.Pipeline.reconstruct_s
-    @ stage "pipeline_spine/reconstruct_p50_s" tb.Dnastore.Pipeline.reconstruct_p50_s
-        tp.Dnastore.Pipeline.reconstruct_p50_s
-    @ stage "pipeline_spine/reconstruct_p95_s" tb.Dnastore.Pipeline.reconstruct_p95_s
-        tp.Dnastore.Pipeline.reconstruct_p95_s
-    @ stage "pipeline_spine/total_s"
-        (Dnastore.Pipeline.total_s tb)
-        (Dnastore.Pipeline.total_s tp)
+    stage "trip_slices/reconstruct_s" sb sp
+    @ stage "trip_slices/cluster_p50_s" (pct tb 0.50) (pct tp 0.50)
+    @ stage "trip_slices/cluster_p95_s" (pct tb 0.95) (pct tp 0.95)
   in
   let extras =
     [
-      ("pooled_words_per_cluster", Printf.sprintf "%.1f" wp);
+      ("trip_clusters", string_of_int n);
+      ("pool_words_per_cluster", Printf.sprintf "%.1f" wp);
       ("boxed_words_per_cluster", Printf.sprintf "%.1f" wb);
-      ("pooled_peak_rss_mb", Printf.sprintf "%.1f" rss_pooled);
-      ("boxed_peak_rss_mb_upper_bound", Printf.sprintf "%.1f" rss_boxed);
     ]
   in
   (entries, extras)
 
 let () =
-  let spine_entries, spine_extras = run_spines () in
   let align_entries, speedup_120 = run_align () in
   let recon_entries = run_reconstruct () in
   let pipeline_entries = run_pipeline () in
+  let oracle_entries, oracle_extras = run_oracle () in
   write_json
     (Filename.concat !out_dir "BENCH_recon.json")
     ~config:
@@ -362,8 +359,8 @@ let () =
          ("error_rate", string_of_float error_rate);
          ("smoke", string_of_bool !smoke);
        ]
-      @ spine_extras)
-    (align_entries @ recon_entries @ pipeline_entries @ spine_entries);
+      @ oracle_extras)
+    (align_entries @ recon_entries @ pipeline_entries @ oracle_entries);
   let threshold = if !smoke then 0.8 else 1.0 in
   if speedup_120 < threshold then begin
     Printf.eprintf "auto slower than full on %dnt align (%.2fx < %.2fx)\n" read_len speedup_120

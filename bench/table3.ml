@@ -18,11 +18,12 @@ let run_config ~kind ~algo ~coverage ~file rng =
     {
       Dnastore.Pipeline.channel = Simulator.Iid_channel.create_rate ~error_rate:0.06;
       sequencing = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed coverage);
-      cluster =
-        (fun rng reads ->
-          let result, _ = cluster_auto ~kind rng reads in
-          Clustering.Cluster.read_clusters result reads);
-      reconstruct = reconstruct_of algo;
+      cluster = Dnastore.Pipeline.cluster_default ~kind ();
+      reconstruct =
+        (match algo with
+        | `Bma -> Dnastore.Pipeline.reconstruct_bma
+        | `Dbma -> Dnastore.Pipeline.reconstruct_dbma
+        | `Nw -> fun ~target_len pool idxs -> Dnastore.Pipeline.reconstruct_nw ~target_len pool idxs);
     }
   in
   let out = Dnastore.Pipeline.run ~stages rng file in

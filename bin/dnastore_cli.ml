@@ -126,17 +126,9 @@ let recon_arg =
        & info [ "algorithm" ] ~docv:"ALGO"
          ~doc:"Trace reconstruction: $(b,bma), $(b,dbma) (double-sided), $(b,nw)                (Needleman-Wunsch), or $(b,ensemble) (vote of all three).")
 
+(* Reconstructors over cluster index-slices of a read arena; trellis
+   (no pool surface yet) bridges by materializing zero-copy views. *)
 let make_recon = function
-  | `Bma -> Reconstruction.Bma.reconstruct ?lookahead:None
-  | `Dbma -> Reconstruction.Bma.reconstruct_double ?lookahead:None
-  | `Nw -> (fun ~target_len reads -> Reconstruction.Nw_consensus.reconstruct ~target_len reads)
-  | `Ensemble -> (fun ~target_len reads -> Reconstruction.Ensemble.reconstruct ~target_len reads)
-  | `Trellis -> (fun ~target_len reads -> Reconstruction.Trellis.reconstruct ~target_len reads)
-
-(* Pool-native twin of [make_recon]: algorithms with an arena surface
-   use it; trellis (no pool surface yet) bridges by materializing
-   zero-copy views. *)
-let make_recon_pool = function
   | `Bma -> (fun ~target_len pool idxs -> Reconstruction.Bma.reconstruct_pool ~target_len pool idxs)
   | `Dbma ->
       (fun ~target_len pool idxs ->
@@ -161,15 +153,6 @@ let recon_backend_arg =
          ~doc:"Alignment kernel for reconstruction: $(b,auto) (bit-parallel, one pass plus \
                traceback over its delta bits) or $(b,full) (the reference DP matrix, \
                an order of magnitude slower). Output is identical for both.")
-
-(* The two reconstruction spines stay A/B-able from the shell: [auto]
-   is pooled wherever pool-native stages exist for the request. *)
-let recon_pool_arg =
-  Arg.(value
-       & opt (enum [ ("auto", Dnastore.Pipeline.Pool_auto); ("on", Dnastore.Pipeline.Pool_on); ("off", Dnastore.Pipeline.Pool_off) ])
-           Dnastore.Pipeline.Pool_auto
-       & info [ "recon-pool" ] ~docv:"MODE"
-         ~doc:"Reconstruction spine: $(b,on) (pool-native: one read arena, index-slice clusters,                arena-backed consensus), $(b,off) (boxed strand arrays), or $(b,auto). Consensus is                bit-identical either way.")
 
 let sig_kind_arg =
   Arg.(value & opt (enum [ ("qgram", Clustering.Signature.Qgram); ("wgram", Clustering.Signature.Wgram) ])
@@ -269,6 +252,8 @@ let reconstruct_cmd =
   let run clusters_path output target algo recon_backend domains =
     Dna.Par.set_default_domains domains;
     Dna.Alignment.set_default_backend recon_backend;
+    (* Every read goes into one arena; each group becomes an index slice. *)
+    let pool = Dna.Strand_pool.create () in
     let groups = ref [] and cur = ref [] in
     List.iter
       (fun line ->
@@ -279,7 +264,7 @@ let reconstruct_cmd =
         end
         else
           match Dna.Strand.of_string_opt line with
-          | Some s -> cur := s :: !cur
+          | Some s -> cur := Dna.Strand_pool.add_strand pool s :: !cur
           | None -> ())
       (read_lines clusters_path);
     if !cur <> [] then groups := Array.of_list (List.rev !cur) :: !groups;
@@ -287,7 +272,7 @@ let reconstruct_cmd =
     let recon = make_recon algo in
     let consensus =
       Dna.Par.map_array ~label:"cli.reconstruct" ~domains
-        (fun reads -> if Array.length reads = 0 then None else Some (recon ~target_len:target reads))
+        (fun idxs -> if Array.length idxs = 0 then None else Some (recon ~target_len:target pool idxs))
         groups
     in
     let records =
@@ -334,7 +319,7 @@ let pipeline_cmd =
   let input = Arg.(required & opt (some file) None & info [ "input"; "i" ] ~docv:"FILE" ~doc:"Input file.") in
   let output = Arg.(required & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Recovered file.") in
   let run input output layout payload data_cols parity channel error_rate coverage algo kind
-      recon_backend recon_pool seed domains =
+      recon_backend seed domains =
     Dna.Par.set_default_domains domains;
     Dna.Alignment.set_default_backend recon_backend;
     let params = params_of ~payload ~data_cols ~parity in
@@ -347,16 +332,8 @@ let pipeline_cmd =
         reconstruct = make_recon algo;
       }
     in
-    let pooled =
-      {
-        Dnastore.Pipeline.cluster_pool = Dnastore.Pipeline.cluster_pool_default ~kind ~domains ();
-        reconstruct_pool = make_recon_pool algo;
-      }
-    in
     let data = read_binary input in
-    let out =
-      Dnastore.Pipeline.run ~params ~layout ~stages ~pooled ~recon_pool ~domains rng data
-    in
+    let out = Dnastore.Pipeline.run ~params ~layout ~stages ~domains rng data in
     (match out.Dnastore.Pipeline.file with
     | Some bytes -> write_binary output bytes
     | None -> ());
@@ -372,9 +349,7 @@ let pipeline_cmd =
       (Dnastore.Report.recon_percentiles ~p50_s:t.Dnastore.Pipeline.reconstruct_p50_s
          ~p95_s:t.Dnastore.Pipeline.reconstruct_p95_s);
     print_string
-      (Dnastore.Report.recon_alloc
-         ~pooled:(recon_pool <> Dnastore.Pipeline.Pool_off)
-         ~n_clusters:out.Dnastore.Pipeline.n_clusters
+      (Dnastore.Report.recon_alloc ~n_clusters:out.Dnastore.Pipeline.n_clusters
          ~words_per_cluster:out.Dnastore.Pipeline.reconstruct_words_per_cluster);
     if not out.Dnastore.Pipeline.exact then
       print_string (Dnastore.Report.recovery out.Dnastore.Pipeline.partial);
@@ -387,7 +362,7 @@ let pipeline_cmd =
   Cmd.v (Cmd.info "pipeline" ~doc:"Run the full encode-simulate-cluster-reconstruct-decode pipeline.")
     Term.(const run $ input $ output $ layout_arg $ payload_arg $ data_cols_arg $ parity_arg
           $ channel_arg $ error_rate_arg $ coverage_arg $ recon_arg $ sig_kind_arg
-          $ recon_backend_arg $ recon_pool_arg $ seed_arg $ domains)
+          $ recon_backend_arg $ seed_arg $ domains)
 
 (* fountain-encode / fountain-decode *)
 
@@ -486,7 +461,7 @@ let faults_cmd =
   let list_arg =
     Arg.(value & flag & info [ "list" ] ~doc:"List the scenario matrix and exit.")
   in
-  let run input bytes scenario_name seeds_csv list_only recon_pool domains =
+  let run input bytes scenario_name seeds_csv list_only domains =
     Dna.Par.set_default_domains domains;
     if list_only then begin
       print_string
@@ -528,9 +503,7 @@ let faults_cmd =
       let run_one scenario seed =
         let go () =
           let rng = Dna.Rng.create seed in
-          Dnastore.Pipeline.run ~recon_pool
-            ~faults:(Dnastore.Faults.plan_of_scenario ~seed scenario)
-            rng data
+          Dnastore.Pipeline.run ~faults:(Dnastore.Faults.plan_of_scenario ~seed scenario) rng data
         in
         let out = go () in
         (* Replay: the same pipeline and fault seeds must reproduce the
@@ -612,7 +585,7 @@ let faults_cmd =
   Cmd.v
     (Cmd.info "faults"
        ~doc:"Run the fault-injection scenario matrix and print a recovery report.")
-    Term.(const run $ input $ bytes_arg $ scenario_arg $ seeds_arg $ list_arg $ recon_pool_arg $ domains)
+    Term.(const run $ input $ bytes_arg $ scenario_arg $ seeds_arg $ list_arg $ domains)
 
 (* scenario: the declarative channel-stack engine. list/describe browse
    the builtin registry; run executes one (scenario, fault) cell per
@@ -942,9 +915,8 @@ let store_cmd =
               "Serve whatever survives when the object's shard is damaged or scrub marked it \
                degraded, instead of failing. Exit 2 signals a partial (non-exact) read.")
     in
-    let run dir key output domains recon_backend recon_pool degraded =
+    let run dir key output domains recon_backend degraded =
       let store = opened dir in
-      let recon_pool = recon_pool <> Dnastore.Pipeline.Pool_off in
       if degraded then begin
         let p = or_die (Store.get_partial store ~key) in
         write_binary output p.Store.bytes;
@@ -961,7 +933,7 @@ let store_cmd =
         end
       end
       else
-        match Store.get_batch ~domains ~recon_backend ~recon_pool store [ key ] with
+        match Store.get_batch ~domains ~recon_backend store [ key ] with
         | [ (_, Ok bytes) ] ->
             write_binary output bytes;
             Printf.printf "recovered %s (%d bytes)\n" key (Bytes.length bytes)
@@ -969,7 +941,7 @@ let store_cmd =
         | _ -> assert false
     in
     Cmd.v (Cmd.info "get" ~doc:"Sequence, reconstruct and decode one object.")
-      Term.(const run $ dir_arg $ key_arg $ output $ domains $ recon_backend_arg $ recon_pool_arg $ degraded)
+      Term.(const run $ dir_arg $ key_arg $ output $ domains $ recon_backend_arg $ degraded)
   in
   let rm_cmd =
     let run dir key =
@@ -1174,7 +1146,7 @@ let serve_cmd =
           ~doc:"Answer damaged gets with the surviving bytes instead of an error.")
   in
   let run dir populate ops clients read_pct window max_queue zipf seed domains deadline_s
-      degraded_reads recon_pool =
+      degraded_reads =
     let die e =
       Printf.eprintf "%s\n" (Store.error_message e);
       exit 1
@@ -1202,7 +1174,6 @@ let serve_cmd =
         Serve.domains;
         Serve.deadline_s;
         Serve.degraded_reads;
-        Serve.recon_pool = recon_pool <> Dnastore.Pipeline.Pool_off;
       }
     in
     let mix = { Serve.Workload.label = Printf.sprintf "read%.0f" (100.0 *. read_pct); Serve.Workload.read_pct } in
@@ -1219,7 +1190,7 @@ let serve_cmd =
        ~doc:"Serve a multi-client zipfian put/get/overwrite workload through the scheduler.")
     Term.(
       const run $ dir_arg $ populate $ ops $ clients $ read_pct $ window $ max_queue $ zipf $ seed
-      $ domains $ deadline $ degraded_reads $ recon_pool_arg)
+      $ domains $ deadline $ degraded_reads)
 
 let main =
   let doc = "modular end-to-end DNA data storage codec and simulator" in

@@ -39,14 +39,14 @@ let () =
   Printf.printf "sequenced %d reads (10%% molecule dropout)\n" (Array.length reads);
 
   (* Cluster and reconstruct as usual. *)
-  let read_strands = Array.map (fun r -> r.Simulator.Sequencer.seq) reads in
-  let clusters = Dnastore.Pipeline.cluster_default () rng read_strands in
+  let pool = Dna.Strand_pool.of_strands (Array.map (fun r -> r.Simulator.Sequencer.seq) reads) in
+  let clusters = Dnastore.Pipeline.cluster_default () rng pool in
   let target_len = Codec.Fountain.strand_nt enc.Codec.Fountain.params in
   let consensus =
     List.filter_map
-      (fun c ->
-        if c = [] then None
-        else Some (Reconstruction.Nw_consensus.reconstruct ~target_len (Array.of_list c)))
+      (fun idxs ->
+        if Array.length idxs = 0 then None
+        else Some (Dnastore.Pipeline.reconstruct_nw ~target_len pool idxs))
       clusters
   in
   Printf.printf "reconstructed %d droplet candidates\n" (List.length consensus);

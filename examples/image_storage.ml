@@ -57,12 +57,14 @@ let run_trial rng ~mapped img =
   in
   let sequencing = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 10) in
   let reads = Simulator.Sequencer.sequence sequencing channel rng encoded.Codec.File_codec.strands in
-  let read_strands = Array.map (fun r -> r.Simulator.Sequencer.seq) reads in
-  let clusters = Dnastore.Pipeline.cluster_default () rng read_strands in
+  let pool = Dna.Strand_pool.of_strands (Array.map (fun r -> r.Simulator.Sequencer.seq) reads) in
+  let clusters = Dnastore.Pipeline.cluster_default () rng pool in
   let target_len = Codec.Params.strand_nt params in
   let consensus =
     List.filter_map
-      (fun c -> if c = [] then None else Some (Reconstruction.Bma.reconstruct_double ~target_len (Array.of_list c)))
+      (fun idxs ->
+        if Array.length idxs = 0 then None
+        else Some (Dnastore.Pipeline.reconstruct_dbma ~target_len pool idxs))
       clusters
   in
   match Codec.File_codec.decode ~params ~n_units:encoded.Codec.File_codec.n_units consensus with

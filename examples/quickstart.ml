@@ -39,8 +39,8 @@ let () =
     (Simulator.Channel.name channel);
 
   (* 3. Cluster the reads by similarity; thresholds auto-configured. *)
-  let read_strands = Array.map (fun r -> r.Simulator.Sequencer.seq) reads in
-  let clusters = Dnastore.Pipeline.cluster_default () rng read_strands in
+  let pool = Dna.Strand_pool.of_strands (Array.map (fun r -> r.Simulator.Sequencer.seq) reads) in
+  let clusters = Dnastore.Pipeline.cluster_default () rng pool in
   Printf.printf "3. clustered into %d clusters (expected %d)\n" (List.length clusters)
     (Array.length strands);
 
@@ -49,10 +49,9 @@ let () =
   let target_len = Codec.Params.strand_nt params in
   let consensus =
     List.filter_map
-      (fun cluster ->
-        match cluster with
-        | [] -> None
-        | reads -> Some (Reconstruction.Nw_consensus.reconstruct ~target_len (Array.of_list reads)))
+      (fun idxs ->
+        if Array.length idxs = 0 then None
+        else Some (Dnastore.Pipeline.reconstruct_nw ~target_len pool idxs))
       clusters
   in
   Printf.printf "4. reconstructed %d consensus strands\n" (List.length consensus);

@@ -46,7 +46,7 @@ let () =
     stats.no_primer_match;
   let cores =
     match ingested.Dnastore.Wetlab_io.by_pair with
-    | [ (_, cores) ] -> cores
+    | [ (_, cores) ] -> Dna.Strand_pool.of_strands cores
     | _ -> failwith "expected exactly one primer group"
   in
 
@@ -55,9 +55,9 @@ let () =
   let target_len = Codec.Params.strand_nt params in
   let consensus =
     List.filter_map
-      (fun c ->
-        if c = [] then None
-        else Some (Reconstruction.Nw_consensus.reconstruct ~target_len (Array.of_list c)))
+      (fun idxs ->
+        if Array.length idxs = 0 then None
+        else Some (Dnastore.Pipeline.reconstruct_nw ~target_len cores idxs))
       clusters
   in
   (match

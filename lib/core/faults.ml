@@ -131,19 +131,9 @@ let inject_reads plan (reads : Simulator.Sequencer.read array) : Simulator.Seque
       | _ -> reads)
     reads plan.faults
 
-let inject_clusters plan (clusters : Dna.Strand.t list list) : Dna.Strand.t list list =
-  let rng = site_rng plan cluster_site in
-  List.fold_left
-    (fun clusters fault ->
-      match fault with
-      | Cluster_loss p -> List.filter (fun _ -> Dna.Rng.float rng >= p) clusters
-      | _ -> clusters)
-    clusters plan.faults
-
-(* Same fault, pool-native shape: the pooled pipeline's clusters are
-   index slices into the read arena. Draw-for-draw identical to
-   [inject_clusters] (one float per cluster per Cluster_loss, same site
-   stream), so the two spines lose the same clusters under one plan. *)
+(* Cluster loss over the pipeline's clusters, which are index slices
+   into the read arena: one float per cluster per Cluster_loss, drawn
+   from the cluster site's stream. *)
 let inject_cluster_slices plan (clusters : int array list) : int array list =
   let rng = site_rng plan cluster_site in
   List.fold_left

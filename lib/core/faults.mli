@@ -53,13 +53,9 @@ val inject_reads : plan -> Simulator.Sequencer.read array -> Simulator.Sequencer
 (** Apply read-level faults ({!Undersampling}, {!Read_truncation},
     {!Read_corruption}) between sequencing and clustering. *)
 
-val inject_clusters : plan -> Dna.Strand.t list list -> Dna.Strand.t list list
-(** Apply {!Cluster_loss} between clustering and reconstruction. *)
-
 val inject_cluster_slices : plan -> int array list -> int array list
-(** {!inject_clusters} for the pooled pipeline's cluster index-slices:
-    draw-for-draw identical stream, so both spines lose the same
-    clusters under one plan. *)
+(** Apply {!Cluster_loss} between clustering and reconstruction, over
+    the pipeline's cluster index-slices. *)
 
 (** {2 The named scenario matrix} *)
 

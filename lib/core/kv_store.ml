@@ -123,23 +123,23 @@ let get ?(stages = Pipeline.default_stages ()) ?(domains = Dna.Par.default_domai
         Array.to_list reads
         |> List.filter_map (fun r ->
                Codec.Primer.normalize entry.pair r.Simulator.Sequencer.seq)
-        |> Array.of_list
+        |> Array.of_list |> Dna.Strand_pool.of_strands
       in
       let clusters = stages.Pipeline.cluster t.rng cores in
       let t2 = Unix.gettimeofday () in
       let target_len = Codec.Params.strand_nt entry.params in
       let reconstructed =
-        let cluster_arr = Array.of_list (List.map Array.of_list clusters) in
-        Pipeline.sort_clusters cluster_arr;
+        let slices = Array.of_list clusters in
+        Pipeline.sort_cluster_slices cores slices;
         Dna.Par.map_array ~label:"kv.reconstruct" ~domains
-          (fun reads ->
-            if Array.length reads = 0 then (None, 0.0)
+          (fun idxs ->
+            if Array.length idxs = 0 then (None, 0.0)
             else begin
               let c0 = Unix.gettimeofday () in
-              let s = stages.Pipeline.reconstruct ~target_len reads in
+              let s = stages.Pipeline.reconstruct ~target_len cores idxs in
               (Some s, Unix.gettimeofday () -. c0)
             end)
-          cluster_arr
+          slices
       in
       let consensus = List.filter_map fst (Array.to_list reconstructed) in
       let cluster_times =

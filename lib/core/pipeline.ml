@@ -7,17 +7,11 @@
     all five and reports per-stage wall-clock latencies (Table III) plus
     intermediate statistics.
 
-    Since the arena refactor the decode spine comes in two shapes. The
-    {e pooled} spine (the default) keeps every read in one
-    {!Dna.Strand_pool} from the channel to the consensus: sequencing
-    streams into the arena, clustering returns index slices, and
-    reconstruction consumes [(pool, index)] views through the
-    pool-native surfaces — no boxed strand per read, and per-cluster
-    consensus state lives in reusable per-domain buffers
-    ({!Reconstruction.Recon_arena}). The {e boxed} spine is the
-    original strand-array path; it is kept both as the oracle the
-    pooled spine is property-tested bit-identical against and as the
-    carrier for custom {!stages} closures, which speak boxed types.
+    Every read lives in one {!Dna.Strand_pool} from the channel to the
+    consensus: sequencing streams into the arena, clustering returns
+    index slices, and reconstruction consumes [(pool, index)] views —
+    no boxed strand per read, and per-cluster consensus state lives in
+    reusable per-domain buffers ({!Reconstruction.Recon_arena}).
 
     [run] never raises: a crashing stage (whether fault-injected through
     [?faults] or a genuinely buggy swapped-in implementation) is caught
@@ -29,16 +23,9 @@
 type stages = {
   channel : Simulator.Channel.t;
   sequencing : Simulator.Sequencer.params;
-  cluster : Dna.Rng.t -> Dna.Strand.t array -> Dna.Strand.t list list;
-  reconstruct : target_len:int -> Dna.Strand.t array -> Dna.Strand.t;
+  cluster : Dna.Rng.t -> Dna.Strand_pool.t -> int array list;
+  reconstruct : target_len:int -> Dna.Strand_pool.t -> int array -> Dna.Strand.t;
 }
-
-type pooled_stages = {
-  cluster_pool : Dna.Rng.t -> Dna.Strand_pool.t -> int array list;
-  reconstruct_pool : target_len:int -> Dna.Strand_pool.t -> int array -> Dna.Strand.t;
-}
-
-type pool_mode = Pool_auto | Pool_on | Pool_off
 
 type timings = {
   encode_s : float;
@@ -68,47 +55,16 @@ type outcome = {
   reconstruct_words_per_cluster : float;
       (** mean minor-heap words allocated per reconstructed cluster
           (exact with [domains = 1]; an approximation under parallel
-          workers, whose minor collections interleave) — the number the
-          pooled spine exists to shrink *)
+          workers, whose minor collections interleave) *)
   decode_stats : Codec.File_codec.decode_stats option;
 }
 
 (* Default clustering stage: parameters auto-configured from the data
-   (Section VI-B), then the iterative merge algorithm. *)
+   (Section VI-B), then the scaled engine (sharded signature index +
+   counting-sort partitions); clusters come back as index slices into
+   the arena. *)
 let cluster_default ?(kind = Clustering.Signature.Qgram) ?(domains = Dna.Par.default_domains ())
-    () rng reads =
-  match Array.length reads with
-  | 0 -> []
-  | _ ->
-      let read_len = Dna.Strand.length reads.(0) in
-      let params = { (Clustering.Cluster.default_params ~kind ~read_len ()) with domains } in
-      let config = Clustering.Auto_config.configure params rng reads in
-      let params = Clustering.Auto_config.apply config params in
-      let result = Clustering.Cluster.run params rng reads in
-      Clustering.Cluster.read_clusters result reads
-
-(* The scaled engine (sharded signature index + counting-sort
-   partitions) behind the boxed stage type. Draws differ from
-   [cluster_default]'s merge engine, so the two are not
-   cluster-for-cluster comparable under one seed — but this one is
-   draw-for-draw identical to [cluster_pool_default] on the same reads,
-   which is what boxed-vs-pooled A/B comparisons need. *)
-let cluster_scaled_default ?(kind = Clustering.Signature.Qgram)
-    ?(domains = Dna.Par.default_domains ()) () rng reads =
-  match Array.length reads with
-  | 0 -> []
-  | _ ->
-      let read_len = Dna.Strand.length reads.(0) in
-      let params = { (Clustering.Cluster.default_params ~kind ~read_len ()) with domains } in
-      let config = Clustering.Auto_config.configure params rng reads in
-      let params = Clustering.Auto_config.apply config params in
-      let result = Clustering.Cluster.run_scaled params rng reads in
-      Clustering.Cluster.read_clusters result reads
-
-(* Pool-native default clustering: same auto-configuration and scaled
-   engine, but the result stays as index slices into the arena. *)
-let cluster_pool_default ?(kind = Clustering.Signature.Qgram)
-    ?(domains = Dna.Par.default_domains ()) () rng pool =
+    () rng pool =
   match Dna.Strand_pool.length pool with
   | 0 -> []
   | _ ->
@@ -120,13 +76,12 @@ let cluster_pool_default ?(kind = Clustering.Signature.Qgram)
       let result = Clustering.Cluster.run_scaled params rng reads in
       result.Clustering.Cluster.clusters
 
-let reconstruct_bma ~target_len reads = Reconstruction.Bma.reconstruct ~target_len reads
-let reconstruct_dbma ~target_len reads = Reconstruction.Bma.reconstruct_double ~target_len reads
+let reconstruct_bma ~target_len pool idxs = Reconstruction.Bma.reconstruct_pool ~target_len pool idxs
 
-let reconstruct_nw ?backend ~target_len reads =
-  Reconstruction.Nw_consensus.reconstruct ?backend ~target_len reads
+let reconstruct_dbma ~target_len pool idxs =
+  Reconstruction.Bma.reconstruct_double_pool ~target_len pool idxs
 
-let reconstruct_nw_pool ?backend ~target_len pool idxs =
+let reconstruct_nw ?backend ~target_len pool idxs =
   Reconstruction.Nw_consensus.reconstruct_pool ?backend ~target_len pool idxs
 
 let default_stages ?(error_rate = 0.06) ?(coverage = 10) ?recon_backend () =
@@ -134,42 +89,23 @@ let default_stages ?(error_rate = 0.06) ?(coverage = 10) ?recon_backend () =
     channel = Simulator.Iid_channel.create_rate ~error_rate;
     sequencing = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed coverage);
     cluster = cluster_default ();
-    reconstruct = (fun ~target_len reads -> reconstruct_nw ?backend:recon_backend ~target_len reads);
-  }
-
-let default_pooled_stages ?recon_backend () =
-  {
-    cluster_pool = cluster_pool_default ();
-    reconstruct_pool =
-      (fun ~target_len pool idxs -> reconstruct_nw_pool ?backend:recon_backend ~target_len pool idxs);
+    reconstruct =
+      (fun ~target_len pool idxs -> reconstruct_nw ?backend:recon_backend ~target_len pool idxs);
   }
 
 (* Largest clusters first: when two clusters claim the same column index,
    the consensus backed by more reads wins. Equal-size clusters tie-break
    on their reads (length, then lexicographic), so the order — and
    therefore the decoded output — is identical however the clustering
-   stage happened to emit them (e.g. across [--domains] settings). *)
+   stage happened to emit them (e.g. across [--domains] settings).
+   Size-sorted batching also fixes reconstruction tail latency: the Par
+   pool starts the big clusters first instead of discovering them
+   behind a chunk of small ones. *)
 let compare_reads a b =
   match compare (Dna.Strand.length a) (Dna.Strand.length b) with
   | 0 -> Dna.Strand.compare a b
   | c -> c
 
-let sort_clusters (clusters : Dna.Strand.t array array) : unit =
-  Array.sort
-    (fun a b ->
-      match compare (Array.length b) (Array.length a) with
-      | 0 ->
-          let n = Array.length a in
-          let rec go i = if i = n then 0 else (match compare_reads a.(i) b.(i) with 0 -> go (i + 1) | c -> c) in
-          go 0
-      | c -> c)
-    clusters
-
-(* The same order over index slices — reads compared through their pool
-   views, so both spines hand the decoder the same cluster sequence.
-   Size-sorted batching also fixes reconstruction tail latency: the
-   Par pool starts the big clusters first instead of discovering them
-   behind a chunk of small ones. *)
 let sort_cluster_slices pool (slices : int array array) : unit =
   Array.sort
     (fun a b ->
@@ -205,27 +141,14 @@ let time f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* Run the full pipeline on [file]. [domains] parallelizes per-strand
-   read synthesis (boxed spine only; the arena is single-writer) and
-   per-cluster reconstruction (clustering honors its own
-   [params.domains], set through [cluster_*_default ~domains]).
-   [faults] injects the plan's seeded faults between stages and its
-   crash/stuck faults at stage entry. *)
-let run ?(params = Codec.Params.default) ?(layout = Codec.Layout.Baseline) ?stages ?pooled
-    ?(recon_pool = Pool_auto) ?(domains = Dna.Par.default_domains ()) ?faults ?prepare rng
-    (file : Bytes.t) : outcome =
-  (* Custom boxed [stages] speak boxed types, so they pin the boxed
-     spine unless the caller says otherwise; everything else defaults
-     to the pooled spine. The [channel]/[sequencing] fields are shared
-     data — the pooled spine reads them off the boxed record too. *)
-  let use_pool =
-    match recon_pool with
-    | Pool_on -> true
-    | Pool_off -> false
-    | Pool_auto -> Option.is_some pooled || Option.is_none stages
-  in
+(* Run the full pipeline on [file]. [domains] parallelizes per-cluster
+   reconstruction (clustering honors its own [params.domains], set
+   through [cluster_default ~domains]). [faults] injects the plan's
+   seeded faults between stages and its crash/stuck faults at stage
+   entry. *)
+let run ?(params = Codec.Params.default) ?(layout = Codec.Layout.Baseline) ?stages
+    ?(domains = Dna.Par.default_domains ()) ?faults ?prepare rng (file : Bytes.t) : outcome =
   let stages = match stages with Some s -> s | None -> default_stages () in
-  let pooled = match pooled with Some p -> p | None -> default_pooled_stages () in
   let failures = ref [] in
   let note stage e = failures := (stage, Printexc.to_string e) :: !failures in
   let trigger stage = match faults with Some p -> Faults.trigger p stage | None -> () in
@@ -273,206 +196,136 @@ let run ?(params = Codec.Params.default) ?(layout = Codec.Layout.Baseline) ?stag
       let strands = inject Faults.inject_strands encoded.Codec.File_codec.strands in
       let target_len = Codec.Params.strand_nt params in
       let n_units = encoded.Codec.File_codec.n_units in
-      (* Per-cluster task results: (consensus, error, wall seconds,
-         minor words allocated; -1 marks an empty cluster that ran
-         nothing). Noting failures and folding the stats is spine-
-         independent. *)
-      let collect reconstructed =
-        (match Array.find_opt (fun (_, err, _, _) -> err <> None) reconstructed with
-        | Some (_, Some msg, _, _) -> failures := (Faults.Reconstruct, msg) :: !failures
-        | _ -> ());
-        let cluster_times =
-          Array.of_list
-            (List.filter_map
-               (fun (r, _, dt, _) -> if r = None then None else Some dt)
-               (Array.to_list reconstructed))
-        in
-        let words_total = ref 0.0 and words_n = ref 0 in
-        Array.iter
-          (fun (_, _, _, dw) ->
-            if dw >= 0.0 then begin
-              words_total := !words_total +. dw;
-              incr words_n
-            end)
-          reconstructed;
-        let words_per_cluster =
-          if !words_n = 0 then 0.0 else !words_total /. float_of_int !words_n
-        in
-        let consensus = List.filter_map (fun (r, _, _, _) -> r) (Array.to_list reconstructed) in
-        (cluster_times, words_per_cluster, consensus)
-      in
-      (* Shared decode tail. *)
-      let finish ~simulate_s ~cluster_s ~reconstruct_s ~cluster_times ~words_per_cluster
-          ~n_strands ~n_reads ~n_clusters consensus =
-        let reconstruct_p50_s = percentile cluster_times 0.50
-        and reconstruct_p95_s = percentile cluster_times 0.95 in
-        let decoded, decode_s =
-          time (fun () ->
-              try
-                trigger Faults.Decode;
-                Some (Codec.File_codec.decode ~layout ~params ~n_units consensus)
-              with e ->
-                note Faults.Decode e;
-                None)
-        in
-        let timings =
-          { encode_s; simulate_s; cluster_s; reconstruct_s; reconstruct_p50_s; reconstruct_p95_s; decode_s }
-        in
-        match decoded with
-        | Some (Ok (bytes, stats)) ->
-            {
-              file = Some bytes;
-              exact = Bytes.equal bytes file;
-              partial = Codec.File_codec.partial ~params ~file_len:(Bytes.length bytes) stats;
-              stage_failures = List.rev !failures;
-              decode_error = None;
-              timings;
-              n_strands;
-              n_reads;
-              n_clusters;
-              reconstruct_words_per_cluster = words_per_cluster;
-              decode_stats = Some stats;
-            }
-        | Some (Error err) ->
-            failed_outcome ~timings ~n_strands ~n_reads ~n_clusters ~n_units
-              ~words_per_cluster (Codec.File_codec.error_message err)
-        | None ->
-            failed_outcome ~timings ~n_strands ~n_reads ~n_clusters ~n_units ~words_per_cluster
-              "decode stage crashed"
-      in
-      if use_pool then begin
-        (* ---- pooled spine: one arena, channel to consensus ---- *)
-        let sim, simulate_s =
-          time (fun () ->
-              try
-                trigger Faults.Simulate;
-                let strands = match prepare with None -> strands | Some f -> f rng strands in
-                let pool = Dna.Strand_pool.create () in
-                let origins =
-                  Simulator.Sequencer.sequence_pool stages.sequencing stages.channel rng strands
-                    ~pool
-                in
-                (pool, origins)
-              with e ->
-                note Faults.Simulate e;
-                (Dna.Strand_pool.create (), [||]))
-        in
-        let pool =
-          match faults with
-          | None -> fst sim
-          | Some plan ->
-              (* Read-level faults rewrite the read bag, and committed
-                 arena reads are write-once — so the fault path
-                 materializes views, injects, and rebuilds a fresh
-                 arena. Views into the old arena stay valid throughout
-                 (truncations are zero-copy sub-views). *)
-              let pool0, origins = sim in
-              let reads =
-                Array.init (Dna.Strand_pool.length pool0) (fun i ->
-                    { Simulator.Sequencer.seq = Dna.Strand_pool.get pool0 i; origin = origins.(i) })
+      let sim, simulate_s =
+        time (fun () ->
+            try
+              trigger Faults.Simulate;
+              (* Physical pool transforms (aging decay, PCR amplification
+                 bias, ... — see [Simulator.Scenario]) run between encode
+                 and sequencing, drawing from the ambient rng so one seed
+                 governs the whole simulated wetlab. *)
+              let strands = match prepare with None -> strands | Some f -> f rng strands in
+              let pool = Dna.Strand_pool.create () in
+              let origins =
+                Simulator.Sequencer.sequence_pool stages.sequencing stages.channel rng strands ~pool
               in
-              let reads = Faults.inject_reads plan reads in
-              Dna.Strand_pool.of_strands
-                (Array.map (fun r -> r.Simulator.Sequencer.seq) reads)
-        in
-        let slices, cluster_s =
-          time (fun () ->
-              try
-                trigger Faults.Cluster;
-                pooled.cluster_pool rng pool
-              with e ->
-                note Faults.Cluster e;
-                (* Graceful fallback: every read its own cluster. *)
-                List.init (Dna.Strand_pool.length pool) (fun i -> [| i |]))
-        in
-        let slices = inject Faults.inject_cluster_slices slices in
-        let reconstructed, reconstruct_s =
-          time (fun () ->
-              let slice_arr = Array.of_list slices in
-              sort_cluster_slices pool slice_arr;
-              Dna.Par.map_array ~label:"pipeline.reconstruct" ~domains
-                (fun idxs ->
-                  if Array.length idxs = 0 then (None, None, 0.0, -1.0)
-                  else begin
-                    let w0 = Gc.minor_words () in
-                    let t0 = Unix.gettimeofday () in
-                    match
-                      trigger Faults.Reconstruct;
-                      pooled.reconstruct_pool ~target_len pool idxs
-                    with
-                    | s -> (Some s, None, Unix.gettimeofday () -. t0, Gc.minor_words () -. w0)
-                    | exception e ->
-                        ( Reconstruction.Ensemble.reconstruct_fallback_pool ~target_len pool idxs,
-                          Some (Printexc.to_string e),
-                          Unix.gettimeofday () -. t0,
-                          Gc.minor_words () -. w0 )
-                  end)
-                slice_arr)
-        in
-        let cluster_times, words_per_cluster, consensus = collect reconstructed in
-        finish ~simulate_s ~cluster_s ~reconstruct_s ~cluster_times ~words_per_cluster
-          ~n_strands:(Array.length strands) ~n_reads:(Dna.Strand_pool.length pool)
-          ~n_clusters:(List.length slices) consensus
-      end
-      else begin
-        (* ---- boxed spine: the original strand-array path ---- *)
-        let reads, simulate_s =
-          time (fun () ->
-              try
-                trigger Faults.Simulate;
-                (* Physical pool transforms (aging decay, PCR amplification
-                   bias, ... — see [Simulator.Scenario]) run between encode
-                   and sequencing, drawing from the ambient rng so one seed
-                   governs the whole simulated wetlab. A crash here degrades
-                   like any other simulate-stage failure. *)
-                let strands = match prepare with None -> strands | Some f -> f rng strands in
-                Simulator.Sequencer.sequence ~domains stages.sequencing stages.channel rng strands
-              with e ->
-                note Faults.Simulate e;
-                [||])
-        in
-        let reads = inject Faults.inject_reads reads in
-        let read_strands = Array.map (fun r -> r.Simulator.Sequencer.seq) reads in
-        let clusters, cluster_s =
-          time (fun () ->
-              try
-                trigger Faults.Cluster;
-                stages.cluster rng read_strands
-              with e ->
-                note Faults.Cluster e;
-                (* Graceful fallback: every read its own cluster. Costly in
-                   decode quality, but keeps the erasure machinery fed. *)
-                Array.to_list (Array.map (fun s -> [ s ]) read_strands))
-        in
-        let clusters = inject Faults.inject_clusters clusters in
-        let reconstructed, reconstruct_s =
-          time (fun () ->
-              let cluster_arr = Array.of_list (List.map Array.of_list clusters) in
-              sort_clusters cluster_arr;
-              (* Tasks run on worker domains: collect per-cluster errors
-                 (and wall times, for the tail-latency percentiles) in the
-                 results and note them serially afterwards. *)
-              Dna.Par.map_array ~label:"pipeline.reconstruct" ~domains
-                (fun reads ->
-                  if Array.length reads = 0 then (None, None, 0.0, -1.0)
-                  else begin
-                    let w0 = Gc.minor_words () in
-                    let t0 = Unix.gettimeofday () in
-                    match
-                      trigger Faults.Reconstruct;
-                      stages.reconstruct ~target_len reads
-                    with
-                    | s -> (Some s, None, Unix.gettimeofday () -. t0, Gc.minor_words () -. w0)
-                    | exception e ->
-                        ( Reconstruction.Ensemble.reconstruct_fallback ~target_len reads,
-                          Some (Printexc.to_string e),
-                          Unix.gettimeofday () -. t0,
-                          Gc.minor_words () -. w0 )
-                  end)
-                cluster_arr)
-        in
-        let cluster_times, words_per_cluster, consensus = collect reconstructed in
-        finish ~simulate_s ~cluster_s ~reconstruct_s ~cluster_times ~words_per_cluster
-          ~n_strands:(Array.length strands) ~n_reads:(Array.length reads)
-          ~n_clusters:(List.length clusters) consensus
-      end
+              (pool, origins)
+            with e ->
+              note Faults.Simulate e;
+              (Dna.Strand_pool.create (), [||]))
+      in
+      let pool =
+        match faults with
+        | None -> fst sim
+        | Some plan ->
+            (* Read-level faults rewrite the read bag, and committed
+               arena reads are write-once — so the fault path
+               materializes views, injects, and rebuilds a fresh arena.
+               Views into the old arena stay valid throughout
+               (truncations are zero-copy sub-views). *)
+            let pool0, origins = sim in
+            let reads =
+              Array.init (Dna.Strand_pool.length pool0) (fun i ->
+                  { Simulator.Sequencer.seq = Dna.Strand_pool.get pool0 i; origin = origins.(i) })
+            in
+            let reads = Faults.inject_reads plan reads in
+            Dna.Strand_pool.of_strands (Array.map (fun r -> r.Simulator.Sequencer.seq) reads)
+      in
+      let slices, cluster_s =
+        time (fun () ->
+            try
+              trigger Faults.Cluster;
+              stages.cluster rng pool
+            with e ->
+              note Faults.Cluster e;
+              (* Graceful fallback: every read its own cluster. Costly in
+                 decode quality, but keeps the erasure machinery fed. *)
+              List.init (Dna.Strand_pool.length pool) (fun i -> [| i |]))
+      in
+      let slices = inject Faults.inject_cluster_slices slices in
+      (* Per-cluster task results: (consensus, error, wall seconds, minor
+         words allocated; -1 marks an empty cluster that ran nothing).
+         Tasks run on worker domains, so errors are noted serially
+         afterwards. *)
+      let reconstructed, reconstruct_s =
+        time (fun () ->
+            let slice_arr = Array.of_list slices in
+            sort_cluster_slices pool slice_arr;
+            Dna.Par.map_array ~label:"pipeline.reconstruct" ~domains
+              (fun idxs ->
+                if Array.length idxs = 0 then (None, None, 0.0, -1.0)
+                else begin
+                  let w0 = Gc.minor_words () in
+                  let t0 = Unix.gettimeofday () in
+                  match
+                    trigger Faults.Reconstruct;
+                    stages.reconstruct ~target_len pool idxs
+                  with
+                  | s -> (Some s, None, Unix.gettimeofday () -. t0, Gc.minor_words () -. w0)
+                  | exception e ->
+                      ( Reconstruction.Ensemble.reconstruct_fallback_pool ~target_len pool idxs,
+                        Some (Printexc.to_string e),
+                        Unix.gettimeofday () -. t0,
+                        Gc.minor_words () -. w0 )
+                end)
+              slice_arr)
+      in
+      (match Array.find_opt (fun (_, err, _, _) -> err <> None) reconstructed with
+      | Some (_, Some msg, _, _) -> failures := (Faults.Reconstruct, msg) :: !failures
+      | _ -> ());
+      let ran = List.filter (fun (r, _, _, _) -> r <> None) (Array.to_list reconstructed) in
+      let cluster_times = Array.of_list (List.map (fun (_, _, dt, _) -> dt) ran) in
+      let words_per_cluster =
+        match
+          List.filter_map
+            (fun (_, _, _, dw) -> if dw >= 0.0 then Some dw else None)
+            (Array.to_list reconstructed)
+        with
+        | [] -> 0.0
+        | ws -> List.fold_left ( +. ) 0.0 ws /. float_of_int (List.length ws)
+      in
+      let consensus = List.filter_map (fun (r, _, _, _) -> r) ran in
+      let decoded, decode_s =
+        time (fun () ->
+            try
+              trigger Faults.Decode;
+              Some (Codec.File_codec.decode ~layout ~params ~n_units consensus)
+            with e ->
+              note Faults.Decode e;
+              None)
+      in
+      let timings =
+        {
+          encode_s;
+          simulate_s;
+          cluster_s;
+          reconstruct_s;
+          reconstruct_p50_s = percentile cluster_times 0.50;
+          reconstruct_p95_s = percentile cluster_times 0.95;
+          decode_s;
+        }
+      in
+      let n_strands = Array.length strands
+      and n_reads = Dna.Strand_pool.length pool
+      and n_clusters = List.length slices in
+      match decoded with
+      | Some (Ok (bytes, stats)) ->
+          {
+            file = Some bytes;
+            exact = Bytes.equal bytes file;
+            partial = Codec.File_codec.partial ~params ~file_len:(Bytes.length bytes) stats;
+            stage_failures = List.rev !failures;
+            decode_error = None;
+            timings;
+            n_strands;
+            n_reads;
+            n_clusters;
+            reconstruct_words_per_cluster = words_per_cluster;
+            decode_stats = Some stats;
+          }
+      | Some (Error err) ->
+          failed_outcome ~timings ~n_strands ~n_reads ~n_clusters ~n_units ~words_per_cluster
+            (Codec.File_codec.error_message err)
+      | None ->
+          failed_outcome ~timings ~n_strands ~n_reads ~n_clusters ~n_units ~words_per_cluster
+            "decode stage crashed"

@@ -124,14 +124,12 @@ let recon_percentiles ~p50_s ~p95_s =
     Printf.sprintf "reconstruct per-cluster: p50 %.2f ms, p95 %.2f ms\n" (1000.0 *. p50_s)
       (1000.0 *. p95_s)
 
-(* Reconstruction allocation accounting: the per-cluster minor-word tax
-   the pooled spine exists to shrink. *)
-let recon_alloc ~pooled ~n_clusters ~words_per_cluster =
+(* Reconstruction allocation accounting: the per-cluster minor-word tax. *)
+let recon_alloc ~n_clusters ~words_per_cluster =
   if n_clusters = 0 then ""
   else
-    Printf.sprintf "reconstruct alloc: %.0f minor words/cluster over %d clusters (%s spine)\n"
+    Printf.sprintf "reconstruct alloc: %.0f minor words/cluster over %d clusters\n"
       words_per_cluster n_clusters
-      (if pooled then "pooled" else "boxed")
 
 (* One line of served-request accounting: throughput plus the latency
    tail, e.g. for the store's serving layer and its YCSB-style bench. *)

@@ -36,7 +36,6 @@ type config = {
   use_cache : bool;
   deadline_s : float option;
   degraded_reads : bool;
-  recon_pool : bool;
 }
 
 let default_config =
@@ -47,7 +46,6 @@ let default_config =
     use_cache = true;
     deadline_s = None;
     degraded_reads = false;
-    recon_pool = true;
   }
 
 type completion = {
@@ -155,8 +153,7 @@ let step t : completion list =
     if get_keys <> [] then
       List.iter
         (fun (key, r) -> Hashtbl.replace answers key r)
-        (Store.get_batch ~domains:t.cfg.domains ~use_cache:t.cfg.use_cache
-           ~recon_pool:t.cfg.recon_pool t.store get_keys);
+        (Store.get_batch ~domains:t.cfg.domains ~use_cache:t.cfg.use_cache t.store get_keys);
     let passes = Store.sequencing_passes t.store - passes_before in
     (* Degraded reads (opt-in): when the coalesced get comes back with
        shard damage or a scrub-marked Degraded object, answer with the

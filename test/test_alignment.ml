@@ -202,9 +202,10 @@ let test_consensus_backend_invariant () =
 
 (* The cluster order fed to reconstruction is a pure function of the
    cluster set: however the clustering stage happened to emit the
-   clusters (e.g. across [--domains] settings), sorting yields the same
-   sequence — including among same-size clusters, which tie-break on
-   their reads (length, then lexicographic). *)
+   clusters (e.g. across [--domains] settings), and wherever their reads
+   sit in the arena, sorting yields the same sequence — including among
+   same-size clusters, which tie-break on their reads (length, then
+   lexicographic). *)
 let test_cluster_sort_deterministic () =
   let rng = Dna.Rng.create 23 in
   let clusters =
@@ -221,13 +222,20 @@ let test_cluster_sort_deterministic () =
       arr.(j) <- t
     done
   in
-  let reference = Array.copy clusters in
-  Dnastore.Pipeline.sort_clusters reference;
+  (* Pack the clusters into a fresh arena in [order], hand the slices
+     over shuffled, and read the sorted order back as strings. *)
+  let sorted_reads order =
+    let pool = Dna.Strand_pool.create () in
+    let slices = Array.map (Array.map (Dna.Strand_pool.add_strand pool)) order in
+    shuffle slices;
+    Dnastore.Pipeline.sort_cluster_slices pool slices;
+    Array.map (Array.map (fun i -> Dna.Strand.to_string (Dna.Strand_pool.get pool i))) slices
+  in
+  let reference = sorted_reads clusters in
   for _ = 1 to 5 do
-    let shuffled = Array.copy clusters in
-    shuffle shuffled;
-    Dnastore.Pipeline.sort_clusters shuffled;
-    Alcotest.(check bool) "sorted cluster order identical" true (shuffled = reference)
+    let order = Array.copy clusters in
+    shuffle order;
+    Alcotest.(check bool) "sorted cluster order identical" true (sorted_reads order = reference)
   done
 
 (* ---- pool-native reconstruction: bit-identity with the boxed path ----

@@ -44,7 +44,7 @@ let test_pipeline_every_stage_combination () =
         [
           ("bma", Dnastore.Pipeline.reconstruct_bma);
           ("dbma", Dnastore.Pipeline.reconstruct_dbma);
-          ("nw", fun ~target_len reads -> Dnastore.Pipeline.reconstruct_nw ~target_len reads);
+          ("nw", fun ~target_len pool idxs -> Dnastore.Pipeline.reconstruct_nw ~target_len pool idxs);
         ])
     [ Clustering.Signature.Qgram; Clustering.Signature.Wgram ]
 
@@ -83,116 +83,69 @@ let test_pipeline_parallel_domains () =
   let out = Dnastore.Pipeline.run ~domains:2 r file in
   Alcotest.(check bool) "parallel exact" true out.Dnastore.Pipeline.exact
 
+(* Labels of the Par regions one pipeline run leaves behind. *)
+let par_labels run =
+  Dna.Par.reset_counters ();
+  let out = run () in
+  let counters = Dna.Par.counters () in
+  Dna.Par.reset_counters ();
+  (out, counters, List.map (fun c -> c.Dna.Par.label) counters)
+
 let test_pipeline_parallel_counters_visible () =
   (* Every parallel stage must leave a labeled counter behind,
-     renderable through Core.Report — on both spines. The pooled
-     default sequences serially into the arena (no synthesis region)
-     and clusters through the sharded index; the boxed spine keeps the
-     historical labels. *)
-  let check_labels ~spine expected run =
-    Dna.Par.reset_counters ();
-    let out = run () in
-    Alcotest.(check bool) (spine ^ " ran") true (out.Dnastore.Pipeline.n_reads > 0);
-    let labels = List.map (fun c -> c.Dna.Par.label) (Dna.Par.counters ()) in
-    List.iter
-      (fun label ->
-        Alcotest.(check bool) (spine ^ " " ^ label ^ " counted") true (List.mem label labels))
-      expected;
-    List.iter
-      (fun c ->
-        Alcotest.(check bool) (c.Dna.Par.label ^ " ran tasks") true (c.Dna.Par.tasks > 0);
-        Alcotest.(check bool) (c.Dna.Par.label ^ " wall >= 0") true (c.Dna.Par.wall_s >= 0.0))
-      (Dna.Par.counters ());
-    let rendered = Dnastore.Report.par_counters (Dna.Par.counters ()) in
-    Alcotest.(check bool) (spine ^ " report nonempty") true (String.length rendered > 0);
-    Dna.Par.reset_counters ()
+     renderable through Core.Report. Sequencing runs serially into the
+     arena (no synthesis region) and clustering goes through the sharded
+     index. *)
+  let out, counters, labels =
+    par_labels (fun () -> Dnastore.Pipeline.run ~domains:2 (rng ()) (random_file (rng ()) 500))
   in
-  check_labels ~spine:"pooled"
-    [ "cluster.index"; "cluster.buckets"; "pipeline.reconstruct" ]
-    (fun () -> Dnastore.Pipeline.run ~domains:2 (rng ()) (random_file (rng ()) 500));
-  check_labels ~spine:"boxed"
-    [ "simulate.synthesis"; "cluster.signatures"; "cluster.buckets"; "pipeline.reconstruct" ]
-    (fun () ->
-      Dnastore.Pipeline.run ~recon_pool:Dnastore.Pipeline.Pool_off ~domains:2 (rng ())
-        (random_file (rng ()) 500))
+  Alcotest.(check bool) "ran" true (out.Dnastore.Pipeline.n_reads > 0);
+  List.iter
+    (fun label -> Alcotest.(check bool) (label ^ " counted") true (List.mem label labels))
+    [ "cluster.index"; "cluster.buckets"; "pipeline.reconstruct" ];
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) (c.Dna.Par.label ^ " ran tasks") true (c.Dna.Par.tasks > 0);
+      Alcotest.(check bool) (c.Dna.Par.label ^ " wall >= 0") true (c.Dna.Par.wall_s >= 0.0))
+    counters;
+  Alcotest.(check bool) "report nonempty" true
+    (String.length (Dnastore.Report.par_counters counters) > 0)
 
-(* ---------- pooled vs boxed spine ---------- *)
-
-(* Same seed, same scaled clustering engine: the pooled spine and the
-   boxed spine must decode byte-identical files. *)
-let test_pipeline_spines_byte_identical () =
-  let file = random_file (rng ()) 1100 in
-  let pooled =
-    Dnastore.Pipeline.run ~recon_pool:Dnastore.Pipeline.Pool_on ~domains:1
-      (Dna.Rng.create 77) file
-  in
+(* Swapping stage fields changes only those stages: a custom record
+   still sequences into the arena and clusters through the scaled
+   engine's sharded index — never the merge engine's signature pass or
+   per-strand parallel synthesis. *)
+let test_pipeline_custom_stages_one_spine () =
+  let file = random_file (rng ()) 500 in
   let stages =
     {
       (Dnastore.Pipeline.default_stages ()) with
-      Dnastore.Pipeline.cluster = Dnastore.Pipeline.cluster_scaled_default ~domains:1 ();
+      Dnastore.Pipeline.cluster = Dnastore.Pipeline.cluster_default ~kind:Clustering.Signature.Wgram ();
+      reconstruct = Dnastore.Pipeline.reconstruct_bma;
     }
   in
-  let boxed =
-    Dnastore.Pipeline.run ~stages ~recon_pool:Dnastore.Pipeline.Pool_off ~domains:1
-      (Dna.Rng.create 77) file
-  in
-  Alcotest.(check bool) "pooled exact" true pooled.Dnastore.Pipeline.exact;
-  Alcotest.(check bool) "boxed exact" true boxed.Dnastore.Pipeline.exact;
-  (match (pooled.Dnastore.Pipeline.file, boxed.Dnastore.Pipeline.file) with
-  | Some a, Some b -> Alcotest.(check bytes) "bytes identical" a b
-  | _ -> Alcotest.fail "a spine decoded nothing");
-  Alcotest.(check int) "same reads" boxed.Dnastore.Pipeline.n_reads
-    pooled.Dnastore.Pipeline.n_reads;
-  Alcotest.(check int) "same clusters" boxed.Dnastore.Pipeline.n_clusters
-    pooled.Dnastore.Pipeline.n_clusters
+  let out, _, labels = par_labels (fun () -> Dnastore.Pipeline.run ~stages ~domains:2 (rng ()) file) in
+  Alcotest.(check bool) "custom stages exact" true out.Dnastore.Pipeline.exact;
+  Alcotest.(check bool) "cluster.index counted" true (List.mem "cluster.index" labels);
+  Alcotest.(check bool) "no cluster.signatures" false (List.mem "cluster.signatures" labels);
+  Alcotest.(check bool) "no simulate.synthesis" false (List.mem "simulate.synthesis" labels)
 
-(* Custom boxed stages without an explicit mode pin the boxed spine
-   (their closures speak boxed types); Pool_auto with defaults is
-   pooled. The words counter tells the two apart. *)
-let test_pipeline_pool_auto_spine_choice () =
-  let file = random_file (rng ()) 500 in
-  Dna.Par.reset_counters ();
-  let out = Dnastore.Pipeline.run ~stages:(Dnastore.Pipeline.default_stages ()) (rng ()) file in
-  let labels = List.map (fun c -> c.Dna.Par.label) (Dna.Par.counters ()) in
-  Alcotest.(check bool) "custom stages stay boxed" true
-    (List.mem "cluster.signatures" labels && not (List.mem "cluster.index" labels));
-  Alcotest.(check bool) "boxed run exact" true out.Dnastore.Pipeline.exact;
-  Dna.Par.reset_counters ();
-  let out = Dnastore.Pipeline.run (rng ()) file in
-  let labels = List.map (fun c -> c.Dna.Par.label) (Dna.Par.counters ()) in
-  Alcotest.(check bool) "default run pooled" true (List.mem "cluster.index" labels);
-  Alcotest.(check bool) "pooled run exact" true out.Dnastore.Pipeline.exact;
-  Dna.Par.reset_counters ()
-
-(* The per-cluster timing percentiles must be populated and ordered on
-   the pooled spine (they regressed to zero once when the pooled tasks
-   stopped reporting wall times), and the allocation counter must show
-   the pooled spine allocating strictly less than the boxed one. *)
+(* The per-cluster timing percentiles must be populated and ordered
+   (they regressed to zero once when the arena tasks stopped reporting
+   wall times), and the allocation counter must be live. *)
 let test_pipeline_pooled_timings_and_words () =
   let file = random_file (rng ()) 1100 in
-  let pooled =
-    Dnastore.Pipeline.run ~recon_pool:Dnastore.Pipeline.Pool_on ~domains:1
-      (Dna.Rng.create 99) file
-  in
-  let t = pooled.Dnastore.Pipeline.timings in
+  let out = Dnastore.Pipeline.run ~domains:1 (Dna.Rng.create 99) file in
+  let t = out.Dnastore.Pipeline.timings in
   Alcotest.(check bool) "p50 positive" true (t.Dnastore.Pipeline.reconstruct_p50_s > 0.0);
   Alcotest.(check bool) "percentiles monotone" true
     (t.Dnastore.Pipeline.reconstruct_p50_s <= t.Dnastore.Pipeline.reconstruct_p95_s
     && t.Dnastore.Pipeline.reconstruct_p95_s <= t.Dnastore.Pipeline.reconstruct_s);
-  let boxed =
-    Dnastore.Pipeline.run ~recon_pool:Dnastore.Pipeline.Pool_off ~domains:1
-      (Dna.Rng.create 99) file
-  in
-  let wp = pooled.Dnastore.Pipeline.reconstruct_words_per_cluster
-  and wb = boxed.Dnastore.Pipeline.reconstruct_words_per_cluster in
-  Alcotest.(check bool) "boxed words counted" true (wb > 0.0);
-  Alcotest.(check bool) "pooled words counted" true (wp > 0.0);
-  Alcotest.(check bool)
-    (Printf.sprintf "pooled allocates less (%.0f < %.0f)" wp wb)
-    true (wp < wb);
+  let words = out.Dnastore.Pipeline.reconstruct_words_per_cluster in
+  Alcotest.(check bool) "words counted" true (words > 0.0);
   let rendered =
-    Dnastore.Report.recon_alloc ~pooled:true ~n_clusters:pooled.Dnastore.Pipeline.n_clusters
-      ~words_per_cluster:wp
+    Dnastore.Report.recon_alloc ~n_clusters:out.Dnastore.Pipeline.n_clusters
+      ~words_per_cluster:words
   in
   Alcotest.(check bool) "alloc report nonempty" true (String.length rendered > 0)
 
@@ -401,8 +354,7 @@ let () =
           Alcotest.test_case "parallel counters visible" `Quick
             test_pipeline_parallel_counters_visible;
           Alcotest.test_case "dropout tolerated" `Quick test_pipeline_dropout_within_parity;
-          Alcotest.test_case "spines byte-identical" `Quick test_pipeline_spines_byte_identical;
-          Alcotest.test_case "pool auto spine choice" `Quick test_pipeline_pool_auto_spine_choice;
+          Alcotest.test_case "custom stages one spine" `Quick test_pipeline_custom_stages_one_spine;
           Alcotest.test_case "pooled timings and words" `Quick
             test_pipeline_pooled_timings_and_words;
         ] );
