@@ -1,7 +1,9 @@
-(* Bechamel micro-benchmarks of the pipeline's hot kernels: edit
-   distance (full / bounded), signature computation and comparison,
-   Reed-Solomon encode/decode, the pairwise alignment behind the NW
-   consensus, and the three reconstruction algorithms on one cluster. *)
+(* Bechamel micro-benchmarks of the pipeline's hot kernels: the RNG
+   draws behind the channel, the anchor search behind clustering's
+   partition keys, edit distance (full / bounded), signature
+   computation and comparison, Reed-Solomon encode/decode, the pairwise
+   alignment behind the NW consensus, and the three reconstruction
+   algorithms on one cluster. *)
 
 open Bechamel
 open Toolkit
@@ -39,8 +41,15 @@ let q_sig' = Clustering.Signature.compute ~q:4 Clustering.Signature.Qgram strand
 let w_sig = Clustering.Signature.compute ~q:4 Clustering.Signature.Wgram strand_a
 let w_sig' = Clustering.Signature.compute ~q:4 Clustering.Signature.Wgram strand_b
 
+(* A 3-base anchor as clustering draws it, searched for in a read. *)
+let anchor3 = Dna.Strand.random rng 3
+
 let tests =
   [
+    Test.make ~name:"rng/float" (Staged.stage (fun () -> ignore (Dna.Rng.float rng)));
+    Test.make ~name:"rng/int" (Staged.stage (fun () -> ignore (Dna.Rng.int rng 1000)));
+    Test.make ~name:"strand/find-anchor3" (Staged.stage (fun () ->
+        ignore (Dna.Strand.find strand_a ~pattern:anchor3)));
     (* The levenshtein/* cases pin the scalar DP oracle and the myers/*
        cases the bit-parallel kernels (which [Auto] dispatch resolves
        to), so one run shows the backend speedup side by side. *)

@@ -34,9 +34,12 @@ let sample_distances params rng (reads : Dna.Strand.t array) ~n_probes ~n_target
   let n_probes = min n_probes n and n_targets = min n_targets n in
   let probes = Dna.Rng.sample_indices rng ~n ~k:n_probes in
   let targets = Dna.Rng.sample_indices rng ~n ~k:n_targets in
-  let sig_of i = Signature.compute ~q:params.Cluster.gram_len params.Cluster.kind reads.(i) in
-  let probe_sigs = Array.map sig_of probes in
-  let target_sigs = Array.map sig_of targets in
+  (* One packed index over the probes then the targets: probe [pi] is
+     row [pi], target [ti] is row [n_probes + ti]. *)
+  let idx =
+    Signature.Index.build ~q:params.Cluster.gram_len params.Cluster.kind
+      (Array.map (Array.get reads) (Array.append probes targets))
+  in
   let dists = ref [] in
   let nearest = ref [] in
   Array.iteri
@@ -47,7 +50,7 @@ let sample_distances params rng (reads : Dna.Strand.t array) ~n_probes ~n_target
       Array.iteri
         (fun ti t ->
           if p <> t then begin
-            let d = Signature.distance probe_sigs.(pi) target_sigs.(ti) in
+            let d = Signature.Index.distance idx pi (n_probes + ti) in
             dists := d :: !dists;
             cand := (d, t) :: !cand
           end)

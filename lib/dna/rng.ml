@@ -6,14 +6,16 @@
     independent stream, which lets parallel stages draw without sharing
     mutable state. *)
 
-type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
-}
+(* The four 64-bit state words s0..s3 sit unboxed at byte offsets 0, 8,
+   16 and 24 of one 32-byte buffer, read and written through the
+   unchecked 64-bit bytes primitives. Mutable [int64] record fields would
+   box a fresh value on every store, so every draw would allocate. *)
+type t = Bytes.t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* splitmix64 step: used for seeding and for splitting. *)
 let splitmix64 state =
@@ -23,36 +25,36 @@ let splitmix64 state =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let of_seed64 seed =
+  let state = ref seed in
+  let t = Bytes.create 32 in
+  for w = 0 to 3 do
+    set64 t (8 * w) (splitmix64 state)
+  done;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let create seed = of_seed64 (Int64.of_int seed)
 
-let next_int64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+let copy = Bytes.copy
+
+(* Inlined into every drawing function below, so the 64-bit values stay
+   unboxed end to end. *)
+let[@inline] next t =
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set64 t 0 (Int64.logxor s0 s3);
+  set64 t 8 (Int64.logxor s1 s2);
+  set64 t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set64 t 24 (rotl s3 45);
   result
 
-let split t =
-  let state = ref (next_int64 t) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  { s0; s1; s2; s3 }
+let next_int64 t = next t
 
-let bits62 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+let split t = of_seed64 (next t)
+
+let[@inline] bits62 t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 
 (* Rejection sampling over the 62 uniform bits (Random.int's trick):
    redraw when the value lands in the incomplete top bucket, so every
@@ -60,19 +62,18 @@ let bits62 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
    residues for bounds that do not divide 2^62. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let rec draw () =
-    let v = bits62 t in
-    let r = v mod bound in
-    if v - r > 0x3FFFFFFFFFFFFFFF - bound + 1 then draw () else r
-  in
-  draw ()
+  let v = ref (bits62 t) in
+  while !v - (!v mod bound) > 0x3FFFFFFFFFFFFFFF - bound + 1 do
+    v := bits62 t
+  done;
+  !v mod bound
 
 let float t =
   (* 53 uniform bits mapped to [0, 1). *)
-  let x = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in
+  let x = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int x *. (1.0 /. 9007199254740992.0)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 (* Geometric distribution on {1, 2, ...}: number of Bernoulli(p) trials up
    to and including the first success. *)

@@ -310,25 +310,45 @@ let max_homopolymer t =
 
 let random rng n = init_codes n (fun _ -> Rng.int rng 4)
 
-(* First occurrence of [pattern] in [t] at or after [from]; naive scan is
-   fine at the anchor lengths (<= 8) used by clustering. *)
+(* Bases per rolling key: 31 2-bit codes fill 62 bits of a native int. *)
+let key_bases = 31
+
+(* First occurrence of [pattern] in [t] at or after [from], in one
+   allocation-free left-to-right scan: a 2-bit-per-base key of the last
+   [k = min m key_bases] text bases rolls along the text and is compared
+   with the key of the pattern's first [k] bases; only on a key hit are
+   the remaining [m - k] pattern bases checked. *)
 let find ?(from = 0) t ~pattern =
   let n = t.len and m = pattern.len in
   if m = 0 then Some from
   else begin
-    let limit = n - m in
-    let rec at i =
-      if i > limit then None
-      else begin
-        let rec matches j =
-          j >= m
-          || code_at t.words (t.off + i + j) = code_at pattern.words (pattern.off + j)
-             && matches (j + 1)
-        in
-        if matches 0 then Some i else at (i + 1)
-      end
-    in
-    at (max 0 from)
+    let k = min m key_bases in
+    let kmask = (1 lsl (2 * k)) - 1 in
+    let pkey = ref 0 in
+    for r = 0 to k - 1 do
+      pkey := (!pkey lsl 2) lor code_at pattern.words (pattern.off + r)
+    done;
+    let pkey = !pkey in
+    let start = max 0 from in
+    (* Window [i, i + k) is complete once text base [j = i + k - 1] is
+       rolled in; the last start that fits the whole pattern is [n - m]. *)
+    let last = n - m + k - 1 in
+    let key = ref 0 and j = ref start and found = ref (-1) in
+    while !found < 0 && !j <= last do
+      key := ((!key lsl 2) lor code_at t.words (t.off + !j)) land kmask;
+      let i = !j - k + 1 in
+      if i >= start && !key = pkey then begin
+        let r = ref k in
+        while
+          !r < m && code_at t.words (t.off + i + !r) = code_at pattern.words (pattern.off + !r)
+        do
+          incr r
+        done;
+        if !r = m then found := i
+      end;
+      incr j
+    done;
+    if !found < 0 then None else Some !found
   end
 
 let contains t ~pattern = Option.is_some (find t ~pattern)

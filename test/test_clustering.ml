@@ -264,6 +264,71 @@ let test_figure5_series_sorted () =
   Alcotest.(check (array int)) "sorted ascending" sorted series;
   Alcotest.(check bool) "nonempty" true (Array.length series > 0)
 
+(* The boxed reference sampler: Auto_config's probe x target sampling
+   done with one boxed signature per sampled read and the byte-wise
+   [Signature.distance], keeping each probe's 5 closest targets ordered
+   by (distance, target). [Auto_config] itself compares on the packed
+   [Signature.Index]; its samples must match this one exactly. *)
+let boxed_sample params rng (reads : Dna.Strand.t array) ~n_probes ~n_targets =
+  let n = Array.length reads in
+  let n_probes = min n_probes n and n_targets = min n_targets n in
+  let probes = Dna.Rng.sample_indices rng ~n ~k:n_probes in
+  let targets = Dna.Rng.sample_indices rng ~n ~k:n_targets in
+  let sig_of i =
+    Clustering.Signature.compute ~q:params.Clustering.Cluster.gram_len
+      params.Clustering.Cluster.kind reads.(i)
+  in
+  let dists = ref [] and nearest = ref [] in
+  Array.iter
+    (fun p ->
+      let cand = ref [] in
+      Array.iter
+        (fun t ->
+          if p <> t then begin
+            let d = Clustering.Signature.distance (sig_of p) (sig_of t) in
+            dists := d :: !dists;
+            cand := (d, t) :: !cand
+          end)
+        targets;
+      List.iteri
+        (fun i (d, t) -> if i < 5 then nearest := (p, t, d) :: !nearest)
+        (List.sort compare !cand))
+    probes;
+  { Clustering.Auto_config.all = Array.of_list !dists; nearest = Array.of_list !nearest }
+
+let test_auto_config_matches_boxed_sampler () =
+  (* Thresholds are those the boxed sampler produced for these reads and
+     seeds; at 12% the signature modes overlap and the thresholds come
+     from the edit-verified nearest pairs. *)
+  List.iter
+    (fun (kind, error_rate, (theta_low, theta_high, edit_threshold)) ->
+      let name =
+        Printf.sprintf "%s at %.0f%%"
+          (match kind with Clustering.Signature.Qgram -> "qgram" | Wgram -> "wgram")
+          (100. *. error_rate)
+      in
+      let reads, _ = make_reads ~error_rate (Dna.Rng.create 31) in
+      let params = Clustering.Cluster.default_params ~kind ~read_len:100 () in
+      let packed =
+        Clustering.Auto_config.sample_distances params (Dna.Rng.create 7) reads ~n_probes:24
+          ~n_targets:300
+      in
+      let boxed = boxed_sample params (Dna.Rng.create 7) reads ~n_probes:24 ~n_targets:300 in
+      Alcotest.(check (array int)) (name ^ ": all") boxed.all packed.all;
+      Alcotest.(check (array (triple int int int))) (name ^ ": nearest") boxed.nearest packed.nearest;
+      let config = Clustering.Auto_config.configure params (Dna.Rng.create 7) reads in
+      Alcotest.(check (array int)) (name ^ ": distances") boxed.all config.distances;
+      Alcotest.(check (triple int int int))
+        (name ^ ": thresholds")
+        (theta_low, theta_high, edit_threshold)
+        (config.theta_low, config.theta_high, config.edit_threshold))
+    [
+      (Clustering.Signature.Qgram, 0.03, (20, 44, 19));
+      (Clustering.Signature.Qgram, 0.12, (62, 95, 40));
+      (Clustering.Signature.Wgram, 0.03, (1503, 3460, 19));
+      (Clustering.Signature.Wgram, 0.12, (4210, 7116, 36));
+    ]
+
 (* ---------- metrics ---------- *)
 
 let test_metrics_perfect_clustering () =
@@ -504,6 +569,7 @@ let () =
           Alcotest.test_case "thresholds ordered" `Quick test_auto_config_thresholds_ordered;
           Alcotest.test_case "separates modes" `Quick test_auto_config_separates_modes;
           Alcotest.test_case "figure5 series" `Quick test_figure5_series_sorted;
+          Alcotest.test_case "matches boxed sampler" `Quick test_auto_config_matches_boxed_sampler;
         ] );
       ( "metrics",
         [

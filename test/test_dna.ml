@@ -92,6 +92,139 @@ let test_rng_sample_indices_distinct () =
   Alcotest.(check int) "all distinct" 20 (List.length distinct);
   Array.iter (fun i -> Alcotest.(check bool) "in range" true (i >= 0 && i < 50)) s
 
+(* Golden stream: literal outputs of the xoshiro256** generator, so any
+   change to the state representation must reproduce the exact stream.
+   One generator per seed is drawn through every entry point in this
+   order, so each value also pins the state the earlier draws left. *)
+type golden = {
+  raw : int64 list;  (* next_int64 x3 *)
+  ints : int list;  (* int 1000 x4 *)
+  big : int;  (* int max_int *)
+  floats : float list;  (* x2, compared bit for bit *)
+  bools : bool list;  (* x8 *)
+  poissons : int list;  (* poisson 4.0 x4 *)
+  split_child : int64 list;  (* next_int64 x2 on [split] *)
+  split_parent : int64;  (* next_int64 on the parent after the split *)
+  copy : int64 list;  (* next_int64 x2 on a [copy], then on the original *)
+  shuffle : int array;  (* shuffle_in_place of [0..9] *)
+  sample : int array;  (* sample_indices ~n:50 ~k:5 *)
+}
+
+let golden_streams =
+  [
+    ( 0,
+      {
+        raw = [ -7355399402456485196L; -4652746763540216534L; 1900383378846508768L ];
+        ints = [ 883; 934; 874; 86 ];
+        big = 2470272057467781775;
+        floats = [ 0x1.b60658174ea72p-1; 0x1.d6748eb47ce93p-1 ];
+        bools = [ false; true; false; true; false; false; false; false ];
+        poissons = [ 2; 6; 5; 5 ];
+        split_child = [ -1745827497278709292L; -1630180807903192609L ];
+        split_parent = -1893426409611530813L;
+        copy = [ 706796178320219295L; 2399897250337011413L ];
+        shuffle = [| 1; 2; 5; 6; 4; 3; 7; 0; 8; 9 |];
+        sample = [| 11; 27; 36; 28; 39 |];
+      } );
+    ( 1,
+      {
+        raw = [ -5480124913605472059L; -8846382939111011094L; -7856363154187860716L ];
+        ints = [ 345; 92; 40; 321 ];
+        big = 1757902983245101607;
+        floats = [ 0x1.bbfb691573da9p-1; 0x1.1a79b718754b6p-1 ];
+        bools = [ true; false; true; true; true; true; true; true ];
+        poissons = [ 1; 5; 4; 5 ];
+        split_child = [ 1704864455275086411L; 8875600768211362021L ];
+        split_parent = 7084622563335324071L;
+        copy = [ 8654072644765974953L; 1545422153750379572L ];
+        shuffle = [| 1; 3; 7; 4; 6; 8; 9; 0; 2; 5 |];
+        sample = [| 20; 24; 45; 39; 0 |];
+      } );
+    ( 12345,
+      {
+        raw = [ -4725905248023948133L; 2398916695208396998L; -676359223724682360L ];
+        ints = [ 348; 586; 849; 702 ];
+        big = 1364157423378986927;
+        floats = [ 0x1.8b3a9a88b3c2ep-2; 0x1.d23be08599bd2p-1 ];
+        bools = [ false; false; true; true; true; true; false; false ];
+        poissons = [ 3; 2; 1; 8 ];
+        split_child = [ -1066648725246158953L; 4082815482250149581L ];
+        split_parent = -4688678675626043565L;
+        copy = [ 3653971381950402123L; -5550867832113341342L ];
+        shuffle = [| 3; 9; 8; 7; 1; 2; 5; 4; 0; 6 |];
+        sample = [| 49; 44; 15; 0; 21 |];
+      } );
+    ( -1,
+      {
+        raw = [ -8118546653352383224L; -4290065566684577747L; -9088772293754075490L ];
+        ints = [ 91; 690; 913; 375 ];
+        big = 3540337710754932408;
+        floats = [ 0x1.40ce8db76af89p-1; 0x1.3a82832dfbe0bp-1 ];
+        bools = [ true; true; false; true; true; false; true; false ];
+        poissons = [ 2; 5; 2; 3 ];
+        split_child = [ -7897969512908281076L; -98582453360696889L ];
+        split_parent = 5667829991038092787L;
+        copy = [ -1583208143907771398L; -4525163574873516079L ];
+        shuffle = [| 7; 0; 4; 3; 9; 1; 8; 5; 2; 6 |];
+        sample = [| 1; 19; 25; 43; 7 |];
+      } );
+  ]
+
+let test_rng_golden_stream () =
+  let int64s = Alcotest.(list int64) in
+  List.iter
+    (fun (seed, g) ->
+      let label what = Printf.sprintf "seed %d: %s" seed what in
+      let r = Dna.Rng.create seed in
+      let draws n f = List.init n (fun _ -> f ()) in
+      Alcotest.check int64s (label "next_int64") g.raw
+        (draws 3 (fun () -> Dna.Rng.next_int64 r));
+      Alcotest.(check (list int)) (label "int 1000") g.ints
+        (draws 4 (fun () -> Dna.Rng.int r 1000));
+      Alcotest.(check int) (label "int max_int") g.big (Dna.Rng.int r max_int);
+      Alcotest.(check (list int64))
+        (label "float bits")
+        (List.map Int64.bits_of_float g.floats)
+        (draws 2 (fun () -> Int64.bits_of_float (Dna.Rng.float r)));
+      Alcotest.(check (list bool)) (label "bool") g.bools (draws 8 (fun () -> Dna.Rng.bool r));
+      Alcotest.(check (list int))
+        (label "poisson")
+        g.poissons
+        (draws 4 (fun () -> Dna.Rng.poisson r 4.0));
+      let child = Dna.Rng.split r in
+      Alcotest.check int64s (label "split child") g.split_child
+        (draws 2 (fun () -> Dna.Rng.next_int64 child));
+      Alcotest.(check int64) (label "split parent") g.split_parent (Dna.Rng.next_int64 r);
+      let c = Dna.Rng.copy r in
+      Alcotest.check int64s (label "copy") g.copy (draws 2 (fun () -> Dna.Rng.next_int64 c));
+      Alcotest.check int64s (label "original after copy") g.copy
+        (draws 2 (fun () -> Dna.Rng.next_int64 r));
+      let perm = Array.init 10 Fun.id in
+      Dna.Rng.shuffle_in_place r perm;
+      Alcotest.(check (array int)) (label "shuffle") g.shuffle perm;
+      Alcotest.(check (array int)) (label "sample_indices") g.sample
+        (Dna.Rng.sample_indices r ~n:50 ~k:5))
+    golden_streams
+
+(* Minor words allocated by [n] calls of [f] (the measuring itself is
+   allocation-free: [Gc.minor_words] returns an unboxed float). *)
+let minor_words_of n f =
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor_words () -. before
+
+let test_rng_draws_allocation_free () =
+  let r = rng () in
+  let draw f = minor_words_of 10_000 (fun () -> ignore (Sys.opaque_identity (f r))) in
+  Alcotest.(check (float 0.)) "Rng.int allocates nothing" 0.0 (draw (fun r -> Dna.Rng.int r 1000));
+  let words = draw Dna.Rng.float in
+  Alcotest.(check bool)
+    (Printf.sprintf "Rng.float allocates <= 2 words per draw (%.0f for 10k)" words)
+    true
+    (words <= 20_000.0)
+
 (* ---------- Nucleotide ---------- *)
 
 let test_nucleotide_roundtrip () =
@@ -763,6 +896,69 @@ let prop_pool_roundtrip =
         (fun (i, codes) -> Dna.Strand.to_codes (Dna.Strand_pool.get pool i) = codes)
         (List.mapi (fun i c -> (i, c)) pieces))
 
+(* [Strand.find] against a position-by-position reference scan. Texts
+   are offset views (a [sub] of a longer strand, so the packed words do
+   not start at base 0); patterns run to 40 bases, past the 31-base
+   rolling key, and are often cut from the text (possibly with one base
+   changed) so hits and near-misses are both common. *)
+let naive_find ~from text pattern =
+  let n = Dna.Strand.length text and m = Dna.Strand.length pattern in
+  if m = 0 then Some from
+  else begin
+    let matches i =
+      let ok = ref true in
+      for r = 0 to m - 1 do
+        if Dna.Strand.get_code text (i + r) <> Dna.Strand.get_code pattern r then ok := false
+      done;
+      !ok
+    in
+    let rec at i = if i > n - m then None else if matches i then Some i else at (i + 1) in
+    at (max 0 from)
+  end
+
+let gen_find_case =
+  QCheck.Gen.(
+    let random_pattern m = map Dna.Strand.of_codes (array_size (return m) (int_range 0 3)) in
+    let* len = int_range 0 200 in
+    let* pad = int_range 0 20 in
+    let* codes = array_size (return (pad + len)) (int_range 0 3) in
+    let text = Dna.Strand.sub (Dna.Strand.of_codes codes) ~pos:pad ~len in
+    let* m = int_range 0 40 in
+    let* pattern =
+      if len >= m && m > 0 then
+        let* pos = int_range 0 (len - m) in
+        let* mutate = int_range (-1) (m - 1) in
+        let piece = Dna.Strand.to_codes (Dna.Strand.sub text ~pos ~len:m) in
+        if mutate >= 0 then piece.(mutate) <- (piece.(mutate) + 1) land 3;
+        oneof [ return (Dna.Strand.of_codes piece); random_pattern m ]
+      else random_pattern m
+    in
+    let* from = int_range (-3) (len + 3) in
+    return (text, pattern, from))
+
+let prop_find_matches_naive =
+  QCheck.Test.make ~name:"find = naive scan" ~count:2000
+    (QCheck.make
+       ~print:(fun (t, p, from) ->
+         Printf.sprintf "text %s pattern %s from %d" (Dna.Strand.to_string t)
+           (Dna.Strand.to_string p) from)
+       gen_find_case)
+    (fun (text, pattern, from) ->
+      Dna.Strand.find ~from text ~pattern = naive_find ~from text pattern)
+
+let test_find_allocation_free () =
+  (* A 3-base anchor search, as clustering keys representatives: a miss
+     allocates nothing, a hit only the [Some] it returns. *)
+  let r = rng () in
+  let text = Dna.Strand.init_codes 150 (fun _ -> Dna.Rng.int r 3) in
+  let search pattern =
+    minor_words_of 10_000 (fun () -> ignore (Sys.opaque_identity (Dna.Strand.find text ~pattern)))
+  in
+  Alcotest.(check (float 0.)) "miss allocates nothing" 0.0 (search (Dna.Strand.of_string "TTT"));
+  Alcotest.(check (float 0.))
+    "hit allocates only its Some" 20_000.0
+    (search (Dna.Strand.sub text ~pos:100 ~len:3))
+
 let () =
   Alcotest.run "dna"
     [
@@ -778,6 +974,8 @@ let () =
           Alcotest.test_case "geometric support" `Quick test_rng_geometric_support;
           Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
           Alcotest.test_case "sample distinct" `Quick test_rng_sample_indices_distinct;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
+          Alcotest.test_case "draws allocation-free" `Quick test_rng_draws_allocation_free;
         ] );
       ( "nucleotide",
         [
@@ -794,6 +992,7 @@ let () =
           Alcotest.test_case "gc content" `Quick test_strand_gc_content;
           Alcotest.test_case "max homopolymer" `Quick test_strand_max_homopolymer;
           Alcotest.test_case "find" `Quick test_strand_find;
+          Alcotest.test_case "find allocation-free" `Quick test_find_allocation_free;
           Alcotest.test_case "codes roundtrip" `Quick test_strand_codes;
           Alcotest.test_case "sub/concat" `Quick test_strand_sub_concat;
           Alcotest.test_case "count" `Quick test_strand_count;
@@ -863,6 +1062,7 @@ let () =
             prop_packed_concat_append;
             prop_packed_equal_hash_on_views;
             prop_pool_roundtrip;
+            prop_find_matches_naive;
           ] );
       ( "strand_pool",
         [
