@@ -39,8 +39,17 @@ let run () =
   (match result with
   | Ok (bytes, timings) ->
       let exact = Bytes.equal bytes image in
-      Printf.printf "retrieved %d bytes in %.2fs: %s\n" (Bytes.length bytes) elapsed
-        (if exact then "EXACT" else "CORRUPTED");
+      (* Bytes that differ, counting a length mismatch as wrong bytes. *)
+      let n = Bytes.length bytes and m = Bytes.length image in
+      let wrong = ref (abs (n - m)) in
+      for i = 0 to min n m - 1 do
+        if Bytes.get bytes i <> Bytes.get image i then incr wrong
+      done;
+      Printf.printf "retrieved %d bytes in %.2fs: %s (%d of %d bytes wrong, crc32 %08x)\n" n
+        elapsed
+        (if exact then "EXACT" else "CORRUPTED")
+        !wrong m
+        (Store.Io.crc32 (Bytes.to_string bytes));
       Printf.printf "  sequencing %.2fs, clustering %.2fs, reconstruction %.2fs, decoding %.2fs\n"
         timings.Dnastore.Pipeline.simulate_s timings.cluster_s timings.reconstruct_s
         timings.decode_s

@@ -18,8 +18,9 @@ let run () =
   let channel = Simulator.Iid_channel.create_rate ~error_rate:0.06 in
   let strands = Array.init n_strands (fun _ -> Dna.Strand.random rng len) in
   let sp = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed coverage) in
-  let reads = Simulator.Sequencer.sequence sp channel rng strands in
-  let read_strands = Array.map (fun r -> r.Simulator.Sequencer.seq) reads in
+  let pool = Dna.Strand_pool.create () in
+  ignore (Simulator.Sequencer.sequence_pool sp channel rng strands ~pool);
+  let read_strands = Dna.Strand_pool.to_array pool in
   List.iter
     (fun kind ->
       let kname = match kind with Clustering.Signature.Qgram -> "q-gram" | _ -> "w-gram" in

@@ -28,8 +28,10 @@ let channel () =
 let run_trial rng ~layout file =
   let encoded = Codec.File_codec.encode ~params ~layout file in
   let sp = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed coverage) in
-  let reads = Simulator.Sequencer.sequence sp (channel ()) rng encoded.Codec.File_codec.strands in
-  let rs = Array.map (fun r -> r.Simulator.Sequencer.seq) reads in
+  let pool = Dna.Strand_pool.create () in
+  ignore
+    (Simulator.Sequencer.sequence_pool sp (channel ()) rng encoded.Codec.File_codec.strands ~pool);
+  let rs = Dna.Strand_pool.to_array pool in
   let clusters =
     let result, _ = cluster_auto rng rs in
     Clustering.Cluster.read_clusters result rs

@@ -37,9 +37,9 @@ let run () =
                 let sp =
                   Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed coverage)
                 in
-                let reads = Simulator.Sequencer.sequence sp channel rng strands in
-                let rs = Array.map (fun r -> r.Simulator.Sequencer.seq) reads in
-                let truth = Array.map (fun r -> r.Simulator.Sequencer.origin) reads in
+                let pool = Dna.Strand_pool.create () in
+                let truth = Simulator.Sequencer.sequence_pool sp channel rng strands ~pool in
+                let rs = Dna.Strand_pool.to_array pool in
                 let result, _ = cluster_auto ~kind rng rs in
                 let stats = result.Clustering.Cluster.stats in
                 c.acc <-

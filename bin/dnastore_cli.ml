@@ -192,18 +192,19 @@ let simulate_cmd =
     let rng = Dna.Rng.create seed in
     let records, errors = Dna.Fasta.read_file strands in
     if errors <> [] then Printf.eprintf "warning: %d malformed FASTA records skipped\n" (List.length errors);
-    let pool = Array.of_list (List.map (fun r -> r.Dna.Fasta.seq) records) in
+    let molecules = Array.of_list (List.map (fun r -> r.Dna.Fasta.seq) records) in
     let ch = make_channel channel error_rate in
     let sp = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed coverage) in
-    let reads = Simulator.Sequencer.sequence sp ch rng pool in
-    let seqs = Array.map (fun r -> r.Simulator.Sequencer.seq) reads in
+    let reads = Dna.Strand_pool.create () in
+    ignore (Simulator.Sequencer.sequence_pool sp ch rng molecules ~pool:reads);
+    let seqs = Dna.Strand_pool.to_array reads in
     if Filename.check_suffix output ".fastq" then
       write_text output (Dnastore.Wetlab_io.export_fastq seqs)
     else
       write_text output
         (String.concat "\n" (Array.to_list (Array.map Dna.Strand.to_string seqs)) ^ "\n");
     Printf.printf "simulated %d reads (%s channel, rate %.3f, coverage %d) -> %s\n"
-      (Array.length reads) (Simulator.Channel.name ch) error_rate coverage output
+      (Array.length seqs) (Simulator.Channel.name ch) error_rate coverage output
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Simulate wetlab noise over encoded strands.")
     Term.(const run $ strands $ output $ channel_arg $ error_rate_arg $ coverage_arg $ seed_arg)

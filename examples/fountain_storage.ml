@@ -35,11 +35,11 @@ let () =
     }
   in
   let channel = Simulator.Iid_channel.create_rate ~error_rate:0.06 in
-  let reads = Simulator.Sequencer.sequence sequencing channel rng droplets in
-  Printf.printf "sequenced %d reads (10%% molecule dropout)\n" (Array.length reads);
+  let pool = Dna.Strand_pool.create () in
+  ignore (Simulator.Sequencer.sequence_pool sequencing channel rng droplets ~pool);
+  Printf.printf "sequenced %d reads (10%% molecule dropout)\n" (Dna.Strand_pool.length pool);
 
   (* Cluster and reconstruct as usual. *)
-  let pool = Dna.Strand_pool.of_strands (Array.map (fun r -> r.Simulator.Sequencer.seq) reads) in
   let clusters = Dnastore.Pipeline.cluster_default () rng pool in
   let target_len = Codec.Fountain.strand_nt enc.Codec.Fountain.params in
   let consensus =

@@ -56,8 +56,10 @@ let run_trial rng ~mapped img =
       ()
   in
   let sequencing = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 10) in
-  let reads = Simulator.Sequencer.sequence sequencing channel rng encoded.Codec.File_codec.strands in
-  let pool = Dna.Strand_pool.of_strands (Array.map (fun r -> r.Simulator.Sequencer.seq) reads) in
+  let pool = Dna.Strand_pool.create () in
+  ignore
+    (Simulator.Sequencer.sequence_pool sequencing channel rng encoded.Codec.File_codec.strands
+       ~pool);
   let clusters = Dnastore.Pipeline.cluster_default () rng pool in
   let target_len = Codec.Params.strand_nt params in
   let consensus =

@@ -34,12 +34,12 @@ let () =
   let sequencing =
     Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 30)
   in
-  let reads = Simulator.Sequencer.sequence sequencing channel rng strands in
-  Printf.printf "2. sequenced %d noisy reads through the '%s' channel\n" (Array.length reads)
-    (Simulator.Channel.name channel);
+  let pool = Dna.Strand_pool.create () in
+  ignore (Simulator.Sequencer.sequence_pool sequencing channel rng strands ~pool);
+  Printf.printf "2. sequenced %d noisy reads through the '%s' channel\n"
+    (Dna.Strand_pool.length pool) (Simulator.Channel.name channel);
 
   (* 3. Cluster the reads by similarity; thresholds auto-configured. *)
-  let pool = Dna.Strand_pool.of_strands (Array.map (fun r -> r.Simulator.Sequencer.seq) reads) in
   let clusters = Dnastore.Pipeline.cluster_default () rng pool in
   Printf.printf "3. clustered into %d clusters (expected %d)\n" (List.length clusters)
     (Array.length strands);

@@ -29,8 +29,9 @@ let () =
       Simulator.Sequencer.p_reverse = 0.5;
     }
   in
-  let reads = Simulator.Sequencer.sequence sequencing channel rng tagged in
-  let read_strands = Array.map (fun r -> r.Simulator.Sequencer.seq) reads in
+  let pool = Dna.Strand_pool.create () in
+  ignore (Simulator.Sequencer.sequence_pool sequencing channel rng tagged ~pool);
+  let read_strands = Dna.Strand_pool.to_array pool in
 
   (* Export to FASTQ — the sequencer's output format. *)
   let path = Filename.temp_file "dnastore_run" ".fastq" in
@@ -38,15 +39,15 @@ let () =
   Printf.printf "exported %d reads to %s\n" (Array.length read_strands) path;
 
   (* Ingest: parse, identify the primer pair, fix orientation, strip. *)
-  let ingested = Dnastore.Wetlab_io.ingest_file [ pair ] path in
-  let stats = ingested.Dnastore.Wetlab_io.stats in
+  let ingested = Dnastore.Wetlab_io.ingest_file_pool [ pair ] path in
+  let stats = ingested.Dnastore.Wetlab_io.pool_stats in
   Printf.printf
     "ingested: %d records (%d parse errors), %d forward + %d reverse oriented, %d unmatched\n"
     stats.Dnastore.Wetlab_io.total_records stats.parse_errors stats.forward stats.reverse
     stats.no_primer_match;
   let cores =
-    match ingested.Dnastore.Wetlab_io.by_pair with
-    | [ (_, cores) ] -> Dna.Strand_pool.of_strands cores
+    match ingested.Dnastore.Wetlab_io.pools_by_pair with
+    | [ (_, cores) ] -> cores
     | _ -> failwith "expected exactly one primer group"
   in
 

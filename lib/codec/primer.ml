@@ -210,9 +210,3 @@ let strip ?(max_edits = 5) ?slack pair (read : Dna.Strand.t) : Dna.Strand.t opti
       Some (Dna.Strand.sub read ~pos:core_start ~len:(core_end - core_start))
   | _ -> None
 
-(* Orientation + strip in one step: the full preprocessing of one
-   sequenced read (Section VIII). *)
-let normalize ?max_edits ?slack pair read =
-  match orient ?max_edits ?slack pair read with
-  | None -> None
-  | Some (oriented, _) -> strip ?max_edits ?slack pair oriented

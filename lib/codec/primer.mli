@@ -89,6 +89,3 @@ val strip : ?max_edits:int -> ?slack:int -> pair -> Dna.Strand.t -> Dna.Strand.t
 (** Remove both primers from a normalized read; [None] filters foreign
     molecules. *)
 
-val normalize : ?max_edits:int -> ?slack:int -> pair -> Dna.Strand.t -> Dna.Strand.t option
-(** {!orient} then {!strip}: the full preprocessing of one sequenced
-    read (Section VIII). *)

@@ -103,7 +103,7 @@ let corrupt_read rng rate (s : Dna.Strand.t) =
       let code = Dna.Strand.get_code s i in
       if Dna.Rng.float rng < rate then (code + 1 + Dna.Rng.int rng 3) land 3 else code)
 
-let inject_reads plan (reads : Simulator.Sequencer.read array) : Simulator.Sequencer.read array =
+let inject_reads plan (reads : Dna.Strand.t array) : Dna.Strand.t array =
   let rng = site_rng plan read_site in
   List.fold_left
     (fun reads fault ->
@@ -119,15 +119,9 @@ let inject_reads plan (reads : Simulator.Sequencer.read array) : Simulator.Seque
           end
       | Read_truncation { p; keep_min } ->
           Array.map
-            (fun r ->
-              if Dna.Rng.float rng < p then
-                { r with Simulator.Sequencer.seq = truncate_read rng ~keep_min r.Simulator.Sequencer.seq }
-              else r)
+            (fun r -> if Dna.Rng.float rng < p then truncate_read rng ~keep_min r else r)
             reads
-      | Read_corruption rate ->
-          Array.map
-            (fun r -> { r with Simulator.Sequencer.seq = corrupt_read rng rate r.Simulator.Sequencer.seq })
-            reads
+      | Read_corruption rate -> Array.map (corrupt_read rng rate) reads
       | _ -> reads)
     reads plan.faults
 

@@ -49,7 +49,7 @@ val inject_strands : plan -> Dna.Strand.t array -> Dna.Strand.t array
 (** Apply pool-level faults ({!Strand_dropout}) between encode and
     sequencing. *)
 
-val inject_reads : plan -> Simulator.Sequencer.read array -> Simulator.Sequencer.read array
+val inject_reads : plan -> Dna.Strand.t array -> Dna.Strand.t array
 (** Apply read-level faults ({!Undersampling}, {!Read_truncation},
     {!Read_corruption}) between sequencing and clustering. *)
 

@@ -114,16 +114,16 @@ let get ?(stages = Pipeline.default_stages ()) ?(domains = Dna.Par.default_domai
       (* Sequencing: noisy reads of the selected molecules, arriving in
          both orientations like a real sequencer run. *)
       let sequencing = { stages.Pipeline.sequencing with Simulator.Sequencer.p_reverse = 0.5 } in
-      let reads =
-        Simulator.Sequencer.sequence ~domains sequencing stages.Pipeline.channel t.rng selected
-      in
+      let reads = Dna.Strand_pool.create () in
+      ignore
+        (Simulator.Sequencer.sequence_pool sequencing stages.Pipeline.channel t.rng selected
+           ~pool:reads);
       let t1 = Unix.gettimeofday () in
-      (* Preprocess: orientation-normalize, strip primers. *)
+      (* Preprocess: orient each read and strip the entry's primers. *)
       let cores =
-        Array.to_list reads
-        |> List.filter_map (fun r ->
-               Codec.Primer.normalize entry.pair r.Simulator.Sequencer.seq)
-        |> Array.of_list |> Dna.Strand_pool.of_strands
+        match (Wetlab_io.ingest_pool [ entry.pair ] reads).Wetlab_io.pools_by_pair with
+        | [ (_, cores) ] -> cores
+        | _ -> Dna.Strand_pool.create ()
       in
       let clusters = stages.Pipeline.cluster t.rng cores in
       let t2 = Unix.gettimeofday () in

@@ -59,6 +59,8 @@ val get :
   ?stages:Pipeline.stages -> ?domains:int -> t -> key:string ->
   (Bytes.t * Pipeline.timings, get_error) result
 (** The full random-access path: PCR selection, sequencing (reads in
-    both orientations), orientation normalization, primer stripping,
-    clustering, reconstruction, decoding. Every call is a fresh
-    sequencing run. *)
+    both orientations), orientation normalization and primer stripping
+    ({!Wetlab_io.ingest_pool}), clustering, reconstruction, decoding.
+    Every call is a fresh sequencing run. [domains] (default
+    {!Dna.Par.default_domains}) fans out reconstruction only; the
+    decoded bytes are the same for every [domains]. *)

@@ -196,7 +196,7 @@ let run ?(params = Codec.Params.default) ?(layout = Codec.Layout.Baseline) ?stag
       let strands = inject Faults.inject_strands encoded.Codec.File_codec.strands in
       let target_len = Codec.Params.strand_nt params in
       let n_units = encoded.Codec.File_codec.n_units in
-      let sim, simulate_s =
+      let pool, simulate_s =
         time (fun () ->
             try
               trigger Faults.Simulate;
@@ -206,30 +206,25 @@ let run ?(params = Codec.Params.default) ?(layout = Codec.Layout.Baseline) ?stag
                  governs the whole simulated wetlab. *)
               let strands = match prepare with None -> strands | Some f -> f rng strands in
               let pool = Dna.Strand_pool.create () in
-              let origins =
-                Simulator.Sequencer.sequence_pool stages.sequencing stages.channel rng strands ~pool
-              in
-              (pool, origins)
+              ignore
+                (Simulator.Sequencer.sequence_pool stages.sequencing stages.channel rng strands
+                   ~pool);
+              pool
             with e ->
               note Faults.Simulate e;
-              (Dna.Strand_pool.create (), [||]))
+              Dna.Strand_pool.create ())
       in
       let pool =
         match faults with
-        | None -> fst sim
+        | None -> pool
         | Some plan ->
             (* Read-level faults rewrite the read bag, and committed
-               arena reads are write-once — so the fault path
-               materializes views, injects, and rebuilds a fresh arena.
-               Views into the old arena stay valid throughout
-               (truncations are zero-copy sub-views). *)
-            let pool0, origins = sim in
-            let reads =
-              Array.init (Dna.Strand_pool.length pool0) (fun i ->
-                  { Simulator.Sequencer.seq = Dna.Strand_pool.get pool0 i; origin = origins.(i) })
-            in
-            let reads = Faults.inject_reads plan reads in
-            Dna.Strand_pool.of_strands (Array.map (fun r -> r.Simulator.Sequencer.seq) reads)
+               arena reads are write-once — so the fault path injects
+               into views and rebuilds a fresh arena. Views into the old
+               arena stay valid throughout (truncations are zero-copy
+               sub-views). *)
+            Dna.Strand_pool.of_strands
+              (Faults.inject_reads plan (Dna.Strand_pool.to_array pool))
       in
       let slices, cluster_s =
         time (fun () ->

@@ -106,9 +106,9 @@ val run :
 (** Encode, simulate, cluster, reconstruct (largest clusters first),
     decode. Never raises. [stages] defaults to {!default_stages}.
 
-    Sequencing runs serially into one arena (draw-for-draw identical to
-    {!Simulator.Sequencer.sequence} with [~domains:1], hence the same
-    read set for every [domains]); clustering yields index slices and
+    Sequencing runs serially into one arena
+    ({!Simulator.Sequencer.sequence_pool}, so the read set is the same
+    for every [domains]); clustering yields index slices and
     reconstruction runs on them. Parallelism lives in clustering and
     per-cluster reconstruction.
 

@@ -16,63 +16,10 @@ type ingest_stats = {
   reverse : int;
 }
 
-type ingested = {
-  (* Cores grouped per primer pair, pipeline-ready. *)
-  by_pair : (Codec.Primer.pair * Dna.Strand.t array) list;
-  stats : ingest_stats;
-}
-
-(* Match a read against a library of primer pairs; normalize orientation
-   and strip primers with the first pair that fits. *)
-let ingest_records (pairs : Codec.Primer.pair list) (records : Dna.Fastq.record list)
-    ~(parse_errors : int) : ingested =
-  let buckets = List.map (fun p -> (p, ref [])) pairs in
-  let no_match = ref 0 and fwd = ref 0 and rev = ref 0 in
-  List.iter
-    (fun (r : Dna.Fastq.record) ->
-      let rec try_pairs = function
-        | [] -> incr no_match
-        | (pair, bucket) :: rest -> (
-            match Codec.Primer.orient pair r.Dna.Fastq.seq with
-            | None -> try_pairs rest
-            | Some (oriented, dir) -> (
-                match Codec.Primer.strip pair oriented with
-                | None -> try_pairs rest
-                | Some core ->
-                    (match dir with
-                    | Codec.Primer.Forward -> incr fwd
-                    | Codec.Primer.Reverse -> incr rev);
-                    bucket := core :: !bucket))
-      in
-      try_pairs buckets)
-    records;
-  {
-    by_pair =
-      List.filter_map
-        (fun (p, b) -> if !b = [] then None else Some (p, Array.of_list (List.rev !b)))
-        buckets;
-    stats =
-      {
-        total_records = List.length records + parse_errors;
-        parse_errors;
-        no_primer_match = !no_match;
-        forward = !fwd;
-        reverse = !rev;
-      };
-  }
-
-let ingest_string pairs s =
-  let records, errors = Dna.Fastq.parse_string s in
-  ingest_records pairs records ~parse_errors:(List.length errors)
-
-let ingest_file pairs path =
-  let records, errors = Dna.Fastq.read_file path in
-  ingest_records pairs records ~parse_errors:(List.length errors)
-
-(* Pooled demux: the same orientation/stripping pipeline, but cores land
-   in one arena per primer pair instead of one boxed strand per read.
-   Stripping is a zero-copy slice, so the only per-read allocation left
-   is the transient reverse-complement of 3'->5' reads. *)
+(* Demux: orient each read against the primer library and strip the
+   primers of the first pair that fits. Cores land in one arena per
+   pair; stripping is a zero-copy slice, so the only per-read
+   allocation is the transient reverse complement of 3'->5' reads. *)
 
 type ingested_pool = {
   pools_by_pair : (Codec.Primer.pair * Dna.Strand_pool.t) list;
@@ -152,6 +99,4 @@ let export_fastq ?(quality = 30) (reads : Dna.Strand.t array) : string =
   Dna.Fastq.to_string records
 
 let export_fastq_file ?quality path reads =
-  let oc = open_out path in
-  output_string oc (export_fastq ?quality reads);
-  close_out oc
+  Out_channel.with_open_text path (fun oc -> output_string oc (export_fastq ?quality reads))

@@ -10,17 +10,6 @@ type ingest_stats = {
   reverse : int;  (** reads that arrived 3'->5' and were normalized *)
 }
 
-type ingested = {
-  by_pair : (Codec.Primer.pair * Dna.Strand.t array) list;
-  stats : ingest_stats;
-}
-
-val ingest_records :
-  Codec.Primer.pair list -> Dna.Fastq.record list -> parse_errors:int -> ingested
-
-val ingest_string : Codec.Primer.pair list -> string -> ingested
-val ingest_file : Codec.Primer.pair list -> string -> ingested
-
 type ingested_pool = {
   pools_by_pair : (Codec.Primer.pair * Dna.Strand_pool.t) list;
   pool_stats : ingest_stats;
@@ -28,17 +17,23 @@ type ingested_pool = {
 
 val ingest_pool :
   Codec.Primer.pair list -> ?parse_errors:int -> Dna.Strand_pool.t -> ingested_pool
-(** Demux reads already in an arena (e.g. pooled simulator output):
-    orientation and primer stripping as in [ingest_records], with the
-    cores landing in one pool per primer pair — no boxed strand per
-    read. Pairs that match nothing are dropped from the result. *)
+(** Demux reads already in an arena (e.g. sequencer output): each read
+    is oriented 5'->3' against the pairs in list order and stripped of
+    the primers of the first pair that fits ({!Codec.Primer.orient},
+    then {!Codec.Primer.strip}); reads no pair fits count as
+    [no_primer_match]. Cores land in one pool per pair, in read order.
+    Pairs that match nothing are dropped from the result.
+    [parse_errors] (default 0) is added to [total_records], for callers
+    that parsed the reads from text. *)
 
 val ingest_file_pool : Codec.Primer.pair list -> string -> ingested_pool
-(** Stream a FASTQ file straight into per-pair core pools: bounded
-    memory — no record list, no boxed read set — regardless of file
-    size. *)
+(** {!ingest_pool} over a FASTQ file, streamed: bounded memory — no
+    record list, no boxed read set — regardless of file size. Malformed
+    records count as [parse_errors]. *)
 
 val export_fastq : ?quality:int -> Dna.Strand.t array -> string
 (** Simulated reads as FASTQ text with a uniform quality track. *)
 
 val export_fastq_file : ?quality:int -> string -> Dna.Strand.t array -> unit
+(** {!export_fastq} written to a file; the channel is closed even when
+    the write fails. *)

@@ -1,5 +1,5 @@
-(** Domain-based parallel execution for the clustering, reconstruction
-    and simulation stages.
+(** Domain-based parallel execution for the clustering and
+    reconstruction stages.
 
     The paper stresses that clustering and reconstruction must scale
     across cores (Section IX). This module fans balanced array chunks
@@ -22,9 +22,6 @@
     - a failing chunk never orphans its siblings: every chunk of a
       region runs before the first failure (in submission order) is
       re-raised;
-    - [split_rngs] / [map_array_rng] give each task its own
-      deterministic random stream, so stochastic stages produce the
-      same output for every worker count;
     - every parallel region is counted (regions entered, tasks run,
       wall time) under a caller-supplied label, surfaced through
       [counters] and rendered by [Core.Report.par_counters].
@@ -325,24 +322,3 @@ let map_reduce ?(label = "par.map_reduce") ?domains ~map ~combine ~init (arr : '
             !acc)
       in
       List.fold_left combine init parts)
-
-(* ---------- deterministic parallel randomness ---------- *)
-
-(* Streams are split off the parent serially, in index order, so the
-   result depends only on the parent's state — never on worker count. *)
-let split_rngs rng k =
-  if k < 0 then invalid_arg "Par.split_rngs: negative count";
-  let out = Array.make k rng in
-  for i = 0 to k - 1 do
-    out.(i) <- Rng.split rng
-  done;
-  out
-
-let map_array_rng ?(label = "par.map_rng") ?domains ~rng f (arr : 'a array) : 'b array =
-  let domains = match domains with Some d -> d | None -> default_domains () in
-  let n = Array.length arr in
-  let rngs = split_rngs rng n in
-  timed ~label ~tasks:n (fun () ->
-      Array.concat
-        (run_chunks ~domains ~n (fun lo len ->
-             Array.init len (fun i -> f rngs.(lo + i) arr.(lo + i)))))

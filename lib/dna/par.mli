@@ -1,5 +1,5 @@
-(** Domain-based parallel execution for the clustering, reconstruction
-    and simulation stages, and the single configuration point for the
+(** Domain-based parallel execution for the clustering and
+    reconstruction stages, and the single configuration point for the
     toolkit's parallelism.
 
     Guarantees, for every entry point:
@@ -21,10 +21,9 @@
       bit-identical to not using this module at all.
 
     Task functions run on separate domains when [domains > 1]; they must
-    not share unsynchronized mutable state. For stochastic tasks use
-    {!map_array_rng} or {!split_rngs}, which derive one independent
-    stream per task in index order so output is independent of the
-    worker count. *)
+    not share unsynchronized mutable state. A stochastic task needs its
+    own stream, split off serially before the region ({!Rng.split}),
+    for its output to be independent of the worker count. *)
 
 val recommended_domains : unit -> int
 (** [Domain.recommended_domain_count () - 1], at least 1: a sensible
@@ -79,17 +78,6 @@ val map_reduce :
     left-to-right, and chunk results are folded left-to-right onto
     [init]; when [combine] is associative the result is identical for
     every worker count. *)
-
-val split_rngs : Rng.t -> int -> Rng.t array
-(** [split_rngs rng k] derives [k] independent streams off [rng],
-    splitting serially in index order — the result depends only on the
-    parent's state, never on worker count. Advances the parent. *)
-
-val map_array_rng :
-  ?label:string -> ?domains:int -> rng:Rng.t -> (Rng.t -> 'a -> 'b) -> 'a array -> 'b array
-(** Parallel map where each element receives its own stream split off
-    [rng] in index order: deterministic given the parent's state,
-    independent of [domains]. Advances the parent once per element. *)
 
 (** {1 Instrumentation}
 

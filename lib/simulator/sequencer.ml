@@ -11,11 +11,6 @@ type coverage =
   | Fixed of int  (** exactly this many reads per strand *)
   | Poisson of float  (** mean reads per strand *)
 
-type read = {
-  seq : Dna.Strand.t;
-  origin : int;  (** index of the source strand; ground truth for evaluation *)
-}
-
 type params = {
   coverage : coverage;
   dropout : float;  (** probability a strand yields no reads at all *)
@@ -29,65 +24,12 @@ let reads_for params rng =
   | Fixed n -> n
   | Poisson mean -> Dna.Rng.poisson rng mean
 
-(* All reads one strand yields through the channel, in synthesis order. *)
-let reads_of_strand params channel rng origin strand =
-  if Dna.Rng.float rng < params.dropout then []
-  else begin
-    let acc = ref [] in
-    let n = reads_for params rng in
-    for _ = 1 to n do
-      let seq = Channel.transmit channel rng strand in
-      let seq =
-        if params.p_reverse > 0.0 && Dna.Rng.float rng < params.p_reverse then
-          Dna.Strand.reverse_complement seq
-        else seq
-      in
-      if Dna.Strand.length seq > 0 then acc := { seq; origin } :: !acc
-    done;
-    List.rev !acc
-  end
-
-(* Produce all reads for [strands], shuffled (a test tube has no order).
-
-   With [domains = 1] (the default) every draw comes off [rng] serially,
-   bit-identical to the toolkit's historical behavior. With
-   [domains > 1] each strand first receives its own stream split off
-   [rng] in strand order, then strands are synthesized in parallel: the
-   read set is then identical for every worker count (though it differs
-   from the serial draw order), and the channel must be safe to call
-   from multiple domains. *)
-let sequence ?(shuffle = true) ?(domains = Dna.Par.default_domains ()) params channel rng
-    (strands : Dna.Strand.t array) : read array =
-  let arr =
-    if domains <= 1 then begin
-      (* Prepend-accumulate, as the serial path always has, so a given
-         seed still yields the exact historical read array. *)
-      let out = ref [] in
-      Array.iteri
-        (fun origin strand ->
-          List.iter (fun r -> out := r :: !out) (reads_of_strand params channel rng origin strand))
-        strands;
-      Array.of_list !out
-    end
-    else begin
-      let per_strand =
-        Dna.Par.map_array_rng ~label:"simulate.synthesis" ~domains ~rng
-          (fun r (origin, strand) -> reads_of_strand params channel r origin strand)
-          (Array.mapi (fun i s -> (i, s)) strands)
-      in
-      Array.of_list (List.concat (Array.to_list per_strand))
-    end
-  in
-  if shuffle then Dna.Rng.shuffle_in_place rng arr;
-  arr
-
-(* Pooled sequencing: the whole read bag lives in one arena — three flat
-   arrays plus one int of origin per read — instead of one boxed strand
-   and read record each. Draws mirror [sequence ~domains:1] exactly
-   (dropout float, coverage draw, channel stream, orientation float,
-   then the same shuffle over the same count), so a given seed yields
-   the identical read sequence with identical origins. *)
-let sequence_pool ?(shuffle = true) params channel rng (strands : Dna.Strand.t array)
+(* Sequencing into an arena: the whole read bag lives in one pool —
+   three flat arrays plus one int of origin per read — rather than one
+   boxed strand per read. Per strand the draws are: the dropout float,
+   the coverage draw, then per read the channel stream and the
+   orientation float; one shuffle over the read count ends the run. *)
+let sequence_pool params channel rng (strands : Dna.Strand.t array)
     ~(pool : Dna.Strand_pool.t) : int array =
   let base = Dna.Strand_pool.length pool in
   let origins = ref (Array.make 64 0) in
@@ -119,10 +61,12 @@ let sequence_pool ?(shuffle = true) params channel rng (strands : Dna.Strand.t a
       end)
     strands;
   let n = !count in
-  (* The serial boxed path prepend-accumulates (reverse generation
-     order) and then shuffles; replay that as an index permutation. *)
+  (* Shuffle the reversed generation order, not the generation order:
+     the toolkit's reads were historically prepend-accumulated before
+     the shuffle, and starting from that order keeps every seed's read
+     stream unchanged. *)
   let perm = Array.init n (fun k -> n - 1 - k) in
-  if shuffle then Dna.Rng.shuffle_in_place rng perm;
+  Dna.Rng.shuffle_in_place rng perm;
   Dna.Strand_pool.permute pool ~from:base perm;
   Array.init n (fun i -> !origins.(perm.(i)))
 
@@ -138,10 +82,3 @@ let shard_depth ~base ~n_selected ~n_shard =
     let scaled = int_of_float (float_of_int base *. sqrt ratio) in
     min (4 * base) (max base scaled)
   end
-
-(* Group reads by origin: the ideal clusters, used to evaluate clustering
-   and to isolate the reconstruction module. *)
-let ideal_clusters ~n_strands (reads : read array) : Dna.Strand.t list array =
-  let clusters = Array.make n_strands [] in
-  Array.iter (fun r -> clusters.(r.origin) <- r.seq :: clusters.(r.origin)) reads;
-  clusters

@@ -5,11 +5,6 @@ type coverage =
   | Fixed of int  (** exactly this many reads per strand *)
   | Poisson of float  (** mean reads per strand *)
 
-type read = {
-  seq : Dna.Strand.t;
-  origin : int;  (** index of the source strand; ground truth for evaluation *)
-}
-
 type params = {
   coverage : coverage;
   dropout : float;  (** probability a strand yields no reads at all *)
@@ -19,32 +14,15 @@ type params = {
 val default_params : coverage:coverage -> params
 (** No dropout, no reverse reads. *)
 
-val sequence :
-  ?shuffle:bool -> ?domains:int -> params -> Channel.t -> Dna.Rng.t -> Dna.Strand.t array ->
-  read array
-(** All reads for the pool, shuffled by default (a test tube has no
-    order). Empty reads are discarded.
-
-    [domains] (default {!Dna.Par.default_domains}) parallelizes
-    per-strand read synthesis. With [domains = 1] every draw comes off
-    the given rng serially (bit-identical to the historical behavior);
-    with [domains > 1] each strand gets its own stream split off the rng
-    in strand order, so the read set is identical for every worker count
-    — the channel must then be safe to call from multiple domains. *)
-
 val sequence_pool :
-  ?shuffle:bool ->
-  params ->
-  Channel.t ->
-  Dna.Rng.t ->
-  Dna.Strand.t array ->
-  pool:Dna.Strand_pool.t ->
-  int array
-(** [sequence] with the read bag appended to [pool] instead of boxed:
-    read [base + i] of the pool (where [base] is the pool's length on
-    entry) pairs with origin [result.(i)]. Serial, and draw-for-draw
-    identical to [sequence ~domains:1] — same seed, same reads in the
-    same order, same origins. *)
+  params -> Channel.t -> Dna.Rng.t -> Dna.Strand.t array -> pool:Dna.Strand_pool.t -> int array
+(** All reads for the strands, appended to [pool] and shuffled (a test
+    tube has no order); empty reads are discarded. Read [base + i] of
+    the pool, where [base] is the pool's length on entry, pairs with
+    origin [result.(i)], the index of its source strand (ground truth
+    for evaluation). Serial: every draw comes off the given rng, so a
+    seed fixes the reads, their order and their origins.
+    {!Dna.Strand_pool.to_array} gives the reads as boxed strands. *)
 
 val shard_depth : base:int -> n_selected:int -> n_shard:int -> int
 (** Per-strand depth for sequencing a primer-selected sub-pool of
@@ -53,7 +31,3 @@ val shard_depth : base:int -> n_selected:int -> n_shard:int -> int
     [base * sqrt (n_shard / n_selected)], clamped to [\[base, 4*base\]].
     0 when nothing is selected. Used by the persistent store to pick a
     sequencing depth per shard access. *)
-
-val ideal_clusters : n_strands:int -> read array -> Dna.Strand.t list array
-(** Group reads by origin: the ground-truth clusters, used to evaluate
-    clustering and to isolate the reconstruction module. *)

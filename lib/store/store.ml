@@ -584,9 +584,7 @@ let run_access_task ?recon_backend t (tk : access_task) :
   in
   let channel = Simulator.Iid_channel.create_rate ~error_rate:cfg.error_rate in
   (* Reads stream channel -> arena -> per-pair core arena with zero-copy
-     primer stripping; no boxed strand or FASTQ record per read.
-     Draw-for-draw identical to [Simulator.Sequencer.sequence
-     ~domains:1]. *)
+     primer stripping; no boxed strand or FASTQ record per read. *)
   let pool = Dna.Strand_pool.create () in
   ignore (Simulator.Sequencer.sequence_pool sequencing channel seq_rng tk.tk_selected ~pool);
   let ingested = Dnastore.Wetlab_io.ingest_pool [ o.pair ] pool in

@@ -205,9 +205,7 @@ let test_clover_noiseless () =
   let r = rng () in
   let strands = Array.init 40 (fun _ -> Dna.Strand.random r 100) in
   let sp = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 6) in
-  let reads = Simulator.Sequencer.sequence sp Simulator.Channel.noiseless r strands in
-  let rs = Array.map (fun rd -> rd.Simulator.Sequencer.seq) reads in
-  let truth = Array.map (fun rd -> rd.Simulator.Sequencer.origin) reads in
+  let rs, truth = Read_oracle.sequence_arrays sp Simulator.Channel.noiseless r strands in
   let result = Clustering.Clover.run rs in
   Alcotest.(check (float 0.001)) "exact on noiseless" 1.0
     (Clustering.Metrics.accuracy ~truth result.Clustering.Cluster.clusters)
@@ -217,9 +215,7 @@ let test_clover_low_noise () =
   let ch = Simulator.Iid_channel.create_rate ~error_rate:0.02 in
   let strands = Array.init 60 (fun _ -> Dna.Strand.random r 110) in
   let sp = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 8) in
-  let reads = Simulator.Sequencer.sequence sp ch r strands in
-  let rs = Array.map (fun rd -> rd.Simulator.Sequencer.seq) reads in
-  let truth = Array.map (fun rd -> rd.Simulator.Sequencer.origin) reads in
+  let rs, truth = Read_oracle.sequence_arrays sp ch r strands in
   let result = Clustering.Clover.run rs in
   let purity = Clustering.Metrics.purity ~truth result.Clustering.Cluster.clusters in
   Alcotest.(check bool) (Printf.sprintf "high purity (%.3f)" purity) true (purity >= 0.95)
@@ -229,8 +225,7 @@ let test_clover_partitions_reads () =
   let ch = Simulator.Iid_channel.create_rate ~error_rate:0.05 in
   let strands = Array.init 20 (fun _ -> Dna.Strand.random r 90) in
   let sp = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 5) in
-  let reads = Simulator.Sequencer.sequence sp ch r strands in
-  let rs = Array.map (fun rd -> rd.Simulator.Sequencer.seq) reads in
+  let rs, _ = Read_oracle.sequence_arrays sp ch r strands in
   let result = Clustering.Clover.run rs in
   let total =
     List.fold_left (fun acc c -> acc + Array.length c) 0 result.Clustering.Cluster.clusters

@@ -111,9 +111,7 @@ let make_reads ?(n_strands = 40) ?(coverage = 8) ?(error_rate = 0.05) ?(len = 10
   let ch = Simulator.Iid_channel.create_rate ~error_rate in
   let strands = Array.init n_strands (fun _ -> Dna.Strand.random r len) in
   let params = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed coverage) in
-  let reads = Simulator.Sequencer.sequence params ch r strands in
-  ( Array.map (fun rd -> rd.Simulator.Sequencer.seq) reads,
-    Array.map (fun rd -> rd.Simulator.Sequencer.origin) reads )
+  Read_oracle.sequence_arrays params ch r strands
 
 let run_clustering ?(kind = Clustering.Signature.Qgram) r reads =
   let read_len = Dna.Strand.length reads.(0) in
@@ -142,9 +140,7 @@ let test_clustering_noiseless_exact () =
   let r = rng () in
   let strands = Array.init 30 (fun _ -> Dna.Strand.random r 80) in
   let params = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 5) in
-  let reads = Simulator.Sequencer.sequence params Simulator.Channel.noiseless r strands in
-  let rs = Array.map (fun rd -> rd.Simulator.Sequencer.seq) reads in
-  let truth = Array.map (fun rd -> rd.Simulator.Sequencer.origin) reads in
+  let rs, truth = Read_oracle.sequence_arrays params Simulator.Channel.noiseless r strands in
   let result = run_clustering r rs in
   Alcotest.(check (float 0.01)) "accuracy 1.0" 1.0
     (Clustering.Metrics.accuracy ~truth result.Clustering.Cluster.clusters)

@@ -130,31 +130,6 @@ let test_pool_lifecycle () =
     (Dna.Par.map_array ~domains:4 (fun x -> 2 * x) [| 0; 1; 2; 3 |]);
   Alcotest.(check bool) "pool respawned within cap" true (Dna.Par.pool_size () <= hw_cap)
 
-let test_split_rngs_deterministic () =
-  let draws seed =
-    Dna.Par.split_rngs (Dna.Rng.create seed) 6
-    |> Array.map (fun r -> Dna.Rng.int r 1_000_000)
-  in
-  Alcotest.(check (array int)) "same seed, same streams" (draws 7) (draws 7);
-  Alcotest.(check bool) "streams differ from each other" true
-    (let d = draws 7 in
-     Array.exists (fun x -> x <> d.(0)) d)
-
-let test_map_array_rng_domain_independent () =
-  let run domains =
-    let rng = Dna.Rng.create 123 in
-    Dna.Par.map_array_rng ~domains ~rng
-      (fun r x -> x + Dna.Rng.int r 1_000_000)
-      (Array.init 33 Fun.id)
-  in
-  let serial = run 1 in
-  List.iter
-    (fun domains ->
-      Alcotest.(check (array int))
-        (Printf.sprintf "domains=%d matches serial" domains)
-        serial (run domains))
-    [ 2; 4; 7 ]
-
 let test_counters_and_report () =
   Dna.Par.reset_counters ();
   ignore (Dna.Par.map_array ~label:"test.stage" ~domains:3 Fun.id (Array.init 10 Fun.id));
@@ -206,12 +181,6 @@ let () =
             test_exception_joins_all_siblings;
           Alcotest.test_case "nested region serializes" `Quick test_nested_region_serializes;
           Alcotest.test_case "pool lifecycle" `Quick test_pool_lifecycle;
-        ] );
-      ( "determinism",
-        [
-          Alcotest.test_case "split_rngs deterministic" `Quick test_split_rngs_deterministic;
-          Alcotest.test_case "map_array_rng independent of domains" `Quick
-            test_map_array_rng_domain_independent;
         ] );
       ( "instrumentation",
         [

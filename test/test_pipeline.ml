@@ -112,9 +112,8 @@ let test_pipeline_parallel_counters_visible () =
     (String.length (Dnastore.Report.par_counters counters) > 0)
 
 (* Swapping stage fields changes only those stages: a custom record
-   still sequences into the arena and clusters through the scaled
-   engine's sharded index — never the merge engine's signature pass or
-   per-strand parallel synthesis. *)
+   still clusters through the scaled engine's sharded index — never the
+   merge engine's signature pass. *)
 let test_pipeline_custom_stages_one_spine () =
   let file = random_file (rng ()) 500 in
   let stages =
@@ -127,8 +126,7 @@ let test_pipeline_custom_stages_one_spine () =
   let out, _, labels = par_labels (fun () -> Dnastore.Pipeline.run ~stages ~domains:2 (rng ()) file) in
   Alcotest.(check bool) "custom stages exact" true out.Dnastore.Pipeline.exact;
   Alcotest.(check bool) "cluster.index counted" true (List.mem "cluster.index" labels);
-  Alcotest.(check bool) "no cluster.signatures" false (List.mem "cluster.signatures" labels);
-  Alcotest.(check bool) "no simulate.synthesis" false (List.mem "simulate.synthesis" labels)
+  Alcotest.(check bool) "no cluster.signatures" false (List.mem "cluster.signatures" labels)
 
 (* The per-cluster timing percentiles must be populated and ordered
    (they regressed to zero once when the arena tasks stopped reporting
@@ -269,12 +267,13 @@ let test_wetlab_ingest_roundtrip () =
       tagged
   in
   let text = Dnastore.Wetlab_io.export_fastq reads in
-  let ingested = Dnastore.Wetlab_io.ingest_string [ pair ] text in
-  let stats = ingested.Dnastore.Wetlab_io.stats in
+  let ingested = Read_oracle.ingest_fastq_text [ pair ] text in
+  let stats = ingested.Dnastore.Wetlab_io.pool_stats in
   Alcotest.(check int) "all records parsed" 12 stats.Dnastore.Wetlab_io.total_records;
   Alcotest.(check int) "no unmatched" 0 stats.Dnastore.Wetlab_io.no_primer_match;
-  match ingested.Dnastore.Wetlab_io.by_pair with
-  | [ (_, got) ] ->
+  match ingested.Dnastore.Wetlab_io.pools_by_pair with
+  | [ (_, pool) ] ->
+      let got = Dna.Strand_pool.to_array pool in
       Alcotest.(check int) "all cores recovered" 12 (Array.length got);
       let sort a = List.sort compare (Array.to_list (Array.map Dna.Strand.to_string a)) in
       Alcotest.(check (list string)) "cores identical" (sort cores) (sort got)
@@ -286,9 +285,12 @@ let test_wetlab_ingest_multiple_pairs () =
   let mk pair n = Array.init n (fun _ -> Codec.Primer.attach pair (Dna.Strand.random r 80)) in
   let reads = Array.append (mk (List.nth pairs 0) 5) (mk (List.nth pairs 1) 7) in
   let text = Dnastore.Wetlab_io.export_fastq reads in
-  let ingested = Dnastore.Wetlab_io.ingest_string pairs text in
+  let ingested = Read_oracle.ingest_fastq_text pairs text in
   let by_size =
-    List.sort compare (List.map (fun (_, cores) -> Array.length cores) ingested.Dnastore.Wetlab_io.by_pair)
+    List.sort compare
+      (List.map
+         (fun (_, cores) -> Dna.Strand_pool.length cores)
+         ingested.Dnastore.Wetlab_io.pools_by_pair)
   in
   Alcotest.(check (list int)) "grouped by pair" [ 5; 7 ] by_size
 
@@ -297,9 +299,50 @@ let test_wetlab_ingest_garbage_fastq () =
   let pair = (Codec.Primer.generate_pairs_exn r 1).(0) in
   let text = "@ok\n" ^ Dna.Strand.to_string (Codec.Primer.attach pair (Dna.Strand.random r 50))
              ^ "\n+\n" ^ String.make 90 'I' ^ "\nnot a fastq line\n" in
-  let ingested = Dnastore.Wetlab_io.ingest_string [ pair ] text in
+  let ingested = Read_oracle.ingest_fastq_text [ pair ] text in
   Alcotest.(check bool) "parse errors counted" true
-    (ingested.Dnastore.Wetlab_io.stats.Dnastore.Wetlab_io.parse_errors >= 1)
+    (ingested.Dnastore.Wetlab_io.pool_stats.Dnastore.Wetlab_io.parse_errors >= 1)
+
+(* The streaming file demux must agree with the in-memory one: two
+   library pairs, reads in both orientations, a malformed record in the
+   middle of the file and one molecule tagged with a pair outside the
+   library. *)
+let test_wetlab_ingest_file_pool () =
+  let r = rng () in
+  let pairs = Codec.Primer.generate_pairs_exn r 3 in
+  let library = [ pairs.(0); pairs.(1) ] in
+  let fwd i = Codec.Primer.attach pairs.(i) (Dna.Strand.random r 90) in
+  let rev i = Dna.Strand.reverse_complement (fwd i) in
+  let reads = [| fwd 0; rev 0; fwd 1; rev 1; rev 0; fwd 2; fwd 0; rev 1 |] in
+  let text =
+    Dnastore.Wetlab_io.export_fastq (Array.sub reads 0 4)
+    ^ "@malformed\nACGTACGT\n+\nIII\n"
+    ^ Dnastore.Wetlab_io.export_fastq (Array.sub reads 4 4)
+  in
+  let path = Filename.temp_file "test_ingest" ".fastq" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> output_string oc text);
+      let streamed = Dnastore.Wetlab_io.ingest_file_pool library path in
+      let stats = streamed.Dnastore.Wetlab_io.pool_stats in
+      Alcotest.(check int) "total records" 9 stats.Dnastore.Wetlab_io.total_records;
+      Alcotest.(check int) "parse errors" 1 stats.parse_errors;
+      Alcotest.(check int) "forward" 3 stats.forward;
+      Alcotest.(check int) "reverse" 4 stats.reverse;
+      Alcotest.(check int) "foreign read unmatched" 1 stats.no_primer_match;
+      let in_memory = Dnastore.Wetlab_io.ingest_pool library (Dna.Strand_pool.of_strands reads) in
+      let cores (ingested : Dnastore.Wetlab_io.ingested_pool) =
+        List.map
+          (fun ((pair : Codec.Primer.pair), pool) ->
+            ( Dna.Strand.to_string pair.forward,
+              Array.to_list (Array.map Dna.Strand.to_string (Dna.Strand_pool.to_array pool)) ))
+          ingested.pools_by_pair
+      in
+      let got = cores streamed in
+      Alcotest.(check (list int)) "cores per pair" [ 4; 3 ] (List.map (fun (_, c) -> List.length c) got);
+      Alcotest.(check (list (pair string (list string)))) "same cores as ingest_pool"
+        (cores in_memory) got)
 
 let test_wetlab_fastq_quality_roundtrip () =
   let r = rng () in
@@ -373,6 +416,7 @@ let () =
           Alcotest.test_case "ingest roundtrip" `Quick test_wetlab_ingest_roundtrip;
           Alcotest.test_case "multiple pairs" `Quick test_wetlab_ingest_multiple_pairs;
           Alcotest.test_case "garbage fastq" `Quick test_wetlab_ingest_garbage_fastq;
+          Alcotest.test_case "file demux = in-memory demux" `Quick test_wetlab_ingest_file_pool;
           Alcotest.test_case "fastq quality" `Quick test_wetlab_fastq_quality_roundtrip;
         ] );
       ( "par",

@@ -7,24 +7,11 @@ let strand_eq = Alcotest.testable (Fmt.of_to_string Dna.Strand.to_string) Dna.St
 (* ---------- pooled paths: every new channel must replay its boxed
    path draw for draw (the Channel.create contract) ---------- *)
 
-let check_pool_matches_boxed
-    ?(params = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 4)) name
-    channel =
-  let strands = Array.init 12 (fun i -> Dna.Strand.random (Dna.Rng.create (100 + i)) 90) in
-  let boxed = Simulator.Sequencer.sequence ~domains:1 params channel (Dna.Rng.create 55) strands in
-  let pool = Dna.Strand_pool.create () in
-  let origins = Simulator.Sequencer.sequence_pool params channel (Dna.Rng.create 55) strands ~pool in
-  Alcotest.(check int) (name ^ ": read count") (Array.length boxed) (Array.length origins);
-  Array.iteri
-    (fun i (r : Simulator.Sequencer.read) ->
-      Alcotest.(check int) (Printf.sprintf "%s: origin %d" name i) r.origin origins.(i);
-      Alcotest.check strand_eq (Printf.sprintf "%s: read %d" name i) r.seq
-        (Dna.Strand_pool.get pool i))
-    boxed
+let test_pool_aging () =
+  Read_oracle.check_pool_matches_boxed "aging" (Simulator.Aging_channel.create ())
 
-let test_pool_aging () = check_pool_matches_boxed "aging" (Simulator.Aging_channel.create ())
-
-let test_pool_burst () = check_pool_matches_boxed "burst" (Simulator.Burst_channel.create ())
+let test_pool_burst () =
+  Read_oracle.check_pool_matches_boxed "burst" (Simulator.Burst_channel.create ())
 
 let fitted_profile () =
   let path = Filename.temp_file "test_trace" ".fastq" in
@@ -38,7 +25,7 @@ let fitted_profile () =
   profile
 
 let test_pool_trace () =
-  check_pool_matches_boxed "trace" (Simulator.Trace_channel.create (fitted_profile ()))
+  Read_oracle.check_pool_matches_boxed "trace" (Simulator.Trace_channel.create (fitted_profile ()))
 
 let test_pool_composed_stack () =
   (* A chained stack (burst after iid) built by the engine keeps the
@@ -57,7 +44,7 @@ let test_pool_composed_stack () =
   in
   match Simulator.Scenario.build sc with
   | Error e -> Alcotest.fail e
-  | Ok b -> check_pool_matches_boxed "iid+burst" b.Simulator.Scenario.channel
+  | Ok b -> Read_oracle.check_pool_matches_boxed "iid+burst" b.Simulator.Scenario.channel
 
 (* After a transmit, both paths must leave the rng in the same state —
    equality of the next draw is the sharpest cheap probe. *)
@@ -404,22 +391,21 @@ let test_scenario_seeds_diverge () =
   let strands = Array.init 10 (fun i -> Dna.Strand.random (Dna.Rng.create i) 80) in
   let params = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 4) in
   let reads seed =
-    Simulator.Sequencer.sequence ~domains:1 params built.Simulator.Scenario.channel
-      (Dna.Rng.create seed) strands
+    Read_oracle.sequence params built.Simulator.Scenario.channel (Dna.Rng.create seed) strands
   in
   let a = reads 1 and b = reads 2 in
   let same =
     Array.length a = Array.length b
-    && Array.for_all2 (fun (x : Simulator.Sequencer.read) (y : Simulator.Sequencer.read) ->
-           Dna.Strand.equal x.seq y.seq) a b
+    && Array.for_all2
+         (fun (x : Read_oracle.read) (y : Read_oracle.read) -> Dna.Strand.equal x.seq y.seq)
+         a b
   in
   Alcotest.(check bool) "seed 1 and seed 2 reads differ" false same
 
 let test_scenario_domains_invariant () =
-  (* Pool stages draw from the ambient rng before the parallel region,
-     and parallel synthesis splits one stream per strand, so any two
-     worker counts > 1 give the identical outcome. (domains = 1 is the
-     historical serial draw order and differs by design.) *)
+  (* Pool stages and sequencing draw serially from the ambient rng
+     before any parallel region, so two worker counts give the
+     identical outcome. *)
   let sc = Option.get (Simulator.Scenario.find "aging-5y") in
   let o1, p1 =
     match Dnastore.Scenario_run.run_full ~domains:2 ~seed:3 ~data:(payload 600) sc with

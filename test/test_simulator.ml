@@ -133,17 +133,17 @@ let test_sequencer_fixed_coverage () =
   let r = rng () in
   let strands = Array.init 20 (fun _ -> Dna.Strand.random r 40) in
   let params = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 7) in
-  let reads = Simulator.Sequencer.sequence params Simulator.Channel.noiseless r strands in
-  Alcotest.(check int) "total reads" 140 (Array.length reads);
+  let _, origins = Read_oracle.sequence_arrays params Simulator.Channel.noiseless r strands in
+  Alcotest.(check int) "total reads" 140 (Array.length origins);
   let per = Array.make 20 0 in
-  Array.iter (fun rd -> per.(rd.Simulator.Sequencer.origin) <- per.(rd.Simulator.Sequencer.origin) + 1) reads;
+  Array.iter (fun o -> per.(o) <- per.(o) + 1) origins;
   Array.iter (fun c -> Alcotest.(check int) "exactly 7 each" 7 c) per
 
 let test_sequencer_poisson_coverage () =
   let r = rng () in
   let strands = Array.init 200 (fun _ -> Dna.Strand.random r 30) in
   let params = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Poisson 8.0) in
-  let reads = Simulator.Sequencer.sequence params Simulator.Channel.noiseless r strands in
+  let reads, _ = Read_oracle.sequence_arrays params Simulator.Channel.noiseless r strands in
   let mean = float_of_int (Array.length reads) /. 200.0 in
   Alcotest.(check bool) "mean near 8" true (mean > 7.0 && mean < 9.0)
 
@@ -154,9 +154,9 @@ let test_sequencer_dropout () =
     { (Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 2)) with
       Simulator.Sequencer.dropout = 0.5 }
   in
-  let reads = Simulator.Sequencer.sequence params Simulator.Channel.noiseless r strands in
+  let _, origins = Read_oracle.sequence_arrays params Simulator.Channel.noiseless r strands in
   let seen = Hashtbl.create 64 in
-  Array.iter (fun rd -> Hashtbl.replace seen rd.Simulator.Sequencer.origin ()) reads;
+  Array.iter (fun o -> Hashtbl.replace seen o ()) origins;
   let surviving = Hashtbl.length seen in
   Alcotest.(check bool)
     (Printf.sprintf "about half dropped (%d)" surviving)
@@ -170,47 +170,16 @@ let test_sequencer_reverse_orientation () =
     { (Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 400)) with
       Simulator.Sequencer.p_reverse = 0.5 }
   in
-  let reads = Simulator.Sequencer.sequence params Simulator.Channel.noiseless r strands in
+  let reads, _ = Read_oracle.sequence_arrays params Simulator.Channel.noiseless r strands in
   let fwd = ref 0 and rev = ref 0 in
   Array.iter
     (fun rd ->
-      if Dna.Strand.equal rd.Simulator.Sequencer.seq strands.(0) then incr fwd
-      else if Dna.Strand.equal rd.Simulator.Sequencer.seq (Dna.Strand.reverse_complement strands.(0))
-      then incr rev
+      if Dna.Strand.equal rd strands.(0) then incr fwd
+      else if Dna.Strand.equal rd (Dna.Strand.reverse_complement strands.(0)) then incr rev
       else Alcotest.fail "read is neither orientation")
     reads;
   Alcotest.(check int) "all reads accounted" 400 (!fwd + !rev);
   Alcotest.(check bool) "both orientations occur" true (!fwd > 100 && !rev > 100)
-
-let test_sequencer_parallel_domain_independent () =
-  (* With domains > 1 each strand draws from its own pre-split stream,
-     so the read set must be identical for every worker count. *)
-  let strands =
-    let r = Dna.Rng.create 404 in
-    Array.init 20 (fun _ -> Dna.Strand.random r 60)
-  in
-  let params =
-    {
-      (Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Poisson 6.0)) with
-      Simulator.Sequencer.dropout = 0.1;
-      p_reverse = 0.3;
-    }
-  in
-  let channel = Simulator.Iid_channel.create_rate ~error_rate:0.05 in
-  let run domains =
-    let r = Dna.Rng.create 321 in
-    Simulator.Sequencer.sequence ~domains params channel r strands
-    |> Array.map (fun rd ->
-           (rd.Simulator.Sequencer.origin, Dna.Strand.to_string rd.Simulator.Sequencer.seq))
-  in
-  let two = run 2 in
-  Alcotest.(check bool) "produced reads" true (Array.length two > 0);
-  List.iter
-    (fun domains ->
-      Alcotest.(check (array (pair int string)))
-        (Printf.sprintf "domains=%d matches domains=2" domains)
-        two (run domains))
-    [ 3; 5; 8 ]
 
 let test_shard_depth_scaling () =
   (* Selecting a small fraction of a shard concentrates the read
@@ -223,20 +192,6 @@ let test_shard_depth_scaling () =
   Alcotest.(check int) "selection larger than shard -> base" 10 (depth ~n_selected:64 ~n_shard:26);
   Alcotest.(check int) "empty selection" 0 (depth ~n_selected:0 ~n_shard:512);
   Alcotest.(check int) "zero base" 0 (Simulator.Sequencer.shard_depth ~base:0 ~n_selected:10 ~n_shard:100)
-
-let test_ideal_clusters () =
-  let r = rng () in
-  let strands = Array.init 10 (fun _ -> Dna.Strand.random r 30) in
-  let params = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 5) in
-  let reads = Simulator.Sequencer.sequence params Simulator.Channel.noiseless r strands in
-  let clusters = Simulator.Sequencer.ideal_clusters ~n_strands:10 reads in
-  Array.iteri
-    (fun i cluster ->
-      Alcotest.(check int) "5 reads per cluster" 5 (List.length cluster);
-      List.iter
-        (fun s -> Alcotest.(check bool) "right origin" true (Dna.Strand.equal s strands.(i)))
-        cluster)
-    clusters
 
 (* ---------- learned channel ---------- *)
 
@@ -296,42 +251,21 @@ let test_rnn_channel_emits_reads () =
 
 (* ---------- pooled sequencing ---------- *)
 
-(* The arena path must replay the boxed path draw for draw: same seed,
-   same reads in the same order, same origins — for every channel with a
-   native [transmit_into] and for the generic boxed fallback. *)
-let check_pool_matches_boxed ?(params = Simulator.Sequencer.default_params
-                                          ~coverage:(Simulator.Sequencer.Fixed 4))
-    name channel =
-  let strands = Array.init 12 (fun i -> Dna.Strand.random (Dna.Rng.create (100 + i)) 90) in
-  let boxed =
-    Simulator.Sequencer.sequence ~domains:1 params channel (Dna.Rng.create 55) strands
-  in
-  let pool = Dna.Strand_pool.create () in
-  let origins =
-    Simulator.Sequencer.sequence_pool params channel (Dna.Rng.create 55) strands ~pool
-  in
-  Alcotest.(check int)
-    (name ^ ": read count") (Array.length boxed) (Array.length origins);
-  Array.iteri
-    (fun i (r : Simulator.Sequencer.read) ->
-      Alcotest.(check int) (Printf.sprintf "%s: origin %d" name i) r.origin origins.(i);
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: read %d" name i)
-        true
-        (Dna.Strand.equal r.seq (Dna.Strand_pool.get pool i)))
-    boxed
-
+(* The arena path must replay the boxed oracle draw for draw for every
+   channel with a native [transmit_into] and for the generic boxed
+   fallback. *)
 let test_sequence_pool_iid () =
-  check_pool_matches_boxed "iid" (Simulator.Iid_channel.create_rate ~error_rate:0.08)
+  Read_oracle.check_pool_matches_boxed "iid" (Simulator.Iid_channel.create_rate ~error_rate:0.08)
 
 let test_sequence_pool_solqc () =
-  check_pool_matches_boxed "solqc" (Simulator.Solqc_channel.create_rate ~error_rate:0.05)
+  Read_oracle.check_pool_matches_boxed "solqc"
+    (Simulator.Solqc_channel.create_rate ~error_rate:0.05)
 
 let test_sequence_pool_wetlab () =
-  check_pool_matches_boxed "wetlab" (Simulator.Wetlab_channel.create ())
+  Read_oracle.check_pool_matches_boxed "wetlab" (Simulator.Wetlab_channel.create ())
 
 let test_sequence_pool_noiseless () =
-  check_pool_matches_boxed "noiseless" Simulator.Channel.noiseless
+  Read_oracle.check_pool_matches_boxed "noiseless" Simulator.Channel.noiseless
 
 let test_sequence_pool_generic_fallback () =
   (* A channel with no native [transmit_into] goes through the boxed
@@ -341,7 +275,7 @@ let test_sequence_pool_generic_fallback () =
         ignore (Dna.Rng.float rng);
         Dna.Strand.rev s)
   in
-  check_pool_matches_boxed "fallback" ch
+  Read_oracle.check_pool_matches_boxed "fallback" ch
 
 (* Property: for an ARBITRARY boxed-only channel — randomized draw
    count per base, deletion/insertion probabilities, and a final
@@ -373,19 +307,133 @@ let prop_generic_fallback_matches_boxed =
       in
       let params = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 3) in
       let strands = Array.init 6 (fun i -> Dna.Strand.random (Dna.Rng.create (200 + i)) 60) in
-      let boxed = Simulator.Sequencer.sequence ~domains:1 params ch (Dna.Rng.create 9) strands in
-      let pool = Dna.Strand_pool.create () in
-      let origins = Simulator.Sequencer.sequence_pool params ch (Dna.Rng.create 9) strands ~pool in
+      let boxed = Read_oracle.sequence params ch (Dna.Rng.create 9) strands in
+      let reads, origins = Read_oracle.sequence_arrays params ch (Dna.Rng.create 9) strands in
       Array.length boxed = Array.length origins
       && Array.for_all
            (fun ok -> ok)
            (Array.mapi
-              (fun i (r : Simulator.Sequencer.read) ->
-                r.origin = origins.(i) && Dna.Strand.equal r.seq (Dna.Strand_pool.get pool i))
+              (fun i (r : Read_oracle.read) ->
+                r.origin = origins.(i) && Dna.Strand.equal r.seq reads.(i))
               boxed))
 
+(* The read stream, pinned: for each seed, channel and coverage setting,
+   the number of reads [sequence_pool] yields and a CRC-32 over every
+   (origin, read) pair in order. Recorded from the serial sequencer, so
+   any change to the draw order, the shuffle or a channel's stream
+   shows up here. *)
+let golden_channels () =
+  let scenario =
+    {
+      Simulator.Scenario.name = "golden-iid+burst";
+      description = "";
+      stages =
+        [
+          Simulator.Scenario.Read (Simulator.Scenario.Iid 0.03);
+          Simulator.Scenario.Read (Simulator.Scenario.Burst Simulator.Burst_channel.default_params);
+        ];
+      floors = [];
+    }
+  in
+  let built =
+    match Simulator.Scenario.build scenario with Ok b -> b | Error e -> Alcotest.fail e
+  in
+  [
+    ("iid", Simulator.Iid_channel.create_rate ~error_rate:0.08);
+    ("solqc", Simulator.Solqc_channel.create_rate ~error_rate:0.05);
+    ("wetlab", Simulator.Wetlab_channel.create ());
+    ("noiseless", Simulator.Channel.noiseless);
+    ("scenario", built.Simulator.Scenario.channel);
+  ]
+
+let golden_params =
+  let fixed = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 4) in
+  [
+    ("fixed4", fixed);
+    ("fixed4-drop-rev", { fixed with Simulator.Sequencer.dropout = 0.2; p_reverse = 0.4 });
+    ( "poisson3-drop-rev",
+      { Simulator.Sequencer.coverage = Simulator.Sequencer.Poisson 3.0; dropout = 0.2; p_reverse = 0.4 } );
+  ]
+
+let stream_digest params channel seed =
+  let strands = Array.init 12 (fun i -> Dna.Strand.random (Dna.Rng.create (100 + i)) 90) in
+  let pool = Dna.Strand_pool.create () in
+  let origins =
+    Simulator.Sequencer.sequence_pool params channel (Dna.Rng.create seed) strands ~pool
+  in
+  let buf = Buffer.create 4096 in
+  Array.iteri
+    (fun i o ->
+      Buffer.add_string buf (string_of_int o);
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (Dna.Strand.to_string (Dna.Strand_pool.get pool i));
+      Buffer.add_char buf '\n')
+    origins;
+  (Array.length origins, Store.Io.crc32 (Buffer.contents buf))
+
+let golden_expected =
+  [
+    (0, "iid", "fixed4", 48, 0x0648a4d1);
+    (0, "iid", "fixed4-drop-rev", 44, 0x3972eb07);
+    (0, "iid", "poisson3-drop-rev", 44, 0x5fb6bbf2);
+    (0, "solqc", "fixed4", 48, 0x6fbf0c84);
+    (0, "solqc", "fixed4-drop-rev", 36, 0x73c4a7a6);
+    (0, "solqc", "poisson3-drop-rev", 30, 0x5dafde42);
+    (0, "wetlab", "fixed4", 48, 0x45071933);
+    (0, "wetlab", "fixed4-drop-rev", 36, 0xc3fa3493);
+    (0, "wetlab", "poisson3-drop-rev", 32, 0xae0b84aa);
+    (0, "noiseless", "fixed4", 48, 0x1a33574a);
+    (0, "noiseless", "fixed4-drop-rev", 32, 0xc48a030b);
+    (0, "noiseless", "poisson3-drop-rev", 37, 0xf183470a);
+    (0, "scenario", "fixed4", 48, 0x7ad5c571);
+    (0, "scenario", "fixed4-drop-rev", 44, 0x3f76f756);
+    (0, "scenario", "poisson3-drop-rev", 27, 0x780ebe29);
+    (1, "iid", "fixed4", 48, 0x8b04f633);
+    (1, "iid", "fixed4-drop-rev", 28, 0x2dec820f);
+    (1, "iid", "poisson3-drop-rev", 28, 0x2a1147f4);
+    (1, "solqc", "fixed4", 48, 0xb8b6c344);
+    (1, "solqc", "fixed4-drop-rev", 40, 0xde09e521);
+    (1, "solqc", "poisson3-drop-rev", 22, 0x026b1979);
+    (1, "wetlab", "fixed4", 48, 0x77633572);
+    (1, "wetlab", "fixed4-drop-rev", 44, 0x0b7b7661);
+    (1, "wetlab", "poisson3-drop-rev", 27, 0x3f7c8a2e);
+    (1, "noiseless", "fixed4", 48, 0x2f4c88e1);
+    (1, "noiseless", "fixed4-drop-rev", 40, 0xb860c593);
+    (1, "noiseless", "poisson3-drop-rev", 38, 0xd440d272);
+    (1, "scenario", "fixed4", 48, 0x9283ecc2);
+    (1, "scenario", "fixed4-drop-rev", 44, 0x1e47fc8d);
+    (1, "scenario", "poisson3-drop-rev", 36, 0xcefa1131);
+    (12345, "iid", "fixed4", 48, 0x68981ee3);
+    (12345, "iid", "fixed4-drop-rev", 40, 0x1bcc2b0d);
+    (12345, "iid", "poisson3-drop-rev", 25, 0x469cb94e);
+    (12345, "solqc", "fixed4", 48, 0x534f9255);
+    (12345, "solqc", "fixed4-drop-rev", 36, 0x2a6cb57e);
+    (12345, "solqc", "poisson3-drop-rev", 36, 0xfa0aa0b5);
+    (12345, "wetlab", "fixed4", 48, 0xbe9d4650);
+    (12345, "wetlab", "fixed4-drop-rev", 40, 0x08b68786);
+    (12345, "wetlab", "poisson3-drop-rev", 37, 0xdad69111);
+    (12345, "noiseless", "fixed4", 48, 0x74bc3d6f);
+    (12345, "noiseless", "fixed4-drop-rev", 32, 0xdb21220c);
+    (12345, "noiseless", "poisson3-drop-rev", 26, 0xd091e22d);
+    (12345, "scenario", "fixed4", 48, 0xfa550de3);
+    (12345, "scenario", "fixed4-drop-rev", 40, 0xb9f6e8cc);
+    (12345, "scenario", "poisson3-drop-rev", 29, 0xcac88b52)
+  ]
+
+let test_sequence_pool_golden_stream () =
+  let channels = golden_channels () in
+  List.iter
+    (fun (seed, cn, pn, n, crc) ->
+      let got_n, got_crc =
+        stream_digest (List.assoc pn golden_params) (List.assoc cn channels) seed
+      in
+      let what = Printf.sprintf "seed %d, %s, %s" seed cn pn in
+      Alcotest.(check int) (what ^ ": read count") n got_n;
+      Alcotest.(check int) (what ^ ": crc32") crc got_crc)
+    golden_expected
+
 let test_sequence_pool_dropout_reverse () =
-  check_pool_matches_boxed "dropout+reverse"
+  Read_oracle.check_pool_matches_boxed "dropout+reverse"
     ~params:
       {
         Simulator.Sequencer.coverage = Simulator.Sequencer.Poisson 3.0;
@@ -416,10 +464,7 @@ let () =
           Alcotest.test_case "poisson coverage" `Quick test_sequencer_poisson_coverage;
           Alcotest.test_case "dropout" `Quick test_sequencer_dropout;
           Alcotest.test_case "reverse orientation" `Quick test_sequencer_reverse_orientation;
-          Alcotest.test_case "parallel domain independent" `Quick
-            test_sequencer_parallel_domain_independent;
           Alcotest.test_case "shard depth scaling" `Quick test_shard_depth_scaling;
-          Alcotest.test_case "ideal clusters" `Quick test_ideal_clusters;
         ] );
       ( "sequence_pool",
         [
@@ -431,6 +476,7 @@ let () =
             test_sequence_pool_generic_fallback;
           Alcotest.test_case "dropout/reverse = boxed" `Quick
             test_sequence_pool_dropout_reverse;
+          Alcotest.test_case "golden stream" `Quick test_sequence_pool_golden_stream;
           QCheck_alcotest.to_alcotest prop_generic_fallback_matches_boxed;
         ] );
       ( "learned",

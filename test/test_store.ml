@@ -785,14 +785,14 @@ let test_wetlab_export_ingest_10k () =
         Codec.Primer.attach pair (core ()))
   in
   let text = Dnastore.Wetlab_io.export_fastq reads in
-  let ingested = Dnastore.Wetlab_io.ingest_string pairs text in
+  let ingested = Read_oracle.ingest_fastq_text pairs text in
   Alcotest.(check int) "all reads ingested" 10_000
-    ingested.Dnastore.Wetlab_io.stats.Dnastore.Wetlab_io.total_records;
+    ingested.Dnastore.Wetlab_io.pool_stats.Dnastore.Wetlab_io.total_records;
   Alcotest.(check int) "no stray reads" 0
-    ingested.Dnastore.Wetlab_io.stats.Dnastore.Wetlab_io.no_primer_match;
+    ingested.Dnastore.Wetlab_io.pool_stats.Dnastore.Wetlab_io.no_primer_match;
   List.iter
-    (fun (_, cores) -> Alcotest.(check int) "balanced demux" 5_000 (Array.length cores))
-    ingested.Dnastore.Wetlab_io.by_pair
+    (fun (_, cores) -> Alcotest.(check int) "balanced demux" 5_000 (Dna.Strand_pool.length cores))
+    ingested.Dnastore.Wetlab_io.pools_by_pair
 
 let () =
   Alcotest.run "store"
