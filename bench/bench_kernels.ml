@@ -1,7 +1,7 @@
-(* The bench-regression harness: times the edit-distance kernels per
-   backend (micro) and a clustering-scale workload (macro), and writes
-   the results as JSON so future changes have a perf trajectory to
-   regress against.
+(* The bench-regression harness: times the edit-distance kernels against
+   the scalar reference DP (micro) and a clustering-scale workload
+   (macro), and writes the results as JSON so future changes have a perf
+   trajectory to regress against.
 
      dune exec bench/bench_kernels.exe                 # full run, writes
                                                        # BENCH_micro.json and
@@ -112,8 +112,9 @@ let sibling rng s =
   let ch = Simulator.Iid_channel.create_rate ~error_rate in
   Simulator.Channel.transmit ch rng s
 
-(* Per-case micro workloads; each is timed under both backends and the
-   myers entry carries its speedup over the scalar one. *)
+(* Per-case micro workloads as (reference, production) thunks; each is
+   timed both ways and the myers entry carries its speedup over the
+   scalar reference. *)
 let micro_cases rng =
   let a = Dna.Strand.random rng read_len in
   let b = sibling rng a in
@@ -121,27 +122,29 @@ let micro_cases rng =
   let la = Dna.Strand.random rng 300 in
   let lb = sibling rng la in
   let bound = 40 in
+  let lev x y =
+    ((fun () -> Dna.Distance.levenshtein_reference x y), fun () -> Dna.Distance.levenshtein x y)
+  in
+  let leq x y =
+    let d = function Some d -> d | None -> -1 in
+    ( (fun () -> d (Dna.Distance.levenshtein_leq_reference ~bound x y)),
+      fun () -> d (Dna.Distance.levenshtein_leq ~bound x y) )
+  in
   [
-    ("levenshtein/siblings-120nt", fun backend () -> Dna.Distance.levenshtein ~backend a b);
-    ("levenshtein/unrelated-120nt", fun backend () -> Dna.Distance.levenshtein ~backend a c);
-    ("levenshtein/siblings-300nt", fun backend () -> Dna.Distance.levenshtein ~backend la lb);
-    ( "levenshtein_leq/bound-40-siblings-120nt",
-      fun backend () -> match Dna.Distance.levenshtein_leq ~backend ~bound a b with
-        | Some d -> d
-        | None -> -1 );
-    ( "levenshtein_leq/bound-40-unrelated-120nt",
-      fun backend () -> match Dna.Distance.levenshtein_leq ~backend ~bound a c with
-        | Some d -> d
-        | None -> -1 );
+    ("levenshtein/siblings-120nt", lev a b);
+    ("levenshtein/unrelated-120nt", lev a c);
+    ("levenshtein/siblings-300nt", lev la lb);
+    ("levenshtein_leq/bound-40-siblings-120nt", leq a b);
+    ("levenshtein_leq/bound-40-unrelated-120nt", leq a c);
   ]
 
 let run_micro () =
   let rng = Dna.Rng.create 123 in
   let entries =
     List.concat_map
-      (fun (name, f) ->
-        let ns_scalar = ns_per_op (f Dna.Distance.Scalar) in
-        let ns_myers = ns_per_op (f Dna.Distance.Bitparallel) in
+      (fun (name, (reference, production)) ->
+        let ns_scalar = ns_per_op reference in
+        let ns_myers = ns_per_op production in
         Printf.printf "%-42s scalar %10.1f ns   myers %8.1f ns   %6.1fx\n" name ns_scalar
           ns_myers (ns_scalar /. ns_myers);
         [
@@ -161,16 +164,12 @@ let run_micro () =
     entries
 
 (* Clustering-scale macro benchmark: [n_refs] reference strands at
-   [coverage] noisy reads each. Two measurements:
-
-   - the merge test in isolation: [rounds] sweeps over every
-     within-cluster sibling pair plus as many unrelated pairs, through
-     [levenshtein_leq ~bound] exactly as the clustering inner loop calls
-     it (cached Eq masks get reused across a strand's comparisons, as
-     they are inside a clustering round);
-   - whole [Cluster.run]s differing only in [distance_backend], to show
-     the end-to-end effect with partitioning, signatures and union-find
-     around the kernel. *)
+   [coverage] noisy reads each. The merge test in isolation: [rounds]
+   sweeps over every within-cluster sibling pair plus as many unrelated
+   pairs, through [levenshtein_leq ~bound] exactly as the clustering
+   inner loop calls it (cached Eq masks get reused across a strand's
+   comparisons, as they are inside a clustering round), timed against
+   the scalar reference on the same pairs. *)
 let run_cluster () =
   let n_refs = if !smoke then 6 else 120 in
   let coverage = if !smoke then 3 else 10 in
@@ -196,42 +195,29 @@ let run_cluster () =
     refs;
   let pairs = Array.of_list !pairs in
   let n_calls = rounds * Array.length pairs in
-  let time_leq backend =
+  let time_leq leq =
     let t0 = Unix.gettimeofday () in
     let acc = ref 0 in
     for _ = 1 to rounds do
       Array.iter
         (fun (a, b) ->
-          match Dna.Distance.levenshtein_leq ~backend ~bound a b with
+          match leq ~bound a b with
           | Some d -> acc := !acc + d
           | None -> ())
         pairs
     done;
     (Unix.gettimeofday () -. t0, !acc)
   in
-  let s_scalar, chk_scalar = time_leq Dna.Distance.Scalar in
-  let s_myers, chk_myers = time_leq Dna.Distance.Bitparallel in
+  let s_scalar, chk_scalar = time_leq Dna.Distance.levenshtein_leq_reference in
+  let s_myers, chk_myers = time_leq Dna.Distance.levenshtein_leq in
   if chk_scalar <> chk_myers then begin
-    Printf.eprintf "backend disagreement in macro leq workload (%d vs %d)\n" chk_scalar chk_myers;
+    Printf.eprintf "kernel disagrees with the reference in macro leq workload (%d vs %d)\n"
+      chk_scalar chk_myers;
     exit 1
   end;
   let leq_speedup = s_scalar /. s_myers in
   Printf.printf "macro leq: %d calls  scalar %.3fs  myers %.3fs  %.1fx\n" n_calls s_scalar
     s_myers leq_speedup;
-  let cluster_run backend =
-    let params =
-      { (Clustering.Cluster.default_params ~read_len ()) with distance_backend = backend }
-    in
-    let r = Dna.Rng.create 99 in
-    let t0 = Unix.gettimeofday () in
-    let result = Clustering.Cluster.run params r (Array.copy reads) in
-    (Unix.gettimeofday () -. t0, List.length result.Clustering.Cluster.clusters)
-  in
-  let s_run_scalar, nc_scalar = cluster_run Dna.Distance.Scalar in
-  let s_run_myers, nc_myers = cluster_run Dna.Distance.Bitparallel in
-  Printf.printf "macro cluster run: scalar %.3fs (%d clusters)  myers %.3fs (%d clusters)  %.1fx\n"
-    s_run_scalar nc_scalar s_run_myers nc_myers
-    (s_run_scalar /. s_run_myers);
   ( [
       ("read_len", string_of_int read_len);
       ("error_rate", string_of_float error_rate);
@@ -249,8 +235,6 @@ let run_cluster () =
       entry ~s:s_myers
         ~ns:(s_myers *. 1e9 /. float_of_int n_calls)
         ~speedup:leq_speedup "levenshtein_leq/bitparallel";
-      entry ~s:s_run_scalar ~speedup:1.0 "cluster_run/scalar";
-      entry ~s:s_run_myers ~speedup:(s_run_scalar /. s_run_myers) "cluster_run/bitparallel";
     ] )
 
 (* ---------- Clustering at scale ----------

@@ -1,7 +1,7 @@
-(* The reconstruction bench: times the alignment kernels (full matrix vs
-   bit-parallel) and the whole consensus path built on them, and writes
-   BENCH_recon.json so future perf changes have a trajectory to regress
-   against.
+(* The reconstruction bench: times the bit-parallel alignment kernel
+   against the full-matrix reference, and pool-native consensus against
+   the boxed one, and writes BENCH_recon.json so future perf changes
+   have a trajectory to regress against.
 
      dune exec bench/bench_recon.exe                 # full run, writes
                                                      # BENCH_recon.json in CWD
@@ -9,21 +9,18 @@
      dune exec bench/bench_recon.exe -- --smoke      # tiny budget: checks the
                                                      # harness and JSON, not timing
 
-   Four tiers, each with an exactness guard (the bit-parallel kernel and
-   the arena surfaces are only perf knobs — any output difference is a
-   bug and fails the bench):
+   Two tiers, each with an exactness guard (any output difference from
+   the reference is a bug and fails the bench):
 
-   - align: ns/op for sibling pairs at 120nt and 300nt, per backend;
-   - reconstruct: ns per whole-cluster NW consensus at coverage 5/10/20,
-     with byte-identical consensus required between backends;
-   - pipeline: end-to-end [Pipeline.run] stage timings per backend, with
-     identical decoded bytes required;
+   - align: ns/op for sibling pairs at 120nt and 300nt, [Alignment.align]
+     against [Alignment.align_reference], with identical score and
+     script required;
    - trip slices: one pipeline trip's clusters reconstructed pool-native
      and by the boxed oracle, with identical consensus required.
 
-   The job also fails if auto is slower than full on the 120nt align
-   case (threshold 1.0, relaxed to 0.8 under --smoke where timings are
-   noise). *)
+   The job also fails if the bit-parallel kernel is slower than the full
+   matrix on the 120nt align case (threshold 1.0, relaxed to 0.8 under
+   --smoke where timings are noise). *)
 
 let smoke = ref false
 let out_dir = ref "."
@@ -104,8 +101,8 @@ let sibling rng s =
 
 let check_same_alignment name (f : Dna.Alignment.t) (b : Dna.Alignment.t) =
   if f.Dna.Alignment.score <> b.Dna.Alignment.score || f.script <> b.script then begin
-    Printf.eprintf "backend disagreement on %s (full score %d, auto score %d)\n" name
-      f.Dna.Alignment.score b.Dna.Alignment.score;
+    Printf.eprintf "kernel disagrees with the reference on %s (full score %d, bit-parallel %d)\n"
+      name f.Dna.Alignment.score b.Dna.Alignment.score;
     exit 1
   end
 
@@ -124,123 +121,28 @@ let run_align () =
   let results =
     List.map
       (fun (name, a, b) ->
-        check_same_alignment name
-          (Dna.Alignment.align ~backend:Dna.Alignment.Full a b)
-          (Dna.Alignment.align ~backend:Dna.Alignment.Auto a b);
-        let ns_full = ns_per_op (fun () -> Dna.Alignment.align ~backend:Dna.Alignment.Full a b) in
-        let ns_auto = ns_per_op (fun () -> Dna.Alignment.align ~backend:Dna.Alignment.Auto a b) in
-        let speedup = ns_full /. ns_auto in
-        Printf.printf "%-28s full %10.1f ns   auto %10.1f ns   %5.1fx\n" name ns_full ns_auto
-          speedup;
-        (name, ns_full, ns_auto, speedup))
+        check_same_alignment name (Dna.Alignment.align_reference a b) (Dna.Alignment.align a b);
+        let ns_full = ns_per_op (fun () -> Dna.Alignment.align_reference a b) in
+        let ns_bit = ns_per_op (fun () -> Dna.Alignment.align a b) in
+        let speedup = ns_full /. ns_bit in
+        Printf.printf "%-28s full %10.1f ns   bit-parallel %10.1f ns   %5.1fx\n" name ns_full
+          ns_bit speedup;
+        (name, ns_full, ns_bit, speedup))
       cases
   in
   let entries =
     List.concat_map
-      (fun (name, ns_full, ns_auto, speedup) ->
+      (fun (name, ns_full, ns_bit, speedup) ->
         [
           entry ~ns:ns_full ~speedup:1.0 (name ^ "/full");
-          entry ~ns:ns_auto ~speedup (name ^ "/auto");
+          entry ~ns:ns_bit ~speedup (name ^ "/bitparallel");
         ])
       results
   in
   let speedup_120 = match results with (_, _, _, s) :: _ -> s | [] -> 0.0 in
   (entries, speedup_120)
 
-(* Tier 2: whole-cluster NW consensus per backend, coverage 5/10/20.
-   Every cluster's consensus must be byte-identical across backends. *)
-let run_reconstruct () =
-  let n_clusters = if !smoke then 3 else 24 in
-  let rng = Dna.Rng.create 42 in
-  List.concat_map
-    (fun coverage ->
-      let clusters =
-        Array.init n_clusters (fun _ ->
-            let clean = Dna.Strand.random rng read_len in
-            Array.init coverage (fun _ -> sibling rng clean))
-      in
-      Array.iter
-        (fun reads ->
-          let full =
-            Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Full
-              ~target_len:read_len reads
-          in
-          let auto =
-            Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Auto
-              ~target_len:read_len reads
-          in
-          if not (Dna.Strand.equal full auto) then begin
-            Printf.eprintf "consensus mismatch at coverage %d:\n  full %s\n  auto %s\n"
-              coverage (Dna.Strand.to_string full) (Dna.Strand.to_string auto);
-            exit 1
-          end)
-        clusters;
-      let sweep backend () =
-        Array.iter
-          (fun reads ->
-            ignore (Reconstruction.Nw_consensus.reconstruct ~backend ~target_len:read_len reads))
-          clusters
-      in
-      let per_cluster ns = ns /. float_of_int n_clusters in
-      let ns_full = per_cluster (ns_per_op (sweep Dna.Alignment.Full)) in
-      let ns_auto = per_cluster (ns_per_op (sweep Dna.Alignment.Auto)) in
-      let speedup = ns_full /. ns_auto in
-      let name = Printf.sprintf "reconstruct/len-%d-cov-%d" read_len coverage in
-      Printf.printf "%-28s full %10.1f ns   auto %10.1f ns   %5.1fx\n" name ns_full ns_auto
-        speedup;
-      [
-        entry ~ns:ns_full ~speedup:1.0 (name ^ "/full");
-        entry ~ns:ns_auto ~speedup (name ^ "/auto");
-      ])
-    [ 5; 10; 20 ]
-
-(* Tier 3: the whole pipeline, differing only in the reconstruction
-   backend. Same seed on both runs, so the decoded bytes must match. *)
-let run_pipeline () =
-  let file_bytes = if !smoke then 128 else 2048 in
-  let data =
-    let r = Dna.Rng.create 11 in
-    Bytes.init file_bytes (fun _ -> Char.chr (Dna.Rng.int r 256))
-  in
-  let run backend =
-    let rng = Dna.Rng.create 5 in
-    let stages = Dnastore.Pipeline.default_stages ~error_rate ~recon_backend:backend () in
-    Dnastore.Pipeline.run ~stages ~domains:1 rng data
-  in
-  let out_full = run Dna.Alignment.Full in
-  let out_auto = run Dna.Alignment.Auto in
-  (match (out_full.Dnastore.Pipeline.file, out_auto.Dnastore.Pipeline.file) with
-  | Some a, Some b when Bytes.equal a b -> ()
-  | _ ->
-      Printf.eprintf "pipeline decode differs between backends\n";
-      exit 1);
-  let tf = out_full.Dnastore.Pipeline.timings and tb = out_auto.Dnastore.Pipeline.timings in
-  Printf.printf
-    "pipeline reconstruct: full %.3fs (p50 %.2f ms, p95 %.2f ms)  auto %.3fs (p50 %.2f ms, p95 %.2f ms)  %.1fx\n"
-    tf.Dnastore.Pipeline.reconstruct_s
-    (1000.0 *. tf.Dnastore.Pipeline.reconstruct_p50_s)
-    (1000.0 *. tf.Dnastore.Pipeline.reconstruct_p95_s)
-    tb.Dnastore.Pipeline.reconstruct_s
-    (1000.0 *. tb.Dnastore.Pipeline.reconstruct_p50_s)
-    (1000.0 *. tb.Dnastore.Pipeline.reconstruct_p95_s)
-    (tf.Dnastore.Pipeline.reconstruct_s /. tb.Dnastore.Pipeline.reconstruct_s);
-  let stage name full auto =
-    [
-      entry ~s:full ~speedup:1.0 (name ^ "/full");
-      entry ~s:auto ~speedup:(if auto > 0.0 then full /. auto else 1.0) (name ^ "/auto");
-    ]
-  in
-  stage "pipeline/reconstruct_s" tf.Dnastore.Pipeline.reconstruct_s
-    tb.Dnastore.Pipeline.reconstruct_s
-  @ stage "pipeline/reconstruct_p50_s" tf.Dnastore.Pipeline.reconstruct_p50_s
-      tb.Dnastore.Pipeline.reconstruct_p50_s
-  @ stage "pipeline/reconstruct_p95_s" tf.Dnastore.Pipeline.reconstruct_p95_s
-      tb.Dnastore.Pipeline.reconstruct_p95_s
-  @ stage "pipeline/total_s"
-      (Dnastore.Pipeline.total_s tf)
-      (Dnastore.Pipeline.total_s tb)
-
-(* Tier 4: pool-native consensus against the boxed oracle on the same
+(* Tier 2: pool-native consensus against the boxed oracle on the same
    clusters. One pipeline trip — encode, sequence into one arena,
    default clustering, sorted slices: the calls [Pipeline.run] makes —
    yields the clusters. Each is reconstructed by
@@ -348,8 +250,6 @@ let run_oracle () =
 
 let () =
   let align_entries, speedup_120 = run_align () in
-  let recon_entries = run_reconstruct () in
-  let pipeline_entries = run_pipeline () in
   let oracle_entries, oracle_extras = run_oracle () in
   write_json
     (Filename.concat !out_dir "BENCH_recon.json")
@@ -360,10 +260,10 @@ let () =
          ("smoke", string_of_bool !smoke);
        ]
       @ oracle_extras)
-    (align_entries @ recon_entries @ pipeline_entries @ oracle_entries);
+    (align_entries @ oracle_entries);
   let threshold = if !smoke then 0.8 else 1.0 in
   if speedup_120 < threshold then begin
-    Printf.eprintf "auto slower than full on %dnt align (%.2fx < %.2fx)\n" read_len speedup_120
-      threshold;
+    Printf.eprintf "bit-parallel slower than full on %dnt align (%.2fx < %.2fx)\n" read_len
+      speedup_120 threshold;
     exit 1
   end

@@ -50,25 +50,25 @@ let tests =
     Test.make ~name:"rng/int" (Staged.stage (fun () -> ignore (Dna.Rng.int rng 1000)));
     Test.make ~name:"strand/find-anchor3" (Staged.stage (fun () ->
         ignore (Dna.Strand.find strand_a ~pattern:anchor3)));
-    (* The levenshtein/* cases pin the scalar DP oracle and the myers/*
-       cases the bit-parallel kernels (which [Auto] dispatch resolves
-       to), so one run shows the backend speedup side by side. *)
+    (* The levenshtein/* cases time the scalar reference DP and the
+       myers/* cases the bit-parallel production kernels, so one run
+       shows the kernel speedup side by side. *)
     Test.make ~name:"levenshtein/siblings-120nt" (Staged.stage (fun () ->
-        ignore (Dna.Distance.levenshtein ~backend:Scalar strand_a strand_b)));
+        ignore (Dna.Distance.levenshtein_reference strand_a strand_b)));
     Test.make ~name:"levenshtein/unrelated-120nt" (Staged.stage (fun () ->
-        ignore (Dna.Distance.levenshtein ~backend:Scalar strand_a strand_c)));
+        ignore (Dna.Distance.levenshtein_reference strand_a strand_c)));
     Test.make ~name:"levenshtein/siblings-300nt" (Staged.stage (fun () ->
-        ignore (Dna.Distance.levenshtein ~backend:Scalar long_a long_b)));
+        ignore (Dna.Distance.levenshtein_reference long_a long_b)));
     Test.make ~name:"levenshtein_leq/bound-40" (Staged.stage (fun () ->
-        ignore (Dna.Distance.levenshtein_leq ~backend:Scalar ~bound:40 strand_a strand_c)));
+        ignore (Dna.Distance.levenshtein_leq_reference ~bound:40 strand_a strand_c)));
     Test.make ~name:"myers/siblings-120nt" (Staged.stage (fun () ->
-        ignore (Dna.Distance.levenshtein ~backend:Bitparallel strand_a strand_b)));
+        ignore (Dna.Distance.levenshtein strand_a strand_b)));
     Test.make ~name:"myers/unrelated-120nt" (Staged.stage (fun () ->
-        ignore (Dna.Distance.levenshtein ~backend:Bitparallel strand_a strand_c)));
+        ignore (Dna.Distance.levenshtein strand_a strand_c)));
     Test.make ~name:"myers/siblings-300nt" (Staged.stage (fun () ->
-        ignore (Dna.Distance.levenshtein ~backend:Bitparallel long_a long_b)));
+        ignore (Dna.Distance.levenshtein long_a long_b)));
     Test.make ~name:"myers_leq/bound-40" (Staged.stage (fun () ->
-        ignore (Dna.Distance.levenshtein_leq ~backend:Bitparallel ~bound:40 strand_a strand_c)));
+        ignore (Dna.Distance.levenshtein_leq ~bound:40 strand_a strand_c)));
     Test.make ~name:"alignment/traceback-120nt" (Staged.stage (fun () ->
         ignore (Dna.Alignment.align strand_a strand_b)));
     Test.make ~name:"signature/qgram-compute" (Staged.stage (fun () ->

@@ -21,9 +21,13 @@ let run_config ~kind ~algo ~coverage ~file rng =
       cluster = Dnastore.Pipeline.cluster_default ~kind ();
       reconstruct =
         (match algo with
-        | `Bma -> Dnastore.Pipeline.reconstruct_bma
-        | `Dbma -> Dnastore.Pipeline.reconstruct_dbma
-        | `Nw -> fun ~target_len pool idxs -> Dnastore.Pipeline.reconstruct_nw ~target_len pool idxs);
+        | `Bma -> fun ~target_len pool idxs -> Reconstruction.Bma.reconstruct_pool ~target_len pool idxs
+        | `Dbma ->
+            fun ~target_len pool idxs ->
+              Reconstruction.Bma.reconstruct_double_pool ~target_len pool idxs
+        | `Nw ->
+            fun ~target_len pool idxs ->
+              Reconstruction.Nw_consensus.reconstruct_pool ~target_len pool idxs);
     }
   in
   let out = Dnastore.Pipeline.run ~stages rng file in

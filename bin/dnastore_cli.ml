@@ -48,33 +48,47 @@ let write_meta path ~(params : Codec.Params.t) ~layout ~n_units =
        params.Codec.Params.payload_nt params.rs_data params.rs_parity params.scramble_seed
        (Codec.Layout.name layout) n_units)
 
-let read_meta path =
-  let kv =
-    List.filter_map
-      (fun line ->
-        match String.index_opt line '=' with
-        | Some i ->
-            Some
-              ( String.sub line 0 i,
-                String.sub line (i + 1) (String.length line - i - 1) )
-        | None -> None)
-      (read_lines path)
+(* A sidecar is [key=value] lines. A missing or malformed key is
+   reported by name and exits 1: decoding with a guessed value would
+   silently yield wrong bytes. *)
+let read_sidecar path =
+  List.filter_map
+    (fun line ->
+      match String.index_opt line '=' with
+      | Some i -> Some (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
+      | None -> None)
+    (read_lines path)
+
+let sidecar_field path kv ~expect parse key =
+  let fail msg =
+    Printf.eprintf "%s: %s\n" path msg;
+    exit 1
   in
-  let get k = try List.assoc k kv with Not_found -> failwith ("meta: missing key " ^ k) in
+  match List.assoc_opt key kv with
+  | None -> fail ("missing key " ^ key)
+  | Some v -> (
+      match parse v with
+      | Some x -> x
+      | None -> fail (Printf.sprintf "malformed %s=%S (expected %s)" key v expect))
+
+let read_meta path =
+  let kv = read_sidecar path in
+  let int key = sidecar_field path kv ~expect:"an integer" int_of_string_opt key in
   let params =
     {
-      Codec.Params.payload_nt = int_of_string (get "payload_nt");
-      rs_data = int_of_string (get "rs_data");
-      rs_parity = int_of_string (get "rs_parity");
-      scramble_seed = int_of_string (get "scramble_seed");
+      Codec.Params.payload_nt = int "payload_nt";
+      rs_data = int "rs_data";
+      rs_parity = int "rs_parity";
+      scramble_seed = int "scramble_seed";
     }
   in
   let layout =
-    match get "layout" with
-    | "gini" -> Codec.Layout.Gini
-    | _ -> Codec.Layout.Baseline
+    sidecar_field path kv
+      ~expect:(String.concat " or " (List.map Codec.Layout.name Codec.Layout.all))
+      (fun v -> List.find_opt (fun l -> Codec.Layout.name l = v) Codec.Layout.all)
+      "layout"
   in
-  (params, layout, int_of_string (get "n_units"))
+  (params, layout, int "n_units")
 
 (* Common options *)
 
@@ -126,8 +140,7 @@ let recon_arg =
        & info [ "algorithm" ] ~docv:"ALGO"
          ~doc:"Trace reconstruction: $(b,bma), $(b,dbma) (double-sided), $(b,nw)                (Needleman-Wunsch), or $(b,ensemble) (vote of all three).")
 
-(* Reconstructors over cluster index-slices of a read arena; trellis
-   (no pool surface yet) bridges by materializing zero-copy views. *)
+(* Reconstructors over cluster index-slices of a read arena. *)
 let make_recon = function
   | `Bma -> (fun ~target_len pool idxs -> Reconstruction.Bma.reconstruct_pool ~target_len pool idxs)
   | `Dbma ->
@@ -138,21 +151,6 @@ let make_recon = function
         Reconstruction.Nw_consensus.reconstruct_pool ~target_len pool idxs)
   | `Ensemble ->
       (fun ~target_len pool idxs -> Reconstruction.Ensemble.reconstruct_pool ~target_len pool idxs)
-  | `Trellis ->
-      (fun ~target_len pool idxs ->
-        Reconstruction.Trellis.reconstruct ~target_len
-          (Array.map (Dna.Strand_pool.get pool) idxs))
-
-(* The alignment-kernel knob is process-wide (it defaults every
-   [Dna.Alignment.align] call), so one flag covers NW consensus, the
-   ensemble's NW member and trellis rate estimation alike. *)
-let recon_backend_arg =
-  Arg.(value
-       & opt (enum [ ("auto", Dna.Alignment.Auto); ("full", Dna.Alignment.Full) ]) Dna.Alignment.Auto
-       & info [ "recon-backend" ] ~docv:"KERNEL"
-         ~doc:"Alignment kernel for reconstruction: $(b,auto) (bit-parallel, one pass plus \
-               traceback over its delta bits) or $(b,full) (the reference DP matrix, \
-               an order of magnitude slower). Output is identical for both.")
 
 let sig_kind_arg =
   Arg.(value & opt (enum [ ("qgram", Clustering.Signature.Qgram); ("wgram", Clustering.Signature.Wgram) ])
@@ -250,9 +248,8 @@ let reconstruct_cmd =
   let clusters = Arg.(required & opt (some file) None & info [ "clusters"; "c" ] ~docv:"FILE" ~doc:"Clusters file (blank-line separated).") in
   let output = Arg.(required & opt (some string) None & info [ "output"; "o" ] ~docv:"FASTA" ~doc:"Consensus strands.") in
   let target = Arg.(required & opt (some int) None & info [ "length"; "l" ] ~docv:"NT" ~doc:"Expected strand length.") in
-  let run clusters_path output target algo recon_backend domains =
+  let run clusters_path output target algo domains =
     Dna.Par.set_default_domains domains;
-    Dna.Alignment.set_default_backend recon_backend;
     (* Every read goes into one arena; each group becomes an index slice. *)
     let pool = Dna.Strand_pool.create () in
     let groups = ref [] and cur = ref [] in
@@ -285,7 +282,7 @@ let reconstruct_cmd =
   in
   let domains = Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Worker domains.") in
   Cmd.v (Cmd.info "reconstruct" ~doc:"Reconstruct original strands from clusters.")
-    Term.(const run $ clusters $ output $ target $ recon_arg $ recon_backend_arg $ domains)
+    Term.(const run $ clusters $ output $ target $ recon_arg $ domains)
 
 (* decode *)
 
@@ -319,10 +316,9 @@ let decode_cmd =
 let pipeline_cmd =
   let input = Arg.(required & opt (some file) None & info [ "input"; "i" ] ~docv:"FILE" ~doc:"Input file.") in
   let output = Arg.(required & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Recovered file.") in
-  let run input output layout payload data_cols parity channel error_rate coverage algo kind
-      recon_backend seed domains =
+  let run input output layout payload data_cols parity channel error_rate coverage algo kind seed
+      domains =
     Dna.Par.set_default_domains domains;
-    Dna.Alignment.set_default_backend recon_backend;
     let params = params_of ~payload ~data_cols ~parity in
     let rng = Dna.Rng.create seed in
     let stages =
@@ -362,8 +358,8 @@ let pipeline_cmd =
   let domains = Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Worker domains.") in
   Cmd.v (Cmd.info "pipeline" ~doc:"Run the full encode-simulate-cluster-reconstruct-decode pipeline.")
     Term.(const run $ input $ output $ layout_arg $ payload_arg $ data_cols_arg $ parity_arg
-          $ channel_arg $ error_rate_arg $ coverage_arg $ recon_arg $ sig_kind_arg
-          $ recon_backend_arg $ seed_arg $ domains)
+          $ channel_arg $ error_rate_arg $ coverage_arg $ recon_arg $ sig_kind_arg $ seed_arg
+          $ domains)
 
 (* fountain-encode / fountain-decode *)
 
@@ -374,25 +370,19 @@ let write_fountain_meta path ~(params : Codec.Fountain.params) ~k ~file_bytes =
        params.scramble_seed k file_bytes)
 
 let read_fountain_meta path =
-  let kv =
-    List.filter_map
-      (fun line ->
-        match String.index_opt line '=' with
-        | Some i -> Some (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
-        | None -> None)
-      (read_lines path)
-  in
-  let get k = try List.assoc k kv with Not_found -> failwith ("meta: missing key " ^ k) in
+  let kv = read_sidecar path in
+  let int key = sidecar_field path kv ~expect:"an integer" int_of_string_opt key in
+  let float key = sidecar_field path kv ~expect:"a number" float_of_string_opt key in
   ( {
-      Codec.Fountain.chunk_bytes = int_of_string (get "chunk_bytes");
-      inner_parity = int_of_string (get "inner_parity");
+      Codec.Fountain.chunk_bytes = int "chunk_bytes";
+      inner_parity = int "inner_parity";
       overhead = Codec.Fountain.default_params.Codec.Fountain.overhead;
-      c = float_of_string (get "c");
-      delta = float_of_string (get "delta");
-      scramble_seed = int_of_string (get "scramble_seed");
+      c = float "c";
+      delta = float "delta";
+      scramble_seed = int "scramble_seed";
     },
-    int_of_string (get "k"),
-    int_of_string (get "file_bytes") )
+    int "k",
+    int "file_bytes" )
 
 let fountain_encode_cmd =
   let input = Arg.(required & opt (some file) None & info [ "input"; "i" ] ~docv:"FILE" ~doc:"Input file.") in
@@ -916,7 +906,7 @@ let store_cmd =
               "Serve whatever survives when the object's shard is damaged or scrub marked it \
                degraded, instead of failing. Exit 2 signals a partial (non-exact) read.")
     in
-    let run dir key output domains recon_backend degraded =
+    let run dir key output domains degraded =
       let store = opened dir in
       if degraded then begin
         let p = or_die (Store.get_partial store ~key) in
@@ -934,7 +924,7 @@ let store_cmd =
         end
       end
       else
-        match Store.get_batch ~domains ~recon_backend store [ key ] with
+        match Store.get_batch ~domains store [ key ] with
         | [ (_, Ok bytes) ] ->
             write_binary output bytes;
             Printf.printf "recovered %s (%d bytes)\n" key (Bytes.length bytes)
@@ -942,7 +932,7 @@ let store_cmd =
         | _ -> assert false
     in
     Cmd.v (Cmd.info "get" ~doc:"Sequence, reconstruct and decode one object.")
-      Term.(const run $ dir_arg $ key_arg $ output $ domains $ recon_backend_arg $ degraded)
+      Term.(const run $ dir_arg $ key_arg $ output $ domains $ degraded)
   in
   let rm_cmd =
     let run dir key =

@@ -66,7 +66,7 @@ let run_trial rng ~mapped img =
     List.filter_map
       (fun idxs ->
         if Array.length idxs = 0 then None
-        else Some (Dnastore.Pipeline.reconstruct_dbma ~target_len pool idxs))
+        else Some (Reconstruction.Bma.reconstruct_double_pool ~target_len pool idxs))
       clusters
   in
   match Codec.File_codec.decode ~params ~n_units:encoded.Codec.File_codec.n_units consensus with

@@ -51,7 +51,7 @@ let () =
     List.filter_map
       (fun idxs ->
         if Array.length idxs = 0 then None
-        else Some (Dnastore.Pipeline.reconstruct_nw ~target_len pool idxs))
+        else Some (Reconstruction.Nw_consensus.reconstruct_pool ~target_len pool idxs))
       clusters
   in
   Printf.printf "4. reconstructed %d consensus strands\n" (List.length consensus);

@@ -58,7 +58,7 @@ let () =
     List.filter_map
       (fun idxs ->
         if Array.length idxs = 0 then None
-        else Some (Dnastore.Pipeline.reconstruct_nw ~target_len cores idxs))
+        else Some (Reconstruction.Nw_consensus.reconstruct_pool ~target_len cores idxs))
       clusters
   in
   (match

@@ -79,8 +79,7 @@ let fit_edit_threshold params (reads : Dna.Strand.t array) (nearest : (int * int
   let dists =
     Array.to_list nearest
     |> List.filter_map (fun (p, t, _) ->
-           Dna.Distance.levenshtein_leq ~backend:params.Cluster.distance_backend ~bound reads.(p)
-             reads.(t))
+           Dna.Distance.levenshtein_leq ~bound reads.(p) reads.(t))
     |> Array.of_list
   in
   Array.sort compare dists;
@@ -129,10 +128,7 @@ let configure ?(n_probes = 24) ?(n_targets = 300) params rng reads =
     let sibling_sigs =
       Array.to_list sample.nearest
       |> List.filter_map (fun (p, t, d) ->
-             match
-               Dna.Distance.levenshtein_leq ~backend:params.Cluster.distance_backend
-                 ~bound:edit_threshold reads.(p) reads.(t)
-             with
+             match Dna.Distance.levenshtein_leq ~bound:edit_threshold reads.(p) reads.(t) with
              | Some _ -> Some d
              | None -> None)
       |> Array.of_list

@@ -26,10 +26,6 @@ type params = {
   theta_low : int;
   theta_high : int;
   edit_threshold : int;  (** merge when edit distance is at most this *)
-  distance_backend : Dna.Distance.backend;
-      (** kernel family behind the merge test's [levenshtein_leq]; [Auto]
-          resolves to the bit-parallel kernels, [Scalar] forces the DP
-          oracle (benchmark baseline) *)
   domains : int;
 }
 
@@ -46,7 +42,6 @@ let default_params ?(kind = Signature.Qgram) ~read_len () =
     theta_low = (match kind with Signature.Qgram -> 30 | Signature.Wgram -> read_len * 12);
     theta_high = (match kind with Signature.Qgram -> 60 | Signature.Wgram -> read_len * 30);
     edit_threshold = max 4 (read_len / 3);
-    distance_backend = Dna.Distance.Auto;
     domains = Dna.Par.default_domains ();
   }
 
@@ -149,8 +144,8 @@ let run params rng (reads : Dna.Strand.t array) : result =
                 else if d <= params.theta_high then begin
                   incr edit_cmp;
                   match
-                    Dna.Distance.levenshtein_leq ~backend:params.distance_backend
-                      ~bound:params.edit_threshold reads.(idx_i) reads.(idx_j)
+                    Dna.Distance.levenshtein_leq ~bound:params.edit_threshold reads.(idx_i)
+                      reads.(idx_j)
                   with
                   | Some _ -> merges := (root_i, root_j) :: !merges
                   | None -> ()
@@ -303,8 +298,7 @@ let run_scaled params rng (reads : Dna.Strand.t array) : result =
                 else if d <= params.theta_high then begin
                   incr edit_cmp;
                   match
-                    Dna.Distance.levenshtein_leq ~backend:params.distance_backend
-                      ~bound:params.edit_threshold
+                    Dna.Distance.levenshtein_leq ~bound:params.edit_threshold
                       reads.(order_idx.(i))
                       reads.(order_idx.(j))
                   with

@@ -17,11 +17,6 @@ type params = {
   theta_low : int;  (** at or below: merge without an edit check *)
   theta_high : int;  (** above: never merge *)
   edit_threshold : int;  (** merge when edit distance is at most this *)
-  distance_backend : Dna.Distance.backend;
-      (** kernel family behind the merge test's [levenshtein_leq] (and
-          {!Auto_config}'s threshold fitting): [Auto] resolves to the
-          bit-parallel Myers kernels; [Scalar] forces the two-row DP
-          oracle, the benchmark baseline *)
   domains : int;  (** worker domains for partition processing *)
 }
 

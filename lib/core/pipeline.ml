@@ -76,21 +76,14 @@ let cluster_default ?(kind = Clustering.Signature.Qgram) ?(domains = Dna.Par.def
       let result = Clustering.Cluster.run_scaled params rng reads in
       result.Clustering.Cluster.clusters
 
-let reconstruct_bma ~target_len pool idxs = Reconstruction.Bma.reconstruct_pool ~target_len pool idxs
-
-let reconstruct_dbma ~target_len pool idxs =
-  Reconstruction.Bma.reconstruct_double_pool ~target_len pool idxs
-
-let reconstruct_nw ?backend ~target_len pool idxs =
-  Reconstruction.Nw_consensus.reconstruct_pool ?backend ~target_len pool idxs
-
-let default_stages ?(error_rate = 0.06) ?(coverage = 10) ?recon_backend () =
+let default_stages ?(error_rate = 0.06) ?(coverage = 10) () =
   {
     channel = Simulator.Iid_channel.create_rate ~error_rate;
     sequencing = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed coverage);
     cluster = cluster_default ();
     reconstruct =
-      (fun ~target_len pool idxs -> reconstruct_nw ?backend:recon_backend ~target_len pool idxs);
+      (fun ~target_len pool idxs ->
+        Reconstruction.Nw_consensus.reconstruct_pool ~target_len pool idxs);
   }
 
 (* Largest clusters first: when two clusters claim the same column index,

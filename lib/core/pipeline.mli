@@ -68,21 +68,10 @@ val cluster_default :
     data, then the scaled engine ({!Clustering.Cluster.run_scaled});
     clusters come back as index slices into the arena. *)
 
-val reconstruct_bma : target_len:int -> Dna.Strand_pool.t -> int array -> Dna.Strand.t
-val reconstruct_dbma : target_len:int -> Dna.Strand_pool.t -> int array -> Dna.Strand.t
-
-val reconstruct_nw :
-  ?backend:Dna.Alignment.backend -> target_len:int -> Dna.Strand_pool.t -> int array ->
-  Dna.Strand.t
-(** Needleman-Wunsch consensus of one index slice. [backend] selects
-    the pairwise alignment kernel (the consensus is identical for every
-    choice; see {!Dna.Alignment.align}). *)
-
-val default_stages :
-  ?error_rate:float -> ?coverage:int -> ?recon_backend:Dna.Alignment.backend -> unit -> stages
+val default_stages : ?error_rate:float -> ?coverage:int -> unit -> stages
 (** i.i.d. channel at 6%, fixed coverage 10, {!cluster_default} with
-    q-grams, {!reconstruct_nw} running on [recon_backend] (default: the
-    process-wide {!Dna.Alignment.current_default_backend}). *)
+    q-grams, and Needleman-Wunsch consensus
+    ({!Reconstruction.Nw_consensus.reconstruct_pool}). *)
 
 val percentile : float array -> float -> float
 (** [percentile xs q] is the nearest-rank [q]-quantile ([0 < q <= 1]) of

@@ -6,19 +6,17 @@
     is aligned against the evolving reference). Unit costs (match 0,
     mismatch/gap 1) make the optimal score equal to the edit distance.
 
-    Two kernels compute the alignment, selected per call or process-wide
-    via {!backend} (mirroring [Distance]'s kernel dispatch):
+    The kernel is Myers' bit-vector recurrence with Hyyrö's blocking (as
+    in Edlib): one pass over ceil(la/63) words per column of [b] that
+    records every column's horizontal and vertical delta words; the
+    traceback then reads each neighbor's value off those bits. The deltas
+    encode the full matrix exactly, so the traceback makes the same
+    greedy choices as the classic O(la*lb) matrix's and the script is
+    bit-identical to it by construction — no band, no fallback. That
+    full-matrix kernel is kept as [align_reference], the oracle tests
+    hold [align] equal to and the baseline benchmarks time it against.
 
-    - [Full]: the classic O(la*lb) matrix, kept as the reference oracle;
-    - [Auto]: Myers' bit-vector recurrence with Hyyrö's blocking (as in
-      Edlib), one pass over ceil(la/63) words per column of [b] that
-      records every column's horizontal and vertical delta words; the
-      traceback then reads each neighbor's value off those bits. The
-      deltas encode the full matrix exactly, so the traceback makes the
-      same greedy choices as the oracle's and the script is bit-identical
-      to it by construction — no band, no fallback.
-
-    Both kernels run over flat scratch arrays drawn from a per-domain
+    The kernel runs over flat scratch arrays drawn from a per-domain
     arena (domain-local storage), so hot consensus loops — and the
     [Par.map_array] reconstruction workers — never reallocate alignment
     state between calls: no per-call garbage beyond the returned
@@ -38,33 +36,14 @@ type t = {
 (* Gap character used in the padded rendering of an alignment. *)
 let gap_char = '-'
 
-(* ---------- Backend selection ---------- *)
-
-type backend = Auto | Full
-
-let backend_name = function Auto -> "auto" | Full -> "full"
-
-let default_backend = Atomic.make Auto
-
-let set_default_backend b = Atomic.set default_backend b
-
-let current_default_backend () = Atomic.get default_backend
-
-let use_full = function
-  | Some Full -> true
-  | Some Auto -> false
-  | None -> ( match Atomic.get default_backend with Full -> true | Auto -> false)
-
 (* ---------- Per-domain scratch arena ---------- *)
 
-(* One arena per domain: the oracle's DP cells, the bit-parallel
-   kernel's delta words, both strands' integer codes and the packed
-   script. Buffers only grow; a reconstruction worker aligning thousands
-   of reads against references of similar length reuses the same arrays
-   for its whole lifetime. Arrays handed out here must never escape a
-   call. *)
+(* One arena per domain: the kernel's delta words, both strands'
+   integer codes and the packed script. Buffers only grow; a
+   reconstruction worker aligning thousands of reads against references
+   of similar length reuses the same arrays for its whole lifetime.
+   Arrays handed out here must never escape a call. *)
 type scratch = {
-  mutable cells : int array;
   mutable deltas : int array;
   mutable codes_a : int array;
   mutable codes_b : int array;
@@ -80,7 +59,6 @@ type scratch = {
 let scratch_key =
   Domain.DLS.new_key (fun () ->
       {
-        cells = [||];
         deltas = [||];
         codes_a = [||];
         codes_b = [||];
@@ -93,8 +71,7 @@ let scratch_key =
    aligns reuse buffers instead of growing them. *)
 let scratch_capacity_words () =
   let s = Domain.DLS.get scratch_key in
-  Array.length s.cells + Array.length s.deltas + Array.length s.codes_a
-  + Array.length s.codes_b + Array.length s.ops
+  Array.length s.deltas + Array.length s.codes_a + Array.length s.codes_b + Array.length s.ops
 
 let ensure arr n = if Array.length arr >= n then arr else Array.make (max n (2 * Array.length arr)) 0
 
@@ -200,40 +177,6 @@ let full_traceback cells ca cb la lb ops =
     end
   done;
   gap_tail ca cb !i !j !k ops
-
-(* ---------- Full-matrix kernel (the oracle) ---------- *)
-
-(* dp cell (i, j) at [i * (lb + 1) + j]: edit distance between a[0..i)
-   and b[0..j). *)
-let align_full s ca cb la lb =
-  let stride = lb + 1 in
-  let cells = ensure s.cells ((la + 1) * stride) in
-  s.cells <- cells;
-  for j = 0 to lb do
-    Array.unsafe_set cells j j
-  done;
-  for i = 1 to la do
-    let row = i * stride and prev = (i - 1) * stride in
-    Array.unsafe_set cells row i;
-    let c = Array.unsafe_get ca (i - 1) in
-    for j = 1 to lb do
-      let cost = if c = Array.unsafe_get cb (j - 1) then 0 else 1 in
-      let d = Array.unsafe_get cells (prev + j - 1) + cost in
-      let d =
-        let v = Array.unsafe_get cells (row + j - 1) + 1 in
-        if v < d then v else d
-      in
-      let d =
-        let v = Array.unsafe_get cells (prev + j) + 1 in
-        if v < d then v else d
-      in
-      Array.unsafe_set cells (row + j) d
-    done
-  done;
-  let ops = ensure s.ops (la + lb) in
-  s.ops <- ops;
-  let off = full_traceback cells ca cb la lb ops in
-  { packed_score = cells.((la * stride) + lb); ops; off; lim = la + lb }
 
 (* ---------- Bit-parallel kernel ---------- *)
 
@@ -345,7 +288,7 @@ let align_bit (s : scratch) a ca cb la lb =
 
 (* ---------- Entry points ---------- *)
 
-let align_packed ?backend (a : Strand.t) (b : Strand.t) : packed =
+let align_packed (a : Strand.t) (b : Strand.t) : packed =
   let la = Strand.length a and lb = Strand.length b in
   let s = Domain.DLS.get scratch_key in
   let ca =
@@ -361,11 +304,48 @@ let align_packed ?backend (a : Strand.t) (b : Strand.t) : packed =
   let cb = ensure s.codes_b lb in
   s.codes_b <- cb;
   fill_codes cb b lb;
-  if use_full backend then align_full s ca cb la lb else align_bit s a ca cb la lb
+  align_bit s a ca cb la lb
 
-let align ?backend (a : Strand.t) (b : Strand.t) : t =
-  let p = align_packed ?backend a b in
+let align (a : Strand.t) (b : Strand.t) : t =
+  let p = align_packed a b in
   { score = p.packed_score; script = script_of_packed p }
+
+(* ---------- Full-matrix kernel: oracle and benchmark baseline ---------- *)
+
+(* dp cell (i, j) at [i * (lb + 1) + j]: edit distance between a[0..i)
+   and b[0..j). Allocates its own matrix, codes and script on every call:
+   it never runs on a hot path, so it stays out of the arena. *)
+let align_reference (a : Strand.t) (b : Strand.t) : t =
+  let la = Strand.length a and lb = Strand.length b in
+  let ca = Array.init la (Strand.unsafe_get_code a) in
+  let cb = Array.init lb (Strand.unsafe_get_code b) in
+  let stride = lb + 1 in
+  let cells = Array.make ((la + 1) * stride) 0 in
+  for j = 0 to lb do
+    Array.unsafe_set cells j j
+  done;
+  for i = 1 to la do
+    let row = i * stride and prev = (i - 1) * stride in
+    Array.unsafe_set cells row i;
+    let c = Array.unsafe_get ca (i - 1) in
+    for j = 1 to lb do
+      let cost = if c = Array.unsafe_get cb (j - 1) then 0 else 1 in
+      let d = Array.unsafe_get cells (prev + j - 1) + cost in
+      let d =
+        let v = Array.unsafe_get cells (row + j - 1) + 1 in
+        if v < d then v else d
+      in
+      let d =
+        let v = Array.unsafe_get cells (prev + j) + 1 in
+        if v < d then v else d
+      in
+      Array.unsafe_set cells (row + j) d
+    done
+  done;
+  let ops = Array.make (la + lb) 0 in
+  let off = full_traceback cells ca cb la lb ops in
+  let score = cells.((la * stride) + lb) in
+  { score; script = script_of_packed { packed_score = score; ops; off; lim = la + lb } }
 
 (* Render both strands padded with '-' so that aligned positions line up. *)
 let padded t =

@@ -1,15 +1,14 @@
 (** Needleman-Wunsch global pairwise alignment with traceback, at unit
     costs — the optimal score equals the edit distance.
 
-    Two kernels, selected per call or process-wide via {!backend}: the
-    full O(la*lb) matrix (the reference oracle) and a bit-parallel one
-    (Myers/Hyyrö blocked recurrence over 63-bit words, as in Edlib) that
-    records every column's delta words in one pass and traces back over
-    their bits. The deltas encode the full matrix exactly, so scores and
-    scripts are bit-identical to the oracle's by construction. Both
-    kernels run over flat scratch arrays drawn from a per-domain arena:
-    parallel reconstruction workers never reallocate alignment state
-    between calls. *)
+    The kernel is bit-parallel (Myers/Hyyrö blocked recurrence over
+    63-bit words, as in Edlib): it records every column's delta words in
+    one pass and traces back over their bits. The deltas encode the full
+    O(la*lb) matrix exactly, so scores and scripts are bit-identical to
+    the full-matrix oracle {!align_reference} by construction. The kernel
+    runs over flat scratch arrays drawn from a per-domain arena: parallel
+    reconstruction workers never reallocate alignment state between
+    calls. *)
 
 type op =
   | Match of Nucleotide.t
@@ -25,32 +24,24 @@ type t = {
 val gap_char : char
 (** '-', used by {!padded}. *)
 
-type backend =
-  | Auto  (** the bit-parallel kernel *)
-  | Full  (** the full DP matrix: the reference oracle, and a benchmark baseline *)
-
-val backend_name : backend -> string
-(** ["auto"] or ["full"]; benchmark/report labels. *)
-
-val set_default_backend : backend -> unit
-(** Set the process-wide backend used when [?backend] is omitted. The
-    initial default is [Auto]. *)
-
-val current_default_backend : unit -> backend
-
 val scratch_capacity_words : unit -> int
 (** Capacity currently held by the calling domain's alignment arena
-    (oracle DP cells, bit-parallel delta words, code buffers, op
-    scripts), in array slots. Grow-only: steady under a fixed workload
+    (delta words, code buffers, op scripts), in array slots. Grow-only: steady under a fixed workload
     once the largest alignment has been seen — the invariant pool-native
     reconstruction leans on. *)
 
-val align : ?backend:backend -> Strand.t -> Strand.t -> t
+val align : Strand.t -> Strand.t -> t
 (** [align a b] computes an optimal global alignment, preferring
-    diagonal moves on ties so scripts stay maximally aligned. The result
-    (score and script) is identical for every backend. The bit-parallel
-    kernel costs O(ceil(la/63) * lb) words for its single forward pass
-    plus O(la + lb) steps of traceback, whatever the distance. *)
+    diagonal moves on ties so scripts stay maximally aligned. It costs
+    O(ceil(la/63) * lb) words for its single forward pass plus O(la + lb)
+    steps of traceback, whatever the distance. *)
+
+val align_reference : Strand.t -> Strand.t -> t
+(** The full-matrix Needleman-Wunsch kernel with the same greedy
+    traceback: the oracle {!align} is tested against (equal score and
+    script), and the benchmark baseline it is timed against. It
+    allocates its own O(la*lb) matrix on every call; no production path
+    calls it. *)
 
 (** {2 Packed scripts — the zero-allocation hot path}
 
@@ -69,9 +60,8 @@ type packed = {
   lim : int;  (** one past the last op *)
 }
 
-val align_packed : ?backend:backend -> Strand.t -> Strand.t -> packed
-(** Exactly {!align} (same dispatch, same script, same exactness
-    guarantees) without building the [op list]: ops are packed ints in
+val align_packed : Strand.t -> Strand.t -> packed
+(** Exactly {!align} (same kernel, same script) without building the [op list]: ops are packed ints in
     [ops.(off .. lim - 1)], forward order, decoded by {!packed_kind} /
     {!packed_a} / {!packed_b}. *)
 

@@ -1,26 +1,21 @@
 (** Sequence distances.
 
     Levenshtein (edit) distance is the similarity metric of the whole
-    pipeline (Section II-E), and also its main computational cost. Two
-    families of kernels compute it:
+    pipeline (Section II-E), and also its main computational cost. It is
+    computed by Myers' 1999 bit-parallel algorithm, which packs a whole
+    DP column into machine words and advances it in O(ceil(m/63) * n)
+    word operations: a single-word kernel for patterns up to 63 nt, a
+    blocked multi-word kernel for longer strands, and a thresholded
+    variant with Hyyro's block cutoff that only advances the word-blocks
+    the Ukkonen band can still reach — the workhorse behind clustering's
+    merge test. The kernels read the pattern's packed per-base match
+    masks off [Strand.eq_masks], built once per strand and reused across
+    every comparison.
 
-    - a plain two-row scalar dynamic program (the reference oracle), in
-      full, banded and thresholded variants;
-    - Myers' 1999 bit-parallel algorithm, which packs a whole DP column
-      into machine words and advances it in O(ceil(m/63) * n) word
-      operations: a single-word kernel for patterns up to 63 nt, a
-      blocked multi-word kernel for longer strands, and a
-      banded/thresholded variant with Hyyro's block cutoff that only
-      advances the word-blocks the Ukkonen band can still reach — the
-      workhorse behind clustering's merge test.
-
-    [levenshtein], [levenshtein_banded] and [levenshtein_leq] dispatch
-    between the families via the [backend] argument (default: the
-    process-wide backend, initially [Auto] = bit-parallel), so call
-    sites pick up the fast kernels without signature changes. The
-    bit-parallel kernels read the pattern's packed per-base match masks
-    off [Strand.eq_masks], built once per strand and reused across every
-    comparison. *)
+    The plain two-row scalar dynamic program is kept beside them as the
+    reference oracle ([levenshtein_reference], [levenshtein_leq_reference]):
+    tests hold the bit-parallel kernels equal to it and benchmarks time
+    them against it; no production path calls it. *)
 
 let hamming a b =
   let n = Strand.length a in
@@ -31,28 +26,9 @@ let hamming a b =
   done;
   !d
 
-(* ---------- Backend selection ---------- *)
+(* ---------- Reference kernels (two-row DP): oracle and benchmark baseline ---------- *)
 
-type backend = Auto | Scalar | Bitparallel
-
-let backend_name = function Auto -> "auto" | Scalar -> "scalar" | Bitparallel -> "bitparallel"
-
-let default_backend = Atomic.make Auto
-
-let set_default_backend b = Atomic.set default_backend b
-
-let current_default_backend () = Atomic.get default_backend
-
-(* [Auto] resolves to the bit-parallel kernels: they are exact, so the
-   scalar DP is only ever needed as an oracle or for benchmarking. *)
-let use_bitparallel = function
-  | Some Scalar -> false
-  | Some (Auto | Bitparallel) -> true
-  | None -> ( match Atomic.get default_backend with Scalar -> false | Auto | Bitparallel -> true)
-
-(* ---------- Scalar reference kernels (two-row DP) ---------- *)
-
-let scalar_levenshtein a b =
+let levenshtein_reference a b =
   let la = Strand.length a and lb = Strand.length b in
   if la = 0 then lb
   else if lb = 0 then la
@@ -75,41 +51,11 @@ let scalar_levenshtein a b =
     !prev.(lb)
   end
 
-(* Ukkonen band of half-width [band] around the diagonal. Exact whenever
-   the true distance is <= band; an upper bound otherwise. *)
-let scalar_levenshtein_banded ~band a b =
-  let la = Strand.length a and lb = Strand.length b in
-  if abs (la - lb) > band then max la lb (* cheap upper bound; outside band *)
-  else begin
-    let inf = max_int / 2 in
-    let prev = ref (Array.make (lb + 1) inf) in
-    let cur = ref (Array.make (lb + 1) inf) in
-    for j = 0 to min band lb do
-      !prev.(j) <- j
-    done;
-    for i = 1 to la do
-      let p = !prev and c = !cur in
-      Array.fill c 0 (lb + 1) inf;
-      let lo = max 0 (i - band) and hi = min lb (i + band) in
-      if lo = 0 then c.(0) <- i;
-      let ca = Strand.unsafe_get_code a (i - 1) in
-      for j = max 1 lo to hi do
-        let cost = if ca = Strand.unsafe_get_code b (j - 1) then 0 else 1 in
-        let best = p.(j - 1) + cost in
-        let best = if c.(j - 1) + 1 < best then c.(j - 1) + 1 else best in
-        let best = if p.(j) + 1 < best then p.(j) + 1 else best in
-        c.(j) <- best
-      done;
-      prev := c;
-      cur := p
-    done;
-    !prev.(lb)
-  end
-
-(* [scalar_levenshtein_leq ~bound a b] is [Some d] when the edit distance
-   [d] is <= bound, [None] otherwise. Runs the DP inside a band of width
-   2*bound+1 and abandons a row whose minimum already exceeds the bound. *)
-let scalar_levenshtein_leq ~bound a b =
+(* [levenshtein_leq_reference ~bound a b] is [Some d] when the edit
+   distance [d] is <= bound, [None] otherwise. Runs the DP inside a band
+   of width 2*bound+1 and abandons a row whose minimum already exceeds
+   the bound. *)
+let levenshtein_leq_reference ~bound a b =
   let la = Strand.length a and lb = Strand.length b in
   if bound < 0 then None
   else if abs (la - lb) > bound then None
@@ -280,11 +226,11 @@ let myers_bounded masks nw m b n ~bound =
   done;
   if !exceeded then None else Some !score_m
 
-(* ---------- Bit-parallel dispatch ---------- *)
+(* ---------- Entry points ---------- *)
 
 (* The shorter strand becomes the pattern: fewest words, and its cached
    masks are the ones reused when one strand is compared against many. *)
-let bit_levenshtein a b =
+let levenshtein a b =
   let la = Strand.length a and lb = Strand.length b in
   if la = 0 then lb
   else if lb = 0 then la
@@ -295,7 +241,7 @@ let bit_levenshtein a b =
     else myers_blocked masks ((m + word_bits - 1) / word_bits) m t n
   end
 
-let bit_levenshtein_leq ~bound a b =
+let levenshtein_leq ~bound a b =
   let la = Strand.length a and lb = Strand.length b in
   if bound < 0 then None
   else if abs (la - lb) > bound then None
@@ -308,22 +254,6 @@ let bit_levenshtein_leq ~bound a b =
     | Some d when d <= bound -> Some d
     | Some _ | None -> None
   end
-
-(* ---------- Public entry points ---------- *)
-
-let levenshtein ?backend a b =
-  if use_bitparallel backend then bit_levenshtein a b else scalar_levenshtein a b
-
-let levenshtein_banded ?backend ~band a b =
-  if use_bitparallel backend then
-    match bit_levenshtein_leq ~bound:band a b with
-    | Some d -> d
-    | None -> max (Strand.length a) (Strand.length b) (* upper bound; outside band *)
-  else scalar_levenshtein_banded ~band a b
-
-let levenshtein_leq ?backend ~bound a b =
-  if use_bitparallel backend then bit_levenshtein_leq ~bound a b
-  else scalar_levenshtein_leq ~bound a b
 
 (* L1 distance between integer vectors; used by w-gram signatures. *)
 let l1 a b =

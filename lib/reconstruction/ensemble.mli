@@ -4,13 +4,7 @@
     of each, at triple the cost. *)
 
 val reconstruct :
-  ?backend:Dna.Alignment.backend ->
-  ?lookahead:int ->
-  ?refinements:int ->
-  target_len:int ->
-  Dna.Strand.t array ->
-  Dna.Strand.t
-(** [backend] selects the alignment kernel of the NW-consensus member. *)
+  ?lookahead:int -> ?refinements:int -> target_len:int -> Dna.Strand.t array -> Dna.Strand.t
 
 val majority : target_len:int -> Dna.Strand.t array -> Dna.Strand.t
 (** Plain per-position plurality vote. Cannot fail: short reads stop
@@ -24,7 +18,6 @@ val reconstruct_fallback :
     empty cluster or if every step raised. *)
 
 val reconstruct_pool :
-  ?backend:Dna.Alignment.backend ->
   ?lookahead:int ->
   ?refinements:int ->
   target_len:int ->

@@ -12,32 +12,17 @@ type outcome = {
   padded : int;  (** positions padded because too few candidates existed *)
 }
 
-val reconstruct_full :
-  ?backend:Dna.Alignment.backend ->
-  ?refinements:int ->
-  target_len:int ->
-  Dna.Strand.t array ->
-  outcome
-(** Default 2 refinement rounds. [backend] selects the pairwise
-    alignment kernel (see {!Dna.Alignment.align}); the consensus is
-    identical for every choice. Refinement rounds whose vote reproduces
-    the reference reuse the round's column profile instead of realigning
-    the cluster. Raises [Invalid_argument] on an empty cluster. *)
+val reconstruct_full : ?refinements:int -> target_len:int -> Dna.Strand.t array -> outcome
+(** Default 2 refinement rounds; reads are aligned with
+    {!Dna.Alignment.align_packed}. Refinement rounds whose vote
+    reproduces the reference reuse the round's column profile instead of
+    realigning the cluster. Raises [Invalid_argument] on an empty
+    cluster. *)
 
-val reconstruct :
-  ?backend:Dna.Alignment.backend ->
-  ?refinements:int ->
-  target_len:int ->
-  Dna.Strand.t array ->
-  Dna.Strand.t
+val reconstruct : ?refinements:int -> target_len:int -> Dna.Strand.t array -> Dna.Strand.t
 
 val reconstruct_pool_full :
-  ?backend:Dna.Alignment.backend ->
-  ?refinements:int ->
-  target_len:int ->
-  Dna.Strand_pool.t ->
-  int array ->
-  outcome
+  ?refinements:int -> target_len:int -> Dna.Strand_pool.t -> int array -> outcome
 (** [reconstruct_full] over a cluster index-slice of an arena read
     pool: reads are zero-copy views and every profile/vote/selection
     table lives in the calling domain's {!Recon_arena} buffers, so only
@@ -47,9 +32,4 @@ val reconstruct_pool_full :
     non-empty read. *)
 
 val reconstruct_pool :
-  ?backend:Dna.Alignment.backend ->
-  ?refinements:int ->
-  target_len:int ->
-  Dna.Strand_pool.t ->
-  int array ->
-  Dna.Strand.t
+  ?refinements:int -> target_len:int -> Dna.Strand_pool.t -> int array -> Dna.Strand.t

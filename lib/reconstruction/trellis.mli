@@ -10,7 +10,7 @@
 
 type rates = { p_del : float; p_ins : float; p_sub : float }
 
-val estimate_rates : ?backend:Dna.Alignment.backend -> Dna.Strand.t -> Dna.Strand.t array -> rates
+val estimate_rates : Dna.Strand.t -> Dna.Strand.t array -> rates
 (** Per-cluster channel rates from alignments against a reference. *)
 
 val read_evidence : rates -> Dna.Strand.t -> Dna.Strand.t -> float array array
@@ -23,13 +23,6 @@ val refine_once : ?margin:float -> rates -> Dna.Strand.t -> Dna.Strand.t array -
     log-evidence by [margin] (default 3.0) nats. *)
 
 val reconstruct :
-  ?backend:Dna.Alignment.backend ->
-  ?iterations:int ->
-  ?refinements:int ->
-  target_len:int ->
-  Dna.Strand.t array ->
-  Dna.Strand.t
+  ?iterations:int -> ?refinements:int -> target_len:int -> Dna.Strand.t array -> Dna.Strand.t
 (** Seed with the profile consensus (fixing the length), then apply
-    [iterations] (default 2) trellis refinement passes. [backend]
-    selects the alignment kernel used by the seed consensus and the
-    rate estimation. *)
+    [iterations] (default 2) trellis refinement passes. *)

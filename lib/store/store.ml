@@ -553,7 +553,7 @@ let decode_consensus (o : Manifest.object_meta) consensus :
 (* The demuxed core arena goes straight to scaled clustering (index
    slices) and arena-backed consensus — no boxed strand per read
    between sequencing and the decoder. *)
-let decode_task_pool ?recon_backend rng (o : Manifest.object_meta) (cores : Dna.Strand_pool.t) :
+let decode_task_pool rng (o : Manifest.object_meta) (cores : Dna.Strand_pool.t) :
     (Bytes.t * Codec.File_codec.decode_stats, error) result =
   let slices = Dnastore.Pipeline.cluster_default ~domains:1 () rng cores in
   let slice_arr = Array.of_list slices in
@@ -563,13 +563,12 @@ let decode_task_pool ?recon_backend rng (o : Manifest.object_meta) (cores : Dna.
     Array.to_list slice_arr
     |> List.filter_map (fun idxs ->
            if Array.length idxs = 0 then None
-           else
-             Some (Dnastore.Pipeline.reconstruct_nw ?backend:recon_backend ~target_len cores idxs))
+           else Some (Reconstruction.Nw_consensus.reconstruct_pool ~target_len cores idxs))
   in
   decode_consensus o consensus
 
 (* Sequence, demultiplex, cluster, reconstruct, decode one object. *)
-let run_access_task ?recon_backend t (tk : access_task) :
+let run_access_task t (tk : access_task) :
     (Bytes.t * Codec.File_codec.decode_stats, error) result =
   let o = tk.tk_obj in
   let cfg = t.manifest.Manifest.config in
@@ -593,10 +592,10 @@ let run_access_task ?recon_backend t (tk : access_task) :
     | [ (_, cores) ] -> cores
     | _ -> Dna.Strand_pool.create ()
   in
-  decode_task_pool ?recon_backend decode_rng o cores
+  decode_task_pool decode_rng o cores
 
-let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) ?recon_backend t
-    (keys : string list) : (string * (Bytes.t, error) result) list =
+let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) t (keys : string list)
+    : (string * (Bytes.t, error) result) list =
   (* Resolve keys against a hashed view of the directory: cache hits
      answer immediately; misses are deduplicated (a key requested twice
      decodes once) and grouped by shard so each shard is PCR-selected
@@ -685,7 +684,7 @@ let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) ?recon
   let outcome_arr =
     Dna.Par.map_array ~label:"store.get_batch" ~domains
       (fun tk ->
-        (tk.tk_obj.Manifest.key, Result.map fst (run_access_task ?recon_backend t tk)))
+        (tk.tk_obj.Manifest.key, Result.map fst (run_access_task t tk)))
       tasks
   in
   let outcomes : (string, (Bytes.t, error) result) Hashtbl.t =

@@ -1,6 +1,6 @@
-(* The bit-parallel alignment kernel is a perf knob, never a semantics
-   knob: on every input it must return the score (equal to the edit
-   distance) and the script of the full-matrix oracle, bit for bit.
+(* The bit-parallel alignment kernel must return, on every input, the
+   score (equal to the edit distance) and the script of the full-matrix
+   oracle [Alignment.align_reference], bit for bit.
    These tests sweep random pairs — siblings at several error rates plus
    unrelated strands — across lengths 0..300, every pairing of the
    63-bit block boundaries, the degenerate shapes (identical, unrelated,
@@ -24,18 +24,18 @@ let random_pair rng =
   in
   (a, b)
 
-(* A physically distinct copy: the oracle run on it misses the arena's
-   reference memo, so it cannot share state with the run under test. *)
+(* A physically distinct copy: equal contents, but a miss for the
+   arena's reference memo (keyed on physical equality). *)
 let copy s = Dna.Strand.of_string (Dna.Strand.to_string s)
 
-let check_exact ?(name = "auto") (a, b) =
-  let f = Dna.Alignment.align ~backend:Dna.Alignment.Full (copy a) b in
+let check_exact ?(name = "random") (a, b) =
+  let f = Dna.Alignment.align_reference a b in
   let d = Dna.Distance.levenshtein a b in
   Alcotest.(check int) "full score is the edit distance" d f.Dna.Alignment.score;
   (* the script must replay to the second strand *)
   Alcotest.(check bool) "full script replays" true
     (Dna.Strand.equal b (Dna.Alignment.apply_script f.Dna.Alignment.script));
-  let g = Dna.Alignment.align ~backend:Dna.Alignment.Auto a b in
+  let g = Dna.Alignment.align a b in
   let shape = Printf.sprintf "%s (%d x %d)" name (Dna.Strand.length a) (Dna.Strand.length b) in
   Alcotest.(check int) (shape ^ " score") f.Dna.Alignment.score g.Dna.Alignment.score;
   Alcotest.(check bool) (shape ^ " script identical") true
@@ -92,8 +92,8 @@ let test_degenerate_shapes () =
 
 (* Consensus rounds align one reference against every read, and the
    arena skips refilling the reference's codes while it stays the same
-   strand: repeated calls — interleaved with other references and with
-   the oracle — must each match a fresh oracle run. *)
+   strand: repeated calls, interleaved with other references, must each
+   match the oracle. *)
 let test_memoized_reference () =
   let rng = Dna.Rng.create 13 in
   let refs = Array.init 3 (fun i -> Dna.Strand.random rng (60 + (70 * i))) in
@@ -102,7 +102,7 @@ let test_memoized_reference () =
       (fun r ->
         for _ = 1 to 10 do
           let read = sibling rng ~error_rate:0.1 r in
-          let expect = Dna.Alignment.align ~backend:Dna.Alignment.Full (copy r) read in
+          let expect = Dna.Alignment.align_reference r read in
           let p = Dna.Alignment.align_packed r read in
           Alcotest.(check int)
             (Printf.sprintf "round %d score" round)
@@ -110,16 +110,14 @@ let test_memoized_reference () =
           Alcotest.(check bool)
             (Printf.sprintf "round %d script" round)
             true
-            (Dna.Alignment.script_of_packed p = expect.Dna.Alignment.script);
-          (* the oracle on the same reference shares the memo *)
-          ignore (Dna.Alignment.align_packed ~backend:Dna.Alignment.Full r read)
+            (Dna.Alignment.script_of_packed p = expect.Dna.Alignment.script)
         done)
       refs
   done
 
 (* The arena is grow-only: once a warm-up batch has run, a second batch
-   of pairs with the same lengths, through both kernels, reuses every
-   buffer — the capacity the pool-native reconstruction leans on. *)
+   of pairs with the same lengths reuses every buffer — the capacity the
+   pool-native reconstruction leans on. *)
 let test_arena_capacity_steady () =
   let shapes = [ (120, 117); (120, 126); (150, 150); (189, 64); (64, 189); (0, 40); (40, 0) ] in
   let batch seed =
@@ -127,8 +125,7 @@ let test_arena_capacity_steady () =
     List.iter
       (fun (la, lb) ->
         let a = Dna.Strand.random rng la and b = Dna.Strand.random rng lb in
-        ignore (Dna.Alignment.align_packed a b);
-        ignore (Dna.Alignment.align_packed ~backend:Dna.Alignment.Full a b))
+        ignore (Dna.Alignment.align_packed a b))
       shapes
   in
   batch 1;
@@ -144,7 +141,7 @@ let test_packed_roundtrip () =
   for _ = 1 to 50 do
     let a, b = random_pair rng in
     let p = Dna.Alignment.align_packed a b in
-    let t = Dna.Alignment.align ~backend:Dna.Alignment.Full a b in
+    let t = Dna.Alignment.align_reference a b in
     Alcotest.(check int) "packed score" t.Dna.Alignment.score p.Dna.Alignment.packed_score;
     Alcotest.(check bool) "packed script decodes identically" true
       (Dna.Alignment.script_of_packed p = t.Dna.Alignment.script)
@@ -178,25 +175,37 @@ let test_poa_band_invariant () =
         [ 3; 10; 20 ])
     seeds
 
-(* NW consensus is backend-invariant on whole clusters. *)
-let test_consensus_backend_invariant () =
+(* On whole clusters, the alignments NW consensus runs match the oracle.
+   A consensus round aligns every read against its reference: the first
+   round's is the cluster's longest read, the last round's is (the
+   backbone of) the returned consensus. Both are checked for every read,
+   in score and script. *)
+let test_consensus_alignments_match_reference () =
   let rng = Dna.Rng.create 17 in
   List.iter
     (fun coverage ->
       for _ = 1 to 6 do
         let clean = Dna.Strand.random rng 120 in
         let reads = Array.init coverage (fun _ -> sibling rng ~error_rate:0.06 clean) in
-        let full =
-          Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Full ~target_len:120
-            reads
+        let longest =
+          Array.fold_left
+            (fun l r -> if Dna.Strand.length r > Dna.Strand.length l then r else l)
+            reads.(0) reads
         in
-        let auto =
-          Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Auto ~target_len:120
-            reads
-        in
-        Alcotest.(check bool)
-          (Printf.sprintf "cov %d consensus byte-identical" coverage)
-          true (Dna.Strand.equal full auto)
+        let consensus = Reconstruction.Nw_consensus.reconstruct ~target_len:120 reads in
+        List.iter
+          (fun (name, reference) ->
+            Array.iter
+              (fun read ->
+                let expect = Dna.Alignment.align_reference reference read in
+                let got = Dna.Alignment.align reference read in
+                let label = Printf.sprintf "cov %d vs %s" coverage name in
+                Alcotest.(check int) (label ^ " score") expect.Dna.Alignment.score
+                  got.Dna.Alignment.score;
+                Alcotest.(check bool) (label ^ " script") true
+                  (got.Dna.Alignment.script = expect.Dna.Alignment.script))
+              reads)
+          [ ("longest read", longest); ("consensus", consensus) ]
       done)
     [ 5; 10; 20 ]
 
@@ -288,10 +297,9 @@ let algorithms =
   [
     ( "nw",
       (fun ~target_len reads ->
-        Reconstruction.Nw_consensus.reconstruct ~backend:Dna.Alignment.Auto ~target_len reads),
+        Reconstruction.Nw_consensus.reconstruct ~target_len reads),
       fun ~target_len pool idxs ->
-        Reconstruction.Nw_consensus.reconstruct_pool ~backend:Dna.Alignment.Auto ~target_len
-          pool idxs );
+        Reconstruction.Nw_consensus.reconstruct_pool ~target_len pool idxs );
     ( "bma",
       (fun ~target_len reads -> Reconstruction.Bma.reconstruct ~target_len reads),
       fun ~target_len pool idxs -> Reconstruction.Bma.reconstruct_pool ~target_len pool idxs );
@@ -301,10 +309,9 @@ let algorithms =
         Reconstruction.Bma.reconstruct_double_pool ~target_len pool idxs );
     ( "ensemble",
       (fun ~target_len reads ->
-        Reconstruction.Ensemble.reconstruct ~backend:Dna.Alignment.Auto ~target_len reads),
+        Reconstruction.Ensemble.reconstruct ~target_len reads),
       fun ~target_len pool idxs ->
-        Reconstruction.Ensemble.reconstruct_pool ~backend:Dna.Alignment.Auto ~target_len pool
-          idxs );
+        Reconstruction.Ensemble.reconstruct_pool ~target_len pool idxs );
     ( "majority",
       (fun ~target_len reads -> Reconstruction.Ensemble.majority ~target_len reads),
       fun ~target_len pool idxs -> Reconstruction.Ensemble.majority_pool ~target_len pool idxs );
@@ -358,8 +365,7 @@ let test_pool_arena_isolation_across_domains () =
   let pools = Array.map (fun (reads, _) -> pool_of_reads rng reads) clusters in
   let serial =
     Array.map
-      (fun (reads, target_len) ->
-        Reconstruction.Ensemble.reconstruct ~backend:Dna.Alignment.Auto ~target_len reads)
+      (fun (reads, target_len) -> Reconstruction.Ensemble.reconstruct ~target_len reads)
       clusters
   in
   List.iter
@@ -369,8 +375,7 @@ let test_pool_arena_isolation_across_domains () =
           (fun i ->
             let _, target_len = clusters.(i) in
             let pool, idxs = pools.(i) in
-            Reconstruction.Ensemble.reconstruct_pool ~backend:Dna.Alignment.Auto ~target_len
-              pool idxs)
+            Reconstruction.Ensemble.reconstruct_pool ~target_len pool idxs)
           (Array.init (Array.length clusters) Fun.id)
       in
       Array.iteri
@@ -397,7 +402,8 @@ let () =
       ( "consensus",
         [
           Alcotest.test_case "poa band invariant" `Quick test_poa_band_invariant;
-          Alcotest.test_case "nw backend invariant" `Quick test_consensus_backend_invariant;
+          Alcotest.test_case "nw alignments == reference" `Quick
+            test_consensus_alignments_match_reference;
           Alcotest.test_case "cluster sort deterministic" `Quick test_cluster_sort_deterministic;
         ] );
       ( "pool",

@@ -1,21 +1,20 @@
 (* Equivalence of the bit-parallel (Myers) distance kernels with the
-   scalar two-row DP oracle. The bit-parallel kernels are exact, so on
-   every input the two backends must agree bit for bit: on the full
-   distance (single-word and blocked kernels), on the thresholded
-   [levenshtein_leq] (both [Some] and [None] outcomes), and on the
-   banded variant inside its band. *)
+   scalar two-row DP oracle ([levenshtein_reference],
+   [levenshtein_leq_reference]). The bit-parallel kernels are exact, so
+   on every input they must agree with the oracle bit for bit: on the
+   full distance (single-word and blocked kernels) and on the
+   thresholded [levenshtein_leq] (both [Some] and [None] outcomes). *)
 
 let seeds = [ 1; 7; 42 ]
 
-let scalar = Dna.Distance.Scalar
-let myers = Dna.Distance.Bitparallel
-
-let lev ~backend a b = Dna.Distance.levenshtein ~backend a b
-let leq ~backend ~bound a b = Dna.Distance.levenshtein_leq ~backend ~bound a b
+let lev = Dna.Distance.levenshtein
+let leq = Dna.Distance.levenshtein_leq
+let lev_ref = Dna.Distance.levenshtein_reference
+let leq_ref = Dna.Distance.levenshtein_leq_reference
 
 let check_pair a b =
-  let ds = lev ~backend:scalar a b in
-  let dm = lev ~backend:myers a b in
+  let ds = lev_ref a b in
+  let dm = lev a b in
   Alcotest.(check int)
     (Printf.sprintf "full distance (%d vs %d nt)" (Dna.Strand.length a) (Dna.Strand.length b))
     ds dm;
@@ -27,16 +26,12 @@ let check_pair a b =
       Alcotest.(check (option int))
         (Printf.sprintf "leq bound=%d exact=%d" bound ds)
         expect
-        (leq ~backend:myers ~bound a b);
+        (leq ~bound a b);
       Alcotest.(check (option int))
         (Printf.sprintf "scalar leq bound=%d exact=%d" bound ds)
         expect
-        (leq ~backend:scalar ~bound a b))
-    [ 0; 1; ds - 1; ds; ds + 1; 40; max (Dna.Strand.length a) (Dna.Strand.length b) ];
-  (* Banded is exact whenever the band covers the true distance. *)
-  if ds <= 10 then
-    Alcotest.(check int) "banded exact within band" ds
-      (Dna.Distance.levenshtein_banded ~backend:myers ~band:10 a b)
+        (leq_ref ~bound a b))
+    [ 0; 1; ds - 1; ds; ds + 1; 40; max (Dna.Strand.length a) (Dna.Strand.length b) ]
 
 (* A mutated copy: substitutions, insertions and deletions at ~[rate]
    each, so sibling pairs have small distances and ragged lengths. *)
@@ -75,9 +70,9 @@ let test_equal_strands () =
   List.iter
     (fun n ->
       let a = Dna.Strand.random rng n in
-      Alcotest.(check int) "equal strands scalar" 0 (lev ~backend:scalar a a);
-      Alcotest.(check int) "equal strands myers" 0 (lev ~backend:myers a a);
-      Alcotest.(check (option int)) "equal strands leq" (Some 0) (leq ~backend:myers ~bound:0 a a))
+      Alcotest.(check int) "equal strands scalar" 0 (lev_ref a a);
+      Alcotest.(check int) "equal strands myers" 0 (lev a a);
+      Alcotest.(check (option int)) "equal strands leq" (Some 0) (leq ~bound:0 a a))
     [ 0; 1; 30; 63; 64; 65; 120; 300 ]
 
 let test_empty_vs_nonempty () =
@@ -86,12 +81,12 @@ let test_empty_vs_nonempty () =
     (fun n ->
       let a = Dna.Strand.random rng n in
       let e = Dna.Strand.empty in
-      Alcotest.(check int) "empty vs strand" n (lev ~backend:myers e a);
-      Alcotest.(check int) "strand vs empty" n (lev ~backend:myers a e);
-      Alcotest.(check (option int)) "empty leq at n" (Some n) (leq ~backend:myers ~bound:n e a);
+      Alcotest.(check int) "empty vs strand" n (lev e a);
+      Alcotest.(check int) "strand vs empty" n (lev a e);
+      Alcotest.(check (option int)) "empty leq at n" (Some n) (leq ~bound:n e a);
       (* bound = n - 1 is below the true distance n; for n = 0 it is
          negative, which the contract also maps to [None]. *)
-      Alcotest.(check (option int)) "empty leq below n" None (leq ~backend:myers ~bound:(n - 1) e a))
+      Alcotest.(check (option int)) "empty leq below n" None (leq ~bound:(n - 1) e a))
     [ 0; 1; 63; 64; 65; 200 ]
 
 (* Lengths straddling the 63-bit word boundary exercise the carry
@@ -123,31 +118,13 @@ let test_leq_outcomes () =
     let a = Dna.Strand.random rng 120 in
     let b = if Dna.Rng.int rng 2 = 0 then Dna.Strand.random rng 120 else mutate rng 0.06 a in
     let bound = 40 in
-    let s = leq ~backend:scalar ~bound a b in
-    let m = leq ~backend:myers ~bound a b in
+    let s = leq_ref ~bound a b in
+    let m = leq ~bound a b in
     Alcotest.(check (option int)) "leq agreement" s m;
     match m with Some _ -> incr le | None -> incr gt
   done;
   Alcotest.(check bool) "saw Le outcomes" true (!le > 0);
   Alcotest.(check bool) "saw Gt outcomes" true (!gt > 0)
-
-(* The process-wide default backend drives the dispatch when [?backend]
-   is omitted. *)
-let test_default_backend_dispatch () =
-  let saved = Dna.Distance.current_default_backend () in
-  Fun.protect
-    ~finally:(fun () -> Dna.Distance.set_default_backend saved)
-    (fun () ->
-      let rng = Dna.Rng.create 3 in
-      let a = Dna.Strand.random rng 120 and b = Dna.Strand.random rng 120 in
-      let d = Dna.Distance.levenshtein ~backend:scalar a b in
-      List.iter
-        (fun backend ->
-          Dna.Distance.set_default_backend backend;
-          Alcotest.(check int)
-            (Printf.sprintf "default %s" (Dna.Distance.backend_name backend))
-            d (Dna.Distance.levenshtein a b))
-        [ Dna.Distance.Auto; Dna.Distance.Scalar; Dna.Distance.Bitparallel ])
 
 (* Structure of the cached Eq masks: one word-set per base code, bit i of
    word w set exactly when base w*63+i has that code. *)
@@ -182,7 +159,6 @@ let () =
           Alcotest.test_case "empty vs non-empty" `Quick test_empty_vs_nonempty;
           Alcotest.test_case "63/64/65 word boundary" `Quick test_word_boundary;
           Alcotest.test_case "leq Le and Gt outcomes" `Quick test_leq_outcomes;
-          Alcotest.test_case "default backend dispatch" `Quick test_default_backend_dispatch;
         ] );
       ("eq-masks", [ Alcotest.test_case "structure and caching" `Quick test_eq_masks_structure ]);
     ]

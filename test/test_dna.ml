@@ -403,21 +403,6 @@ let test_levenshtein_leq_agrees () =
       (Dna.Distance.levenshtein_leq ~bound:(d - 1) a b)
   done
 
-let test_levenshtein_banded_exact_within_band () =
-  let r = rng () in
-  for _ = 1 to 100 do
-    let a = Dna.Strand.random r 40 in
-    (* small perturbation: stays within band 10 *)
-    let b =
-      Dna.Strand.of_codes
-        (Array.map (fun c -> if Dna.Rng.float r < 0.05 then Dna.Rng.int r 4 else c)
-           (Dna.Strand.to_codes a))
-    in
-    let exact = Dna.Distance.levenshtein a b in
-    if exact <= 10 then
-      Alcotest.(check int) "banded matches exact" exact (Dna.Distance.levenshtein_banded ~band:10 a b)
-  done
-
 let test_l1 () =
   Alcotest.(check int) "l1" 6 (Dna.Distance.l1 [| 1; 2; 3 |] [| 3; 0; 1 |])
 
@@ -1014,7 +999,6 @@ let () =
           Alcotest.test_case "levenshtein known" `Quick test_levenshtein_known;
           Alcotest.test_case "hamming" `Quick test_hamming;
           Alcotest.test_case "leq agrees" `Quick test_levenshtein_leq_agrees;
-          Alcotest.test_case "banded exact in band" `Quick test_levenshtein_banded_exact_within_band;
           Alcotest.test_case "l1" `Quick test_l1;
         ] );
       ( "alignment",

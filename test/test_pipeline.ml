@@ -42,9 +42,13 @@ let test_pipeline_every_stage_combination () =
                rname)
             true out.Dnastore.Pipeline.exact)
         [
-          ("bma", Dnastore.Pipeline.reconstruct_bma);
-          ("dbma", Dnastore.Pipeline.reconstruct_dbma);
-          ("nw", fun ~target_len pool idxs -> Dnastore.Pipeline.reconstruct_nw ~target_len pool idxs);
+          ("bma", fun ~target_len pool idxs -> Reconstruction.Bma.reconstruct_pool ~target_len pool idxs);
+          ( "dbma",
+            fun ~target_len pool idxs ->
+              Reconstruction.Bma.reconstruct_double_pool ~target_len pool idxs );
+          ( "nw",
+            fun ~target_len pool idxs ->
+              Reconstruction.Nw_consensus.reconstruct_pool ~target_len pool idxs );
         ])
     [ Clustering.Signature.Qgram; Clustering.Signature.Wgram ]
 
@@ -120,7 +124,8 @@ let test_pipeline_custom_stages_one_spine () =
     {
       (Dnastore.Pipeline.default_stages ()) with
       Dnastore.Pipeline.cluster = Dnastore.Pipeline.cluster_default ~kind:Clustering.Signature.Wgram ();
-      reconstruct = Dnastore.Pipeline.reconstruct_bma;
+      reconstruct =
+        (fun ~target_len pool idxs -> Reconstruction.Bma.reconstruct_pool ~target_len pool idxs);
     }
   in
   let out, _, labels = par_labels (fun () -> Dnastore.Pipeline.run ~stages ~domains:2 (rng ()) file) in
