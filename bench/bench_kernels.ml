@@ -1,7 +1,8 @@
-(* The bench-regression harness: times the edit-distance kernels against
-   the scalar reference DP (micro) and a clustering-scale workload
-   (macro), and writes the results as JSON so future changes have a perf
-   trajectory to regress against.
+(* The bench-regression harness: times the edit-distance kernels and the
+   primer locators against their scalar reference DPs (micro) and a
+   clustering-scale workload (macro), and writes the results as JSON so
+   future changes have a perf trajectory to regress against. It exits 1
+   when a kernel disagrees with its reference.
 
      dune exec bench/bench_kernels.exe                 # full run, writes
                                                        # BENCH_micro.json and
@@ -138,6 +139,88 @@ let micro_cases rng =
     ("levenshtein_leq/bound-40-unrelated-120nt", leq a c);
   ]
 
+(* Primer locator cases on noisy default molecules (20 nt primers around
+   a 136 nt core), half of them reversed. One op is one call on the next
+   read of the set. Before timing, every read is run through both sides,
+   and any disagreement exits 1. *)
+let primer_molecule_nt = Codec.Params.strand_nt Codec.Params.default + (2 * Codec.Primer.primer_length)
+
+let primer_cases rng =
+  let pair = (Codec.Primer.generate_pairs_exn rng 1).(0) in
+  let reads =
+    Array.init 64 (fun i ->
+        let core = Dna.Strand.random rng (Codec.Params.strand_nt Codec.Params.default) in
+        let read = sibling rng (Codec.Primer.attach pair core) in
+        if i mod 2 = 1 then Dna.Strand.reverse_complement read else read)
+  in
+  let slack = Codec.Primer.slack and max_edits = Codec.Primer.max_edits in
+  (* The demux the kernel replaced: orient on a reverse-complemented
+     copy, then strip with both scalar locators. *)
+  let demux_reference read =
+    let head = Codec.Primer.locate_prefix_reference ~slack ~max_edits pair.forward in
+    let strip r dir =
+      match (head r, Codec.Primer.locate_suffix_reference ~slack ~max_edits pair.reverse r) with
+      | Some (s, _), Some (e, _) when e > s -> Some (Dna.Strand.sub r ~pos:s ~len:(e - s), dir)
+      | _ -> None
+    in
+    let rc = Dna.Strand.reverse_complement read in
+    match (head read, head rc) with
+    | Some (_, fd), Some (_, rd) when fd <= rd -> strip read Codec.Primer.Forward
+    | Some _, None -> strip read Codec.Primer.Forward
+    | _, Some _ -> strip rc Codec.Primer.Reverse
+    | None, None -> None
+  in
+  let demux = Codec.Primer.find_core (Codec.Primer.key pair) in
+  (* [find_core]'s answer in the reference's form: the normalized core. *)
+  let demux_core read =
+    Option.map
+      (fun (pos, len, dir) ->
+        let s = Dna.Strand.sub read ~pos ~len in
+        ((if dir = Codec.Primer.Forward then s else Dna.Strand.reverse_complement s), dir))
+      (demux read)
+  in
+  let same_core a b =
+    match (a, b) with
+    | None, None -> true
+    | Some (x, d), Some (y, e) -> d = e && Dna.Strand.equal x y
+    | _ -> false
+  in
+  let next =
+    let i = ref 0 in
+    fun () ->
+      i := (!i + 1) land 63;
+      reads.(!i)
+  in
+  let case name ~agree reference production =
+    if not (Array.for_all agree reads) then begin
+      Printf.eprintf "primer locator disagrees with the reference: %s\n" name;
+      exit 1
+    end;
+    ( name,
+      ( (fun () ->
+          ignore (reference (next ()));
+          0),
+        fun () ->
+          ignore (production (next ()));
+          0 ) )
+  in
+  let locate f pattern read = f ~slack ~max_edits pattern read in
+  let prefix_reference = locate Codec.Primer.locate_prefix_reference pair.forward
+  and prefix = locate Codec.Primer.locate_prefix pair.forward
+  and suffix_reference = locate Codec.Primer.locate_suffix_reference pair.reverse
+  and suffix = locate Codec.Primer.locate_suffix pair.reverse in
+  [
+    case "primer_locate/prefix-176nt"
+      ~agree:(fun r -> prefix r = prefix_reference r)
+      prefix_reference prefix;
+    case "primer_locate/suffix-176nt"
+      ~agree:(fun r -> suffix r = suffix_reference r)
+      suffix_reference suffix;
+    case "primer_locate/demux-176nt"
+      ~agree:(fun r -> same_core (demux_core r) (demux_reference r))
+      demux_reference demux;
+  ]
+
 let run_micro () =
   let rng = Dna.Rng.create 123 in
   let entries =
@@ -145,20 +228,22 @@ let run_micro () =
       (fun (name, (reference, production)) ->
         let ns_scalar = ns_per_op reference in
         let ns_myers = ns_per_op production in
-        Printf.printf "%-42s scalar %10.1f ns   myers %8.1f ns   %6.1fx\n" name ns_scalar
+        Printf.printf "%-42s reference %10.1f ns   myers %8.1f ns   %6.1fx\n" name ns_scalar
           ns_myers (ns_scalar /. ns_myers);
         [
-          entry ~ns:ns_scalar ~speedup:1.0 (name ^ "/scalar");
+          entry ~ns:ns_scalar ~speedup:1.0 (name ^ "/reference");
           entry ~ns:ns_myers ~speedup:(ns_scalar /. ns_myers) (name ^ "/myers");
         ])
-      (micro_cases rng)
+      (micro_cases rng @ primer_cases rng)
   in
   write_json
     (Filename.concat !out_dir "BENCH_micro.json")
     ~config:
       [
         ("read_len", string_of_int read_len);
+        ("primer_molecule_nt", string_of_int primer_molecule_nt);
         ("error_rate", string_of_float error_rate);
+        ("hardware_domains", string_of_int (Domain.recommended_domain_count ()));
         ("smoke", string_of_bool !smoke);
       ]
     entries

@@ -5,13 +5,14 @@
     Primers are 20 bases, GC-balanced, free of long homopolymers, and
     pairwise far apart in Hamming distance so that noisy reads still
     match the right file. Reads come off the sequencer in either
-    orientation; [orient] detects and normalizes direction by matching
-    primers, and [strip] removes them, leaving the core payload.
+    orientation; [find_core] detects the direction by matching primers
+    and locates the core payload between them.
 
     Primer location in noisy reads uses semi-global alignment (the primer
     must match end to end, the read position floats), so insertions and
     deletions inside the primer region are absorbed instead of cascading
-    into mismatches. *)
+    into mismatches. It runs bit-parallel: a primer fits one machine
+    word, so each read base costs a handful of word operations. *)
 
 let primer_length = 20
 
@@ -142,10 +143,17 @@ module Registry = struct
       (attempt 0)
 end
 
-(* Semi-global alignment of the whole [pattern] against a prefix window
-   of [read]: returns [(end_position, edits)] for the alignment with the
-   fewest edits whose read span starts at position 0..slack. *)
-let locate_prefix ?(slack = 4) ~max_edits pattern (read : Dna.Strand.t) : (int * int) option =
+(* Tolerances of the demux: edits allowed inside a primer, and leading
+   read bases a primer may start after. *)
+let max_edits = 5
+let slack = 4
+
+(* Scalar semi-global alignment of the whole [pattern] against a prefix
+   window of [read]: returns [(end_position, edits)] for the alignment
+   with the fewest edits whose read span starts at position 0..slack.
+   The oracle for {!locate_prefix}. *)
+let locate_prefix_reference ~slack ~max_edits pattern (read : Dna.Strand.t) :
+    (int * int) option =
   let m = Dna.Strand.length pattern in
   let window = min (Dna.Strand.length read) (m + slack + max_edits) in
   if window < m - max_edits then None
@@ -177,36 +185,107 @@ let locate_prefix ?(slack = 4) ~max_edits pattern (read : Dna.Strand.t) : (int *
     !best
   end
 
-(* Locate [pattern] at the tail of [read] by matching the reversed
-   strands at the head. Returns [(start_position, edits)]. *)
-let locate_suffix ?slack ~max_edits pattern (read : Dna.Strand.t) : (int * int) option =
-  match locate_prefix ?slack ~max_edits (Dna.Strand.rev pattern) (Dna.Strand.rev read) with
+(* Mirror of [locate_prefix_reference] at the tail, on reversed copies:
+   returns [(start_position, edits)]. *)
+let locate_suffix_reference ~slack ~max_edits pattern (read : Dna.Strand.t) :
+    (int * int) option =
+  match
+    locate_prefix_reference ~slack ~max_edits (Dna.Strand.rev pattern) (Dna.Strand.rev read)
+  with
+  | None -> None
+  | Some (end_in_rev, edits) -> Some (Dna.Strand.length read - end_in_rev, edits)
+
+(* The bit-parallel locator: the scalar DP above as one Myers/Hyyro
+   column pass per read base, with the [m]-row pattern (m <= 63) in one
+   word of match masks [masks] (layout of {!Dna.Strand.eq_masks}).
+   Column 0 is all +1 vertical deltas (D[i][0] = i); the top row's
+   horizontal delta is 0 for the first [slack] columns and +1 after,
+   the DP's leading-gap rule. The row-m score is tracked per column and
+   the first column holding the minimum, if it is <= [max_edits], wins —
+   the DP's tie-break. The window is read by index, so no orientation
+   costs a copy: column j reads base [j - 1], or base [n - j] when
+   [tail], each [lxor comp] (3 complements, 0 keeps). *)
+let scan masks m ~slack ~max_edits ~tail ~comp (read : Dna.Strand.t) =
+  let n = Dna.Strand.length read in
+  let window = min n (m + slack + max_edits) in
+  if window < m - max_edits then None
+  else begin
+    let sbit = 1 lsl (m - 1) in
+    let pv = ref (-1) and mv = ref 0 and score = ref m in
+    let best_j = ref (if m <= max_edits then 0 else -1) in
+    let best = ref (if m <= max_edits then m else max_edits + 1) in
+    for j = 1 to window do
+      let i = if tail then n - j else j - 1 in
+      let eq = Array.unsafe_get masks (Dna.Strand.unsafe_get_code read i lxor comp) in
+      let pv0 = !pv and mv0 = !mv in
+      let xv = eq lor mv0 in
+      let xh = (((eq land pv0) + pv0) lxor pv0) lor eq in
+      let ph = mv0 lor lnot (xh lor pv0) in
+      let mh = pv0 land xh in
+      if ph land sbit <> 0 then incr score else if mh land sbit <> 0 then decr score;
+      let ph = (ph lsl 1) lor if j <= slack then 0 else 1 in
+      pv := (mh lsl 1) lor lnot (xv lor ph);
+      mv := ph land xv;
+      if !score < !best then begin
+        best := !score;
+        best_j := j
+      end
+    done;
+    if !best_j < 0 then None else Some (!best_j, !best)
+  end
+
+let pattern_masks name pattern =
+  let m = Dna.Strand.length pattern in
+  if m < 1 || m > Dna.Strand.mask_bits then invalid_arg (name ^ ": pattern must be 1..63 nt");
+  Dna.Strand.eq_masks pattern
+
+let locate_prefix ~slack ~max_edits pattern read =
+  let masks = pattern_masks "Primer.locate_prefix" pattern in
+  scan masks (Dna.Strand.length pattern) ~slack ~max_edits ~tail:false ~comp:0 read
+
+let locate_suffix ~slack ~max_edits pattern read =
+  let masks = pattern_masks "Primer.locate_suffix" (Dna.Strand.rev pattern) in
+  match scan masks (Dna.Strand.length pattern) ~slack ~max_edits ~tail:true ~comp:0 read with
   | None -> None
   | Some (end_in_rev, edits) -> Some (Dna.Strand.length read - end_in_rev, edits)
 
 type orientation = Forward | Reverse
 
-(* Detect the read's orientation against [pair]: whichever direction
-   shows the forward primer at the head with fewer edits wins. *)
-let orient ?(max_edits = 5) ?slack pair (read : Dna.Strand.t) :
-    (Dna.Strand.t * orientation) option =
-  let fwd = locate_prefix ?slack ~max_edits pair.forward read in
-  let rc = Dna.Strand.reverse_complement read in
-  let rev = locate_prefix ?slack ~max_edits pair.forward rc in
-  match (fwd, rev) with
-  | Some (_, fd), Some (_, rd) -> if fd <= rd then Some (read, Forward) else Some (rc, Reverse)
-  | Some _, None -> Some (read, Forward)
-  | None, Some _ -> Some (rc, Reverse)
+(* A pair's demux key: the forward primer's masks, and the masks of the
+   reverse primer read backwards, so its tail search is a head scan. *)
+type key = { fwd : int array; fwd_len : int; rev : int array; rev_len : int }
+
+let key pair =
+  {
+    fwd = pattern_masks "Primer.key" pair.forward;
+    fwd_len = Dna.Strand.length pair.forward;
+    rev = pattern_masks "Primer.key" (Dna.Strand.rev pair.reverse);
+    rev_len = Dna.Strand.length pair.reverse;
+  }
+
+(* Orient and strip in three passes. The forward primer is looked for
+   at the head of the read and at the head of its reverse complement
+   (the tail, complemented); whichever has fewer edits, forward on a
+   tie, gives the orientation and the core's start. The reverse primer
+   is then looked for at the far end of the oriented read. *)
+let find_core k (read : Dna.Strand.t) : (int * int * orientation) option =
+  let n = Dna.Strand.length read in
+  let head ~tail ~comp = scan k.fwd k.fwd_len ~slack ~max_edits ~tail ~comp read in
+  let tail_end ~tail ~comp = scan k.rev k.rev_len ~slack ~max_edits ~tail ~comp read in
+  let forward start =
+    match tail_end ~tail:true ~comp:0 with
+    | Some (back, _) when n - back > start -> Some (start, n - back - start, Forward)
+    | _ -> None
+  in
+  (* In reverse-complement coordinates the core is [start, n - back);
+     in the read's own it is [back, n - start). *)
+  let reverse start =
+    match tail_end ~tail:false ~comp:3 with
+    | Some (back, _) when n - back > start -> Some (back, n - start - back, Reverse)
+    | _ -> None
+  in
+  match (head ~tail:false ~comp:0, head ~tail:true ~comp:3) with
+  | Some (s, fd), Some (_, rd) when fd <= rd -> forward s
+  | Some (s, _), None -> forward s
+  | _, Some (s, _) -> reverse s
   | None, None -> None
-
-(* Remove both primers from a normalized (5'->3') read. [None] when
-   either primer cannot be located, which filters foreign molecules. *)
-let strip ?(max_edits = 5) ?slack pair (read : Dna.Strand.t) : Dna.Strand.t option =
-  match
-    (locate_prefix ?slack ~max_edits pair.forward read,
-     locate_suffix ?slack ~max_edits pair.reverse read)
-  with
-  | Some (core_start, _), Some (core_end, _) when core_end > core_start ->
-      Some (Dna.Strand.sub read ~pos:core_start ~len:(core_end - core_start))
-  | _ -> None
-

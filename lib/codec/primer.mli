@@ -68,24 +68,56 @@ val mismatches_at : Dna.Strand.t -> pos:int -> pattern:Dna.Strand.t -> int
 (** Hamming mismatches of [pattern] at [pos]; [max_int] if out of range.
     For strict matching on clean pool molecules. *)
 
+val max_edits : int
+(** Edits the demux tolerates inside one primer: 5. *)
+
+val slack : int
+(** Leading read bases a primer may start after: 4. *)
+
 val locate_prefix :
-  ?slack:int -> max_edits:int -> Dna.Strand.t -> Dna.Strand.t -> (int * int) option
-(** Best semi-global alignment of the whole pattern near the read's
-    head: [(end_position, edits)] with at most [max_edits] edits. *)
+  slack:int -> max_edits:int -> Dna.Strand.t -> Dna.Strand.t -> (int * int) option
+(** [locate_prefix ~slack ~max_edits pattern read]: the best semi-global
+    alignment of the whole pattern against the read's head, its read
+    span starting at position 0..[slack]: [(end_position, edits)] with
+    at most [max_edits] edits, the smallest end position among equally
+    good ones. Bit-parallel: one Myers pass over at most
+    [length pattern + slack + max_edits] read bases, with the pattern's
+    cached {!Dna.Strand.eq_masks}. Raises [Invalid_argument] unless the
+    pattern is 1..63 nt. *)
 
 val locate_suffix :
-  ?slack:int -> max_edits:int -> Dna.Strand.t -> Dna.Strand.t -> (int * int) option
+  slack:int -> max_edits:int -> Dna.Strand.t -> Dna.Strand.t -> (int * int) option
 (** Mirror of {!locate_prefix} at the read's tail: [(start_position,
-    edits)]. *)
+    edits)]. The read is scanned backwards in place; the pattern is
+    reversed per call. *)
+
+val locate_prefix_reference :
+  slack:int -> max_edits:int -> Dna.Strand.t -> Dna.Strand.t -> (int * int) option
+(** The scalar two-row DP that defines {!locate_prefix}'s answer,
+    including its tie-break; a test and bench oracle. *)
+
+val locate_suffix_reference :
+  slack:int -> max_edits:int -> Dna.Strand.t -> Dna.Strand.t -> (int * int) option
+(** {!locate_prefix_reference} on reversed copies of both strands; the
+    oracle for {!locate_suffix}. *)
 
 type orientation = Forward | Reverse
 
-val orient :
-  ?max_edits:int -> ?slack:int -> pair -> Dna.Strand.t -> (Dna.Strand.t * orientation) option
-(** Detect the read's direction against the pair and return it
-    normalized to 5'->3'; [None] when neither direction matches. *)
+type key
+(** A pair prepared for {!find_core}: the match masks of its forward
+    primer and of its reverse primer read backwards. *)
 
-val strip : ?max_edits:int -> ?slack:int -> pair -> Dna.Strand.t -> Dna.Strand.t option
-(** Remove both primers from a normalized read; [None] filters foreign
-    molecules. *)
+val key : pair -> key
+(** Build once per pair, reuse for every read. Raises
+    [Invalid_argument] unless both primers are 1..63 nt. *)
 
+val find_core : key -> Dna.Strand.t -> (int * int * orientation) option
+(** Demux one read against a pair: [Some (pos, len, dir)] when the read
+    carries the pair, with the tolerances {!max_edits} and {!slack}.
+    [dir] is [Forward] when the forward primer fits the read's head at
+    least as well as it fits the head of the read's reverse complement,
+    else [Reverse]. The core is [Dna.Strand.sub read ~pos ~len] for a
+    [Forward] read, and the reverse complement of that slice for a
+    [Reverse] one. [None] when neither orientation shows the forward
+    primer, when the oriented read's tail lacks the reverse primer, or
+    when the primers overlap, which filters foreign molecules. *)

@@ -16,10 +16,12 @@ type ingest_stats = {
   reverse : int;
 }
 
-(* Demux: orient each read against the primer library and strip the
-   primers of the first pair that fits. Cores land in one arena per
-   pair; stripping is a zero-copy slice, so the only per-read
-   allocation is the transient reverse complement of 3'->5' reads. *)
+(* Demux: find each read's core against the primer library, taking the
+   first pair that fits ({!Codec.Primer.find_core}, keys built once).
+   Cores are copied straight out of the read into one arena per pair: a
+   forward core through a zero-copy slice, a reverse one complemented,
+   back to front. No read is copied, reversed or complemented on the
+   way. *)
 
 type ingested_pool = {
   pools_by_pair : (Codec.Primer.pair * Dna.Strand_pool.t) list;
@@ -27,7 +29,7 @@ type ingested_pool = {
 }
 
 type demux = {
-  d_buckets : (Codec.Primer.pair * Dna.Strand_pool.t) list;
+  d_buckets : (Codec.Primer.pair * Codec.Primer.key * Dna.Strand_pool.t) list;
   mutable d_total : int;
   mutable d_no_match : int;
   mutable d_fwd : int;
@@ -36,7 +38,7 @@ type demux = {
 
 let demux_create pairs =
   {
-    d_buckets = List.map (fun p -> (p, Dna.Strand_pool.create ())) pairs;
+    d_buckets = List.map (fun p -> (p, Codec.Primer.key p, Dna.Strand_pool.create ())) pairs;
     d_total = 0;
     d_no_match = 0;
     d_fwd = 0;
@@ -47,24 +49,27 @@ let demux_read d (seq : Dna.Strand.t) =
   d.d_total <- d.d_total + 1;
   let rec try_pairs = function
     | [] -> d.d_no_match <- d.d_no_match + 1
-    | (pair, pool) :: rest -> (
-        match Codec.Primer.orient pair seq with
+    | (_, key, pool) :: rest -> (
+        match Codec.Primer.find_core key seq with
         | None -> try_pairs rest
-        | Some (oriented, dir) -> (
-            match Codec.Primer.strip pair oriented with
-            | None -> try_pairs rest
-            | Some core ->
-                (match dir with
-                | Codec.Primer.Forward -> d.d_fwd <- d.d_fwd + 1
-                | Codec.Primer.Reverse -> d.d_rev <- d.d_rev + 1);
-                ignore (Dna.Strand_pool.add_strand pool core)))
+        | Some (pos, len, Codec.Primer.Forward) ->
+            d.d_fwd <- d.d_fwd + 1;
+            ignore (Dna.Strand_pool.add_strand pool (Dna.Strand.sub seq ~pos ~len))
+        | Some (pos, len, Codec.Primer.Reverse) ->
+            d.d_rev <- d.d_rev + 1;
+            for i = pos + len - 1 downto pos do
+              Dna.Strand_pool.emit pool (Dna.Strand.unsafe_get_code seq i lxor 3)
+            done;
+            ignore (Dna.Strand_pool.commit pool))
   in
   try_pairs d.d_buckets
 
 let demux_finish d ~parse_errors =
   {
     pools_by_pair =
-      List.filter (fun (_, pool) -> Dna.Strand_pool.length pool > 0) d.d_buckets;
+      List.filter_map
+        (fun (pair, _, pool) -> if Dna.Strand_pool.length pool > 0 then Some (pair, pool) else None)
+        d.d_buckets;
     pool_stats =
       {
         total_records = d.d_total + parse_errors;
@@ -88,15 +93,15 @@ let ingest_file_pool pairs path =
   demux_finish d ~parse_errors:(List.length errors)
 
 (* Export simulated reads as FASTQ with a uniform quality track. *)
-let export_fastq ?(quality = 30) (reads : Dna.Strand.t array) : string =
-  let records =
-    Array.to_list
-      (Array.mapi
-         (fun i seq ->
-           { Dna.Fastq.id = Printf.sprintf "read_%d" i; seq; qual = Dna.Fastq.with_uniform_quality ~q:quality seq })
-         reads)
-  in
-  Dna.Fastq.to_string records
+let fastq_record quality i seq =
+  { Dna.Fastq.id = Printf.sprintf "read_%d" i; seq; qual = Dna.Fastq.with_uniform_quality ~q:quality seq }
 
-let export_fastq_file ?quality path reads =
-  Out_channel.with_open_text path (fun oc -> output_string oc (export_fastq ?quality reads))
+let export_fastq ?(quality = 30) (reads : Dna.Strand.t array) : string =
+  Dna.Fastq.to_string (Array.to_list (Array.mapi (fastq_record quality) reads))
+
+(* One record at a time: memory stays at one record whatever the count. *)
+let export_fastq_file ?(quality = 30) path reads =
+  Out_channel.with_open_text path (fun oc ->
+      Array.iteri
+        (fun i seq -> output_string oc (Dna.Fastq.to_string [ fastq_record quality i seq ]))
+        reads)

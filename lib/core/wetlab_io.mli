@@ -18,10 +18,13 @@ type ingested_pool = {
 val ingest_pool :
   Codec.Primer.pair list -> ?parse_errors:int -> Dna.Strand_pool.t -> ingested_pool
 (** Demux reads already in an arena (e.g. sequencer output): each read
-    is oriented 5'->3' against the pairs in list order and stripped of
-    the primers of the first pair that fits ({!Codec.Primer.orient},
-    then {!Codec.Primer.strip}); reads no pair fits count as
-    [no_primer_match]. Cores land in one pool per pair, in read order.
+    is matched against the pairs in list order with
+    {!Codec.Primer.find_core} (tolerances {!Codec.Primer.max_edits} and
+    {!Codec.Primer.slack}), and the first pair that fits takes its core,
+    normalized 5'->3'; reads no pair fits count as [no_primer_match].
+    Each pair's key is built once per call, and no read is copied: a
+    3'->5' core is complemented straight into its pair's pool. Cores
+    land in one pool per pair, in read order.
     Pairs that match nothing are dropped from the result.
     [parse_errors] (default 0) is added to [total_records], for callers
     that parsed the reads from text. *)
@@ -35,5 +38,6 @@ val export_fastq : ?quality:int -> Dna.Strand.t array -> string
 (** Simulated reads as FASTQ text with a uniform quality track. *)
 
 val export_fastq_file : ?quality:int -> string -> Dna.Strand.t array -> unit
-(** {!export_fastq} written to a file; the channel is closed even when
-    the write fails. *)
+(** {!export_fastq} written to a file, one record at a time: the same
+    bytes, in memory bounded by one record. The channel is closed even
+    when the write fails. *)

@@ -76,6 +76,17 @@ let test_primer_generation_constraints () =
         primers)
     primers
 
+(* The core [find_core] locates, materialized: the slice for a forward
+   read, its reverse complement for a reversed one. *)
+let core_of pair read =
+  Option.map
+    (fun (pos, len, dir) ->
+      let s = Dna.Strand.sub read ~pos ~len in
+      match dir with
+      | Codec.Primer.Forward -> (s, dir)
+      | Codec.Primer.Reverse -> (Dna.Strand.reverse_complement s, dir))
+    (Codec.Primer.find_core (Codec.Primer.key pair) read)
+
 let test_primer_attach_strip_clean () =
   let r = rng () in
   let pair = (Codec.Primer.generate_pairs_exn r 1).(0) in
@@ -83,9 +94,10 @@ let test_primer_attach_strip_clean () =
     let core = Dna.Strand.random r 100 in
     let tagged = Codec.Primer.attach pair core in
     Alcotest.(check int) "tagged length" 140 (Dna.Strand.length tagged);
-    match Codec.Primer.strip pair tagged with
-    | Some stripped -> Alcotest.check strand "strip recovers core" core stripped
-    | None -> Alcotest.fail "strip failed on clean molecule"
+    match Codec.Primer.find_core (Codec.Primer.key pair) tagged with
+    | Some (pos, len, Codec.Primer.Forward) ->
+        Alcotest.check strand "strip recovers core" core (Dna.Strand.sub tagged ~pos ~len)
+    | _ -> Alcotest.fail "strip failed on clean molecule"
   done
 
 let test_primer_strip_with_noise () =
@@ -97,8 +109,8 @@ let test_primer_strip_with_noise () =
     let core = Dna.Strand.random r 100 in
     let tagged = Codec.Primer.attach pair core in
     let noisy = Simulator.Channel.transmit ch r tagged in
-    match Codec.Primer.strip pair noisy with
-    | Some stripped ->
+    match core_of pair noisy with
+    | Some (stripped, _) ->
         (* allow the boundary to drift a little under noise *)
         if abs (Dna.Strand.length stripped - 100) <= 8 then incr ok
     | None -> ()
@@ -110,18 +122,13 @@ let test_primer_orientation_detection () =
   let pair = (Codec.Primer.generate_pairs_exn r 1).(0) in
   let core = Dna.Strand.random r 80 in
   let tagged = Codec.Primer.attach pair core in
-  (match Codec.Primer.orient pair tagged with
-  | Some (oriented, Codec.Primer.Forward) -> Alcotest.check strand "forward unchanged" tagged oriented
+  (match core_of pair tagged with
+  | Some (got, Codec.Primer.Forward) -> Alcotest.check strand "forward core" core got
   | _ -> Alcotest.fail "forward read misdetected");
   let rc = Dna.Strand.reverse_complement tagged in
-  match Codec.Primer.orient pair rc with
-  | Some (oriented, Codec.Primer.Reverse) -> Alcotest.check strand "reverse normalized" tagged oriented
+  match core_of pair rc with
+  | Some (got, Codec.Primer.Reverse) -> Alcotest.check strand "reverse core normalized" core got
   | _ -> Alcotest.fail "reverse read misdetected"
-
-(* The full preprocessing of one sequenced read: orient, then strip. *)
-let orient_strip pair read =
-  Option.bind (Codec.Primer.orient pair read) (fun (oriented, _) ->
-      Codec.Primer.strip pair oriented)
 
 let test_primer_foreign_molecule_rejected () =
   let r = rng () in
@@ -129,7 +136,7 @@ let test_primer_foreign_molecule_rejected () =
   let core = Dna.Strand.random r 80 in
   let tagged = Codec.Primer.attach pairs.(0) core in
   Alcotest.(check bool) "other pair does not match" true
-    (orient_strip pairs.(1) tagged = None)
+    (Codec.Primer.find_core (Codec.Primer.key pairs.(1)) tagged = None)
 
 let test_primer_normalize_reverse_noisy () =
   let r = rng () in
@@ -140,11 +147,142 @@ let test_primer_normalize_reverse_noisy () =
     let core = Dna.Strand.random r 100 in
     let noisy = Simulator.Channel.transmit ch r (Codec.Primer.attach pair core) in
     let read = Dna.Strand.reverse_complement noisy in
-    match orient_strip pair read with
-    | Some stripped when abs (Dna.Strand.length stripped - 100) <= 8 -> incr ok
+    match core_of pair read with
+    | Some (stripped, _) when abs (Dna.Strand.length stripped - 100) <= 8 -> incr ok
     | Some _ | None -> ()
   done;
   Alcotest.(check bool) (Printf.sprintf "normalized %d/%d" !ok trials) true (!ok >= 72)
+
+let test_primer_pattern_length_checked () =
+  let read = Dna.Strand.random (rng ()) 100 in
+  List.iter
+    (fun m ->
+      let pattern = Dna.Strand.random (rng ()) m in
+      Alcotest.check_raises (Printf.sprintf "%d nt rejected" m)
+        (Invalid_argument "Primer.locate_prefix: pattern must be 1..63 nt") (fun () ->
+          ignore (Codec.Primer.locate_prefix ~slack:4 ~max_edits:5 pattern read)))
+    [ 0; 64; 100 ];
+  Alcotest.(check bool) "63 nt accepted" true
+    (Codec.Primer.locate_prefix ~slack:4 ~max_edits:5 (Dna.Strand.sub read ~pos:0 ~len:63) read
+    = Some (63, 0))
+
+(* The scalar demux the kernel replaced, kept as the oracle: orient by
+   the forward primer on the read and on its reverse complement, then
+   strip both primers from the oriented copy. *)
+let reference_find_core (pair : Codec.Primer.pair) read =
+  let slack = Codec.Primer.slack and max_edits = Codec.Primer.max_edits in
+  let head = Codec.Primer.locate_prefix_reference ~slack ~max_edits pair.forward in
+  let strip oriented =
+    match
+      (head oriented, Codec.Primer.locate_suffix_reference ~slack ~max_edits pair.reverse oriented)
+    with
+    | Some (s, _), Some (e, _) when e > s -> Some (Dna.Strand.sub oriented ~pos:s ~len:(e - s))
+    | _ -> None
+  in
+  let rc = Dna.Strand.reverse_complement read in
+  let with_dir dir = Option.map (fun core -> (core, dir)) in
+  match (head read, head rc) with
+  | Some (_, fd), Some (_, rd) when fd <= rd -> with_dir Codec.Primer.Forward (strip read)
+  | Some _, None -> with_dir Codec.Primer.Forward (strip read)
+  | _, Some _ -> with_dir Codec.Primer.Reverse (strip rc)
+  | None, None -> None
+
+(* A noisy copy of [s]: each base is substituted, deleted or followed by
+   an insertion with probability [rate / 3] each. *)
+let mutate r rate s =
+  let out = ref [] in
+  for i = 0 to Dna.Strand.length s - 1 do
+    let c = Dna.Strand.get_code s i in
+    let u = Dna.Rng.float r in
+    if u < rate /. 3. then out := ((c + 1 + Dna.Rng.int r 3) land 3) :: !out
+    else if u < 2. *. rate /. 3. then ()
+    else begin
+      out := c :: !out;
+      if u < rate then out := Dna.Rng.int r 4 :: !out
+    end
+  done;
+  Dna.Strand.of_codes (Array.of_list (List.rev !out))
+
+let prop_locate_matches_reference =
+  QCheck.Test.make ~name:"locate_prefix/suffix = scalar DP" ~count:3000
+    QCheck.(make Gen.(pair (int_bound 1_000_000_000) (int_bound 2)))
+    (fun (seed, kind) ->
+      let r = Dna.Rng.create seed in
+      let m = 1 + Dna.Rng.int r 63 in
+      let pattern = Dna.Strand.random r m in
+      let slack = Dna.Rng.int r 7 and max_edits = Dna.Rng.int r 9 in
+      let n = Dna.Rng.int r 141 in
+      (* kind 0: a random read; 1: a noisy copy planted after 0..6 bases
+         (before them for the tail search); 2: as 1, at high noise. *)
+      let head, tail =
+        if kind = 0 then
+          let read = Dna.Strand.random r n in
+          (read, read)
+        else begin
+          let lead = Dna.Strand.random r (Dna.Rng.int r 7) in
+          let copy = mutate r (if kind = 1 then 0.08 else 0.3) pattern in
+          let pad () =
+            Dna.Strand.random r (max 0 (n - Dna.Strand.length lead - Dna.Strand.length copy))
+          in
+          let cut s = Dna.Strand.sub s ~pos:0 ~len:(min n (Dna.Strand.length s)) in
+          let tail_cut s =
+            let l = Dna.Strand.length s in
+            Dna.Strand.sub s ~pos:(l - min n l) ~len:(min n l)
+          in
+          ( cut (Dna.Strand.concat [ lead; copy; pad () ]),
+            tail_cut (Dna.Strand.concat [ pad (); copy; lead ]) )
+        end
+      in
+      Codec.Primer.locate_prefix ~slack ~max_edits pattern head
+      = Codec.Primer.locate_prefix_reference ~slack ~max_edits pattern head
+      && Codec.Primer.locate_suffix ~slack ~max_edits pattern tail
+         = Codec.Primer.locate_suffix_reference ~slack ~max_edits pattern tail)
+
+let prop_find_core_matches_reference =
+  let pairs = Codec.Primer.generate_pairs_exn (Dna.Rng.create 4242) 2 in
+  (* A pair whose reverse primer is its forward primer's reverse
+     complement: both orientations of its reads show the forward primer
+     at the head about equally well, so the tie-break is exercised. *)
+  let mirrored =
+    { Codec.Primer.forward = pairs.(0).forward;
+      reverse = Dna.Strand.reverse_complement pairs.(0).forward }
+  in
+  let key0 = Codec.Primer.key pairs.(0) and key_mirrored = Codec.Primer.key mirrored in
+  QCheck.Test.make ~name:"find_core = scalar orient-then-strip" ~count:2000
+    QCheck.(make Gen.(pair (int_bound 1_000_000_000) (int_bound 4)))
+    (fun (seed, kind) ->
+      let r = Dna.Rng.create seed in
+      let rate = Dna.Rng.float r *. 0.15 in
+      (* Some cores are a few bases long, so the primers' ends meet. *)
+      let core () =
+        Dna.Strand.random r (if Dna.Rng.int r 4 = 0 then Dna.Rng.int r 4 else 40 + Dna.Rng.int r 120)
+      in
+      (* kind 0, 1: carries pair 0; 2: carries the other pair; 3: no
+         primers at all; 4: carries the mirrored pair. Half of the reads
+         arrive reversed. *)
+      let pair, key, molecule =
+        match kind with
+        | 0 | 1 -> (pairs.(0), key0, Codec.Primer.attach pairs.(0) (core ()))
+        | 2 -> (pairs.(0), key0, Codec.Primer.attach pairs.(1) (core ()))
+        | 3 -> (pairs.(0), key0, Dna.Strand.random r (Dna.Rng.int r 180))
+        | _ -> (mirrored, key_mirrored, Codec.Primer.attach mirrored (core ()))
+      in
+      let noisy = if kind = 4 && Dna.Rng.bool r then molecule else mutate r rate molecule in
+      let read = if Dna.Rng.bool r then Dna.Strand.reverse_complement noisy else noisy in
+      let got =
+        Option.map
+          (fun (pos, len, dir) ->
+            let s = Dna.Strand.sub read ~pos ~len in
+            ( Dna.Strand.to_string
+                (if dir = Codec.Primer.Forward then s else Dna.Strand.reverse_complement s),
+              dir ))
+          (Codec.Primer.find_core key read)
+      in
+      let want =
+        Option.map (fun (core, dir) -> (Dna.Strand.to_string core, dir))
+          (reference_find_core pair read)
+      in
+      got = want)
 
 (* ---------- layouts ---------- *)
 
@@ -486,6 +624,9 @@ let () =
           Alcotest.test_case "orientation detection" `Quick test_primer_orientation_detection;
           Alcotest.test_case "foreign rejected" `Quick test_primer_foreign_molecule_rejected;
           Alcotest.test_case "normalize reverse noisy" `Quick test_primer_normalize_reverse_noisy;
+          Alcotest.test_case "pattern length checked" `Quick test_primer_pattern_length_checked;
+          QCheck_alcotest.to_alcotest prop_locate_matches_reference;
+          QCheck_alcotest.to_alcotest prop_find_core_matches_reference;
         ] );
       ( "layout",
         [
