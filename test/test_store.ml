@@ -634,6 +634,109 @@ let test_scrub_marks_degraded_and_partial_reads () =
   Alcotest.(check (option string)) "degraded after reopen" (Some "degraded")
     (Option.map Store.health_name (Store.object_health store ~key:"frayed"))
 
+(* Golden pin of the salvage path: one shard holding three objects is
+   cut in half, so the first object survives whole, the second in part
+   and the third not at all. Each is read back degraded, the store is
+   scrubbed, and each is read again, at seeds 1-3.
+   Every recovered fraction, range, exactness flag, byte CRC-32, scrub
+   counter and sequencing-pass count is pinned as one line per step, so
+   a refactor of the read side must reproduce it byte for byte. ROADMAP
+   item 2 (clustering sized to its input) is expected to re-pin these
+   values when it changes clustering. *)
+let salvage_transcript seed =
+  let keys = [ ("project", 300); ("license", 1600); ("tail", 200) ] in
+  let dir = temp_store_dir () in
+  let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed ()) in
+  let r = Dna.Rng.create (7_000 + seed) in
+  List.iter
+    (fun (key, n) -> ok_or_fail ("put " ^ key) (Store.put store ~key (random_file r n)))
+    keys;
+  let path = shard_path_of store "project" in
+  let content = read_whole path in
+  write_whole path (String.sub content 0 (String.length content / 2));
+  let store = ok_or_fail "reopen" (Store.open_store ~dir ()) in
+  let lines = ref [] in
+  let note fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
+  let partial step key =
+    match Store.get_partial ~use_cache:false store ~key with
+    | Ok p ->
+        note "%s %s: fraction %.6f ranges [%s] exact %b crc %08x passes %d" step key
+          p.Store.recovered_fraction
+          (String.concat ";"
+             (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) p.Store.recovered_ranges))
+          p.Store.exact
+          (Store.Io.crc32 (Bytes.to_string p.Store.bytes))
+          (Store.sequencing_passes store)
+    | Error e ->
+        note "%s %s: error %s passes %d" step key (Store.error_message e)
+          (Store.sequencing_passes store)
+  in
+  List.iter (fun (key, _) -> partial "before" key) keys;
+  let rep = ok_or_fail "scrub" (Store.scrub store) in
+  note
+    "scrub: checked %d corrupt %d quarantined %d dropped %d objects %d repaired %d degraded %d \
+     lost %d backfilled %d passes %d"
+    rep.Store.shards_checked rep.Store.shards_corrupt rep.Store.shards_quarantined
+    rep.Store.shards_dropped rep.Store.objects_checked rep.Store.objects_repaired
+    rep.Store.objects_degraded rep.Store.objects_lost rep.Store.checksums_backfilled
+    (Store.sequencing_passes store);
+  List.iter (fun (key, _) -> partial "after" key) keys;
+  List.rev !lines
+
+let test_salvage_golden () =
+  List.iter
+    (fun (seed, expected) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "salvage transcript, seed %d" seed)
+        expected (salvage_transcript seed))
+    [
+      ( 1,
+        [
+          "before project: fraction 1.000000 ranges [0-300] exact true crc \
+           8892ec8e passes 1";
+          "before license: fraction 0.318750 ranges [0-510] exact false crc \
+           8725135f passes 2";
+          "before tail: error Store: object tail is lost passes 2";
+          "scrub: checked 1 corrupt 1 quarantined 1 dropped 0 objects 3 repaired \
+           1 degraded 1 lost 1 backfilled 0 passes 4";
+          "after project: fraction 1.000000 ranges [0-300] exact true crc \
+           8892ec8e passes 5";
+          "after license: fraction 0.318750 ranges [0-510] exact false crc \
+           8725135f passes 6";
+          "after tail: error Store: object tail is lost passes 6";
+        ] );
+      ( 2,
+        [
+          "before project: fraction 1.000000 ranges [0-300] exact true crc \
+           856fef40 passes 1";
+          "before license: fraction 0.318750 ranges [0-510] exact false crc \
+           37b1803a passes 2";
+          "before tail: error Store: object tail is lost passes 2";
+          "scrub: checked 1 corrupt 1 quarantined 1 dropped 0 objects 3 repaired \
+           1 degraded 1 lost 1 backfilled 0 passes 4";
+          "after project: fraction 1.000000 ranges [0-300] exact true crc \
+           856fef40 passes 5";
+          "after license: fraction 0.318750 ranges [0-510] exact false crc \
+           37b1803a passes 6";
+          "after tail: error Store: object tail is lost passes 6";
+        ] );
+      ( 3,
+        [
+          "before project: fraction 1.000000 ranges [0-300] exact true crc \
+           fc24b65f passes 1";
+          "before license: fraction 0.318750 ranges [0-510] exact false crc \
+           c2c1da85 passes 2";
+          "before tail: error Store: object tail is lost passes 2";
+          "scrub: checked 1 corrupt 1 quarantined 1 dropped 0 objects 3 repaired \
+           1 degraded 1 lost 1 backfilled 0 passes 4";
+          "after project: fraction 1.000000 ranges [0-300] exact true crc \
+           fc24b65f passes 5";
+          "after license: fraction 0.318750 ranges [0-510] exact false crc \
+           c2c1da85 passes 6";
+          "after tail: error Store: object tail is lost passes 6";
+        ] );
+    ]
+
 let test_simulated_enospc_is_typed_and_recoverable () =
   (* The second data write (the first put's shard file) hits ENOSPC:
      the put must fail with the typed Io_error, ack nothing, release
@@ -858,6 +961,7 @@ let () =
             test_v1_manifest_opens_and_scrub_backfills;
           Alcotest.test_case "compact counts unlink failures" `Slow
             test_compact_counts_unlink_failures;
+          Alcotest.test_case "salvage golden (3 seeds)" `Slow test_salvage_golden;
         ] );
       ( "formats",
         [
