@@ -9,45 +9,22 @@ type record = { id : string; seq : Strand.t }
 
 type error = { line : int; message : string }
 
-let parse_lines lines =
-  let records = ref [] in
-  let errors = ref [] in
-  let cur_id = ref None in
-  let cur_seq = Buffer.create 256 in
-  let cur_line = ref 0 in
-  let flush () =
-    match !cur_id with
-    | None -> ()
-    | Some (id, line) ->
-        (match Strand.of_string_opt (Buffer.contents cur_seq) with
-        | Some seq -> records := { id; seq } :: !records
-        | None -> errors := { line; message = "invalid base in record " ^ id } :: !errors);
-        Buffer.clear cur_seq;
-        cur_id := None
-  in
-  List.iter
-    (fun raw ->
-      incr cur_line;
-      let line = String.trim raw in
-      if line = "" then ()
-      else if line.[0] = '>' then begin
-        flush ();
-        cur_id := Some (String.sub line 1 (String.length line - 1), !cur_line)
-      end
-      else
-        match !cur_id with
-        | None -> errors := { line = !cur_line; message = "sequence before header" } :: !errors
-        | Some _ -> Buffer.add_string cur_seq (String.uppercase_ascii line))
-    lines;
-  flush ();
-  (List.rev !records, List.rev !errors)
+(* The lines [input_line] would read from a channel holding [s]: a
+   trailing newline ends the last line, it does not start an empty one. *)
+let line_reader s =
+  let pos = ref 0 in
+  fun () ->
+    if !pos >= String.length s then None
+    else begin
+      let stop = Option.value (String.index_from_opt s !pos '\n') ~default:(String.length s) in
+      let line = String.sub s !pos (stop - !pos) in
+      pos := stop + 1;
+      Some line
+    end
 
-let parse_string s = parse_lines (String.split_on_char '\n' s)
-
-(* Streaming fold: one record in memory at a time (header plus its
-   accumulating sequence buffer), never the whole file as a line list.
-   Semantics match [parse_lines] record for record. *)
-let fold_channel ic ~init ~f =
+(* The one record parser: a fold over a line source, one record in
+   memory at a time (header plus its accumulating sequence buffer). *)
+let fold_lines next ~init ~f =
   let errors = ref [] in
   let acc = ref init in
   let cur_id = ref None in
@@ -63,25 +40,34 @@ let fold_channel ic ~init ~f =
         Buffer.clear cur_seq;
         cur_id := None
   in
-  (try
-     while true do
-       let raw = input_line ic in
-       incr cur_line;
-       let line = String.trim raw in
-       if line = "" then ()
-       else if line.[0] = '>' then begin
-         flush ();
-         cur_id := Some (String.sub line 1 (String.length line - 1), !cur_line)
-       end
-       else
-         match !cur_id with
-         | None ->
-             errors := { line = !cur_line; message = "sequence before header" } :: !errors
-         | Some _ -> Buffer.add_string cur_seq (String.uppercase_ascii line)
-     done
-   with End_of_file -> ());
+  let rec loop () =
+    match next () with
+    | None -> ()
+    | Some raw ->
+        incr cur_line;
+        let line = String.trim raw in
+        if line = "" then ()
+        else if line.[0] = '>' then begin
+          flush ();
+          cur_id := Some (String.sub line 1 (String.length line - 1), !cur_line)
+        end
+        else begin
+          match !cur_id with
+          | None -> errors := { line = !cur_line; message = "sequence before header" } :: !errors
+          | Some _ -> Buffer.add_string cur_seq (String.uppercase_ascii line)
+        end;
+        loop ()
+  in
+  loop ();
   flush ();
   (!acc, List.rev !errors)
+
+let collect fold =
+  let records, errors = fold ~init:[] ~f:(fun acc r -> r :: acc) in
+  (List.rev records, errors)
+
+let parse_string s = collect (fold_lines (line_reader s))
+let fold_channel ic = fold_lines (fun () -> In_channel.input_line ic)
 
 let fold_file path ~init ~f =
   let ic = open_in path in
@@ -89,9 +75,7 @@ let fold_file path ~init ~f =
 
 let iter_file path ~f = fst (fold_file path ~init:() ~f:(fun () r -> f r))
 
-let read_file path =
-  let records, errors = fold_file path ~init:[] ~f:(fun acc r -> r :: acc) in
-  (List.rev records, errors)
+let read_file path = collect (fold_file path)
 
 let to_string records =
   let buf = Buffer.create 1024 in

@@ -23,67 +23,19 @@ let qual_of_string s =
 let qual_to_string q =
   String.init (Array.length q) (fun i -> Char.chr (min 93 (max 0 q.(i)) + phred_offset))
 
-let parse_lines lines =
-  let arr = Array.of_list lines in
-  let n = Array.length arr in
-  let records = ref [] in
-  let errors = ref [] in
-  let i = ref 0 in
-  (* Skip trailing blank lines between records. *)
-  while !i < n do
-    let line = String.trim arr.(!i) in
-    if line = "" then incr i
-    else if line.[0] <> '@' then begin
-      errors := { line = !i + 1; message = "expected @header" } :: !errors;
-      incr i
-    end
-    else if !i + 3 >= n then begin
-      errors := { line = !i + 1; message = "truncated record" } :: !errors;
-      i := n
-    end
-    else begin
-      let id = String.sub line 1 (String.length line - 1) in
-      let seq_s = String.trim arr.(!i + 1) in
-      let plus = String.trim arr.(!i + 2) in
-      let qual_s = String.trim arr.(!i + 3) in
-      if String.length plus = 0 || plus.[0] <> '+' then
-        errors := { line = !i + 3; message = "expected + separator" } :: !errors
-      else if String.length seq_s <> String.length qual_s then
-        errors := { line = !i + 4; message = "quality length mismatch" } :: !errors
-      else begin
-        match Strand.of_string_opt (String.uppercase_ascii seq_s) with
-        | Some seq -> (
-            (* A character below '!' would decode to a negative Phred
-               score; reject the record rather than emit one. *)
-            match qual_of_string_opt qual_s with
-            | Some qual -> records := { id; seq; qual } :: !records
-            | None ->
-                errors :=
-                  { line = !i + 4; message = "invalid quality character in read " ^ id }
-                  :: !errors)
-        | None ->
-            errors := { line = !i + 2; message = "invalid base in read " ^ id } :: !errors
-      end;
-      i := !i + 4
-    end
-  done;
-  (List.rev !records, List.rev !errors)
-
-let parse_string s = parse_lines (String.split_on_char '\n' s)
-
-(* Streaming fold: one record in memory at a time, so multi-gigabyte
-   read sets never materialize as a line list. Semantics match
-   [parse_lines] record for record. *)
-let fold_channel ic ~init ~f =
+(* The one record parser: a fold over a line source ([None] at end of
+   input), one record in memory at a time, so multi-gigabyte read sets
+   never materialize as a line list. *)
+let fold_lines next ~init ~f =
   let errors = ref [] in
   let acc = ref init in
   let lineno = ref 0 in
   let next () =
-    match input_line ic with
-    | line ->
+    match next () with
+    | Some line ->
         incr lineno;
         Some (String.trim line)
-    | exception End_of_file -> None
+    | None -> None
   in
   let rec loop () =
     match next () with
@@ -92,47 +44,42 @@ let fold_channel ic ~init ~f =
     | Some line when line.[0] <> '@' ->
         errors := { line = !lineno; message = "expected @header" } :: !errors;
         loop ()
-    | Some line -> (
+    | Some line ->
         let header_line = !lineno in
         let id = String.sub line 1 (String.length line - 1) in
-        match next () with
-        | None -> errors := { line = header_line; message = "truncated record" } :: !errors
-        | Some seq_s -> (
-            match next () with
-            | None ->
-                errors := { line = header_line; message = "truncated record" } :: !errors
-            | Some plus -> (
-                match next () with
-                | None ->
-                    errors := { line = header_line; message = "truncated record" } :: !errors
-                | Some qual_s ->
-                    if String.length plus = 0 || plus.[0] <> '+' then
+        let seq_s = next () in
+        let plus = next () in
+        let qual_s = next () in
+        (match (seq_s, plus, qual_s) with
+        | Some seq_s, Some plus, Some qual_s ->
+            if String.length plus = 0 || plus.[0] <> '+' then
+              errors := { line = !lineno - 1; message = "expected + separator" } :: !errors
+            else if String.length seq_s <> String.length qual_s then
+              errors := { line = !lineno; message = "quality length mismatch" } :: !errors
+            else begin
+              match Strand.of_string_opt (String.uppercase_ascii seq_s) with
+              | Some seq -> (
+                  match qual_of_string_opt qual_s with
+                  | Some qual -> acc := f !acc { id; seq; qual }
+                  | None ->
                       errors :=
-                        { line = !lineno - 1; message = "expected + separator" } :: !errors
-                    else if String.length seq_s <> String.length qual_s then
-                      errors :=
-                        { line = !lineno; message = "quality length mismatch" } :: !errors
-                    else begin
-                      match Strand.of_string_opt (String.uppercase_ascii seq_s) with
-                      | Some seq -> (
-                          match qual_of_string_opt qual_s with
-                          | Some qual -> acc := f !acc { id; seq; qual }
-                          | None ->
-                              errors :=
-                                {
-                                  line = !lineno;
-                                  message = "invalid quality character in read " ^ id;
-                                }
-                                :: !errors)
-                      | None ->
-                          errors :=
-                            { line = !lineno - 2; message = "invalid base in read " ^ id }
-                            :: !errors
-                    end;
-                    loop ())))
+                        { line = !lineno; message = "invalid quality character in read " ^ id }
+                        :: !errors)
+              | None ->
+                  errors := { line = !lineno - 2; message = "invalid base in read " ^ id } :: !errors
+            end
+        | _ -> errors := { line = header_line; message = "truncated record" } :: !errors);
+        loop ()
   in
   loop ();
   (!acc, List.rev !errors)
+
+let collect fold =
+  let records, errors = fold ~init:[] ~f:(fun acc r -> r :: acc) in
+  (List.rev records, errors)
+
+let parse_string s = collect (fold_lines (Fasta.line_reader s))
+let fold_channel ic = fold_lines (fun () -> In_channel.input_line ic)
 
 let fold_file path ~init ~f =
   let ic = open_in path in
@@ -140,9 +87,7 @@ let fold_file path ~init ~f =
 
 let iter_file path ~f = fst (fold_file path ~init:() ~f:(fun () r -> f r))
 
-let read_file path =
-  let records, errors = fold_file path ~init:[] ~f:(fun acc r -> r :: acc) in
-  (List.rev records, errors)
+let read_file path = collect (fold_file path)
 
 let to_string records =
   let buf = Buffer.create 1024 in

@@ -17,14 +17,22 @@ val qual_of_string_opt : string -> int array option
 
 val qual_to_string : int array -> string
 
-val parse_lines : string list -> record list * error list
+(** One record parser serves every entry point: a fold over a line
+    source. The file readers feed it [input_line]; [parse_string] feeds
+    it the string's lines exactly as [input_line] would read them from a
+    file holding those bytes ({!Fasta.line_reader}), so a string and a
+    file with the same contents give equal records and equal errors. A
+    trailing newline ends the last line; it does not add an empty one,
+    so a record cut after its [+] line is a [truncated record], not a
+    quality length mismatch. Errors carry 1-based line numbers. *)
+
 val parse_string : string -> record list * error list
 val read_file : string -> record list * error list
 
 val fold_channel : in_channel -> init:'a -> f:('a -> record -> 'a) -> 'a * error list
 (** Stream records off a channel without building a line list or a
     record list: only the record being parsed is live. Errors are
-    collected and returned as in [parse_lines]. *)
+    collected and returned in input order. *)
 
 val fold_file : string -> init:'a -> f:('a -> record -> 'a) -> 'a * error list
 (** [fold_channel] on an opened file. *)

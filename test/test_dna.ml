@@ -702,6 +702,81 @@ let test_fasta_fold_matches_read_file () =
     (List.map (fun (e : Dna.Fasta.error) -> (e.line, e.message)) fold_errors);
   Sys.remove path
 
+(* Every row is parsed twice, from a string and from a file holding the
+   same bytes; both readers must give equal records and equal errors.
+   Rows cover the framing edge cases (CRLF, blank lines, a missing
+   trailing newline, records cut at each line) and each error kind. *)
+let with_temp_file text f =
+  let path = Filename.temp_file "dnastore_test" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      f path)
+
+let fasta_rows =
+  [
+    ("wrapped", ">r1 desc\nACGT\nTTAA\n>r2\nGATTACA\n");
+    ("CRLF", ">r1\r\nACGT\r\nTT\r\n>r2\r\nGG\r\n");
+    ("blank lines", "\n>r1\n\nACGT\n\n\n>r2\nCC\n\n");
+    ("no trailing newline", ">r1\nACGT\n>r2\nGGA");
+    ("sequence before header", "ACGT\n>r1\nTTTT\n");
+    ("bad base", ">r1\nACXT\n>r2\nACGT\n");
+    ("empty input", "");
+  ]
+
+let fastq_rows =
+  [
+    ("well-formed", "@a\nACGT\n+\nIIII\n@b\nGATTACA\n+b\nIIIII#I\n");
+    ("no trailing newline", "@a\nACGT\n+\nIIII\n@b\nGA\n+\nII");
+    ("CRLF", "@a\r\nACGT\r\n+\r\nIIII\r\n@b\r\nGG\r\n+\r\nII\r\n");
+    ("cut after header", "@a\nACGT\n+\nIIII\n@b\n");
+    ("cut after sequence", "@a\nACGT\n+\nIIII\n@b\nACGT\n");
+    ("cut after +", "@a\nACGT\n+\nIIII\n@b\nACGT\n+\n");
+    ("bad base", "@a\nACNT\n+\nIIII\n@b\nACGT\n+\nIIII\n");
+    ("quality length mismatch", "@a\nACGT\n+\nIII\n@b\nACGT\n+\nIIII\n");
+    ("quality below '!'", "@a\nACGT\n+\nII I\n@b\nACGT\n+\nIIII\n");
+    ("missing @", "a\nACGT\n+\nIIII\n@b\nACGT\n+\nIIII\n");
+    ("empty input", "");
+  ]
+
+let test_parse_string_matches_read_file () =
+  let errors_of l = List.map (fun (line, message) -> Printf.sprintf "%d %s" line message) l in
+  List.iter
+    (fun (label, text) ->
+      let render (records, errors) =
+        ( List.map
+            (fun (r : Dna.Fasta.record) -> r.id ^ " " ^ Dna.Strand.to_string r.seq)
+            records,
+          errors_of (List.map (fun (e : Dna.Fasta.error) -> (e.line, e.message)) errors) )
+      in
+      let from_string = render (Dna.Fasta.parse_string text) in
+      let from_file = with_temp_file text (fun path -> render (Dna.Fasta.read_file path)) in
+      Alcotest.(check (pair (list string) (list string)))
+        ("fasta: " ^ label) from_file from_string)
+    fasta_rows;
+  List.iter
+    (fun (label, text) ->
+      let render (records, errors) =
+        ( List.map
+            (fun (r : Dna.Fastq.record) ->
+              String.concat " "
+                [ r.id; Dna.Strand.to_string r.seq; Dna.Fastq.qual_to_string r.qual ])
+            records,
+          errors_of (List.map (fun (e : Dna.Fastq.error) -> (e.line, e.message)) errors) )
+      in
+      let from_string = render (Dna.Fastq.parse_string text) in
+      let from_file = with_temp_file text (fun path -> render (Dna.Fastq.read_file path)) in
+      Alcotest.(check (pair (list string) (list string)))
+        ("fastq: " ^ label) from_file from_string)
+    fastq_rows;
+  (* The answer kept for a record cut after its [+] line. *)
+  Alcotest.(check (list string))
+    "fastq: cut after + is a truncated record" [ "5 truncated record" ]
+    (snd
+       (Dna.Fastq.parse_string "@a\nACGT\n+\nIIII\n@b\nACGT\n+\n")
+    |> List.map (fun (e : Dna.Fastq.error) -> Printf.sprintf "%d %s" e.line e.message))
+
 (* ---------- QCheck properties ---------- *)
 
 let arb_strand =
@@ -1061,5 +1136,7 @@ let () =
         [
           Alcotest.test_case "fastq fold = read_file" `Quick test_fastq_fold_matches_read_file;
           Alcotest.test_case "fasta fold = read_file" `Quick test_fasta_fold_matches_read_file;
+          Alcotest.test_case "parse_string = read_file (table)" `Quick
+            test_parse_string_matches_read_file;
         ] );
     ]
