@@ -4,9 +4,9 @@
     flanked by that pair are the value. [put] encodes a file, assigns it
     a fresh primer pair and drops the tagged molecules into the shared
     pool — mixed with every other file. [get] runs the random access
-    path: PCR selection by primer match, sequencing through the
-    configured channel, clustering, reconstruction, primer stripping and
-    decoding. *)
+    path: indexed PCR selection, sequencing through the
+    configured channel, primer stripping, clustering, reconstruction and
+    decoding ({!Pipeline.random_access}). *)
 
 type entry = {
   key : string;
@@ -95,12 +95,9 @@ let put_exn ?params ?layout t ~key file =
   | Ok () -> ()
   | Error e -> invalid_arg (put_error_message e)
 
-(* PCR selection: amplify exactly the molecules carrying both primers.
-   Pairs recorded by [put] resolve through the index in O(own
-   molecules); unknown pairs fall back to the tolerant full-pool scan. *)
-let pcr_select t pair =
-  if Primer_index.mem_pair t.index pair then Primer_index.select t.index t.pool pair
-  else Primer_index.scan_select t.pool pair
+(* PCR selection: amplify exactly the molecules carrying both primers,
+   gathered through the index [put] maintains. *)
+let pcr_select t pair = Primer_index.select t.index t.pool pair
 
 type get_error = Key_not_found | Decode_failed of string
 
@@ -108,63 +105,10 @@ let get ?(stages = Pipeline.default_stages ()) ?(domains = Dna.Par.default_domai
     (Bytes.t * Pipeline.timings, get_error) result =
   match List.find_opt (fun e -> e.key = key) t.directory with
   | None -> Error Key_not_found
-  | Some entry ->
-      let t0 = Unix.gettimeofday () in
-      let selected = pcr_select t entry.pair in
-      (* Sequencing: noisy reads of the selected molecules, arriving in
-         both orientations like a real sequencer run. *)
-      let sequencing = { stages.Pipeline.sequencing with Simulator.Sequencer.p_reverse = 0.5 } in
-      let reads = Dna.Strand_pool.create () in
-      ignore
-        (Simulator.Sequencer.sequence_pool sequencing stages.Pipeline.channel t.rng selected
-           ~pool:reads);
-      let t1 = Unix.gettimeofday () in
-      (* Preprocess: orient each read and strip the entry's primers. *)
-      let cores =
-        match (Wetlab_io.ingest_pool [ entry.pair ] reads).Wetlab_io.pools_by_pair with
-        | [ (_, cores) ] -> cores
-        | _ -> Dna.Strand_pool.create ()
-      in
-      let clusters = stages.Pipeline.cluster t.rng cores in
-      let t2 = Unix.gettimeofday () in
-      let target_len = Codec.Params.strand_nt entry.params in
-      let reconstructed =
-        let slices = Array.of_list clusters in
-        Pipeline.sort_cluster_slices cores slices;
-        Dna.Par.map_array ~label:"kv.reconstruct" ~domains
-          (fun idxs ->
-            if Array.length idxs = 0 then (None, 0.0)
-            else begin
-              let c0 = Unix.gettimeofday () in
-              let s = stages.Pipeline.reconstruct ~target_len cores idxs in
-              (Some s, Unix.gettimeofday () -. c0)
-            end)
-          slices
-      in
-      let consensus = List.filter_map fst (Array.to_list reconstructed) in
-      let cluster_times =
-        Array.of_list
-          (List.filter_map
-             (fun (r, dt) -> if r = None then None else Some dt)
-             (Array.to_list reconstructed))
-      in
-      let t3 = Unix.gettimeofday () in
-      let result =
-        Codec.File_codec.decode ~layout:entry.layout ~params:entry.params
-          ~n_units:entry.n_units consensus
-      in
-      let t4 = Unix.gettimeofday () in
-      let timings =
-        {
-          Pipeline.encode_s = 0.0;
-          simulate_s = t1 -. t0;
-          cluster_s = t2 -. t1;
-          reconstruct_s = t3 -. t2;
-          reconstruct_p50_s = Pipeline.percentile cluster_times 0.50;
-          reconstruct_p95_s = Pipeline.percentile cluster_times 0.95;
-          decode_s = t4 -. t3;
-        }
-      in
-      (match result with
-      | Ok (bytes, _) -> Ok (bytes, timings)
-      | Error e -> Error (Decode_failed (Codec.File_codec.error_message e)))
+  | Some e -> (
+      match
+        Pipeline.random_access ~domains stages ~seq_rng:t.rng ~cluster_rng:t.rng ~pair:e.pair
+          ~params:e.params ~layout:e.layout ~n_units:e.n_units (pcr_select t e.pair)
+      with
+      | Ok (bytes, _), timings -> Ok (bytes, timings)
+      | Error err, _ -> Error (Decode_failed (Codec.File_codec.error_message err)))

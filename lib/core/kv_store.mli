@@ -48,19 +48,22 @@ val put_exn :
     [Invalid_argument] with {!put_error_message}. *)
 
 val pcr_select : t -> Codec.Primer.pair -> Dna.Strand.t array
-(** PCR amplification: the pool molecules carrying both primers. Pairs
-    recorded by {!put} resolve through the primer index in O(own
-    molecules); unknown pairs fall back to the tolerant full-pool scan
-    ({!Primer_index.scan_select}). *)
+(** PCR amplification: the pool molecules carrying both primers,
+    gathered through the primer index {!put} maintains, in O(own
+    molecules). A pair no [put] recorded selects nothing. *)
 
 type get_error = Key_not_found | Decode_failed of string
 
 val get :
   ?stages:Pipeline.stages -> ?domains:int -> t -> key:string ->
   (Bytes.t * Pipeline.timings, get_error) result
-(** The full random-access path: PCR selection, sequencing (reads in
-    both orientations), orientation normalization and primer stripping
-    ({!Wetlab_io.ingest_pool}), clustering, reconstruction, decoding.
+(** The full random-access path: {!pcr_select}, then
+    {!Pipeline.random_access} with [stages] (default
+    {!Pipeline.default_stages}), drawing both its sequencing and its
+    clustering stream from the store's rng. That function sequences
+    the reads in both orientations, orients them and strips the primers
+    ({!Wetlab_io.ingest_pool}), clusters, reconstructs and decodes.
     Every call is a fresh sequencing run. [domains] (default
     {!Dna.Par.default_domains}) fans out reconstruction only; the
-    decoded bytes are the same for every [domains]. *)
+    decoded bytes are the same for every [domains]. The timings are
+    {!Pipeline.random_access}'s. *)

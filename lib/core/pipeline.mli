@@ -84,8 +84,8 @@ val sort_cluster_slices : Dna.Strand_pool.t -> int array array -> unit
     lexicographic, compared through their pool views) so the order is
     deterministic however the clustering stage emitted them — e.g.
     across [--domains] settings. The Par pool also starts the big
-    clusters first (tail latency). Shared by [run], [Kv_store.get] and
-    the persistent store's decode path. *)
+    clusters first (tail latency). Shared by [run] and the random-access
+    path ({!random_access}). *)
 
 val run :
   ?params:Codec.Params.t -> ?layout:Codec.Layout.t -> ?stages:stages -> ?domains:int ->
@@ -125,3 +125,30 @@ val run :
     reconstruction outputs are identical for every worker count.
     [Dna.Par.counters] exposes per-stage parallel timing, renderable
     with {!Report.par_counters}. *)
+
+val random_access :
+  domains:int -> stages -> seq_rng:Dna.Rng.t -> cluster_rng:Dna.Rng.t ->
+  pair:Codec.Primer.pair -> params:Codec.Params.t -> layout:Codec.Layout.t -> n_units:int ->
+  Dna.Strand.t array ->
+  (Bytes.t * Codec.File_codec.decode_stats, Codec.File_codec.error) result * timings
+(** The primer-addressed random-access read (Section II-F), from one
+    file's PCR-selected molecules to its decoded bytes. It is the one
+    recovery behind {!Kv_store.get} and the persistent store's object
+    reads (gets, degraded reads and scrub).
+
+    The selected molecules are sequenced through [stages.channel] with
+    [stages.sequencing], each read reversed with probability one half
+    (as a real run delivers them), drawing from [seq_rng]. {!Wetlab_io.ingest_pool} orients the reads and strips
+    [pair]'s primers; reads that match no pair are dropped. Clustering
+    ([stages.cluster], drawing from [cluster_rng]) yields slices, which
+    are sorted by {!sort_cluster_slices}. Each non-empty slice is
+    reconstructed ([stages.reconstruct] at the strand length of
+    [params]) on [domains] workers, and the consensus strands are
+    decoded with {!Codec.File_codec.decode}. The same rng states give the
+    same result for every [domains]; passing one rng as both streams
+    draws sequencing first, then clustering.
+
+    Unlike {!run} nothing degrades: a raising stage propagates. The
+    timings cover sequencing ([simulate_s]), demultiplexing plus
+    clustering ([cluster_s]), reconstruction with its per-cluster
+    percentiles, and decoding; [encode_s] is 0. *)

@@ -2,9 +2,9 @@
 
     PCR selection used to be an O(pool) scan per get; with every file's
     molecule positions recorded at [put] time (or recovered in one pass
-    by [build]), selection becomes an indexed gather. The tolerant
-    [scan_select] remains as the fallback for pairs the index has never
-    seen, and as the oracle the indexed path is tested against. *)
+    by [build]), selection is an indexed gather. The tolerant
+    [scan_select] remains as the oracle the indexed path is tested
+    against. *)
 
 type t = (string, int list ref) Hashtbl.t
 (* pair key -> pool indices, most recently added first *)
@@ -25,8 +25,6 @@ let add_range (t : t) pair ~first ~len =
   for i = first to first + len - 1 do
     add t pair i
   done
-
-let mem_pair (t : t) pair = Hashtbl.mem t (key_of_pair pair)
 
 let indices (t : t) pair =
   match Hashtbl.find_opt t (key_of_pair pair) with

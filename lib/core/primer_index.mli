@@ -1,18 +1,16 @@
-(** A primer-pair -> strand-indices index over an oligo pool: O(own
-    molecules) PCR selection instead of an O(pool) scan per get. Used by
-    the in-memory {!Kv_store} (maintained on [put]) and by the
-    persistent store's per-shard pools (recovered by [build] on load). *)
+(** A primer-pair -> strand-indices index over an oligo pool: PCR
+    selection is an O(own molecules) gather ({!select}) instead of an
+    O(pool) scan per get. The in-memory {!Kv_store} maintains one on
+    [put]; the persistent store recovers one per shard pool with
+    {!build} on load. Both select only through the index;
+    {!scan_select} is the test oracle. *)
 
 type t
 
 val create : unit -> t
 
-val key_of_pair : Codec.Primer.pair -> string
-(** The hashable identity of a pair: both primer strings. *)
-
 val add : t -> Codec.Primer.pair -> int -> unit
 val add_range : t -> Codec.Primer.pair -> first:int -> len:int -> unit
-val mem_pair : t -> Codec.Primer.pair -> bool
 
 val indices : t -> Codec.Primer.pair -> int array
 (** Pool indices recorded for the pair, ascending; [[||]] when unseen. *)
@@ -28,8 +26,10 @@ val select : t -> Dna.Strand.t array -> Codec.Primer.pair -> Dna.Strand.t array
 
 val scan_select :
   ?max_mismatches:int -> Dna.Strand.t array -> Codec.Primer.pair -> Dna.Strand.t array
-(** The fallback full-pool scan, equivalent to {!select} whenever the
-    index covers the pair. *)
+(** The tolerant full-pool scan, kept as the oracle that [test_pipeline]'s
+    "indexed select = full scan" test compares {!select} against;
+    equivalent to {!select} whenever the index covers the pair. No
+    store selects through it. *)
 
 val build : pairs:Codec.Primer.pair list -> Dna.Strand.t array -> t
 (** Index a pool in one pass given its pair inventory; strands matching

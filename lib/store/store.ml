@@ -196,44 +196,56 @@ let live_pairs_of_shard t shard_id =
     (fun (o : Manifest.object_meta) -> if o.shard = shard_id then Some o.pair else None)
     t.manifest.Manifest.objects
 
-(* Read and parse a shard file and verify it against its manifest
-   record: file present, parseable, at least the recorded strand count,
-   and — when the manifest carries one — a matching CRC-32 over the
-   canonical serialization of the recorded prefix. Orphan records beyond
-   the prefix (an interrupted put) do not disturb the checksum. [`Ok]
+(* The one shard reader: read and parse a shard file. Never raises but
+   for [Store_io.Crashed] (a simulated crash must unwind): a missing
+   file is [`Missing], and any I/O or parser exception is [`Failed]
+   with its message. *)
+let read_shard t (smeta : Manifest.shard_meta) =
+  let path = Filename.concat t.dir smeta.file in
+  if not (Store_io.exists t.io path) then Error `Missing
+  else
+    match Dna.Fasta.parse_string (Store_io.read_file t.io path) with
+    | exception (Store_io.Crashed _ as e) -> raise e
+    | exception Sys_error msg -> Error (`Failed msg)
+    | exception e -> Error (`Failed (Printexc.to_string e))
+    | parsed -> Ok parsed
+
+(* Read a shard file and verify it against its manifest record: file
+   present, parseable, at least the recorded strand count, and — when
+   the manifest carries one — a matching CRC-32 over the canonical
+   serialization of the recorded prefix. Orphan records beyond the
+   prefix (an interrupted put) do not disturb the checksum. [`Ok]
    carries the computed prefix checksum (scrub backfills it into
-   version-1 manifests) and the parsed records. Never raises: any
-   parser or I/O exception becomes [`Corrupt]. *)
+   version-1 manifests) and the parsed records. *)
 let check_shard t (smeta : Manifest.shard_meta) :
     [ `Ok of int * Dna.Fasta.record list | `Corrupt of string ] =
-  let path = Filename.concat t.dir smeta.file in
-  if not (Store_io.exists t.io path) then
-    `Corrupt (Printf.sprintf "shard file %s is missing" smeta.file)
-  else
-    match
-      let content = Store_io.read_file t.io path in
-      Dna.Fasta.parse_string content
-    with
-    | exception (Store_io.Crashed _ as e) -> raise e
-    | exception Sys_error msg -> `Corrupt msg
-    | exception e -> `Corrupt (Printexc.to_string e)
-    | records, errors ->
-        if errors <> [] then
-          `Corrupt (Printf.sprintf "%d unparsable FASTA records" (List.length errors))
-        else if List.length records < smeta.n_strands then
-          `Corrupt
-            (Printf.sprintf "shard %s holds %d strands, manifest records %d" smeta.file
-               (List.length records) smeta.n_strands)
-        else begin
-          let prefix = List.filteri (fun i _ -> i < smeta.n_strands) records in
-          let crc = Store_io.crc32 (Dna.Fasta.to_string prefix) in
-          match smeta.checksum with
-          | Some expect when expect <> crc ->
-              `Corrupt
-                (Printf.sprintf "shard %s checksum mismatch (recorded %d, computed %d)"
-                   smeta.file expect crc)
-          | _ -> `Ok (crc, records)
-        end
+  match read_shard t smeta with
+  | Error `Missing -> `Corrupt (Printf.sprintf "shard file %s is missing" smeta.file)
+  | Error (`Failed msg) -> `Corrupt msg
+  | Ok (records, errors) ->
+      if errors <> [] then
+        `Corrupt (Printf.sprintf "%d unparsable FASTA records" (List.length errors))
+      else if List.length records < smeta.n_strands then
+        `Corrupt
+          (Printf.sprintf "shard %s holds %d strands, manifest records %d" smeta.file
+             (List.length records) smeta.n_strands)
+      else begin
+        let prefix = List.filteri (fun i _ -> i < smeta.n_strands) records in
+        let crc = Store_io.crc32 (Dna.Fasta.to_string prefix) in
+        match smeta.checksum with
+        | Some expect when expect <> crc ->
+            `Corrupt
+              (Printf.sprintf "shard %s checksum mismatch (recorded %d, computed %d)" smeta.file
+                 expect crc)
+        | _ -> `Ok (crc, records)
+      end
+
+(* Strands beyond the manifest count are orphans of an interrupted put;
+   their pair is unreserved, so they are unselectable and [build] leaves
+   them unindexed. *)
+let pool_of_records t shard_id records =
+  let strands = Array.of_list (List.map (fun r -> r.Dna.Fasta.seq) records) in
+  { strands; index = Dnastore.Primer_index.build ~pairs:(live_pairs_of_shard t shard_id) strands }
 
 let load_pool t shard_id : (pool, error) result =
   match Hashtbl.find_opt t.pools shard_id with
@@ -250,14 +262,7 @@ let load_pool t shard_id : (pool, error) result =
             match check_shard t smeta with
             | `Corrupt reason -> Error (Corrupt_shard { shard = shard_id; reason })
             | `Ok (_, records) ->
-                let strands = Array.of_list (List.map (fun r -> r.Dna.Fasta.seq) records) in
-                (* Strands beyond the manifest count are orphans of an
-                   interrupted put; their pair is unreserved, so they are
-                   unselectable and [build] leaves them unindexed. *)
-                let index =
-                  Dnastore.Primer_index.build ~pairs:(live_pairs_of_shard t shard_id) strands
-                in
-                let p = { strands; index } in
+                let p = pool_of_records t shard_id records in
                 Hashtbl.replace t.pools shard_id p;
                 Ok p))
 
@@ -269,24 +274,11 @@ let load_pool_lenient t shard_id : (pool, error) result =
   match shard_meta t shard_id with
   | None -> Error (Corrupt (Printf.sprintf "shard %d is not in the manifest" shard_id))
   | Some smeta -> (
-      let path = Filename.concat t.dir smeta.file in
-      if not (Store_io.exists t.io path) then
-        Error (Corrupt_shard { shard = shard_id; reason = "shard file is missing" })
-      else
-        match
-          let content = Store_io.read_file t.io path in
-          Dna.Fasta.parse_string content
-        with
-        | exception (Store_io.Crashed _ as e) -> raise e
-        | exception Sys_error msg -> Error (Corrupt_shard { shard = shard_id; reason = msg })
-        | exception e ->
-            Error (Corrupt_shard { shard = shard_id; reason = Printexc.to_string e })
-        | records, _errors ->
-            let strands = Array.of_list (List.map (fun r -> r.Dna.Fasta.seq) records) in
-            let index =
-              Dnastore.Primer_index.build ~pairs:(live_pairs_of_shard t shard_id) strands
-            in
-            Ok { strands; index })
+      let corrupt reason = Error (Corrupt_shard { shard = shard_id; reason }) in
+      match read_shard t smeta with
+      | Error `Missing -> corrupt "shard file is missing"
+      | Error (`Failed msg) -> corrupt msg
+      | Ok (records, _errors) -> Ok (pool_of_records t shard_id records))
 
 (* Write a shard pool atomically and return the CRC-32 of its canonical
    serialization — the checksum the manifest records for the file. *)
@@ -541,58 +533,31 @@ type access_task = {
   tk_depth : int;
 }
 
-(* Cluster, reconstruct and decode one object's cores; pure given its
+(* Sequence, demultiplex, cluster, reconstruct and decode one object
+   through the shared random-access path, on the object's own streams,
+   the store's channel and the shard pass's depth. Clustering and
+   consensus stay at one domain inside a task. Pure given the access
    rng, so it can run on any domain. Returns the decode stats alongside
    the bytes so partial (degraded) readers can map recovered ranges. *)
-let decode_consensus (o : Manifest.object_meta) consensus :
-    (Bytes.t * Codec.File_codec.decode_stats, error) result =
-  match Codec.File_codec.decode ~layout:o.layout ~params:o.params ~n_units:o.n_units consensus with
-  | Ok (bytes, stats) -> Ok (bytes, stats)
-  | Error e -> Error (Decode_failed { key = o.key; reason = Codec.File_codec.error_message e })
-
-(* The demuxed core arena goes straight to scaled clustering (index
-   slices) and arena-backed consensus — no boxed strand per read
-   between sequencing and the decoder. *)
-let decode_task_pool rng (o : Manifest.object_meta) (cores : Dna.Strand_pool.t) :
-    (Bytes.t * Codec.File_codec.decode_stats, error) result =
-  let slices = Dnastore.Pipeline.cluster_default ~domains:1 () rng cores in
-  let slice_arr = Array.of_list slices in
-  Dnastore.Pipeline.sort_cluster_slices cores slice_arr;
-  let target_len = Codec.Params.strand_nt o.params in
-  let consensus =
-    Array.to_list slice_arr
-    |> List.filter_map (fun idxs ->
-           if Array.length idxs = 0 then None
-           else Some (Reconstruction.Nw_consensus.reconstruct_pool ~target_len cores idxs))
-  in
-  decode_consensus o consensus
-
-(* Sequence, demultiplex, cluster, reconstruct, decode one object. *)
 let run_access_task t (tk : access_task) :
     (Bytes.t * Codec.File_codec.decode_stats, error) result =
   let o = tk.tk_obj in
   let cfg = t.manifest.Manifest.config in
   let rng = access_rng t o in
   let seq_rng = Dna.Rng.split rng in
-  let decode_rng = Dna.Rng.split rng in
-  let sequencing =
+  let cluster_rng = Dna.Rng.split rng in
+  let stages =
     {
-      (Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed tk.tk_depth)) with
-      Simulator.Sequencer.p_reverse = 0.5;
+      (Dnastore.Pipeline.default_stages ~error_rate:cfg.error_rate ~coverage:tk.tk_depth ()) with
+      Dnastore.Pipeline.cluster = Dnastore.Pipeline.cluster_default ~domains:1 ();
     }
   in
-  let channel = Simulator.Iid_channel.create_rate ~error_rate:cfg.error_rate in
-  (* Reads stream channel -> arena -> per-pair core arena with zero-copy
-     primer stripping; no boxed strand or FASTQ record per read. *)
-  let pool = Dna.Strand_pool.create () in
-  ignore (Simulator.Sequencer.sequence_pool sequencing channel seq_rng tk.tk_selected ~pool);
-  let ingested = Dnastore.Wetlab_io.ingest_pool [ o.pair ] pool in
-  let cores =
-    match ingested.Dnastore.Wetlab_io.pools_by_pair with
-    | [ (_, cores) ] -> cores
-    | _ -> Dna.Strand_pool.create ()
-  in
-  decode_task_pool decode_rng o cores
+  match
+    Dnastore.Pipeline.random_access ~domains:1 stages ~seq_rng ~cluster_rng ~pair:o.pair
+      ~params:o.params ~layout:o.layout ~n_units:o.n_units tk.tk_selected
+  with
+  | Ok decoded, _ -> Ok decoded
+  | Error e, _ -> Error (Decode_failed { key = o.key; reason = Codec.File_codec.error_message e })
 
 let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) t (keys : string list)
     : (string * (Bytes.t, error) result) list =
@@ -996,43 +961,19 @@ let scrub t : (scrub_report, error) result =
             Hashtbl.replace fresh_checksum s.shard_id crc)
       m.Manifest.shards;
     (* Objects on a damaged shard — plus any the last scrub already
-       marked — get a recovery attempt from whatever molecules survive.
+       marked — get the degraded read's salvage attempt ([partial_attempt])
+       from whatever molecules survive, and are classified by its result.
        Access streams hash from (seed, key, version), so the attempt
        replays deterministically. *)
     let needs_attention (o : Manifest.object_meta) =
       Hashtbl.mem corrupt o.shard || o.health <> Manifest.Healthy
     in
     let evaluate (o : Manifest.object_meta) =
-      match load_pool_lenient t o.shard with
-      | Error _ -> `Lost
-      | Ok pool -> (
-          let selected = Dnastore.Primer_index.select pool.index pool.strands o.pair in
-          if Array.length selected = 0 then `Lost
-          else begin
-            t.sequencing_passes <- t.sequencing_passes + 1;
-            let depth =
-              Simulator.Sequencer.shard_depth ~base:m.Manifest.config.coverage
-                ~n_selected:(Array.length selected) ~n_shard:(Array.length pool.strands)
-            in
-            match run_access_task t { tk_obj = o; tk_selected = selected; tk_depth = depth } with
-            | Error _ -> `Lost
-            | Ok (bytes, stats) ->
-                let crc_ok =
-                  match o.checksum with
-                  | Some c -> Store_io.crc32 (Bytes.to_string bytes) = c
-                  | None -> true
-                in
-                if Codec.File_codec.fully_recovered stats && crc_ok then `Repair bytes
-                else begin
-                  let p =
-                    Codec.File_codec.partial ~params:o.params ~file_len:(Bytes.length bytes) stats
-                  in
-                  if p.Codec.File_codec.recovered_fraction > 0.0 then
-                    `Degraded
-                      (p.Codec.File_codec.recovered_fraction, p.Codec.File_codec.recovered_ranges)
-                  else `Lost
-                end
-          end)
+      match partial_attempt t o with
+      | Ok p when p.exact -> `Repair p.bytes
+      | Ok p when p.recovered_fraction > 0.0 ->
+          `Degraded (p.recovered_fraction, p.recovered_ranges)
+      | Ok _ | Error _ -> `Lost
     in
     let outcomes =
       List.map
