@@ -132,23 +132,17 @@ val random_access :
   Dna.Strand.t array ->
   (Bytes.t * Codec.File_codec.decode_stats, Codec.File_codec.error) result * timings
 (** The primer-addressed random-access read (Section II-F), from one
-    file's PCR-selected molecules to its decoded bytes. It is the one
-    recovery behind {!Kv_store.get} and the persistent store's object
-    reads (gets, degraded reads and scrub).
+    file's PCR-selected molecules to its decoded bytes: the one recovery
+    behind {!Kv_store.get} and the persistent store's reads (gets,
+    degraded reads and scrub).
 
-    The selected molecules are sequenced through [stages.channel] with
-    [stages.sequencing], each read reversed with probability one half
-    (as a real run delivers them), drawing from [seq_rng]. {!Wetlab_io.ingest_pool} orients the reads and strips
-    [pair]'s primers; reads that match no pair are dropped. Clustering
-    ([stages.cluster], drawing from [cluster_rng]) yields slices, which
-    are sorted by {!sort_cluster_slices}. Each non-empty slice is
-    reconstructed ([stages.reconstruct] at the strand length of
-    [params]) on [domains] workers, and the consensus strands are
-    decoded with {!Codec.File_codec.decode}. The same rng states give the
-    same result for every [domains]; passing one rng as both streams
-    draws sequencing first, then clustering.
-
-    Unlike {!run} nothing degrades: a raising stage propagates. The
-    timings cover sequencing ([simulate_s]), demultiplexing plus
-    clustering ([cluster_s]), reconstruction with its per-cluster
-    percentiles, and decoding; [encode_s] is 0. *)
+    It sequences the molecules with [stages], each read reversed with
+    probability one half as a real run delivers them, drawing from
+    [seq_rng]. {!Wetlab_io.ingest_pool} orients the reads and strips
+    [pair]'s primers. It then clusters (drawing from [cluster_rng]),
+    sorts the slices ({!sort_cluster_slices}), reconstructs each
+    non-empty slice on [domains] workers and decodes. The result is the
+    same for every [domains]; one rng passed as both streams draws
+    sequencing first. Unlike {!run} nothing degrades: a raising stage
+    propagates. The timings put demultiplexing in [cluster_s];
+    [encode_s] is 0. *)

@@ -59,6 +59,8 @@ let fold_lines next ~init ~f =
             else begin
               match Strand.of_string_opt (String.uppercase_ascii seq_s) with
               | Some seq -> (
+                  (* A character below '!' would decode to a negative Phred
+                     score; reject the record rather than emit one. *)
                   match qual_of_string_opt qual_s with
                   | Some qual -> acc := f !acc { id; seq; qual }
                   | None ->

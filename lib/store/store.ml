@@ -523,38 +523,29 @@ let access_rng t (o : Manifest.object_meta) =
   String.iter (fun c -> fold (Char.code c)) o.key;
   Dna.Rng.create (Int64.to_int (Int64.shift_right_logical !h 1))
 
-(* One object's access, after the serial PCR-selection phase: selected
-   molecules in, decoded bytes out. [depth] is the per-strand sequencing
-   depth of the shard pass the access rode on. Pure given the access
-   rng, so the whole wetlab read path fans out over the domain pool. *)
-type access_task = {
-  tk_obj : Manifest.object_meta;
-  tk_selected : Dna.Strand.t array;
-  tk_depth : int;
-}
-
-(* Sequence, demultiplex, cluster, reconstruct and decode one object
-   through the shared random-access path, on the object's own streams,
-   the store's channel and the shard pass's depth. Clustering and
-   consensus stay at one domain inside a task. Pure given the access
-   rng, so it can run on any domain. Returns the decode stats alongside
-   the bytes so partial (degraded) readers can map recovered ranges. *)
-let run_access_task t (tk : access_task) :
+(* One object's access, after the serial PCR-selection phase: its
+   selected molecules go through the shared random-access path on the
+   object's own streams, at the store's channel and at [depth], the
+   per-strand sequencing depth of the shard pass the access rode on.
+   Clustering and consensus stay at one domain inside a task. Pure given
+   the access rng, so the whole wetlab read path fans out over the
+   domain pool. Returns the decode stats alongside the bytes so partial
+   (degraded) readers can map recovered ranges. *)
+let run_access_task t (o : Manifest.object_meta) ~depth selected :
     (Bytes.t * Codec.File_codec.decode_stats, error) result =
-  let o = tk.tk_obj in
   let cfg = t.manifest.Manifest.config in
   let rng = access_rng t o in
   let seq_rng = Dna.Rng.split rng in
   let cluster_rng = Dna.Rng.split rng in
   let stages =
     {
-      (Dnastore.Pipeline.default_stages ~error_rate:cfg.error_rate ~coverage:tk.tk_depth ()) with
+      (Dnastore.Pipeline.default_stages ~error_rate:cfg.error_rate ~coverage:depth ()) with
       Dnastore.Pipeline.cluster = Dnastore.Pipeline.cluster_default ~domains:1 ();
     }
   in
   match
     Dnastore.Pipeline.random_access ~domains:1 stages ~seq_rng ~cluster_rng ~pair:o.pair
-      ~params:o.params ~layout:o.layout ~n_units:o.n_units tk.tk_selected
+      ~params:o.params ~layout:o.layout ~n_units:o.n_units selected
   with
   | Ok decoded, _ -> Ok decoded
   | Error e, _ -> Error (Decode_failed { key = o.key; reason = Codec.File_codec.error_message e })
@@ -641,15 +632,13 @@ let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) t (key
             Simulator.Sequencer.shard_depth ~base:cfg.coverage ~n_selected:n_union
               ~n_shard:(Array.length pool.strands)
           in
-          List.iter2
-            (fun o sel -> tasks := { tk_obj = o; tk_selected = sel; tk_depth = depth } :: !tasks)
-            objs selected)
+          List.iter2 (fun o sel -> tasks := (o, depth, sel) :: !tasks) objs selected)
     (List.rev !shard_order);
   let tasks = Array.of_list (List.rev !tasks) in
   let outcome_arr =
     Dna.Par.map_array ~label:"store.get_batch" ~domains
-      (fun tk ->
-        (tk.tk_obj.Manifest.key, Result.map fst (run_access_task t tk)))
+      (fun ((o : Manifest.object_meta), depth, selected) ->
+        (o.key, Result.map fst (run_access_task t o ~depth selected)))
       tasks
   in
   let outcomes : (string, (Bytes.t, error) result) Hashtbl.t =
@@ -715,7 +704,7 @@ let partial_attempt t (o : Manifest.object_meta) : (partial_read, error) result 
           Simulator.Sequencer.shard_depth ~base:cfg.coverage ~n_selected:(Array.length selected)
             ~n_shard:(Array.length pool.strands)
         in
-        match run_access_task t { tk_obj = o; tk_selected = selected; tk_depth = depth } with
+        match run_access_task t o ~depth selected with
         | Error e -> Error e
         | Ok (bytes, stats) ->
             let p = Codec.File_codec.partial ~params:o.params ~file_len:(Bytes.length bytes) stats in
