@@ -192,10 +192,12 @@ type scrub_report = {
 val scrub : t -> (scrub_report, error) result
 (** Verify every shard pool against its manifest record (presence,
     parse, strand count, prefix CRC-32), then attempt recovery of every
-    object on a damaged shard: a full, checksum-verified decode is
-    re-synthesized into a fresh shard (repair — bit-identical by
-    construction); a partial decode marks the object [Degraded] with its
-    recovered ranges; anything else is [Lost]. Damaged shards are
+    object on a damaged shard (or already marked) with the salvage a
+    degraded read ({!get_partial}) runs over the surviving molecules,
+    and classify it from that read: an [exact] result is re-synthesized
+    into a fresh shard (repair — bit-identical by construction); a
+    partial one with a nonzero recovered fraction marks the object
+    [Degraded] with its recovered ranges; anything else is [Lost]. Damaged shards are
     quarantined while degraded/lost objects still reference them and
     unlinked once nothing does. Recovery attempts replay the object's
     deterministic access stream, so a scrub of the same directory is
