@@ -13,40 +13,24 @@
 
 open Cmdliner
 
-let read_binary path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let b = Bytes.create n in
-  really_input ic b 0 n;
-  close_in ic;
-  b
+(* A user error: one line on stderr and exit 1, never an uncaught
+   exception. *)
+let die fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 1)
+    fmt
 
-let write_binary path bytes =
-  let oc = open_out_bin path in
-  output_bytes oc bytes;
-  close_out oc
-
-let write_text path s =
-  let oc = open_out path in
-  output_string oc s;
-  close_out oc
-
-let read_lines path =
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  List.rev !lines
+let or_die = function Ok v -> v | Error e -> die "%s" (Store.error_message e)
 
 (* Sidecar metadata: enough to decode without re-deriving anything. *)
 let write_meta path ~(params : Codec.Params.t) ~layout ~n_units =
-  write_text path
-    (Printf.sprintf "payload_nt=%d\nrs_data=%d\nrs_parity=%d\nscramble_seed=%d\nlayout=%s\nn_units=%d\n"
-       params.Codec.Params.payload_nt params.rs_data params.rs_parity params.scramble_seed
-       (Codec.Layout.name layout) n_units)
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc
+        "payload_nt=%d\nrs_data=%d\nrs_parity=%d\nscramble_seed=%d\nlayout=%s\nn_units=%d\n"
+        params.Codec.Params.payload_nt params.rs_data params.rs_parity params.scramble_seed
+        (Codec.Layout.name layout) n_units)
 
 (* A sidecar is [key=value] lines. A missing or malformed key is
    reported by name and exits 1: decoding with a guessed value would
@@ -57,19 +41,15 @@ let read_sidecar path =
       match String.index_opt line '=' with
       | Some i -> Some (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
       | None -> None)
-    (read_lines path)
+    (In_channel.with_open_text path In_channel.input_lines)
 
 let sidecar_field path kv ~expect parse key =
-  let fail msg =
-    Printf.eprintf "%s: %s\n" path msg;
-    exit 1
-  in
   match List.assoc_opt key kv with
-  | None -> fail ("missing key " ^ key)
+  | None -> die "%s: missing key %s" path key
   | Some v -> (
       match parse v with
       | Some x -> x
-      | None -> fail (Printf.sprintf "malformed %s=%S (expected %s)" key v expect))
+      | None -> die "%s: malformed %s=%S (expected %s)" path key v expect)
 
 let read_meta path =
   let kv = read_sidecar path in
@@ -94,6 +74,50 @@ let read_meta path =
 
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed for reproducibility.")
+
+let input_arg =
+  Arg.(required & opt (some file) None & info [ "input"; "i" ] ~docv:"FILE" ~doc:"Input file.")
+
+(* The process-wide worker count, set as the option is parsed, so no
+   subcommand body has to. *)
+let domains_arg =
+  let set n =
+    Dna.Par.set_default_domains n;
+    n
+  in
+  Term.(const set $ Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Worker domains."))
+
+let dir_arg =
+  Arg.(required & opt (some string) None & info [ "dir"; "d" ] ~docv:"DIR" ~doc:"Store directory.")
+
+let key_arg =
+  Arg.(required & opt (some string) None & info [ "key"; "k" ] ~docv:"KEY" ~doc:"Object key.")
+
+(* The file a fault or scenario run pushes through the pipeline. *)
+let data_arg =
+  let input =
+    Arg.(value & opt (some file) None & info [ "input"; "i" ] ~docv:"FILE"
+         ~doc:"File to push through the pipeline (default: a deterministic pseudo-random payload).")
+  in
+  let bytes =
+    Arg.(value & opt int 2000 & info [ "bytes" ] ~docv:"N"
+         ~doc:"Size of the generated payload when no $(b,--input) is given.")
+  in
+  let data input bytes =
+    match input with
+    | Some path -> Bytes.of_string (In_channel.with_open_bin path In_channel.input_all)
+    | None ->
+        let r = Dna.Rng.create 0xF11E in
+        Bytes.init bytes (fun _ -> Char.chr (Dna.Rng.int r 256))
+  in
+  Term.(const data $ input $ bytes)
+
+let seeds_arg =
+  let nonempty = function [] -> die "no valid seeds" | seeds -> seeds in
+  Term.(
+    const nonempty
+    $ Arg.(value & opt (list int) [ 1; 2 ] & info [ "seeds" ] ~docv:"SEEDS"
+           ~doc:"Comma-separated replay seeds; every run repeats once per seed."))
 
 let layout_arg =
   let layout_conv =
@@ -160,11 +184,10 @@ let sig_kind_arg =
 (* encode *)
 
 let encode_cmd =
-  let input = Arg.(required & opt (some file) None & info [ "input"; "i" ] ~docv:"FILE" ~doc:"Input file.") in
   let output = Arg.(required & opt (some string) None & info [ "output"; "o" ] ~docv:"FASTA" ~doc:"Output FASTA of encoded strands.") in
   let run input output layout payload data_cols parity =
     let params = params_of ~payload ~data_cols ~parity in
-    let data = read_binary input in
+    let data = Bytes.of_string (In_channel.with_open_bin input In_channel.input_all) in
     let encoded = Codec.File_codec.encode ~layout ~params data in
     let records =
       Array.to_list
@@ -179,7 +202,7 @@ let encode_cmd =
       encoded.Codec.File_codec.n_units output
   in
   Cmd.v (Cmd.info "encode" ~doc:"Encode a binary file into DNA strands.")
-    Term.(const run $ input $ output $ layout_arg $ payload_arg $ data_cols_arg $ parity_arg)
+    Term.(const run $ input_arg $ output $ layout_arg $ payload_arg $ data_cols_arg $ parity_arg)
 
 (* simulate *)
 
@@ -196,11 +219,12 @@ let simulate_cmd =
     let reads = Dna.Strand_pool.create () in
     ignore (Simulator.Sequencer.sequence_pool sp ch rng molecules ~pool:reads);
     let seqs = Dna.Strand_pool.to_array reads in
-    if Filename.check_suffix output ".fastq" then
-      write_text output (Dnastore.Wetlab_io.export_fastq seqs)
-    else
-      write_text output
-        (String.concat "\n" (Array.to_list (Array.map Dna.Strand.to_string seqs)) ^ "\n");
+    Out_channel.with_open_text output (fun oc ->
+        if Filename.check_suffix output ".fastq" then
+          output_string oc (Dnastore.Wetlab_io.export_fastq seqs)
+        else
+          output_string oc
+            (String.concat "\n" (Array.to_list (Array.map Dna.Strand.to_string seqs)) ^ "\n"));
     Printf.printf "simulated %d reads (%s channel, rate %.3f, coverage %d) -> %s\n"
       (Array.length seqs) (Simulator.Channel.name ch) error_rate coverage output
   in
@@ -213,34 +237,30 @@ let cluster_cmd =
   let reads = Arg.(required & opt (some file) None & info [ "reads"; "r" ] ~docv:"FILE" ~doc:"Reads, one per line.") in
   let output = Arg.(required & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Clusters: reads grouped by blank lines.") in
   let run reads_path output kind seed domains =
-    Dna.Par.set_default_domains domains;
-    let rng = Dna.Rng.create seed in
-    let reads =
-      read_lines reads_path
-      |> List.filter_map (fun l -> if String.trim l = "" then None else Dna.Strand.of_string_opt (String.trim l))
-      |> Array.of_list
-    in
-    if Array.length reads = 0 then failwith "no reads";
-    let read_len = Dna.Strand.length reads.(0) in
-    let params = { (Clustering.Cluster.default_params ~kind ~read_len ()) with domains } in
-    let config = Clustering.Auto_config.configure params rng reads in
-    let params = Clustering.Auto_config.apply config params in
-    let result = Clustering.Cluster.run params rng reads in
-    let buf = Buffer.create 4096 in
+    let pool = Dna.Strand_pool.create () in
     List.iter
-      (fun members ->
-        Array.iter (fun i -> Buffer.add_string buf (Dna.Strand.to_string reads.(i)); Buffer.add_char buf '\n') members;
-        Buffer.add_char buf '\n')
-      result.Clustering.Cluster.clusters;
-    write_text output (Buffer.contents buf);
-    Printf.printf "clustered %d reads into %d clusters (theta=%d/%d, %d edit comparisons) -> %s\n"
-      (Array.length reads) (List.length result.Clustering.Cluster.clusters)
-      params.Clustering.Cluster.theta_low params.Clustering.Cluster.theta_high
-      result.Clustering.Cluster.stats.Clustering.Cluster.edit_comparisons output
+      (fun l ->
+        let l = String.trim l in
+        if l <> "" then
+          Option.iter (fun s -> ignore (Dna.Strand_pool.add_strand pool s)) (Dna.Strand.of_string_opt l))
+      (In_channel.with_open_text reads_path In_channel.input_lines);
+    if Dna.Strand_pool.length pool = 0 then die "%s: no reads" reads_path;
+    (* The pipeline's own clustering stage, so this subcommand clusters
+       exactly as [pipeline], the store and [serve] do. *)
+    let clusters = Dnastore.Pipeline.cluster_default ~kind ~domains () (Dna.Rng.create seed) pool in
+    Out_channel.with_open_text output (fun oc ->
+        List.iter
+          (fun members ->
+            Array.iter
+              (fun i -> output_string oc (Dna.Strand.to_string (Dna.Strand_pool.get pool i) ^ "\n"))
+              members;
+            output_char oc '\n')
+          clusters);
+    Printf.printf "clustered %d reads into %d clusters -> %s\n" (Dna.Strand_pool.length pool)
+      (List.length clusters) output
   in
-  let domains = Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Worker domains.") in
   Cmd.v (Cmd.info "cluster" ~doc:"Cluster noisy reads by similarity.")
-    Term.(const run $ reads $ output $ sig_kind_arg $ seed_arg $ domains)
+    Term.(const run $ reads $ output $ sig_kind_arg $ seed_arg $ domains_arg)
 
 (* reconstruct *)
 
@@ -249,7 +269,6 @@ let reconstruct_cmd =
   let output = Arg.(required & opt (some string) None & info [ "output"; "o" ] ~docv:"FASTA" ~doc:"Consensus strands.") in
   let target = Arg.(required & opt (some int) None & info [ "length"; "l" ] ~docv:"NT" ~doc:"Expected strand length.") in
   let run clusters_path output target algo domains =
-    Dna.Par.set_default_domains domains;
     (* Every read goes into one arena; each group becomes an index slice. *)
     let pool = Dna.Strand_pool.create () in
     let groups = ref [] and cur = ref [] in
@@ -264,7 +283,7 @@ let reconstruct_cmd =
           match Dna.Strand.of_string_opt line with
           | Some s -> cur := Dna.Strand_pool.add_strand pool s :: !cur
           | None -> ())
-      (read_lines clusters_path);
+      (In_channel.with_open_text clusters_path In_channel.input_lines);
     if !cur <> [] then groups := Array.of_list (List.rev !cur) :: !groups;
     let groups = Array.of_list (List.rev !groups) in
     let recon = make_recon algo in
@@ -280,9 +299,8 @@ let reconstruct_cmd =
     Dna.Fasta.write_file output records;
     Printf.printf "reconstructed %d consensus strands -> %s\n" (List.length records) output
   in
-  let domains = Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Worker domains.") in
   Cmd.v (Cmd.info "reconstruct" ~doc:"Reconstruct original strands from clusters.")
-    Term.(const run $ clusters $ output $ target $ recon_arg $ domains)
+    Term.(const run $ clusters $ output $ target $ recon_arg $ domains_arg)
 
 (* decode *)
 
@@ -296,7 +314,7 @@ let decode_cmd =
     let strands = List.map (fun r -> r.Dna.Fasta.seq) records in
     match Codec.File_codec.decode ~layout ~params ~n_units strands with
     | Ok (bytes, stats) ->
-        write_binary output bytes;
+        Out_channel.with_open_bin output (fun oc -> Out_channel.output_bytes oc bytes);
         let failed =
           Array.fold_left
             (fun a u -> a + List.length u.Codec.Matrix_codec.failed_codewords)
@@ -304,9 +322,7 @@ let decode_cmd =
         in
         Printf.printf "decoded %d bytes -> %s (failed codewords: %d, missing molecules: %d)\n"
           (Bytes.length bytes) output failed stats.Codec.File_codec.missing_strands
-    | Error e ->
-        Printf.eprintf "decode failed: %s\n" (Codec.File_codec.error_message e);
-        exit 1
+    | Error e -> die "decode failed: %s" (Codec.File_codec.error_message e)
   in
   Cmd.v (Cmd.info "decode" ~doc:"Decode reconstructed strands back into the file.")
     Term.(const run $ consensus $ meta $ output)
@@ -314,11 +330,9 @@ let decode_cmd =
 (* pipeline *)
 
 let pipeline_cmd =
-  let input = Arg.(required & opt (some file) None & info [ "input"; "i" ] ~docv:"FILE" ~doc:"Input file.") in
   let output = Arg.(required & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Recovered file.") in
   let run input output layout payload data_cols parity channel error_rate coverage algo kind seed
       domains =
-    Dna.Par.set_default_domains domains;
     let params = params_of ~payload ~data_cols ~parity in
     let rng = Dna.Rng.create seed in
     let stages =
@@ -329,11 +343,11 @@ let pipeline_cmd =
         reconstruct = make_recon algo;
       }
     in
-    let data = read_binary input in
+    let data = Bytes.of_string (In_channel.with_open_bin input In_channel.input_all) in
     let out = Dnastore.Pipeline.run ~params ~layout ~stages ~domains rng data in
-    (match out.Dnastore.Pipeline.file with
-    | Some bytes -> write_binary output bytes
-    | None -> ());
+    Option.iter
+      (fun bytes -> Out_channel.with_open_bin output (fun oc -> Out_channel.output_bytes oc bytes))
+      out.Dnastore.Pipeline.file;
     let t = out.Dnastore.Pipeline.timings in
     Printf.printf
       "pipeline: %s (strands=%d reads=%d clusters=%d)\n\
@@ -355,19 +369,19 @@ let pipeline_cmd =
     | counters -> print_string (Dnastore.Report.par_counters counters));
     if not out.Dnastore.Pipeline.exact then exit 1
   in
-  let domains = Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Worker domains.") in
   Cmd.v (Cmd.info "pipeline" ~doc:"Run the full encode-simulate-cluster-reconstruct-decode pipeline.")
-    Term.(const run $ input $ output $ layout_arg $ payload_arg $ data_cols_arg $ parity_arg
+    Term.(const run $ input_arg $ output $ layout_arg $ payload_arg $ data_cols_arg $ parity_arg
           $ channel_arg $ error_rate_arg $ coverage_arg $ recon_arg $ sig_kind_arg $ seed_arg
-          $ domains)
+          $ domains_arg)
 
 (* fountain-encode / fountain-decode *)
 
 let write_fountain_meta path ~(params : Codec.Fountain.params) ~k ~file_bytes =
-  write_text path
-    (Printf.sprintf "chunk_bytes=%d\ninner_parity=%d\nc=%f\ndelta=%f\nscramble_seed=%d\nk=%d\nfile_bytes=%d\n"
-       params.Codec.Fountain.chunk_bytes params.inner_parity params.c params.delta
-       params.scramble_seed k file_bytes)
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc
+        "chunk_bytes=%d\ninner_parity=%d\nc=%f\ndelta=%f\nscramble_seed=%d\nk=%d\nfile_bytes=%d\n"
+        params.Codec.Fountain.chunk_bytes params.inner_parity params.c params.delta
+        params.scramble_seed k file_bytes)
 
 let read_fountain_meta path =
   let kv = read_sidecar path in
@@ -385,13 +399,12 @@ let read_fountain_meta path =
     int "file_bytes" )
 
 let fountain_encode_cmd =
-  let input = Arg.(required & opt (some file) None & info [ "input"; "i" ] ~docv:"FILE" ~doc:"Input file.") in
   let output = Arg.(required & opt (some string) None & info [ "output"; "o" ] ~docv:"FASTA" ~doc:"Output droplets.") in
   let overhead = Arg.(value & opt float 0.6 & info [ "overhead" ] ~docv:"F" ~doc:"Droplet overhead factor.") in
   let run input output overhead seed =
     let rng = Dna.Rng.create seed in
     let params = { Codec.Fountain.default_params with Codec.Fountain.overhead } in
-    let data = read_binary input in
+    let data = Bytes.of_string (In_channel.with_open_bin input In_channel.input_all) in
     let enc = Codec.Fountain.encode ~params rng data in
     let records =
       Array.to_list
@@ -405,7 +418,7 @@ let fountain_encode_cmd =
       (Bytes.length data) (Array.length enc.Codec.Fountain.strands) enc.Codec.Fountain.k output
   in
   Cmd.v (Cmd.info "fountain-encode" ~doc:"Encode a file into rateless fountain droplets.")
-    Term.(const run $ input $ output $ overhead $ seed_arg)
+    Term.(const run $ input_arg $ output $ overhead $ seed_arg)
 
 let fountain_decode_cmd =
   let consensus = Arg.(required & opt (some file) None & info [ "consensus"; "c" ] ~docv:"FASTA" ~doc:"Reconstructed droplets.") in
@@ -417,12 +430,10 @@ let fountain_decode_cmd =
     let strands = List.map (fun r -> r.Dna.Fasta.seq) records in
     match Codec.Fountain.decode ~params ~k ~file_bytes strands with
     | Ok (bytes, stats) ->
-        write_binary output bytes;
+        Out_channel.with_open_bin output (fun oc -> Out_channel.output_bytes oc bytes);
         Printf.printf "decoded %d bytes from %d droplets (%d rejected) -> %s\n"
           (Bytes.length bytes) stats.Codec.Fountain.droplets_used stats.droplets_bad output
-    | Error e ->
-        Printf.eprintf "decode failed: %s\n" e;
-        exit 1
+    | Error e -> die "decode failed: %s" e
   in
   Cmd.v (Cmd.info "fountain-decode" ~doc:"Decode fountain droplets back into the file.")
     Term.(const run $ consensus $ meta $ output)
@@ -433,27 +444,14 @@ let fountain_decode_cmd =
    scenario replays bit-identically from its seed. *)
 
 let faults_cmd =
-  let input =
-    Arg.(value & opt (some file) None & info [ "input"; "i" ] ~docv:"FILE"
-         ~doc:"File to push through the faulty pipeline (default: a deterministic pseudo-random payload).")
-  in
-  let bytes_arg =
-    Arg.(value & opt int 2000 & info [ "bytes" ] ~docv:"N"
-         ~doc:"Size of the generated payload when no $(b,--input) is given.")
-  in
   let scenario_arg =
     Arg.(value & opt (some string) None & info [ "scenario" ] ~docv:"NAME"
          ~doc:"Run only this scenario (default: the whole matrix). Use $(b,--list) to see names.")
   in
-  let seeds_arg =
-    Arg.(value & opt string "1,2" & info [ "seeds" ] ~docv:"CSV"
-         ~doc:"Comma-separated replay seeds; each scenario runs once per seed.")
-  in
   let list_arg =
     Arg.(value & flag & info [ "list" ] ~doc:"List the scenario matrix and exit.")
   in
-  let run input bytes scenario_name seeds_csv list_only domains =
-    Dna.Par.set_default_domains domains;
+  let run data scenario_name seeds list_only _domains =
     if list_only then begin
       print_string
         (Dnastore.Report.table
@@ -470,25 +468,13 @@ let faults_cmd =
                 Dnastore.Faults.scenarios))
     end
     else begin
-      let data =
-        match input with
-        | Some path -> read_binary path
-        | None ->
-            let r = Dna.Rng.create 0xF11E in
-            Bytes.init bytes (fun _ -> Char.chr (Dna.Rng.int r 256))
-      in
-      let seeds =
-        String.split_on_char ',' seeds_csv
-        |> List.filter_map (fun s -> int_of_string_opt (String.trim s))
-      in
-      if seeds = [] then failwith "faults: no valid seeds";
       let scenarios =
         match scenario_name with
         | None -> Dnastore.Faults.scenarios
         | Some name -> (
             match Dnastore.Faults.find_scenario name with
             | Some s -> [ s ]
-            | None -> failwith ("faults: unknown scenario " ^ name))
+            | None -> die "faults: unknown scenario %s" name)
       in
       let violations = ref [] in
       let run_one scenario seed =
@@ -499,18 +485,7 @@ let faults_cmd =
         let out = go () in
         (* Replay: the same pipeline and fault seeds must reproduce the
            outcome bit-identically. *)
-        let out' = go () in
-        let same_bytes =
-          match (out.Dnastore.Pipeline.file, out'.Dnastore.Pipeline.file) with
-          | Some a, Some b -> Bytes.equal a b
-          | None, None -> true
-          | _ -> false
-        in
-        let replay_ok =
-          same_bytes
-          && out.Dnastore.Pipeline.partial.Codec.File_codec.recovered_fraction
-             = out'.Dnastore.Pipeline.partial.Codec.File_codec.recovered_fraction
-        in
+        let replay_ok = Dnastore.Pipeline.replays out (go ()) in
         let fraction = out.Dnastore.Pipeline.partial.Codec.File_codec.recovered_fraction in
         if fraction < scenario.Dnastore.Faults.min_recovered then
           violations :=
@@ -572,11 +547,10 @@ let faults_cmd =
           exit 1
     end
   in
-  let domains = Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Worker domains.") in
   Cmd.v
     (Cmd.info "faults"
        ~doc:"Run the fault-injection scenario matrix and print a recovery report.")
-    Term.(const run $ input $ bytes_arg $ scenario_arg $ seeds_arg $ list_arg $ domains)
+    Term.(const run $ data_arg $ scenario_arg $ seeds_arg $ list_arg $ domains_arg)
 
 (* scenario: the declarative channel-stack engine. list/describe browse
    the builtin registry; run executes one (scenario, fault) cell per
@@ -609,20 +583,8 @@ let scenario_cmd =
          ~doc:"Fault plan for $(b,run) (a name from $(b,dnastore faults --list)).")
   in
   let faults_arg =
-    Arg.(value & opt string "clean,dropout-10,corruption-2" & info [ "faults" ] ~docv:"CSV"
-         ~doc:"Fault plans for $(b,sweep).")
-  in
-  let seeds_arg =
-    Arg.(value & opt string "1,2" & info [ "seeds" ] ~docv:"CSV"
-         ~doc:"Replay seeds; every cell runs once per seed.")
-  in
-  let bytes_arg =
-    Arg.(value & opt int 2000 & info [ "bytes" ] ~docv:"N"
-         ~doc:"Size of the generated payload when no $(b,--input) is given.")
-  in
-  let input_arg =
-    Arg.(value & opt (some file) None & info [ "input"; "i" ] ~docv:"FILE"
-         ~doc:"File to push through the stack (default: a deterministic pseudo-random payload).")
+    Arg.(value & opt (list string) [ "clean"; "dropout-10"; "corruption-2" ] & info [ "faults" ]
+         ~docv:"NAMES" ~doc:"Comma-separated fault plans for $(b,sweep).")
   in
   let trace_arg =
     Arg.(value & opt (some file) None & info [ "trace" ] ~docv:"FASTQ"
@@ -632,15 +594,11 @@ let scenario_cmd =
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"JSON"
          ~doc:"Also write the outcome cells as JSON.")
   in
-  let run action name file fault faults_csv seeds_csv bytes input trace out domains =
-    Dna.Par.set_default_domains domains;
-    let csv s = String.split_on_char ',' s |> List.map String.trim |> List.filter (( <> ) "") in
-    let seeds = List.filter_map int_of_string_opt (csv seeds_csv) in
-    if seeds = [] then failwith "scenario: no valid seeds";
+  let run action name file fault faults seeds data trace out _domains =
     let load_file path =
-      match Simulator.Scenario.of_string (Bytes.to_string (read_binary path)) with
+      match Simulator.Scenario.of_string (In_channel.with_open_bin path In_channel.input_all) with
       | Ok sc -> sc
-      | Error e -> failwith ("scenario: " ^ path ^ ": " ^ e)
+      | Error e -> die "scenario: %s: %s" path e
     in
     let resolve name =
       match (file, name) with
@@ -648,8 +606,8 @@ let scenario_cmd =
       | None, Some n -> (
           match Simulator.Scenario.find n with
           | Some sc -> sc
-          | None -> failwith ("scenario: unknown scenario " ^ n))
-      | None, None -> failwith "scenario: give a NAME or --file"
+          | None -> die "scenario: unknown scenario %s" n)
+      | None, None -> die "scenario: give a NAME or --file"
     in
     (* Trace stages need a FASTQ on disk; when none is supplied,
        synthesize a deterministic stand-in so every run still replays. *)
@@ -666,21 +624,13 @@ let scenario_cmd =
         in
         Simulator.Scenario.with_trace_path sc path
     in
-    let data () =
-      match input with
-      | Some path -> read_binary path
-      | None ->
-          let r = Dna.Rng.create 0xF11E in
-          Bytes.init bytes (fun _ -> Char.chr (Dna.Rng.int r 256))
-    in
     let finish outcomes violations =
       print_string (Dnastore.Report.scenario_summary outcomes);
       (match out with
       | None -> ()
       | Some path ->
-          let oc = open_out path in
-          output_string oc (Store_json.to_string (Dnastore.Scenario_run.outcomes_json outcomes));
-          close_out oc;
+          Out_channel.with_open_text path (fun oc ->
+              output_string oc (Store_json.to_string (Dnastore.Scenario_run.outcomes_json outcomes)));
           Printf.printf "wrote %s\n" path);
       match violations with
       | [] -> ()
@@ -713,7 +663,6 @@ let scenario_cmd =
           (Simulator.Scenario.to_string sc)
     | `Run ->
         let sc = with_trace (resolve name) in
-        let data = data () in
         let violations = ref [] in
         let outcomes =
           List.map
@@ -721,7 +670,7 @@ let scenario_cmd =
               let go () =
                 match Dnastore.Scenario_run.run_full ~fault ~seed ~data sc with
                 | Ok r -> r
-                | Error e -> failwith ("scenario: " ^ e)
+                | Error e -> die "scenario: %s" e
               in
               let o, pipe = go () in
               let _, pipe' = go () in
@@ -738,15 +687,7 @@ let scenario_cmd =
                           fs)));
               (* The replay contract: same (scenario, fault, seed, data)
                  must reproduce the recovered bytes bit-identically. *)
-              let same =
-                (match (pipe.Dnastore.Pipeline.file, pipe'.Dnastore.Pipeline.file) with
-                | Some a, Some b -> Bytes.equal a b
-                | None, None -> true
-                | _ -> false)
-                && pipe.Dnastore.Pipeline.partial.Codec.File_codec.recovered_fraction
-                   = pipe'.Dnastore.Pipeline.partial.Codec.File_codec.recovered_fraction
-              in
-              if not same then
+              if not (Dnastore.Pipeline.replays pipe pipe') then
                 violations :=
                   Printf.sprintf "%s/%s seed %d: replay diverged" o.Dnastore.Scenario_run.scenario
                     fault seed
@@ -767,13 +708,10 @@ let scenario_cmd =
           | None, None -> List.map with_trace Simulator.Scenario.builtins
           | _ -> [ with_trace (resolve name) ]
         in
-        let data = data () in
         let outcomes =
-          match
-            Dnastore.Scenario_run.sweep ~faults:(csv faults_csv) ~seeds ~data scenarios
-          with
+          match Dnastore.Scenario_run.sweep ~faults ~seeds ~data scenarios with
           | Ok os -> os
-          | Error e -> failwith ("scenario: " ^ e)
+          | Error e -> die "scenario: %s" e
         in
         let violations =
           List.map
@@ -786,13 +724,12 @@ let scenario_cmd =
         in
         finish outcomes violations
   in
-  let domains = Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Worker domains.") in
   Cmd.v
     (Cmd.info "scenario"
        ~doc:"Compose and run declarative channel-stack scenarios against fault plans.")
     Term.(
-      const run $ action $ name_arg $ file_arg $ fault_arg $ faults_arg $ seeds_arg $ bytes_arg
-      $ input_arg $ trace_arg $ out_arg $ domains)
+      const run $ action $ name_arg $ file_arg $ fault_arg $ faults_arg $ seeds_arg $ data_arg
+      $ trace_arg $ out_arg $ domains_arg)
 
 (* inspect: pool statistics a lab would sanity-check before synthesis *)
 
@@ -802,7 +739,7 @@ let inspect_cmd =
     let records, errors = Dna.Fasta.read_file input in
     let strands = List.map (fun r -> r.Dna.Fasta.seq) records in
     let n = List.length strands in
-    if n = 0 then failwith "no strands";
+    if n = 0 then die "%s: no strands" input;
     let lengths = List.map Dna.Strand.length strands in
     let gcs = List.map Dna.Strand.gc_content strands in
     let homos = List.map Dna.Strand.max_homopolymer strands in
@@ -823,20 +760,8 @@ let inspect_cmd =
 (* store: the persistent sharded object store *)
 
 let store_cmd =
-  let dir_arg =
-    Arg.(required & opt (some string) None & info [ "dir"; "d" ] ~docv:"DIR" ~doc:"Store directory.")
-  in
-  let key_arg =
-    Arg.(required & opt (some string) None & info [ "key"; "k" ] ~docv:"KEY" ~doc:"Object key.")
-  in
-  let die e =
-    Printf.eprintf "%s\n" (Store.error_message e);
-    exit 1
-  in
-  let or_die = function Ok v -> v | Error e -> die e in
   let opened dir = or_die (Store.open_store ~dir ()) in
   let init_cmd =
-    let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Store rng seed.") in
     let shard_target =
       Arg.(
         value
@@ -867,36 +792,27 @@ let store_cmd =
       Printf.printf "initialized store in %s (seed %d)\n" dir seed
     in
     Cmd.v (Cmd.info "init" ~doc:"Create an empty store directory.")
-      Term.(const run $ dir_arg $ seed $ shard_target $ cache $ error_rate $ coverage)
+      Term.(const run $ dir_arg $ seed_arg $ shard_target $ cache $ error_rate $ coverage)
   in
   let put_cmd =
-    let input =
-      Arg.(required & opt (some file) None & info [ "input"; "i" ] ~docv:"FILE" ~doc:"Payload file.")
-    in
     let overwrite_flag =
       Arg.(value & flag & info [ "overwrite" ] ~doc:"Replace the key if it already exists.")
     in
     let run dir key input overwrite =
       let store = opened dir in
-      let data = read_binary input in
-      (match
-         if overwrite && Store.mem store key then Store.overwrite store ~key data
-         else Store.put store ~key data
-       with
-      | Ok () -> ()
-      | Error e -> die e);
+      let data = Bytes.of_string (In_channel.with_open_bin input In_channel.input_all) in
+      or_die
+        (if overwrite && Store.mem store key then Store.overwrite store ~key data
+         else Store.put store ~key data);
       Printf.printf "stored %s (%d bytes)\n" key (Bytes.length data)
     in
     Cmd.v (Cmd.info "put" ~doc:"Encode a file and store it under a fresh primer pair.")
-      Term.(const run $ dir_arg $ key_arg $ input $ overwrite_flag)
+      Term.(const run $ dir_arg $ key_arg $ input_arg $ overwrite_flag)
   in
   let get_cmd =
     let output =
       Arg.(
         required & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Output file.")
-    in
-    let domains =
-      Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Worker domains for decoding.")
     in
     let degraded =
       Arg.(
@@ -910,7 +826,7 @@ let store_cmd =
       let store = opened dir in
       if degraded then begin
         let p = or_die (Store.get_partial store ~key) in
-        write_binary output p.Store.bytes;
+        Out_channel.with_open_bin output (fun oc -> Out_channel.output_bytes oc p.Store.bytes);
         if p.Store.exact then
           Printf.printf "recovered %s (%d bytes, exact)\n" key (Bytes.length p.Store.bytes)
         else begin
@@ -925,19 +841,19 @@ let store_cmd =
       end
       else
         match Store.get_batch ~domains store [ key ] with
-        | [ (_, Ok bytes) ] ->
-            write_binary output bytes;
+        | [ (_, r) ] ->
+            let bytes = or_die r in
+            Out_channel.with_open_bin output (fun oc -> Out_channel.output_bytes oc bytes);
             Printf.printf "recovered %s (%d bytes)\n" key (Bytes.length bytes)
-        | [ (_, Error e) ] -> die e
         | _ -> assert false
     in
     Cmd.v (Cmd.info "get" ~doc:"Sequence, reconstruct and decode one object.")
-      Term.(const run $ dir_arg $ key_arg $ output $ domains $ degraded)
+      Term.(const run $ dir_arg $ key_arg $ output $ domains_arg $ degraded)
   in
   let rm_cmd =
     let run dir key =
       let store = opened dir in
-      (match Store.delete store ~key with Ok () -> () | Error e -> die e);
+      or_die (Store.delete store ~key);
       Printf.printf "deleted %s (molecules reclaimed on the next compact)\n" key
     in
     Cmd.v (Cmd.info "rm" ~doc:"Delete an object and retire its primer pair.")
@@ -1005,22 +921,15 @@ let store_cmd =
     let run dir key mode seed =
       let store = opened dir in
       let shard =
-        match Store.object_shard store ~key with
-        | Some s -> s
-        | None -> die (Store.Key_not_found key)
+        or_die (Option.to_result ~none:(Store.Key_not_found key) (Store.object_shard store ~key))
       in
       let path =
-        match Store.shard_path store ~shard with
-        | Some p -> p
-        | None -> die (Store.Corrupt (Printf.sprintf "shard %d has no file" shard))
+        or_die
+          (Option.to_result
+             ~none:(Store.Corrupt (Printf.sprintf "shard %d has no file" shard))
+             (Store.shard_path store ~shard))
       in
-      let content =
-        let ic = open_in_bin path in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        s
-      in
+      let content = In_channel.with_open_bin path In_channel.input_all in
       let rng = Dna.Rng.create seed in
       let damaged =
         match mode with
@@ -1044,9 +953,7 @@ let store_cmd =
         | `Truncate -> String.sub content 0 (String.length content / 2)
         | `Garbage -> "not a FASTA file\n"
       in
-      let oc = open_out_bin path in
-      output_string oc damaged;
-      close_out oc;
+      Out_channel.with_open_bin path (fun oc -> output_string oc damaged);
       Printf.printf "corrupted shard %d (%s) under key %s\n" shard path key
     in
     Cmd.v
@@ -1086,9 +993,6 @@ let store_cmd =
 (* serve: drive a multi-client workload through the serving layer *)
 
 let serve_cmd =
-  let dir_arg =
-    Arg.(required & opt (some string) None & info [ "dir"; "d" ] ~docv:"DIR" ~doc:"Store directory.")
-  in
   let populate =
     Arg.(
       value & opt int 0
@@ -1119,10 +1023,6 @@ let serve_cmd =
   let zipf =
     Arg.(value & opt float 0.99 & info [ "zipf" ] ~docv:"S" ~doc:"Zipf skew of key popularity.")
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"N" ~doc:"Workload seed.") in
-  let domains =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Worker domains for batched gets.")
-  in
   let deadline =
     Arg.(
       value
@@ -1138,11 +1038,6 @@ let serve_cmd =
   in
   let run dir populate ops clients read_pct window max_queue zipf seed domains deadline_s
       degraded_reads =
-    let die e =
-      Printf.eprintf "%s\n" (Store.error_message e);
-      exit 1
-    in
-    let or_die = function Ok v -> v | Error e -> die e in
     let store =
       if populate > 0 then begin
         let store = or_die (Store.init ~dir ~seed ()) in
@@ -1156,7 +1051,7 @@ let serve_cmd =
       else or_die (Store.open_store ~dir ())
     in
     let keys = Store.keys store in
-    if keys = [] then failwith "serve: store has no objects (use --populate)";
+    if keys = [] then die "serve: store has no objects (use --populate)";
     let config =
       {
         Serve.default_config with
@@ -1180,8 +1075,8 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:"Serve a multi-client zipfian put/get/overwrite workload through the scheduler.")
     Term.(
-      const run $ dir_arg $ populate $ ops $ clients $ read_pct $ window $ max_queue $ zipf $ seed
-      $ domains $ deadline $ degraded_reads)
+      const run $ dir_arg $ populate $ ops $ clients $ read_pct $ window $ max_queue $ zipf
+      $ seed_arg $ domains_arg $ deadline $ degraded_reads)
 
 let main =
   let doc = "modular end-to-end DNA data storage codec and simulator" in

@@ -318,6 +318,8 @@ let run ?(params = Codec.Params.default) ?(layout = Codec.Layout.Baseline) ?stag
           failed_outcome ~timings ~n_strands ~n_reads ~n_clusters ~n_units ~words_per_cluster
             "decode stage crashed"
 
+let replays a b = Option.equal Bytes.equal a.file b.file && a.partial = b.partial
+
 (* The random-access read path (Section II-F) from a file's PCR-selected
    molecules to its decoded bytes: sequence them in both orientations,
    demultiplex the file's one primer pair, cluster, reconstruct the

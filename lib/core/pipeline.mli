@@ -126,6 +126,11 @@ val run :
     [Dna.Par.counters] exposes per-stage parallel timing, renderable
     with {!Report.par_counters}. *)
 
+val replays : outcome -> outcome -> bool
+(** [replays a b] holds when [b] reproduces [a]'s recovered bytes and
+    partial-recovery map exactly: the seeded-replay contract that a
+    rerun with the same seeds (pipeline rng and fault plan) must meet. *)
+
 val random_access :
   domains:int -> stages -> seq_rng:Dna.Rng.t -> cluster_rng:Dna.Rng.t ->
   pair:Codec.Primer.pair -> params:Codec.Params.t -> layout:Codec.Layout.t -> n_units:int ->

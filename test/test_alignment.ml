@@ -147,34 +147,6 @@ let test_packed_roundtrip () =
       (Dna.Alignment.script_of_packed p = t.Dna.Alignment.script)
   done
 
-(* POA graphs must be identical however narrow the (exact, fallback-
-   guarded) band is. *)
-let test_poa_band_invariant () =
-  List.iter
-    (fun seed ->
-      let rng = Dna.Rng.create seed in
-      List.iter
-        (fun coverage ->
-          let clean = Dna.Strand.random rng 120 in
-          let reads =
-            List.init coverage (fun _ -> sibling rng ~error_rate:0.06 clean)
-          in
-          let consensus_at band = Dna.Poa.consensus (Dna.Poa.of_reads ?band reads) in
-          let unpruned = consensus_at (Some 10_000) in
-          List.iter
-            (fun band ->
-              Alcotest.(check bool)
-                (Printf.sprintf "cov %d band %d consensus unchanged" coverage band)
-                true
-                (Dna.Strand.equal unpruned (consensus_at (Some band))))
-            [ 1; 8; Dna.Poa.default_band ];
-          Alcotest.(check bool)
-            (Printf.sprintf "cov %d default band consensus unchanged" coverage)
-            true
-            (Dna.Strand.equal unpruned (consensus_at None)))
-        [ 3; 10; 20 ])
-    seeds
-
 (* On whole clusters, the alignments NW consensus runs match the oracle.
    A consensus round aligns every read against its reference: the first
    round's is the cluster's longest read, the last round's is (the
@@ -401,7 +373,6 @@ let () =
         ] );
       ( "consensus",
         [
-          Alcotest.test_case "poa band invariant" `Quick test_poa_band_invariant;
           Alcotest.test_case "nw alignments == reference" `Quick
             test_consensus_alignments_match_reference;
           Alcotest.test_case "cluster sort deterministic" `Quick test_cluster_sort_deterministic;

@@ -1,5 +1,5 @@
 (* Tests for the dna substrate library: RNG, nucleotides, strands,
-   bitstream packing, randomizer, distances, alignment, POA, FASTA/FASTQ. *)
+   bitstream packing, randomizer, distances, alignment, FASTA/FASTQ. *)
 
 let rng () = Dna.Rng.create 12345
 
@@ -437,47 +437,6 @@ let test_alignment_counts () =
   let a = Dna.Strand.of_string "ACGT" and b = Dna.Strand.of_string "ACGT" in
   let m, s, d, i = Dna.Alignment.counts (Dna.Alignment.align a b) in
   Alcotest.(check (list int)) "all matches" [ 4; 0; 0; 0 ] [ m; s; d; i ]
-
-(* ---------- POA ---------- *)
-
-let test_poa_single_read () =
-  let g = Dna.Poa.create () in
-  let s = Dna.Strand.of_string "ACGTACGT" in
-  Dna.Poa.add g s;
-  Alcotest.check strand "consensus of one read" s (Dna.Poa.consensus g)
-
-let test_poa_identical_reads () =
-  let g = Dna.Poa.create () in
-  let s = Dna.Strand.of_string "ACGTTGCA" in
-  for _ = 1 to 5 do
-    Dna.Poa.add g s
-  done;
-  Alcotest.check strand "consensus of identical reads" s (Dna.Poa.consensus g);
-  Alcotest.(check int) "no extra nodes" (Dna.Strand.length s) (Dna.Poa.node_count g)
-
-let test_poa_majority_substitution () =
-  let g = Dna.Poa.create () in
-  List.iter
-    (fun s -> Dna.Poa.add g (Dna.Strand.of_string s))
-    [ "ACGTACGT"; "ACGTACGT"; "ACCTACGT" ];
-  Alcotest.check strand "substitution outvoted" (Dna.Strand.of_string "ACGTACGT")
-    (Dna.Poa.consensus g)
-
-let test_poa_column_consensus_noisy () =
-  let r = rng () in
-  let clean = Dna.Strand.random r 40 in
-  let mutate s =
-    Dna.Strand.of_codes
-      (Array.map (fun c -> if Dna.Rng.float r < 0.05 then Dna.Rng.int r 4 else c)
-         (Dna.Strand.to_codes s))
-  in
-  let g = Dna.Poa.create () in
-  for _ = 1 to 9 do
-    Dna.Poa.add g (mutate clean)
-  done;
-  let codes, support = Dna.Poa.consensus_columns ~n_reads:9 g in
-  Alcotest.check strand "columns recover clean" clean (Dna.Strand.of_codes codes);
-  Alcotest.(check int) "one support per column" (Array.length codes) (Array.length support)
 
 (* ---------- Fasta / Fastq ---------- *)
 
@@ -1081,13 +1040,6 @@ let () =
           Alcotest.test_case "script applies" `Quick test_alignment_script_applies;
           Alcotest.test_case "padded lengths" `Quick test_alignment_padded_same_length;
           Alcotest.test_case "counts" `Quick test_alignment_counts;
-        ] );
-      ( "poa",
-        [
-          Alcotest.test_case "single read" `Quick test_poa_single_read;
-          Alcotest.test_case "identical reads" `Quick test_poa_identical_reads;
-          Alcotest.test_case "majority substitution" `Quick test_poa_majority_substitution;
-          Alcotest.test_case "column consensus noisy" `Quick test_poa_column_consensus_noisy;
         ] );
       ( "fasta",
         [
