@@ -1,7 +1,7 @@
 (* The reconstruction bench: times the bit-parallel alignment kernel
    against the full-matrix reference, and pool-native consensus against
-   the boxed one, and writes BENCH_recon.json so future perf changes
-   have a trajectory to regress against.
+   the boxed oracle in test/oracle, and writes BENCH_recon.json so
+   future perf changes have a trajectory to regress against.
 
      dune exec bench/bench_recon.exe                 # full run, writes
                                                      # BENCH_recon.json in CWD
@@ -147,8 +147,8 @@ let run_align () =
    default clustering, sorted slices: the calls [Pipeline.run] makes —
    yields the clusters. Each is reconstructed by
    [Nw_consensus.reconstruct_pool] over its index slice and by the boxed
-   [Nw_consensus.reconstruct] over its views, materialized once outside
-   the timed region. The two sides alternate over [reps] sweeps; each
+   [Recon_oracle.nw] over its views, materialized once outside the
+   timed region. The two sides alternate over [reps] sweeps; each
    side reports its fastest sweep.
 
    Guards: identical consensus on every cluster (always); the pool path
@@ -177,7 +177,7 @@ let run_oracle () =
   let views = Array.map (Array.map (Dna.Strand_pool.get pool)) slices in
   let n = Array.length slices in
   let pool_recon i = Reconstruction.Nw_consensus.reconstruct_pool ~target_len pool slices.(i) in
-  let boxed_recon i = Reconstruction.Nw_consensus.reconstruct ~target_len views.(i) in
+  let boxed_recon i = Recon_oracle.nw ~target_len views.(i) in
   for i = 0 to n - 1 do
     let p = pool_recon i and b = boxed_recon i in
     if not (Dna.Strand.equal p b) then begin

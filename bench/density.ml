@@ -70,7 +70,7 @@ let run () =
             Array.init coverage (fun _ -> Simulator.Channel.transmit channel rng encoded)
           in
           let consensus =
-            Reconstruction.Nw_consensus.reconstruct ~target_len:(Dna.Strand.length encoded) reads
+            reconstruct_of `Nw ~target_len:(Dna.Strand.length encoded) reads
           in
           let recovered =
             match arm with

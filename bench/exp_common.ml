@@ -31,11 +31,15 @@ let bucketize n (p : float array) =
       done;
       !s /. float_of_int (hi - lo))
 
+(* The experiments build plain read arrays; [on_pool] copies each into a
+   fresh pool and reconstructs over the identity slice. *)
+let on_pool = Recon_oracle.on_pool
+
 let reconstruct_of = function
-  | `Bma -> Reconstruction.Bma.reconstruct ?lookahead:None
-  | `Dbma -> Reconstruction.Bma.reconstruct_double ?lookahead:None
-  | `Nw -> fun ~target_len reads -> Reconstruction.Nw_consensus.reconstruct ~target_len reads
-  | `Ensemble -> fun ~target_len reads -> Reconstruction.Ensemble.reconstruct ~target_len reads
+  | `Bma -> on_pool Reconstruction.Bma.reconstruct_pool
+  | `Dbma -> on_pool Reconstruction.Bma.reconstruct_double_pool
+  | `Nw -> on_pool Reconstruction.Nw_consensus.reconstruct_pool
+  | `Ensemble -> on_pool Reconstruction.Ensemble.reconstruct_pool
 
 let recon_name = function
   | `Bma -> "BMA"

@@ -24,9 +24,12 @@ let long_b =
   let ch = Simulator.Iid_channel.create_rate ~error_rate:0.06 in
   Simulator.Channel.transmit ch rng long_a
 
-let cluster_reads =
+(* A coverage-10 cluster of strand_a siblings, as a pool slice. *)
+let cluster_pool =
   let ch = Simulator.Iid_channel.create_rate ~error_rate:0.06 in
-  Array.init 10 (fun _ -> Simulator.Channel.transmit ch rng strand_a)
+  Dna.Strand_pool.of_strands (Array.init 10 (fun _ -> Simulator.Channel.transmit ch rng strand_a))
+
+let cluster_slice = Array.init 10 Fun.id
 
 let rs_code = Rs.create ~k:20 ~nsym:6
 let rs_msg = Array.init 20 (fun i -> (i * 37) land 0xff)
@@ -83,11 +86,11 @@ let tests =
     Test.make ~name:"rs/decode-2-errors" (Staged.stage (fun () ->
         ignore (Rs.decode_arr rs_code rs_noisy)));
     Test.make ~name:"recon/bma-cov10" (Staged.stage (fun () ->
-        ignore (Reconstruction.Bma.reconstruct ~target_len:120 cluster_reads)));
+        ignore (Reconstruction.Bma.reconstruct_pool ~target_len:120 cluster_pool cluster_slice)));
     Test.make ~name:"recon/dbma-cov10" (Staged.stage (fun () ->
-        ignore (Reconstruction.Bma.reconstruct_double ~target_len:120 cluster_reads)));
+        ignore (Reconstruction.Bma.reconstruct_double_pool ~target_len:120 cluster_pool cluster_slice)));
     Test.make ~name:"recon/nwa-cov10" (Staged.stage (fun () ->
-        ignore (Reconstruction.Nw_consensus.reconstruct ~target_len:120 cluster_reads)));
+        ignore (Reconstruction.Nw_consensus.reconstruct_pool ~target_len:120 cluster_pool cluster_slice)));
   ]
 
 let run () =

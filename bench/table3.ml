@@ -21,13 +21,9 @@ let run_config ~kind ~algo ~coverage ~file rng =
       cluster = Dnastore.Pipeline.cluster_default ~kind ();
       reconstruct =
         (match algo with
-        | `Bma -> fun ~target_len pool idxs -> Reconstruction.Bma.reconstruct_pool ~target_len pool idxs
-        | `Dbma ->
-            fun ~target_len pool idxs ->
-              Reconstruction.Bma.reconstruct_double_pool ~target_len pool idxs
-        | `Nw ->
-            fun ~target_len pool idxs ->
-              Reconstruction.Nw_consensus.reconstruct_pool ~target_len pool idxs);
+        | `Bma -> Reconstruction.Bma.reconstruct_pool
+        | `Dbma -> Reconstruction.Bma.reconstruct_double_pool
+        | `Nw -> Reconstruction.Nw_consensus.reconstruct_pool);
     }
   in
   let out = Dnastore.Pipeline.run ~stages rng file in

@@ -166,15 +166,10 @@ let recon_arg =
 
 (* Reconstructors over cluster index-slices of a read arena. *)
 let make_recon = function
-  | `Bma -> (fun ~target_len pool idxs -> Reconstruction.Bma.reconstruct_pool ~target_len pool idxs)
-  | `Dbma ->
-      (fun ~target_len pool idxs ->
-        Reconstruction.Bma.reconstruct_double_pool ~target_len pool idxs)
-  | `Nw ->
-      (fun ~target_len pool idxs ->
-        Reconstruction.Nw_consensus.reconstruct_pool ~target_len pool idxs)
-  | `Ensemble ->
-      (fun ~target_len pool idxs -> Reconstruction.Ensemble.reconstruct_pool ~target_len pool idxs)
+  | `Bma -> Reconstruction.Bma.reconstruct_pool
+  | `Dbma -> Reconstruction.Bma.reconstruct_double_pool
+  | `Nw -> Reconstruction.Nw_consensus.reconstruct_pool
+  | `Ensemble -> Reconstruction.Ensemble.reconstruct_pool
 
 let sig_kind_arg =
   Arg.(value & opt (enum [ ("qgram", Clustering.Signature.Qgram); ("wgram", Clustering.Signature.Wgram) ])

@@ -81,9 +81,7 @@ let default_stages ?(error_rate = 0.06) ?(coverage = 10) () =
     channel = Simulator.Iid_channel.create_rate ~error_rate;
     sequencing = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed coverage);
     cluster = cluster_default ();
-    reconstruct =
-      (fun ~target_len pool idxs ->
-        Reconstruction.Nw_consensus.reconstruct_pool ~target_len pool idxs);
+    reconstruct = Reconstruction.Nw_consensus.reconstruct_pool;
   }
 
 (* Largest clusters first: when two clusters claim the same column index,

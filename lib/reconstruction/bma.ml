@@ -11,110 +11,20 @@
     exactly the positional reliability skew that motivates the Gini and
     DNAMapper codecs. *)
 
-(* Majority base over [reads] at their pointers shifted by [offset],
-   restricted to indices in [active]. Returns -1 when nothing votes. *)
-let majority_at reads pointers active ~offset =
-  let counts = Array.make 4 0 in
-  List.iter
-    (fun i ->
-      let p = pointers.(i) + offset in
-      if p >= 0 && p < Dna.Strand.length reads.(i) then begin
-        let c = Dna.Strand.get_code reads.(i) p in
-        counts.(c) <- counts.(c) + 1
-      end)
-    active;
-  let best = ref (-1) and best_count = ref 0 in
-  for c = 0 to 3 do
-    if counts.(c) > !best_count then begin
-      best := c;
-      best_count := counts.(c)
-    end
-  done;
-  !best
+(* Width of the expected-continuation window that scores each
+   realignment hypothesis. *)
+let lookahead = 2
 
-(* Score a realignment hypothesis: how well the read starting at [start]
-   matches the expected continuation [expected]. *)
-let hypothesis_score read ~start expected =
-  let n = Dna.Strand.length read in
-  let score = ref 0 in
-  List.iteri
-    (fun k e ->
-      if e >= 0 && start + k < n && start + k >= 0 && Dna.Strand.get_code read (start + k) = e then
-        incr score)
-    expected;
-  !score
-
-let reconstruct ?(lookahead = 2) ~target_len (reads : Dna.Strand.t array) : Dna.Strand.t =
-  let n_reads = Array.length reads in
-  if n_reads = 0 then invalid_arg "Bma.reconstruct: empty cluster";
-  let pointers = Array.make n_reads 0 in
-  let consensus = Array.make target_len 0 in
-  let all = List.init n_reads (fun i -> i) in
-  for t = 0 to target_len - 1 do
-    let active = List.filter (fun i -> pointers.(i) < Dna.Strand.length reads.(i)) all in
-    let c = majority_at reads pointers active ~offset:0 in
-    let c = if c < 0 then 0 (* all reads exhausted; emit A *) else c in
-    consensus.(t) <- c;
-    (* Expected continuation after this consensus base: the majority of
-       the agreeing reads' next bases. *)
-    let agreeing =
-      List.filter
-        (fun i ->
-          pointers.(i) < Dna.Strand.length reads.(i)
-          && Dna.Strand.get_code reads.(i) pointers.(i) = c)
-        active
-    in
-    let expected =
-      List.init lookahead (fun k -> majority_at reads pointers agreeing ~offset:(k + 1))
-    in
-    List.iter
-      (fun i ->
-        let p = pointers.(i) in
-        let read = reads.(i) in
-        if Dna.Strand.get_code read p = c then pointers.(i) <- p + 1
-        else begin
-          (* Disagreement: guess the edit. Each hypothesis implies where
-             the read should resume to match the expected continuation. *)
-          let sub_score = hypothesis_score read ~start:(p + 1) expected in
-          let ins_score = hypothesis_score read ~start:(p + 2) expected in
-          let del_score = hypothesis_score read ~start:p expected in
-          (* Insertion additionally requires the consensus base to appear
-             right after the inserted one. *)
-          let ins_ok = p + 1 < Dna.Strand.length read && Dna.Strand.get_code read (p + 1) = c in
-          let ins_score = if ins_ok then ins_score + 1 else -1 in
-          if sub_score >= ins_score && sub_score >= del_score then pointers.(i) <- p + 1
-          else if del_score >= ins_score then () (* base belongs to the next position *)
-          else pointers.(i) <- p + 2
-        end)
-      active
-  done;
-  Dna.Strand.of_codes consensus
-
-(* Double-sided BMA: reconstruct the left half left-to-right and the
-   right half right-to-left on reversed reads, then join. Errors now
-   propagate only to the middle of the strand. *)
-let reconstruct_double ?lookahead ~target_len (reads : Dna.Strand.t array) : Dna.Strand.t =
-  let left_len = (target_len + 1) / 2 in
-  let right_len = target_len - left_len in
-  let left = reconstruct ?lookahead ~target_len:left_len reads in
-  let reversed = Array.map Dna.Strand.rev reads in
-  let right_rev = reconstruct ?lookahead ~target_len:right_len reversed in
-  Dna.Strand.append left (Dna.Strand.rev right_rev)
-
-(* ---------- pool-native surface ----------
-
-   The same algorithm over the first [n] minted views in the domain
+(* The algorithm runs over the first [n] minted views in the domain
    arena, with all state (pointers, lookahead expectations, vote
    counts, output codes) in the arena's flat buffers. [rev] addresses
    each read back-to-front — the double-sided variant's reversed pass —
-   without materializing reversed strands. The boxed [active] and
-   [agreeing] lists are ascending-index, so the flat ascending loops
-   below reproduce the same votes; membership is evaluated lazily but
-   pointers.(i) only changes when slot i itself is processed, so each
-   test sees the round-entry value, exactly like the frozen lists. *)
-
-let core ~lookahead ~target_len (views : Dna.Strand.t array) n ~rev ~pointers ~expected ~counts
-    ~put =
+   without materializing reversed strands. A read is active while its
+   pointer is inside it; activity is tested lazily, but pointers.(i)
+   only changes when slot i itself is processed, so each test sees the
+   step-entry value. The list-based BMA in the test oracle
+   (test/oracle/recon_oracle.ml) is the reference this core reproduces. *)
+let core ~target_len (views : Dna.Strand.t array) n ~rev ~pointers ~expected ~counts ~put =
   let len i = Dna.Strand.length (Array.unsafe_get views i) in
   let code i p =
     let v = Array.unsafe_get views i in
@@ -184,7 +94,7 @@ let core ~lookahead ~target_len (views : Dna.Strand.t array) n ~rev ~pointers ~e
     done
   done
 
-let reconstruct_pool ?(lookahead = 2) ~target_len pool (idxs : int array) : Dna.Strand.t =
+let reconstruct_pool ~target_len pool (idxs : int array) : Dna.Strand.t =
   let open Recon_arena in
   let a = get () in
   let n = mint a pool idxs ~keep_empty:true in
@@ -192,12 +102,12 @@ let reconstruct_pool ?(lookahead = 2) ~target_len pool (idxs : int array) : Dna.
   a.pointers <- ints a.pointers n;
   a.expected <- ints a.expected lookahead;
   a.out <- ints a.out target_len;
-  core ~lookahead ~target_len a.views n ~rev:false ~pointers:a.pointers ~expected:a.expected
+  core ~target_len a.views n ~rev:false ~pointers:a.pointers ~expected:a.expected
     ~counts:a.counts4
     ~put:(fun t c -> a.out.(t) <- c);
   Dna.Strand.init_codes target_len (fun i -> Array.unsafe_get a.out i)
 
-let reconstruct_double_pool ?(lookahead = 2) ~target_len pool (idxs : int array) : Dna.Strand.t =
+let reconstruct_double_pool ~target_len pool (idxs : int array) : Dna.Strand.t =
   let open Recon_arena in
   let a = get () in
   let n = mint a pool idxs ~keep_empty:true in
@@ -208,13 +118,13 @@ let reconstruct_double_pool ?(lookahead = 2) ~target_len pool (idxs : int array)
   a.expected <- ints a.expected lookahead;
   a.out <- ints a.out target_len;
   let out = a.out in
-  core ~lookahead ~target_len:left_len a.views n ~rev:false ~pointers:a.pointers
+  core ~target_len:left_len a.views n ~rev:false ~pointers:a.pointers
     ~expected:a.expected ~counts:a.counts4
     ~put:(fun t c -> out.(t) <- c);
   (* The reversed pass writes position t of the reversed right half,
      which is final position [target_len - 1 - t] — the same join as
      [append left (rev right_rev)], with no reversed copies. *)
-  core ~lookahead ~target_len:right_len a.views n ~rev:true ~pointers:a.pointers
+  core ~target_len:right_len a.views n ~rev:true ~pointers:a.pointers
     ~expected:a.expected ~counts:a.counts4
     ~put:(fun t c -> out.(target_len - 1 - t) <- c);
   Dna.Strand.init_codes target_len (fun i -> Array.unsafe_get out i)

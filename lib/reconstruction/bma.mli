@@ -6,23 +6,15 @@
     toward the far end of the strand; double-sided BMA meets in the
     middle — the positional reliability skew behind Gini/DNAMapper. *)
 
-val reconstruct : ?lookahead:int -> target_len:int -> Dna.Strand.t array -> Dna.Strand.t
-(** Left-to-right BMA-lookahead consensus of exactly [target_len]
-    bases (default lookahead window 2). Raises [Invalid_argument] on an
-    empty cluster. *)
+val reconstruct_pool : target_len:int -> Dna.Strand_pool.t -> int array -> Dna.Strand.t
+(** Left-to-right BMA-lookahead consensus (lookahead window 2) of
+    exactly [target_len] bases over a cluster index-slice of an arena
+    read pool: reads are zero-copy views, pointers/lookahead/output
+    state lives in the calling domain's {!Recon_arena}. Empty reads
+    never vote. Raises [Invalid_argument] on an empty slice. *)
 
-val reconstruct_double : ?lookahead:int -> target_len:int -> Dna.Strand.t array -> Dna.Strand.t
+val reconstruct_double_pool : target_len:int -> Dna.Strand_pool.t -> int array -> Dna.Strand.t
 (** Double-sided BMA: the left half reconstructed left-to-right, the
-    right half right-to-left, joined in the middle. *)
-
-val reconstruct_pool :
-  ?lookahead:int -> target_len:int -> Dna.Strand_pool.t -> int array -> Dna.Strand.t
-(** [reconstruct] over a cluster index-slice of an arena read pool:
-    reads are zero-copy views, pointers/lookahead/output state lives in
-    the calling domain's {!Recon_arena}. Bit-identical to the boxed
-    path on the same reads. *)
-
-val reconstruct_double_pool :
-  ?lookahead:int -> target_len:int -> Dna.Strand_pool.t -> int array -> Dna.Strand.t
-(** Pool-native double-sided BMA: the reversed pass addresses reads
-    back-to-front instead of materializing reversed copies. *)
+    right half right-to-left, joined in the middle. The reversed pass
+    addresses reads back-to-front instead of materializing reversed
+    copies. *)

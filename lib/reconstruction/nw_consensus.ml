@@ -18,18 +18,10 @@
 
 type outcome = { consensus : Dna.Strand.t; trimmed : int; padded : int }
 
-(* A round's candidate columns in reference order, as parallel flat
-   arrays (only the first [n] slots are meaningful). Alignment is most
-   of a cluster's reconstruction time; everything around it stays in
-   flat int arrays so the bookkeeping never becomes the bottleneck. *)
-type profile = { codes : int array; support : int array; n : int }
-
 (* One profile round over the first [n_reads] slots of [reads], filling
    caller-owned flat buffers: [counts]/[ins] must arrive zeroed,
-   [codes]/[support] are overwritten. Returns the candidate count. Both
-   the boxed and the pool-native surfaces run through here, so their
-   profiles are bit-identical by construction. *)
-let profile_core (reference : Dna.Strand.t) (reads : Dna.Strand.t array) n_reads
+   [codes]/[support] are overwritten. Returns the candidate count. *)
+let profile_round (reference : Dna.Strand.t) (reads : Dna.Strand.t array) n_reads
     ~counts ~ins ~codes ~support : int =
   let m = Dna.Strand.length reference in
   (* Flat count tables: match column i holds votes at [i*5 .. i*5+4]
@@ -90,25 +82,12 @@ let profile_core (reference : Dna.Strand.t) (reads : Dna.Strand.t array) n_reads
   insertion_candidate m;
   !n
 
-(* Boxed entry point: fresh buffers per round. At most one insertion
-   column before every match column plus one trailing slot: 2m + 1
-   candidates. *)
-let profile_columns (reference : Dna.Strand.t) (reads : Dna.Strand.t array) :
-    profile =
-  let m = Dna.Strand.length reference in
-  let counts = Array.make (m * 5) 0 in
-  let ins = Array.make ((m + 1) * 4) 0 in
-  let codes = Array.make ((2 * m) + 1) 0 in
-  let support = Array.make ((2 * m) + 1) 0 in
-  let n = profile_core reference reads (Array.length reads) ~counts ~ins ~codes ~support in
-  { codes; support; n }
-
 (* Majority-rule vote used between refinement rounds: keep match columns
    that beat their gap votes and insertions backed by most reads. A pure
    function of an already-computed profile, so refinement rounds whose
    reference has stabilized can reuse the profile instead of realigning
    the whole cluster. *)
-let vote_core (reference : Dna.Strand.t) ~n_reads ~codes ~support n ~scratch : Dna.Strand.t =
+let vote (reference : Dna.Strand.t) ~n_reads ~codes ~support n ~scratch : Dna.Strand.t =
   let kept = ref 0 in
   for k = 0 to n - 1 do
     if 2 * support.(k) > n_reads then incr kept
@@ -125,13 +104,10 @@ let vote_core (reference : Dna.Strand.t) ~n_reads ~codes ~support n ~scratch : D
     Dna.Strand.init_codes !kept (fun i -> Array.unsafe_get scratch i)
   end
 
-let vote_columns (reference : Dna.Strand.t) ~n_reads (p : profile) : Dna.Strand.t =
-  vote_core reference ~n_reads ~codes:p.codes ~support:p.support p.n ~scratch:(Array.make (max 1 p.n) 0)
-
-(* In-place heapsort of [order.(0..n)] by (support desc, index asc) —
-   the boxed selection comparator. Indices are distinct so the key
-   order is strict, and any comparison sort yields the same sequence;
-   heapsort keeps the pool path allocation-free. *)
+(* In-place heapsort of [order.(0..n)] by (support desc, index asc).
+   Indices are distinct so the key order is strict, and any comparison
+   sort yields the same sequence; heapsort keeps selection
+   allocation-free. *)
 let sort_order order n support =
   let after a b = support.(a) < support.(b) || (support.(a) = support.(b) && a > b) in
   let swap i j =
@@ -161,7 +137,7 @@ let sort_order order n support =
    (capacity >= target_len) and return [(written, padded)]. Keeps
    exactly [target_len] columns when over-long, strongest support first
    (ties resolved toward earlier columns). *)
-let select_core ~codes ~support n target_len ~order ~keep ~out =
+let select ~codes ~support n target_len ~order ~keep ~out =
   if n <= target_len then begin
     Array.blit codes 0 out 0 n;
     (n, target_len - n)
@@ -185,77 +161,22 @@ let select_core ~codes ~support n target_len ~order ~keep ~out =
     (target_len, 0)
   end
 
-let select_columns (p : profile) target_len =
-  let out = Array.make (max p.n target_len) 0 in
-  let written, padded =
-    select_core ~codes:p.codes ~support:p.support p.n target_len ~order:(Array.make (max 1 p.n) 0)
-      ~keep:(Array.make (max 1 p.n) false) ~out
-  in
-  (Array.sub out 0 written, padded)
+(* Realignment rounds after the first profile. *)
+let refinements = 2
 
-let reconstruct_full ?(refinements = 2) ~target_len (reads : Dna.Strand.t array) : outcome =
-  let reads =
-    if Array.for_all (fun r -> Dna.Strand.length r > 0) reads then reads
-    else
-      Array.of_list (List.filter (fun r -> Dna.Strand.length r > 0) (Array.to_list reads))
-  in
-  let n_reads = Array.length reads in
-  if n_reads = 0 then invalid_arg "Nw_consensus.reconstruct: empty cluster";
-  (* Longest read as the initial backbone. *)
-  let reference = ref reads.(0) in
-  Array.iter
-    (fun r -> if Dna.Strand.length r > Dna.Strand.length !reference then reference := r)
-    reads;
-  (* Each round profiles the cluster once and votes; when the vote
-     reproduces the reference the profile is already the final one
-     (realigning against an unchanged reference yields the same columns),
-     so later rounds — and the final selection pass — reuse it instead of
-     realigning every read again. Output is identical to always
-     re-profiling; only the redundant alignments are skipped. *)
-  let columns = ref (profile_columns !reference reads) in
-  (try
-     for _ = 1 to refinements do
-       let voted = vote_columns !reference ~n_reads !columns in
-       if Dna.Strand.equal voted !reference then raise Exit;
-       reference := voted;
-       columns := profile_columns !reference reads
-     done
-   with Exit -> ());
-  let columns = !columns in
-  let n_candidates = columns.n in
-  let codes, padded = select_columns columns target_len in
-  let n = Array.length codes in
-  if padded = 0 then
-    { consensus = Dna.Strand.of_codes codes; trimmed = max 0 (n_candidates - target_len); padded = 0 }
-  else begin
-    let out = Array.make target_len 0 in
-    Array.blit codes 0 out 0 n;
-    { consensus = Dna.Strand.of_codes out; trimmed = 0; padded }
-  end
-
-let reconstruct ?refinements ~target_len reads =
-  (reconstruct_full ?refinements ~target_len reads).consensus
-
-(* ---------- pool-native surface ----------
-
-   Same algorithm over [(pool, index)] views: reads are minted into the
-   domain's {!Recon_arena} and every profile/vote/selection table lives
-   in its grow-only buffers, so a cluster's reconstruction allocates
-   only the alignment scripts and the consensus strands themselves.
-   Bit-identical to the boxed path (the cores above are shared and the
-   selection order is strict). *)
-
-let reconstruct_pool_full ?(refinements = 2) ~target_len pool (idxs : int array) :
-    outcome =
+(* Reads are minted into the domain's {!Recon_arena} and every
+   profile/vote/selection table lives in its grow-only buffers, so a
+   cluster's reconstruction allocates only the alignment scripts and the
+   consensus strands themselves. *)
+let reconstruct_pool_full ~target_len pool (idxs : int array) : outcome =
   let open Recon_arena in
   let a = get () in
-  (* The boxed path drops zero-length reads before aligning; minting
-     with [keep_empty:false] reproduces that filter order-preservingly. *)
+  (* Zero-length reads carry no alignment evidence: minting with
+     [keep_empty:false] drops them, keeping the others in order. *)
   let n_reads = mint a pool idxs ~keep_empty:false in
   if n_reads = 0 then invalid_arg "Nw_consensus.reconstruct: empty cluster";
   let reads = a.views in
-  (* Longest read as the initial backbone (first-longest wins ties,
-     like the boxed fold). *)
+  (* Longest read as the initial backbone (the first of equals wins). *)
   let reference = ref (Array.unsafe_get reads 0) in
   for r = 1 to n_reads - 1 do
     if Dna.Strand.length reads.(r) > Dna.Strand.length !reference then reference := reads.(r)
@@ -268,14 +189,18 @@ let reconstruct_pool_full ?(refinements = 2) ~target_len pool (idxs : int array)
     Array.fill a.ins 0 ((m + 1) * 4) 0;
     a.codes <- ints a.codes ((2 * m) + 1);
     a.support <- ints a.support ((2 * m) + 1);
-    profile_core !reference reads n_reads ~counts:a.counts ~ins:a.ins ~codes:a.codes
+    profile_round !reference reads n_reads ~counts:a.counts ~ins:a.ins ~codes:a.codes
       ~support:a.support
   in
+  (* Each round profiles the cluster once and votes. When the vote
+     reproduces the reference, the profile is already the final one
+     (realigning against an unchanged reference yields the same
+     columns), so refinement stops and selection reuses it. *)
   let n = ref (profile ()) in
   (try
      for _ = 1 to refinements do
        a.out <- ints a.out !n;
-       let voted = vote_core !reference ~n_reads ~codes:a.codes ~support:a.support !n ~scratch:a.out in
+       let voted = vote !reference ~n_reads ~codes:a.codes ~support:a.support !n ~scratch:a.out in
        if Dna.Strand.equal voted !reference then raise Exit;
        reference := voted;
        n := profile ()
@@ -286,7 +211,7 @@ let reconstruct_pool_full ?(refinements = 2) ~target_len pool (idxs : int array)
   a.keep <- bools a.keep n_candidates;
   a.out <- ints a.out (max target_len n_candidates);
   let written, padded =
-    select_core ~codes:a.codes ~support:a.support n_candidates target_len ~order:a.order
+    select ~codes:a.codes ~support:a.support n_candidates target_len ~order:a.order
       ~keep:a.keep ~out:a.out
   in
   if padded = 0 then
@@ -304,5 +229,4 @@ let reconstruct_pool_full ?(refinements = 2) ~target_len pool (idxs : int array)
     }
   end
 
-let reconstruct_pool ?refinements ~target_len pool idxs =
-  (reconstruct_pool_full ?refinements ~target_len pool idxs).consensus
+let reconstruct_pool ~target_len pool idxs = (reconstruct_pool_full ~target_len pool idxs).consensus

@@ -164,7 +164,9 @@ let test_consensus_alignments_match_reference () =
             (fun l r -> if Dna.Strand.length r > Dna.Strand.length l then r else l)
             reads.(0) reads
         in
-        let consensus = Reconstruction.Nw_consensus.reconstruct ~target_len:120 reads in
+        let consensus =
+          Recon_oracle.on_pool Reconstruction.Nw_consensus.reconstruct_pool ~target_len:120 reads
+        in
         List.iter
           (fun (name, reference) ->
             Array.iter
@@ -219,13 +221,12 @@ let test_cluster_sort_deterministic () =
     Alcotest.(check bool) "sorted cluster order identical" true (sorted_reads order = reference)
   done
 
-(* ---- pool-native reconstruction: bit-identity with the boxed path ----
+(* ---- pool-native reconstruction: bit-identity with the boxed oracle ----
 
-   The arena surfaces ([reconstruct_pool] and friends) are a perf knob,
-   never a semantics knob: on every cluster, the pool path over an
-   index slice must return byte-for-byte what the boxed path returns
-   over the materialized reads — including which exceptions it raises
-   (an empty slice must refuse exactly like an empty array). *)
+   On every cluster, each pool-native reconstructor over an index slice
+   must return byte-for-byte what its boxed reference in [Recon_oracle]
+   returns over the materialized reads — including which exceptions it
+   raises (an empty slice must refuse exactly like an empty array). *)
 
 (* A random cluster at coverage 3..20 over a clean strand of length
    0..300, packed into a pool alongside decoy reads so slices exercise
@@ -267,26 +268,11 @@ let check_strand_outcome name boxed pooled =
 
 let algorithms =
   [
-    ( "nw",
-      (fun ~target_len reads ->
-        Reconstruction.Nw_consensus.reconstruct ~target_len reads),
-      fun ~target_len pool idxs ->
-        Reconstruction.Nw_consensus.reconstruct_pool ~target_len pool idxs );
-    ( "bma",
-      (fun ~target_len reads -> Reconstruction.Bma.reconstruct ~target_len reads),
-      fun ~target_len pool idxs -> Reconstruction.Bma.reconstruct_pool ~target_len pool idxs );
-    ( "dbma",
-      (fun ~target_len reads -> Reconstruction.Bma.reconstruct_double ~target_len reads),
-      fun ~target_len pool idxs ->
-        Reconstruction.Bma.reconstruct_double_pool ~target_len pool idxs );
-    ( "ensemble",
-      (fun ~target_len reads ->
-        Reconstruction.Ensemble.reconstruct ~target_len reads),
-      fun ~target_len pool idxs ->
-        Reconstruction.Ensemble.reconstruct_pool ~target_len pool idxs );
-    ( "majority",
-      (fun ~target_len reads -> Reconstruction.Ensemble.majority ~target_len reads),
-      fun ~target_len pool idxs -> Reconstruction.Ensemble.majority_pool ~target_len pool idxs );
+    ("nw", Recon_oracle.nw, Reconstruction.Nw_consensus.reconstruct_pool);
+    ("bma", Recon_oracle.bma, Reconstruction.Bma.reconstruct_pool);
+    ("dbma", Recon_oracle.bma_double, Reconstruction.Bma.reconstruct_double_pool);
+    ("ensemble", Recon_oracle.ensemble, Reconstruction.Ensemble.reconstruct_pool);
+    ("majority", Recon_oracle.majority, Reconstruction.Ensemble.majority_pool);
   ]
 
 let test_pool_matches_boxed () =
@@ -304,7 +290,7 @@ let test_pool_matches_boxed () =
               (outcome (fun () -> pooled ~target_len pool idxs)))
           algorithms;
         (* the fallback chain, including the empty slice *)
-        let fb = Reconstruction.Ensemble.reconstruct_fallback ~target_len reads in
+        let fb = Recon_oracle.fallback ~target_len reads in
         let fbp = Reconstruction.Ensemble.reconstruct_fallback_pool ~target_len pool idxs in
         (match (fb, fbp) with
         | Some a, Some b ->
@@ -328,16 +314,16 @@ let test_pool_empty_cluster () =
 
 (* The per-domain arenas must not interfere: reconstructing many
    clusters through the domain pool (domains 1, 2 and 4) returns the
-   same strands the boxed serial loop does. Each worker reuses its own
-   arena across tasks, so any cross-task or cross-domain state leak
-   shows up as a mismatch. *)
+   same strands the boxed oracle's serial loop does. Each worker reuses
+   its own arena across tasks, so any cross-task or cross-domain state
+   leak shows up as a mismatch. *)
 let test_pool_arena_isolation_across_domains () =
   let rng = Dna.Rng.create 2024 in
   let clusters = Array.init 24 (fun _ -> random_cluster rng) in
   let pools = Array.map (fun (reads, _) -> pool_of_reads rng reads) clusters in
   let serial =
     Array.map
-      (fun (reads, target_len) -> Reconstruction.Ensemble.reconstruct ~target_len reads)
+      (fun (reads, target_len) -> Recon_oracle.ensemble ~target_len reads)
       clusters
   in
   List.iter

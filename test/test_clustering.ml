@@ -469,8 +469,8 @@ let test_run_pool_matches_run_scaled () =
 
 (* Clustering-to-consensus handoff: the index slices [run_pool] emits
    feed [reconstruct_pool] directly, and every cluster's consensus must
-   be byte-identical to the boxed reconstruction over the same slice's
-   materialized views. This is the seam the pooled pipeline spine runs
+   be byte-identical to the boxed oracle's reconstruction over the same
+   slice's materialized views. This is the seam the pooled pipeline spine runs
    on — no boxed strand per read between clustering and decode. *)
 let test_pool_slices_reconstruct_identically () =
   let reads, _ = planted_reads 2718 in
@@ -484,12 +484,12 @@ let test_pool_slices_reconstruct_identically () =
       let pooled =
         Reconstruction.Nw_consensus.reconstruct_pool ~target_len:110 pool idxs
       in
-      let boxed = Reconstruction.Nw_consensus.reconstruct ~target_len:110 boxed_reads in
+      let boxed = Recon_oracle.nw ~target_len:110 boxed_reads in
       Alcotest.(check bool)
         (Printf.sprintf "cluster %d consensus byte-identical" c)
         true (Dna.Strand.equal pooled boxed);
       let pooled_e = Reconstruction.Ensemble.reconstruct_pool ~target_len:110 pool idxs in
-      let boxed_e = Reconstruction.Ensemble.reconstruct ~target_len:110 boxed_reads in
+      let boxed_e = Recon_oracle.ensemble ~target_len:110 boxed_reads in
       Alcotest.(check bool)
         (Printf.sprintf "cluster %d ensemble byte-identical" c)
         true (Dna.Strand.equal pooled_e boxed_e))

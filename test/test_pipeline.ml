@@ -42,13 +42,9 @@ let test_pipeline_every_stage_combination () =
                rname)
             true out.Dnastore.Pipeline.exact)
         [
-          ("bma", fun ~target_len pool idxs -> Reconstruction.Bma.reconstruct_pool ~target_len pool idxs);
-          ( "dbma",
-            fun ~target_len pool idxs ->
-              Reconstruction.Bma.reconstruct_double_pool ~target_len pool idxs );
-          ( "nw",
-            fun ~target_len pool idxs ->
-              Reconstruction.Nw_consensus.reconstruct_pool ~target_len pool idxs );
+          ("bma", Reconstruction.Bma.reconstruct_pool);
+          ("dbma", Reconstruction.Bma.reconstruct_double_pool);
+          ("nw", Reconstruction.Nw_consensus.reconstruct_pool);
         ])
     [ Clustering.Signature.Qgram; Clustering.Signature.Wgram ]
 
@@ -124,8 +120,7 @@ let test_pipeline_custom_stages_one_spine () =
     {
       (Dnastore.Pipeline.default_stages ()) with
       Dnastore.Pipeline.cluster = Dnastore.Pipeline.cluster_default ~kind:Clustering.Signature.Wgram ();
-      reconstruct =
-        (fun ~target_len pool idxs -> Reconstruction.Bma.reconstruct_pool ~target_len pool idxs);
+      reconstruct = Reconstruction.Bma.reconstruct_pool;
     }
   in
   let out, _, labels = par_labels (fun () -> Dnastore.Pipeline.run ~stages ~domains:2 (rng ()) file) in

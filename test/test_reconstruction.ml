@@ -1,5 +1,7 @@
 (* Tests for trace reconstruction: BMA-lookahead, double-sided BMA, the
-   NW/profile consensus, and the evaluation metrics. *)
+   NW/profile consensus, and the evaluation metrics. Every algorithm runs
+   through its pool-native entry point; plain read arrays are bridged
+   with [Recon_oracle.on_pool]. *)
 
 let rng () = Dna.Rng.create 1618
 
@@ -8,14 +10,13 @@ let strand = Alcotest.testable Dna.Strand.pp Dna.Strand.equal
 let noisy_cluster r ~channel ~coverage clean =
   Array.init coverage (fun _ -> Simulator.Channel.transmit channel r clean)
 
-let algorithms =
-  [
-    ("bma", fun ~target_len reads -> Reconstruction.Bma.reconstruct ~target_len reads);
-    ("dbma", fun ~target_len reads -> Reconstruction.Bma.reconstruct_double ~target_len reads);
-    ("nw", fun ~target_len reads -> Reconstruction.Nw_consensus.reconstruct ~target_len reads);
-    ("ensemble", fun ~target_len reads -> Reconstruction.Ensemble.reconstruct ~target_len reads);
-    ("trellis", fun ~target_len reads -> Reconstruction.Trellis.reconstruct ~target_len reads);
-  ]
+let on_pool = Recon_oracle.on_pool
+let bma = on_pool Reconstruction.Bma.reconstruct_pool
+let dbma = on_pool Reconstruction.Bma.reconstruct_double_pool
+let nw = on_pool Reconstruction.Nw_consensus.reconstruct_pool
+let ensemble = on_pool Reconstruction.Ensemble.reconstruct_pool
+
+let algorithms = [ ("bma", bma); ("dbma", dbma); ("nw", nw); ("ensemble", ensemble) ]
 
 (* ---------- exactness on easy inputs ---------- *)
 
@@ -118,9 +119,8 @@ let test_iid6_coverage10_mostly_perfect () =
 let test_nw_improves_with_coverage () =
   let r = rng () in
   let ch = Simulator.Wetlab_channel.create () in
-  let recon ~target_len reads = Reconstruction.Nw_consensus.reconstruct ~target_len reads in
-  let lo = perfect_rate recon r ~channel:ch ~coverage:5 ~len:90 ~trials:30 in
-  let hi = perfect_rate recon r ~channel:ch ~coverage:25 ~len:90 ~trials:30 in
+  let lo = perfect_rate nw r ~channel:ch ~coverage:5 ~len:90 ~trials:30 in
+  let hi = perfect_rate nw r ~channel:ch ~coverage:25 ~len:90 ~trials:30 in
   Alcotest.(check bool)
     (Printf.sprintf "coverage helps (%.2f -> %.2f)" lo hi)
     true (hi > lo)
@@ -133,7 +133,7 @@ let test_bma_error_grows_rightward () =
     List.init 120 (fun _ ->
         let clean = Dna.Strand.random r 100 in
         let reads = noisy_cluster r ~channel:ch ~coverage:8 clean in
-        (clean, Reconstruction.Bma.reconstruct ~target_len:100 reads))
+        (clean, bma ~target_len:100 reads))
   in
   let profile = Reconstruction.Recon_metrics.per_index_error pairs in
   let seg lo hi =
@@ -152,7 +152,7 @@ let test_dbma_error_peaks_in_middle () =
     List.init 120 (fun _ ->
         let clean = Dna.Strand.random r 100 in
         let reads = noisy_cluster r ~channel:ch ~coverage:8 clean in
-        (clean, Reconstruction.Bma.reconstruct_double ~target_len:100 reads))
+        (clean, dbma ~target_len:100 reads))
   in
   let profile = Reconstruction.Recon_metrics.per_index_error pairs in
   let seg lo hi =
@@ -180,8 +180,8 @@ let test_nw_flatter_than_dbma () =
   let peak pairs =
     Array.fold_left max 0.0 (Reconstruction.Recon_metrics.per_index_error pairs)
   in
-  let p_dbma = peak (collect (Reconstruction.Bma.reconstruct_double ?lookahead:None)) in
-  let p_nw = peak (collect ((fun ~target_len reads -> Reconstruction.Nw_consensus.reconstruct ~target_len reads))) in
+  let p_dbma = peak (collect dbma) in
+  let p_nw = peak (collect nw) in
   Alcotest.(check bool)
     (Printf.sprintf "nw peak %.3f < dbma peak %.3f" p_nw p_dbma)
     true (p_nw < p_dbma)
@@ -207,42 +207,6 @@ let test_truncated_reads_tolerated () =
         true (!ok >= 25))
     algorithms
 
-let test_trellis_refines_nw_at_sparse_coverage () =
-  (* Soft evidence pays exactly where hard votes are thin: sparse
-     coverage (its documented regime). *)
-  let r = rng () in
-  let ch = Simulator.Iid_channel.create_rate ~error_rate:0.06 in
-  let collect recon =
-    List.init 60 (fun _ ->
-        let clean = Dna.Strand.random r 80 in
-        let reads = noisy_cluster r ~channel:ch ~coverage:4 clean in
-        (clean, recon ~target_len:80 reads))
-  in
-  let avg pairs =
-    Reconstruction.Recon_metrics.average_error (Reconstruction.Recon_metrics.per_index_error pairs)
-  in
-  let e_nw = avg (collect ((fun ~target_len reads -> Reconstruction.Nw_consensus.reconstruct ~target_len reads))) in
-  let e_tr = avg (collect (fun ~target_len reads -> Reconstruction.Trellis.reconstruct ~target_len reads)) in
-  Alcotest.(check bool)
-    (Printf.sprintf "trellis %.3f < nw %.3f at coverage 4" e_tr e_nw)
-    true
-    (e_tr < e_nw)
-
-let test_trellis_rates_estimation () =
-  let r = rng () in
-  let clean = Dna.Strand.random r 120 in
-  let ch = Simulator.Iid_channel.create { p_ins = 0.02; p_del = 0.05; p_sub = 0.03 } in
-  let reads = Array.init 30 (fun _ -> Simulator.Channel.transmit ch r clean) in
-  let rates = Reconstruction.Trellis.estimate_rates clean reads in
-  Alcotest.(check bool)
-    (Printf.sprintf "del %.3f ~ 0.05" rates.Reconstruction.Trellis.p_del)
-    true
-    (abs_float (rates.Reconstruction.Trellis.p_del -. 0.05) < 0.02);
-  Alcotest.(check bool)
-    (Printf.sprintf "sub %.3f ~ 0.03" rates.Reconstruction.Trellis.p_sub)
-    true
-    (abs_float (rates.Reconstruction.Trellis.p_sub -. 0.03) < 0.02)
-
 let test_ensemble_at_least_as_good_as_nw () =
   (* On the wetlab channel at coverage 10 the vote should match or beat
      the best single algorithm on average error. *)
@@ -257,20 +221,42 @@ let test_ensemble_at_least_as_good_as_nw () =
   let avg pairs =
     Reconstruction.Recon_metrics.average_error (Reconstruction.Recon_metrics.per_index_error pairs)
   in
-  let e_nw = avg (collect ((fun ~target_len reads -> Reconstruction.Nw_consensus.reconstruct ~target_len reads))) in
-  let e_ens = avg (collect ((fun ~target_len reads -> Reconstruction.Ensemble.reconstruct ~target_len reads))) in
+  let e_nw = avg (collect nw) in
+  let e_ens = avg (collect ensemble) in
   Alcotest.(check bool)
     (Printf.sprintf "ensemble %.3f <= nw %.3f + slack" e_ens e_nw)
     true
     (e_ens <= e_nw +. 0.02)
 
+(* The [outcome] fields of the pool surface: clean reads (nothing to
+   trim or pad); four copies of a 60-nt strand's 50-nt prefix (ten
+   positions padded with A); three clean reads plus three sharing one
+   inserted base (one candidate column trimmed). *)
 let test_nw_full_outcome_fields () =
-  let r = rng () in
-  let clean = Dna.Strand.random r 60 in
-  let out = Reconstruction.Nw_consensus.reconstruct_full ~target_len:60 [| clean; clean |] in
-  Alcotest.(check int) "no trim" 0 out.Reconstruction.Nw_consensus.trimmed;
-  Alcotest.(check int) "no pad" 0 out.Reconstruction.Nw_consensus.padded;
-  Alcotest.check strand "consensus" clean out.Reconstruction.Nw_consensus.consensus
+  let nw_full reads =
+    Recon_oracle.on_pool Reconstruction.Nw_consensus.reconstruct_pool_full ~target_len:60 reads
+  in
+  let check name ~trimmed ~padded expect reads =
+    let out : Reconstruction.Nw_consensus.outcome = nw_full reads in
+    Alcotest.(check int) (name ^ " trimmed") trimmed out.trimmed;
+    Alcotest.(check int) (name ^ " padded") padded out.padded;
+    Alcotest.check strand (name ^ " consensus") expect out.consensus
+  in
+  let clean = Dna.Strand.random (rng ()) 60 in
+  check "clean" ~trimmed:0 ~padded:0 clean [| clean; clean |];
+  let clean = Dna.Strand.random (Dna.Rng.create 7) 60 in
+  let prefix = Dna.Strand.sub clean ~pos:0 ~len:50 in
+  check "short reads" ~trimmed:0 ~padded:10
+    (Dna.Strand.append prefix (Dna.Strand.of_string (String.make 10 'A')))
+    (Array.make 4 prefix);
+  let codes = Dna.Strand.to_codes clean in
+  (* a base unlike both neighbours, so the insertion has one alignment *)
+  let base = List.find (fun b -> b <> codes.(29) && b <> codes.(30)) [ 0; 1; 2; 3 ] in
+  let inserted =
+    Dna.Strand.of_codes (Array.concat [ Array.sub codes 0 30; [| base |]; Array.sub codes 30 30 ])
+  in
+  check "shared insertion" ~trimmed:1 ~padded:0 clean
+    (Array.append (Array.make 3 clean) (Array.make 3 inserted))
 
 (* ---------- metrics ---------- *)
 
@@ -354,9 +340,6 @@ let () =
         [
           Alcotest.test_case "truncated reads" `Quick test_truncated_reads_tolerated;
           Alcotest.test_case "ensemble vs nw" `Quick test_ensemble_at_least_as_good_as_nw;
-          Alcotest.test_case "trellis refines nw at sparse coverage" `Slow
-            test_trellis_refines_nw_at_sparse_coverage;
-          Alcotest.test_case "trellis rate estimation" `Quick test_trellis_rates_estimation;
           Alcotest.test_case "nw outcome fields" `Quick test_nw_full_outcome_fields;
         ] );
       ( "metrics",
