@@ -335,7 +335,8 @@ let run_cluster () =
    - clover: the trie-based streaming baseline, for accuracy context.
 
    Also measured: minor-heap words allocated per read by the simulator
-   channel loop, boxed transmit vs pooled transmit_into. *)
+   channel loop, the boxed iid model ([Channel_oracle.iid]) vs the
+   pooled transmit_into. *)
 
 let scale_params () =
   (* partition_len 8 spreads 1M representatives across 65536 integer
@@ -354,10 +355,11 @@ let channel_alloc () =
   let rng = Dna.Rng.create !seed in
   let clean = Dna.Strand.random rng read_len in
   let ch = Simulator.Iid_channel.create_rate ~error_rate in
+  let boxed_iid = Channel_oracle.iid (Simulator.Iid_channel.default_params ~error_rate) in
   let sink = ref 0 in
   let w0 = Gc.minor_words () in
   for _ = 1 to k do
-    sink := !sink + Dna.Strand.length (Simulator.Channel.transmit ch rng clean)
+    sink := !sink + Dna.Strand.length (boxed_iid rng clean)
   done;
   let boxed = (Gc.minor_words () -. w0) /. float_of_int k in
   let pool =

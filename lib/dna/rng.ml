@@ -84,6 +84,17 @@ let geometric t p =
     let u = float t in
     1 + int_of_float (Float.of_int 0 +. floor (log1p (-.u) /. log1p (-.p)))
 
+(* One uniform, then a linear scan of the cumulative mass; the last
+   index takes whatever mass rounding leaves over. *)
+let categorical t (dist : float array) =
+  let u = float t in
+  let rec pick i acc =
+    if i >= Array.length dist - 1 then i
+    else if acc +. dist.(i) >= u then i
+    else pick (i + 1) (acc +. dist.(i))
+  in
+  pick 0 0.0
+
 (* Knuth's method; adequate for the small means used as sequencing coverage. *)
 let poisson t lambda =
   if lambda <= 0.0 then invalid_arg "Rng.poisson: lambda must be positive";

@@ -32,6 +32,11 @@ val geometric : t -> float -> int
 (** [geometric t p] is the number of Bernoulli([p]) trials up to and
     including the first success; support {1, 2, ...}. *)
 
+val categorical : t -> float array -> int
+(** An index drawn from the distribution [dist] (weights summing to
+    about 1): one {!float} draw, the first index whose cumulative
+    weight reaches it, else the last index. *)
+
 val poisson : t -> float -> int
 (** Poisson sample with the given mean (Knuth's method; intended for
     small means such as sequencing coverage). *)

@@ -78,33 +78,11 @@ let position_weight p ~len i =
     1.0 +. (p.end_bias *. d *. d)
   end
 
-(* Both transmit paths draw identically: per base one uniform for the
-   damage trial; on damage a second uniform classifies it; a
-   substitution draws one more int for the replacement base. A nick
-   ends the read — no further draws for the lost tail. *)
-
-let transmit p rng strand =
-  validate p;
-  let n = Dna.Strand.length strand in
-  let rate = per_base_rate p in
-  let buf = Buffer.create (n + 1) in
-  let i = ref 0 and nicked = ref false in
-  while (not !nicked) && !i < n do
-    let u = Dna.Rng.float rng in
-    if u < rate *. position_weight p ~len:n !i then begin
-      if Dna.Rng.float rng < p.sub_fraction then begin
-        let code = Dna.Strand.unsafe_get_code strand !i in
-        Buffer.add_char buf Dna.Strand.char_of_code.((code + 1 + Dna.Rng.int rng 3) land 3)
-      end
-      else nicked := true (* backbone cleaved: the 3' remainder is lost *)
-    end
-    else Buffer.add_char buf Dna.Strand.char_of_code.(Dna.Strand.unsafe_get_code strand !i);
-    incr i
-  done;
-  Dna.Strand.of_string (Buffer.contents buf)
-
+(* Per base one uniform for the damage trial; on damage a second
+   uniform classifies it; a substitution draws one more int for the
+   replacement base. A nick ends the read — no further draws for the
+   lost tail. *)
 let transmit_into p rng strand pool =
-  validate p;
   let n = Dna.Strand.length strand in
   let rate = per_base_rate p in
   let i = ref 0 and nicked = ref false in
@@ -115,7 +93,7 @@ let transmit_into p rng strand pool =
         let code = Dna.Strand.unsafe_get_code strand !i in
         Dna.Strand_pool.emit pool ((code + 1 + Dna.Rng.int rng 3) land 3)
       end
-      else nicked := true
+      else nicked := true (* backbone cleaved: the 3' remainder is lost *)
     end
     else Dna.Strand_pool.emit pool (Dna.Strand.unsafe_get_code strand !i);
     incr i
@@ -123,21 +101,22 @@ let transmit_into p rng strand pool =
 
 let create ?(params = default_params) () =
   validate params;
-  Channel.create
-    ~name:(Printf.sprintf "aging(%.1fy)" params.years)
-    ~transmit_into:(transmit_into params) (transmit params)
+  {
+    Channel.name = Printf.sprintf "aging(%.1fy)" params.years;
+    transmit_into = transmit_into params;
+  }
 
 (* Pool-level application: each archived molecule is independently lost
    with probability [dropout p]; survivors carry the per-base damage of
-   one [transmit] pass. Zero-length wrecks are discarded. *)
+   one pass through the channel. Zero-length wrecks are discarded. *)
 let age_pool ?(params = default_params) rng (strands : Dna.Strand.t array) : Dna.Strand.t array =
-  validate params;
+  let channel = create ~params () in
   let p_drop = dropout params in
   let out = ref [] in
   Array.iter
     (fun s ->
       if Dna.Rng.float rng >= p_drop then begin
-        let aged = transmit params rng s in
+        let aged = Channel.transmit channel rng s in
         if Dna.Strand.length aged > 0 then out := aged :: !out
       end)
     strands;

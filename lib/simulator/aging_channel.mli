@@ -34,14 +34,10 @@ val per_base_rate : params -> float
 (** Midpoint per-base damage probability on a surviving molecule
     ([cumulative * per_base_scale], capped at 0.5). *)
 
-val transmit : params -> Dna.Rng.t -> Dna.Strand.t -> Dna.Strand.t
-val transmit_into : params -> Dna.Rng.t -> Dna.Strand.t -> Dna.Strand_pool.t -> unit
-(** Draw-for-draw identical to [transmit] (the {!Channel.create}
-    contract): same rng stream, the read left open in the pool. *)
-
 val create : ?params:params -> unit -> Channel.t
 
 val age_pool : ?params:params -> Dna.Rng.t -> Dna.Strand.t array -> Dna.Strand.t array
 (** Apply the archive to a whole pool: drop each molecule with
-    probability {!dropout}, damage survivors with one [transmit] pass,
-    discard zero-length wrecks. Order-preserving over survivors. *)
+    probability {!dropout}, damage survivors with one pass through
+    [create ~params ()], discard zero-length wrecks. Order-preserving
+    over survivors. *)

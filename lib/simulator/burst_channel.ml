@@ -44,14 +44,11 @@ let mean_error_rate p =
   let b = stationary_bad p in
   (b *. p.p_bad) +. ((1.0 -. b) *. p.p_good)
 
-(* Both transmit paths draw identically per base: one uniform for the
-   state transition, one uniform for the error trial, and (only when the
-   trial lands on a substitution or insertion) the extra base draws. *)
-
-let transmit p rng strand =
-  validate p;
+(* Per base: one uniform for the state transition, one uniform for
+   the error trial, and (only when the trial lands on a substitution or
+   insertion) the extra base draw. *)
+let transmit_into p rng strand pool =
   let n = Dna.Strand.length strand in
-  let buf = Buffer.create (n + 8) in
   let bad = ref false in
   for i = 0 to n - 1 do
     let t = Dna.Rng.float rng in
@@ -62,31 +59,6 @@ let transmit p rng strand =
       if u < p.p_bad *. p.bad_del then () (* deletion: base swallowed by the burst *)
       else if u < p.p_bad *. (p.bad_del +. p.bad_ins) then begin
         (* insertion before the current base; the base itself survives *)
-        Buffer.add_char buf Dna.Strand.char_of_code.(Dna.Rng.int rng 4);
-        Buffer.add_char buf Dna.Strand.char_of_code.(code)
-      end
-      else if u < p.p_bad then
-        Buffer.add_char buf Dna.Strand.char_of_code.((code + 1 + Dna.Rng.int rng 3) land 3)
-      else Buffer.add_char buf Dna.Strand.char_of_code.(code)
-    end
-    else if u < p.p_good then
-      Buffer.add_char buf Dna.Strand.char_of_code.((code + 1 + Dna.Rng.int rng 3) land 3)
-    else Buffer.add_char buf Dna.Strand.char_of_code.(code)
-  done;
-  Dna.Strand.of_string (Buffer.contents buf)
-
-let transmit_into p rng strand pool =
-  validate p;
-  let n = Dna.Strand.length strand in
-  let bad = ref false in
-  for i = 0 to n - 1 do
-    let t = Dna.Rng.float rng in
-    if !bad then (if t < p.p_exit then bad := false) else if t < p.p_enter then bad := true;
-    let code = Dna.Strand.unsafe_get_code strand i in
-    let u = Dna.Rng.float rng in
-    if !bad then begin
-      if u < p.p_bad *. p.bad_del then ()
-      else if u < p.p_bad *. (p.bad_del +. p.bad_ins) then begin
         Dna.Strand_pool.emit pool (Dna.Rng.int rng 4);
         Dna.Strand_pool.emit pool code
       end
@@ -99,4 +71,4 @@ let transmit_into p rng strand pool =
 
 let create ?(params = default_params) () =
   validate params;
-  Channel.create ~name:"gilbert-elliott" ~transmit_into:(transmit_into params) (transmit params)
+  { Channel.name = "gilbert-elliott"; transmit_into = transmit_into params }

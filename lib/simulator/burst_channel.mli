@@ -25,9 +25,6 @@ val mean_error_rate : params -> float
     the configured rate a scenario report compares the realized rate
     against. *)
 
-val transmit : params -> Dna.Rng.t -> Dna.Strand.t -> Dna.Strand.t
-val transmit_into : params -> Dna.Rng.t -> Dna.Strand.t -> Dna.Strand_pool.t -> unit
-(** Draw-for-draw identical to [transmit] (the {!Channel.create}
-    contract). *)
-
 val create : ?params:params -> unit -> Channel.t
+(** Raises [Invalid_argument] on a probability outside [\[0, 1\]] or
+    [bad_del + bad_ins > 1]. *)

@@ -7,38 +7,45 @@
 
 type t = {
   name : string;
-  transmit : Dna.Rng.t -> Dna.Strand.t -> Dna.Strand.t;
-  transmit_into : (Dna.Rng.t -> Dna.Strand.t -> Dna.Strand_pool.t -> unit) option;
-      (* Allocation-free variant: emit the noisy read as the pool's open
-         read (left uncommitted so the caller can reorient or truncate).
-         Must consume rng draws identically to [transmit]. [None] falls
-         back to boxed transmit + re-emit. *)
+  transmit_into : Dna.Rng.t -> Dna.Strand.t -> Dna.Strand_pool.t -> unit;
+      (* Emit the noisy read as the pool's open read, left uncommitted
+         so the caller can reorient or truncate it. *)
 }
 
-let create ?transmit_into ~name transmit = { name; transmit; transmit_into }
-let name t = t.name
-let transmit t rng strand = t.transmit rng strand
+(* A boxed model becomes an emitter by re-emitting its read: one
+   transient strand per read, the model's own rng stream. *)
+let create ~name transmit =
+  let transmit_into rng strand pool =
+    let read = transmit rng strand in
+    for i = 0 to Dna.Strand.length read - 1 do
+      Dna.Strand_pool.emit pool (Dna.Strand.unsafe_get_code read i)
+    done
+  in
+  { name; transmit_into }
 
-let transmit_into t rng strand pool =
-  match t.transmit_into with
-  | Some f -> f rng strand pool
-  | None ->
-      (* Generic bridge for channels without a native pooled path:
-         identical rng stream, one transient boxed read. *)
-      let read = t.transmit rng strand in
-      for i = 0 to Dna.Strand.length read - 1 do
-        Dna.Strand_pool.emit pool (Dna.Strand.unsafe_get_code read i)
-      done
+let name t = t.name
+let transmit_into t rng strand pool = t.transmit_into rng strand pool
+
+(* One read on its own: emit into a pool sized for it and hand back the
+   committed read as a view. *)
+let transmit t rng strand =
+  let pool =
+    Dna.Strand_pool.create ~capacity_bases:(Dna.Strand.length strand + 16) ~capacity_reads:1 ()
+  in
+  t.transmit_into rng strand pool;
+  Dna.Strand_pool.get pool (Dna.Strand_pool.commit pool)
 
 (* The identity channel: a perfect wetlab. Useful for tests and for
    isolating downstream modules. *)
 let noiseless =
-  create ~name:"noiseless"
-    ~transmit_into:(fun _ s pool ->
-      for i = 0 to Dna.Strand.length s - 1 do
-        Dna.Strand_pool.emit pool (Dna.Strand.unsafe_get_code s i)
-      done)
-    (fun _ s -> s)
+  {
+    name = "noiseless";
+    transmit_into =
+      (fun _ s pool ->
+        for i = 0 to Dna.Strand.length s - 1 do
+          Dna.Strand_pool.emit pool (Dna.Strand.unsafe_get_code s i)
+        done);
+  }
 
 (* Per-position error-rate estimate of a channel, measured by aligning
    reads against their source. Returns, for each clean-strand index, the

@@ -19,50 +19,26 @@ let validate { p_ins; p_del; p_sub } =
   if p_ins < 0.0 || p_del < 0.0 || p_sub < 0.0 || p_ins +. p_del +. p_sub > 1.0 then
     invalid_arg "Iid_channel: probabilities must be nonnegative and sum to at most 1"
 
-let transmit params rng strand =
-  validate params;
-  let buf = Buffer.create (Dna.Strand.length strand + 8) in
-  let n = Dna.Strand.length strand in
-  for i = 0 to n - 1 do
-    let base = Dna.Strand.get strand i in
-    let u = Dna.Rng.float rng in
-    if u < params.p_ins then begin
-      (* Insertion before the current base; the base itself survives. *)
-      Buffer.add_char buf (Dna.Nucleotide.to_char (Dna.Nucleotide.random rng));
-      Buffer.add_char buf (Dna.Nucleotide.to_char base)
-    end
-    else if u < params.p_ins +. params.p_del then () (* deletion *)
-    else if u < params.p_ins +. params.p_del +. params.p_sub then
-      Buffer.add_char buf (Dna.Nucleotide.to_char (Dna.Nucleotide.random_other rng base))
-    else Buffer.add_char buf (Dna.Nucleotide.to_char base)
-  done;
-  Dna.Strand.of_string (Buffer.contents buf)
-
-(* Pooled variant: same per-base rng draws as [transmit], but codes are
-   emitted straight into the arena — no Buffer, no string, no boxed
-   strand per read. *)
+(* Per base one uniform picks the event; an insertion then draws a
+   uniform base and a substitution a shift of 1..3 from the original. *)
 let transmit_into params rng strand pool =
-  validate params;
   let n = Dna.Strand.length strand in
   for i = 0 to n - 1 do
     let code = Dna.Strand.unsafe_get_code strand i in
     let u = Dna.Rng.float rng in
     if u < params.p_ins then begin
-      (* Insertion before the current base; the base itself survives.
-         [Nucleotide.random] is one uniform draw over the 4 codes. *)
+      (* Insertion before the current base; the base itself survives. *)
       Dna.Strand_pool.emit pool (Dna.Rng.int rng 4);
       Dna.Strand_pool.emit pool code
     end
     else if u < params.p_ins +. params.p_del then () (* deletion *)
     else if u < params.p_ins +. params.p_del +. params.p_sub then
-      (* [Nucleotide.random_other]'s draw: shift 1..3 from the base. *)
       Dna.Strand_pool.emit pool ((code + 1 + Dna.Rng.int rng 3) land 3)
     else Dna.Strand_pool.emit pool code
   done
 
 let create params =
   validate params;
-  Channel.create ~name:"rashtchian-iid" ~transmit_into:(transmit_into params)
-    (transmit params)
+  { Channel.name = "rashtchian-iid"; transmit_into = transmit_into params }
 
 let create_rate ~error_rate = create (default_params ~error_rate)

@@ -103,15 +103,6 @@ let train (pairs : (Dna.Strand.t * Dna.Strand.t) list) : model =
     p_tail_ins = fdiv !tail_ins n_pairs;
   }
 
-let sample_dist rng (dist : float array) =
-  let u = Dna.Rng.float rng in
-  let rec pick i acc =
-    if i >= Array.length dist - 1 then i
-    else if acc +. dist.(i) >= u then i
-    else pick (i + 1) (acc +. dist.(i))
-  in
-  pick 0 0.0
-
 let transmit (m : model) rng strand =
   let n = Dna.Strand.length strand in
   let buf = Buffer.create (n + 8) in
@@ -120,21 +111,21 @@ let transmit (m : model) rng strand =
     (* Positions beyond the trained profile reuse the last bucket. *)
     let p = min !i (m.len - 1) in
     if Dna.Rng.float rng < m.p_ins.(p) then
-      Buffer.add_char buf Dna.Strand.char_of_code.(sample_dist rng m.ins_dist);
+      Buffer.add_char buf Dna.Strand.char_of_code.(Dna.Rng.categorical rng m.ins_dist);
     if Dna.Rng.float rng < m.p_del_start.(p) then begin
-      let run = 1 + sample_dist rng m.run_length in
+      let run = 1 + Dna.Rng.categorical rng m.run_length in
       i := !i + run
     end
     else begin
       let code = Dna.Strand.get_code strand !i in
       if Dna.Rng.float rng < m.p_sub.(p) then
-        Buffer.add_char buf Dna.Strand.char_of_code.(sample_dist rng m.sub_matrix.(code))
+        Buffer.add_char buf Dna.Strand.char_of_code.(Dna.Rng.categorical rng m.sub_matrix.(code))
       else Buffer.add_char buf Dna.Strand.char_of_code.(code);
       incr i
     end
   done;
   if Dna.Rng.float rng < m.p_tail_ins then
-    Buffer.add_char buf Dna.Strand.char_of_code.(sample_dist rng m.ins_dist);
+    Buffer.add_char buf Dna.Strand.char_of_code.(Dna.Rng.categorical rng m.ins_dist);
   Dna.Strand.of_string (Buffer.contents buf)
 
 let create model = Channel.create ~name:"learned-empirical" (transmit model)

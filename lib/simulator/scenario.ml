@@ -9,10 +9,10 @@
     result, and replay bit-identically from (scenario, seed) alone.
 
     [build] compiles the stack into the two hooks the pipeline exposes:
-    one {!Channel.t} (read stages composed in order; every intermediate
-    runs boxed and the last one writes through [transmit_into], so
-    pooled and boxed simulation stay draw-for-draw identical) and one
-    pool [prepare] function (pool stages folded in order).
+    one {!Channel.t} (read stages composed in order: each stage reads
+    the previous stage's whole read, and the last one writes into the
+    pool) and one pool [prepare] function (pool stages folded in
+    order).
 
     Floors reference fault scenarios by {e name} only — the simulator
     layer cannot see [Faults]; the resolution happens one layer up in
@@ -49,45 +49,40 @@ type built = {
       (** analytic per-base error rate of the read-level stack *)
 }
 
+(* A read stage's channel and its configured per-base rate. *)
 let spec_channel = function
-  | Noiseless -> Ok Channel.noiseless
-  | Iid rate -> Ok (Iid_channel.create_rate ~error_rate:rate)
+  | Noiseless -> Ok (Channel.noiseless, 0.0)
+  | Iid rate -> Ok (Iid_channel.create_rate ~error_rate:rate, rate)
   | Wetlab base_error ->
-      Ok (Wetlab_channel.create ~params:{ Wetlab_channel.default_params with base_error } ())
-  | Burst params -> Ok (Burst_channel.create ~params ())
-  | Trace path -> (
-      match Trace_channel.fit path with
-      | Ok profile -> Ok (Trace_channel.create profile)
-      | Error e -> Error e)
+      Ok
+        ( Wetlab_channel.create ~params:{ Wetlab_channel.default_params with base_error } (),
+          base_error )
+  | Burst params -> Ok (Burst_channel.create ~params (), Burst_channel.mean_error_rate params)
+  | Trace path ->
+      Result.map
+        (fun profile -> (Trace_channel.create profile, profile.Trace_channel.mean_rate))
+        (Trace_channel.fit path)
 
-let spec_rate = function
-  | Noiseless -> 0.0
-  | Iid rate -> rate
-  | Wetlab base_error -> base_error
-  | Burst params -> Burst_channel.mean_error_rate params
-  | Trace _ -> 0.0 (* replaced by the fitted mean_rate in [build] *)
-
-(* Chain read channels: intermediates run boxed (an indel channel's
-   output must be a whole strand before the next channel sees it), only
-   the last stage writes into the pool. Both paths walk the same chain
-   with the same draws, so the draw-for-draw contract is preserved by
-   construction. *)
+(* Chain read channels: each front channel's read is a whole strand
+   before the next one sees it, and the last stage writes into the
+   pool. *)
 let chain = function
   | [] -> Channel.noiseless
   | [ c ] -> c
   | chans ->
-      let name = String.concat "+" (List.map Channel.name chans) in
       let rec split_last acc = function
         | [] -> assert false
         | [ last ] -> (List.rev acc, last)
         | c :: rest -> split_last (c :: acc) rest
       in
       let front, last = split_last [] chans in
-      let through rng strand = List.fold_left (fun s c -> Channel.transmit c rng s) strand front in
-      Channel.create ~name
-        ~transmit_into:(fun rng strand pool ->
-          Channel.transmit_into last rng (through rng strand) pool)
-        (fun rng strand -> Channel.transmit last rng (through rng strand))
+      {
+        Channel.name = String.concat "+" (List.map Channel.name chans);
+        transmit_into =
+          (fun rng strand pool ->
+            let read = List.fold_left (fun s c -> Channel.transmit c rng s) strand front in
+            Channel.transmit_into last rng read pool);
+      }
 
 let build t =
   let rec collect specs pools rate = function
@@ -103,18 +98,7 @@ let build t =
     | Read spec :: rest -> (
         match spec_channel spec with
         | Error e -> Error e
-        | Ok c ->
-            let r =
-              match spec with
-              | Trace path -> (
-                  (* fit again is cheap relative to a sweep and keeps
-                     spec_channel's result opaque *)
-                  match Trace_channel.fit path with
-                  | Ok p -> p.Trace_channel.mean_rate
-                  | Error _ -> 0.0)
-              | s -> spec_rate s
-            in
-            collect (c :: specs) pools (rate +. r) rest)
+        | Ok (c, r) -> collect (c :: specs) pools (rate +. r) rest)
   in
   match collect [] [] 0.0 t.stages with
   | Error e -> Error e

@@ -32,9 +32,8 @@ type t = {
 
 type built = {
   channel : Channel.t;
-      (** read stages chained in order; intermediates run boxed, the
-          last stage writes through [transmit_into], so pooled and boxed
-          runs stay draw-for-draw identical *)
+      (** read stages chained in order: each stage reads the previous
+          stage's whole read, the last one writes into the pool *)
   prepare : (Dna.Rng.t -> Dna.Strand.t array -> Dna.Strand.t array) option;
       (** pool stages folded in order; [None] when there are none *)
   configured_error_rate : float;

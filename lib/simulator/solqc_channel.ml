@@ -41,41 +41,16 @@ let default_params ~error_rate : params =
     mk ~bias:0.9 ~own:3 [| 0.2; 0.6; 0.2; 0.0 |];
   |]
 
-let sample_dist rng (dist : float array) =
-  let u = Dna.Rng.float rng in
-  let rec pick i acc =
-    if i >= Array.length dist - 1 then i
-    else if acc +. dist.(i) >= u then i
-    else pick (i + 1) (acc +. dist.(i))
-  in
-  pick 0 0.0
-
-let transmit (params : params) rng strand =
-  let buf = Buffer.create (Dna.Strand.length strand + 8) in
-  let n = Dna.Strand.length strand in
-  for i = 0 to n - 1 do
-    let code = Dna.Strand.get_code strand i in
-    let p = params.(code) in
-    if Dna.Rng.float rng < p.p_pre_ins then
-      Buffer.add_char buf Dna.Strand.char_of_code.(sample_dist rng p.ins_dist);
-    if Dna.Rng.float rng < p.p_del then ()
-    else Buffer.add_char buf Dna.Strand.char_of_code.(sample_dist rng p.sub_dist)
-  done;
-  Dna.Strand.of_string (Buffer.contents buf)
-
-(* Pooled variant: rng draws mirror [transmit] exactly; codes go
-   straight into the arena. *)
 let transmit_into (params : params) rng strand pool =
   let n = Dna.Strand.length strand in
   for i = 0 to n - 1 do
     let code = Dna.Strand.unsafe_get_code strand i in
     let p = params.(code) in
     if Dna.Rng.float rng < p.p_pre_ins then
-      Dna.Strand_pool.emit pool (sample_dist rng p.ins_dist);
+      Dna.Strand_pool.emit pool (Dna.Rng.categorical rng p.ins_dist);
     if Dna.Rng.float rng < p.p_del then ()
-    else Dna.Strand_pool.emit pool (sample_dist rng p.sub_dist)
+    else Dna.Strand_pool.emit pool (Dna.Rng.categorical rng p.sub_dist)
   done
 
-let create params =
-  Channel.create ~name:"solqc" ~transmit_into:(transmit_into params) (transmit params)
+let create params = { Channel.name = "solqc"; transmit_into = transmit_into params }
 let create_rate ~error_rate = create (default_params ~error_rate)

@@ -67,31 +67,12 @@ let fit ?splits path =
       | [] -> Error (Printf.sprintf "trace fit: no parseable records in %s" path)
       | quals -> fit_qualities ?splits quals)
 
-(* Replay. Both transmit paths draw identically: one uniform per clean
-   base; an insertion draws one extra base, a substitution one shift. *)
+(* Replay: one uniform per clean base; an insertion draws one extra
+   base, a substitution one shift. *)
 
 let rate_at profile ~i =
   let n = Array.length profile.positions in
   profile.positions.(if i < n then i else n - 1)
-
-let transmit profile rng strand =
-  let n = Dna.Strand.length strand in
-  let buf = Buffer.create (n + 8) in
-  for i = 0 to n - 1 do
-    let code = Dna.Strand.unsafe_get_code strand i in
-    let p = rate_at profile ~i in
-    let u = Dna.Rng.float rng in
-    if u < p *. profile.ins_frac then begin
-      (* insertion before the current base; the base itself survives *)
-      Buffer.add_char buf Dna.Strand.char_of_code.(Dna.Rng.int rng 4);
-      Buffer.add_char buf Dna.Strand.char_of_code.(code)
-    end
-    else if u < p *. (profile.ins_frac +. profile.del_frac) then () (* deletion *)
-    else if u < p *. (profile.ins_frac +. profile.del_frac +. profile.sub_frac) then
-      Buffer.add_char buf Dna.Strand.char_of_code.((code + 1 + Dna.Rng.int rng 3) land 3)
-    else Buffer.add_char buf Dna.Strand.char_of_code.(code)
-  done;
-  Dna.Strand.of_string (Buffer.contents buf)
 
 let transmit_into profile rng strand pool =
   let n = Dna.Strand.length strand in
@@ -100,10 +81,11 @@ let transmit_into profile rng strand pool =
     let p = rate_at profile ~i in
     let u = Dna.Rng.float rng in
     if u < p *. profile.ins_frac then begin
+      (* insertion before the current base; the base itself survives *)
       Dna.Strand_pool.emit pool (Dna.Rng.int rng 4);
       Dna.Strand_pool.emit pool code
     end
-    else if u < p *. (profile.ins_frac +. profile.del_frac) then ()
+    else if u < p *. (profile.ins_frac +. profile.del_frac) then () (* deletion *)
     else if u < p *. (profile.ins_frac +. profile.del_frac +. profile.sub_frac) then
       Dna.Strand_pool.emit pool ((code + 1 + Dna.Rng.int rng 3) land 3)
     else Dna.Strand_pool.emit pool code
@@ -111,9 +93,10 @@ let transmit_into profile rng strand pool =
 
 let create profile =
   if Array.length profile.positions = 0 then invalid_arg "Trace_channel: empty profile";
-  Channel.create
-    ~name:(Printf.sprintf "trace(%d reads)" profile.n_reads)
-    ~transmit_into:(transmit_into profile) (transmit profile)
+  {
+    Channel.name = Printf.sprintf "trace(%d reads)" profile.n_reads;
+    transmit_into = transmit_into profile;
+  }
 
 (* A deterministic stand-in trace for CI and demos: random bases with a
    nanopore-flavored quality track (clean center, noisy start from

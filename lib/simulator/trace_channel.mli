@@ -27,11 +27,6 @@ val fit : ?splits:float * float * float -> string -> (profile, string) result
 val fit_qualities : ?splits:float * float * float -> int array list -> (profile, string) result
 (** The fit on already-decoded quality tracks (what [fit] folds into). *)
 
-val transmit : profile -> Dna.Rng.t -> Dna.Strand.t -> Dna.Strand.t
-val transmit_into : profile -> Dna.Rng.t -> Dna.Strand.t -> Dna.Strand_pool.t -> unit
-(** Draw-for-draw identical to [transmit] (the {!Channel.create}
-    contract). *)
-
 val create : profile -> Channel.t
 (** Raises [Invalid_argument] on an empty profile. *)
 

@@ -56,18 +56,8 @@ let sub_matrix =
     [| 0.2; 0.6; 0.2; 0.0 |];
   |]
 
-let sample_dist rng (dist : float array) =
-  let u = Dna.Rng.float rng in
-  let rec pick i acc =
-    if i >= Array.length dist - 1 then i
-    else if acc +. dist.(i) >= u then i
-    else pick (i + 1) (acc +. dist.(i))
-  in
-  pick 0 0.0
-
-let transmit p rng strand =
+let transmit_into p rng strand pool =
   let n = Dna.Strand.length strand in
-  let buf = Buffer.create (n + 8) in
   let i = ref 0 in
   while !i < n do
     let w = position_weight p ~len:n !i in
@@ -87,55 +77,8 @@ let transmit p rng strand =
       else incr i
     end
     else if u < rate *. 0.75 then begin
-      let code = Dna.Strand.get_code strand !i in
-      Buffer.add_char buf Dna.Strand.char_of_code.(sample_dist rng sub_matrix.(code));
-      incr i
-    end
-    else if u < rate then begin
-      Buffer.add_char buf Dna.Strand.char_of_code.(Dna.Rng.int rng 4);
-      (* post-insertion: the original base still follows *)
-      Buffer.add_char buf (Dna.Nucleotide.to_char (Dna.Strand.get strand !i));
-      incr i
-    end
-    else begin
-      Buffer.add_char buf (Dna.Nucleotide.to_char (Dna.Strand.get strand !i));
-      incr i
-    end
-  done;
-  let read = Buffer.contents buf in
-  let read =
-    if Dna.Rng.float rng < p.p_truncate && String.length read > 4 then begin
-      let max_cut = int_of_float (p.truncate_max_frac *. float_of_int (String.length read)) in
-      let cut = if max_cut = 0 then 0 else Dna.Rng.int rng (max_cut + 1) in
-      String.sub read 0 (String.length read - cut)
-    end
-    else read
-  in
-  Dna.Strand.of_string read
-
-(* Pooled variant: rng draws mirror [transmit] exactly; the read grows
-   as the pool's open read, and tail truncation uses [truncate_open]
-   instead of a string copy. *)
-let transmit_into p rng strand pool =
-  let n = Dna.Strand.length strand in
-  let i = ref 0 in
-  while !i < n do
-    let w = position_weight p ~len:n !i in
-    let rate = p.base_error *. w in
-    let u = Dna.Rng.float rng in
-    if u < rate *. 0.35 then begin
-      if Dna.Rng.float rng < p.p_burst then begin
-        let burst = ref 1 in
-        while Dna.Rng.float rng < p.burst_continue do
-          incr burst
-        done;
-        i := !i + !burst
-      end
-      else incr i
-    end
-    else if u < rate *. 0.75 then begin
       let code = Dna.Strand.unsafe_get_code strand !i in
-      Dna.Strand_pool.emit pool (sample_dist rng sub_matrix.(code));
+      Dna.Strand_pool.emit pool (Dna.Rng.categorical rng sub_matrix.(code));
       incr i
     end
     else if u < rate then begin
@@ -149,6 +92,7 @@ let transmit_into p rng strand pool =
       incr i
     end
   done;
+  (* Tail truncation: the open read is cut in place. *)
   let len = Dna.Strand_pool.open_length pool in
   if Dna.Rng.float rng < p.p_truncate && len > 4 then begin
     let max_cut = int_of_float (p.truncate_max_frac *. float_of_int len) in
@@ -157,5 +101,4 @@ let transmit_into p rng strand pool =
   end
 
 let create ?(params = default_params) () =
-  Channel.create ~name:"wetlab-real" ~transmit_into:(transmit_into params)
-    (transmit params)
+  { Channel.name = "wetlab-real"; transmit_into = transmit_into params }

@@ -4,13 +4,14 @@
    [Simulator.Sequencer.sequence_pool]. It makes the same draws in the
    same order (dropout float, coverage draw, then per read the channel
    stream and the orientation float, then one shuffle), but each read
-   goes through the channel's boxed [transmit] into a fresh strand.
-   [sequence_pool] writes through [transmit_into] instead, so equal
-   reads show that a channel's two paths consume the same stream. *)
+   comes from a boxed model (usually one from [Channel_oracle]) as a
+   fresh strand. [sequence_pool] writes through the channel's emitter
+   instead, so equal reads show that the emitter consumes the model's
+   stream and produces its reads. *)
 
 type read = { seq : Dna.Strand.t; origin : int }
 
-let sequence (params : Simulator.Sequencer.params) channel rng (strands : Dna.Strand.t array) =
+let sequence (params : Simulator.Sequencer.params) transmit rng (strands : Dna.Strand.t array) =
   let out = ref [] in
   Array.iteri
     (fun origin strand ->
@@ -22,7 +23,7 @@ let sequence (params : Simulator.Sequencer.params) channel rng (strands : Dna.St
           | Poisson mean -> Dna.Rng.poisson rng mean
         in
         for _ = 1 to n do
-          let seq = Simulator.Channel.transmit channel rng strand in
+          let seq = transmit rng strand in
           let seq =
             if params.p_reverse > 0.0 && Dna.Rng.float rng < params.p_reverse then
               Dna.Strand.reverse_complement seq
@@ -42,13 +43,13 @@ let sequence_arrays params channel rng strands =
   let origins = Simulator.Sequencer.sequence_pool params channel rng strands ~pool in
   (Dna.Strand_pool.to_array pool, origins)
 
-(* Every channel must replay its boxed path draw for draw through the
+(* Every channel must replay its boxed model draw for draw through the
    arena: same seed, same reads in the same order, same origins. *)
 let check_pool_matches_boxed
     ?(params = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 4)) name
-    channel =
+    ~boxed channel =
   let strands = Array.init 12 (fun i -> Dna.Strand.random (Dna.Rng.create (100 + i)) 90) in
-  let boxed = sequence params channel (Dna.Rng.create 55) strands in
+  let boxed = sequence params boxed (Dna.Rng.create 55) strands in
   let reads, origins = sequence_arrays params channel (Dna.Rng.create 55) strands in
   Alcotest.(check int) (name ^ ": read count") (Array.length boxed) (Array.length origins);
   Array.iteri

@@ -5,13 +5,35 @@
 let strand_eq = Alcotest.testable (Fmt.of_to_string Dna.Strand.to_string) Dna.Strand.equal
 
 (* ---------- pooled paths: every new channel must replay its boxed
-   path draw for draw (the Channel.create contract) ---------- *)
+   oracle draw for draw ---------- *)
 
 let test_pool_aging () =
-  Read_oracle.check_pool_matches_boxed "aging" (Simulator.Aging_channel.create ())
+  Read_oracle.check_pool_matches_boxed "aging"
+    ~boxed:(Channel_oracle.aging Simulator.Aging_channel.default_params)
+    (Simulator.Aging_channel.create ())
+
+(* The archive damages survivors through the aging channel: same
+   survivors, same damage, same discarded wrecks as the boxed pass. The
+   heavy nicking makes zero-length wrecks common. *)
+let test_age_pool_matches_boxed () =
+  let p =
+    {
+      Simulator.Aging_channel.default_params with
+      Simulator.Aging_channel.years = 20.0;
+      per_base_scale = 0.5;
+      sub_fraction = 0.5;
+    }
+  in
+  let strands = Array.init 200 (fun i -> Dna.Strand.random (Dna.Rng.create i) 60) in
+  let expected = Channel_oracle.age_pool p (Dna.Rng.create 5) strands in
+  let got = Simulator.Aging_channel.age_pool ~params:p (Dna.Rng.create 5) strands in
+  Alcotest.(check int) "survivors" (Array.length expected) (Array.length got);
+  Array.iteri (fun i s -> Alcotest.check strand_eq (Printf.sprintf "survivor %d" i) s got.(i)) expected
 
 let test_pool_burst () =
-  Read_oracle.check_pool_matches_boxed "burst" (Simulator.Burst_channel.create ())
+  Read_oracle.check_pool_matches_boxed "burst"
+    ~boxed:(Channel_oracle.burst Simulator.Burst_channel.default_params)
+    (Simulator.Burst_channel.create ())
 
 let fitted_profile () =
   let path = Filename.temp_file "test_trace" ".fastq" in
@@ -25,11 +47,13 @@ let fitted_profile () =
   profile
 
 let test_pool_trace () =
-  Read_oracle.check_pool_matches_boxed "trace" (Simulator.Trace_channel.create (fitted_profile ()))
+  let profile = fitted_profile () in
+  Read_oracle.check_pool_matches_boxed "trace" ~boxed:(Channel_oracle.trace profile)
+    (Simulator.Trace_channel.create profile)
 
 let test_pool_composed_stack () =
-  (* A chained stack (burst after iid) built by the engine keeps the
-     contract too: intermediates boxed, last stage pooled. *)
+  (* A chained stack (burst after iid) built by the engine replays the
+     boxed models applied in order. *)
   let sc =
     {
       Simulator.Scenario.name = "stack";
@@ -44,25 +68,43 @@ let test_pool_composed_stack () =
   in
   match Simulator.Scenario.build sc with
   | Error e -> Alcotest.fail e
-  | Ok b -> Read_oracle.check_pool_matches_boxed "iid+burst" b.Simulator.Scenario.channel
+  | Ok b ->
+      Read_oracle.check_pool_matches_boxed "iid+burst"
+        ~boxed:(fun rng s ->
+          Channel_oracle.burst Simulator.Burst_channel.default_params rng
+            (Channel_oracle.iid (Simulator.Iid_channel.default_params ~error_rate:0.02) rng s))
+        b.Simulator.Scenario.channel
 
-(* After a transmit, both paths must leave the rng in the same state —
-   equality of the next draw is the sharpest cheap probe. *)
+(* After a transmit, the oracle, the emitter and the one-read
+   [Channel.transmit] must leave the rng in the same state — equality of
+   the next draw is the sharpest cheap probe — and the two production
+   paths must return the oracle's read. *)
 let test_rng_state_after_transmit () =
+  let profile = fitted_profile () in
   List.iter
-    (fun (name, ch) ->
+    (fun (name, boxed, ch) ->
       let s = Dna.Strand.random (Dna.Rng.create 3) 80 in
-      let r1 = Dna.Rng.create 9 and r2 = Dna.Rng.create 9 in
-      ignore (Simulator.Channel.transmit ch r1 s);
+      let r1 = Dna.Rng.create 9 and r2 = Dna.Rng.create 9 and r3 = Dna.Rng.create 9 in
+      let expected = boxed r1 s in
       let pool = Dna.Strand_pool.create () in
       Simulator.Channel.transmit_into ch r2 s pool;
+      let emitted = Dna.Strand_pool.get pool (Dna.Strand_pool.commit pool) in
+      let single = Simulator.Channel.transmit ch r3 s in
+      let next = Dna.Rng.int r1 1_000_000 in
+      Alcotest.(check int) (name ^ ": rng state after transmit") next (Dna.Rng.int r2 1_000_000);
       Alcotest.(check int)
-        (name ^ ": rng state after transmit")
-        (Dna.Rng.int r1 1_000_000) (Dna.Rng.int r2 1_000_000))
+        (name ^ ": rng state after one-read transmit")
+        next (Dna.Rng.int r3 1_000_000);
+      Alcotest.check strand_eq (name ^ ": emitted read") expected emitted;
+      Alcotest.check strand_eq (name ^ ": one-read transmit") expected single)
     [
-      ("aging", Simulator.Aging_channel.create ());
-      ("burst", Simulator.Burst_channel.create ());
-      ("trace", Simulator.Trace_channel.create (fitted_profile ()));
+      ( "aging",
+        Channel_oracle.aging Simulator.Aging_channel.default_params,
+        Simulator.Aging_channel.create () );
+      ( "burst",
+        Channel_oracle.burst Simulator.Burst_channel.default_params,
+        Simulator.Burst_channel.create () );
+      ("trace", Channel_oracle.trace profile, Simulator.Trace_channel.create profile);
     ]
 
 (* ---------- aging ---------- *)
@@ -105,7 +147,7 @@ let test_aging_zero_years_identity () =
   let p = { Simulator.Aging_channel.default_params with Simulator.Aging_channel.years = 0.0 } in
   let s = Dna.Strand.random (Dna.Rng.create 2) 100 in
   Alcotest.check strand_eq "no decay at t=0" s
-    (Simulator.Aging_channel.transmit p (Dna.Rng.create 3) s);
+    (Simulator.Channel.transmit (Simulator.Aging_channel.create ~params:p ()) (Dna.Rng.create 3) s);
   Alcotest.(check (float 0.0)) "no dropout at t=0" 0.0 (Simulator.Aging_channel.dropout p)
 
 (* ---------- bursts ---------- *)
@@ -134,7 +176,8 @@ let test_burst_identity_when_quiet () =
     }
   in
   let s = Dna.Strand.random (Dna.Rng.create 4) 150 in
-  Alcotest.check strand_eq "identity" s (Simulator.Burst_channel.transmit p (Dna.Rng.create 5) s)
+  Alcotest.check strand_eq "identity" s
+    (Simulator.Channel.transmit (Simulator.Burst_channel.create ~params:p ()) (Dna.Rng.create 5) s)
 
 let test_burst_errors_cluster () =
   (* Errors must arrive in runs: compare the realized error profile's
@@ -391,15 +434,12 @@ let test_scenario_seeds_diverge () =
   let strands = Array.init 10 (fun i -> Dna.Strand.random (Dna.Rng.create i) 80) in
   let params = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 4) in
   let reads seed =
-    Read_oracle.sequence params built.Simulator.Scenario.channel (Dna.Rng.create seed) strands
+    fst
+      (Read_oracle.sequence_arrays params built.Simulator.Scenario.channel (Dna.Rng.create seed)
+         strands)
   in
   let a = reads 1 and b = reads 2 in
-  let same =
-    Array.length a = Array.length b
-    && Array.for_all2
-         (fun (x : Read_oracle.read) (y : Read_oracle.read) -> Dna.Strand.equal x.seq y.seq)
-         a b
-  in
+  let same = Array.length a = Array.length b && Array.for_all2 Dna.Strand.equal a b in
   Alcotest.(check bool) "seed 1 and seed 2 reads differ" false same
 
 let test_scenario_domains_invariant () =
@@ -479,6 +519,7 @@ let () =
           Alcotest.test_case "composed stack = boxed" `Quick test_pool_composed_stack;
           Alcotest.test_case "rng state equal after transmit" `Quick
             test_rng_state_after_transmit;
+          Alcotest.test_case "age_pool = boxed" `Quick test_age_pool_matches_boxed;
         ] );
       ( "aging",
         [

@@ -252,62 +252,67 @@ let test_rnn_channel_emits_reads () =
 (* ---------- pooled sequencing ---------- *)
 
 (* The arena path must replay the boxed oracle draw for draw for every
-   channel with a native [transmit_into] and for the generic boxed
-   fallback. *)
+   native channel and for a channel built from a boxed model. *)
 let test_sequence_pool_iid () =
-  Read_oracle.check_pool_matches_boxed "iid" (Simulator.Iid_channel.create_rate ~error_rate:0.08)
+  Read_oracle.check_pool_matches_boxed "iid"
+    ~boxed:(Channel_oracle.iid (Simulator.Iid_channel.default_params ~error_rate:0.08))
+    (Simulator.Iid_channel.create_rate ~error_rate:0.08)
 
 let test_sequence_pool_solqc () =
   Read_oracle.check_pool_matches_boxed "solqc"
+    ~boxed:(Channel_oracle.solqc (Simulator.Solqc_channel.default_params ~error_rate:0.05))
     (Simulator.Solqc_channel.create_rate ~error_rate:0.05)
 
 let test_sequence_pool_wetlab () =
-  Read_oracle.check_pool_matches_boxed "wetlab" (Simulator.Wetlab_channel.create ())
+  Read_oracle.check_pool_matches_boxed "wetlab"
+    ~boxed:(Channel_oracle.wetlab Simulator.Wetlab_channel.default_params)
+    (Simulator.Wetlab_channel.create ())
 
 let test_sequence_pool_noiseless () =
-  Read_oracle.check_pool_matches_boxed "noiseless" Simulator.Channel.noiseless
+  Read_oracle.check_pool_matches_boxed "noiseless" ~boxed:(fun _ s -> s)
+    Simulator.Channel.noiseless
 
 let test_sequence_pool_generic_fallback () =
-  (* A channel with no native [transmit_into] goes through the boxed
-     fallback — still the same rng stream. *)
-  let ch =
-    Simulator.Channel.create ~name:"test-boxed-only" (fun rng s ->
-        ignore (Dna.Rng.float rng);
-        Dna.Strand.rev s)
+  (* A channel built from a boxed model re-emits the model's reads —
+     still the same rng stream. *)
+  let model rng s =
+    ignore (Dna.Rng.float rng);
+    Dna.Strand.rev s
   in
-  Read_oracle.check_pool_matches_boxed "fallback" ch
+  Read_oracle.check_pool_matches_boxed "fallback" ~boxed:model
+    (Simulator.Channel.create ~name:"test-boxed-only" model)
 
-(* Property: for an ARBITRARY boxed-only channel — randomized draw
-   count per base, deletion/insertion probabilities, and a final
-   whole-strand draw — the generic [transmit_into] fallback replays the
-   boxed path draw for draw through pooled sequencing. *)
+(* Property: for an ARBITRARY boxed model — randomized draw count per
+   base, deletion/insertion probabilities, and a final whole-strand
+   draw — the channel [Channel.create] builds from it replays the model
+   draw for draw through pooled sequencing. *)
 let prop_generic_fallback_matches_boxed =
   QCheck.Test.make ~name:"generic transmit_into fallback = boxed (arbitrary channel)" ~count:40
     QCheck.(
       quad (float_range 0.0 0.3) (float_range 0.0 0.3) (int_range 0 3) bool)
     (fun (p_del, p_ins, extra_draws, tail_draw) ->
-      let ch =
-        Simulator.Channel.create ~name:"arbitrary-boxed-only" (fun rng s ->
-            let n = Dna.Strand.length s in
-            let buf = Buffer.create n in
-            for i = 0 to n - 1 do
-              for _ = 1 to extra_draws do
-                ignore (Dna.Rng.float rng)
-              done;
-              let u = Dna.Rng.float rng in
-              if u < p_del then ()
-              else begin
-                if u < p_del +. p_ins then
-                  Buffer.add_char buf Dna.Strand.char_of_code.(Dna.Rng.int rng 4);
-                Buffer.add_char buf Dna.Strand.char_of_code.(Dna.Strand.unsafe_get_code s i)
-              end
-            done;
-            if tail_draw then ignore (Dna.Rng.int rng 2);
-            Dna.Strand.of_string (Buffer.contents buf))
+      let model rng s =
+        let n = Dna.Strand.length s in
+        let buf = Buffer.create n in
+        for i = 0 to n - 1 do
+          for _ = 1 to extra_draws do
+            ignore (Dna.Rng.float rng)
+          done;
+          let u = Dna.Rng.float rng in
+          if u < p_del then ()
+          else begin
+            if u < p_del +. p_ins then
+              Buffer.add_char buf Dna.Strand.char_of_code.(Dna.Rng.int rng 4);
+            Buffer.add_char buf Dna.Strand.char_of_code.(Dna.Strand.unsafe_get_code s i)
+          end
+        done;
+        if tail_draw then ignore (Dna.Rng.int rng 2);
+        Dna.Strand.of_string (Buffer.contents buf)
       in
+      let ch = Simulator.Channel.create ~name:"arbitrary-boxed-only" model in
       let params = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 3) in
       let strands = Array.init 6 (fun i -> Dna.Strand.random (Dna.Rng.create (200 + i)) 60) in
-      let boxed = Read_oracle.sequence params ch (Dna.Rng.create 9) strands in
+      let boxed = Read_oracle.sequence params model (Dna.Rng.create 9) strands in
       let reads, origins = Read_oracle.sequence_arrays params ch (Dna.Rng.create 9) strands in
       Array.length boxed = Array.length origins
       && Array.for_all
@@ -338,12 +343,22 @@ let golden_channels () =
   let built =
     match Simulator.Scenario.build scenario with Ok b -> b | Error e -> Alcotest.fail e
   in
+  let trace =
+    let path = Filename.temp_file "golden_trace" ".fastq" in
+    Simulator.Trace_channel.write_synthetic ~seed:7 path;
+    let fitted = Simulator.Trace_channel.fit path in
+    Sys.remove path;
+    match fitted with Ok p -> Simulator.Trace_channel.create p | Error e -> Alcotest.fail e
+  in
   [
     ("iid", Simulator.Iid_channel.create_rate ~error_rate:0.08);
     ("solqc", Simulator.Solqc_channel.create_rate ~error_rate:0.05);
     ("wetlab", Simulator.Wetlab_channel.create ());
     ("noiseless", Simulator.Channel.noiseless);
     ("scenario", built.Simulator.Scenario.channel);
+    ("aging", Simulator.Aging_channel.create ());
+    ("burst", Simulator.Burst_channel.create ());
+    ("trace", trace);
   ]
 
 let golden_params =
@@ -388,6 +403,15 @@ let golden_expected =
     (0, "scenario", "fixed4", 48, 0x7ad5c571);
     (0, "scenario", "fixed4-drop-rev", 44, 0x3f76f756);
     (0, "scenario", "poisson3-drop-rev", 27, 0x780ebe29);
+    (0, "aging", "fixed4", 48, 0x5b4b0e58);
+    (0, "aging", "fixed4-drop-rev", 36, 0xc8b7148b);
+    (0, "aging", "poisson3-drop-rev", 30, 0x932355fa);
+    (0, "burst", "fixed4", 48, 0xab9af4ff);
+    (0, "burst", "fixed4-drop-rev", 36, 0x1dcb96fa);
+    (0, "burst", "poisson3-drop-rev", 31, 0xd64121d0);
+    (0, "trace", "fixed4", 48, 0x5f0299e3);
+    (0, "trace", "fixed4-drop-rev", 40, 0x303bde59);
+    (0, "trace", "poisson3-drop-rev", 31, 0x254e3965);
     (1, "iid", "fixed4", 48, 0x8b04f633);
     (1, "iid", "fixed4-drop-rev", 28, 0x2dec820f);
     (1, "iid", "poisson3-drop-rev", 28, 0x2a1147f4);
@@ -403,6 +427,15 @@ let golden_expected =
     (1, "scenario", "fixed4", 48, 0x9283ecc2);
     (1, "scenario", "fixed4-drop-rev", 44, 0x1e47fc8d);
     (1, "scenario", "poisson3-drop-rev", 36, 0xcefa1131);
+    (1, "aging", "fixed4", 48, 0xeb8c0af3);
+    (1, "aging", "fixed4-drop-rev", 40, 0x1ea652ea);
+    (1, "aging", "poisson3-drop-rev", 28, 0xdbaaa109);
+    (1, "burst", "fixed4", 48, 0x3eb179ed);
+    (1, "burst", "fixed4-drop-rev", 44, 0xfd2e400d);
+    (1, "burst", "poisson3-drop-rev", 25, 0xee35819f);
+    (1, "trace", "fixed4", 48, 0x0507868a);
+    (1, "trace", "fixed4-drop-rev", 48, 0x5ca4b5e4);
+    (1, "trace", "poisson3-drop-rev", 42, 0x8171a447);
     (12345, "iid", "fixed4", 48, 0x68981ee3);
     (12345, "iid", "fixed4-drop-rev", 40, 0x1bcc2b0d);
     (12345, "iid", "poisson3-drop-rev", 25, 0x469cb94e);
@@ -417,7 +450,16 @@ let golden_expected =
     (12345, "noiseless", "poisson3-drop-rev", 26, 0xd091e22d);
     (12345, "scenario", "fixed4", 48, 0xfa550de3);
     (12345, "scenario", "fixed4-drop-rev", 40, 0xb9f6e8cc);
-    (12345, "scenario", "poisson3-drop-rev", 29, 0xcac88b52)
+    (12345, "scenario", "poisson3-drop-rev", 29, 0xcac88b52);
+    (12345, "aging", "fixed4", 48, 0xbaac32d6);
+    (12345, "aging", "fixed4-drop-rev", 44, 0xf7a07da8);
+    (12345, "aging", "poisson3-drop-rev", 31, 0xa321ed70);
+    (12345, "burst", "fixed4", 48, 0x96f6feca);
+    (12345, "burst", "fixed4-drop-rev", 40, 0xcffc9fd6);
+    (12345, "burst", "poisson3-drop-rev", 29, 0x5669002f);
+    (12345, "trace", "fixed4", 48, 0x1fc4c930);
+    (12345, "trace", "fixed4-drop-rev", 40, 0xee7b2453);
+    (12345, "trace", "poisson3-drop-rev", 40, 0x9b465eb0)
   ]
 
 let test_sequence_pool_golden_stream () =
@@ -434,6 +476,7 @@ let test_sequence_pool_golden_stream () =
 
 let test_sequence_pool_dropout_reverse () =
   Read_oracle.check_pool_matches_boxed "dropout+reverse"
+    ~boxed:(Channel_oracle.iid (Simulator.Iid_channel.default_params ~error_rate:0.08))
     ~params:
       {
         Simulator.Sequencer.coverage = Simulator.Sequencer.Poisson 3.0;
