@@ -124,11 +124,11 @@ let micro_cases rng =
   let lb = sibling rng la in
   let bound = 40 in
   let lev x y =
-    ((fun () -> Dna.Distance.levenshtein_reference x y), fun () -> Dna.Distance.levenshtein x y)
+    ((fun () -> Kernel_oracle.levenshtein x y), fun () -> Dna.Distance.levenshtein x y)
   in
   let leq x y =
     let d = function Some d -> d | None -> -1 in
-    ( (fun () -> d (Dna.Distance.levenshtein_leq_reference ~bound x y)),
+    ( (fun () -> d (Kernel_oracle.levenshtein_leq ~bound x y)),
       fun () -> d (Dna.Distance.levenshtein_leq ~bound x y) )
   in
   [
@@ -157,9 +157,9 @@ let primer_cases rng =
   (* The demux the kernel replaced: orient on a reverse-complemented
      copy, then strip with both scalar locators. *)
   let demux_reference read =
-    let head = Codec.Primer.locate_prefix_reference ~slack ~max_edits pair.forward in
+    let head = Kernel_oracle.locate_prefix ~slack ~max_edits pair.forward in
     let strip r dir =
-      match (head r, Codec.Primer.locate_suffix_reference ~slack ~max_edits pair.reverse r) with
+      match (head r, Kernel_oracle.locate_suffix ~slack ~max_edits pair.reverse r) with
       | Some (s, _), Some (e, _) when e > s -> Some (Dna.Strand.sub r ~pos:s ~len:(e - s), dir)
       | _ -> None
     in
@@ -205,9 +205,9 @@ let primer_cases rng =
           0 ) )
   in
   let locate f pattern read = f ~slack ~max_edits pattern read in
-  let prefix_reference = locate Codec.Primer.locate_prefix_reference pair.forward
+  let prefix_reference = locate Kernel_oracle.locate_prefix pair.forward
   and prefix = locate Codec.Primer.locate_prefix pair.forward
-  and suffix_reference = locate Codec.Primer.locate_suffix_reference pair.reverse
+  and suffix_reference = locate Kernel_oracle.locate_suffix pair.reverse
   and suffix = locate Codec.Primer.locate_suffix pair.reverse in
   [
     case "primer_locate/prefix-176nt"
@@ -293,7 +293,7 @@ let run_cluster () =
     done;
     (Unix.gettimeofday () -. t0, !acc)
   in
-  let s_scalar, chk_scalar = time_leq Dna.Distance.levenshtein_leq_reference in
+  let s_scalar, chk_scalar = time_leq Kernel_oracle.levenshtein_leq in
   let s_myers, chk_myers = time_leq Dna.Distance.levenshtein_leq in
   if chk_scalar <> chk_myers then begin
     Printf.eprintf "kernel disagrees with the reference in macro leq workload (%d vs %d)\n"
@@ -311,6 +311,7 @@ let run_cluster () =
       ("n_reads", string_of_int n_reads);
       ("rounds", string_of_int rounds);
       ("bound", string_of_int bound);
+      ("hardware_domains", string_of_int (Domain.recommended_domain_count ()));
       ("smoke", string_of_bool !smoke);
     ],
     [
@@ -329,9 +330,11 @@ let run_cluster () =
    one packed arena (bounded memory — the read set never exists as
    boxed objects), and cluster it three ways on identical reads:
 
-   - packed: [Cluster.run_pool] — flat engine + packed signature index;
-   - boxed: [Cluster.run] — the per-read-boxed engine this PR replaces,
-     same kernels, so the delta is the engine and representation;
+   - packed: [Cluster.run_scaled] over the pool's views — the flat
+     engine and packed signature index the pipeline runs;
+   - boxed: [Cluster_oracle.run] — the per-read-boxed engine the packed
+     one replaced, same kernels, so the delta is the engine and
+     representation;
    - clover: the trie-based streaming baseline, for accuracy context.
 
    Also measured: minor-heap words allocated per read by the simulator
@@ -400,7 +403,11 @@ let run_scale () =
     Clustering.Metrics.accuracy ~truth r.Clustering.Cluster.clusters
   in
   let t0 = Unix.gettimeofday () in
-  let packed = Clustering.Cluster.run_pool params (Dna.Rng.create (!seed + 101)) pool in
+  let packed =
+    Clustering.Cluster.run_scaled params
+      (Dna.Rng.create (!seed + 101))
+      (Dna.Strand_pool.to_array pool)
+  in
   let s_packed = Unix.gettimeofday () -. t0 in
   let rss_packed = Scale_stream.peak_rss_mb () in
   let acc_packed = accuracy packed in
@@ -412,7 +419,7 @@ let run_scale () =
   let s_clover = Unix.gettimeofday () -. t0 in
   let acc_clover = accuracy clover in
   let t0 = Unix.gettimeofday () in
-  let boxed = Clustering.Cluster.run params (Dna.Rng.create (!seed + 101)) views in
+  let boxed = Cluster_oracle.run params (Dna.Rng.create (!seed + 101)) views in
   let s_boxed = Unix.gettimeofday () -. t0 in
   let acc_boxed = accuracy boxed in
   Printf.printf

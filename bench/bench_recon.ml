@@ -1,7 +1,8 @@
 (* The reconstruction bench: times the bit-parallel alignment kernel
-   against the full-matrix reference, and pool-native consensus against
-   the boxed oracle in test/oracle, and writes BENCH_recon.json so
-   future perf changes have a trajectory to regress against.
+   against the full-matrix reference ([Kernel_oracle.align]) and
+   pool-native consensus against the boxed oracle ([Recon_oracle]), and
+   writes BENCH_recon.json so future perf changes have a trajectory to
+   regress against.
 
      dune exec bench/bench_recon.exe                 # full run, writes
                                                      # BENCH_recon.json in CWD
@@ -13,7 +14,7 @@
    the reference is a bug and fails the bench):
 
    - align: ns/op for sibling pairs at 120nt and 300nt, [Alignment.align]
-     against [Alignment.align_reference], with identical score and
+     against [Kernel_oracle.align], with identical score and
      script required;
    - trip slices: one pipeline trip's clusters reconstructed pool-native
      and by the boxed oracle, with identical consensus required.
@@ -121,8 +122,8 @@ let run_align () =
   let results =
     List.map
       (fun (name, a, b) ->
-        check_same_alignment name (Dna.Alignment.align_reference a b) (Dna.Alignment.align a b);
-        let ns_full = ns_per_op (fun () -> Dna.Alignment.align_reference a b) in
+        check_same_alignment name (Kernel_oracle.align a b) (Dna.Alignment.align a b);
+        let ns_full = ns_per_op (fun () -> Kernel_oracle.align a b) in
         let ns_bit = ns_per_op (fun () -> Dna.Alignment.align a b) in
         let speedup = ns_full /. ns_bit in
         Printf.printf "%-28s full %10.1f ns   bit-parallel %10.1f ns   %5.1fx\n" name ns_full

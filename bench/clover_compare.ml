@@ -31,14 +31,14 @@ let run () =
            ~error_rate);
       let pool, truth = Scale_stream.load_fastq ~path in
       let rng = Dna.Rng.create 31337 in
-      (* Zero-copy views into the arena: auto-config and Clover read the
-         same packed bases the pool engine clusters. *)
+      (* Zero-copy views into the arena: auto-config, the merge engine
+         and Clover all read the same packed bases. *)
       let views = Dna.Strand_pool.to_array pool in
       let params = Clustering.Cluster.default_params ~read_len:len () in
       let config = Clustering.Auto_config.configure params rng views in
       let params = Clustering.Auto_config.apply config params in
       let merge_result, merge_time =
-        time (fun () -> Clustering.Cluster.run_pool params rng pool)
+        time (fun () -> Clustering.Cluster.run_scaled params rng views)
       in
       let clover_result, clover_time = time (fun () -> Clustering.Clover.run views) in
       let acc result = Clustering.Metrics.accuracy ~truth result.Clustering.Cluster.clusters in

@@ -55,12 +55,13 @@ let reconstruct_clusters rng channel ~recon ~n_clusters ~coverage ~len =
       let reads = Array.init coverage (fun _ -> Simulator.Channel.transmit channel rng clean) in
       (clean, recon ~target_len:len reads))
 
+(* The pipeline's clustering stage ([Pipeline.cluster_default]), with
+   the whole result kept for the experiments' statistics. *)
 let cluster_auto ?(kind = Clustering.Signature.Qgram) rng reads =
   let read_len = Dna.Strand.length reads.(0) in
   let params = Clustering.Cluster.default_params ~kind ~read_len () in
   let config = Clustering.Auto_config.configure params rng reads in
-  let params = Clustering.Auto_config.apply config params in
-  (Clustering.Cluster.run params rng reads, params)
+  Clustering.Cluster.run_scaled (Clustering.Auto_config.apply config params) rng reads
 
 let pct = Dnastore.Report.pct
 let f3 = Dnastore.Report.f3

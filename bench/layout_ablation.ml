@@ -31,14 +31,14 @@ let run_trial rng ~layout file =
   let pool = Dna.Strand_pool.create () in
   ignore
     (Simulator.Sequencer.sequence_pool sp (channel ()) rng encoded.Codec.File_codec.strands ~pool);
-  let result, _ = cluster_auto rng (Dna.Strand_pool.to_array pool) in
+  let clusters = Dnastore.Pipeline.cluster_default () rng pool in
   let target_len = Codec.Params.strand_nt params in
   let consensus =
     List.filter_map
       (fun idxs ->
         if idxs = [||] then None
         else Some (Reconstruction.Bma.reconstruct_double_pool ~target_len pool idxs))
-      result.Clustering.Cluster.clusters
+      clusters
   in
   match Codec.File_codec.decode ~params ~layout ~n_units:encoded.Codec.File_codec.n_units consensus with
   | Ok (decoded, stats) ->

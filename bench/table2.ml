@@ -40,7 +40,7 @@ let run () =
                 let pool = Dna.Strand_pool.create () in
                 let truth = Simulator.Sequencer.sequence_pool sp channel rng strands ~pool in
                 let rs = Dna.Strand_pool.to_array pool in
-                let result, _ = cluster_auto ~kind rng rs in
+                let result = cluster_auto ~kind rng rs in
                 let stats = result.Clustering.Cluster.stats in
                 c.acc <-
                   c.acc +. Clustering.Metrics.accuracy ~truth result.Clustering.Cluster.clusters;

@@ -38,22 +38,12 @@ type result = {
   stats : stats;
 }
 
-val run : params -> Dna.Rng.t -> Dna.Strand.t array -> result
-
 val run_scaled : params -> Dna.Rng.t -> Dna.Strand.t array -> result
-(** The same algorithm on flat arrays: reservoir-sampled
-    representatives, integer partition keys bucketed by counting sort,
-    and a packed {!Signature.Index} (sharded parallel build, SWAR
-    popcount distances) instead of per-read boxed signatures. All rng
-    draws are serial and bucket segments are compared over the
-    order-preserving Par pool, so the assignment is bit-identical for
-    every [domains] value. Merge decisions (and therefore clusters) are
-    as in [run]; representative sampling differs, so a given seed does
-    not reproduce [run] draw for draw. *)
-
-val run_pool : params -> Dna.Rng.t -> Dna.Strand_pool.t -> result
-(** [run_scaled] over an arena read pool: reads are zero-copy views
-    into the pool's packed buffer. *)
-
-val read_clusters : result -> Dna.Strand.t array -> Dna.Strand.t list list
-(** Materialize clusters as lists of reads for reconstruction. *)
+(** Cluster [reads] on flat arrays: reservoir-sampled representatives,
+    integer partition keys bucketed by counting sort, and a packed
+    {!Signature.Index} (sharded parallel build, SWAR popcount
+    distances). All rng draws are serial and bucket segments are
+    compared over the order-preserving Par pool, so the assignment is
+    bit-identical for every [domains] value. To cluster an arena read
+    pool, pass [Dna.Strand_pool.to_array pool]: zero-copy views into the
+    pool's packed buffer. *)

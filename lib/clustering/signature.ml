@@ -14,75 +14,16 @@
 
 type kind = Qgram | Wgram
 
-type t =
-  | Q of Bytes.t  (** presence bitmap over the 4^q gram dictionary *)
-  | W of int array  (** first-occurrence position per gram; [absent] if none *)
-
 (* Sentinel for w-grams: one past any real position. *)
 let absent_position ~read_len = read_len + 1
 
 let dict_size ~q = 1 lsl (2 * q)
 
-let gram_codes ~q (read : Dna.Strand.t) =
-  (* Rolling 2q-bit window over the base codes. *)
-  let n = Dna.Strand.length read in
-  let mask = dict_size ~q - 1 in
-  let codes = Array.make (max 0 (n - q + 1)) 0 in
-  let acc = ref 0 in
-  for i = 0 to n - 1 do
-    acc := ((!acc lsl 2) lor Dna.Strand.unsafe_get_code read i) land mask;
-    if i >= q - 1 then codes.(i - q + 1) <- !acc
-  done;
-  codes
-
-let compute ~q kind (read : Dna.Strand.t) : t =
-  let size = dict_size ~q in
-  match kind with
-  | Qgram ->
-      let bits = Bytes.make size '\000' in
-      Array.iter (fun g -> Bytes.set bits g '\001') (gram_codes ~q read);
-      Q bits
-  | Wgram ->
-      let absent = absent_position ~read_len:(Dna.Strand.length read) in
-      let pos = Array.make size absent in
-      let codes = gram_codes ~q read in
-      (* First occurrence wins: scan right to left. *)
-      for i = Array.length codes - 1 downto 0 do
-        pos.(codes.(i)) <- i
-      done;
-      W pos
-
-let distance a b =
-  match (a, b) with
-  | Q xa, Q xb ->
-      let n = Bytes.length xa in
-      if n <> Bytes.length xb then invalid_arg "Signature.distance: size mismatch";
-      let d = ref 0 in
-      for i = 0 to n - 1 do
-        if Bytes.get xa i <> Bytes.get xb i then incr d
-      done;
-      !d
-  | W xa, W xb ->
-      let n = Array.length xa in
-      if n <> Array.length xb then invalid_arg "Signature.distance: size mismatch";
-      let d = ref 0 in
-      for i = 0 to n - 1 do
-        d := !d + abs (xa.(i) - xb.(i))
-      done;
-      !d
-  | Q _, W _ | W _, Q _ -> invalid_arg "Signature.distance: mixed signature kinds"
-
-(* Rough upper bound on the distance; used to scale default thresholds. *)
-let max_distance ~q ~read_len kind =
-  match kind with
-  | Qgram -> dict_size ~q
-  | Wgram -> dict_size ~q * absent_position ~read_len
-
 (** Flat signature index for clustering at scale.
 
-    The boxed [t] above costs one heap object per read (a 4^q-byte
-    bitmap for q-grams) and a byte-wise distance loop. The index packs
-    every read's signature into one shared flat int array — q-gram
+    Rather than one heap object per read (a 4^q-byte bitmap for
+    q-grams) and a byte-wise distance loop, the index packs every
+    read's signature into one shared flat int array — q-gram
     presence bits 63 to a word, compared with SWAR-popcount Hamming
     distance; w-gram positions as flat rows compared with L1 — built in
     parallel over the Par pool. Workers fill disjoint row ranges of the

@@ -5,34 +5,17 @@ type kind =
   | Qgram  (** presence bit per gram; Hamming distance *)
   | Wgram  (** first-occurrence position per gram; L1 distance *)
 
-type t =
-  | Q of Bytes.t  (** presence bitmap over the 4^q gram dictionary *)
-  | W of int array  (** first-occurrence position; a sentinel when absent *)
-
 val absent_position : read_len:int -> int
 (** The w-gram sentinel: one past any real position. *)
 
 val dict_size : q:int -> int
 (** [4 ^ q]. *)
 
-val gram_codes : q:int -> Dna.Strand.t -> int array
-(** The read's gram sequence as 2q-bit codes (rolling window). *)
-
-val compute : q:int -> kind -> Dna.Strand.t -> t
-
-val distance : t -> t -> int
-(** Hamming for q-grams, L1 for w-grams; raises [Invalid_argument] on
-    mixed kinds or mismatched dictionary sizes. *)
-
-val max_distance : q:int -> read_len:int -> kind -> int
-(** A rough upper bound, for scaling thresholds. *)
-
 (** Flat signature index for clustering at scale: every read's
     signature packed into one shared int array (q-gram presence bits
     compared by SWAR-popcount Hamming, w-gram positions by L1), built
     in parallel with workers filling disjoint row ranges — bit-identical
-    for every worker count, and distances agree with {!distance} on the
-    boxed signatures. *)
+    for every worker count. *)
 module Index : sig
   type t
 

@@ -148,56 +148,12 @@ end
 let max_edits = 5
 let slack = 4
 
-(* Scalar semi-global alignment of the whole [pattern] against a prefix
-   window of [read]: returns [(end_position, edits)] for the alignment
-   with the fewest edits whose read span starts at position 0..slack.
-   The oracle for {!locate_prefix}. *)
-let locate_prefix_reference ~slack ~max_edits pattern (read : Dna.Strand.t) :
-    (int * int) option =
-  let m = Dna.Strand.length pattern in
-  let window = min (Dna.Strand.length read) (m + slack + max_edits) in
-  if window < m - max_edits then None
-  else begin
-    (* dp.(j): cost of aligning the full prefix of pattern processed so
-       far against read[0..j), with free leading gap up to [slack]. *)
-    let prev = Array.make (window + 1) 0 in
-    let cur = Array.make (window + 1) 0 in
-    for j = 0 to window do
-      (* Leading read bases may be skipped cheaply up to [slack]. *)
-      prev.(j) <- if j <= slack then 0 else j - slack
-    done;
-    for i = 1 to m do
-      let pc = Dna.Strand.get_code pattern (i - 1) in
-      cur.(0) <- i;
-      for j = 1 to window do
-        let cost = if pc = Dna.Strand.get_code read (j - 1) then 0 else 1 in
-        cur.(j) <- min (min (cur.(j - 1) + 1) (prev.(j) + 1)) (prev.(j - 1) + cost)
-      done;
-      Array.blit cur 0 prev 0 (window + 1)
-    done;
-    (* Best end position of the pattern within the window. *)
-    let best = ref None in
-    for j = 0 to window do
-      match !best with
-      | Some (_, d) when d <= prev.(j) -> ()
-      | _ -> if prev.(j) <= max_edits then best := Some (j, prev.(j))
-    done;
-    !best
-  end
-
-(* Mirror of [locate_prefix_reference] at the tail, on reversed copies:
-   returns [(start_position, edits)]. *)
-let locate_suffix_reference ~slack ~max_edits pattern (read : Dna.Strand.t) :
-    (int * int) option =
-  match
-    locate_prefix_reference ~slack ~max_edits (Dna.Strand.rev pattern) (Dna.Strand.rev read)
-  with
-  | None -> None
-  | Some (end_in_rev, edits) -> Some (Dna.Strand.length read - end_in_rev, edits)
-
-(* The bit-parallel locator: the scalar DP above as one Myers/Hyyro
-   column pass per read base, with the [m]-row pattern (m <= 63) in one
-   word of match masks [masks] (layout of {!Dna.Strand.eq_masks}).
+(* The locator: semi-global alignment of the whole pattern against the
+   read's head, its read span starting at 0..[slack] — a two-row DP over
+   a window of [m + slack + max_edits] read bases — computed as one
+   Myers/Hyyro column pass per read base, with the [m]-row pattern
+   (m <= 63) in one word of match masks [masks] (layout of
+   {!Dna.Strand.eq_masks}).
    Column 0 is all +1 vertical deltas (D[i][0] = i); the top row's
    horizontal delta is 0 for the first [slack] columns and +1 after,
    the DP's leading-gap rule. The row-m score is tracked per column and

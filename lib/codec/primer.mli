@@ -91,16 +91,6 @@ val locate_suffix :
     edits)]. The read is scanned backwards in place; the pattern is
     reversed per call. *)
 
-val locate_prefix_reference :
-  slack:int -> max_edits:int -> Dna.Strand.t -> Dna.Strand.t -> (int * int) option
-(** The scalar two-row DP that defines {!locate_prefix}'s answer,
-    including its tie-break; a test and bench oracle. *)
-
-val locate_suffix_reference :
-  slack:int -> max_edits:int -> Dna.Strand.t -> Dna.Strand.t -> (int * int) option
-(** {!locate_prefix_reference} on reversed copies of both strands; the
-    oracle for {!locate_suffix}. *)
-
 type orientation = Forward | Reverse
 
 type key

@@ -2,9 +2,7 @@
 
     PCR selection used to be an O(pool) scan per get; with every file's
     molecule positions recorded at [put] time (or recovered in one pass
-    by [build]), selection is an indexed gather. The tolerant
-    [scan_select] remains as the oracle the indexed path is tested
-    against. *)
+    by [build]), selection is an indexed gather. *)
 
 type t = (string, int list ref) Hashtbl.t
 (* pair key -> pool indices, most recently added first *)
@@ -45,10 +43,6 @@ let matches ?(max_mismatches = 2) strand (pair : Codec.Primer.pair) =
        ~pos:(Dna.Strand.length strand - Codec.Primer.primer_length)
        ~pattern:pair.Codec.Primer.reverse
      <= max_mismatches
-
-let scan_select ?max_mismatches (pool : Dna.Strand.t array) pair =
-  Array.of_list
-    (List.filter (fun s -> matches ?max_mismatches s pair) (Array.to_list pool))
 
 let select (t : t) (pool : Dna.Strand.t array) pair =
   Array.map (fun i -> pool.(i)) (indices t pair)

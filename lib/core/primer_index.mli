@@ -2,8 +2,7 @@
     selection is an O(own molecules) gather ({!select}) instead of an
     O(pool) scan per get. The in-memory {!Kv_store} maintains one on
     [put]; the persistent store recovers one per shard pool with
-    {!build} on load. Both select only through the index;
-    {!scan_select} is the test oracle. *)
+    {!build} on load. Both select only through the index. *)
 
 type t
 
@@ -23,13 +22,6 @@ val matches : ?max_mismatches:int -> Dna.Strand.t -> Codec.Primer.pair -> bool
 
 val select : t -> Dna.Strand.t array -> Codec.Primer.pair -> Dna.Strand.t array
 (** Indexed gather of the pair's molecules. *)
-
-val scan_select :
-  ?max_mismatches:int -> Dna.Strand.t array -> Codec.Primer.pair -> Dna.Strand.t array
-(** The tolerant full-pool scan, kept as the oracle that [test_pipeline]'s
-    "indexed select = full scan" test compares {!select} against;
-    equivalent to {!select} whenever the index covers the pair. No
-    store selects through it. *)
 
 val build : pairs:Codec.Primer.pair list -> Dna.Strand.t array -> t
 (** Index a pool in one pass given its pair inventory; strands matching

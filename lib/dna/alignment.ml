@@ -12,9 +12,7 @@
     traceback then reads each neighbor's value off those bits. The deltas
     encode the full matrix exactly, so the traceback makes the same
     greedy choices as the classic O(la*lb) matrix's and the script is
-    bit-identical to it by construction — no band, no fallback. That
-    full-matrix kernel is kept as [align_reference], the oracle tests
-    hold [align] equal to and the baseline benchmarks time it against.
+    bit-identical to it by construction — no band, no fallback.
 
     The kernel runs over flat scratch arrays drawn from a per-domain
     arena (domain-local storage), so hot consensus loops — and the
@@ -117,8 +115,8 @@ let script_of_packed p =
 
 (* ---------- Traceback ---------- *)
 
-(* Both tracebacks are iterative (no recursion: 300nt+ strands stay off
-   the call stack) and greedy with the same preference order: diagonal
+(* The traceback is iterative (no recursion: 300nt+ strands stay off
+   the call stack) and greedy in a fixed preference order: diagonal
    when D[i-1][j-1] + cost = D[i][j], else delete when
    D[i-1][j] + 1 = D[i][j], else insert — diagonal first keeps scripts
    maximally aligned (fewer spurious indel pairs). The walk runs
@@ -139,44 +137,6 @@ let gap_tail ca cb i j k ops =
     Array.unsafe_set ops !k ((3 lsl 4) lor Array.unsafe_get cb (j - 1))
   done;
   !k
-
-(* Over the full matrix, carrying the cell value in hand from step to
-   step (the chosen predecessor's value is always known: [diag] for a
-   diagonal move, [here - 1] for a gap) instead of reloading it. *)
-let full_traceback cells ca cb la lb ops =
-  let stride = lb + 1 in
-  let k = ref (la + lb) in
-  let i = ref la and j = ref lb in
-  let here = ref (Array.unsafe_get cells ((la * stride) + lb)) in
-  (* row base of (i - 1), kept incrementally: drops by [stride] on every
-     vertical move instead of being remultiplied each step *)
-  let prev_r = ref ((la - 1) * stride) in
-  while !i > 0 && !j > 0 do
-    let prev = !prev_r in
-    let xa = Array.unsafe_get ca (!i - 1) and xb = Array.unsafe_get cb (!j - 1) in
-    let diag = Array.unsafe_get cells (prev + !j - 1) in
-    let cost = if xa = xb then 0 else 1 in
-    decr k;
-    if diag + cost = !here then begin
-      Array.unsafe_set ops !k ((cost lsl 4) lor (xa lsl 2) lor xb);
-      here := diag;
-      decr i;
-      decr j;
-      prev_r := prev - stride
-    end
-    else if Array.unsafe_get cells (prev + !j) + 1 = !here then begin
-      Array.unsafe_set ops !k ((2 lsl 4) lor (xa lsl 2));
-      here := !here - 1;
-      decr i;
-      prev_r := prev - stride
-    end
-    else begin
-      Array.unsafe_set ops !k ((3 lsl 4) lor xb);
-      here := !here - 1;
-      decr j
-    end
-  done;
-  gap_tail ca cb !i !j !k ops
 
 (* ---------- Bit-parallel kernel ---------- *)
 
@@ -309,43 +269,6 @@ let align_packed (a : Strand.t) (b : Strand.t) : packed =
 let align (a : Strand.t) (b : Strand.t) : t =
   let p = align_packed a b in
   { score = p.packed_score; script = script_of_packed p }
-
-(* ---------- Full-matrix kernel: oracle and benchmark baseline ---------- *)
-
-(* dp cell (i, j) at [i * (lb + 1) + j]: edit distance between a[0..i)
-   and b[0..j). Allocates its own matrix, codes and script on every call:
-   it never runs on a hot path, so it stays out of the arena. *)
-let align_reference (a : Strand.t) (b : Strand.t) : t =
-  let la = Strand.length a and lb = Strand.length b in
-  let ca = Array.init la (Strand.unsafe_get_code a) in
-  let cb = Array.init lb (Strand.unsafe_get_code b) in
-  let stride = lb + 1 in
-  let cells = Array.make ((la + 1) * stride) 0 in
-  for j = 0 to lb do
-    Array.unsafe_set cells j j
-  done;
-  for i = 1 to la do
-    let row = i * stride and prev = (i - 1) * stride in
-    Array.unsafe_set cells row i;
-    let c = Array.unsafe_get ca (i - 1) in
-    for j = 1 to lb do
-      let cost = if c = Array.unsafe_get cb (j - 1) then 0 else 1 in
-      let d = Array.unsafe_get cells (prev + j - 1) + cost in
-      let d =
-        let v = Array.unsafe_get cells (row + j - 1) + 1 in
-        if v < d then v else d
-      in
-      let d =
-        let v = Array.unsafe_get cells (prev + j) + 1 in
-        if v < d then v else d
-      in
-      Array.unsafe_set cells (row + j) d
-    done
-  done;
-  let ops = Array.make (la + lb) 0 in
-  let off = full_traceback cells ca cb la lb ops in
-  let score = cells.((la * stride) + lb) in
-  { score; script = script_of_packed { packed_score = score; ops; off; lim = la + lb } }
 
 (* Render both strands padded with '-' so that aligned positions line up. *)
 let padded t =

@@ -5,7 +5,7 @@
     63-bit words, as in Edlib): it records every column's delta words in
     one pass and traces back over their bits. The deltas encode the full
     O(la*lb) matrix exactly, so scores and scripts are bit-identical to
-    the full-matrix oracle {!align_reference} by construction. The kernel
+    the classic full-matrix kernel's by construction. The kernel
     runs over flat scratch arrays drawn from a per-domain arena: parallel
     reconstruction workers never reallocate alignment state between
     calls. *)
@@ -35,13 +35,6 @@ val align : Strand.t -> Strand.t -> t
     diagonal moves on ties so scripts stay maximally aligned. It costs
     O(ceil(la/63) * lb) words for its single forward pass plus O(la + lb)
     steps of traceback, whatever the distance. *)
-
-val align_reference : Strand.t -> Strand.t -> t
-(** The full-matrix Needleman-Wunsch kernel with the same greedy
-    traceback: the oracle {!align} is tested against (equal score and
-    script), and the benchmark baseline it is timed against. It
-    allocates its own O(la*lb) matrix on every call; no production path
-    calls it. *)
 
 (** {2 Packed scripts — the zero-allocation hot path}
 

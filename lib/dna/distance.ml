@@ -10,12 +10,7 @@
     the Ukkonen band can still reach — the workhorse behind clustering's
     merge test. The kernels read the pattern's packed per-base match
     masks off [Strand.eq_masks], built once per strand and reused across
-    every comparison.
-
-    The plain two-row scalar dynamic program is kept beside them as the
-    reference oracle ([levenshtein_reference], [levenshtein_leq_reference]):
-    tests hold the bit-parallel kernels equal to it and benchmarks time
-    them against it; no production path calls it. *)
+    every comparison. *)
 
 let hamming a b =
   let n = Strand.length a in
@@ -25,72 +20,6 @@ let hamming a b =
     if Strand.unsafe_get_code a i <> Strand.unsafe_get_code b i then incr d
   done;
   !d
-
-(* ---------- Reference kernels (two-row DP): oracle and benchmark baseline ---------- *)
-
-let levenshtein_reference a b =
-  let la = Strand.length a and lb = Strand.length b in
-  if la = 0 then lb
-  else if lb = 0 then la
-  else begin
-    let prev = ref (Array.init (lb + 1) (fun j -> j)) in
-    let cur = ref (Array.make (lb + 1) 0) in
-    for i = 1 to la do
-      let p = !prev and c = !cur in
-      c.(0) <- i;
-      let ca = Strand.unsafe_get_code a (i - 1) in
-      for j = 1 to lb do
-        let cost = if ca = Strand.unsafe_get_code b (j - 1) then 0 else 1 in
-        c.(j) <- min (min (c.(j - 1) + 1) (p.(j) + 1)) (p.(j - 1) + cost)
-      done;
-      (* Swap the row refs instead of blitting: the finished row becomes
-         [prev] and the stale one is overwritten next iteration. *)
-      prev := c;
-      cur := p
-    done;
-    !prev.(lb)
-  end
-
-(* [levenshtein_leq_reference ~bound a b] is [Some d] when the edit
-   distance [d] is <= bound, [None] otherwise. Runs the DP inside a band
-   of width 2*bound+1 and abandons a row whose minimum already exceeds
-   the bound. *)
-let levenshtein_leq_reference ~bound a b =
-  let la = Strand.length a and lb = Strand.length b in
-  if bound < 0 then None
-  else if abs (la - lb) > bound then None
-  else begin
-    let inf = max_int / 2 in
-    let prev = ref (Array.make (lb + 1) inf) in
-    let cur = ref (Array.make (lb + 1) inf) in
-    for j = 0 to min bound lb do
-      !prev.(j) <- j
-    done;
-    let exceeded = ref false in
-    let i = ref 1 in
-    while (not !exceeded) && !i <= la do
-      let p = !prev and c = !cur in
-      Array.fill c 0 (lb + 1) inf;
-      let lo = max 0 (!i - bound) and hi = min lb (!i + bound) in
-      if lo = 0 then c.(0) <- !i;
-      let ca = Strand.unsafe_get_code a (!i - 1) in
-      let row_min = ref inf in
-      for j = max 1 lo to hi do
-        let cost = if ca = Strand.unsafe_get_code b (j - 1) then 0 else 1 in
-        let best = p.(j - 1) + cost in
-        let best = if c.(j - 1) + 1 < best then c.(j - 1) + 1 else best in
-        let best = if p.(j) + 1 < best then p.(j) + 1 else best in
-        c.(j) <- best;
-        if best < !row_min then row_min := best
-      done;
-      if lo = 0 && c.(0) < !row_min then row_min := c.(0);
-      if !row_min > bound then exceeded := true;
-      prev := c;
-      cur := p;
-      incr i
-    done;
-    if !exceeded || !prev.(lb) > bound then None else Some !prev.(lb)
-  end
 
 (* ---------- Bit-parallel kernels (Myers 1999 / Hyyro 2003) ----------
 
@@ -254,13 +183,3 @@ let levenshtein_leq ~bound a b =
     | Some d when d <= bound -> Some d
     | Some _ | None -> None
   end
-
-(* L1 distance between integer vectors; used by w-gram signatures. *)
-let l1 a b =
-  let n = Array.length a in
-  if n <> Array.length b then invalid_arg "Distance.l1: unequal lengths";
-  let d = ref 0 in
-  for i = 0 to n - 1 do
-    d := !d + abs (a.(i) - b.(i))
-  done;
-  !d

@@ -1,8 +1,7 @@
 (** Sequence distances. Levenshtein (edit) distance is the similarity
     metric of the whole pipeline and its main computational cost; it is
     computed by Myers' bit-parallel algorithm (single-word, blocked, and
-    thresholded-with-cutoff variants). The two-row scalar dynamic
-    program is kept as the reference oracle. *)
+    thresholded-with-cutoff variants). *)
 
 val hamming : Strand.t -> Strand.t -> int
 (** Positions that differ; raises [Invalid_argument] on unequal
@@ -17,16 +16,3 @@ val levenshtein_leq : bound:int -> Strand.t -> Strand.t -> int option
     otherwise; abandons the computation as soon as the bound is provably
     exceeded. The workhorse of clustering's merge test: it advances only
     the 63-bit blocks the band has reached (Hyyro's cutoff). *)
-
-val levenshtein_reference : Strand.t -> Strand.t -> int
-(** The two-row scalar DP: the oracle {!levenshtein} is tested against,
-    and the benchmark baseline it is timed against. No production path
-    calls it. *)
-
-val levenshtein_leq_reference : bound:int -> Strand.t -> Strand.t -> int option
-(** The banded two-row scalar DP with row-minimum cutoff: the oracle and
-    benchmark baseline of {!levenshtein_leq}. No production path calls
-    it. *)
-
-val l1 : int array -> int array -> int
-(** L1 norm between equal-length integer vectors (w-gram signatures). *)

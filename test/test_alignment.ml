@@ -1,6 +1,6 @@
 (* The bit-parallel alignment kernel must return, on every input, the
    score (equal to the edit distance) and the script of the full-matrix
-   oracle [Alignment.align_reference], bit for bit.
+   oracle [Kernel_oracle.align], bit for bit.
    These tests sweep random pairs — siblings at several error rates plus
    unrelated strands — across lengths 0..300, every pairing of the
    63-bit block boundaries, the degenerate shapes (identical, unrelated,
@@ -29,7 +29,7 @@ let random_pair rng =
 let copy s = Dna.Strand.of_string (Dna.Strand.to_string s)
 
 let check_exact ?(name = "random") (a, b) =
-  let f = Dna.Alignment.align_reference a b in
+  let f = Kernel_oracle.align a b in
   let d = Dna.Distance.levenshtein a b in
   Alcotest.(check int) "full score is the edit distance" d f.Dna.Alignment.score;
   (* the script must replay to the second strand *)
@@ -102,7 +102,7 @@ let test_memoized_reference () =
       (fun r ->
         for _ = 1 to 10 do
           let read = sibling rng ~error_rate:0.1 r in
-          let expect = Dna.Alignment.align_reference r read in
+          let expect = Kernel_oracle.align r read in
           let p = Dna.Alignment.align_packed r read in
           Alcotest.(check int)
             (Printf.sprintf "round %d score" round)
@@ -141,7 +141,7 @@ let test_packed_roundtrip () =
   for _ = 1 to 50 do
     let a, b = random_pair rng in
     let p = Dna.Alignment.align_packed a b in
-    let t = Dna.Alignment.align_reference a b in
+    let t = Kernel_oracle.align a b in
     Alcotest.(check int) "packed score" t.Dna.Alignment.score p.Dna.Alignment.packed_score;
     Alcotest.(check bool) "packed script decodes identically" true
       (Dna.Alignment.script_of_packed p = t.Dna.Alignment.script)
@@ -171,7 +171,7 @@ let test_consensus_alignments_match_reference () =
           (fun (name, reference) ->
             Array.iter
               (fun read ->
-                let expect = Dna.Alignment.align_reference reference read in
+                let expect = Kernel_oracle.align reference read in
                 let got = Dna.Alignment.align reference read in
                 let label = Printf.sprintf "cov %d vs %s" coverage name in
                 Alcotest.(check int) (label ^ " score") expect.Dna.Alignment.score

@@ -1,7 +1,15 @@
 (* Tests for signatures, union-find, the clustering algorithm, auto
-   threshold configuration and clustering metrics. *)
+   threshold configuration and clustering metrics. The engine under test
+   is [Cluster.run_scaled], the one the pipeline's clustering stage runs;
+   the boxed engine and signatures of [Cluster_oracle] are its oracle. *)
 
 let rng () = Dna.Rng.create 2718
+
+module Boxed = Cluster_oracle.Signature
+
+(* Packed signature distance between two reads. *)
+let index_distance ~q kind a b =
+  Clustering.Signature.Index.distance (Clustering.Signature.Index.build ~q kind [| a; b |]) 0 1
 
 (* ---------- union-find ---------- *)
 
@@ -44,9 +52,7 @@ let test_signature_identical_reads () =
   let s = Dna.Strand.random r 60 in
   List.iter
     (fun kind ->
-      let a = Clustering.Signature.compute ~q:4 kind s in
-      let b = Clustering.Signature.compute ~q:4 kind s in
-      Alcotest.(check int) "distance zero" 0 (Clustering.Signature.distance a b))
+      Alcotest.(check int) "distance zero" 0 (index_distance ~q:4 kind s s))
     [ Clustering.Signature.Qgram; Clustering.Signature.Wgram ]
 
 let test_signature_separation () =
@@ -64,9 +70,8 @@ let test_signature_separation () =
         let a = Dna.Strand.random r 100 in
         let b = mutate a in
         let c = Dna.Strand.random r 100 in
-        let sig_of s = Clustering.Signature.compute ~q:4 kind s in
-        same := !same + Clustering.Signature.distance (sig_of a) (sig_of b);
-        diff := !diff + Clustering.Signature.distance (sig_of a) (sig_of c)
+        same := !same + index_distance ~q:4 kind a b;
+        diff := !diff + index_distance ~q:4 kind a c
       done;
       Alcotest.(check bool)
         (Printf.sprintf "same %d << diff %d" !same !diff)
@@ -76,26 +81,26 @@ let test_signature_separation () =
 
 let test_signature_mixed_kinds_rejected () =
   let s = Dna.Strand.of_string "ACGTACGTAC" in
-  let q = Clustering.Signature.compute ~q:3 Clustering.Signature.Qgram s in
-  let w = Clustering.Signature.compute ~q:3 Clustering.Signature.Wgram s in
+  let q = Boxed.compute ~q:3 Clustering.Signature.Qgram s in
+  let w = Boxed.compute ~q:3 Clustering.Signature.Wgram s in
   Alcotest.check_raises "mixed kinds"
     (Invalid_argument "Signature.distance: mixed signature kinds") (fun () ->
-      ignore (Clustering.Signature.distance q w))
+      ignore (Boxed.distance q w))
 
 let test_signature_qgram_is_presence () =
   (* "ACGT" with q=2 contains grams AC, CG, GT and no others. *)
-  match Clustering.Signature.compute ~q:2 Clustering.Signature.Qgram (Dna.Strand.of_string "ACGT") with
-  | Clustering.Signature.Q bits ->
+  match Boxed.compute ~q:2 Clustering.Signature.Qgram (Dna.Strand.of_string "ACGT") with
+  | Boxed.Q bits ->
       let count = ref 0 in
       Bytes.iter (fun c -> if c = '\001' then incr count) bits;
       Alcotest.(check int) "three grams present" 3 !count;
       Alcotest.(check int) "dictionary size 16" 16 (Bytes.length bits)
-  | Clustering.Signature.W _ -> Alcotest.fail "wrong kind"
+  | Boxed.W _ -> Alcotest.fail "wrong kind"
 
 let test_signature_wgram_positions () =
   (* "AACG": gram AA at 0, AC at 1, CG at 2. *)
-  match Clustering.Signature.compute ~q:2 Clustering.Signature.Wgram (Dna.Strand.of_string "AACG") with
-  | Clustering.Signature.W pos ->
+  match Boxed.compute ~q:2 Clustering.Signature.Wgram (Dna.Strand.of_string "AACG") with
+  | Boxed.W pos ->
       Alcotest.(check int) "AA at 0" 0 pos.(0);
       (* AC = code 0*4+1 = 1 *)
       Alcotest.(check int) "AC at 1" 1 pos.(1);
@@ -103,7 +108,7 @@ let test_signature_wgram_positions () =
       Alcotest.(check int) "CG at 2" 2 pos.(6);
       (* TT = 15 absent *)
       Alcotest.(check int) "TT absent" (Clustering.Signature.absent_position ~read_len:4) pos.(15)
-  | Clustering.Signature.Q _ -> Alcotest.fail "wrong kind"
+  | Boxed.Q _ -> Alcotest.fail "wrong kind"
 
 (* ---------- clustering ---------- *)
 
@@ -113,12 +118,16 @@ let make_reads ?(n_strands = 40) ?(coverage = 8) ?(error_rate = 0.05) ?(len = 10
   let params = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed coverage) in
   Read_oracle.sequence_arrays params ch r strands
 
-let run_clustering ?(kind = Clustering.Signature.Qgram) r reads =
+(* The stage [Pipeline.cluster_default] runs: thresholds fitted by
+   [Auto_config], then the scaled engine, both on one rng. *)
+let auto_params ?(kind = Clustering.Signature.Qgram) r reads =
   let read_len = Dna.Strand.length reads.(0) in
   let params = Clustering.Cluster.default_params ~kind ~read_len () in
   let config = Clustering.Auto_config.configure params r reads in
-  let params = Clustering.Auto_config.apply config params in
-  Clustering.Cluster.run params r reads
+  Clustering.Auto_config.apply config params
+
+let run_clustering ?kind r reads =
+  Clustering.Cluster.run_scaled (auto_params ?kind r reads) r reads
 
 let test_clustering_recovers_planted () =
   let r = rng () in
@@ -148,7 +157,7 @@ let test_clustering_noiseless_exact () =
 let test_clustering_empty_input () =
   let r = rng () in
   let params = Clustering.Cluster.default_params ~read_len:100 () in
-  let result = Clustering.Cluster.run params r [||] in
+  let result = Clustering.Cluster.run_scaled params r [||] in
   Alcotest.(check int) "no clusters" 0 (List.length result.Clustering.Cluster.clusters)
 
 let test_clustering_singleton_input () =
@@ -171,12 +180,9 @@ let test_clustering_parallel_same_quality () =
      parallel run must reach comparable accuracy. *)
   let r1 = Dna.Rng.create 99 and r2 = Dna.Rng.create 99 in
   let reads, truth = make_reads (Dna.Rng.create 5) in
-  let read_len = Dna.Strand.length reads.(0) in
-  let base = Clustering.Cluster.default_params ~read_len () in
-  let cfg = Clustering.Auto_config.configure base (Dna.Rng.create 1) reads in
-  let base = Clustering.Auto_config.apply cfg base in
-  let seq_result = Clustering.Cluster.run { base with domains = 1 } r1 reads in
-  let par_result = Clustering.Cluster.run { base with domains = 2 } r2 reads in
+  let base = auto_params (Dna.Rng.create 1) reads in
+  let seq_result = Clustering.Cluster.run_scaled { base with domains = 1 } r1 reads in
+  let par_result = Clustering.Cluster.run_scaled { base with domains = 2 } r2 reads in
   let acc_seq = Clustering.Metrics.accuracy ~truth seq_result.Clustering.Cluster.clusters in
   let acc_par = Clustering.Metrics.accuracy ~truth par_result.Clustering.Cluster.clusters in
   Alcotest.(check bool) "both accurate" true (acc_seq >= 0.9 && acc_par >= 0.9)
@@ -187,12 +193,9 @@ let test_clustering_parallel_identical_assignment () =
      same seed the assignment must be bit-identical for every worker
      count. *)
   let reads, _ = make_reads (Dna.Rng.create 5) in
-  let read_len = Dna.Strand.length reads.(0) in
-  let base = Clustering.Cluster.default_params ~read_len () in
-  let cfg = Clustering.Auto_config.configure base (Dna.Rng.create 1) reads in
-  let base = Clustering.Auto_config.apply cfg base in
+  let base = auto_params (Dna.Rng.create 1) reads in
   let run domains =
-    (Clustering.Cluster.run { base with domains } (Dna.Rng.create 99) reads)
+    (Clustering.Cluster.run_scaled { base with domains } (Dna.Rng.create 99) reads)
       .Clustering.Cluster.assignment
   in
   let serial = run 1 in
@@ -203,13 +206,29 @@ let test_clustering_parallel_identical_assignment () =
         serial (run domains))
     [ 2; 3; 5 ]
 
-let test_read_clusters_materialization () =
+(* The boxed oracle and the scaled engine sample representatives
+   differently, so one seed does not drive both through the same
+   rounds; on noiseless reads both must still converge to the planted
+   partition. *)
+let test_oracle_partition_matches () =
   let r = rng () in
-  let reads, _ = make_reads ~n_strands:10 ~coverage:4 r in
-  let result = run_clustering r reads in
-  let clusters = Clustering.Cluster.read_clusters result reads in
-  let total = List.fold_left (fun acc c -> acc + List.length c) 0 clusters in
-  Alcotest.(check int) "all reads kept" (Array.length reads) total
+  let strands = Array.init 30 (fun _ -> Dna.Strand.random r 80) in
+  let params = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 5) in
+  let reads, _ = Read_oracle.sequence_arrays params Simulator.Channel.noiseless r strands in
+  let params = auto_params (Dna.Rng.create 3) reads in
+  let partition (result : Clustering.Cluster.result) =
+    List.sort compare
+      (List.map
+         (fun members ->
+           let m = Array.copy members in
+           Array.sort compare m;
+           m)
+         result.clusters)
+  in
+  let scaled = Clustering.Cluster.run_scaled params (Dna.Rng.create 4) reads in
+  let boxed = Cluster_oracle.run params (Dna.Rng.create 4) reads in
+  Alcotest.(check int) "planted clusters" 30 (List.length scaled.clusters);
+  Alcotest.(check (list (array int))) "same partition" (partition boxed) (partition scaled)
 
 (* ---------- auto configuration ---------- *)
 
@@ -231,13 +250,13 @@ let test_auto_config_separates_modes () =
   let params = Clustering.Cluster.default_params ~read_len:100 () in
   let config = Clustering.Auto_config.configure params r reads in
   (* Measure where same-cluster signature distances actually sit. *)
-  let sig_of i = Clustering.Signature.compute ~q:4 Clustering.Signature.Qgram reads.(i) in
+  let index = Clustering.Signature.Index.build ~q:4 Clustering.Signature.Qgram reads in
   let max_same = ref 0 and checked = ref 0 in
   (try
      for i = 0 to Array.length reads - 1 do
        for j = i + 1 to min (Array.length reads - 1) (i + 20) do
          if truth.(i) = truth.(j) then begin
-           max_same := max !max_same (Clustering.Signature.distance (sig_of i) (sig_of j));
+           max_same := max !max_same (Clustering.Signature.Index.distance index i j);
            incr checked;
            if !checked > 150 then raise Exit
          end
@@ -262,17 +281,17 @@ let test_figure5_series_sorted () =
 
 (* The boxed reference sampler: Auto_config's probe x target sampling
    done with one boxed signature per sampled read and the byte-wise
-   [Signature.distance], keeping each probe's 5 closest targets ordered
-   by (distance, target). [Auto_config] itself compares on the packed
-   [Signature.Index]; its samples must match this one exactly. *)
+   [Cluster_oracle.Signature.distance], keeping each probe's 5 closest
+   targets ordered by (distance, target). [Auto_config] itself compares
+   on the packed [Signature.Index]; its samples must match this one
+   exactly. *)
 let boxed_sample params rng (reads : Dna.Strand.t array) ~n_probes ~n_targets =
   let n = Array.length reads in
   let n_probes = min n_probes n and n_targets = min n_targets n in
   let probes = Dna.Rng.sample_indices rng ~n ~k:n_probes in
   let targets = Dna.Rng.sample_indices rng ~n ~k:n_targets in
   let sig_of i =
-    Clustering.Signature.compute ~q:params.Clustering.Cluster.gram_len
-      params.Clustering.Cluster.kind reads.(i)
+    Boxed.compute ~q:params.Clustering.Cluster.gram_len params.Clustering.Cluster.kind reads.(i)
   in
   let dists = ref [] and nearest = ref [] in
   Array.iter
@@ -281,7 +300,7 @@ let boxed_sample params rng (reads : Dna.Strand.t array) ~n_probes ~n_targets =
       Array.iter
         (fun t ->
           if p <> t then begin
-            let d = Clustering.Signature.distance (sig_of p) (sig_of t) in
+            let d = Boxed.distance (sig_of p) (sig_of t) in
             dists := d :: !dists;
             cand := (d, t) :: !cand
           end)
@@ -372,6 +391,7 @@ let prop_uf_union_monotone =
           after = before || after = before - 1)
         unions)
 
+(* Symmetric, and equal to the boxed oracle's distance. *)
 let prop_signature_distance_symmetric =
   QCheck.Test.make ~name:"signature distance symmetric" ~count:100
     QCheck.(pair (list_of_size (QCheck.Gen.int_range 4 40) (int_bound 3))
@@ -381,9 +401,10 @@ let prop_signature_distance_symmetric =
       let sb = Dna.Strand.of_codes (Array.of_list b) in
       List.for_all
         (fun kind ->
-          let xa = Clustering.Signature.compute ~q:3 kind sa in
-          let xb = Clustering.Signature.compute ~q:3 kind sb in
-          Clustering.Signature.distance xa xb = Clustering.Signature.distance xb xa)
+          let idx = Clustering.Signature.Index.build ~q:3 kind [| sa; sb |] in
+          let d = Clustering.Signature.Index.distance idx 0 1 in
+          d = Clustering.Signature.Index.distance idx 1 0
+          && d = Boxed.distance (Boxed.compute ~q:3 kind sa) (Boxed.compute ~q:3 kind sb))
         [ Clustering.Signature.Qgram; Clustering.Signature.Wgram ])
 
 (* ---------- scaled (flat/packed) engine ---------- *)
@@ -409,12 +430,12 @@ let test_index_matches_boxed_signatures () =
   List.iter
     (fun kind ->
       let idx = Clustering.Signature.Index.build ~q:4 kind reads in
-      let sigs = Array.map (Clustering.Signature.compute ~q:4 kind) reads in
+      let sigs = Array.map (Boxed.compute ~q:4 kind) reads in
       for i = 0 to 39 do
         for j = 0 to 39 do
           Alcotest.(check int)
             (Printf.sprintf "distance %d-%d" i j)
-            (Clustering.Signature.distance sigs.(i) sigs.(j))
+            (Boxed.distance sigs.(i) sigs.(j))
             (Clustering.Signature.Index.distance idx i j)
         done
       done)
@@ -457,26 +478,20 @@ let test_scaled_identical_across_domains () =
         baseline.Clustering.Cluster.assignment result.Clustering.Cluster.assignment)
     [ 2; 4 ]
 
-let test_run_pool_matches_run_scaled () =
-  let reads, _ = planted_reads 777 in
-  let pool = Dna.Strand_pool.create () in
-  Array.iter (fun s -> ignore (Dna.Strand_pool.add_strand pool s)) reads;
-  let scaled = Clustering.Cluster.run_scaled (scaled_params ()) (Dna.Rng.create 9) reads in
-  let pooled = Clustering.Cluster.run_pool (scaled_params ()) (Dna.Rng.create 9) pool in
-  Alcotest.(check (array int))
-    "pool views cluster identically" scaled.Clustering.Cluster.assignment
-    pooled.Clustering.Cluster.assignment
-
-(* Clustering-to-consensus handoff: the index slices [run_pool] emits
-   feed [reconstruct_pool] directly, and every cluster's consensus must
-   be byte-identical to the boxed oracle's reconstruction over the same
-   slice's materialized views. This is the seam the pooled pipeline spine runs
-   on — no boxed strand per read between clustering and decode. *)
+(* Clustering-to-consensus handoff: the index slices [run_scaled] emits
+   over a pool's views feed [reconstruct_pool] directly, and every
+   cluster's consensus must be byte-identical to the boxed oracle's
+   reconstruction over the same slice's materialized views. This is the
+   seam the pooled pipeline spine runs on — no boxed strand per read
+   between clustering and decode. *)
 let test_pool_slices_reconstruct_identically () =
   let reads, _ = planted_reads 2718 in
   let pool = Dna.Strand_pool.create () in
   Array.iter (fun s -> ignore (Dna.Strand_pool.add_strand pool s)) reads;
-  let result = Clustering.Cluster.run_pool (scaled_params ()) (Dna.Rng.create 9) pool in
+  let result =
+    Clustering.Cluster.run_scaled (scaled_params ()) (Dna.Rng.create 9)
+      (Dna.Strand_pool.to_array pool)
+  in
   Alcotest.(check bool) "clusters exist" true (result.Clustering.Cluster.clusters <> []);
   List.iteri
     (fun c idxs ->
@@ -544,7 +559,8 @@ let () =
           Alcotest.test_case "parallel same quality" `Quick test_clustering_parallel_same_quality;
           Alcotest.test_case "parallel identical assignment" `Quick
             test_clustering_parallel_identical_assignment;
-          Alcotest.test_case "read_clusters total" `Quick test_read_clusters_materialization;
+          Alcotest.test_case "oracle partition = run_scaled" `Quick
+            test_oracle_partition_matches;
         ] );
       ( "scaled",
         [
@@ -554,7 +570,6 @@ let () =
             test_index_sharded_build_identical;
           Alcotest.test_case "identical across domains" `Quick
             test_scaled_identical_across_domains;
-          Alcotest.test_case "run_pool = run_scaled" `Quick test_run_pool_matches_run_scaled;
           Alcotest.test_case "pool slices reconstruct identically" `Quick
             test_pool_slices_reconstruct_identically;
           Alcotest.test_case "recovers planted" `Quick test_scaled_recovers_planted;

@@ -171,10 +171,10 @@ let test_primer_pattern_length_checked () =
    strip both primers from the oriented copy. *)
 let reference_find_core (pair : Codec.Primer.pair) read =
   let slack = Codec.Primer.slack and max_edits = Codec.Primer.max_edits in
-  let head = Codec.Primer.locate_prefix_reference ~slack ~max_edits pair.forward in
+  let head = Kernel_oracle.locate_prefix ~slack ~max_edits pair.forward in
   let strip oriented =
     match
-      (head oriented, Codec.Primer.locate_suffix_reference ~slack ~max_edits pair.reverse oriented)
+      (head oriented, Kernel_oracle.locate_suffix ~slack ~max_edits pair.reverse oriented)
     with
     | Some (s, _), Some (e, _) when e > s -> Some (Dna.Strand.sub oriented ~pos:s ~len:(e - s))
     | _ -> None
@@ -234,9 +234,9 @@ let prop_locate_matches_reference =
         end
       in
       Codec.Primer.locate_prefix ~slack ~max_edits pattern head
-      = Codec.Primer.locate_prefix_reference ~slack ~max_edits pattern head
+      = Kernel_oracle.locate_prefix ~slack ~max_edits pattern head
       && Codec.Primer.locate_suffix ~slack ~max_edits pattern tail
-         = Codec.Primer.locate_suffix_reference ~slack ~max_edits pattern tail)
+         = Kernel_oracle.locate_suffix ~slack ~max_edits pattern tail)
 
 let prop_find_core_matches_reference =
   let pairs = Codec.Primer.generate_pairs_exn (Dna.Rng.create 4242) 2 in

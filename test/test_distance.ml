@@ -1,6 +1,6 @@
 (* Equivalence of the bit-parallel (Myers) distance kernels with the
-   scalar two-row DP oracle ([levenshtein_reference],
-   [levenshtein_leq_reference]). The bit-parallel kernels are exact, so
+   scalar two-row DP oracle ([Kernel_oracle.levenshtein],
+   [Kernel_oracle.levenshtein_leq]). The bit-parallel kernels are exact, so
    on every input they must agree with the oracle bit for bit: on the
    full distance (single-word and blocked kernels) and on the
    thresholded [levenshtein_leq] (both [Some] and [None] outcomes). *)
@@ -9,8 +9,8 @@ let seeds = [ 1; 7; 42 ]
 
 let lev = Dna.Distance.levenshtein
 let leq = Dna.Distance.levenshtein_leq
-let lev_ref = Dna.Distance.levenshtein_reference
-let leq_ref = Dna.Distance.levenshtein_leq_reference
+let lev_ref = Kernel_oracle.levenshtein
+let leq_ref = Kernel_oracle.levenshtein_leq
 
 let check_pair a b =
   let ds = lev_ref a b in

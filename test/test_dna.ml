@@ -403,9 +403,6 @@ let test_levenshtein_leq_agrees () =
       (Dna.Distance.levenshtein_leq ~bound:(d - 1) a b)
   done
 
-let test_l1 () =
-  Alcotest.(check int) "l1" 6 (Dna.Distance.l1 [| 1; 2; 3 |] [| 3; 0; 1 |])
-
 (* ---------- Alignment ---------- *)
 
 let test_alignment_score_equals_levenshtein () =
@@ -1032,7 +1029,6 @@ let () =
           Alcotest.test_case "levenshtein known" `Quick test_levenshtein_known;
           Alcotest.test_case "hamming" `Quick test_hamming;
           Alcotest.test_case "leq agrees" `Quick test_levenshtein_leq_agrees;
-          Alcotest.test_case "l1" `Quick test_l1;
         ] );
       ( "alignment",
         [
