@@ -1,108 +1,19 @@
-(* The bench-regression harness: times the edit-distance kernels and the
-   primer locators against their scalar reference DPs (micro) and a
-   clustering-scale workload (macro), and writes the results as JSON so
-   future changes have a perf trajectory to regress against. It exits 1
-   when a kernel disagrees with its reference.
+(* The kernels entry: times the edit-distance kernels and the primer
+   locators against their scalar reference DPs and the pipeline's other
+   hot kernels alone (micro tier, BENCH_micro.json), then a
+   clustering-scale workload (BENCH_cluster.json), so future changes
+   have a perf trajectory to regress against.
 
-     dune exec bench/bench_kernels.exe                 # full run, writes
-                                                       # BENCH_micro.json and
-                                                       # BENCH_cluster.json in CWD
-     dune exec bench/bench_kernels.exe -- --out-dir d  # write elsewhere
-     dune exec bench/bench_kernels.exe -- --smoke      # tiny budget: checks the
-                                                       # harness and JSON, not timing
+     dune exec bench/main.exe -- kernels                          # full run
+     dune exec bench/main.exe -- --smoke --scale-reads 20000 kernels
 
    Each JSON entry records the case name, ns/op (micro and per-call
-   macro) or seconds total (whole clustering runs), and the speedup
-   against the scalar oracle on the same workload. *)
+   macro) or seconds total (whole clustering runs), and, where a scalar
+   oracle runs the same workload, the speedup against it. The entry
+   exits 1 when a kernel disagrees with its reference or a scale-tier
+   guard fails. *)
 
-let smoke = ref false
-let out_dir = ref "."
-let seed = ref 1
-let scale_reads = ref 0 (* 0: pick by mode (smoke 6k, full 1M) *)
-
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-        smoke := true;
-        parse rest
-    | "--out-dir" :: dir :: rest ->
-        out_dir := dir;
-        parse rest
-    | "--seed" :: s :: rest ->
-        seed := int_of_string s;
-        parse rest
-    | "--scale-reads" :: s :: rest ->
-        scale_reads := int_of_string s;
-        parse rest
-    | arg :: _ ->
-        Printf.eprintf
-          "usage: bench_kernels [--smoke] [--out-dir DIR] [--seed N] [--scale-reads N] (got %S)\n"
-          arg;
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv))
-
-(* ---------- Timing ---------- *)
-
-(* ns per call of [f], by doubling the batch size until it fills
-   [min_time] of wall clock. The smoke budget only proves the harness
-   runs and the JSON is well-formed. *)
-let ns_per_op f =
-  let min_time = if !smoke then 0.002 else 0.25 in
-  ignore (f ());
-  let rec calibrate n =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      ignore (f ())
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt >= min_time || n >= 1_000_000_000 then dt *. 1e9 /. float_of_int n else calibrate (n * 4)
-  in
-  calibrate 1
-
-(* ---------- JSON ---------- *)
-
-type entry = {
-  name : string;
-  ns_per_op : float option;
-  s_total : float option;
-  speedup : float;
-  extra : (string * float) list;  (* accuracy, peak RSS, words/read, ... *)
-}
-
-let entry ?ns ?s ?(extra = []) ~speedup name =
-  { name; ns_per_op = ns; s_total = s; speedup; extra }
-
-let json_entry e =
-  let fields =
-    [ Printf.sprintf "\"name\": %S" e.name ]
-    @ (match e.ns_per_op with
-      | Some ns -> [ Printf.sprintf "\"ns_per_op\": %.1f" ns ]
-      | None -> [])
-    @ (match e.s_total with
-      | Some s -> [ Printf.sprintf "\"s_total\": %.4f" s ]
-      | None -> [])
-    @ [ Printf.sprintf "\"speedup_vs_scalar\": %.2f" e.speedup ]
-    @ List.map (fun (k, v) -> Printf.sprintf "\"%s\": %.6g" k v) e.extra
-  in
-  "    {" ^ String.concat ", " fields ^ "}"
-
-let write_json path ~config entries =
-  if not (Sys.file_exists !out_dir) then Sys.mkdir !out_dir 0o755;
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      output_string oc
-        ("  \"config\": {"
-        ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) config)
-        ^ "},\n");
-      output_string oc "  \"entries\": [\n";
-      output_string oc (String.concat ",\n" (List.map json_entry entries));
-      output_string oc "\n  ]\n}\n");
-  Printf.printf "wrote %s\n" path
+open Exp_common
 
 (* ---------- Workloads ---------- *)
 
@@ -192,10 +103,8 @@ let primer_cases rng =
       reads.(!i)
   in
   let case name ~agree reference production =
-    if not (Array.for_all agree reads) then begin
-      Printf.eprintf "primer locator disagrees with the reference: %s\n" name;
-      exit 1
-    end;
+    if not (Array.for_all agree reads) then
+      fail "primer locator disagrees with the reference: %s" name;
     ( name,
       ( (fun () ->
           ignore (reference (next ()));
@@ -221,9 +130,46 @@ let primer_cases rng =
       demux_reference demux;
   ]
 
+(* Kernels with no reference to race, timed alone: the RNG draws behind
+   the channel, the anchor search behind clustering's partition keys,
+   the packed signature index ([compute] builds a one-read index,
+   [distance] compares two reads of a built one), Reed-Solomon
+   encode/decode and the three consensus algorithms on one
+   coverage-10 cluster. *)
+let solo_cases rng =
+  let a = Dna.Strand.random rng read_len in
+  let b = sibling rng a in
+  let anchor3 = Dna.Strand.random rng 3 in
+  let index kind reads = Clustering.Signature.Index.build ~q:4 kind reads in
+  let q_index = index Clustering.Signature.Qgram [| a; b |]
+  and w_index = index Clustering.Signature.Wgram [| a; b |] in
+  let distance index () = ignore (Clustering.Signature.Index.distance index 0 1) in
+  let rs_code = Rs.create ~k:20 ~nsym:6 in
+  let rs_msg = Array.init 20 (fun i -> (i * 37) land 0xff) in
+  let rs_noisy = Rs.encode_arr rs_code rs_msg in
+  rs_noisy.(3) <- rs_noisy.(3) lxor 0x55;
+  rs_noisy.(15) <- rs_noisy.(15) lxor 0xaa;
+  let cluster = Dna.Strand_pool.of_strands (Array.init 10 (fun _ -> sibling rng a)) in
+  let slice = Array.init 10 Fun.id in
+  let recon f () = ignore (f ~target_len:read_len cluster slice) in
+  [
+    ("rng/float", fun () -> ignore (Dna.Rng.float rng));
+    ("rng/int", fun () -> ignore (Dna.Rng.int rng 1000));
+    ("strand/find-anchor3", fun () -> ignore (Dna.Strand.find a ~pattern:anchor3));
+    ("signature/qgram-compute", fun () -> ignore (index Clustering.Signature.Qgram [| a |]));
+    ("signature/wgram-compute", fun () -> ignore (index Clustering.Signature.Wgram [| a |]));
+    ("signature/qgram-distance", distance q_index);
+    ("signature/wgram-distance", distance w_index);
+    ("rs/encode-26", fun () -> ignore (Rs.encode_arr rs_code rs_msg));
+    ("rs/decode-2-errors", fun () -> ignore (Rs.decode_arr rs_code rs_noisy));
+    ("recon/bma-cov10", recon Reconstruction.Bma.reconstruct_pool);
+    ("recon/dbma-cov10", recon Reconstruction.Bma.reconstruct_double_pool);
+    ("recon/nwa-cov10", recon Reconstruction.Nw_consensus.reconstruct_pool);
+  ]
+
 let run_micro () =
   let rng = Dna.Rng.create 123 in
-  let entries =
+  let raced =
     List.concat_map
       (fun (name, (reference, production)) ->
         let ns_scalar = ns_per_op reference in
@@ -231,22 +177,29 @@ let run_micro () =
         Printf.printf "%-42s reference %10.1f ns   myers %8.1f ns   %6.1fx\n" name ns_scalar
           ns_myers (ns_scalar /. ns_myers);
         [
-          entry ~ns:ns_scalar ~speedup:1.0 (name ^ "/reference");
-          entry ~ns:ns_myers ~speedup:(ns_scalar /. ns_myers) (name ^ "/myers");
+          entry (name ^ "/reference")
+            [ ("ns_per_op", num ns_scalar); ("speedup_vs_scalar", num 1.0) ];
+          entry (name ^ "/myers")
+            [ ("ns_per_op", num ns_myers); ("speedup_vs_scalar", num (ns_scalar /. ns_myers)) ];
         ])
       (micro_cases rng @ primer_cases rng)
   in
-  write_json
-    (Filename.concat !out_dir "BENCH_micro.json")
+  let solo =
+    List.map
+      (fun (name, f) ->
+        let ns = ns_per_op f in
+        Printf.printf "%-42s %10.1f ns\n" name ns;
+        entry name [ ("ns_per_op", num ns) ])
+      (solo_cases rng)
+  in
+  write_bench "BENCH_micro.json"
     ~config:
       [
-        ("read_len", string_of_int read_len);
-        ("primer_molecule_nt", string_of_int primer_molecule_nt);
-        ("error_rate", string_of_float error_rate);
-        ("hardware_domains", string_of_int (Domain.recommended_domain_count ()));
-        ("smoke", string_of_bool !smoke);
+        ("read_len", Store_json.Int read_len);
+        ("primer_molecule_nt", Store_json.Int primer_molecule_nt);
+        ("error_rate", Store_json.Float error_rate);
       ]
-    entries
+    (raced @ solo)
 
 (* Clustering-scale macro benchmark: [n_refs] reference strands at
    [coverage] noisy reads each. The merge test in isolation: [rounds]
@@ -256,9 +209,9 @@ let run_micro () =
    comparisons, as they are inside a clustering round), timed against
    the scalar reference on the same pairs. *)
 let run_cluster () =
-  let n_refs = if !smoke then 6 else 120 in
-  let coverage = if !smoke then 3 else 10 in
-  let rounds = if !smoke then 1 else 5 in
+  let n_refs = pick ~fast:6 ~full:120 in
+  let coverage = pick ~fast:3 ~full:10 in
+  let rounds = pick ~fast:1 ~full:5 in
   let bound = 40 in
   let rng = Dna.Rng.create 7 in
   let refs = Array.init n_refs (fun _ -> Dna.Strand.random rng read_len) in
@@ -281,46 +234,49 @@ let run_cluster () =
   let pairs = Array.of_list !pairs in
   let n_calls = rounds * Array.length pairs in
   let time_leq leq =
-    let t0 = Unix.gettimeofday () in
-    let acc = ref 0 in
-    for _ = 1 to rounds do
-      Array.iter
-        (fun (a, b) ->
-          match leq ~bound a b with
-          | Some d -> acc := !acc + d
-          | None -> ())
-        pairs
-    done;
-    (Unix.gettimeofday () -. t0, !acc)
+    let acc, s =
+      time (fun () ->
+          let acc = ref 0 in
+          for _ = 1 to rounds do
+            Array.iter
+              (fun (a, b) ->
+                match leq ~bound a b with
+                | Some d -> acc := !acc + d
+                | None -> ())
+              pairs
+          done;
+          !acc)
+    in
+    (s, acc)
   in
   let s_scalar, chk_scalar = time_leq Kernel_oracle.levenshtein_leq in
   let s_myers, chk_myers = time_leq Dna.Distance.levenshtein_leq in
-  if chk_scalar <> chk_myers then begin
-    Printf.eprintf "kernel disagrees with the reference in macro leq workload (%d vs %d)\n"
-      chk_scalar chk_myers;
-    exit 1
-  end;
+  if chk_scalar <> chk_myers then
+    fail "kernel disagrees with the reference in macro leq workload (%d vs %d)" chk_scalar
+      chk_myers;
   let leq_speedup = s_scalar /. s_myers in
   Printf.printf "macro leq: %d calls  scalar %.3fs  myers %.3fs  %.1fx\n" n_calls s_scalar
     s_myers leq_speedup;
+  let leq_entry name s speedup =
+    entry name
+      [
+        ("ns_per_op", num (s *. 1e9 /. float_of_int n_calls));
+        ("s_total", num s);
+        ("speedup_vs_scalar", num speedup);
+      ]
+  in
   ( [
-      ("read_len", string_of_int read_len);
-      ("error_rate", string_of_float error_rate);
-      ("n_refs", string_of_int n_refs);
-      ("coverage", string_of_int coverage);
-      ("n_reads", string_of_int n_reads);
-      ("rounds", string_of_int rounds);
-      ("bound", string_of_int bound);
-      ("hardware_domains", string_of_int (Domain.recommended_domain_count ()));
-      ("smoke", string_of_bool !smoke);
+      ("read_len", Store_json.Int read_len);
+      ("error_rate", Store_json.Float error_rate);
+      ("n_refs", Store_json.Int n_refs);
+      ("coverage", Store_json.Int coverage);
+      ("n_reads", Store_json.Int n_reads);
+      ("rounds", Store_json.Int rounds);
+      ("bound", Store_json.Int bound);
     ],
     [
-      entry ~s:s_scalar
-        ~ns:(s_scalar *. 1e9 /. float_of_int n_calls)
-        ~speedup:1.0 "levenshtein_leq/scalar";
-      entry ~s:s_myers
-        ~ns:(s_myers *. 1e9 /. float_of_int n_calls)
-        ~speedup:leq_speedup "levenshtein_leq/bitparallel";
+      leq_entry "levenshtein_leq/scalar" s_scalar 1.0;
+      leq_entry "levenshtein_leq/bitparallel" s_myers leq_speedup;
     ] )
 
 (* ---------- Clustering at scale ----------
@@ -328,14 +284,16 @@ let run_cluster () =
    The end-to-end read path the packed representation exists for:
    generate a simulated read set straight to FASTQ, stream it back into
    one packed arena (bounded memory — the read set never exists as
-   boxed objects), and cluster it three ways on identical reads:
+   boxed objects), and cluster it two ways on identical reads:
 
    - packed: [Cluster.run_scaled] over the pool's views — the flat
      engine and packed signature index the pipeline runs;
    - boxed: [Cluster_oracle.run] — the per-read-boxed engine the packed
      one replaced, same kernels, so the delta is the engine and
-     representation;
-   - clover: the trie-based streaming baseline, for accuracy context.
+     representation.
+
+   (Clover's accuracy against the merge engine is the E11 claim in
+   test/test_claims.ml, at the Clover experiment's fast setting.)
 
    Also measured: minor-heap words allocated per read by the simulator
    channel loop, the boxed iid model ([Channel_oracle.iid]) vs the
@@ -353,9 +311,9 @@ let scale_params () =
     domains = 1;
   }
 
-let channel_alloc () =
-  let k = if !smoke then 2_000 else 20_000 in
-  let rng = Dna.Rng.create !seed in
+let channel_alloc ~seed =
+  let k = pick ~fast:2_000 ~full:20_000 in
+  let rng = Dna.Rng.create seed in
   let clean = Dna.Strand.random rng read_len in
   let ch = Simulator.Iid_channel.create_rate ~error_rate in
   let boxed_iid = Channel_oracle.iid (Simulator.Iid_channel.default_params ~error_rate) in
@@ -379,95 +337,95 @@ let channel_alloc () =
     pooled;
   (boxed, pooled)
 
+(* Guards: the packed engine is not slower than the boxed one it
+   replaced on the same reads; both accuracies are fractions; the
+   pooled channel loop allocates less per read than the boxed one and,
+   with the unboxed RNG state allocating only the boxed float of each
+   per-base draw (240 words per 120-nt read), at most 400 words. *)
 let run_scale () =
+  let seed = Option.value flags.seed ~default:1 in
   let n_target =
-    if !scale_reads > 0 then !scale_reads else if !smoke then 6_000 else 1_000_000
+    match flags.scale_reads with Some n -> n | None -> pick ~fast:6_000 ~full:1_000_000
   in
   let coverage = 8 in
   let n_refs = max 1 (n_target / coverage) in
   let path = Filename.temp_file "dnastore_scale" ".fastq" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
   @@ fun () ->
-  let t0 = Unix.gettimeofday () in
-  let n_written =
-    Scale_stream.write_fastq ~path ~seed:!seed ~n_refs ~coverage ~len:read_len ~error_rate
+  let n_written, s_gen =
+    time (fun () ->
+        Scale_stream.write_fastq ~path ~seed ~n_refs ~coverage ~len:read_len ~error_rate)
   in
-  let s_gen = Unix.gettimeofday () -. t0 in
-  let t0 = Unix.gettimeofday () in
-  let pool, truth = Scale_stream.load_fastq ~path in
-  let s_load = Unix.gettimeofday () -. t0 in
+  let (pool, truth), s_load = time (fun () -> Scale_stream.load_fastq ~path) in
   Printf.printf "scale: %d reads generated in %.1fs, streamed back in %.1fs\n" n_written
     s_gen s_load;
   let params = scale_params () in
   let accuracy (r : Clustering.Cluster.result) =
     Clustering.Metrics.accuracy ~truth r.Clustering.Cluster.clusters
   in
-  let t0 = Unix.gettimeofday () in
-  let packed =
-    Clustering.Cluster.run_scaled params
-      (Dna.Rng.create (!seed + 101))
-      (Dna.Strand_pool.to_array pool)
+  (* Both engines read the same packed bases through zero-copy views. *)
+  let views = Dna.Strand_pool.to_array pool in
+  let packed, s_packed =
+    time (fun () -> Clustering.Cluster.run_scaled params (Dna.Rng.create (seed + 101)) views)
   in
-  let s_packed = Unix.gettimeofday () -. t0 in
   let rss_packed = Scale_stream.peak_rss_mb () in
   let acc_packed = accuracy packed in
-  (* The boxed engine and Clover read the same packed bases through
-     zero-copy views; only the engines differ. *)
-  let views = Dna.Strand_pool.to_array pool in
-  let t0 = Unix.gettimeofday () in
-  let clover = Clustering.Clover.run views in
-  let s_clover = Unix.gettimeofday () -. t0 in
-  let acc_clover = accuracy clover in
-  let t0 = Unix.gettimeofday () in
-  let boxed = Cluster_oracle.run params (Dna.Rng.create (!seed + 101)) views in
-  let s_boxed = Unix.gettimeofday () -. t0 in
+  let boxed, s_boxed =
+    time (fun () -> Cluster_oracle.run params (Dna.Rng.create (seed + 101)) views)
+  in
   let acc_boxed = accuracy boxed in
-  Printf.printf
-    "scale cluster (%d reads): packed %.2fs acc %.4f | boxed %.2fs acc %.4f (%.1fx) | clover %.2fs acc %.4f\n"
-    n_written s_packed acc_packed s_boxed acc_boxed (s_boxed /. s_packed) s_clover
-    acc_clover;
-  let alloc_boxed, alloc_pooled = channel_alloc () in
+  Printf.printf "scale cluster (%d reads): packed %.2fs acc %.4f | boxed %.2fs acc %.4f (%.1fx)\n"
+    n_written s_packed acc_packed s_boxed acc_boxed (s_boxed /. s_packed);
+  let alloc_boxed, alloc_pooled = channel_alloc ~seed in
+  if s_packed > s_boxed then
+    fail "packed engine slower than boxed: %.2fs > %.2fs" s_packed s_boxed;
+  List.iter
+    (fun (name, acc) ->
+      if not (acc >= 0.0 && acc <= 1.0) then fail "bad accuracy %g in cluster_scale/%s" acc name)
+    [ ("packed", acc_packed); ("boxed", acc_boxed) ];
+  if alloc_pooled >= alloc_boxed then
+    fail "pooled channel loop does not allocate less than boxed (%.0f >= %.0f words/read)"
+      alloc_pooled alloc_boxed;
+  if alloc_pooled > 400.0 then
+    fail "pooled channel loop allocates %.0f words/read (> 400)" alloc_pooled;
+  let n_reads = ("n_reads", Store_json.Int n_written) in
   ( [
-      ("scale_reads", string_of_int n_written);
-      ("scale_coverage", string_of_int coverage);
-      ("scale_seed", string_of_int !seed);
-      ("scale_rounds", string_of_int params.Clustering.Cluster.rounds);
-      ("scale_partition_len", string_of_int params.Clustering.Cluster.partition_len);
+      ("scale_reads", Store_json.Int n_written);
+      ("scale_coverage", Store_json.Int coverage);
+      ("scale_seed", Store_json.Int seed);
+      ("scale_rounds", Store_json.Int params.Clustering.Cluster.rounds);
+      ("scale_partition_len", Store_json.Int params.Clustering.Cluster.partition_len);
     ],
     [
-      entry ~s:s_packed
-        ~speedup:(s_boxed /. s_packed)
-        ~extra:
-          [
-            ("accuracy", acc_packed);
-            ("peak_rss_mb", rss_packed);
-            ("n_reads", float_of_int n_written);
-          ]
-        "cluster_scale/packed";
-      entry ~s:s_boxed ~speedup:1.0
-        ~extra:[ ("accuracy", acc_boxed); ("n_reads", float_of_int n_written) ]
-        "cluster_scale/boxed";
-      entry ~s:s_clover
-        ~speedup:(s_boxed /. s_clover)
-        ~extra:[ ("accuracy", acc_clover); ("n_reads", float_of_int n_written) ]
-        "cluster_scale/clover";
-      entry ~s:s_load ~speedup:1.0
-        ~extra:[ ("n_reads", float_of_int n_written) ]
-        "cluster_scale/stream_load";
-      entry ~speedup:(alloc_boxed /. Float.max 1e-9 alloc_pooled)
-        ~extra:
-          [
-            ("words_per_read_boxed", alloc_boxed);
-            ("words_per_read_pooled", alloc_pooled);
-          ]
-        "channel_alloc/transmit_into";
+      entry "cluster_scale/packed"
+        [
+          ("s_total", num s_packed);
+          ("speedup_vs_scalar", num (s_boxed /. s_packed));
+          ("accuracy", num acc_packed);
+          ("peak_rss_mb", num rss_packed);
+          n_reads;
+        ];
+      entry "cluster_scale/boxed"
+        [
+          ("s_total", num s_boxed);
+          ("speedup_vs_scalar", num 1.0);
+          ("accuracy", num acc_boxed);
+          n_reads;
+        ];
+      entry "cluster_scale/stream_load"
+        [ ("s_total", num s_load); ("speedup_vs_scalar", num 1.0); n_reads ];
+      entry "channel_alloc/transmit_into"
+        [
+          ("speedup_vs_scalar", num (alloc_boxed /. Float.max 1e-9 alloc_pooled));
+          ("words_per_read_boxed", num alloc_boxed);
+          ("words_per_read_pooled", num alloc_pooled);
+        ];
     ] )
 
-let () =
+let run () =
+  print_string (section "Kernels: micro tier, macro leq, clustering at scale");
   run_micro ();
   let cluster_config, cluster_entries = run_cluster () in
   let scale_config, scale_entries = run_scale () in
-  write_json
-    (Filename.concat !out_dir "BENCH_cluster.json")
-    ~config:(cluster_config @ scale_config)
+  write_bench "BENCH_cluster.json" ~config:(cluster_config @ scale_config)
     (cluster_entries @ scale_entries)

@@ -1,14 +1,12 @@
-(* The reconstruction bench: times the bit-parallel alignment kernel
-   against the full-matrix reference ([Kernel_oracle.align]) and
-   pool-native consensus against the boxed oracle ([Recon_oracle]), and
-   writes BENCH_recon.json so future perf changes have a trajectory to
-   regress against.
+(* The recon entry: times the bit-parallel alignment kernel against the
+   full-matrix reference ([Kernel_oracle.align]) and pool-native
+   consensus against the boxed oracle ([Recon_oracle]), and writes
+   BENCH_recon.json so future perf changes have a trajectory to regress
+   against.
 
-     dune exec bench/bench_recon.exe                 # full run, writes
-                                                     # BENCH_recon.json in CWD
-     dune exec bench/bench_recon.exe -- --out-dir d  # write elsewhere
-     dune exec bench/bench_recon.exe -- --smoke      # tiny budget: checks the
-                                                     # harness and JSON, not timing
+     dune exec bench/main.exe -- recon            # full run
+     dune exec bench/main.exe -- --smoke recon    # tiny budget: checks the
+                                                  # harness and JSON, not timing
 
    Two tiers, each with an exactness guard (any output difference from
    the reference is a bug and fails the bench):
@@ -19,77 +17,11 @@
    - trip slices: one pipeline trip's clusters reconstructed pool-native
      and by the boxed oracle, with identical consensus required.
 
-   The job also fails if the bit-parallel kernel is slower than the full
-   matrix on the 120nt align case (threshold 1.0, relaxed to 0.8 under
-   --smoke where timings are noise). *)
+   The entry also fails if the bit-parallel kernel is slower than the
+   full matrix on the 120nt align case (threshold 1.0, relaxed to 0.8
+   under --smoke where timings are noise). *)
 
-let smoke = ref false
-let out_dir = ref "."
-
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-        smoke := true;
-        parse rest
-    | "--out-dir" :: dir :: rest ->
-        out_dir := dir;
-        parse rest
-    | arg :: _ ->
-        Printf.eprintf "usage: bench_recon [--smoke] [--out-dir DIR] (got %S)\n" arg;
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv))
-
-(* ---------- Timing ---------- *)
-
-let ns_per_op f =
-  let min_time = if !smoke then 0.002 else 0.25 in
-  ignore (f ());
-  let rec calibrate n =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      ignore (f ())
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt >= min_time || n >= 1_000_000_000 then dt *. 1e9 /. float_of_int n else calibrate (n * 4)
-  in
-  calibrate 1
-
-(* ---------- JSON ---------- *)
-
-type entry = { name : string; ns_per_op : float option; s_total : float option; speedup : float }
-
-let entry ?ns ?s ~speedup name = { name; ns_per_op = ns; s_total = s; speedup }
-
-let json_entry e =
-  let fields =
-    [ Printf.sprintf "\"name\": %S" e.name ]
-    @ (match e.ns_per_op with
-      | Some ns -> [ Printf.sprintf "\"ns_per_op\": %.1f" ns ]
-      | None -> [])
-    @ (match e.s_total with
-      | Some s -> [ Printf.sprintf "\"s_total\": %.4f" s ]
-      | None -> [])
-    @ [ Printf.sprintf "\"speedup_vs_full\": %.2f" e.speedup ]
-  in
-  "    {" ^ String.concat ", " fields ^ "}"
-
-let write_json path ~config entries =
-  if not (Sys.file_exists !out_dir) then Sys.mkdir !out_dir 0o755;
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc "{\n";
-      output_string oc
-        ("  \"config\": {"
-        ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) config)
-        ^ "},\n");
-      output_string oc "  \"entries\": [\n";
-      output_string oc (String.concat ",\n" (List.map json_entry entries));
-      output_string oc "\n  ]\n}\n");
-  Printf.printf "wrote %s\n" path
+open Exp_common
 
 (* ---------- Workloads ---------- *)
 
@@ -101,11 +33,9 @@ let sibling rng s =
   Simulator.Channel.transmit ch rng s
 
 let check_same_alignment name (f : Dna.Alignment.t) (b : Dna.Alignment.t) =
-  if f.Dna.Alignment.score <> b.Dna.Alignment.score || f.script <> b.script then begin
-    Printf.eprintf "kernel disagrees with the reference on %s (full score %d, bit-parallel %d)\n"
-      name f.Dna.Alignment.score b.Dna.Alignment.score;
-    exit 1
-  end
+  if f.Dna.Alignment.score <> b.Dna.Alignment.score || f.script <> b.script then
+    fail "kernel disagrees with the reference on %s (full score %d, bit-parallel %d)" name
+      f.Dna.Alignment.score b.Dna.Alignment.score
 
 (* Tier 1: the pairwise kernel on sibling reads. Returns the 120nt
    speedup for the regression guard. *)
@@ -135,8 +65,9 @@ let run_align () =
     List.concat_map
       (fun (name, ns_full, ns_bit, speedup) ->
         [
-          entry ~ns:ns_full ~speedup:1.0 (name ^ "/full");
-          entry ~ns:ns_bit ~speedup (name ^ "/bitparallel");
+          entry (name ^ "/full") [ ("ns_per_op", num ns_full); ("speedup_vs_full", num 1.0) ];
+          entry (name ^ "/bitparallel")
+            [ ("ns_per_op", num ns_bit); ("speedup_vs_full", num speedup) ];
         ])
       results
   in
@@ -157,12 +88,12 @@ let run_align () =
    path is not slower in total (full run — relaxed to 2x under --smoke,
    where a 128-byte file gives timing noise, not timing). *)
 let run_oracle () =
-  let file_bytes = if !smoke then 128 else 2048 in
+  let file_bytes = pick ~fast:128 ~full:2048 in
   let data =
     let r = Dna.Rng.create 11 in
     Bytes.init file_bytes (fun _ -> Char.chr (Dna.Rng.int r 256))
   in
-  let reps = if !smoke then 1 else 5 in
+  let reps = pick ~fast:1 ~full:5 in
   let params = Codec.Params.default in
   let target_len = Codec.Params.strand_nt params in
   let rng = Dna.Rng.create 5 in
@@ -181,21 +112,18 @@ let run_oracle () =
   let boxed_recon i = Recon_oracle.nw ~target_len views.(i) in
   for i = 0 to n - 1 do
     let p = pool_recon i and b = boxed_recon i in
-    if not (Dna.Strand.equal p b) then begin
-      Printf.eprintf "pool and boxed consensus differ on cluster %d of %d:\n  pool  %s\n  boxed %s\n"
-        i n (Dna.Strand.to_string p) (Dna.Strand.to_string b);
-      exit 1
-    end
+    if not (Dna.Strand.equal p b) then
+      fail "pool and boxed consensus differ on cluster %d of %d: pool %s, boxed %s" i n
+        (Dna.Strand.to_string p) (Dna.Strand.to_string b)
   done;
-  (* One sweep over every cluster: per-cluster wall seconds and minor
-     words, measured around the consensus call alone. *)
+  (* One sweep over every cluster: per-cluster seconds and minor words,
+     measured around the consensus call alone. *)
   let sweep recon =
     let times = Array.make n 0.0 and words = Array.make n 0.0 in
     for i = 0 to n - 1 do
       let w0 = Gc.minor_words () in
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (recon i));
-      times.(i) <- Unix.gettimeofday () -. t0;
+      let (), dt = time (fun () -> ignore (Sys.opaque_identity (recon i))) in
+      times.(i) <- dt;
       words.(i) <- Gc.minor_words () -. w0
     done;
     (times, words)
@@ -220,19 +148,18 @@ let run_oracle () =
     n sp (1000.0 *. pct tp 0.50) (1000.0 *. pct tp 0.95) wp sb (1000.0 *. pct tb 0.50)
     (1000.0 *. pct tb 0.95) wb (sb /. sp)
     (if wp > 0.0 then wb /. wp else infinity);
-  if wp >= wb then begin
-    Printf.eprintf "pool consensus did not allocate fewer words/cluster (%.0f >= %.0f)\n" wp wb;
-    exit 1
-  end;
-  let slack = if !smoke then 2.0 else 1.0 in
-  if sp > slack *. sb then begin
-    Printf.eprintf "pool consensus slower than boxed (%.3fs > %.1fx * %.3fs)\n" sp slack sb;
-    exit 1
-  end;
+  if wp >= wb then fail "pool consensus did not allocate fewer words/cluster (%.0f >= %.0f)" wp wb;
+  let slack = pick ~fast:2.0 ~full:1.0 in
+  if sp > slack *. sb then
+    fail "pool consensus slower than boxed (%.3fs > %.1fx * %.3fs)" sp slack sb;
   let stage name boxed_v pool_v =
     [
-      entry ~s:boxed_v ~speedup:1.0 (name ^ "/boxed");
-      entry ~s:pool_v ~speedup:(if pool_v > 0.0 then boxed_v /. pool_v else 1.0) (name ^ "/pool");
+      entry (name ^ "/boxed") [ ("s_total", num boxed_v); ("speedup_vs_full", num 1.0) ];
+      entry (name ^ "/pool")
+        [
+          ("s_total", num pool_v);
+          ("speedup_vs_full", num (if pool_v > 0.0 then boxed_v /. pool_v else 1.0));
+        ];
     ]
   in
   let entries =
@@ -242,29 +169,23 @@ let run_oracle () =
   in
   let extras =
     [
-      ("trip_clusters", string_of_int n);
-      ("pool_words_per_cluster", Printf.sprintf "%.1f" wp);
-      ("boxed_words_per_cluster", Printf.sprintf "%.1f" wb);
+      ("trip_clusters", Store_json.Int n);
+      ("pool_words_per_cluster", num wp);
+      ("boxed_words_per_cluster", num wb);
     ]
   in
   (entries, extras)
 
-let () =
+let run () =
+  print_string (section "Reconstruction: align kernel, pool vs boxed consensus");
   let align_entries, speedup_120 = run_align () in
   let oracle_entries, oracle_extras = run_oracle () in
-  write_json
-    (Filename.concat !out_dir "BENCH_recon.json")
+  write_bench "BENCH_recon.json"
     ~config:
-      ([
-         ("read_len", string_of_int read_len);
-         ("error_rate", string_of_float error_rate);
-         ("smoke", string_of_bool !smoke);
-       ]
+      ([ ("read_len", Store_json.Int read_len); ("error_rate", Store_json.Float error_rate) ]
       @ oracle_extras)
     (align_entries @ oracle_entries);
-  let threshold = if !smoke then 0.8 else 1.0 in
-  if speedup_120 < threshold then begin
-    Printf.eprintf "bit-parallel slower than full on %dnt align (%.2fx < %.2fx)\n" read_len
-      speedup_120 threshold;
-    exit 1
-  end
+  let threshold = pick ~fast:0.8 ~full:1.0 in
+  if speedup_120 < threshold then
+    fail "bit-parallel slower than full on %dnt align (%.2fx < %.2fx)" read_len speedup_120
+      threshold

@@ -1,14 +1,12 @@
-(* The scenario bench: sweeps the builtin scenario stacks across fault
+(* The scenarios entry: sweeps the builtin scenario stacks across fault
    plans and seeds through the end-to-end pipeline and writes
    BENCH_scenarios.json, so channel-model or codec changes that silently
    shift recovery under realistic stacks have a trajectory to regress
    against.
 
-     dune exec bench/bench_scenarios.exe                 # full sweep, writes
-                                                         # BENCH_scenarios.json
-     dune exec bench/bench_scenarios.exe -- --out-dir d  # write elsewhere
-     dune exec bench/bench_scenarios.exe -- --smoke      # small payload/seed
-                                                         # budget for CI
+     dune exec bench/main.exe -- scenarios          # full sweep
+     dune exec bench/main.exe -- --smoke scenarios  # small payload/seed
+                                                    # budget for CI
 
    Guards (any violation exits nonzero):
    - every (scenario, fault, seed) cell must recover at least its
@@ -19,27 +17,12 @@
      the synthetic trace's empirical per-base quality rate within 20%
      relative tolerance. *)
 
-let smoke = ref false
-let out_dir = ref "."
+open Exp_common
 
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-        smoke := true;
-        parse rest
-    | "--out-dir" :: dir :: rest ->
-        out_dir := dir;
-        parse rest
-    | arg :: _ ->
-        Printf.eprintf "usage: bench_scenarios [--smoke] [--out-dir DIR] (got %S)\n" arg;
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv))
-
-let () =
-  let n_bytes = if !smoke then 2000 else 6000 in
-  let seeds = if !smoke then [ 1; 2 ] else [ 1; 2; 3 ] in
+let run () =
+  print_string (section "Scenarios: builtin stacks x fault plans x seeds");
+  let n_bytes = pick ~fast:2000 ~full:6000 in
+  let seeds = pick ~fast:[ 1; 2 ] ~full:[ 1; 2; 3 ] in
   let faults = [ "clean"; "dropout-10"; "corruption-2" ] in
   let data =
     let r = Dna.Rng.create 0xF11E in
@@ -50,7 +33,7 @@ let () =
 
   (* Trace stages replay a deterministic synthetic FASTQ written next to
      the output, so the artifact is reproducible from a clean tree. *)
-  let trace_path = Filename.concat !out_dir "bench_trace.fastq" in
+  let trace_path = out_path "bench_trace.fastq" in
   Simulator.Trace_channel.write_synthetic ~seed:77 trace_path;
   let scenarios =
     List.map
@@ -83,15 +66,11 @@ let () =
       if rel > 0.2 then
         violate "trace fit drift: fitted %.5f vs empirical %.5f (rel %.2f)" fitted empirical rel);
 
-  let t0 = Unix.gettimeofday () in
-  let outcomes =
-    match Dnastore.Scenario_run.sweep ~faults ~seeds ~data scenarios with
-    | Ok os -> os
-    | Error e ->
-        Printf.eprintf "bench_scenarios: sweep failed: %s\n" e;
-        exit 1
+  let outcomes, wall_s =
+    match time (fun () -> Dnastore.Scenario_run.sweep ~faults ~seeds ~data scenarios) with
+    | Ok os, s -> (os, s)
+    | Error e, _ -> fail "scenario sweep failed: %s" e
   in
-  let wall_s = Unix.gettimeofday () -. t0 in
 
   (* Floor guard. *)
   List.iter
@@ -122,17 +101,14 @@ let () =
         Store_json.Obj
           (fields
           @ [
-              ("smoke", Store_json.Bool !smoke);
+              ("smoke", Store_json.Bool smoke);
               ("n_bytes", Store_json.Int n_bytes);
               ("wall_s", Store_json.Float wall_s);
             ])
     | j -> j
   in
-  let out_path = Filename.concat !out_dir "BENCH_scenarios.json" in
-  let oc = open_out out_path in
-  output_string oc (Store_json.to_string json);
-  close_out oc;
-  Printf.printf "wrote %s (%d cells, %.1fs)\n" out_path (List.length outcomes) wall_s;
+  write_json "BENCH_scenarios.json" json;
+  Printf.printf "%d cells in %.1fs\n" (List.length outcomes) wall_s;
 
   match !violations with
   | [] -> ()

@@ -1,42 +1,17 @@
-(* Store benchmarks: batched-get throughput against the domain pool,
-   LRU cache effectiveness, and the cost of compaction. Writes
+(* The store entry: batched-get throughput against the domain pool, LRU
+   cache effectiveness, and the cost of compaction. Writes
    BENCH_store.json so future changes to the store have a perf
    trajectory to regress against.
 
-     dune exec bench/bench_store.exe                 # full run, writes
-                                                     # BENCH_store.json in CWD
-     dune exec bench/bench_store.exe -- --out-dir d  # write elsewhere
-     dune exec bench/bench_store.exe -- --smoke      # tiny workload: checks the
-                                                     # harness and JSON, not timing *)
+     dune exec bench/main.exe -- store            # full run
+     dune exec bench/main.exe -- --smoke store    # tiny workload: checks the
+                                                  # harness and JSON, not timing *)
 
-let smoke = ref false
-let out_dir = ref "."
-
-let () =
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-        smoke := true;
-        parse rest
-    | "--out-dir" :: dir :: rest ->
-        out_dir := dir;
-        parse rest
-    | arg :: _ ->
-        Printf.eprintf "usage: bench_store [--smoke] [--out-dir DIR] (got %S)\n" arg;
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv))
-
-let time f =
-  let t0 = Unix.gettimeofday () in
-  let v = f () in
-  (v, Unix.gettimeofday () -. t0)
+open Exp_common
 
 let ok_or_die label = function
   | Ok v -> v
-  | Error e ->
-      Printf.eprintf "bench_store: %s: %s\n" label (Store.error_message e);
-      exit 1
+  | Error e -> fail "store bench: %s: %s" label (Store.error_message e)
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
@@ -45,15 +20,12 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-let () =
-  let n_objects = if !smoke then 4 else 8 in
-  let object_bytes = if !smoke then 120 else 300 in
-  let repeats = if !smoke then 1 else 3 in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "dnastore_bench_%d" (Unix.getpid ()))
-  in
-  if Sys.file_exists dir then rm_rf dir;
+let run () =
+  print_string (section "Store: batched get, cache, compaction");
+  let n_objects = pick ~fast:4 ~full:8 in
+  let object_bytes = pick ~fast:120 ~full:300 in
+  let repeats = pick ~fast:1 ~full:3 in
+  let dir = Filename.temp_dir "dnastore_bench" "" in
   (* A small shard target spreads the objects over several shards, as a
      populated store would be. *)
   let config = { Store.default_config with Store.shard_target_strands = 64 } in
@@ -106,7 +78,7 @@ let () =
   in
   reread ();
   (* First pass fills the cache, later passes should hit. *)
-  let cache_rounds = if !smoke then 2 else 4 in
+  let cache_rounds = pick ~fast:2 ~full:4 in
   for _ = 2 to cache_rounds do
     reread ()
   done;
@@ -124,66 +96,40 @@ let () =
     cstats.Store.objects_rewritten cstats.Store.strands_before cstats.Store.strands_after
     compact_s;
 
-  (* --- JSON (emitted through the store's own JSON layer) --- *)
-  let j = Store.Json.Obj
-    [
-      ( "config",
-        Store.Json.Obj
-          [
-            ("smoke", Store.Json.Bool !smoke);
-            (* Domain scaling is bounded by the machine: with one
-               hardware core the pool spawns no workers, every
-               [--domains N] runs serially, and the batched win is
-               purely the shared per-shard sequencing. Read the
-               domains-N entries against this field. *)
-            ("hardware_domains", Store.Json.Int (Domain.recommended_domain_count ()));
-            ("pool_workers", Store.Json.Int (Dna.Par.pool_size ()));
-            ("recommended_domains", Store.Json.Int (Dna.Par.default_domains ()));
-            ("n_objects", Store.Json.Int n_objects);
-            ("object_bytes", Store.Json.Int object_bytes);
-            ("repeats", Store.Json.Int repeats);
-            ("shard_target_strands", Store.Json.Int config.Store.shard_target_strands);
-          ] );
-      ( "entries",
-        Store.Json.List
-          (Store.Json.Obj
-             [
-               ("name", Store.Json.String "get/sequential");
-               ("s_total", Store.Json.Float sequential_s);
-               ("speedup_vs_sequential", Store.Json.Float 1.0);
-             ]
-           :: List.map
-                (fun (domains, s) ->
-                  Store.Json.Obj
-                    [
-                      ("name", Store.Json.String (Printf.sprintf "get_batch/domains-%d" domains));
-                      ("s_total", Store.Json.Float s);
-                      ("speedup_vs_sequential", Store.Json.Float (sequential_s /. s));
-                    ])
-                batched
-          @ [
-              Store.Json.Obj
-                [
-                  ("name", Store.Json.String "cache/reread-hit-ratio");
-                  ("hits", Store.Json.Int hits);
-                  ("misses", Store.Json.Int misses);
-                  ("hit_ratio", Store.Json.Float hit_ratio);
-                ];
-              Store.Json.Obj
-                [
-                  ("name", Store.Json.String "compact/half-deleted");
-                  ("s_total", Store.Json.Float compact_s);
-                  ("objects_rewritten", Store.Json.Int cstats.Store.objects_rewritten);
-                  ("strands_before", Store.Json.Int cstats.Store.strands_before);
-                  ("strands_after", Store.Json.Int cstats.Store.strands_after);
-                ];
-            ]) );
-    ]
+  (* Domain scaling is bounded by the machine: with one hardware core
+     the pool spawns no workers, every [--domains N] runs serially, and
+     the batched win is purely the shared per-shard sequencing. Read the
+     domains-N entries against hardware_domains and pool_workers. *)
+  let get_entry name s =
+    entry name [ ("s_total", num s); ("speedup_vs_sequential", num (sequential_s /. s)) ]
   in
-  if not (Sys.file_exists !out_dir) then Sys.mkdir !out_dir 0o755;
-  let path = Filename.concat !out_dir "BENCH_store.json" in
-  let oc = open_out path in
-  output_string oc (Store.Json.to_string j);
-  close_out oc;
-  Printf.printf "wrote %s\n" path;
+  write_bench "BENCH_store.json"
+    ~config:
+      [
+        ("pool_workers", Store_json.Int (Dna.Par.pool_size ()));
+        ("recommended_domains", Store_json.Int (Dna.Par.default_domains ()));
+        ("n_objects", Store_json.Int n_objects);
+        ("object_bytes", Store_json.Int object_bytes);
+        ("repeats", Store_json.Int repeats);
+        ("shard_target_strands", Store_json.Int config.Store.shard_target_strands);
+      ]
+    ((get_entry "get/sequential" sequential_s
+     :: List.map
+          (fun (domains, s) -> get_entry (Printf.sprintf "get_batch/domains-%d" domains) s)
+          batched)
+    @ [
+        entry "cache/reread-hit-ratio"
+          [
+            ("hits", Store_json.Int hits);
+            ("misses", Store_json.Int misses);
+            ("hit_ratio", num hit_ratio);
+          ];
+        entry "compact/half-deleted"
+          [
+            ("s_total", num compact_s);
+            ("objects_rewritten", Store_json.Int cstats.Store.objects_rewritten);
+            ("strands_before", Store_json.Int cstats.Store.strands_before);
+            ("strands_after", Store_json.Int cstats.Store.strands_after);
+          ];
+      ]);
   rm_rf dir

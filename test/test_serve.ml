@@ -184,13 +184,15 @@ let test_zipf_sampler () =
   Alcotest.(check bool) "rank 0 hottest" true (counts.(0) > counts.(9));
   Alcotest.(check bool) "skew is zipf-like (head > 2x tail)" true (counts.(0) > 2 * counts.(9))
 
-let test_workload_run_summary () =
+(* Run once per mix the retired serving bench drove: read95 and read50. *)
+let test_workload_run_summary read_pct () =
   let dir = temp_serve_dir () in
   let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed:3 ()) in
   let rng = Dna.Rng.create 11 in
   let keys = List.init 4 (fun i -> Printf.sprintf "w%d" i) in
   List.iter (fun key -> ok_or_fail ("put " ^ key) (Store.put store ~key (random_file rng 90))) keys;
-  let mix = { Serve.Workload.label = "read95"; Serve.Workload.read_pct = 0.95 } in
+  let label = Printf.sprintf "read%.0f" (100.0 *. read_pct) in
+  let mix = { Serve.Workload.label; Serve.Workload.read_pct } in
   let summary, completions =
     Serve.Workload.run ~mix ~n_clients:4 ~n_ops:30 ~zipf_s:0.99 ~seed:21 ~keys store
   in
@@ -198,8 +200,12 @@ let test_workload_run_summary () =
   Alcotest.(check int) "completions match" 30 (List.length completions);
   Alcotest.(check int) "reads + writes = ops" 30
     (summary.Serve.Workload.reads + summary.Serve.Workload.writes);
-  Alcotest.(check bool) "read-heavy mix mostly reads" true
-    (summary.Serve.Workload.reads > summary.Serve.Workload.writes);
+  if read_pct > 0.5 then
+    Alcotest.(check bool) "read-heavy mix mostly reads" true
+      (summary.Serve.Workload.reads > summary.Serve.Workload.writes)
+  else
+    Alcotest.(check bool) "even mix both reads and writes" true
+      (summary.Serve.Workload.reads > 0 && summary.Serve.Workload.writes > 0);
   Alcotest.(check bool) "latency tail ordered" true
     (summary.Serve.Workload.p50_ms <= summary.Serve.Workload.p95_ms
     && summary.Serve.Workload.p95_ms <= summary.Serve.Workload.p99_ms);
@@ -374,7 +380,9 @@ let () =
       ( "workload",
         [
           Alcotest.test_case "zipf sampler skews" `Quick test_zipf_sampler;
-          Alcotest.test_case "closed-loop run summary" `Slow test_workload_run_summary;
+          Alcotest.test_case "closed-loop run summary" `Slow (test_workload_run_summary 0.95);
+          Alcotest.test_case "closed-loop run summary, read50" `Slow
+            (test_workload_run_summary 0.50);
         ] );
       ( "resilience",
         [
