@@ -40,48 +40,58 @@ let sample_distances params rng (reads : Dna.Strand.t array) ~n_probes ~n_target
     Signature.Index.build ~q:params.Cluster.gram_len params.Cluster.kind
       (Array.map (Array.get reads) (Array.append probes targets))
   in
-  let dists = ref [] in
-  let nearest = ref [] in
+  (* [all] and [nearest] list the pairs in reverse visiting order, so
+     both are filled from the back. *)
+  let all = Array.make (n_probes * n_targets) 0 and all_pos = ref (n_probes * n_targets) in
+  let nearest = Array.make (n_probes * 5) (0, 0, 0) and nearest_pos = ref (n_probes * 5) in
+  (* The 5 signature-closest targets of the current probe, ascending by
+     (distance, target): the candidates for edit-verified sibling
+     pairs. *)
+  let top_d = Array.make 5 0 and top_t = Array.make 5 0 in
   Array.iteri
     (fun pi p ->
-      (* Track the 5 signature-closest targets of each probe: the
-         candidates for edit-verified sibling pairs. *)
-      let cand = ref [] in
+      let n_top = ref 0 in
       Array.iteri
         (fun ti t ->
           if p <> t then begin
             let d = Signature.Index.distance idx pi (n_probes + ti) in
-            dists := d :: !dists;
-            cand := (d, t) :: !cand
+            decr all_pos;
+            all.(!all_pos) <- d;
+            (* Insertion into the top 5; targets are distinct, so
+               (distance, target) orders the candidates strictly. *)
+            let k = ref !n_top in
+            while !k > 0 && (d < top_d.(!k - 1) || (d = top_d.(!k - 1) && t < top_t.(!k - 1))) do
+              if !k < 5 then begin
+                top_d.(!k) <- top_d.(!k - 1);
+                top_t.(!k) <- top_t.(!k - 1)
+              end;
+              decr k
+            done;
+            if !k < 5 then begin
+              top_d.(!k) <- d;
+              top_t.(!k) <- t;
+              n_top := min 5 (!n_top + 1)
+            end
           end)
         targets;
-      let closest = List.sort compare !cand in
-      List.iteri (fun i (d, t) -> if i < 5 then nearest := (p, t, d) :: !nearest) closest)
+      for k = 0 to !n_top - 1 do
+        decr nearest_pos;
+        nearest.(!nearest_pos) <- (p, top_t.(k), top_d.(k))
+      done)
     probes;
-  { all = Array.of_list !dists; nearest = Array.of_list !nearest }
+  let tail a pos = Array.sub a pos (Array.length a - pos) in
+  { all = tail all !all_pos; nearest = tail nearest !nearest_pos }
 
 let percentile (sorted : int array) p =
   let n = Array.length sorted in
   if n = 0 then 0 else sorted.(min (n - 1) (int_of_float (p *. float_of_int n)))
 
-(* Fit the edit-distance merge threshold from the probe->nearest pairs:
-   their edit distances split into a low (sibling) and a high (unrelated)
-   mode; the threshold sits in the widest gap between them. *)
-let fit_edit_threshold params (reads : Dna.Strand.t array) (nearest : (int * int * int) array) =
-  let read_len =
-    (* Median length: insertions inflate the max, which would loosen
-       every cap below. *)
-    let lens = Array.map Dna.Strand.length reads in
-    Array.sort compare lens;
-    max 1 lens.(Array.length lens / 2)
-  in
-  let bound = (6 * read_len) / 10 in
-  let dists =
-    Array.to_list nearest
-    |> List.filter_map (fun (p, t, _) ->
-           Dna.Distance.levenshtein_leq ~bound reads.(p) reads.(t))
-    |> Array.of_list
-  in
+(* Fit the edit-distance merge threshold from the probe->nearest pairs'
+   [edits] (bounded at 0.6 * [read_len]): their edit distances split
+   into a low (sibling) and a high (unrelated) mode; the threshold sits
+   in the widest gap between them. *)
+let fit_edit_threshold params ~read_len (edits : int option array) =
+  let dists = Array.of_seq (Seq.filter_map Fun.id (Array.to_seq edits)) in
   Array.sort compare dists;
   if Array.length dists < 4 then params.Cluster.edit_threshold
   else begin
@@ -118,7 +128,29 @@ let configure ?(n_probes = 24) ?(n_targets = 300) params rng reads =
       distances = sample.all;
     }
   else begin
-    let edit_threshold = fit_edit_threshold params reads sample.nearest in
+    let read_len =
+      (* Median length: insertions inflate the max, which would loosen
+         every cap below. *)
+      let lens = Array.map Dna.Strand.length reads in
+      Array.sort compare lens;
+      max 1 lens.(Array.length lens / 2)
+    in
+    (* One bounded edit distance per probe->nearest pair, exact up to
+       [bound], serves both fits below. *)
+    let bound = (6 * read_len) / 10 in
+    let edits =
+      Array.map
+        (fun (p, t, _) -> Dna.Distance.levenshtein_leq ~bound reads.(p) reads.(t))
+        sample.nearest
+    in
+    let edit_threshold = fit_edit_threshold params ~read_len edits in
+    let within_threshold k (p, t, _) =
+      if edit_threshold <= bound then
+        match edits.(k) with Some e -> e <= edit_threshold | None -> false
+      else
+        Option.is_some
+          (Dna.Distance.levenshtein_leq ~bound:edit_threshold reads.(p) reads.(t))
+    in
     (* Sample the sibling mode directly: among each probe's closest
        targets, the pairs whose edit distance passes the (just fitted)
        merge threshold are siblings; their signature distances trace the
@@ -126,12 +158,10 @@ let configure ?(n_probes = 24) ?(n_targets = 300) params rng reads =
        without an edit check; theta_high pads the mode's maximum, and
        everything in between is settled by edit distance. *)
     let sibling_sigs =
-      Array.to_list sample.nearest
-      |> List.filter_map (fun (p, t, d) ->
-             match Dna.Distance.levenshtein_leq ~bound:edit_threshold reads.(p) reads.(t) with
-             | Some _ -> Some d
-             | None -> None)
-      |> Array.of_list
+      Array.to_seqi sample.nearest
+      |> Seq.filter_map (fun (k, ((_, _, d) as pair)) ->
+             if within_threshold k pair then Some d else None)
+      |> Array.of_seq
     in
     Array.sort compare sibling_sigs;
     if Array.length sibling_sigs = 0 then

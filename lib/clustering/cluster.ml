@@ -7,14 +7,17 @@
        representative is chosen per cluster;
     2. clusters are partitioned by the [partition_len] bases following
        the anchor's first occurrence in the representative;
-    3. within a partition, representatives are compared by their
-       signatures over the full 4^q gram dictionary: below [theta_low]
-       they merge outright, above [theta_high] they never merge, and in
-       between a (bounded) edit-distance comparison decides.
+    3. within a partition, pairs of representatives are compared by
+       their signatures over the full 4^q gram dictionary: below
+       [theta_low] they merge outright, above [theta_high] they never
+       merge, and in between a (bounded) edit-distance comparison
+       decides. A pair the round has already joined through other
+       merges in its partition is not compared at all, so a partition
+       of k representatives makes as few as k - 1 comparisons.
 
     Partitions are processed in parallel; merge decisions are applied to
-    a union-find afterwards, so the result is independent of worker
-    interleaving. *)
+    a union-find afterwards, in a fixed order, so the result is
+    independent of worker interleaving. *)
 
 type params = {
   rounds : int;  (** maximum rounds; the loop stops early once converged *)
@@ -71,9 +74,10 @@ let now () = Unix.gettimeofday ()
      no per-bucket list cells;
    - signatures live in a flat packed {!Signature.Index} built once in
      parallel (sharded rows, free merge) and compared by SWAR popcount;
-   - bucket segments are compared in parallel over the Par pool and
-     merge decisions applied serially in segment order, so the
-     assignment is bit-identical for every [domains] value. *)
+   - bucket segments are compared in parallel over the Par pool, each
+     skipping the pairs it has already joined, and merge decisions
+     applied serially in segment order, so the assignment is
+     bit-identical for every [domains] value. *)
 let run_scaled params rng (reads : Dna.Strand.t array) : result =
   let n = Array.length reads in
   let dsu = Union_find.create n in
@@ -167,18 +171,29 @@ let run_scaled params rng (reads : Dna.Strand.t array) : result =
         segments := (bucket_start.(k), bucket_start.(k + 1)) :: !segments
     done;
     let segments = Array.of_list !segments in
+    (* Each root has one representative per round, so segments hold
+       disjoint roots and a segment's merges touch no other segment. Its
+       pairs are visited in the order their unions are applied (i
+       descending, then j descending); a union-find over the segment's
+       positions skips every pair the round has already joined, whose
+       union would change nothing, so a segment of k positions emits at
+       most k - 1 merges. *)
     let decisions =
       Dna.Par.map_array ~label:"cluster.buckets" ~domains:params.domains
         (fun (lo, hi) ->
+          let joined = Union_find.create (hi - lo) in
           let merges = ref [] in
           let sig_cmp = ref 0 and edit_cmp = ref 0 in
-          for i = lo to hi - 1 do
-            for j = i + 1 to hi - 1 do
-              let root_i = order_root.(i) and root_j = order_root.(j) in
-              if root_i <> root_j then begin
+          for i = hi - 2 downto lo do
+            for j = hi - 1 downto i + 1 do
+              if not (Union_find.same joined (i - lo) (j - lo)) then begin
+                let join () =
+                  Union_find.union joined (i - lo) (j - lo);
+                  merges := (order_root.(i), order_root.(j)) :: !merges
+                in
                 incr sig_cmp;
                 let d = Signature.Index.distance index order_idx.(i) order_idx.(j) in
-                if d <= params.theta_low then merges := (root_i, root_j) :: !merges
+                if d <= params.theta_low then join ()
                 else if d <= params.theta_high then begin
                   incr edit_cmp;
                   match
@@ -186,13 +201,13 @@ let run_scaled params rng (reads : Dna.Strand.t array) : result =
                       reads.(order_idx.(i))
                       reads.(order_idx.(j))
                   with
-                  | Some _ -> merges := (root_i, root_j) :: !merges
+                  | Some _ -> join ()
                   | None -> ()
                 end
               end
             done
           done;
-          (!merges, !sig_cmp, !edit_cmp))
+          (List.rev !merges, !sig_cmp, !edit_cmp))
         segments
     in
     Array.iter
@@ -201,10 +216,8 @@ let run_scaled params rng (reads : Dna.Strand.t array) : result =
         stats.edit_comparisons <- stats.edit_comparisons + edit_cmp;
         List.iter
           (fun (a, b) ->
-            if not (Union_find.same dsu a b) then begin
-              Union_find.union dsu a b;
-              stats.merges <- stats.merges + 1
-            end)
+            Union_find.union dsu a b;
+            stats.merges <- stats.merges + 1)
           merges)
       decisions;
     if stats.merges = merges_before then incr stall else stall := 0

@@ -42,8 +42,10 @@ val run_scaled : params -> Dna.Rng.t -> Dna.Strand.t array -> result
 (** Cluster [reads] on flat arrays: reservoir-sampled representatives,
     integer partition keys bucketed by counting sort, and a packed
     {!Signature.Index} (sharded parallel build, SWAR popcount
-    distances). All rng draws are serial and bucket segments are
-    compared over the order-preserving Par pool, so the assignment is
+    distances). A bucket skips the pairs its round has already joined,
+    so [stats] counts only the comparisons made. All rng draws are
+    serial and bucket segments are compared over the order-preserving
+    Par pool, so the assignment is
     bit-identical for every [domains] value. To cluster an arena read
     pool, pass [Dna.Strand_pool.to_array pool]: zero-copy views into the
     pool's packed buffer. *)

@@ -34,7 +34,7 @@ val latency_summary :
   label:string -> n:int -> wall_s:float -> p50_ms:float -> p95_ms:float -> p99_ms:float -> string
 (** One line of served-request accounting: op count, wall time, derived
     throughput and the p50/p95/p99 latency tail (used by the serving
-    layer's stats and the [bench_serve] driver). *)
+    layer's [Serve.Workload.render], which [dnastore serve] prints). *)
 
 val scrub_summary :
   shards_checked:int ->
@@ -71,5 +71,5 @@ val section : string -> string
 val scenario_summary : Scenario_run.outcome list -> string
 (** One scenario-sweep cell per row — recovered fraction against its
     floor, configured vs realized channel error rate, wall clock — with
-    a one-line verdict (used by [dnastore scenario] and
-    [bench_scenarios]). *)
+    a one-line verdict (used by [dnastore scenario] and the [scenarios]
+    entry of [bench/main.exe]). *)
