@@ -15,7 +15,19 @@
    and seed of [bench/main.exe --smoke clover] (60 strands of 120 nt,
    coverage 10, seed 31337). The claims held: merge accuracy is at
    least Clover's at every error rate, and Clover's does not rise as
-   noise reaches its prefix keys. *)
+   noise reaches its prefix keys.
+
+   Figure 6 (Section VII), at the full setting of [bench/main.exe fig6]
+   (wetlab channel, 250 clusters of coverage 10, 110 nt, seed 2002): the
+   NW consensus has the lowest average per-index error, then
+   double-sided BMA, then BMA; BMA's errors pile up toward the strand's
+   end and double-sided BMA's in its middle. The fast 60-cluster setting
+   cannot separate NWA from DBMA (22.56% against 22.55%).
+
+   E7 as a ratchet (Section IX): the retrieval of [E7.retrieval] over
+   store seeds 909 and 100-123 decodes exactly on at least 16 of the 25.
+   The other nine return a few wrong bytes (the known defect ROADMAP
+   items 2, 9 and 13 work on); the count may rise, never fall. *)
 
 let error_rates = [ 0.03; 0.06; 0.09; 0.12; 0.15 ]
 let n_strands = 40
@@ -109,6 +121,61 @@ let test_clover () =
   in
   steps accs
 
+(* ---------- Figure 6 ---------- *)
+
+let fig6_profile recon =
+  let rng = Dna.Rng.create 2002 in
+  let channel = Simulator.Wetlab_channel.create () in
+  let len = 110 in
+  let pairs =
+    List.init 250 (fun _ ->
+        let clean = Dna.Strand.random rng len in
+        let reads = Array.init 10 (fun _ -> Simulator.Channel.transmit channel rng clean) in
+        (clean, Recon_oracle.on_pool recon ~target_len:len reads))
+  in
+  Reconstruction.Recon_metrics.per_index_error pairs
+
+(* Index of the first maximum. *)
+let peak_index prof =
+  let best = ref 0 in
+  Array.iteri (fun i e -> if e > prof.(!best) then best := i) prof;
+  !best
+
+let test_fig6 () =
+  let bma = fig6_profile Reconstruction.Bma.reconstruct_pool
+  and dbma = fig6_profile Reconstruction.Bma.reconstruct_double_pool
+  and nw = fig6_profile Reconstruction.Nw_consensus.reconstruct_pool in
+  let avg = Reconstruction.Recon_metrics.average_error in
+  Alcotest.(check bool)
+    (Printf.sprintf "avg error NWA %.4f < DBMA %.4f < BMA %.4f" (avg nw) (avg dbma) (avg bma))
+    true
+    (avg nw < avg dbma && avg dbma < avg bma);
+  let len = Array.length bma in
+  let third i = 3 * i / len in
+  Alcotest.(check int)
+    (Printf.sprintf "DBMA peak at %d of %d lies in the middle third" (peak_index dbma) len)
+    1
+    (third (peak_index dbma));
+  Alcotest.(check int)
+    (Printf.sprintf "BMA peak at %d of %d lies in the last third" (peak_index bma) len)
+    2
+    (third (peak_index bma))
+
+(* ---------- E7 ratchet ---------- *)
+
+let e7_seeds = 909 :: List.init 24 (fun i -> 100 + i)
+
+let test_e7_ratchet () =
+  let wrong = List.map (fun seed -> (seed, fst (E7.retrieval seed))) e7_seeds in
+  let exact = List.length (List.filter (fun (_, w) -> w = 0) wrong) in
+  let misses =
+    List.filter_map (fun (s, w) -> if w > 0 then Some (Printf.sprintf "%d:%d" s w) else None) wrong
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d seeds exact (at least 16); wrong bytes %s" exact
+       (List.length e7_seeds) (String.concat " " misses))
+    true (exact >= 16)
+
 let () =
   Alcotest.run "claims"
     [
@@ -124,4 +191,6 @@ let () =
           Alcotest.test_case "merge at least as accurate as Clover, Clover declines" `Quick
             test_clover;
         ] );
+      ("fig6", [ Alcotest.test_case "avg error NWA < DBMA < BMA, peaks placed" `Quick test_fig6 ]);
+      ("e7", [ Alcotest.test_case "at least 16 of 25 store seeds exact" `Slow test_e7_ratchet ]);
     ]

@@ -246,48 +246,16 @@ let test_kv_indexed_select_matches_scan () =
     store.Dnastore.Kv_store.directory
 
 (* Golden pin of the random-access path under E7's configuration
-   (bench/e2e.ml): a 500 B decoy and the 2000 B gradient image share
-   one pool at parity 8, and the image is read back through the harsh
-   wetlab channel at coverage 30. At E7's seed 909 the path returns 8
-   wrong bytes; seeds 910 and 911 are pinned at what the same setup
-   returned when this test was written. ROADMAP item 2 (clustering
-   sized to its input) is expected to re-pin these values when it
-   changes clustering. *)
-let e7_retrieval seed =
-  let n = 2000 in
-  let side = int_of_float (sqrt (float_of_int n)) in
-  let image =
-    Bytes.init n (fun i ->
-        let x = i mod side and y = i / side in
-        Char.chr ((x * x / max 1 side) + (y * 2) land 0xff))
-  in
-  let store = Dnastore.Kv_store.create ~seed in
-  let params = { Codec.Params.default with Codec.Params.rs_parity = 8 } in
-  Dnastore.Kv_store.put_exn ~params store ~key:"decoy.txt" (Bytes.of_string (String.make 500 'd'));
-  Dnastore.Kv_store.put_exn ~params store ~key:"image.raw" image;
-  let stages =
-    {
-      (Dnastore.Pipeline.default_stages ()) with
-      Dnastore.Pipeline.channel = Simulator.Wetlab_channel.create ();
-      sequencing = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 30);
-    }
-  in
-  match Dnastore.Kv_store.get ~stages store ~key:"image.raw" with
-  | Error _ -> Alcotest.failf "seed %d: get failed" seed
-  | Ok (bytes, _) ->
-      let m = Bytes.length bytes in
-      let wrong = ref (abs (m - n)) in
-      for i = 0 to min m n - 1 do
-        if Bytes.get bytes i <> Bytes.get image i then incr wrong
-      done;
-      Printf.sprintf "%d of %d bytes wrong, crc32 %08x" !wrong n
-        (Store.Io.crc32 (Bytes.to_string bytes))
-
+   ([E7.retrieval]). At E7's seed 909 the path returns 8 wrong bytes;
+   seeds 910 and 911 are pinned at what the same setup returned when
+   this test was written. ROADMAP item 2 (clustering sized to its input)
+   is expected to re-pin these values when it changes clustering. *)
 let test_kv_e7_golden () =
   List.iter
     (fun (seed, expected) ->
+      let wrong, crc = E7.retrieval seed in
       Alcotest.(check string) (Printf.sprintf "E7 retrieval, seed %d" seed) expected
-        (e7_retrieval seed))
+        (Printf.sprintf "%d of %d bytes wrong, crc32 %08x" wrong E7.n crc))
     [
       (909, "8 of 2000 bytes wrong, crc32 5f6d83bd");
       (910, "0 of 2000 bytes wrong, crc32 cc578b09");
