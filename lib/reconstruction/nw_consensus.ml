@@ -104,56 +104,40 @@ let vote (reference : Dna.Strand.t) ~n_reads ~codes ~support n ~scratch : Dna.St
     Dna.Strand.init_codes !kept (fun i -> Array.unsafe_get scratch i)
   end
 
-(* In-place heapsort of [order.(0..n)] by (support desc, index asc).
-   Indices are distinct so the key order is strict, and any comparison
-   sort yields the same sequence; heapsort keeps selection
-   allocation-free. *)
-let sort_order order n support =
-  let after a b = support.(a) < support.(b) || (support.(a) = support.(b) && a > b) in
-  let swap i j =
-    let t = order.(i) in
-    order.(i) <- order.(j);
-    order.(j) <- t
-  in
-  let rec sift i len =
-    let l = (2 * i) + 1 in
-    if l < len then begin
-      let c = if l + 1 < len && after order.(l + 1) order.(l) then l + 1 else l in
-      if after order.(c) order.(i) then begin
-        swap c i;
-        sift c len
-      end
-    end
-  in
-  for i = (n / 2) - 1 downto 0 do
-    sift i n
-  done;
-  for len = n - 1 downto 1 do
-    swap 0 len;
-    sift 0 len
-  done
-
 (* Final round over flat buffers: write the kept codes into [out]
    (capacity >= target_len) and return [(written, padded)]. Keeps
-   exactly [target_len] columns when over-long, strongest support first
-   (ties resolved toward earlier columns). *)
-let select ~codes ~support n target_len ~order ~keep ~out =
+   exactly [target_len] columns when over-long: the strongest-supported
+   ones, ties resolved toward earlier columns — the first [target_len]
+   of the candidates sorted by (support desc, index asc). One histogram
+   pass over the supports ([hist] holds max - min + 1 slots) finds the
+   [target_len]-th largest support [t]; every candidate above [t] is
+   kept, then the earliest candidates equal to [t] until the count is
+   met. [lo]/[hi] bound the supports and [hist] holds [hi - lo + 1]
+   slots. *)
+let select ~codes ~support n target_len ~lo ~hi ~hist ~out =
   if n <= target_len then begin
     Array.blit codes 0 out 0 n;
     (n, target_len - n)
   end
   else begin
+    Array.fill hist 0 (hi - lo + 1) 0;
     for i = 0 to n - 1 do
-      order.(i) <- i
+      let b = Array.unsafe_get support i - lo in
+      Array.unsafe_set hist b (Array.unsafe_get hist b + 1)
     done;
-    sort_order order n support;
-    Array.fill keep 0 n false;
-    for k = 0 to target_len - 1 do
-      keep.(order.(k)) <- true
+    (* Walk down from the top support until [target_len] are covered:
+       [t] is the threshold, [above] the count strictly above it. *)
+    let t = ref hi and above = ref 0 in
+    while !above + hist.(!t - lo) < target_len do
+      above := !above + hist.(!t - lo);
+      decr t
     done;
-    let j = ref 0 in
+    let t = !t in
+    let ties = ref (target_len - !above) and j = ref 0 in
     for i = 0 to n - 1 do
-      if keep.(i) then begin
+      let s = Array.unsafe_get support i in
+      if s > t || (s = t && !ties > 0) then begin
+        if s = t then decr ties;
         out.(!j) <- codes.(i);
         incr j
       end
@@ -207,12 +191,16 @@ let reconstruct_pool_full ~target_len pool (idxs : int array) : outcome =
      done
    with Exit -> ());
   let n_candidates = !n in
-  a.order <- ints a.order n_candidates;
-  a.keep <- bools a.keep n_candidates;
   a.out <- ints a.out (max target_len n_candidates);
+  let lo = ref 0 and hi = ref 0 in
+  for i = 0 to n_candidates - 1 do
+    lo := min !lo a.support.(i);
+    hi := max !hi a.support.(i)
+  done;
+  a.hist <- ints a.hist (!hi - !lo + 1);
   let written, padded =
-    select ~codes:a.codes ~support:a.support n_candidates target_len ~order:a.order
-      ~keep:a.keep ~out:a.out
+    select ~codes:a.codes ~support:a.support n_candidates target_len ~lo:!lo ~hi:!hi ~hist:a.hist
+      ~out:a.out
   in
   if padded = 0 then
     {

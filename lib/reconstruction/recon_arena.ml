@@ -20,8 +20,7 @@ type t = {
   mutable ins : int array;  (** NW insertion-column votes, [(m+1)*4] *)
   mutable codes : int array;  (** NW candidate codes, [2m+1] *)
   mutable support : int array;  (** NW candidate support, [2m+1] *)
-  mutable order : int array;  (** NW selection order, [2m+1] *)
-  mutable keep : bool array;  (** NW selection flags, [2m+1] *)
+  mutable hist : int array;  (** NW selection support histogram *)
   mutable pointers : int array;  (** BMA per-read pointers *)
   mutable expected : int array;  (** BMA lookahead expectation window *)
   counts4 : int array;  (** 4-way base-vote counts (BMA, majority) *)
@@ -35,8 +34,7 @@ let create () =
     ins = [||];
     codes = [||];
     support = [||];
-    order = [||];
-    keep = [||];
+    hist = [||];
     pointers = [||];
     expected = [||];
     counts4 = Array.make 4 0;
@@ -49,9 +47,6 @@ let get () = Domain.DLS.get key
 (* Grow-only capacity: at least [n] slots, doubling to amortize. The
    caller stores the result back into the arena field. *)
 let ints buf n = if Array.length buf >= n then buf else Array.make (max n (2 * Array.length buf)) 0
-
-let bools buf n =
-  if Array.length buf >= n then buf else Array.make (max n (2 * Array.length buf)) false
 
 let mint a pool (idxs : int array) ~keep_empty =
   let n = Array.length idxs in
@@ -69,6 +64,6 @@ let mint a pool (idxs : int array) ~keep_empty =
 
 let capacity_words a =
   Array.length a.views + Array.length a.counts + Array.length a.ins + Array.length a.codes
-  + Array.length a.support + Array.length a.order + Array.length a.keep
+  + Array.length a.support + Array.length a.hist
   + Array.length a.pointers + Array.length a.expected + Array.length a.counts4
   + Array.length a.out

@@ -13,8 +13,7 @@ type t = {
   mutable ins : int array;
   mutable codes : int array;
   mutable support : int array;
-  mutable order : int array;
-  mutable keep : bool array;
+  mutable hist : int array;
   mutable pointers : int array;
   mutable expected : int array;
   counts4 : int array;
@@ -28,8 +27,6 @@ val ints : int array -> int -> int array
 (** [ints buf n] is [buf] when it already holds [n] slots, else a fresh
     doubled buffer (contents unspecified); store it back into the arena
     field. *)
-
-val bools : bool array -> int -> bool array
 
 val mint : t -> Dna.Strand_pool.t -> int array -> keep_empty:bool -> int
 (** Fill [views] with zero-copy views of the pool reads named by the

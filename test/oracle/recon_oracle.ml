@@ -215,69 +215,18 @@ let vote_core (reference : Dna.Strand.t) ~n_reads ~codes ~support n ~scratch : D
 let vote_columns (reference : Dna.Strand.t) ~n_reads (p : profile) : Dna.Strand.t =
   vote_core reference ~n_reads ~codes:p.codes ~support:p.support p.n ~scratch:(Array.make (max 1 p.n) 0)
 
-(* In-place heapsort of [order.(0..n)] by (support desc, index asc).
-   Indices are distinct so the key order is strict, and any comparison
-   sort yields the same sequence. *)
-let sort_order order n support =
-  let after a b = support.(a) < support.(b) || (support.(a) = support.(b) && a > b) in
-  let swap i j =
-    let t = order.(i) in
-    order.(i) <- order.(j);
-    order.(j) <- t
-  in
-  let rec sift i len =
-    let l = (2 * i) + 1 in
-    if l < len then begin
-      let c = if l + 1 < len && after order.(l + 1) order.(l) then l + 1 else l in
-      if after order.(c) order.(i) then begin
-        swap c i;
-        sift c len
-      end
-    end
-  in
-  for i = (n / 2) - 1 downto 0 do
-    sift i n
-  done;
-  for len = n - 1 downto 1 do
-    swap 0 len;
-    sift 0 len
-  done
-
-(* Final round over flat buffers: write the kept codes into [out]
-   (capacity >= target_len) and return [(written, padded)]. Keeps
-   exactly [target_len] columns when over-long, strongest support first
-   (ties resolved toward earlier columns). *)
-let select_core ~codes ~support n target_len ~order ~keep ~out =
-  if n <= target_len then begin
-    Array.blit codes 0 out 0 n;
-    (n, target_len - n)
-  end
-  else begin
-    for i = 0 to n - 1 do
-      order.(i) <- i
-    done;
-    sort_order order n support;
-    Array.fill keep 0 n false;
-    for k = 0 to target_len - 1 do
-      keep.(order.(k)) <- true
-    done;
-    let j = ref 0 in
-    for i = 0 to n - 1 do
-      if keep.(i) then begin
-        out.(!j) <- codes.(i);
-        incr j
-      end
-    done;
-    (target_len, 0)
-  end
-
+(* Keep exactly [target_len] candidates when over-long: sort the
+   candidate indices by (support desc, index asc) and keep the first
+   [target_len], in column order. Returns the kept codes and the padding
+   still owed. *)
 let select_columns (p : profile) target_len =
-  let out = Array.make (max p.n target_len) 0 in
-  let written, padded =
-    select_core ~codes:p.codes ~support:p.support p.n target_len ~order:(Array.make (max 1 p.n) 0)
-      ~keep:(Array.make (max 1 p.n) false) ~out
-  in
-  (Array.sub out 0 written, padded)
+  if p.n <= target_len then (Array.sub p.codes 0 p.n, target_len - p.n)
+  else begin
+    let order = List.init p.n Fun.id in
+    let by_support = List.stable_sort (fun a b -> compare p.support.(b) p.support.(a)) order in
+    let kept = List.sort compare (List.filteri (fun k _ -> k < target_len) by_support) in
+    (Array.of_list (List.map (fun i -> p.codes.(i)) kept), 0)
+  end
 
 let nw ~target_len (reads : Dna.Strand.t array) : Dna.Strand.t =
   let reads =
