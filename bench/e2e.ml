@@ -50,9 +50,10 @@ let run () =
         (if exact then "EXACT" else "CORRUPTED")
         !wrong m
         (Store.Io.crc32 (Bytes.to_string bytes));
-      Printf.printf "  sequencing %.2fs, clustering %.2fs, reconstruction %.2fs, decoding %.2fs\n"
-        timings.Dnastore.Pipeline.simulate_s timings.cluster_s timings.reconstruct_s
-        timings.decode_s
+      Printf.printf
+        "  sequencing %.2fs, demux %.2fs, clustering %.2fs, reconstruction %.2fs, decoding %.2fs\n"
+        timings.Dnastore.Pipeline.simulate_s timings.demux_s timings.cluster_s
+        timings.reconstruct_s timings.decode_s
   | Error Dnastore.Kv_store.Key_not_found -> print_endline "key not found!"
   | Error (Decode_failed e) -> Printf.printf "decode failed: %s\n" e);
   print_newline ()

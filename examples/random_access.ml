@@ -34,9 +34,10 @@ let () =
       match Dnastore.Kv_store.get store ~key with
       | Ok (bytes, timings) ->
           Printf.printf "get %-14s -> %S\n" key (Bytes.to_string bytes);
-          Printf.printf "   (sequence %.2fs, cluster %.2fs, reconstruct %.2fs, decode %.2fs)\n"
-            timings.Dnastore.Pipeline.simulate_s timings.cluster_s timings.reconstruct_s
-            timings.decode_s;
+          Printf.printf
+            "   (sequence %.2fs, demux %.2fs, cluster %.2fs, reconstruct %.2fs, decode %.2fs)\n"
+            timings.Dnastore.Pipeline.simulate_s timings.demux_s timings.cluster_s
+            timings.reconstruct_s timings.decode_s;
           let expected = List.assoc key files in
           assert (String.equal (Bytes.to_string bytes) expected)
       | Error Dnastore.Kv_store.Key_not_found -> Printf.printf "get %s -> not found\n" key

@@ -30,6 +30,7 @@ type stages = {
 type timings = {
   encode_s : float;
   simulate_s : float;
+  demux_s : float;
   cluster_s : float;
   reconstruct_s : float;
   reconstruct_p50_s : float;
@@ -37,7 +38,20 @@ type timings = {
   decode_s : float;
 }
 
-let total_s t = t.encode_s +. t.simulate_s +. t.cluster_s +. t.reconstruct_s +. t.decode_s
+let zero_timings =
+  {
+    encode_s = 0.0;
+    simulate_s = 0.0;
+    demux_s = 0.0;
+    cluster_s = 0.0;
+    reconstruct_s = 0.0;
+    reconstruct_p50_s = 0.0;
+    reconstruct_p95_s = 0.0;
+    decode_s = 0.0;
+  }
+
+let total_s t =
+  t.encode_s +. t.simulate_s +. t.demux_s +. t.cluster_s +. t.reconstruct_s +. t.decode_s
 
 type outcome = {
   file : Bytes.t option;  (** [None] when decoding failed outright *)
@@ -144,18 +158,7 @@ let run ?(params = Codec.Params.default) ?(layout = Codec.Layout.Baseline) ?stag
   let note stage e = failures := (stage, Printexc.to_string e) :: !failures in
   let trigger stage = match faults with Some p -> Faults.trigger p stage | None -> () in
   let inject f x = match faults with Some p -> f p x | None -> x in
-  let zero =
-    {
-      encode_s = 0.0;
-      simulate_s = 0.0;
-      cluster_s = 0.0;
-      reconstruct_s = 0.0;
-      reconstruct_p50_s = 0.0;
-      reconstruct_p95_s = 0.0;
-      decode_s = 0.0;
-    }
-  in
-  let failed_outcome ?(timings = zero) ?(n_strands = 0) ?(n_reads = 0) ?(n_clusters = 0)
+  let failed_outcome ?(timings = zero_timings) ?(n_strands = 0) ?(n_reads = 0) ?(n_clusters = 0)
       ?(n_units = 0) ?(words_per_cluster = 0.0) error =
     {
       file = None;
@@ -182,7 +185,7 @@ let run ?(params = Codec.Params.default) ?(layout = Codec.Layout.Baseline) ?stag
   in
   match encoded with
   | None ->
-      failed_outcome ~timings:{ zero with encode_s } "encode stage failed; nothing to recover"
+      failed_outcome ~timings:{ zero_timings with encode_s } "encode stage failed; nothing to recover"
   | Some encoded ->
       let strands = inject Faults.inject_strands encoded.Codec.File_codec.strands in
       let target_len = Codec.Params.strand_nt params in
@@ -284,6 +287,7 @@ let run ?(params = Codec.Params.default) ?(layout = Codec.Layout.Baseline) ?stag
         {
           encode_s;
           simulate_s;
+          demux_s = 0.0;
           cluster_s;
           reconstruct_s;
           reconstruct_p50_s = percentile cluster_times 0.50;
@@ -335,6 +339,7 @@ let random_access ~domains stages ~seq_rng ~cluster_rng ~pair ~params ~layout ~n
     | [ (_, cores) ] -> cores
     | _ -> Dna.Strand_pool.create ()
   in
+  let td = Unix.gettimeofday () in
   let slices = Array.of_list (stages.cluster cluster_rng cores) in
   let t2 = Unix.gettimeofday () in
   sort_cluster_slices cores slices;
@@ -355,7 +360,8 @@ let random_access ~domains stages ~seq_rng ~cluster_rng ~pair ~params ~layout ~n
     {
       encode_s = 0.0;
       simulate_s = t1 -. t0;
-      cluster_s = t2 -. t1;
+      demux_s = td -. t1;
+      cluster_s = t2 -. td;
       reconstruct_s = t3 -. t2;
       reconstruct_p50_s = percentile cluster_times 0.50;
       reconstruct_p95_s = percentile cluster_times 0.95;

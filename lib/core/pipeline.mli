@@ -26,6 +26,7 @@ type stages = {
 type timings = {
   encode_s : float;
   simulate_s : float;
+  demux_s : float;  (** primer demultiplexing ({!random_access} only; 0 in [run]) *)
   cluster_s : float;
   reconstruct_s : float;
   reconstruct_p50_s : float;
@@ -36,8 +37,11 @@ type timings = {
   decode_s : float;
 }
 
+val zero_timings : timings
+(** Every field 0. *)
+
 val total_s : timings -> float
-(** Sum of the five stage latencies (the percentile fields are
+(** Sum of the six stage latencies (the percentile fields are
     summaries of [reconstruct_s]'s per-cluster breakdown, not extra
     stages). *)
 
@@ -149,5 +153,5 @@ val random_access :
     non-empty slice on [domains] workers and decodes. The result is the
     same for every [domains]; one rng passed as both streams draws
     sequencing first. Unlike {!run} nothing degrades: a raising stage
-    propagates. The timings put demultiplexing in [cluster_s];
-    [encode_s] is 0. *)
+    propagates. The timings put demultiplexing in [demux_s], apart from
+    [cluster_s]; [encode_s] is 0. *)

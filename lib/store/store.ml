@@ -82,6 +82,8 @@ type t = {
   mutable orphans_reclaimed : int;
       (** leftover [.tmp] and unreferenced shard files removed when this
           store was opened (debris of an interrupted run) *)
+  mutable cold_accesses : int;  (** wetlab read paths run (cache misses and salvage attempts) *)
+  mutable access_s : Dnastore.Pipeline.timings;  (** their stage times, summed *)
 }
 
 let dir t = t.dir
@@ -126,6 +128,8 @@ let of_manifest ~io ~dir ~orphans (m : Manifest.t) =
     cache = Lru.create ~capacity:m.Manifest.config.cache_objects;
     sequencing_passes = 0;
     orphans_reclaimed = orphans;
+    cold_accesses = 0;
+    access_s = Dnastore.Pipeline.zero_timings;
   }
 
 let init ?(config = default_config) ?(io = Store_io.real) ~dir ~seed () : (t, error) result =
@@ -530,9 +534,10 @@ let access_rng t (o : Manifest.object_meta) =
    Clustering and consensus stay at one domain inside a task. Pure given
    the access rng, so the whole wetlab read path fans out over the
    domain pool. Returns the decode stats alongside the bytes so partial
-   (degraded) readers can map recovered ranges. *)
+   (degraded) readers can map recovered ranges, and the path's stage
+   times for {!record_access}. *)
 let run_access_task t (o : Manifest.object_meta) ~depth selected :
-    (Bytes.t * Codec.File_codec.decode_stats, error) result =
+    (Bytes.t * Codec.File_codec.decode_stats, error) result * Dnastore.Pipeline.timings =
   let cfg = t.manifest.Manifest.config in
   let rng = access_rng t o in
   let seq_rng = Dna.Rng.split rng in
@@ -547,8 +552,24 @@ let run_access_task t (o : Manifest.object_meta) ~depth selected :
     Dnastore.Pipeline.random_access ~domains:1 stages ~seq_rng ~cluster_rng ~pair:o.pair
       ~params:o.params ~layout:o.layout ~n_units:o.n_units selected
   with
-  | Ok decoded, _ -> Ok decoded
-  | Error e, _ -> Error (Decode_failed { key = o.key; reason = Codec.File_codec.error_message e })
+  | Ok decoded, timings -> (Ok decoded, timings)
+  | Error e, timings ->
+      (Error (Decode_failed { key = o.key; reason = Codec.File_codec.error_message e }), timings)
+
+(* Fold one access's stage times into the store's totals. Serial: the
+   parallel get path calls it after its tasks have joined. *)
+let record_access t (tm : Dnastore.Pipeline.timings) =
+  let a = t.access_s in
+  t.cold_accesses <- t.cold_accesses + 1;
+  t.access_s <-
+    {
+      a with
+      Dnastore.Pipeline.simulate_s = a.simulate_s +. tm.simulate_s;
+      demux_s = a.demux_s +. tm.demux_s;
+      cluster_s = a.cluster_s +. tm.cluster_s;
+      reconstruct_s = a.reconstruct_s +. tm.reconstruct_s;
+      decode_s = a.decode_s +. tm.decode_s;
+    }
 
 let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) t (keys : string list)
     : (string * (Bytes.t, error) result) list =
@@ -638,9 +659,12 @@ let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) t (key
   let outcome_arr =
     Dna.Par.map_array ~label:"store.get_batch" ~domains
       (fun ((o : Manifest.object_meta), depth, selected) ->
-        (o.key, Result.map fst (run_access_task t o ~depth selected)))
+        let r, timings = run_access_task t o ~depth selected in
+        (o.key, Result.map fst r, timings))
       tasks
   in
+  Array.iter (fun (_, _, timings) -> record_access t timings) outcome_arr;
+  let outcome_arr = Array.map (fun (key, r, _) -> (key, r)) outcome_arr in
   let outcomes : (string, (Bytes.t, error) result) Hashtbl.t =
     Hashtbl.create (Array.length outcome_arr)
   in
@@ -704,7 +728,9 @@ let partial_attempt t (o : Manifest.object_meta) : (partial_read, error) result 
           Simulator.Sequencer.shard_depth ~base:cfg.coverage ~n_selected:(Array.length selected)
             ~n_shard:(Array.length pool.strands)
         in
-        match run_access_task t o ~depth selected with
+        let r, timings = run_access_task t o ~depth selected in
+        record_access t timings;
+        match r with
         | Error e -> Error e
         | Ok (bytes, stats) ->
             let p = Codec.File_codec.partial ~params:o.params ~file_len:(Bytes.length bytes) stats in
@@ -1060,6 +1086,8 @@ type stats = {
   lost_objects : int;
   quarantined_shards : int;
   orphans_reclaimed : int;
+  cold_accesses : int;
+  access_s : Dnastore.Pipeline.timings;
 }
 
 let stats t =
@@ -1091,6 +1119,8 @@ let stats t =
       List.length
         (List.filter (fun (s : Manifest.shard_meta) -> s.quarantined) m.Manifest.shards);
     orphans_reclaimed = t.orphans_reclaimed;
+    cold_accesses = t.cold_accesses;
+    access_s = t.access_s;
   }
 
 let render_stats t =
@@ -1118,4 +1148,11 @@ let render_stats t =
        Printf.sprintf
          "health: %d degraded, %d lost objects; %d quarantined shards; %d orphans reclaimed\n"
          s.degraded_objects s.lost_objects s.quarantined_shards s.orphans_reclaimed)
+  ^ (if s.cold_accesses = 0 then ""
+     else
+       let a = s.access_s in
+       Printf.sprintf
+         "cold accesses: %d (sequence %.3fs, demux %.3fs, cluster %.3fs, reconstruct %.3fs, \
+          decode %.3fs)\n"
+         s.cold_accesses a.simulate_s a.demux_s a.cluster_s a.reconstruct_s a.decode_s)
   ^ Dnastore.Report.cache_counters ~label:"store" ~hits:s.cache_hits ~misses:s.cache_misses

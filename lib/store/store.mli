@@ -217,6 +217,13 @@ type stats = {
   lost_objects : int;
   quarantined_shards : int;
   orphans_reclaimed : int;  (** debris removed when this handle opened the store *)
+  cold_accesses : int;
+      (** wetlab read paths this handle ran: get misses and salvage
+          attempts (degraded reads, scrub); cache hits add nothing *)
+  access_s : Dnastore.Pipeline.timings;
+      (** those accesses' stage times summed per stage (sequencing in
+          [simulate_s], then demux, cluster, reconstruct, decode); the
+          encode and percentile fields stay 0 *)
 }
 
 val stats : t -> stats

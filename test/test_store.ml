@@ -314,6 +314,38 @@ let test_cache_hits_on_repeated_get () =
   Alcotest.(check bool) "report surfaces the hit counters" true
     (contains_substring ~needle:"hit" rendered)
 
+(* Every wetlab read path a get runs adds one cold access and its stage
+   times to [Store.stats]; a cache hit adds neither, and a key a batch
+   asks for twice decodes (and counts) once. *)
+let test_cold_access_stats () =
+  let dir = temp_store_dir () in
+  let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed:23 ()) in
+  let r = Dna.Rng.create 7 in
+  ok_or_fail "put a" (Store.put store ~key:"a" (random_file r 200));
+  ok_or_fail "put b" (Store.put store ~key:"b" (random_file r 200));
+  let s0 = Store.stats store in
+  Alcotest.(check int) "no access yet" 0 s0.Store.cold_accesses;
+  ignore (ok_or_fail "get a" (Store.get store ~key:"a"));
+  let s1 = Store.stats store in
+  let a = s1.Store.access_s in
+  Alcotest.(check int) "cold get counted" 1 s1.Store.cold_accesses;
+  Alcotest.(check bool) "stage times recorded" true
+    (a.Dnastore.Pipeline.simulate_s > 0.0 && a.demux_s > 0.0 && a.cluster_s > 0.0
+   && a.reconstruct_s > 0.0 && a.decode_s > 0.0 && a.encode_s = 0.0);
+  ignore (ok_or_fail "get a again" (Store.get store ~key:"a"));
+  let s2 = Store.stats store in
+  Alcotest.(check int) "cache hit adds no access" 1 s2.Store.cold_accesses;
+  Alcotest.(check bool) "cache hit adds no time" true (s2.Store.access_s = a);
+  List.iter
+    (fun (k, r) -> ignore (ok_or_fail k r))
+    (Store.get_batch store [ "a"; "b"; "b" ]);
+  let s3 = Store.stats store in
+  Alcotest.(check int) "batch: one miss, one access" 2 s3.Store.cold_accesses;
+  Alcotest.(check bool) "batch adds time" true
+    (s3.Store.access_s.Dnastore.Pipeline.reconstruct_s > a.reconstruct_s);
+  Alcotest.(check bool) "report names the accesses" true
+    (contains_substring ~needle:"cold accesses: 2" (Store.render_stats store))
+
 let test_lru_eviction_order () =
   let cache = Store.Lru.create ~capacity:2 in
   Store.Lru.add cache "a" 1;
@@ -932,6 +964,7 @@ let () =
         [
           Alcotest.test_case "repeated get hits" `Slow test_cache_hits_on_repeated_get;
           Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction_order;
+          Alcotest.test_case "cold accesses counted, hits not" `Quick test_cold_access_stats;
         ] );
       ( "corruption",
         [
