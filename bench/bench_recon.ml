@@ -15,7 +15,8 @@
      against [Kernel_oracle.align], with identical score and
      script required;
    - trip slices: one pipeline trip's clusters reconstructed pool-native
-     and by the boxed oracle, with identical consensus required.
+     and by the boxed oracle, with identical consensus required; each
+     row is the median and IQR over 7 alternating sweeps.
 
    The entry also fails if the bit-parallel kernel is slower than the
    full matrix on the 120nt align case (threshold 1.0, relaxed to 0.8
@@ -80,20 +81,22 @@ let run_align () =
    yields the clusters. Each is reconstructed by
    [Nw_consensus.reconstruct_pool] over its index slice and by the boxed
    [Recon_oracle.nw] over its views, materialized once outside the
-   timed region. The two sides alternate over [reps] sweeps; each
-   side reports its fastest sweep.
+   timed region. The two sides alternate over [reps] sweeps; every row
+   reports the median and interquartile range over the sweeps, and the
+   speedup is the median of the per-sweep boxed/pool ratios.
 
    Guards: identical consensus on every cluster (always); the pool path
    allocates strictly fewer minor words per cluster (always); the pool
-   path is not slower in total (full run — relaxed to 2x under --smoke,
-   where a 128-byte file gives timing noise, not timing). *)
+   path is not slower in total at the median (full run — relaxed to 2x
+   under --smoke, where a 128-byte file gives timing noise, not
+   timing). *)
 let run_oracle () =
   let file_bytes = pick ~fast:128 ~full:2048 in
   let data =
     let r = Dna.Rng.create 11 in
     Bytes.init file_bytes (fun _ -> Char.chr (Dna.Rng.int r 256))
   in
-  let reps = pick ~fast:1 ~full:5 in
+  let reps = pick ~fast:1 ~full:7 in
   let params = Codec.Params.default in
   let target_len = Codec.Params.strand_nt params in
   let rng = Dna.Rng.create 5 in
@@ -130,42 +133,45 @@ let run_oracle () =
   in
   let sum = Array.fold_left ( +. ) 0.0 in
   let runs = List.init reps (fun _ -> (sweep pool_recon, sweep boxed_recon)) in
-  let fastest side =
-    List.fold_left
-      (fun best r ->
-        let ((t, _) as r) = side r in
-        match best with Some (bt, _) when sum bt <= sum t -> best | _ -> Some r)
-      None runs
-    |> Option.get
-  in
-  let tp, words_p = fastest fst and tb, words_b = fastest snd in
-  let wp = sum words_p /. float_of_int n and wb = sum words_b /. float_of_int n in
-  let sp = sum tp and sb = sum tb in
   let pct = Dnastore.Pipeline.percentile in
+  (* Median and interquartile range of one figure over the sweeps. *)
+  let spread f =
+    let xs = Array.of_list (List.map f runs) in
+    (pct xs 0.50, pct xs 0.75 -. pct xs 0.25)
+  in
+  let pool_side f ((t, _), _) = f t and boxed_side f (_, (t, _)) = f t in
+  let words_per_cluster w = sum w /. float_of_int n in
+  let wp, _ = spread (fun ((_, w), _) -> words_per_cluster w)
+  and wb, _ = spread (fun (_, (_, w)) -> words_per_cluster w) in
+  let sp, _ = spread (pool_side sum) and sb, _ = spread (boxed_side sum) in
+  let speedup, speedup_iqr = spread (fun r -> boxed_side sum r /. pool_side sum r) in
   Printf.printf
-    "trip slices (%d clusters): pool %.3fs (p50 %.2f ms, p95 %.2f ms, %.0f words/cluster)\n\
-    \                           boxed %.3fs (p50 %.2f ms, p95 %.2f ms, %.0f words/cluster)  %.2fx, %.1fx fewer words\n"
-    n sp (1000.0 *. pct tp 0.50) (1000.0 *. pct tp 0.95) wp sb (1000.0 *. pct tb 0.50)
-    (1000.0 *. pct tb 0.95) wb (sb /. sp)
-    (if wp > 0.0 then wb /. wp else infinity);
+    "trip slices (%d clusters, median of %d sweeps): pool %.3fs, boxed %.3fs, %.2fx (IQR %.2f); \
+     %.0f vs %.0f words/cluster\n"
+    n reps sp sb speedup speedup_iqr wp wb;
   if wp >= wb then fail "pool consensus did not allocate fewer words/cluster (%.0f >= %.0f)" wp wb;
   let slack = pick ~fast:2.0 ~full:1.0 in
   if sp > slack *. sb then
-    fail "pool consensus slower than boxed (%.3fs > %.1fx * %.3fs)" sp slack sb;
-  let stage name boxed_v pool_v =
+    fail "pool consensus slower than boxed at the median (%.3fs > %.1fx * %.3fs)" sp slack sb;
+  (* Rows per figure: median and IQR over the sweeps for each side, and
+     on the pool row the median and IQR of the per-sweep speedups. *)
+  let stage name f =
+    let row suffix side extra =
+      let median, iqr = spread (side f) in
+      entry (name ^ suffix)
+        ([ ("repeats", Store_json.Int reps); ("median_s", num median); ("iqr_s", num iqr) ]
+        @ extra)
+    in
+    let speedup, speedup_iqr = spread (fun r -> boxed_side f r /. pool_side f r) in
     [
-      entry (name ^ "/boxed") [ ("s_total", num boxed_v); ("speedup_vs_full", num 1.0) ];
-      entry (name ^ "/pool")
-        [
-          ("s_total", num pool_v);
-          ("speedup_vs_full", num (if pool_v > 0.0 then boxed_v /. pool_v else 1.0));
-        ];
+      row "/boxed" boxed_side [];
+      row "/pool" pool_side [ ("speedup_median", num speedup); ("speedup_iqr", num speedup_iqr) ];
     ]
   in
   let entries =
-    stage "trip_slices/reconstruct_s" sb sp
-    @ stage "trip_slices/cluster_p50_s" (pct tb 0.50) (pct tp 0.50)
-    @ stage "trip_slices/cluster_p95_s" (pct tb 0.95) (pct tp 0.95)
+    stage "trip_slices/reconstruct_s" sum
+    @ stage "trip_slices/cluster_p50_s" (fun t -> pct t 0.50)
+    @ stage "trip_slices/cluster_p95_s" (fun t -> pct t 0.95)
   in
   let extras =
     [

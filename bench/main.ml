@@ -8,7 +8,8 @@
      dune exec bench/main.exe -- --out-dir d store # write JSON elsewhere
 
    Paper experiments: fig3 (includes Table I), fig5, table2, fig6,
-   table3, e2e, layout, density, ecc, clover. Perf trajectories: kernels
+   depth (NW reads used against error), table3, e2e, layout, density,
+   ecc, clover. Perf trajectories: kernels
    (BENCH_micro.json, BENCH_cluster.json), recon (BENCH_recon.json),
    store (BENCH_store.json), scenarios (BENCH_scenarios.json). Flags are
    parsed in [Exp_common]; each entry exits 1 when one of its guards
@@ -20,6 +21,7 @@ let entries =
     ("fig5", Fig5.run);
     ("table2", Table2.run);
     ("fig6", Fig6.run);
+    ("depth", Depth.run);
     ("table3", Table3.run);
     ("e2e", E2e.run);
     ("layout", Layout_ablation.run);

@@ -17,7 +17,7 @@
 type t = {
   mutable views : Dna.Strand.t array;  (** minted cluster reads; first [mint]-count slots live *)
   mutable counts : int array;  (** NW match-column votes, [m*5] *)
-  mutable ins : int array;  (** NW insertion-column votes, [(m+1)*4] *)
+  mutable ins : int array;  (** NW insertion-slot votes and longest runs, [(m+1)*5] *)
   mutable codes : int array;  (** NW candidate codes, [2m+1] *)
   mutable support : int array;  (** NW candidate support, [2m+1] *)
   mutable hist : int array;  (** NW selection support histogram *)

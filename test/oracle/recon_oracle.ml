@@ -7,10 +7,13 @@
    the same [Invalid_argument] on an empty cluster.
 
    BMA here is the list-based implementation that the pool [Bma.core]
-   was written to reproduce. The NW consensus allocates fresh tables
-   every round where the pool path reuses its domain arena; the benches
-   time the two against each other, and the tests compare every
-   algorithm against this file. *)
+   was written to reproduce. The NW consensus builds fresh boxed
+   profiles from op-list alignments every round, re-profiles each prefix
+   the depth rule tries, and selects by sorting, where the pool path
+   accumulates into its domain arena and selects by a threshold; the
+   benches time the two against each other, and the tests compare every
+   algorithm against this file. [nw_full] is the consensus with every
+   read aligned, the reference the depth rule is judged against. *)
 
 let lookahead = 2
 let refinements = 2
@@ -108,161 +111,171 @@ let bma_double ~target_len (reads : Dna.Strand.t array) : Dna.Strand.t =
 
 (* ---------- NW consensus ---------- *)
 
-(* A round's candidate columns in reference order, as parallel flat
-   arrays (only the first [n] slots are meaningful). Alignment is most
-   of a cluster's reconstruction time; everything around it stays in
-   flat int arrays so the bookkeeping never becomes the bottleneck. *)
-type profile = { codes : int array; support : int array; n : int }
+(* Plain boxed code throughout: profiles are arrays of small count
+   arrays filled from [Dna.Alignment.align]'s op list, candidates are
+   (code, support) lists, selection sorts, and the depth rule re-profiles
+   each prefix of the cluster from scratch. *)
 
-(* One profile round over the first [n_reads] slots of [reads], filling
-   caller-owned flat buffers: [counts]/[ins] must arrive zeroed,
-   [codes]/[support] are overwritten. Returns the candidate count. *)
-let profile_core (reference : Dna.Strand.t) (reads : Dna.Strand.t array) n_reads
-    ~counts ~ins ~codes ~support : int =
+(* The depth rule's constants, restated from [Nw_consensus]. *)
+let single_pass_max = 12
+let first_batch = 8
+let batch = 4
+let margin = 3
+
+(* A column profile of some reads against a reference of length m: per
+   match column the votes of A, C, G, T and the gap; per insertion slot
+   (before each column, plus one after the last) the votes of each
+   inserted base and the longest run of bases one read inserted there. *)
+type profile = { matches : int array array; inserts : int array array; runs : int array }
+
+let profile (reference : Dna.Strand.t) (reads : Dna.Strand.t list) : profile =
   let m = Dna.Strand.length reference in
-  (* Flat count tables: match column i holds votes at [i*5 .. i*5+4]
-     (four bases plus the gap vote), insertion slot i at [i*4 .. i*4+3].
-     Filled straight from the packed scripts — this loop runs once per
-     read per refinement round and never allocates. *)
-  for r = 0 to n_reads - 1 do
-    let read = Array.unsafe_get reads r in
-    let p = Dna.Alignment.align_packed reference read in
-    let ops = p.Dna.Alignment.ops in
-    let pos = ref 0 in
-    for k = p.Dna.Alignment.off to p.Dna.Alignment.lim - 1 do
-      let e = Array.unsafe_get ops k in
-      let kind = e lsr 4 in
-      if kind <= 1 then begin
-        (* match or substitute: vote the read's base *)
-        let c = (!pos * 5) + (e land 3) in
-        Array.unsafe_set counts c (Array.unsafe_get counts c + 1);
-        incr pos
-      end
-      else if kind = 2 then begin
-        let c = (!pos * 5) + 4 in
-        Array.unsafe_set counts c (Array.unsafe_get counts c + 1);
-        incr pos
-      end
-      else begin
-        let c = (!pos * 4) + (e land 3) in
-        Array.unsafe_set ins c (Array.unsafe_get ins c + 1)
-      end
-    done
+  let matches = Array.init m (fun _ -> Array.make 5 0) in
+  let inserts = Array.init (m + 1) (fun _ -> Array.make 4 0) in
+  let runs = Array.make (m + 1) 0 in
+  let bump votes i = votes.(i) <- votes.(i) + 1 in
+  List.iter
+    (fun read ->
+      let pos = ref 0 and run = ref 0 in
+      List.iter
+        (fun op ->
+          match op with
+          | Dna.Alignment.Match b | Dna.Alignment.Substitute (_, b) ->
+              bump matches.(!pos) (Dna.Nucleotide.to_code b);
+              incr pos;
+              run := 0
+          | Dna.Alignment.Delete _ ->
+              bump matches.(!pos) 4;
+              incr pos;
+              run := 0
+          | Dna.Alignment.Insert b ->
+              bump inserts.(!pos) (Dna.Nucleotide.to_code b);
+              incr run;
+              runs.(!pos) <- max runs.(!pos) !run)
+        (Dna.Alignment.align reference read).Dna.Alignment.script)
+    reads;
+  { matches; inserts; runs }
+
+(* The leading base of a vote (the first of equals); a match column's
+   gap vote is not a base. *)
+let leader (votes : int array) =
+  let best = ref 0 in
+  for b = 1 to 3 do
+    if votes.(b) > votes.(!best) then best := b
   done;
-  let n = ref 0 in
-  let insertion_candidate i =
-    let best = ref 0 in
-    for b = 1 to 3 do
-      if ins.((i * 4) + b) > ins.((i * 4) + !best) then best := b
-    done;
-    if ins.((i * 4) + !best) > 0 then begin
-      codes.(!n) <- !best;
-      support.(!n) <- ins.((i * 4) + !best);
-      incr n
-    end
+  !best
+
+(* Candidate columns as (code, support), in reference order: each
+   match column, preceded by its insertion slot's leading base when any
+   read inserted there. A match column the gap outvotes gets its base
+   count minus the gap count. *)
+let candidates (p : profile) : (int * int) list =
+  let insertion i =
+    let v = p.inserts.(i) in
+    let b = leader v in
+    if v.(b) > 0 then [ (b, v.(b)) ] else []
   in
-  for i = 0 to m - 1 do
-    insertion_candidate i;
-    let best = ref 0 in
-    for b = 1 to 3 do
-      if counts.((i * 5) + b) > counts.((i * 5) + !best) then best := b
-    done;
-    let gap = counts.((i * 5) + 4) in
-    let sup = counts.((i * 5) + !best) in
-    (* Record the column with its base support; a gap majority is the
-       signal to drop it, encoded as low support relative to others. *)
-    codes.(!n) <- !best;
-    support.(!n) <- (if sup >= gap then sup else sup - gap);
-    incr n
-  done;
-  insertion_candidate m;
-  !n
+  List.concat
+    (List.init (Array.length p.matches) (fun i ->
+         let v = p.matches.(i) in
+         let b = leader v in
+         insertion i @ [ (b, if v.(b) >= v.(4) then v.(b) else v.(b) - v.(4)) ]))
+  @ insertion (Array.length p.matches)
 
-(* Fresh buffers per round. At most one insertion column before every
-   match column plus one trailing slot: 2m + 1 candidates. *)
-let profile_columns (reference : Dna.Strand.t) (reads : Dna.Strand.t array) :
-    profile =
-  let m = Dna.Strand.length reference in
-  let counts = Array.make (m * 5) 0 in
-  let ins = Array.make ((m + 1) * 4) 0 in
-  let codes = Array.make ((2 * m) + 1) 0 in
-  let support = Array.make ((2 * m) + 1) 0 in
-  let n = profile_core reference reads (Array.length reads) ~counts ~ins ~codes ~support in
-  { codes; support; n }
+(* Majority vote: the candidates backed by more than half the reads, or
+   the reference itself when none is. *)
+let vote reference ~n_reads cands =
+  match List.filter (fun (_, s) -> 2 * s > n_reads) cands with
+  | [] -> reference
+  | kept -> Dna.Strand.of_codes (Array.of_list (List.map fst kept))
 
-(* Majority-rule vote used between refinement rounds: keep match columns
-   that beat their gap votes and insertions backed by most reads. A pure
-   function of an already-computed profile, so refinement rounds whose
-   reference has stabilized can reuse the profile instead of realigning
-   the whole cluster. *)
-let vote_core (reference : Dna.Strand.t) ~n_reads ~codes ~support n ~scratch : Dna.Strand.t =
-  let kept = ref 0 in
-  for k = 0 to n - 1 do
-    if 2 * support.(k) > n_reads then incr kept
-  done;
-  if !kept = 0 then reference
-  else begin
-    let j = ref 0 in
-    for k = 0 to n - 1 do
-      if 2 * support.(k) > n_reads then begin
-        scratch.(!j) <- codes.(k);
-        incr j
-      end
-    done;
-    Dna.Strand.init_codes !kept (fun i -> Array.unsafe_get scratch i)
-  end
-
-let vote_columns (reference : Dna.Strand.t) ~n_reads (p : profile) : Dna.Strand.t =
-  vote_core reference ~n_reads ~codes:p.codes ~support:p.support p.n ~scratch:(Array.make (max 1 p.n) 0)
+(* Every match column's leading base count lies more than [margin] from
+   the majority threshold of [used] reads, and every insertion slot's
+   more than [margin] times the longest run one read inserted there. *)
+let settled (p : profile) ~used =
+  let clears bound votes = abs ((2 * votes.(leader votes)) - used) > bound in
+  Array.for_all (clears margin) p.matches
+  && Array.for_all2 (fun run votes -> clears (margin * max 1 run) votes) p.runs p.inserts
 
 (* Keep exactly [target_len] candidates when over-long: sort the
-   candidate indices by (support desc, index asc) and keep the first
-   [target_len], in column order. Returns the kept codes and the padding
-   still owed. *)
-let select_columns (p : profile) target_len =
-  if p.n <= target_len then (Array.sub p.codes 0 p.n, target_len - p.n)
+   candidates by (support desc, index asc) and keep the first
+   [target_len], in column order. Returns the kept codes and the
+   padding still owed. *)
+let select_columns cands target_len =
+  let n = List.length cands in
+  if n <= target_len then (List.map fst cands, target_len - n)
   else begin
-    let order = List.init p.n Fun.id in
-    let by_support = List.stable_sort (fun a b -> compare p.support.(b) p.support.(a)) order in
+    let indexed = List.mapi (fun i c -> (i, c)) cands in
+    let by_support =
+      List.stable_sort (fun (_, (_, a)) (_, (_, b)) -> compare b a) indexed
+    in
     let kept = List.sort compare (List.filteri (fun k _ -> k < target_len) by_support) in
-    (Array.of_list (List.map (fun i -> p.codes.(i)) kept), 0)
+    (List.map (fun (_, (code, _)) -> code) kept, 0)
   end
 
-let nw ~target_len (reads : Dna.Strand.t array) : Dna.Strand.t =
-  let reads =
-    if Array.for_all (fun r -> Dna.Strand.length r > 0) reads then reads
-    else
-      Array.of_list (List.filter (fun r -> Dna.Strand.length r > 0) (Array.to_list reads))
-  in
-  let n_reads = Array.length reads in
+(* One NW consensus run, with every profiled round kept for the tests:
+   [rounds] lists (reference, profile over the used reads), first round
+   first; the last is the one selection read. *)
+type trace = {
+  consensus : Dna.Strand.t;
+  reads_used : int;
+  rounds : (Dna.Strand.t * profile) list;
+}
+
+let nw_trace ~settle ~target_len (reads : Dna.Strand.t array) : trace =
+  let reads = List.filter (fun r -> Dna.Strand.length r > 0) (Array.to_list reads) in
+  let n_reads = List.length reads in
   if n_reads = 0 then invalid_arg "Nw_consensus.reconstruct: empty cluster";
-  (* Longest read as the initial backbone. *)
-  let reference = ref reads.(0) in
-  Array.iter
-    (fun r -> if Dna.Strand.length r > Dna.Strand.length !reference then reference := r)
-    reads;
-  (* Each round profiles the cluster once and votes; when the vote
-     reproduces the reference the profile is already the final one
-     (realigning against an unchanged reference yields the same columns),
-     so later rounds — and the final selection pass — reuse it instead of
-     realigning every read again. Output is identical to always
-     re-profiling; only the redundant alignments are skipped. *)
-  let columns = ref (profile_columns !reference reads) in
-  (try
-     for _ = 1 to refinements do
-       let voted = vote_columns !reference ~n_reads !columns in
-       if Dna.Strand.equal voted !reference then raise Exit;
-       reference := voted;
-       columns := profile_columns !reference reads
-     done
-   with Exit -> ());
-  let codes, padded = select_columns !columns target_len in
-  if padded = 0 then Dna.Strand.of_codes codes
-  else begin
-    let out = Array.make target_len 0 in
-    Array.blit codes 0 out 0 (Array.length codes);
-    Dna.Strand.of_codes out
-  end
+  (* Longest read as the initial backbone (the first of equals). *)
+  let reference =
+    List.fold_left
+      (fun best r -> if Dna.Strand.length r > Dna.Strand.length best then r else best)
+      (List.hd reads) reads
+  in
+  let first k = List.filteri (fun i _ -> i < k) reads in
+  (* The depth rule: a prefix of the reads grows batch by batch until
+     two successive votes agree and every column has settled. *)
+  let used =
+    if (not settle) || n_reads <= single_pass_max then n_reads
+    else begin
+      let vote_at k =
+        let p = profile reference (first k) in
+        (p, vote reference ~n_reads:k (candidates p))
+      in
+      let rec deepen used prev =
+        if used = n_reads then used
+        else begin
+          let next = min n_reads (used + batch) in
+          let p, v = vote_at next in
+          if Dna.Strand.equal v prev && settled p ~used:next then next else deepen next v
+        end
+      in
+      deepen first_batch (snd (vote_at first_batch))
+    end
+  in
+  let used_reads = first used in
+  (* Profile, vote, realign against the vote; a vote that reproduces its
+     reference ends the refinements early. *)
+  let rec refine reference p rounds k =
+    let rounds = (reference, p) :: rounds in
+    let voted = vote reference ~n_reads:used (candidates p) in
+    if k = refinements || Dna.Strand.equal voted reference then List.rev rounds
+    else refine voted (profile voted used_reads) rounds (k + 1)
+  in
+  let rounds = refine reference (profile reference used_reads) [] 0 in
+  let _, last = List.nth rounds (List.length rounds - 1) in
+  let codes, padded = select_columns (candidates last) target_len in
+  {
+    consensus = Dna.Strand.of_codes (Array.of_list (codes @ List.init padded (fun _ -> 0)));
+    reads_used = used;
+    rounds;
+  }
+
+(* The consensus under the depth rule, as [Nw_consensus] computes it. *)
+let nw ~target_len reads = (nw_trace ~settle:true ~target_len reads).consensus
+
+(* The full-depth consensus: every read aligned in every round. *)
+let nw_full ~target_len reads = (nw_trace ~settle:false ~target_len reads).consensus
 
 (* ---------- votes and the fallback chain ---------- *)
 

@@ -240,6 +240,7 @@ let test_nw_full_outcome_fields () =
     let out : Reconstruction.Nw_consensus.outcome = nw_full reads in
     Alcotest.(check int) (name ^ " trimmed") trimmed out.trimmed;
     Alcotest.(check int) (name ^ " padded") padded out.padded;
+    Alcotest.(check int) (name ^ " reads used") (Array.length reads) out.reads_used;
     Alcotest.check strand (name ^ " consensus") expect out.consensus
   in
   let clean = Dna.Strand.random (rng ()) 60 in
@@ -257,6 +258,169 @@ let test_nw_full_outcome_fields () =
   in
   check "shared insertion" ~trimmed:1 ~padded:0 clean
     (Array.append (Array.make 3 clean) (Array.make 3 inserted))
+
+(* ---------- depth that follows the vote ----------
+
+   [Nw_consensus] aligns every read of a cluster of at most 12; a larger
+   cluster grows its aligned prefix 8, 12, 16, ... until the vote
+   settles, and refines over those reads only. [Recon_oracle.nw] restates
+   the rule in boxed code (re-profiling each prefix from scratch), and
+   [Recon_oracle.nw_full] aligns every read. *)
+
+let nw_outcome ~target_len reads =
+  on_pool Reconstruction.Nw_consensus.reconstruct_pool_full ~target_len reads
+
+(* Clusters of [coverage] reads of fresh [len]-nt strands. *)
+let clusters ~seed ~channel ~coverage ~len n =
+  let r = Dna.Rng.create seed in
+  List.init n (fun _ -> noisy_cluster r ~channel ~coverage (Dna.Strand.random r len))
+
+(* Pool equals oracle, consensus and reads used, on a cold get's 22-read
+   iid clusters and on 50-read wetlab clusters; the rule must stop early
+   on some of them, or the comparison would only cover full depth. *)
+let test_depth_pool_matches_oracle () =
+  List.iter
+    (fun (name, channel, coverage, len, n) ->
+      let used =
+        List.mapi
+          (fun i reads ->
+            let o = nw_outcome ~target_len:len reads in
+            let t = Recon_oracle.nw_trace ~settle:true ~target_len:len reads in
+            let label = Printf.sprintf "%s cluster %d" name i in
+            Alcotest.check strand (label ^ " consensus") t.consensus o.consensus;
+            Alcotest.(check int) (label ^ " reads used") t.reads_used o.reads_used;
+            o.reads_used)
+          (clusters ~seed:(String.length name) ~channel ~coverage ~len n)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: some cluster stops before its %d reads" name coverage)
+        true
+        (List.exists (fun u -> u < coverage) used))
+    [
+      ("iid 6%", Simulator.Iid_channel.create_rate ~error_rate:0.06, 22, 140, 40);
+      ("wetlab", Simulator.Wetlab_channel.create (), 50, 110, 25);
+    ]
+
+(* Clusters of at most 12 reads keep the single pass: byte-identical to
+   the full-depth oracle, every read used. *)
+let test_depth_small_clusters_full () =
+  let r = Dna.Rng.create 12 in
+  let channels =
+    [| Simulator.Iid_channel.create_rate ~error_rate:0.06; Simulator.Wetlab_channel.create () |]
+  in
+  for case = 0 to 59 do
+    let coverage = 1 + (case mod 12) and len = 40 + Dna.Rng.int r 100 in
+    let reads = noisy_cluster r ~channel:channels.(case mod 2) ~coverage (Dna.Strand.random r len) in
+    let o = nw_outcome ~target_len:len reads in
+    let label = Printf.sprintf "case %d (%d reads)" case coverage in
+    Alcotest.check strand label (Recon_oracle.nw_full ~target_len:len reads) o.consensus;
+    Alcotest.(check int) (label ^ " reads used") coverage o.reads_used
+  done
+
+(* Whether the full-depth consensus is forced to equal the settled one:
+   every margin of every profiled round exceeds what the [r] reads left
+   unaligned could move it. Each further read adds one vote to every
+   match column and at most [k] to one base of an insertion slot, [k]
+   the longest insertion run any of them has against that round's
+   reference. So per round:
+   - a match column's leading base count lies more than [r] from half
+     the reads used, and beats the gap vote (or loses to it) by more
+     than [r];
+   - a kept insertion slot stays above half by more than [r] and its
+     leader beats the runner-up by more than [r*k]; a dropped one stays
+     below half even after [r*k] more votes.
+   And in the last round, which selection reads, the kept candidates'
+   supports stay above every dropped or newly appearing candidate's,
+   and their leaders cannot change. *)
+let margins_exceed ~target_len reads (t : Recon_oracle.trace) =
+  let u = t.reads_used in
+  let rest = Array.to_list (Array.sub reads u (Array.length reads - u)) in
+  let r = List.length rest in
+  let second votes =
+    let l = Recon_oracle.leader votes in
+    let s = ref 0 in
+    Array.iteri (fun b v -> if b < 4 && b <> l then s := max !s v) votes;
+    !s
+  in
+  let round_ok (reference, (p : Recon_oracle.profile)) =
+    let k = Array.fold_left max 0 (Recon_oracle.profile reference rest).runs in
+    let matches_ok =
+      Array.for_all
+        (fun v ->
+          let b = v.(Recon_oracle.leader v) in
+          abs ((2 * b) - u) > r && abs (b - v.(4)) > r)
+        p.matches
+    in
+    let inserts_ok =
+      Array.for_all
+        (fun v ->
+          let b = v.(Recon_oracle.leader v) in
+          if 2 * b > u then (2 * b) - u > r && b - second v > r * k
+          else u - (2 * b) >= r * ((2 * k) - 1))
+        p.inserts
+    in
+    (matches_ok && inserts_ok, k)
+  in
+  let rounds = List.map round_ok t.rounds in
+  let reference, last = List.nth t.rounds (List.length t.rounds - 1) in
+  let _, k = round_ok (reference, last) in
+  (* Candidates with their full-depth support interval and whether
+     their leader is stable. *)
+  let m = Array.length last.matches in
+  let ins i =
+    let v = last.inserts.(i) in
+    let b = v.(Recon_oracle.leader v) in
+    if b > 0 then [ (b, b + (r * k), b - second v > r * k, b) ] else []
+  in
+  let cands =
+    List.concat
+      (List.init m (fun i ->
+           let v = last.matches.(i) in
+           let b = v.(Recon_oracle.leader v) in
+           let s = if b >= v.(4) then b else b - v.(4) in
+           ins i @ [ (s - r, s + r, b - second v > r, s) ]))
+    @ ins m
+  in
+  let n = List.length cands in
+  let by_support =
+    List.stable_sort (fun (_, _, _, a) (_, _, _, b) -> compare b a) cands
+  in
+  let kept = List.filteri (fun i _ -> i < target_len) by_support
+  and dropped = List.filteri (fun i _ -> i >= target_len) by_support in
+  let newcomer = r * k in
+  let selection_ok =
+    r = 0
+    || (n >= target_len || k = 0)
+       && List.for_all (fun (_, _, stable, _) -> stable) kept
+       && List.for_all
+            (fun (lo, _, _, _) ->
+              lo > newcomer && List.for_all (fun (_, hi, _, _) -> lo > hi) dropped)
+            kept
+  in
+  List.for_all fst rounds && selection_ok
+
+(* Property: where every margin exceeds the reads left unaligned, the
+   settled consensus equals the full-depth consensus. Low-error clusters
+   of 13-30 reads, so that a good share of them meet the condition with
+   reads left over; the test also requires that share. *)
+let test_depth_settled_equals_full () =
+  let r = Dna.Rng.create 31 in
+  let checked = ref 0 in
+  for case = 1 to 300 do
+    let coverage = 13 + Dna.Rng.int r 18 and len = 20 + Dna.Rng.int r 60 in
+    let channel = Simulator.Iid_channel.create_rate ~error_rate:(0.002 +. (0.02 *. Dna.Rng.float r)) in
+    let reads = noisy_cluster r ~channel ~coverage (Dna.Strand.random r len) in
+    let t = Recon_oracle.nw_trace ~settle:true ~target_len:len reads in
+    if t.reads_used < coverage && margins_exceed ~target_len:len reads t then begin
+      incr checked;
+      Alcotest.check strand
+        (Printf.sprintf "case %d: %d of %d reads" case t.reads_used coverage)
+        (Recon_oracle.nw_full ~target_len:len reads)
+        (nw_outcome ~target_len:len reads).consensus
+    end
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d of 300 cases met the condition" !checked) true
+    (!checked >= 30)
 
 (* ---------- metrics ---------- *)
 
@@ -341,6 +505,14 @@ let () =
           Alcotest.test_case "truncated reads" `Quick test_truncated_reads_tolerated;
           Alcotest.test_case "ensemble vs nw" `Quick test_ensemble_at_least_as_good_as_nw;
           Alcotest.test_case "nw outcome fields" `Quick test_nw_full_outcome_fields;
+        ] );
+      ( "depth",
+        [
+          Alcotest.test_case "pool == oracle (22-read iid, 50-read wetlab)" `Quick
+            test_depth_pool_matches_oracle;
+          Alcotest.test_case "<= 12 reads: full depth" `Quick test_depth_small_clusters_full;
+          Alcotest.test_case "margins beyond the reads left: settled == full" `Quick
+            test_depth_settled_equals_full;
         ] );
       ( "metrics",
         [
