@@ -400,27 +400,40 @@ let margins_exceed ~target_len reads (t : Recon_oracle.trace) =
   List.for_all fst rounds && selection_ok
 
 (* Property: where every margin exceeds the reads left unaligned, the
-   settled consensus equals the full-depth consensus. Low-error clusters
-   of 13-30 reads, so that a good share of them meet the condition with
-   reads left over; the test also requires that share. *)
+   settled consensus equals the full-depth consensus. Two generators:
+   low-error iid clusters of 13-30 reads, where a good share meet the
+   condition with reads left over, and the depth curve's 50-read wetlab
+   clusters, where the settled consensus sometimes differs from full
+   depth. The test requires both: enough checked cases, and some
+   difference that the condition had to exclude. *)
 let test_depth_settled_equals_full () =
-  let r = Dna.Rng.create 31 in
-  let checked = ref 0 in
-  for case = 1 to 300 do
-    let coverage = 13 + Dna.Rng.int r 18 and len = 20 + Dna.Rng.int r 60 in
-    let channel = Simulator.Iid_channel.create_rate ~error_rate:(0.002 +. (0.02 *. Dna.Rng.float r)) in
-    let reads = noisy_cluster r ~channel ~coverage (Dna.Strand.random r len) in
+  let checked = ref 0 and differ = ref 0 in
+  let case label ~len reads =
     let t = Recon_oracle.nw_trace ~settle:true ~target_len:len reads in
-    if t.reads_used < coverage && margins_exceed ~target_len:len reads t then begin
+    let settled = (nw_outcome ~target_len:len reads).consensus in
+    let full = Recon_oracle.nw_full ~target_len:len reads in
+    if not (Dna.Strand.equal settled full) then incr differ;
+    if t.reads_used < Array.length reads && margins_exceed ~target_len:len reads t then begin
       incr checked;
       Alcotest.check strand
-        (Printf.sprintf "case %d: %d of %d reads" case t.reads_used coverage)
-        (Recon_oracle.nw_full ~target_len:len reads)
-        (nw_outcome ~target_len:len reads).consensus
+        (Printf.sprintf "%s: %d of %d reads" label t.reads_used (Array.length reads))
+        full settled
     end
+  in
+  let r = Dna.Rng.create 31 in
+  for i = 1 to 300 do
+    let coverage = 13 + Dna.Rng.int r 18 and len = 20 + Dna.Rng.int r 60 in
+    let channel = Simulator.Iid_channel.create_rate ~error_rate:(0.002 +. (0.02 *. Dna.Rng.float r)) in
+    case (Printf.sprintf "iid case %d" i) ~len
+      (noisy_cluster r ~channel ~coverage (Dna.Strand.random r len))
   done;
-  Alcotest.(check bool) (Printf.sprintf "%d of 300 cases met the condition" !checked) true
-    (!checked >= 30)
+  List.iteri
+    (fun i reads -> case (Printf.sprintf "wetlab case %d" i) ~len:110 reads)
+    (clusters ~seed:707 ~channel:(Simulator.Wetlab_channel.create ()) ~coverage:50 ~len:110 250);
+  Alcotest.(check bool) (Printf.sprintf "%d cases met the condition" !checked) true (!checked >= 30);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d settled consensuses differ from full depth" !differ)
+    true (!differ >= 1)
 
 (* ---------- metrics ---------- *)
 
