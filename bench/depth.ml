@@ -65,7 +65,9 @@ let curve ~name ~channel ~seed ~len ~coverage ~n_clusters ~caps =
     row "depth rule"
       (List.mapi
          (fun i (_, reads) ->
-           let o = on_pool Reconstruction.Nw_consensus.reconstruct_pool_full ~target_len:len reads in
+           let o =
+             on_pool Reconstruction.Nw_consensus.reconstruct_pool_full ~target_len:len reads
+           in
            let t = Recon_oracle.nw_trace ~settle:true ~target_len:len reads in
            if
              not

@@ -185,7 +185,8 @@ let run ?(params = Codec.Params.default) ?(layout = Codec.Layout.Baseline) ?stag
   in
   match encoded with
   | None ->
-      failed_outcome ~timings:{ zero_timings with encode_s } "encode stage failed; nothing to recover"
+      failed_outcome ~timings:{ zero_timings with encode_s }
+        "encode stage failed; nothing to recover"
   | Some encoded ->
       let strands = inject Faults.inject_strands encoded.Codec.File_codec.strands in
       let target_len = Codec.Params.strand_nt params in

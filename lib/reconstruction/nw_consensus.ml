@@ -18,9 +18,9 @@
     base count is more than [margin] away from the majority threshold
     (half the reads used), and so is an insertion slot's, by [margin]
     times the longest run of bases one read has inserted into that slot
-    (one read can add several votes to a slot). The refinement rounds realign only the
-    reads used. The constants come from the reads-used curve in
-    EXPERIMENTS.md ([bench/main.exe depth]).
+    (one read can add several votes to a slot). The refinement rounds
+    realign only the reads used. The constants come from the reads-used
+    curve in EXPERIMENTS.md ([bench/main.exe depth]).
 
     The final consensus keeps exactly [target_len] columns — the ones
     with the strongest read support — which is the paper's rule of
@@ -223,7 +223,9 @@ let reconstruct_pool_full ~target_len pool (idxs : int array) : outcome =
     candidates (Dna.Strand.length !reference) ~counts:a.counts ~ins:a.ins ~codes:a.codes
       ~support:a.support
   in
-  let vote ~used n = vote !reference ~n_reads:used ~codes:a.codes ~support:a.support n ~scratch:a.out in
+  let vote ~used n =
+    vote !reference ~n_reads:used ~codes:a.codes ~support:a.support n ~scratch:a.out
+  in
   (* The first round, deepened batch by batch until the vote settles. *)
   reset ();
   let first = if n_reads <= single_pass_max then n_reads else first_batch in

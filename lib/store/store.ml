@@ -548,13 +548,14 @@ let run_access_task t (o : Manifest.object_meta) ~depth selected :
       Dnastore.Pipeline.cluster = Dnastore.Pipeline.cluster_default ~domains:1 ();
     }
   in
-  match
+  let result, timings =
     Dnastore.Pipeline.random_access ~domains:1 stages ~seq_rng ~cluster_rng ~pair:o.pair
       ~params:o.params ~layout:o.layout ~n_units:o.n_units selected
-  with
-  | Ok decoded, timings -> (Ok decoded, timings)
-  | Error e, timings ->
-      (Error (Decode_failed { key = o.key; reason = Codec.File_codec.error_message e }), timings)
+  in
+  ( Result.map_error
+      (fun e -> Decode_failed { key = o.key; reason = Codec.File_codec.error_message e })
+      result,
+    timings )
 
 (* Fold one access's stage times into the store's totals. Serial: the
    parallel get path calls it after its tasks have joined. *)
@@ -663,16 +664,15 @@ let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) t (key
         (o.key, Result.map fst r, timings))
       tasks
   in
-  Array.iter (fun (_, _, timings) -> record_access t timings) outcome_arr;
-  let outcome_arr = Array.map (fun (key, r, _) -> (key, r)) outcome_arr in
   let outcomes : (string, (Bytes.t, error) result) Hashtbl.t =
     Hashtbl.create (Array.length outcome_arr)
   in
-  Array.iter (fun (key, r) -> Hashtbl.replace outcomes key r) outcome_arr;
-  if use_cache then
-    Array.iter
-      (function key, Ok bytes -> Lru.add t.cache key bytes | _, Error _ -> ())
-      outcome_arr;
+  Array.iter
+    (fun (key, r, timings) ->
+      record_access t timings;
+      Hashtbl.replace outcomes key r;
+      match r with Ok bytes when use_cache -> Lru.add t.cache key bytes | _ -> ())
+    outcome_arr;
   List.map
     (fun (key, r) ->
       match r with

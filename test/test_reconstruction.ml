@@ -310,7 +310,8 @@ let test_depth_small_clusters_full () =
   in
   for case = 0 to 59 do
     let coverage = 1 + (case mod 12) and len = 40 + Dna.Rng.int r 100 in
-    let reads = noisy_cluster r ~channel:channels.(case mod 2) ~coverage (Dna.Strand.random r len) in
+    let clean = Dna.Strand.random r len in
+    let reads = noisy_cluster r ~channel:channels.(case mod 2) ~coverage clean in
     let o = nw_outcome ~target_len:len reads in
     let label = Printf.sprintf "case %d (%d reads)" case coverage in
     Alcotest.check strand label (Recon_oracle.nw_full ~target_len:len reads) o.consensus;
@@ -423,14 +424,17 @@ let test_depth_settled_equals_full () =
   let r = Dna.Rng.create 31 in
   for i = 1 to 300 do
     let coverage = 13 + Dna.Rng.int r 18 and len = 20 + Dna.Rng.int r 60 in
-    let channel = Simulator.Iid_channel.create_rate ~error_rate:(0.002 +. (0.02 *. Dna.Rng.float r)) in
+    let error_rate = 0.002 +. (0.02 *. Dna.Rng.float r) in
+    let channel = Simulator.Iid_channel.create_rate ~error_rate in
     case (Printf.sprintf "iid case %d" i) ~len
       (noisy_cluster r ~channel ~coverage (Dna.Strand.random r len))
   done;
   List.iteri
     (fun i reads -> case (Printf.sprintf "wetlab case %d" i) ~len:110 reads)
     (clusters ~seed:707 ~channel:(Simulator.Wetlab_channel.create ()) ~coverage:50 ~len:110 250);
-  Alcotest.(check bool) (Printf.sprintf "%d cases met the condition" !checked) true (!checked >= 30);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d cases met the condition" !checked)
+    true (!checked >= 30);
   Alcotest.(check bool)
     (Printf.sprintf "%d settled consensuses differ from full depth" !differ)
     true (!differ >= 1)
