@@ -97,34 +97,154 @@ let mismatches_at s ~pos ~pattern =
    both the in-memory kv-store and the persistent store. Reserving keeps
    a pair (and, through [fresh], its neighborhood) out of circulation;
    releasing returns it — the reclamation step after a deleted object's
-   molecules have physically left the pool. *)
+   molecules have physically left the pool.
+
+   Each reserved pair's four primers (forward, reverse and both reverse
+   complements) are packed at reserve time, two bits per base, into one
+   int each, so [fresh] tests a candidate with xor, fold and popcount
+   instead of rescanning boxed strands. Slots stay dense: [release]
+   moves the last slot into the freed one. *)
 module Registry = struct
-  type t = { mutable reserved : pair list }
+  module Pairs = Hashtbl.Make (struct
+    type t = pair
 
-  let pair_equal a b =
-    Dna.Strand.equal a.forward b.forward && Dna.Strand.equal a.reverse b.reverse
+    let equal a b = Dna.Strand.equal a.forward b.forward && Dna.Strand.equal a.reverse b.reverse
+    let hash p = Hashtbl.hash (Dna.Strand.hash p.forward, Dna.Strand.hash p.reverse)
+  end)
 
-  let create () = { reserved = [] }
-  let of_pairs pairs = { reserved = pairs }
-  let pairs r = r.reserved
-  let size r = List.length r.reserved
-  let is_reserved r p = List.exists (pair_equal p) r.reserved
-  let reserve r p = if not (is_reserved r p) then r.reserved <- p :: r.reserved
-  let release r p = r.reserved <- List.filter (fun q -> not (pair_equal p q)) r.reserved
+  type t = {
+    mutable slots : pair array;  (** reserved pairs in [0, n) *)
+    mutable stamps : int array;  (** reservation order of each slot *)
+    mutable words : int array;  (** four packed primers per slot *)
+    mutable n : int;
+    mutable clock : int;
+    mutable foreign : int;  (** reserved primers not [primer_length] long (left unpacked) *)
+    index : int Pairs.t;  (** pair -> slot *)
+  }
+
+  let no_pair = { forward = Dna.Strand.empty; reverse = Dna.Strand.empty }
+
+  let create () =
+    {
+      slots = Array.make 16 no_pair;
+      stamps = Array.make 16 0;
+      words = Array.make 64 0;
+      n = 0;
+      clock = 0;
+      foreign = 0;
+      index = Pairs.create 64;
+    }
+
+  (* Base [i] in bits [2i, 2i+1]. *)
+  let pack s =
+    let w = ref 0 in
+    for i = Dna.Strand.length s - 1 downto 0 do
+      w := (!w lsl 2) lor Dna.Strand.unsafe_get_code s i
+    done;
+    !w
+
+  let primers p =
+    [| p.forward; p.reverse; Dna.Strand.reverse_complement p.forward;
+       Dna.Strand.reverse_complement p.reverse |]
+
+  let foreign_count p =
+    Array.fold_left
+      (fun a s -> if Dna.Strand.length s = primer_length then a else a + 1)
+      0 [| p.forward; p.reverse |]
+
+  let grow r =
+    let cap = 2 * Array.length r.slots in
+    let slots = Array.make cap no_pair in
+    Array.blit r.slots 0 slots 0 r.n;
+    let stamps = Array.make cap 0 in
+    Array.blit r.stamps 0 stamps 0 r.n;
+    let words = Array.make (4 * cap) 0 in
+    Array.blit r.words 0 words 0 (4 * r.n);
+    r.slots <- slots;
+    r.stamps <- stamps;
+    r.words <- words
+
+  let set_slot r i p ~stamp =
+    r.slots.(i) <- p;
+    r.stamps.(i) <- stamp;
+    Pairs.replace r.index p i
+
+  let size r = r.n
+  let is_reserved r p = Pairs.mem r.index p
+
+  let reserve r p =
+    if not (is_reserved r p) then begin
+      if r.n = Array.length r.slots then grow r;
+      let i = r.n in
+      Array.iteri
+        (fun k s ->
+          r.words.((4 * i) + k) <- (if Dna.Strand.length s = primer_length then pack s else 0))
+        (primers p);
+      r.foreign <- r.foreign + foreign_count p;
+      r.clock <- r.clock + 1;
+      set_slot r i p ~stamp:r.clock;
+      r.n <- i + 1
+    end
+
+  let release r p =
+    match Pairs.find_opt r.index p with
+    | None -> ()
+    | Some i ->
+        Pairs.remove r.index p;
+        r.foreign <- r.foreign - foreign_count p;
+        let last = r.n - 1 in
+        if i <> last then begin
+          Array.blit r.words (4 * last) r.words (4 * i) 4;
+          set_slot r i r.slots.(last) ~stamp:r.stamps.(last)
+        end;
+        r.n <- last
+
+  (* [pairs] lists the head as the most recent: reserve from the tail. *)
+  let of_pairs pairs =
+    let r = create () in
+    List.iter (reserve r) (List.rev pairs);
+    r
+
+  let pairs r =
+    let order = Array.init r.n Fun.id in
+    Array.sort (fun a b -> compare r.stamps.(b) r.stamps.(a)) order;
+    Array.to_list (Array.map (fun i -> r.slots.(i)) order)
+
+  (* Bit [2i] of [low] is set for every base [i] of a primer. *)
+  let low = 0x5555555555
+
+  (* Set bits of [x], which holds only bits of [low]: each 2-bit group
+     is 0 or 1, so the SWAR sum starts at the 4-bit step. *)
+  let[@inline] popcount40 x =
+    let x = (x land 0x3333333333) + ((x lsr 2) land 0x3333333333) in
+    let x = (x + (x lsr 4)) land 0x0F0F0F0F0F in
+    ((x * 0x0101010101) lsr 32) land 0xFF
+
+  (* Hamming distance of two packed primers: a base differs when either
+     bit of its xor group is set. *)
+  let[@inline] mismatches a b =
+    let x = a lxor b in
+    popcount40 ((x lor (x lsr 1)) land low)
 
   (* A fresh pair must stay [min_distance] away from both primers of
      every reserved pair and their reverse complements, so PCR selection
      on any reserved key never amplifies the new molecules and vice
      versa. *)
   let fresh ?(min_distance = 8) ?(max_attempts = 1000) r rng : (pair, error) result =
-    let far p q = Dna.Distance.hamming p q >= min_distance in
-    let clear p =
-      List.for_all
-        (fun used ->
-          far p used.forward && far p used.reverse
-          && far p (Dna.Strand.reverse_complement used.forward)
-          && far p (Dna.Strand.reverse_complement used.reverse))
-        r.reserved
+    if r.foreign > 0 then
+      invalid_arg "Primer.Registry.fresh: a reserved primer is not primer_length bases";
+    let words = r.words and n_words = 4 * r.n in
+    let clear f b =
+      let i = ref 0 in
+      while
+        !i < n_words
+        &&
+        let w = Array.unsafe_get words !i in
+        mismatches f w >= min_distance && mismatches b w >= min_distance
+      do
+        incr i
+      done;
+      !i = n_words
     in
     let rec attempt tries =
       if tries >= max_attempts then
@@ -134,7 +254,8 @@ module Registry = struct
         | Error e -> Error e
         | Ok cands ->
             let cand = cands.(0) in
-            if clear cand.forward && clear cand.reverse then Ok cand else attempt (tries + 1)
+            if clear (pack cand.forward) (pack cand.reverse) then Ok cand
+            else attempt (tries + 1)
     in
     Result.map
       (fun p ->

@@ -37,7 +37,10 @@ val generate_pairs_exn : ?min_distance:int -> ?max_attempts:int -> Dna.Rng.t -> 
     behind the in-memory kv-store and the persistent object store.
     {!Registry.fresh} generates a pair far from everything reserved and
     reserves it; {!Registry.release} reclaims a pair once a deleted
-    object's molecules have physically left the pool (compaction). *)
+    object's molecules have physically left the pool (compaction).
+    Each reserved pair's four primers (both primers and their reverse
+    complements) are packed into ints once, at reserve time, so a
+    candidate costs a few word operations per reserved primer. *)
 module Registry : sig
   type t
 
@@ -58,7 +61,10 @@ module Registry : sig
   (** A new acceptable pair at least [min_distance] (default 8) Hamming
       distance from both primers of every reserved pair and their
       reverse complements, reserved as a side effect. [Error] after
-      [max_attempts] (default 1000) rejected candidates. *)
+      [max_attempts] (default 1000) rejected candidates. Raises
+      [Invalid_argument] when a reserved primer is not
+      {!primer_length} bases long (Hamming distance needs equal
+      lengths). *)
 end
 
 val attach : pair -> Dna.Strand.t -> Dna.Strand.t

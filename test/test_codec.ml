@@ -166,6 +166,59 @@ let test_primer_pattern_length_checked () =
     (Codec.Primer.locate_prefix ~slack:4 ~max_edits:5 (Dna.Strand.sub read ~pos:0 ~len:63) read
     = Some (63, 0))
 
+(* The packed registry must make every accept/reject decision the
+   list-based reference makes: same pair sequence, same exhaustion, same
+   reserved set, over registries of 0-2000 seeded pairs with releases
+   interleaved. Both sides draw from rngs on the same seed, so one
+   diverging decision desynchronizes every later pair. *)
+let test_registry_matches_oracle () =
+  let run ~size ~steps ~max_attempts seed =
+    let r = Dna.Rng.create seed in
+    let random_pair () =
+      {
+        Codec.Primer.forward = Dna.Strand.random r Codec.Primer.primer_length;
+        reverse = Dna.Strand.random r Codec.Primer.primer_length;
+      }
+    in
+    let initial = List.init size (fun _ -> random_pair ()) in
+    let packed = Codec.Primer.Registry.of_pairs initial in
+    let oracle = Registry_oracle.of_pairs initial in
+    let rng_packed = Dna.Rng.create (seed + 1) and rng_oracle = Dna.Rng.create (seed + 1) in
+    let exhausted = ref 0 in
+    for step = 1 to steps do
+      if step mod 3 = 0 && Registry_oracle.size oracle > 0 then begin
+        let all = Registry_oracle.pairs oracle in
+        let victim = List.nth all (Dna.Rng.int r (List.length all)) in
+        Codec.Primer.Registry.release packed victim;
+        Registry_oracle.release oracle victim
+      end
+      else begin
+        let got = Codec.Primer.Registry.fresh ~max_attempts packed rng_packed in
+        let want = Registry_oracle.fresh ~max_attempts oracle rng_oracle in
+        (match (got, want) with
+        | Ok a, Ok b ->
+            Alcotest.(check bool)
+              (Printf.sprintf "size %d step %d: same pair" size step)
+              true (Registry_oracle.pair_equal a b)
+        | Error a, Error b ->
+            incr exhausted;
+            Alcotest.(check bool) "same exhaustion" true (a = b)
+        | _ -> Alcotest.failf "size %d step %d: one side exhausted, the other not" size step)
+      end;
+      Alcotest.(check int) "same size" (Registry_oracle.size oracle)
+        (Codec.Primer.Registry.size packed);
+      Alcotest.(check bool) "same pairs, newest first" true
+        (List.equal Registry_oracle.pair_equal (Registry_oracle.pairs oracle)
+           (Codec.Primer.Registry.pairs packed))
+    done;
+    !exhausted
+  in
+  List.iter
+    (fun size -> ignore (run ~size ~steps:24 ~max_attempts:1000 (100 + size)))
+    [ 0; 1; 30; 300; 2000 ];
+  Alcotest.(check bool) "small max_attempts hits Constraints_unsatisfiable" true
+    (run ~size:2000 ~steps:6 ~max_attempts:3 77 > 0)
+
 (* The scalar demux the kernel replaced, kept as the oracle: orient by
    the forward primer on the read and on its reverse complement, then
    strip both primers from the oriented copy. *)
@@ -625,6 +678,7 @@ let () =
           Alcotest.test_case "foreign rejected" `Quick test_primer_foreign_molecule_rejected;
           Alcotest.test_case "normalize reverse noisy" `Quick test_primer_normalize_reverse_noisy;
           Alcotest.test_case "pattern length checked" `Quick test_primer_pattern_length_checked;
+          Alcotest.test_case "packed registry = list oracle" `Quick test_registry_matches_oracle;
           QCheck_alcotest.to_alcotest prop_locate_matches_reference;
           QCheck_alcotest.to_alcotest prop_find_core_matches_reference;
         ] );
