@@ -1,10 +1,17 @@
 (* Sweep a simulated kill across every fault point of a scripted store
    workload and assert that reopening recovers a consistent prefix:
    acked writes intact, acked deletes still deleted, the in-flight
-   operation atomic, no .tmp or orphan shard debris. *)
+   operation atomic, the manifest generation where the acked writes
+   left it, no .tmp or orphan shard debris. *)
 
 type failure = { crash_at : int; point : string; detail : string }
-type outcome = { total_points : int; runs : int; failures : failure list }
+
+type outcome = {
+  total_points : int;
+  runs : int;
+  failures : failure list;
+  visited : (string * string) list;
+}
 
 (* What the workload had committed (acked) when the kill landed, plus
    the one operation in flight. Only acked operations update the model,
@@ -21,10 +28,20 @@ type model = {
   mutable init_acked : bool;
   mutable present : (string * Bytes.t) list;  (* key -> acked bytes *)
   mutable deleted : string list;
+  mutable generation : int;  (* the store's generation after the last acked operation *)
   mutable inflight : inflight;
 }
 
-let fresh_model () = { init_acked = false; present = []; deleted = []; inflight = Idle }
+let fresh_model () =
+  { init_acked = false; present = []; deleted = []; generation = 0; inflight = Idle }
+
+let inflight_label = function
+  | Idle -> "idle"
+  | Initializing -> "init"
+  | Putting (k, _) -> "put " ^ k
+  | Overwriting (k, _, _) -> "overwrite " ^ k
+  | Deleting (k, _) -> "delete " ^ k
+  | Compacting -> "compact"
 
 let default_params =
   { Codec.Params.payload_nt = 60; rs_data = 6; rs_parity = 3; scramble_seed = 0x5eed }
@@ -45,10 +62,12 @@ let rec rm_rf path =
     end
     else Sys.remove path
 
-(* The scripted history: two shards' worth of puts, an overwrite, a
-   delete, a compaction that rewrites the survivors, one more put.
-   Raises Store.Io.Crashed when the kill lands; returns Error only on a
-   genuine workload failure (which the recording run must not have). *)
+(* The scripted history: puts over several shards, overwrites and
+   deletes — enough journaled writes that one of them folds the journal
+   into a checkpoint — then a compaction that rewrites the survivors and
+   one more put. Raises Store.Io.Crashed when the kill lands; returns
+   Error only on a genuine workload failure (which the recording run
+   must not have). *)
 let run_workload ~io ~dir ~seed ~config ~params (model : model) : (unit, string) result =
   model.inflight <- Initializing;
   match Store.init ~config ~io ~dir ~seed () with
@@ -63,6 +82,7 @@ let run_workload ~io ~dir ~seed ~config ~params (model : model) : (unit, string)
         | Error e -> Error (name ^ ": " ^ Store.error_message e)
         | Ok () ->
             commit ();
+            model.generation <- Store.generation store;
             model.inflight <- Idle;
             Ok ()
       in
@@ -96,6 +116,11 @@ let run_workload ~io ~dir ~seed ~config ~params (model : model) : (unit, string)
       let* () = overwrite "k1" (payload seed "k1.v2" 55) in
       let* () = delete "k2" in
       let* () = put "k3" (payload seed "k3.v1" 30) in
+      let* () = put "k5" (payload seed "k5.v1" 35) in
+      let* () = put "k6" (payload seed "k6.v1" 25) in
+      let* () = overwrite "k5" (payload seed "k5.v2" 40) in
+      let* () = delete "k6" in
+      let* () = overwrite "k3" (payload seed "k3.v2" 30) in
       let* () = compact () in
       put "k4" (payload seed "k4.v1" 45)
 
@@ -138,6 +163,13 @@ let verify ~dir (model : model) : (unit, string) result =
           | Ok _ -> problem "in-flight overwrite: key %s is neither old nor new" k
           | Error e -> problem "in-flight overwrite: key %s unreadable: %s" k (Store.error_message e))
       | Deleting (k, old_b) -> if Store.mem store k then check_exact "in-flight delete" k old_b);
+      (* Generation: where the acked operations left it, or one past
+         that when the in-flight operation landed. The reopened rng
+         stream derives from it. *)
+      let g = Store.generation store in
+      let landed = match model.inflight with Idle | Initializing -> 0 | _ -> 1 in
+      if g < model.generation || g > model.generation + landed then
+        problem "reopened at generation %d, acked %d" g model.generation;
       (* Debris: reopen must have reclaimed every temp and orphan file. *)
       let referenced =
         List.map Filename.basename (Store.shard_files store)
@@ -169,7 +201,7 @@ let run ?(config = default_config) ?(params = default_params) ~seed ~dir () : ou
   | Ok () -> ()
   | Error msg -> invalid_arg ("crash harness recording state unreadable: " ^ msg));
   let total = Store.Io.points_hit io in
-  let failures = ref [] in
+  let failures = ref [] and visited = ref [] in
   for k = 1 to total do
     rm_rf dir;
     let io = Store.Io.faulty { (Store.Io.no_faults ~seed) with crash_at = Some k } in
@@ -180,6 +212,7 @@ let run ?(config = default_config) ?(params = default_params) ~seed ~dir () : ou
       | Error msg -> ("(none)", Some ("workload failed without crashing: " ^ msg))
       | exception Store.Io.Crashed { point; _ } -> (point, None)
     in
+    visited := (point, inflight_label model.inflight) :: !visited;
     (match workload_problem with
     | Some detail -> failures := { crash_at = k; point; detail } :: !failures
     | None -> (
@@ -188,7 +221,12 @@ let run ?(config = default_config) ?(params = default_params) ~seed ~dir () : ou
         | Error detail -> failures := { crash_at = k; point; detail } :: !failures))
   done;
   rm_rf dir;
-  { total_points = total; runs = total; failures = List.rev !failures }
+  {
+    total_points = total;
+    runs = total;
+    failures = List.rev !failures;
+    visited = List.rev !visited;
+  }
 
 let render (o : outcome) =
   let b = Buffer.create 256 in

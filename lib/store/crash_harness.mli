@@ -1,8 +1,9 @@
 (** The crash-consistency harness: proof that the store's write
-    ordering (temp-then-rename, shard-before-manifest) actually delivers
-    durability.
+    ordering (temp-then-rename, shard-before-manifest, framed journal
+    appends) actually delivers durability.
 
-    A scripted workload — init, puts, an overwrite, a delete, a
+    A scripted workload — init, puts, overwrites and deletes (enough
+    journaled writes that one folds the journal into a checkpoint), a
     compaction, a final put — first runs against a fault-counting
     backend with no faults enabled, which records how many fault points
     the whole history traverses. The sweep then replays the workload
@@ -15,6 +16,8 @@
     - every acked delete stays deleted;
     - the one operation in flight is atomic: its key reads as either
       the old state or the new, never garbage;
+    - the reopened manifest generation is the acked one, or one past
+      it when the in-flight operation landed;
     - reopening reclaims all [.tmp] and orphan shard files.
 
     Everything derives from the seed, so a sweep replays exactly. *)
@@ -29,6 +32,10 @@ type outcome = {
   total_points : int;  (** fault points the full workload traverses *)
   runs : int;  (** crash runs executed (= [total_points]) *)
   failures : failure list;  (** empty iff the store is crash-consistent *)
+  visited : (string * string) list;
+      (** every swept point's name with the operation in flight when
+          the kill landed (["put k3"], ["compact"], ["idle"], ...), in
+          sweep order *)
 }
 
 val run :

@@ -1,7 +1,8 @@
-(** The store's on-disk catalog: a versioned JSON document describing
+(** The store's on-disk catalog: a versioned JSON checkpoint describing
     every shard file and every live object (its primer pair — the DNA
     "key" — codec parameters and location), plus the retired primer
-    pairs whose molecules still sit in shards awaiting compaction.
+    pairs whose molecules still sit in shards awaiting compaction, and
+    an append-only journal of the writes made since that checkpoint.
 
     Format version 2 adds integrity metadata: a CRC-32 per shard (over
     the canonical serialization of the manifest-recorded strand prefix,
@@ -11,15 +12,25 @@
     (healthy/degraded/lost, written by {!Store.scrub}) and a shard
     quarantine flag. Version-1 manifests load with the metadata absent.
 
-    Updates are crash-safe: [save] writes the full document to a
-    temporary file in the store directory and renames it over
-    [MANIFEST.json], so a reader sees either the old or the new
-    manifest, never a torn one. All disk traffic goes through a
-    {!Store_io.t}, so every write and rename is a fault-injection
-    point. *)
+    Format version 3 makes [MANIFEST.json] a checkpoint: [put],
+    [overwrite] and [delete] append one {!delta} each to
+    [MANIFEST.journal] instead of rewriting the document, so a write
+    costs what it changes, not the size of the store. A journal record
+    is framed by its length and two CRC-32s (one over the header, one
+    over the payload); [load] replays the records newer than the
+    checkpoint's generation, drops a torn final record (the debris of
+    a crash mid-append) and refuses a damaged record that has more data
+    after it. The checkpoint itself is still written temp-then-rename,
+    so a reader sees either the old or the new one, never a torn one.
+    Version 1 and 2 checkpoints still load; the store's first write to
+    one folds a version-3 checkpoint, so an older build never reads a
+    checkpoint whose journal it would ignore. All disk traffic goes
+    through a {!Store_io.t}, so every write, append, rename and
+    truncate is a fault-injection point. *)
 
-let format_version = 2
+let format_version = 3
 let manifest_name = "MANIFEST.json"
+let journal_name = "MANIFEST.journal"
 let shards_dir = "shards"
 let shard_file shard_id = Filename.concat shards_dir (Printf.sprintf "shard_%05d.fasta" shard_id)
 
@@ -253,7 +264,7 @@ let object_of_json v =
       health;
     }
 
-let readable_versions = [ 1; 2 ]
+let readable_versions = [ 1; 2; 3 ]
 
 let of_json v : (t, string) result =
   let* version = J.int_field v "format_version" in
@@ -285,22 +296,175 @@ let of_json v : (t, string) result =
         retired;
       }
 
+(* ---------- journal deltas ---------- *)
+
+type delta = {
+  generation : int;
+  next_shard_id : int;
+  shards : shard_meta list;
+  upsert : object_meta option;
+  remove : string option;
+  retire : Codec.Primer.pair option;
+}
+
+(* The one state transition of a journaled write, shared by the live
+   store and replay, so a reopened manifest equals the live one. A
+   removal goes first; an upserted object replaces its key in place or
+   joins the end; an upserted shard replaces its id in place or joins
+   the front. *)
+let apply (t : t) (d : delta) =
+  let objects =
+    match d.remove with
+    | None -> t.objects
+    | Some key -> List.filter (fun (o : object_meta) -> o.key <> key) t.objects
+  in
+  let objects =
+    match d.upsert with
+    | None -> objects
+    | Some o ->
+        if List.exists (fun (x : object_meta) -> x.key = o.key) objects then
+          List.map (fun (x : object_meta) -> if x.key = o.key then o else x) objects
+        else objects @ [ o ]
+  in
+  let shards =
+    List.fold_left
+      (fun shards (s : shard_meta) ->
+        if List.exists (fun (x : shard_meta) -> x.shard_id = s.shard_id) shards then
+          List.map (fun (x : shard_meta) -> if x.shard_id = s.shard_id then s else x) shards
+        else s :: shards)
+      t.shards d.shards
+  in
+  {
+    t with
+    generation = d.generation;
+    next_shard_id = d.next_shard_id;
+    shards;
+    objects;
+    retired = (match d.retire with None -> t.retired | Some p -> p :: t.retired);
+  }
+
+let json_of_delta d =
+  let opt name f = function None -> [] | Some v -> [ (name, f v) ] in
+  J.Obj
+    ([
+       ("generation", J.Int d.generation);
+       ("next_shard_id", J.Int d.next_shard_id);
+       ("shards", J.List (List.map json_of_shard d.shards));
+     ]
+    @ opt "upsert" json_of_object d.upsert
+    @ opt "remove" (fun k -> J.String k) d.remove
+    @ opt "retire" json_of_pair d.retire)
+
+let delta_of_json v =
+  let opt name f =
+    match J.member name v with None -> Ok None | Some x -> Result.map Option.some (f x)
+  in
+  let* generation = J.int_field v "generation" in
+  let* next_shard_id = J.int_field v "next_shard_id" in
+  let* shards = Result.bind (J.list_field v "shards") (map_result shard_of_json) in
+  let* upsert = opt "upsert" object_of_json in
+  let* remove = opt "remove" J.as_string in
+  let* retire = opt "retire" pair_of_json in
+  Ok { generation; next_shard_id; shards; upsert; remove; retire }
+
+(* A journal record: the payload's length, its CRC-32 and a CRC-32 of
+   those first 8 bytes, each a big-endian u32, then the payload (the
+   delta as JSON). The header check keeps a damaged length from passing
+   for a torn tail. *)
+let header_bytes = 12
+
+let journal_record d =
+  let payload = J.to_string (json_of_delta d) in
+  let header = Bytes.create header_bytes in
+  Bytes.set_int32_be header 0 (Int32.of_int (String.length payload));
+  Bytes.set_int32_be header 4 (Int32.of_int (Store_io.crc32 payload));
+  Bytes.set_int32_be header 8 (Int32.of_int (Store_io.crc32 (Bytes.sub_string header 0 8)));
+  Bytes.to_string header ^ payload
+
+type journal = { records : delta list; valid_bytes : int }
+
+(* Split a journal into its records. Whatever follows the last whole
+   record — an incomplete header or payload, or a final payload whose
+   CRC fails — is a torn append and ends the scan; [valid_bytes] is
+   where it starts. A bad header, or a bad payload with more data after
+   it, is damage. *)
+let parse_journal s : (journal, string) result =
+  let n = String.length s in
+  let u32 i = Int32.to_int (String.get_int32_be s i) land 0xFFFF_FFFF in
+  let rec scan off acc =
+    let torn () = Ok { records = List.rev acc; valid_bytes = off } in
+    if n - off < header_bytes then torn ()
+    else if Store_io.crc32 (String.sub s off 8) <> u32 (off + 8) then
+      Error (Printf.sprintf "journal record at byte %d: header checksum mismatch" off)
+    else
+      let len = u32 off in
+      if n - off - header_bytes < len then torn ()
+      else
+        let payload = String.sub s (off + header_bytes) len in
+        let next = off + header_bytes + len in
+        if Store_io.crc32 payload <> u32 (off + 4) then
+          if next = n then torn ()
+          else Error (Printf.sprintf "journal record at byte %d: payload checksum mismatch" off)
+        else
+          match Result.bind (J.of_string payload) delta_of_json with
+          | Error msg -> Error (Printf.sprintf "journal record at byte %d: %s" off msg)
+          | Ok d -> scan next (d :: acc)
+  in
+  scan 0 []
+
+(* Records at or below the checkpoint's generation were folded into it
+   (a crash between a checkpoint and the journal's truncation leaves
+   them); the rest must continue the generation count one by one. *)
+let replay (checkpoint : t) records =
+  List.fold_left
+    (fun acc (d : delta) ->
+      let* (m : t) = acc in
+      if d.generation <= m.generation then Ok m
+      else if d.generation = m.generation + 1 then Ok (apply m d)
+      else
+        Error
+          (Printf.sprintf "journal jumps from generation %d to %d" m.generation d.generation))
+    (Ok checkpoint) records
+
 (* ---------- disk ---------- *)
 
 let write_file_atomic ?(io = Store_io.real) ~dir ~name content =
   Store_io.write_file_atomic io ~dir ~name content
 
 let save ?(io = Store_io.real) ~dir (t : t) =
-  Store_io.write_file_atomic io ~dir ~name:manifest_name (J.to_string (to_json t))
+  let content = J.to_string (to_json t) in
+  Store_io.write_file_atomic io ~dir ~name:manifest_name content;
+  String.length content
 
-let load ?(io = Store_io.real) ~dir () : (t, string) result =
+type loaded = {
+  manifest : t;
+  checkpoint_bytes : int;
+  journal : journal;
+  torn_bytes : int;
+}
+
+let read_whole io path what =
+  match Store_io.read_file io path with
+  | exception Sys_error msg -> Error (Printf.sprintf "%s unreadable: %s" what msg)
+  | content -> Ok content
+
+let load ?(io = Store_io.real) ~dir () : (loaded, string) result =
   let path = Filename.concat dir manifest_name in
+  let jpath = Filename.concat dir journal_name in
   if not (Store_io.exists io path) then Error (Printf.sprintf "no manifest at %s" path)
-  else begin
-    match Store_io.read_file io path with
-    | exception Sys_error msg -> Error (Printf.sprintf "manifest unreadable: %s" msg)
-    | content -> (
-        match J.of_string content with
-        | Error msg -> Error (Printf.sprintf "manifest unreadable: %s" msg)
-        | Ok v -> of_json v)
-  end
+  else
+    let* content = read_whole io path "manifest" in
+    let* checkpoint =
+      Result.map_error (Printf.sprintf "manifest unreadable: %s") (J.of_string content)
+    in
+    let* checkpoint = of_json checkpoint in
+    let* log = if Store_io.exists io jpath then read_whole io jpath "journal" else Ok "" in
+    let* journal = parse_journal log in
+    let* manifest = replay checkpoint journal.records in
+    Ok
+      {
+        manifest;
+        checkpoint_bytes = String.length content;
+        journal;
+        torn_bytes = String.length log - journal.valid_bytes;
+      }

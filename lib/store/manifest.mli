@@ -1,12 +1,18 @@
-(** The store's on-disk catalog: a versioned JSON document describing
-    shards, live objects (primer pair, codec parameters, location) and
-    retired primer pairs awaiting compaction. [save] is crash-safe
-    (write-temp-then-rename). Format version 2 adds shard/object CRC-32
-    checksums, object health marks and shard quarantine flags; version-1
-    manifests still load (the metadata comes back absent). *)
+(** The store's on-disk catalog: a versioned JSON checkpoint
+    ([MANIFEST.json]) describing shards, live objects (primer pair,
+    codec parameters, location) and retired primer pairs awaiting
+    compaction, plus an append-only journal ([MANIFEST.journal]) of the
+    {!delta}s written since. The checkpoint is written temp-then-rename;
+    a journal record is framed by its length and CRC-32s, and [load]
+    replays the records newer than the checkpoint, dropping a torn
+    final record. Format version 3 is the checkpoint-plus-journal
+    layout; version 2 added shard/object CRC-32 checksums, object health
+    marks and shard quarantine flags; version-1 and -2 checkpoints
+    still load (version-1 metadata comes back absent). *)
 
 val format_version : int
 val manifest_name : string
+val journal_name : string
 val shards_dir : string
 
 val shard_file : int -> string
@@ -81,5 +87,50 @@ val write_file_atomic : ?io:Store_io.t -> dir:string -> name:string -> string ->
 (** Write-temp-then-rename within [dir]; used for the manifest and the
     shard pools. Defaults to the real filesystem. *)
 
-val save : ?io:Store_io.t -> dir:string -> t -> unit
-val load : ?io:Store_io.t -> dir:string -> unit -> (t, string) result
+val save : ?io:Store_io.t -> dir:string -> t -> int
+(** Write [t] as the checkpoint (stamped {!format_version}), temp then
+    rename; returns its size in bytes. *)
+
+(** {2 The journal} *)
+
+type delta = {
+  generation : int;  (** the generation the write produces: one past the last *)
+  next_shard_id : int;
+  shards : shard_meta list;  (** shard records the write changed or opened *)
+  upsert : object_meta option;  (** the object a put or overwrite wrote *)
+  remove : string option;  (** the key a delete dropped *)
+  retire : Codec.Primer.pair option;  (** the pair an overwrite or delete retired *)
+}
+(** One journaled write: what [put], [overwrite] or [delete] changed. *)
+
+val apply : t -> delta -> t
+(** The write's new manifest: [remove] drops its key; [upsert] replaces
+    its key in place or joins the end; each of [shards] replaces its id
+    in place or joins the front; [retire] joins the front of
+    [retired]. The live store and replay both go through it. *)
+
+val journal_record : delta -> string
+(** The framed record: payload length, payload CRC-32 and a CRC-32 of
+    those 8 bytes (big-endian u32 each), then the delta as JSON. *)
+
+type journal = {
+  records : delta list;  (** whole records, in file order *)
+  valid_bytes : int;  (** where the last whole record ends *)
+}
+
+type loaded = {
+  manifest : t;  (** the checkpoint with the newer journal records replayed *)
+  checkpoint_bytes : int;
+  journal : journal;
+  torn_bytes : int;  (** bytes after [journal.valid_bytes]: a torn append to cut *)
+}
+
+val load : ?io:Store_io.t -> dir:string -> unit -> (loaded, string) result
+(** Read the checkpoint and replay the journal's records whose
+    generation is newer, which must follow it one by one. A torn tail —
+    an incomplete header or payload, or a final payload whose CRC fails
+    — ends the records at [valid_bytes]. [Error] on an unreadable or
+    unknown-version checkpoint, a header whose CRC fails, a payload CRC
+    failure with more data after it, an unparsable record or a
+    generation gap; never raises. Does not write: cutting a torn tail
+    is the caller's job. *)

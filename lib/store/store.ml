@@ -2,8 +2,10 @@
 
     Layered over the toolkit's codec/simulator/clustering stages, the
     store keeps a pool of synthesized molecules on disk — a JSON
-    manifest ([MANIFEST.json], written temp-then-rename so a crash never
-    tears it) plus per-shard oligo pools serialized as FASTA — and
+    manifest checkpoint ([MANIFEST.json], written temp-then-rename so a
+    crash never tears it) with an append-only journal of the writes
+    since ([MANIFEST.journal]), plus per-shard oligo pools serialized
+    as FASTA — and
     serves primer-addressed random access in the style of Yazdi et al.'s
     rewritable DNA storage system:
 
@@ -84,6 +86,12 @@ type t = {
           store was opened (debris of an interrupted run) *)
   mutable cold_accesses : int;  (** wetlab read paths run (cache misses and salvage attempts) *)
   mutable access_s : Dnastore.Pipeline.timings;  (** their stage times, summed *)
+  mutable checkpoint_bytes : int;  (** size of [MANIFEST.json] *)
+  mutable journal_bytes : int;  (** whole records in [MANIFEST.journal] *)
+  mutable journal_records : int;
+  mutable fold_pending : bool;
+      (** an append or a truncate failed, so the journal may end in
+          debris: the next write folds instead of appending after it *)
 }
 
 let dir t = t.dir
@@ -97,6 +105,7 @@ let find_object t key =
 let mem t key = find_object t key <> None
 let object_pair t ~key = Option.map (fun (o : Manifest.object_meta) -> o.pair) (find_object t key)
 let pair_reserved t pair = Codec.Primer.Registry.is_reserved t.registry pair
+let manifest_json t = Store_json.to_string (Manifest.to_json t.manifest)
 
 let shard_files t =
   List.map
@@ -116,7 +125,7 @@ let rng_of_manifest (m : Manifest.t) =
      stream instead of replaying the original one. *)
   Dna.Rng.create (m.Manifest.seed + (1000003 * m.Manifest.generation))
 
-let of_manifest ~io ~dir ~orphans (m : Manifest.t) =
+let of_manifest ~io ~dir ~orphans ~checkpoint_bytes (m : Manifest.t) =
   let live = List.map (fun (o : Manifest.object_meta) -> o.pair) m.Manifest.objects in
   {
     dir;
@@ -130,6 +139,10 @@ let of_manifest ~io ~dir ~orphans (m : Manifest.t) =
     orphans_reclaimed = orphans;
     cold_accesses = 0;
     access_s = Dnastore.Pipeline.zero_timings;
+    checkpoint_bytes;
+    journal_bytes = 0;
+    journal_records = 0;
+    fold_pending = false;
   }
 
 let init ?(config = default_config) ?(io = Store_io.real) ~dir ~seed () : (t, error) result =
@@ -138,9 +151,13 @@ let init ?(config = default_config) ?(io = Store_io.real) ~dir ~seed () : (t, er
   else begin
     Store_io.mkdir_p io (Filename.concat dir Manifest.shards_dir);
     let m = Manifest.empty ~seed ~config in
+    (* A journal without a checkpoint belongs to no store; empty it
+       before the new checkpoint would make its records look current. *)
+    if Store_io.exists io (Filename.concat dir Manifest.journal_name) then
+      Store_io.truncate io ~dir ~name:Manifest.journal_name 0;
     match Manifest.save ~io ~dir m with
     | exception Store_io.Io_failure msg -> Error (Io_error msg)
-    | () -> Ok (of_manifest ~io ~dir ~orphans:0 m)
+    | checkpoint_bytes -> Ok (of_manifest ~io ~dir ~orphans:0 ~checkpoint_bytes m)
   end
 
 (* Sweep the debris an interrupted run can leave behind: torn or
@@ -178,17 +195,78 @@ let reclaim_orphans ~io ~dir (m : Manifest.t) =
 let open_store ?(io = Store_io.real) ~dir () : (t, error) result =
   match Manifest.load ~io ~dir () with
   | Error msg -> Error (Corrupt msg)
-  | Ok m ->
+  | Ok l ->
+      let m = l.Manifest.manifest in
       let orphans = reclaim_orphans ~io ~dir m in
-      Ok (of_manifest ~io ~dir ~orphans m)
+      let t = of_manifest ~io ~dir ~orphans ~checkpoint_bytes:l.Manifest.checkpoint_bytes m in
+      t.journal_bytes <- l.Manifest.journal.Manifest.valid_bytes;
+      t.journal_records <- List.length l.Manifest.journal.Manifest.records;
+      (* Cut a torn append away so later records follow whole ones; if
+         the cut fails, the next write folds instead. *)
+      (if l.Manifest.torn_bytes > 0 then
+         try Store_io.truncate io ~dir ~name:Manifest.journal_name t.journal_bytes
+         with Sys_error _ -> t.fold_pending <- true);
+      Ok t
 
-(* Persist a new manifest state (generation bumped) and adopt it. Only
-   adopts after the save lands, so an I/O failure leaves the in-memory
-   view on the old, still-true state. *)
+(* ---------- manifest writes ---------- *)
+
+(* A journaled write folds instead of appending once the journal holds
+   more than [fold_multiple] checkpoints' worth of bytes and more than
+   [fold_floor]: replay at open then stays proportional to the
+   checkpoint, and a fold's cost, itself proportional to the store, is
+   spread over as many writes as the store has objects. *)
+let fold_multiple = 1
+let fold_floor = 4096
+
+(* Write [m] as the checkpoint and adopt it, then empty the journal.
+   Adopts only after the checkpoint lands, so an I/O failure leaves the
+   in-memory view on the old, still-true state. Records left behind by
+   a crash or a failed truncate are no newer than the checkpoint, so
+   replay skips them; [fold_pending] makes the next write cut them. *)
+let write_checkpoint t (m : Manifest.t) =
+  let m = { m with Manifest.version = Manifest.format_version } in
+  let bytes = Manifest.save ~io:t.io ~dir:t.dir m in
+  t.manifest <- m;
+  t.checkpoint_bytes <- bytes;
+  if t.journal_bytes > 0 || t.fold_pending then
+    match Store_io.truncate t.io ~dir:t.dir ~name:Manifest.journal_name 0 with
+    | () ->
+        t.journal_bytes <- 0;
+        t.journal_records <- 0;
+        t.fold_pending <- false
+    | exception Sys_error _ -> t.fold_pending <- true
+
+(* Persist a rewritten manifest (compaction, scrub) as a checkpoint,
+   generation bumped. *)
 let save_manifest t (m : Manifest.t) =
-  let m = { m with Manifest.generation = m.Manifest.generation + 1 } in
-  Manifest.save ~io:t.io ~dir:t.dir m;
-  t.manifest <- m
+  write_checkpoint t { m with Manifest.generation = m.Manifest.generation + 1 }
+
+(* Persist one put, overwrite or delete: append its delta to the
+   journal, or fold when the journal is due, an earlier append failed,
+   or the checkpoint predates the journal (so an older build never
+   reads a checkpoint whose journal it would miss). *)
+let commit t (d : Manifest.delta) =
+  let m = Manifest.apply t.manifest d in
+  if
+    t.fold_pending
+    || t.manifest.Manifest.version < Manifest.format_version
+    || t.journal_bytes > max fold_floor (fold_multiple * t.checkpoint_bytes)
+  then write_checkpoint t m
+  else begin
+    let record = Manifest.journal_record d in
+    (try Store_io.append t.io ~dir:t.dir ~name:Manifest.journal_name record
+     with e ->
+       t.fold_pending <- true;
+       raise e);
+    t.manifest <- m;
+    t.journal_bytes <- t.journal_bytes + String.length record;
+    t.journal_records <- t.journal_records + 1
+  end
+
+let checkpoint t =
+  match write_checkpoint t t.manifest with
+  | exception Store_io.Io_failure msg -> Error (Io_error msg)
+  | () -> Ok ()
 
 (* ---------- shard pools ---------- *)
 
@@ -360,16 +438,30 @@ let append_object t ~key ~(prev : Manifest.object_meta option) ?(params = Codec.
                   Codec.Primer.Registry.release t.registry pair;
                   Error (Io_error msg)
               | shard_checksum ->
+              let dead_here =
+                (* Overwriting an object that lives in the open shard:
+                   its dead molecules are in this shard's record. *)
+                match prev with Some p when p.shard = shard_id -> object_strand_count p | _ -> 0
+              in
               let smeta =
                 {
                   Manifest.shard_id;
                   file;
                   n_strands = Array.length strands;
                   dead_strands =
-                    (match open_shard with Some s -> s.dead_strands | None -> 0);
+                    dead_here + (match open_shard with Some s -> s.dead_strands | None -> 0);
                   checksum = Some shard_checksum;
                   quarantined = false;
                 }
+              in
+              let prev_shard =
+                match prev with
+                | Some p when p.shard <> shard_id -> (
+                    match shard_meta t p.shard with
+                    | Some s ->
+                        [ { s with Manifest.dead_strands = s.dead_strands + object_strand_count p } ]
+                    | None -> [])
+                | _ -> []
               in
               let meta =
                 {
@@ -385,65 +477,23 @@ let append_object t ~key ~(prev : Manifest.object_meta option) ?(params = Codec.
                   health = Manifest.Healthy;
                 }
               in
-              let shards =
-                smeta
-                :: List.filter_map
-                     (fun (s : Manifest.shard_meta) ->
-                       if s.shard_id = shard_id then None
-                       else
-                         match prev with
-                         | Some p when p.shard = s.shard_id ->
-                             Some
-                               {
-                                 s with
-                                 Manifest.dead_strands =
-                                   s.dead_strands + object_strand_count p;
-                               }
-                         | _ -> Some s)
-                     m.Manifest.shards
-              in
-              let shards =
-                (* Overwriting an object that lives in the open shard:
-                   its dead molecules are in [smeta] itself. *)
-                match prev with
-                | Some p when p.shard = shard_id ->
-                    List.map
-                      (fun (s : Manifest.shard_meta) ->
-                        if s.shard_id = shard_id then
-                          { s with Manifest.dead_strands = s.dead_strands + object_strand_count p }
-                        else s)
-                      shards
-                | _ -> shards
-              in
-              let objects =
-                match prev with
-                | None -> m.Manifest.objects @ [ meta ]
-                | Some _ ->
-                    List.map
-                      (fun (o : Manifest.object_meta) -> if o.key = key then meta else o)
-                      m.Manifest.objects
-              in
-              let retired =
-                match prev with
-                | None -> m.Manifest.retired
-                | Some p -> p.pair :: m.Manifest.retired
-              in
               match
-                save_manifest t
+                commit t
                   {
-                    m with
-                    Manifest.shards;
-                    objects;
-                    retired;
+                    Manifest.generation = m.Manifest.generation + 1;
                     next_shard_id = max m.Manifest.next_shard_id (shard_id + 1);
+                    shards = smeta :: prev_shard;
+                    upsert = Some meta;
+                    remove = None;
+                    retire = Option.map (fun (p : Manifest.object_meta) -> p.pair) prev;
                   }
               with
               | exception Store_io.Io_failure msg ->
-                  (* The shard file landed but the manifest did not: the
-                     new molecules are unselectable orphans, exactly as
-                     after a crash between the two writes. Nothing was
-                     acked; drop the stale cached pool and release the
-                     pair. *)
+                  (* The shard file landed but the manifest record did
+                     not: the new molecules are unselectable orphans,
+                     exactly as after a crash between the two writes.
+                     Nothing was acked; drop the stale cached pool and
+                     release the pair. *)
                   Codec.Primer.Registry.release t.registry pair;
                   Hashtbl.remove t.pools shard_id;
                   Error (Io_error msg)
@@ -479,21 +529,19 @@ let delete t ~key : (unit, error) result =
   | Some o ->
       let m = t.manifest in
       let shards =
-        List.map
-          (fun (s : Manifest.shard_meta) ->
-            if s.shard_id = o.shard then
-              { s with Manifest.dead_strands = s.dead_strands + object_strand_count o }
-            else s)
-          m.Manifest.shards
+        match shard_meta t o.shard with
+        | Some s -> [ { s with Manifest.dead_strands = s.dead_strands + object_strand_count o } ]
+        | None -> []
       in
       match
-        save_manifest t
+        commit t
           {
-            m with
-            Manifest.shards;
-            objects =
-              List.filter (fun (x : Manifest.object_meta) -> x.key <> key) m.Manifest.objects;
-            retired = o.pair :: m.Manifest.retired;
+            Manifest.generation = m.Manifest.generation + 1;
+            next_shard_id = m.Manifest.next_shard_id;
+            shards;
+            upsert = None;
+            remove = Some key;
+            retire = Some o.pair;
           }
       with
       | exception Store_io.Io_failure msg -> Error (Io_error msg)
@@ -1088,6 +1136,9 @@ type stats = {
   orphans_reclaimed : int;
   cold_accesses : int;
   access_s : Dnastore.Pipeline.timings;
+  checkpoint_bytes : int;
+  journal_records : int;
+  journal_bytes : int;
 }
 
 let stats t =
@@ -1121,6 +1172,9 @@ let stats t =
     orphans_reclaimed = t.orphans_reclaimed;
     cold_accesses = t.cold_accesses;
     access_s = t.access_s;
+    checkpoint_bytes = t.checkpoint_bytes;
+    journal_records = t.journal_records;
+    journal_bytes = t.journal_bytes;
   }
 
 let render_stats t =
@@ -1143,6 +1197,8 @@ let render_stats t =
       s.n_shards s.n_strands s.dead_strands s.generation
   ^ Printf.sprintf "primer pairs: %d live, %d retired (await compaction)\n" s.live_primer_pairs
       s.retired_primer_pairs
+  ^ Printf.sprintf "manifest: checkpoint %d B, journal %d records (%d B)\n" s.checkpoint_bytes
+      s.journal_records s.journal_bytes
   ^ (if s.degraded_objects + s.lost_objects + s.quarantined_shards + s.orphans_reclaimed = 0 then ""
      else
        Printf.sprintf

@@ -1,8 +1,14 @@
 (** A persistent, sharded, rewritable DNA object store.
 
     On disk a store is a directory: a crash-safe JSON manifest
-    ([MANIFEST.json], always updated write-temp-then-rename) plus
-    per-shard oligo pools serialized as FASTA under [shards/]. Objects
+    checkpoint ([MANIFEST.json], always written temp-then-rename), an
+    append-only journal of the puts, overwrites and deletes since it
+    ([MANIFEST.journal], one length- and CRC-framed delta per write, so
+    a write's manifest cost does not grow with the store), plus
+    per-shard oligo pools serialized as FASTA under [shards/]. The
+    journal is folded into a fresh checkpoint once it outgrows the
+    checkpoint; [compact], [scrub] and [init] write checkpoints
+    directly. Objects
     are addressed by primer pairs; [overwrite] and [delete] retire pairs
     without touching molecules, and {!compact} re-synthesizes live
     objects into fresh shards, reclaiming the retired primer space.
@@ -16,7 +22,7 @@
     pool and object payload, {!scrub} detects and self-repairs
     corruption, {!get_partial} serves degraded reads from whatever
     molecules survive, and opening a store reclaims the [.tmp]/orphan
-    debris of an interrupted run. *)
+    debris of an interrupted run and cuts a torn journal append. *)
 
 module Json : module type of Store_json
 (** The hand-rolled JSON layer backing the manifest (exposed for tests
@@ -39,8 +45,10 @@ type config = Manifest.config = {
 val default_config : config
 
 val format_version : int
-(** Version stamped into every manifest; [open_store] reads this and the
-    previous (checksum-free) version, and refuses others. *)
+(** Version stamped into every checkpoint (3: checkpoint plus journal);
+    [open_store] also reads versions 2 and 1 (no journal; version 1
+    without checksums) and refuses others. The first write to a
+    version-1 or -2 store folds a version-3 checkpoint. *)
 
 type error =
   | Key_not_found of string
@@ -70,10 +78,14 @@ val init : ?config:config -> ?io:Store_io.t -> dir:string -> seed:int -> unit ->
 val open_store : ?io:Store_io.t -> dir:string -> unit -> (t, error) result
 (** Reopen an existing store. The rng stream is re-derived from the
     seed and the manifest generation, so a reopened store does not
-    replay the draws of its previous life. Reclaims leftover [.tmp]
-    files and unreferenced shard files (debris of an interrupted run —
-    acked state never lives in either); the count lands in
-    {!stats}. *)
+    replay the draws of its previous life. The manifest is the
+    checkpoint with the journal's newer records replayed, so it and its
+    generation equal those of the handle that wrote them. A torn final
+    journal record (a crash mid-append) is dropped and cut away; a
+    damaged record with more data after it is [Corrupt]. Reclaims
+    leftover [.tmp] files and unreferenced shard files (debris of an
+    interrupted run — acked state never lives in either); the count
+    lands in {!stats}. *)
 
 val dir : t -> string
 val config : t -> config
@@ -85,8 +97,8 @@ val put :
   ?params:Codec.Params.t -> ?layout:Codec.Layout.t -> t -> key:string -> Bytes.t ->
   (unit, error) result
 (** Encode under a fresh primer pair and append to the open shard
-    (shard file written before the manifest, so a crash never leaves the
-    manifest pointing at missing molecules). If encoding raises, the
+    (shard file written before the manifest record, so a crash never
+    leaves the manifest pointing at missing molecules). If encoding raises, the
     reserved pair is released before the exception propagates; a
     simulated I/O failure returns [Io_error] with the pair released and
     nothing acked. *)
@@ -169,6 +181,10 @@ type compact_stats = {
   unlink_failures : int;  (** old shard files left behind by a failed unlink *)
 }
 
+val checkpoint : t -> (unit, error) result
+(** Fold the journal now: write the current manifest as a checkpoint
+    and empty the journal. The generation does not move. *)
+
 val compact : t -> (compact_stats, error) result
 (** Re-synthesize every healthy object into fresh densely packed shards,
     drop dead molecules and release retired primer pairs. All-or-nothing
@@ -224,6 +240,9 @@ type stats = {
       (** those accesses' stage times summed per stage (sequencing in
           [simulate_s], then demux, cluster, reconstruct, decode); the
           encode and percentile fields stay 0 *)
+  checkpoint_bytes : int;  (** size of the last checkpoint this handle read or wrote *)
+  journal_records : int;  (** whole records in the journal *)
+  journal_bytes : int;  (** their bytes *)
 }
 
 val stats : t -> stats
@@ -237,3 +256,6 @@ val shard_files : t -> string list
 val shard_path : t -> shard:int -> string option
 val object_pair : t -> key:string -> Codec.Primer.pair option
 val pair_reserved : t -> Codec.Primer.pair -> bool
+
+val manifest_json : t -> string
+(** The live manifest as checkpoint JSON, generation included. *)

@@ -1,7 +1,7 @@
 (* The store's filesystem boundary. [real] passes through to the OS;
    [faulty] wraps the same operations in a deterministic seeded fault
-   layer (torn writes, failed renames, ENOSPC, read bit-rot, and a
-   simulated kill at any fault point) so the crash-consistency harness
+   layer (torn writes and appends, failed renames, ENOSPC, read
+   bit-rot, and a simulated kill at any fault point) so the crash-consistency harness
    can sweep a crash across every distinct on-disk state. *)
 
 exception Crashed of { point : string; index : int }
@@ -99,6 +99,23 @@ let read_file t path =
   | Real -> read_file_raw path
   | Faulty s -> apply_bit_rot s.plan path (read_file_raw path)
 
+(* A faulty backend's data write is its own fault point: a crash or
+   ENOSPC that lands there leaves a seeded prefix of [content] behind
+   ([write] truncates or appends it), then raises. *)
+let data_write s ~point_name ~write path content =
+  try
+    let index = point s point_name in
+    s.data_writes <- s.data_writes + 1;
+    (match s.plan.enospc_at with
+    | Some k when k = s.data_writes ->
+        write path (torn_prefix s.plan ~index content);
+        raise (Io_failure (Printf.sprintf "no space writing %s" path))
+    | _ -> ());
+    write path content
+  with Crashed { point = p; index } ->
+    write path (torn_prefix s.plan ~index content);
+    raise (Crashed { point = p; index })
+
 let write_file_atomic t ~dir ~name content =
   let tmp = Filename.concat dir (name ^ ".tmp") in
   let dst = Filename.concat dir name in
@@ -108,20 +125,8 @@ let write_file_atomic t ~dir ~name content =
       Sys.rename tmp dst
   | Faulty s ->
       let _ = point s ("write.tmp:" ^ name) in
-      (* The data write is its own fault point: a crash that lands here
-         leaves a torn temp file, never a torn destination. *)
-      (try
-         let index = point s ("write.data:" ^ name) in
-         s.data_writes <- s.data_writes + 1;
-         (match s.plan.enospc_at with
-         | Some k when k = s.data_writes ->
-             write_raw tmp (torn_prefix s.plan ~index content);
-             raise (Io_failure (Printf.sprintf "no space writing %s" tmp))
-         | _ -> ());
-         write_raw tmp content
-       with Crashed { point = p; index } ->
-         write_raw tmp (torn_prefix s.plan ~index content);
-         raise (Crashed { point = p; index }));
+      (* A torn write lands in the temp file, never the destination. *)
+      data_write s ~point_name:("write.data:" ^ name) ~write:write_raw tmp content;
       let _ = point s ("write.rename:" ^ name) in
       s.renames <- s.renames + 1;
       (match s.plan.fail_rename_at with
@@ -130,6 +135,35 @@ let write_file_atomic t ~dir ~name content =
       | _ -> ());
       Sys.rename tmp dst;
       ignore (point s ("write.done:" ^ name))
+
+let append_raw path content =
+  let oc = open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 path in
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc content;
+      flush oc)
+
+let append t ~dir ~name content =
+  let path = Filename.concat dir name in
+  match t with
+  | Real -> append_raw path content
+  | Faulty s ->
+      let _ = point s ("append:" ^ name) in
+      (* A torn append leaves a prefix of the record at the file's tail. *)
+      data_write s ~point_name:("append.data:" ^ name) ~write:append_raw path content;
+      ignore (point s ("append.done:" ^ name))
+
+let truncate_raw path len =
+  if Sys.file_exists path then
+    try Unix.truncate path len
+    with Unix.Unix_error (e, _, _) ->
+      raise (Sys_error (Printf.sprintf "%s: %s" path (Unix.error_message e)))
+
+let truncate t ~dir ~name len =
+  let path = Filename.concat dir name in
+  (match t with Real -> () | Faulty s -> ignore (point s ("truncate:" ^ name)));
+  truncate_raw path len
 
 let remove t path =
   match t with

@@ -4,11 +4,11 @@
     Every byte the store reads or writes goes through a {!t}: the
     {!real} backend passes straight to the OS, while {!faulty} wraps it
     in a deterministic, seeded fault layer — torn and short writes,
-    failed renames, simulated ENOSPC, read bit-rot, and a process kill
+    torn appends, failed renames, simulated ENOSPC, read bit-rot, and a process kill
     at any chosen {e fault point}. Fault points are the instants where a
     crash could leave the disk in a distinct state (before a temp file
-    is written, mid-write, before and after the rename, before an
-    unlink); the crash-consistency harness sweeps a kill across every
+    is written, mid-write, before and after the rename, before, during
+    and after an append, before a truncate or an unlink); the crash-consistency harness sweeps a kill across every
     one of them and asserts the store reopens consistently.
 
     All faults derive from the plan's seed alone, so a faulty run
@@ -69,6 +69,17 @@ val read_file : t -> string -> string
 val write_file_atomic : t -> dir:string -> name:string -> string -> unit
 (** Write [dir/name.tmp], then rename over [dir/name]. Fault points:
     before the temp write, mid-data, before the rename, after it. *)
+
+val append : t -> dir:string -> name:string -> string -> unit
+(** Append to [dir/name], creating it if missing. Fault points: before
+    the write, mid-data (a crash or ENOSPC there leaves a seeded prefix
+    of the content at the tail: a torn append), after it. ENOSPC counts
+    it as a data write. *)
+
+val truncate : t -> dir:string -> name:string -> int -> unit
+(** Cut [dir/name] to its first [len] bytes; a no-op when the file does
+    not exist. Fault point before the cut. Raises [Sys_error] when the
+    OS refuses. *)
 
 val remove : t -> string -> unit
 (** Unlink, with a fault point before it. Raises [Sys_error] if the

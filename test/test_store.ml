@@ -827,6 +827,9 @@ let test_v1_manifest_opens_and_scrub_backfills () =
   let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed:43 ()) in
   let data = random_file (Dna.Rng.create 14) 160 in
   ok_or_fail "put" (Store.put store ~key:"legacy" data);
+  (* The put went to the journal; fold it into the checkpoint so the
+     object is in the document the fixture rewrites as version 1. *)
+  ok_or_fail "checkpoint" (Store.checkpoint store);
   patch_manifest dir strip_v2_fields;
   let store = ok_or_fail "open v1 manifest" (Store.open_store ~dir ()) in
   Alcotest.(check bytes) "v1 object reads back" data
@@ -859,6 +862,215 @@ let test_compact_counts_unlink_failures () =
   Alcotest.(check bool) "missing unlink counted" true (c.Store.unlink_failures >= 1);
   Alcotest.(check bytes) "survivor intact" (random_file (Dna.Rng.create 16) 250)
     (ok_or_fail "get b" (Store.get ~use_cache:false store ~key:"b"))
+
+(* ---------- the manifest journal ---------- *)
+
+let journal_path dir = Filename.concat dir "MANIFEST.journal"
+
+(* A store whose journal holds three records (put a, put b, put c),
+   with the journal's length before the last one. *)
+let journaled_store seed =
+  let dir = temp_store_dir () in
+  let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed ()) in
+  let r = Dna.Rng.create seed in
+  ok_or_fail "put a" (Store.put store ~key:"a" (random_file r 60));
+  ok_or_fail "put b" (Store.put store ~key:"b" (random_file r 60));
+  let before_last = Store.stats store in
+  ok_or_fail "put c" (Store.put store ~key:"c" (random_file r 60));
+  Alcotest.(check int) "three journaled writes" 3 (Store.stats store).Store.journal_records;
+  (dir, store, before_last)
+
+let test_journal_torn_tail_every_offset () =
+  (* A crash mid-append leaves any prefix of the last record. Reopen
+     must drop exactly that record, cut it away, and take later appends
+     after the whole records. *)
+  let dir, _, before = journaled_store 51 in
+  let journal = read_whole (journal_path dir) in
+  let start = before.Store.journal_bytes in
+  for cut = start to String.length journal - 1 do
+    write_whole (journal_path dir) (String.sub journal 0 cut);
+    let store = ok_or_fail "open torn" (Store.open_store ~dir ()) in
+    let label = Printf.sprintf "cut at %d" cut in
+    Alcotest.(check (list string)) (label ^ ": last record dropped") [ "a"; "b" ] (Store.keys store);
+    Alcotest.(check int) (label ^ ": generation") before.Store.generation (Store.generation store);
+    Alcotest.(check int) (label ^ ": tail cut away") start (file_size (journal_path dir));
+    ok_or_fail "later append" (Store.delete store ~key:"a");
+    let again = ok_or_fail "reopen" (Store.open_store ~dir ()) in
+    Alcotest.(check (list string)) (label ^ ": later append replays") [ "b" ] (Store.keys again)
+  done
+
+let test_journal_flipped_byte_is_corrupt () =
+  (* Damage to a record with more data after it is not a torn tail:
+     every single-byte flip in the first record, header or payload,
+     must refuse the store. *)
+  let dir, _, _ = journaled_store 53 in
+  let journal = read_whole (journal_path dir) in
+  let first_len = 12 + Int32.to_int (String.get_int32_be journal 0) in
+  for i = 0 to first_len - 1 do
+    let b = Bytes.of_string journal in
+    Bytes.set b i (Char.chr (Char.code journal.[i] lxor 0x20));
+    write_whole (journal_path dir) (Bytes.to_string b);
+    match Store.open_store ~dir () with
+    | Error (Store.Corrupt _) -> ()
+    | Ok _ -> Alcotest.failf "opened a journal with byte %d flipped" i
+    | Error e -> Alcotest.failf "byte %d: unexpected error: %s" i (Store.error_message e)
+  done
+
+let test_journal_stale_records_skipped () =
+  (* A crash between a checkpoint's rename and the journal's truncation
+     leaves records the checkpoint already holds. Replay must skip them:
+     re-applied after a compaction, they would point objects back at
+     their old shards. *)
+  let dir, store, _ = journaled_store 55 in
+  let stale = read_whole (journal_path dir) in
+  ignore (ok_or_fail "compact" (Store.compact store));
+  write_whole (journal_path dir) stale;
+  let reopened = ok_or_fail "reopen" (Store.open_store ~dir ()) in
+  Alcotest.(check string) "checkpoint wins over stale records" (Store.manifest_json store)
+    (Store.manifest_json reopened);
+  (* Later appends follow the stale records and still replay. *)
+  ok_or_fail "delete after" (Store.delete reopened ~key:"b");
+  let again = ok_or_fail "reopen again" (Store.open_store ~dir ()) in
+  Alcotest.(check string) "appends after stale records replay" (Store.manifest_json reopened)
+    (Store.manifest_json again)
+
+let test_journal_fuzz_never_raises () =
+  (* Seeded mutations of a real journal — truncations, byte flips,
+     splices of header-shaped bytes — must open or fail typed, never
+     raise. *)
+  let dir, _, _ = journaled_store 57 in
+  let journal = read_whole (journal_path dir) in
+  let n = String.length journal in
+  List.iter
+    (fun seed ->
+      let rng = Dna.Rng.create (4_242 + seed) in
+      let splice = [| '\x00'; '\xff'; '{'; '}'; '"'; '\n'; '\x7f'; '\x0c' |] in
+      for _ = 1 to 300 do
+        let b = Bytes.of_string journal in
+        let mutant =
+          match Dna.Rng.int rng 4 with
+          | 0 -> Bytes.sub_string b 0 (Dna.Rng.int rng n)
+          | 1 ->
+              Bytes.set b (Dna.Rng.int rng n) (Char.chr (Dna.Rng.int rng 256));
+              Bytes.to_string b
+          | 2 ->
+              Bytes.set b (Dna.Rng.int rng n) splice.(Dna.Rng.int rng (Array.length splice));
+              Bytes.to_string b
+          | _ ->
+              (* A record duplicated or dropped mid-journal. *)
+              let cut = Dna.Rng.int rng n in
+              String.sub journal 0 cut ^ String.sub journal (Dna.Rng.int rng (n - (n / 4))) (n / 4)
+        in
+        write_whole (journal_path dir) mutant;
+        match Store.open_store ~dir () with
+        | Ok _ | Error _ -> ()
+        | exception e ->
+            Alcotest.failf "open_store raised %s on a mutated journal" (Printexc.to_string e)
+      done)
+    [ 1; 2 ]
+
+let test_journal_reopen_equals_live () =
+  (* After every operation of a seeded mix of puts, overwrites, deletes,
+     scrubs and compactions — enough writes to fold the journal more
+     than once — a fresh open sees the live handle's manifest,
+     generation included. *)
+  List.iter
+    (fun seed ->
+      let r = Dna.Rng.create (6_100 + seed) in
+      let dir = temp_store_dir () in
+      let config = { test_config with Store.shard_target_strands = 60 } in
+      let store = ok_or_fail "init" (Store.init ~config ~dir ~seed ()) in
+      let live = ref [] and next = ref 0 and folds = ref 0 in
+      let pick () = List.nth !live (Dna.Rng.int r (List.length !live)) in
+      for step = 1 to 40 do
+        let before = (Store.stats store).Store.journal_records in
+        let op =
+          match Dna.Rng.int r 10 with
+          | _ when !live = [] || List.length !live < 3 -> `Put
+          | 0 when step mod 2 = 0 -> `Compact
+          | 1 -> `Scrub
+          | 2 | 3 -> `Overwrite
+          | 4 when List.length !live > 3 -> `Delete
+          | _ -> if List.length !live < 8 then `Put else `Overwrite
+        in
+        (match op with
+        | `Put ->
+            incr next;
+            let key = Printf.sprintf "k%d" !next in
+            ok_or_fail "put" (Store.put store ~key (random_file r (20 + Dna.Rng.int r 60)));
+            live := key :: !live
+        | `Overwrite -> ok_or_fail "overwrite" (Store.overwrite store ~key:(pick ()) (random_file r 40))
+        | `Delete ->
+            let key = pick () in
+            ok_or_fail "delete" (Store.delete store ~key);
+            live := List.filter (( <> ) key) !live
+        | `Scrub -> ignore (ok_or_fail "scrub" (Store.scrub store))
+        | `Compact -> ignore (ok_or_fail "compact" (Store.compact store)));
+        (match op with
+        | `Put | `Overwrite | `Delete when (Store.stats store).Store.journal_records <= before ->
+            incr folds
+        | _ -> ());
+        let reopened = ok_or_fail "reopen" (Store.open_store ~dir ()) in
+        Alcotest.(check int)
+          (Printf.sprintf "seed %d step %d: generation" seed step)
+          (Store.generation store) (Store.generation reopened);
+        Alcotest.(check string)
+          (Printf.sprintf "seed %d step %d: manifest" seed step)
+          (Store.manifest_json store) (Store.manifest_json reopened)
+      done;
+      Alcotest.(check bool) "the mix folded the journal" true (!folds >= 1))
+    [ 1; 2 ]
+
+let test_old_formats_fold_on_first_write () =
+  (* Version-1 and -2 stores open and read; their first write folds a
+     version-3 checkpoint (an older build then refuses the store rather
+     than miss its journal), and later writes append. *)
+  List.iter
+    (fun (label, patch) ->
+      let dir = temp_store_dir () in
+      let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed:59 ()) in
+      let r = Dna.Rng.create 59 in
+      let old = random_file r 120 and d1 = random_file r 90 and d2 = random_file r 70 in
+      ok_or_fail "put" (Store.put store ~key:"old" old);
+      ok_or_fail "checkpoint" (Store.checkpoint store);
+      patch_manifest dir patch;
+      let store = ok_or_fail ("open " ^ label) (Store.open_store ~dir ()) in
+      Alcotest.(check bytes) (label ^ " object reads back") old
+        (ok_or_fail "get" (Store.get ~use_cache:false store ~key:"old"));
+      ok_or_fail "first write" (Store.put store ~key:"new1" d1);
+      Alcotest.(check bool) (label ^ ": first write stamps version 3") true
+        (contains_substring ~needle:"\"format_version\": 3" (read_whole (Filename.concat dir "MANIFEST.json")));
+      Alcotest.(check int) (label ^ ": first write folded") 0 (Store.stats store).Store.journal_records;
+      ok_or_fail "second write" (Store.put store ~key:"new2" d2);
+      Alcotest.(check int) (label ^ ": second write appended") 1
+        (Store.stats store).Store.journal_records;
+      let store = ok_or_fail "reopen" (Store.open_store ~dir ()) in
+      List.iter
+        (fun (key, data) ->
+          Alcotest.(check bytes) (label ^ " " ^ key) data
+            (ok_or_fail "get" (Store.get store ~key)))
+        [ ("old", old); ("new1", d1); ("new2", d2) ])
+    [
+      ( "v2",
+        replace_substring
+          ~needle:(Printf.sprintf "\"format_version\": %d" Store.format_version)
+          ~into:"\"format_version\": 2" );
+      ("v1", strip_v2_fields);
+    ]
+
+let test_stats_report_journal () =
+  let dir, store, _ = journaled_store 61 in
+  let s = Store.stats store in
+  Alcotest.(check int) "journal bytes = file" (file_size (journal_path dir)) s.Store.journal_bytes;
+  Alcotest.(check int) "checkpoint bytes = file"
+    (file_size (Filename.concat dir "MANIFEST.json"))
+    s.Store.checkpoint_bytes;
+  Alcotest.(check bool) "report names the journal" true
+    (contains_substring ~needle:"journal 3 records" (Store.render_stats store));
+  let reopened = ok_or_fail "reopen" (Store.open_store ~dir ()) in
+  Alcotest.(check bool) "a reopened handle counts the same" true
+    ((Store.stats reopened).Store.journal_bytes = s.Store.journal_bytes
+    && (Store.stats reopened).Store.journal_records = 3)
 
 (* ---------- wetlab serialization at store-pool sizes ---------- *)
 
@@ -995,6 +1207,22 @@ let () =
           Alcotest.test_case "compact counts unlink failures" `Slow
             test_compact_counts_unlink_failures;
           Alcotest.test_case "salvage golden (3 seeds)" `Slow test_salvage_golden;
+        ] );
+      ( "journal",
+        [
+          Alcotest.test_case "torn tail cut at every offset" `Quick
+            test_journal_torn_tail_every_offset;
+          Alcotest.test_case "flipped byte in an earlier record is Corrupt" `Quick
+            test_journal_flipped_byte_is_corrupt;
+          Alcotest.test_case "stale records behind a checkpoint skipped" `Slow
+            test_journal_stale_records_skipped;
+          Alcotest.test_case "fuzzed journals never raise (2 seeds)" `Quick
+            test_journal_fuzz_never_raises;
+          Alcotest.test_case "reopen equals live handle (2 seeds)" `Slow
+            test_journal_reopen_equals_live;
+          Alcotest.test_case "v1/v2 stores fold v3 on first write" `Slow
+            test_old_formats_fold_on_first_write;
+          Alcotest.test_case "stats report the journal" `Quick test_stats_report_journal;
         ] );
       ( "formats",
         [
