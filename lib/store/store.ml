@@ -459,7 +459,8 @@ let append_object t ~key ~(prev : Manifest.object_meta option) ?(params = Codec.
                 | Some p when p.shard <> shard_id -> (
                     match shard_meta t p.shard with
                     | Some s ->
-                        [ { s with Manifest.dead_strands = s.dead_strands + object_strand_count p } ]
+                        let dead = s.dead_strands + object_strand_count p in
+                        [ { s with Manifest.dead_strands = dead } ]
                     | None -> [])
                 | _ -> []
               in

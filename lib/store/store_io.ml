@@ -1,8 +1,9 @@
 (* The store's filesystem boundary. [real] passes through to the OS;
    [faulty] wraps the same operations in a deterministic seeded fault
    layer (torn writes and appends, failed renames, ENOSPC, read
-   bit-rot, and a simulated kill at any fault point) so the crash-consistency harness
-   can sweep a crash across every distinct on-disk state. *)
+   bit-rot, and a simulated kill at any fault point) so the
+   crash-consistency harness can sweep a crash across every distinct
+   on-disk state. *)
 
 exception Crashed of { point : string; index : int }
 exception Io_failure of string
@@ -66,13 +67,17 @@ let torn_prefix plan ~index content =
   let n = String.length content in
   String.sub content 0 (Dna.Rng.int rng (max 1 n))
 
-let write_raw path content =
-  let oc = open_out_bin path in
+(* [mode] is [Open_trunc] to replace the file, [Open_append] to extend it. *)
+let output_raw mode path content =
+  let oc = open_out_gen [ Open_wronly; Open_creat; Open_binary; mode ] 0o666 path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       output_string oc content;
       flush oc)
+
+let write_raw = output_raw Open_trunc
+let append_raw = output_raw Open_append
 
 let rot_bases = [| 'A'; 'C'; 'G'; 'T' |]
 
@@ -135,14 +140,6 @@ let write_file_atomic t ~dir ~name content =
       | _ -> ());
       Sys.rename tmp dst;
       ignore (point s ("write.done:" ^ name))
-
-let append_raw path content =
-  let oc = open_out_gen [ Open_wronly; Open_append; Open_creat; Open_binary ] 0o644 path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      output_string oc content;
-      flush oc)
 
 let append t ~dir ~name content =
   let path = Filename.concat dir name in

@@ -8,8 +8,9 @@
     at any chosen {e fault point}. Fault points are the instants where a
     crash could leave the disk in a distinct state (before a temp file
     is written, mid-write, before and after the rename, before, during
-    and after an append, before a truncate or an unlink); the crash-consistency harness sweeps a kill across every
-    one of them and asserts the store reopens consistently.
+    and after an append, before a truncate or an unlink); the
+    crash-consistency harness sweeps a kill across every one of them
+    and asserts the store reopens consistently.
 
     All faults derive from the plan's seed alone, so a faulty run
     replays bit-identically. *)

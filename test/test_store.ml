@@ -891,7 +891,8 @@ let test_journal_torn_tail_every_offset () =
     write_whole (journal_path dir) (String.sub journal 0 cut);
     let store = ok_or_fail "open torn" (Store.open_store ~dir ()) in
     let label = Printf.sprintf "cut at %d" cut in
-    Alcotest.(check (list string)) (label ^ ": last record dropped") [ "a"; "b" ] (Store.keys store);
+    Alcotest.(check (list string))
+      (label ^ ": last record dropped") [ "a"; "b" ] (Store.keys store);
     Alcotest.(check int) (label ^ ": generation") before.Store.generation (Store.generation store);
     Alcotest.(check int) (label ^ ": tail cut away") start (file_size (journal_path dir));
     ok_or_fail "later append" (Store.delete store ~key:"a");
@@ -999,7 +1000,8 @@ let test_journal_reopen_equals_live () =
             let key = Printf.sprintf "k%d" !next in
             ok_or_fail "put" (Store.put store ~key (random_file r (20 + Dna.Rng.int r 60)));
             live := key :: !live
-        | `Overwrite -> ok_or_fail "overwrite" (Store.overwrite store ~key:(pick ()) (random_file r 40))
+        | `Overwrite ->
+            ok_or_fail "overwrite" (Store.overwrite store ~key:(pick ()) (random_file r 40))
         | `Delete ->
             let key = pick () in
             ok_or_fail "delete" (Store.delete store ~key);
@@ -1039,8 +1041,10 @@ let test_old_formats_fold_on_first_write () =
         (ok_or_fail "get" (Store.get ~use_cache:false store ~key:"old"));
       ok_or_fail "first write" (Store.put store ~key:"new1" d1);
       Alcotest.(check bool) (label ^ ": first write stamps version 3") true
-        (contains_substring ~needle:"\"format_version\": 3" (read_whole (Filename.concat dir "MANIFEST.json")));
-      Alcotest.(check int) (label ^ ": first write folded") 0 (Store.stats store).Store.journal_records;
+        (contains_substring ~needle:"\"format_version\": 3"
+           (read_whole (Filename.concat dir "MANIFEST.json")));
+      Alcotest.(check int) (label ^ ": first write folded") 0
+        (Store.stats store).Store.journal_records;
       ok_or_fail "second write" (Store.put store ~key:"new2" d2);
       Alcotest.(check int) (label ^ ": second write appended") 1
         (Store.stats store).Store.journal_records;
