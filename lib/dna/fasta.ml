@@ -77,17 +77,31 @@ let iter_file path ~f = fst (fold_file path ~init:() ~f:(fun () r -> f r))
 
 let read_file path = collect (fold_file path)
 
+(* Sized up front and filled in place: a store writes a whole shard
+   pool per put, and a doubling buffer plus its final copy allocated
+   about three times the output on the major heap. *)
 let to_string records =
-  let buf = Buffer.create 1024 in
+  let size =
+    List.fold_left (fun a { id; seq } -> a + String.length id + Strand.length seq + 3) 0 records
+  in
+  let b = Bytes.create size in
+  let pos = ref 0 in
+  let put c =
+    Bytes.unsafe_set b !pos c;
+    incr pos
+  in
   List.iter
     (fun { id; seq } ->
-      Buffer.add_char buf '>';
-      Buffer.add_string buf id;
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (Strand.to_string seq);
-      Buffer.add_char buf '\n')
+      put '>';
+      Bytes.blit_string id 0 b !pos (String.length id);
+      pos := !pos + String.length id;
+      put '\n';
+      for i = 0 to Strand.length seq - 1 do
+        put (Array.unsafe_get Strand.char_of_code (Strand.unsafe_get_code seq i))
+      done;
+      put '\n')
     records;
-  Buffer.contents buf
+  Bytes.unsafe_to_string b
 
 let write_file path records =
   let oc = open_out path in

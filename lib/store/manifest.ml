@@ -428,8 +428,6 @@ let replay (checkpoint : t) records =
 
 (* ---------- disk ---------- *)
 
-let write_file_atomic ?(io = Store_io.real) ~dir ~name content =
-  Store_io.write_file_atomic io ~dir ~name content
 
 let save ?(io = Store_io.real) ~dir (t : t) =
   let content = J.to_string (to_json t) in

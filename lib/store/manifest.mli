@@ -83,10 +83,6 @@ val to_json : t -> Store_json.t
 val of_json : Store_json.t -> (t, string) result
 (** Rejects unknown format versions and malformed fields. *)
 
-val write_file_atomic : ?io:Store_io.t -> dir:string -> name:string -> string -> unit
-(** Write-temp-then-rename within [dir]; used for the manifest and the
-    shard pools. Defaults to the real filesystem. *)
-
 val save : ?io:Store_io.t -> dir:string -> t -> int
 (** Write [t] as the checkpoint (stamped {!format_version}), temp then
     rename; returns its size in bytes. *)

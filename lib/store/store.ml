@@ -363,14 +363,20 @@ let load_pool_lenient t shard_id : (pool, error) result =
       | Ok (records, _errors) -> Ok (pool_of_records t shard_id records))
 
 (* Write a shard pool atomically and return the CRC-32 of its canonical
-   serialization — the checksum the manifest records for the file. *)
+   serialization — the checksum the manifest records for the file. The
+   pool goes out one record at a time: every put rewrites its shard, and
+   building the whole file as one string made it the largest allocation
+   of a write. *)
 let write_shard_file t ~file (strands : Dna.Strand.t array) =
-  let records =
-    Array.to_list (Array.mapi (fun i s -> { Dna.Fasta.id = Printf.sprintf "m_%d" i; seq = s }) strands)
-  in
-  let content = Dna.Fasta.to_string records in
-  Manifest.write_file_atomic ~io:t.io ~dir:t.dir ~name:file content;
-  Store_io.crc32 content
+  let crc = ref 0 in
+  Store_io.write_file_atomic_with t.io ~dir:t.dir ~name:file (fun put ->
+      Array.iteri
+        (fun i s ->
+          let record = Dna.Fasta.to_string [ { Dna.Fasta.id = Printf.sprintf "m_%d" i; seq = s } ] in
+          crc := Store_io.crc32_update !crc record;
+          put record)
+        strands);
+  !crc
 
 (* ---------- put / overwrite ---------- *)
 

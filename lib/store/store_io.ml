@@ -42,11 +42,13 @@ let crc_table =
          done;
          !c))
 
-let crc32 s =
+let crc32_update crc s =
   let table = Lazy.force crc_table in
-  let crc = ref 0xFFFFFFFF in
-  String.iter (fun ch -> crc := table.((!crc lxor Char.code ch) land 0xFF) lxor (!crc lsr 8)) s;
-  !crc lxor 0xFFFFFFFF
+  let c = ref (crc lxor 0xFFFFFFFF) in
+  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+  !c lxor 0xFFFFFFFF
+
+let crc32 s = crc32_update 0 s
 
 (* ---------- fault machinery ---------- *)
 
@@ -67,17 +69,18 @@ let torn_prefix plan ~index content =
   let n = String.length content in
   String.sub content 0 (Dna.Rng.int rng (max 1 n))
 
-(* [mode] is [Open_trunc] to replace the file, [Open_append] to extend it. *)
-let output_raw mode path content =
+(* [mode] is [Open_trunc] to replace the file, [Open_append] to extend
+   it; [emit] passes the content to its argument piece by piece. *)
+let output_raw mode path emit =
   let oc = open_out_gen [ Open_wronly; Open_creat; Open_binary; mode ] 0o666 path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc content;
+      emit (output_string oc);
       flush oc)
 
-let write_raw = output_raw Open_trunc
-let append_raw = output_raw Open_append
+let write_raw path content = output_raw Open_trunc path (fun put -> put content)
+let append_raw path content = output_raw Open_append path (fun put -> put content)
 
 let rot_bases = [| 'A'; 'C'; 'G'; 'T' |]
 
@@ -121,14 +124,19 @@ let data_write s ~point_name ~write path content =
     write path (torn_prefix s.plan ~index content);
     raise (Crashed { point = p; index })
 
-let write_file_atomic t ~dir ~name content =
+let write_file_atomic_with t ~dir ~name emit =
   let tmp = Filename.concat dir (name ^ ".tmp") in
   let dst = Filename.concat dir name in
   match t with
   | Real ->
-      write_raw tmp content;
+      (* Streamed, so a large file is never built as one string. *)
+      output_raw Open_trunc tmp emit;
       Sys.rename tmp dst
   | Faulty s ->
+      (* Torn prefixes need the whole content. *)
+      let b = Buffer.create 4096 in
+      emit (Buffer.add_string b);
+      let content = Buffer.contents b in
       let _ = point s ("write.tmp:" ^ name) in
       (* A torn write lands in the temp file, never the destination. *)
       data_write s ~point_name:("write.data:" ^ name) ~write:write_raw tmp content;
@@ -140,6 +148,9 @@ let write_file_atomic t ~dir ~name content =
       | _ -> ());
       Sys.rename tmp dst;
       ignore (point s ("write.done:" ^ name))
+
+let write_file_atomic t ~dir ~name content =
+  write_file_atomic_with t ~dir ~name (fun put -> put content)
 
 let append t ~dir ~name content =
   let path = Filename.concat dir name in

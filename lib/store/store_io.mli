@@ -61,6 +61,10 @@ val crc32 : string -> int
 (** Standard CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of a string, as
     a non-negative int. The store's shard and object checksums. *)
 
+val crc32_update : int -> string -> int
+(** [crc32_update (crc32 a) b = crc32 (a ^ b)]; [crc32_update 0 s =
+    crc32 s]. *)
+
 (** {2 Operations} *)
 
 val read_file : t -> string -> string
@@ -70,6 +74,12 @@ val read_file : t -> string -> string
 val write_file_atomic : t -> dir:string -> name:string -> string -> unit
 (** Write [dir/name.tmp], then rename over [dir/name]. Fault points:
     before the temp write, mid-data, before the rename, after it. *)
+
+val write_file_atomic_with :
+  t -> dir:string -> name:string -> ((string -> unit) -> unit) -> unit
+(** {!write_file_atomic} of the concatenation of the pieces [emit]
+    passes to its argument, called once. The real backend streams them
+    to the temp file without building the whole content. *)
 
 val append : t -> dir:string -> name:string -> string -> unit
 (** Append to [dir/name], creating it if missing. Fault points: before
