@@ -369,70 +369,6 @@ let pipeline_cmd =
           $ channel_arg $ error_rate_arg $ coverage_arg $ recon_arg $ sig_kind_arg $ seed_arg
           $ domains_arg)
 
-(* fountain-encode / fountain-decode *)
-
-let write_fountain_meta path ~(params : Codec.Fountain.params) ~k ~file_bytes =
-  Out_channel.with_open_text path (fun oc ->
-      Printf.fprintf oc
-        "chunk_bytes=%d\ninner_parity=%d\nc=%f\ndelta=%f\nscramble_seed=%d\nk=%d\nfile_bytes=%d\n"
-        params.Codec.Fountain.chunk_bytes params.inner_parity params.c params.delta
-        params.scramble_seed k file_bytes)
-
-let read_fountain_meta path =
-  let kv = read_sidecar path in
-  let int key = sidecar_field path kv ~expect:"an integer" int_of_string_opt key in
-  let float key = sidecar_field path kv ~expect:"a number" float_of_string_opt key in
-  ( {
-      Codec.Fountain.chunk_bytes = int "chunk_bytes";
-      inner_parity = int "inner_parity";
-      overhead = Codec.Fountain.default_params.Codec.Fountain.overhead;
-      c = float "c";
-      delta = float "delta";
-      scramble_seed = int "scramble_seed";
-    },
-    int "k",
-    int "file_bytes" )
-
-let fountain_encode_cmd =
-  let output = Arg.(required & opt (some string) None & info [ "output"; "o" ] ~docv:"FASTA" ~doc:"Output droplets.") in
-  let overhead = Arg.(value & opt float 0.6 & info [ "overhead" ] ~docv:"F" ~doc:"Droplet overhead factor.") in
-  let run input output overhead seed =
-    let rng = Dna.Rng.create seed in
-    let params = { Codec.Fountain.default_params with Codec.Fountain.overhead } in
-    let data = Bytes.of_string (In_channel.with_open_bin input In_channel.input_all) in
-    let enc = Codec.Fountain.encode ~params rng data in
-    let records =
-      Array.to_list
-        (Array.mapi (fun i s -> { Dna.Fasta.id = Printf.sprintf "droplet_%d" i; seq = s })
-           enc.Codec.Fountain.strands)
-    in
-    Dna.Fasta.write_file output records;
-    write_fountain_meta (output ^ ".meta") ~params ~k:enc.Codec.Fountain.k
-      ~file_bytes:enc.Codec.Fountain.file_bytes;
-    Printf.printf "fountain: %d bytes -> %d droplets (k=%d chunks) in %s (+.meta)\n"
-      (Bytes.length data) (Array.length enc.Codec.Fountain.strands) enc.Codec.Fountain.k output
-  in
-  Cmd.v (Cmd.info "fountain-encode" ~doc:"Encode a file into rateless fountain droplets.")
-    Term.(const run $ input_arg $ output $ overhead $ seed_arg)
-
-let fountain_decode_cmd =
-  let consensus = Arg.(required & opt (some file) None & info [ "consensus"; "c" ] ~docv:"FASTA" ~doc:"Reconstructed droplets.") in
-  let meta = Arg.(required & opt (some file) None & info [ "meta"; "m" ] ~docv:"META" ~doc:"Metadata sidecar.") in
-  let output = Arg.(required & opt (some string) None & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Recovered file.") in
-  let run consensus meta output =
-    let params, k, file_bytes = read_fountain_meta meta in
-    let records, _ = Dna.Fasta.read_file consensus in
-    let strands = List.map (fun r -> r.Dna.Fasta.seq) records in
-    match Codec.Fountain.decode ~params ~k ~file_bytes strands with
-    | Ok (bytes, stats) ->
-        Out_channel.with_open_bin output (fun oc -> Out_channel.output_bytes oc bytes);
-        Printf.printf "decoded %d bytes from %d droplets (%d rejected) -> %s\n"
-          (Bytes.length bytes) stats.Codec.Fountain.droplets_used stats.droplets_bad output
-    | Error e -> die "decode failed: %s" e
-  in
-  Cmd.v (Cmd.info "fountain-decode" ~doc:"Decode fountain droplets back into the file.")
-    Term.(const run $ consensus $ meta $ output)
-
 (* faults: run the named fault-scenario matrix and print a recovery
    report. The graceful-degradation contract under test: the pipeline
    never raises, reports what fraction of the file survived, and every
@@ -1078,7 +1014,7 @@ let main =
   Cmd.group (Cmd.info "dnastore" ~version:"1.0.0" ~doc)
     [
       encode_cmd; simulate_cmd; cluster_cmd; reconstruct_cmd; decode_cmd; pipeline_cmd;
-      fountain_encode_cmd; fountain_decode_cmd; inspect_cmd; faults_cmd; scenario_cmd; store_cmd; serve_cmd;
+      inspect_cmd; faults_cmd; scenario_cmd; store_cmd; serve_cmd;
     ]
 
 let () = exit (Cmd.eval main)

@@ -62,8 +62,6 @@ type result = {
   stats : stats;
 }
 
-let now () = Unix.gettimeofday ()
-
 (* Built for millions of reads: flat arrays, no per-read boxes.
 
    - representatives come from one reservoir-sampling pass over the
@@ -90,12 +88,12 @@ let run_scaled params rng (reads : Dna.Strand.t array) : result =
       clustering_time = 0.0;
     }
   in
-  let t_start = now () in
-  let t_sig0 = now () in
+  let t_start = Dna.Clock.now () in
+  let t_sig0 = Dna.Clock.now () in
   let index =
     Signature.Index.build ~domains:params.domains ~q:params.gram_len params.kind reads
   in
-  stats.signature_time <- now () -. t_sig0;
+  stats.signature_time <- Dna.Clock.now () -. t_sig0;
   let nkeys = 1 lsl (2 * params.partition_len) in
   (* Per-round scratch, allocated once. *)
   let cnt = Array.make n 0 in
@@ -222,7 +220,7 @@ let run_scaled params rng (reads : Dna.Strand.t array) : result =
       decisions;
     if stats.merges = merges_before then incr stall else stall := 0
   done;
-  stats.clustering_time <- now () -. t_start;
+  stats.clustering_time <- Dna.Clock.now () -. t_start;
   let clusters = Union_find.clusters dsu in
   let assignment = Array.init n (fun i -> Union_find.find dsu i) in
   { assignment; clusters; stats }

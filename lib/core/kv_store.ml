@@ -111,4 +111,4 @@ let get ?(stages = Pipeline.default_stages ()) ?(domains = Dna.Par.default_domai
           ~params:e.params ~layout:e.layout ~n_units:e.n_units (pcr_select t e.pair)
       with
       | Ok (bytes, _), timings -> Ok (bytes, timings)
-      | Error err, _ -> Error (Decode_failed (Codec.File_codec.error_message err)))
+      | Error reason, _ -> Error (Decode_failed reason))

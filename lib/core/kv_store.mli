@@ -65,5 +65,7 @@ val get :
     ({!Wetlab_io.ingest_pool}), clusters, reconstructs and decodes.
     Every call is a fresh sequencing run. [domains] (default
     {!Dna.Par.default_domains}) fans out reconstruction only; the
-    decoded bytes are the same for every [domains]. The timings are
+    decoded bytes are the same for every [domains]. Never raises: a
+    raising stage degrades as in {!Pipeline.run}, and [Decode_failed]
+    carries the decoder's message. The timings are
     {!Pipeline.random_access}'s. *)

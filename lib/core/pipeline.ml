@@ -1,11 +1,12 @@
 (** The end-to-end pipeline (Section III, Figure 1).
 
-    Five swappable stages: encoding, wetlab simulation, clustering, trace
-    reconstruction, decoding. Each stage is a function field in
-    {!stages}, so replacing any module is building a record — the OCaml
-    rendering of the paper's modularity claim. [run] wires a file through
-    all five and reports per-stage wall-clock latencies (Table III) plus
-    intermediate statistics.
+    Five stages: encoding, wetlab simulation, clustering, trace
+    reconstruction, decoding. The four between the codec's two ends are
+    function fields of {!stages} (channel, sequencing, cluster,
+    reconstruct), so replacing one is building a record; the codec is
+    {!Codec.File_codec}, chosen through [?params]/[?layout]. [run] wires
+    a file through all five and reports per-stage latencies (Table III)
+    plus intermediate statistics.
 
     Every read lives in one {!Dna.Strand_pool} from the channel to the
     consensus: sequencing streams into the arena, clustering returns
@@ -13,12 +14,14 @@
     no boxed strand per read, and per-cluster consensus state lives in
     reusable per-domain buffers ({!Reconstruction.Recon_arena}).
 
-    [run] never raises: a crashing stage (whether fault-injected through
-    [?faults] or a genuinely buggy swapped-in implementation) is caught
-    and degraded — clustering falls back to singleton clusters,
-    reconstruction falls back through the NW -> BMA -> majority chain per
-    cluster, and decode failures surface as a structured outcome with a
-    {!Codec.File_codec.partial_recovery} map of what survived. *)
+    The read half (cluster, sort, reconstruct, decode) exists once, in
+    [read_back], behind both [run] and [random_access]. Neither raises:
+    a crashing stage (whether fault-injected through [?faults] or a
+    genuinely buggy swapped-in implementation) is caught and degraded —
+    clustering falls back to singleton clusters, reconstruction falls
+    back through the NW -> BMA -> majority chain per cluster, and
+    decode failures surface as an error message ([run] adds a
+    {!Codec.File_codec.partial_recovery} map of what survived). *)
 
 type stages = {
   channel : Simulator.Channel.t;
@@ -142,9 +145,117 @@ let percentile (xs : float array) q =
   end
 
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Dna.Clock.now () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Dna.Clock.now () -. t0)
+
+(* What the read side hands its caller: the decode result, the cluster,
+   reconstruct (with its per-cluster p50/p95) and decode times (the
+   other [timings] fields 0), and the figures an [outcome] reports. *)
+type read = {
+  decoded : (Bytes.t * Codec.File_codec.decode_stats, string) result;
+  read_timings : timings;
+  read_clusters : int;
+  words_per_cluster : float;
+  read_failures : (Faults.stage * string) list;  (** oldest first *)
+}
+
+(* The read side of Figure 1, shared by [run] and [random_access]:
+   cluster the arena (drawing from [rng]), sort the slices, reconstruct
+   every non-empty slice on [domains] workers, decode. Never raises:
+   a raising cluster stage falls back to singleton clusters, a raising
+   reconstruct stage to the NW -> BMA -> majority chain for that
+   cluster, and a decode crash becomes an [Error]. [faults] triggers
+   the plan's crash/stuck faults at stage entry and injects its cluster
+   loss after clustering. *)
+let read_back ?faults stages rng ~params ~layout ~n_units ~domains pool =
+  let failures = ref [] in
+  let note stage e = failures := (stage, Printexc.to_string e) :: !failures in
+  let trigger stage = match faults with Some p -> Faults.trigger p stage | None -> () in
+  let slices, cluster_s =
+    time (fun () ->
+        try
+          trigger Faults.Cluster;
+          stages.cluster rng pool
+        with e ->
+          note Faults.Cluster e;
+          (* Graceful fallback: every read its own cluster. Costly in
+             decode quality, but keeps the erasure machinery fed. *)
+          List.init (Dna.Strand_pool.length pool) (fun i -> [| i |]))
+  in
+  let slices =
+    match faults with Some p -> Faults.inject_cluster_slices p slices | None -> slices
+  in
+  let target_len = Codec.Params.strand_nt params in
+  (* Per-cluster task results: (consensus, error, wall seconds, minor
+     words allocated; -1 marks an empty cluster that ran nothing).
+     Tasks run on worker domains, so errors are noted serially
+     afterwards. *)
+  let reconstructed, reconstruct_s =
+    time (fun () ->
+        let slice_arr = Array.of_list slices in
+        sort_cluster_slices pool slice_arr;
+        Dna.Par.map_array ~label:"pipeline.reconstruct" ~domains
+          (fun idxs ->
+            if Array.length idxs = 0 then (None, None, 0.0, -1.0)
+            else begin
+              let w0 = Gc.minor_words () in
+              let t0 = Dna.Clock.now () in
+              match
+                trigger Faults.Reconstruct;
+                stages.reconstruct ~target_len pool idxs
+              with
+              | s -> (Some s, None, Dna.Clock.now () -. t0, Gc.minor_words () -. w0)
+              | exception e ->
+                  ( Reconstruction.Ensemble.reconstruct_fallback_pool ~target_len pool idxs,
+                    Some (Printexc.to_string e),
+                    Dna.Clock.now () -. t0,
+                    Gc.minor_words () -. w0 )
+            end)
+          slice_arr)
+  in
+  (match Array.find_opt (fun (_, err, _, _) -> err <> None) reconstructed with
+  | Some (_, Some msg, _, _) -> failures := (Faults.Reconstruct, msg) :: !failures
+  | _ -> ());
+  let ran = List.filter (fun (r, _, _, _) -> r <> None) (Array.to_list reconstructed) in
+  let cluster_times = Array.of_list (List.map (fun (_, _, dt, _) -> dt) ran) in
+  let words_per_cluster =
+    match
+      List.filter_map
+        (fun (_, _, _, dw) -> if dw >= 0.0 then Some dw else None)
+        (Array.to_list reconstructed)
+    with
+    | [] -> 0.0
+    | ws -> List.fold_left ( +. ) 0.0 ws /. float_of_int (List.length ws)
+  in
+  let consensus = List.filter_map (fun (r, _, _, _) -> r) ran in
+  let decoded, decode_s =
+    time (fun () ->
+        match
+          trigger Faults.Decode;
+          Codec.File_codec.decode ~layout ~params ~n_units consensus
+        with
+        | Ok r -> Ok r
+        | Error err -> Error (Codec.File_codec.error_message err)
+        | exception e ->
+            note Faults.Decode e;
+            Error "decode stage crashed")
+  in
+  {
+    decoded;
+    read_timings =
+      {
+        zero_timings with
+        cluster_s;
+        reconstruct_s;
+        reconstruct_p50_s = percentile cluster_times 0.50;
+        reconstruct_p95_s = percentile cluster_times 0.95;
+        decode_s;
+      };
+    read_clusters = List.length slices;
+    words_per_cluster;
+    read_failures = List.rev !failures;
+  }
 
 (* Run the full pipeline on [file]. [domains] parallelizes per-cluster
    reconstruction (clustering honors its own [params.domains], set
@@ -157,23 +268,6 @@ let run ?(params = Codec.Params.default) ?(layout = Codec.Layout.Baseline) ?stag
   let failures = ref [] in
   let note stage e = failures := (stage, Printexc.to_string e) :: !failures in
   let trigger stage = match faults with Some p -> Faults.trigger p stage | None -> () in
-  let inject f x = match faults with Some p -> f p x | None -> x in
-  let failed_outcome ?(timings = zero_timings) ?(n_strands = 0) ?(n_reads = 0) ?(n_clusters = 0)
-      ?(n_units = 0) ?(words_per_cluster = 0.0) error =
-    {
-      file = None;
-      exact = false;
-      partial = Codec.File_codec.no_recovery ~n_units;
-      stage_failures = List.rev !failures;
-      decode_error = Some error;
-      timings;
-      n_strands;
-      n_reads;
-      n_clusters;
-      reconstruct_words_per_cluster = words_per_cluster;
-      decode_stats = None;
-    }
-  in
   let encoded, encode_s =
     time (fun () ->
         try
@@ -185,11 +279,22 @@ let run ?(params = Codec.Params.default) ?(layout = Codec.Layout.Baseline) ?stag
   in
   match encoded with
   | None ->
-      failed_outcome ~timings:{ zero_timings with encode_s }
-        "encode stage failed; nothing to recover"
+      {
+        file = None;
+        exact = false;
+        partial = Codec.File_codec.no_recovery ~n_units:0;
+        stage_failures = List.rev !failures;
+        decode_error = Some "encode stage failed; nothing to recover";
+        timings = { zero_timings with encode_s };
+        n_strands = 0;
+        n_reads = 0;
+        n_clusters = 0;
+        reconstruct_words_per_cluster = 0.0;
+        decode_stats = None;
+      }
   | Some encoded ->
-      let strands = inject Faults.inject_strands encoded.Codec.File_codec.strands in
-      let target_len = Codec.Params.strand_nt params in
+      let strands = encoded.Codec.File_codec.strands in
+      let strands = match faults with Some p -> Faults.inject_strands p strands | None -> strands in
       let n_units = encoded.Codec.File_codec.n_units in
       let pool, simulate_s =
         time (fun () ->
@@ -221,150 +326,53 @@ let run ?(params = Codec.Params.default) ?(layout = Codec.Layout.Baseline) ?stag
             Dna.Strand_pool.of_strands
               (Faults.inject_reads plan (Dna.Strand_pool.to_array pool))
       in
-      let slices, cluster_s =
-        time (fun () ->
-            try
-              trigger Faults.Cluster;
-              stages.cluster rng pool
-            with e ->
-              note Faults.Cluster e;
-              (* Graceful fallback: every read its own cluster. Costly in
-                 decode quality, but keeps the erasure machinery fed. *)
-              List.init (Dna.Strand_pool.length pool) (fun i -> [| i |]))
-      in
-      let slices = inject Faults.inject_cluster_slices slices in
-      (* Per-cluster task results: (consensus, error, wall seconds, minor
-         words allocated; -1 marks an empty cluster that ran nothing).
-         Tasks run on worker domains, so errors are noted serially
-         afterwards. *)
-      let reconstructed, reconstruct_s =
-        time (fun () ->
-            let slice_arr = Array.of_list slices in
-            sort_cluster_slices pool slice_arr;
-            Dna.Par.map_array ~label:"pipeline.reconstruct" ~domains
-              (fun idxs ->
-                if Array.length idxs = 0 then (None, None, 0.0, -1.0)
-                else begin
-                  let w0 = Gc.minor_words () in
-                  let t0 = Unix.gettimeofday () in
-                  match
-                    trigger Faults.Reconstruct;
-                    stages.reconstruct ~target_len pool idxs
-                  with
-                  | s -> (Some s, None, Unix.gettimeofday () -. t0, Gc.minor_words () -. w0)
-                  | exception e ->
-                      ( Reconstruction.Ensemble.reconstruct_fallback_pool ~target_len pool idxs,
-                        Some (Printexc.to_string e),
-                        Unix.gettimeofday () -. t0,
-                        Gc.minor_words () -. w0 )
-                end)
-              slice_arr)
-      in
-      (match Array.find_opt (fun (_, err, _, _) -> err <> None) reconstructed with
-      | Some (_, Some msg, _, _) -> failures := (Faults.Reconstruct, msg) :: !failures
-      | _ -> ());
-      let ran = List.filter (fun (r, _, _, _) -> r <> None) (Array.to_list reconstructed) in
-      let cluster_times = Array.of_list (List.map (fun (_, _, dt, _) -> dt) ran) in
-      let words_per_cluster =
-        match
-          List.filter_map
-            (fun (_, _, _, dw) -> if dw >= 0.0 then Some dw else None)
-            (Array.to_list reconstructed)
-        with
-        | [] -> 0.0
-        | ws -> List.fold_left ( +. ) 0.0 ws /. float_of_int (List.length ws)
-      in
-      let consensus = List.filter_map (fun (r, _, _, _) -> r) ran in
-      let decoded, decode_s =
-        time (fun () ->
-            try
-              trigger Faults.Decode;
-              Some (Codec.File_codec.decode ~layout ~params ~n_units consensus)
-            with e ->
-              note Faults.Decode e;
-              None)
-      in
-      let timings =
+      let r = read_back ?faults stages rng ~params ~layout ~n_units ~domains pool in
+      let outcome =
         {
-          encode_s;
-          simulate_s;
-          demux_s = 0.0;
-          cluster_s;
-          reconstruct_s;
-          reconstruct_p50_s = percentile cluster_times 0.50;
-          reconstruct_p95_s = percentile cluster_times 0.95;
-          decode_s;
+          file = None;
+          exact = false;
+          partial = Codec.File_codec.no_recovery ~n_units;
+          stage_failures = List.rev_append !failures r.read_failures;
+          decode_error = None;
+          timings = { r.read_timings with encode_s; simulate_s };
+          n_strands = Array.length strands;
+          n_reads = Dna.Strand_pool.length pool;
+          n_clusters = r.read_clusters;
+          reconstruct_words_per_cluster = r.words_per_cluster;
+          decode_stats = None;
         }
       in
-      let n_strands = Array.length strands
-      and n_reads = Dna.Strand_pool.length pool
-      and n_clusters = List.length slices in
-      match decoded with
-      | Some (Ok (bytes, stats)) ->
+      match r.decoded with
+      | Ok (bytes, stats) ->
           {
+            outcome with
             file = Some bytes;
             exact = Bytes.equal bytes file;
             partial = Codec.File_codec.partial ~params ~file_len:(Bytes.length bytes) stats;
-            stage_failures = List.rev !failures;
-            decode_error = None;
-            timings;
-            n_strands;
-            n_reads;
-            n_clusters;
-            reconstruct_words_per_cluster = words_per_cluster;
             decode_stats = Some stats;
           }
-      | Some (Error err) ->
-          failed_outcome ~timings ~n_strands ~n_reads ~n_clusters ~n_units ~words_per_cluster
-            (Codec.File_codec.error_message err)
-      | None ->
-          failed_outcome ~timings ~n_strands ~n_reads ~n_clusters ~n_units ~words_per_cluster
-            "decode stage crashed"
+      | Error msg -> { outcome with decode_error = Some msg }
 
 let replays a b = Option.equal Bytes.equal a.file b.file && a.partial = b.partial
 
 (* The random-access read path (Section II-F) from a file's PCR-selected
    molecules to its decoded bytes: sequence them in both orientations,
-   demultiplex the file's one primer pair, cluster, reconstruct the
-   largest clusters first, decode. Unlike [run] nothing here degrades:
-   a stage that raises propagates. *)
+   demultiplex the file's one primer pair, then the shared read side. *)
 let random_access ~domains stages ~seq_rng ~cluster_rng ~pair ~params ~layout ~n_units selected
     =
-  let t0 = Unix.gettimeofday () in
-  let sequencing = { stages.sequencing with Simulator.Sequencer.p_reverse = 0.5 } in
-  let reads = Dna.Strand_pool.create () in
-  ignore (Simulator.Sequencer.sequence_pool sequencing stages.channel seq_rng selected ~pool:reads);
-  let t1 = Unix.gettimeofday () in
-  let cores =
-    match (Wetlab_io.ingest_pool [ pair ] reads).Wetlab_io.pools_by_pair with
-    | [ (_, cores) ] -> cores
-    | _ -> Dna.Strand_pool.create ()
+  let reads, simulate_s =
+    time (fun () ->
+        let sequencing = { stages.sequencing with Simulator.Sequencer.p_reverse = 0.5 } in
+        let reads = Dna.Strand_pool.create () in
+        ignore
+          (Simulator.Sequencer.sequence_pool sequencing stages.channel seq_rng selected ~pool:reads);
+        reads)
   in
-  let td = Unix.gettimeofday () in
-  let slices = Array.of_list (stages.cluster cluster_rng cores) in
-  let t2 = Unix.gettimeofday () in
-  sort_cluster_slices cores slices;
-  let target_len = Codec.Params.strand_nt params in
-  let reconstructed =
-    Dna.Par.map_array ~label:"random_access.reconstruct" ~domains
-      (fun idxs ->
-        if Array.length idxs = 0 then None
-        else Some (time (fun () -> stages.reconstruct ~target_len cores idxs)))
-      slices
+  let cores, demux_s =
+    time (fun () ->
+        match (Wetlab_io.ingest_pool [ pair ] reads).Wetlab_io.pools_by_pair with
+        | [ (_, cores) ] -> cores
+        | _ -> Dna.Strand_pool.create ())
   in
-  let ran = List.filter_map Fun.id (Array.to_list reconstructed) in
-  let t3 = Unix.gettimeofday () in
-  let result = Codec.File_codec.decode ~layout ~params ~n_units (List.map fst ran) in
-  let t4 = Unix.gettimeofday () in
-  let cluster_times = Array.of_list (List.map snd ran) in
-  ( result,
-    {
-      encode_s = 0.0;
-      simulate_s = t1 -. t0;
-      demux_s = td -. t1;
-      cluster_s = t2 -. td;
-      reconstruct_s = t3 -. t2;
-      reconstruct_p50_s = percentile cluster_times 0.50;
-      reconstruct_p95_s = percentile cluster_times 0.95;
-      decode_s = t4 -. t3;
-    } )
+  let r = read_back stages cluster_rng ~params ~layout ~n_units ~domains cores in
+  (r.decoded, { r.read_timings with simulate_s; demux_s })

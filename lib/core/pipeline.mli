@@ -1,6 +1,8 @@
-(** The end-to-end pipeline (Section III, Figure 1): five swappable
-    stages wired from a file to its recovery, with per-stage wall-clock
-    latencies (Table III).
+(** The end-to-end pipeline (Section III, Figure 1): five stages wired
+    from a file to its recovery, with per-stage latencies (Table III) on
+    the monotonic {!Dna.Clock}. The four stages between the codec's two
+    ends are the fields of {!stages}; the codec is {!Codec.File_codec},
+    chosen through [?params] and [?layout].
 
     There is one decode spine: every read stays in one
     {!Dna.Strand_pool} arena from the channel to the consensus.
@@ -10,9 +12,11 @@
     slice, e.g.
     [fun ~target_len pool idxs -> f ~target_len (Array.map (Dna.Strand_pool.get pool) idxs)].
 
-    [run] never raises: crashing stages are caught and degraded, decode
-    failures surface as a structured outcome, and the [partial] record
-    maps what survived. *)
+    There is one read side, too: {!run} and {!random_access} share the
+    cluster, sort, reconstruct and decode code, its timers and its
+    degradation. Neither raises: crashing stages are caught and
+    degraded, and decode failures surface as values ([run]'s [partial]
+    record maps what survived). *)
 
 type stages = {
   channel : Simulator.Channel.t;
@@ -30,7 +34,7 @@ type timings = {
   cluster_s : float;
   reconstruct_s : float;
   reconstruct_p50_s : float;
-      (** median per-cluster reconstruction wall time (0 outside [run]) *)
+      (** median per-cluster reconstruction wall time *)
   reconstruct_p95_s : float;
       (** 95th-percentile per-cluster reconstruction wall time: the tail
           a perf change must move, dominated by the largest clusters *)
@@ -88,8 +92,8 @@ val sort_cluster_slices : Dna.Strand_pool.t -> int array array -> unit
     lexicographic, compared through their pool views) so the order is
     deterministic however the clustering stage emitted them — e.g.
     across [--domains] settings. The Par pool also starts the big
-    clusters first (tail latency). Shared by [run] and the random-access
-    path ({!random_access}). *)
+    clusters first (tail latency). Called once, by the read side that
+    [run] and {!random_access} share. *)
 
 val run :
   ?params:Codec.Params.t -> ?layout:Codec.Layout.t -> ?stages:stages -> ?domains:int ->
@@ -139,7 +143,7 @@ val random_access :
   domains:int -> stages -> seq_rng:Dna.Rng.t -> cluster_rng:Dna.Rng.t ->
   pair:Codec.Primer.pair -> params:Codec.Params.t -> layout:Codec.Layout.t -> n_units:int ->
   Dna.Strand.t array ->
-  (Bytes.t * Codec.File_codec.decode_stats, Codec.File_codec.error) result * timings
+  (Bytes.t * Codec.File_codec.decode_stats, string) result * timings
 (** The primer-addressed random-access read (Section II-F), from one
     file's PCR-selected molecules to its decoded bytes: the one recovery
     behind {!Kv_store.get} and the persistent store's reads (gets,
@@ -148,10 +152,16 @@ val random_access :
     It sequences the molecules with [stages], each read reversed with
     probability one half as a real run delivers them, drawing from
     [seq_rng]. {!Wetlab_io.ingest_pool} orients the reads and strips
-    [pair]'s primers. It then clusters (drawing from [cluster_rng]),
-    sorts the slices ({!sort_cluster_slices}), reconstructs each
-    non-empty slice on [domains] workers and decodes. The result is the
-    same for every [domains]; one rng passed as both streams draws
-    sequencing first. Unlike {!run} nothing degrades: a raising stage
-    propagates. The timings put demultiplexing in [demux_s], apart from
-    [cluster_s]; [encode_s] is 0. *)
+    [pair]'s primers. It then runs {!run}'s read side: clusters (drawing
+    from [cluster_rng]), sorts the slices ({!sort_cluster_slices}),
+    reconstructs each non-empty slice on [domains] workers and decodes.
+    The result is the same for every [domains]; one rng passed as both
+    streams draws sequencing first.
+
+    It degrades exactly as {!run} does and never raises: a raising
+    cluster stage falls back to singleton clusters, a raising
+    reconstruct stage to
+    {!Reconstruction.Ensemble.reconstruct_fallback_pool} for that
+    cluster, and a decode failure or crash is an [Error] message. The
+    timings put demultiplexing in [demux_s], apart from [cluster_s];
+    [encode_s] is 0. *)

@@ -46,12 +46,12 @@ let run_full ?params ?layout ?(coverage = 10) ?domains ?(fault = "clean") ~seed 
             { (Pipeline.default_stages ~coverage ()) with Pipeline.channel = built.channel }
           in
           let rng = Dna.Rng.create seed in
-          let t0 = Unix.gettimeofday () in
+          let t0 = Dna.Clock.now () in
           let out =
             Pipeline.run ?params ?layout ~stages ?domains ~faults:plan
               ?prepare:built.Simulator.Scenario.prepare rng data
           in
-          let wall_s = Unix.gettimeofday () -. t0 in
+          let wall_s = Dna.Clock.now () -. t0 in
           let recovered_fraction =
             out.Pipeline.partial.Codec.File_codec.recovered_fraction
           in

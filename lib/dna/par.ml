@@ -265,8 +265,8 @@ let run_chunks ~domains ~n chunk_f =
     end
 
 let timed ~label ~tasks f =
-  let t0 = Unix.gettimeofday () in
-  let finish () = record ~label ~tasks ~wall_s:(Unix.gettimeofday () -. t0) in
+  let t0 = Clock.now () in
+  let finish () = record ~label ~tasks ~wall_s:(Clock.now () -. t0) in
   match f () with
   | r ->
       finish ();

@@ -110,7 +110,7 @@ let submit t ~client request =
     let ticket = t.next_ticket in
     t.next_ticket <- ticket + 1;
     Queue.add
-      { p_ticket = ticket; p_client = client; p_request = request; p_submitted_s = Unix.gettimeofday () }
+      { p_ticket = ticket; p_client = client; p_request = request; p_submitted_s = Dna.Clock.now () }
       t.queue;
     Ok ticket
   end
@@ -127,7 +127,7 @@ let step t : completion list =
     (* Deadlines are judged once, at round start: a request that has
        already waited past its deadline is answered [Timed_out] and
        costs no wetlab work. *)
-    let round_start = Unix.gettimeofday () in
+    let round_start = Dna.Clock.now () in
     let deadline_verdict p =
       match t.cfg.deadline_s with
       | None -> None
@@ -211,7 +211,7 @@ let step t : completion list =
             request = p.p_request;
             result;
             submitted_s = p.p_submitted_s;
-            completed_s = Unix.gettimeofday ();
+            completed_s = Dna.Clock.now ();
           })
         round
     in
@@ -313,7 +313,7 @@ module Workload = struct
     let submitted = ref 0 in
     let retries = ref 0 in
     let gave_up = ref 0 in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Dna.Clock.now () in
     (* Closed loop: each scheduling turn, every client puts its next
        operation in flight (one apiece), then the scheduler runs a
        round. A rejected submission backs off exponentially — the head
@@ -357,7 +357,7 @@ module Workload = struct
       incr round_no
     done;
     let completions = List.rev !completions in
-    let wall_s = Unix.gettimeofday () -. t0 in
+    let wall_s = Dna.Clock.now () -. t0 in
     let lat_ms =
       Array.of_list (List.map (fun c -> 1000.0 *. (c.completed_s -. c.submitted_s)) completions)
     in

@@ -66,8 +66,10 @@ type completion = {
   client : int;
   request : request;
   result : (response, error) result;
-  submitted_s : float;  (** wall clock at admission *)
-  completed_s : float;  (** wall clock when the round serving it finished *)
+  submitted_s : float;  (** {!Dna.Clock.now} at admission *)
+  completed_s : float;
+      (** {!Dna.Clock.now} when the round serving it finished; only its
+          difference from [submitted_s] is meaningful *)
 }
 
 type stats = {

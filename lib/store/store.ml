@@ -607,10 +607,7 @@ let run_access_task t (o : Manifest.object_meta) ~depth selected :
     Dnastore.Pipeline.random_access ~domains:1 stages ~seq_rng ~cluster_rng ~pair:o.pair
       ~params:o.params ~layout:o.layout ~n_units:o.n_units selected
   in
-  ( Result.map_error
-      (fun e -> Decode_failed { key = o.key; reason = Codec.File_codec.error_message e })
-      result,
-    timings )
+  (Result.map_error (fun reason -> Decode_failed { key = o.key; reason }) result, timings)
 
 (* Fold one access's stage times into the store's totals. Serial: the
    parallel get path calls it after its tasks have joined. *)

@@ -1,50 +1,9 @@
-(* Tests for the alternative modules: synthesis/PCR wetlab stages,
-   constrained coding, the fountain codec, Clover clustering and the
-   LDPC code. *)
+(* Tests for the alternative modules: the PCR amplification model
+   (scenario pool stacks),
+   constrained coding (E9), Clover clustering (E11) and the LDPC code
+   (E10). *)
 
 let rng () = Dna.Rng.create 60221023
-
-(* ---------- synthesis ---------- *)
-
-let test_synthesis_perfect_coupling () =
-  let r = rng () in
-  let p = { Simulator.Synthesis.default_params with coupling_efficiency = 1.0; p_sub = 0.0 } in
-  let designs = Array.init 5 (fun _ -> Dna.Strand.random r 60) in
-  let pool = Simulator.Synthesis.synthesize ~params:p r designs in
-  Alcotest.(check int) "all full length copies" (5 * p.Simulator.Synthesis.copies)
-    (Array.length pool);
-  Array.iter
-    (fun m -> Alcotest.(check bool) "is a design" true (Array.exists (Dna.Strand.equal m) designs))
-    pool
-
-let test_synthesis_truncation () =
-  let r = rng () in
-  let p =
-    { Simulator.Synthesis.default_params with coupling_efficiency = 0.97; keep_truncated = 1.0 }
-  in
-  let designs = [| Dna.Strand.random r 150 |] in
-  let pool = Simulator.Synthesis.synthesize ~params:p r designs in
-  let truncated = Array.to_list pool |> List.filter (fun m -> Dna.Strand.length m < 150) in
-  Alcotest.(check bool) "truncated products exist" true (List.length truncated > 0);
-  List.iter
-    (fun m ->
-      (* Each truncated product is a prefix of the design (up to subs). *)
-      Alcotest.(check bool) "is a prefix length" true (Dna.Strand.length m <= 150))
-    truncated
-
-let test_synthesis_yield_formula () =
-  let p = Simulator.Synthesis.default_params in
-  let y = Simulator.Synthesis.full_length_yield p ~len:100 in
-  Alcotest.(check bool) "0.99^100 ~ 0.366" true (abs_float (y -. 0.366) < 0.01)
-
-let test_synthesis_channel_nonempty () =
-  let r = rng () in
-  let ch = Simulator.Synthesis.channel () in
-  for _ = 1 to 20 do
-    let s = Dna.Strand.random r 80 in
-    Alcotest.(check bool) "nonempty read" true
-      (Dna.Strand.length (Simulator.Channel.transmit ch r s) > 0)
-  done
 
 (* ---------- pcr ---------- *)
 
@@ -133,71 +92,6 @@ let test_constrained_detects_repeat () =
   | Error (Codec.Constrained.Repeated_base _) -> ()
   | Error e -> Alcotest.fail (Codec.Constrained.error_message e)
   | Ok _ -> Alcotest.fail "repeated base accepted"
-
-(* ---------- fountain ---------- *)
-
-let test_fountain_roundtrip () =
-  let r = rng () in
-  List.iter
-    (fun size ->
-      let file = Bytes.init size (fun _ -> Char.chr (Dna.Rng.int r 256)) in
-      let enc = Codec.Fountain.encode r file in
-      match
-        Codec.Fountain.decode ~k:enc.Codec.Fountain.k ~file_bytes:enc.file_bytes
-          (Array.to_list enc.Codec.Fountain.strands)
-      with
-      | Ok (out, _) -> Alcotest.(check bytes) (Printf.sprintf "size %d" size) file out
-      | Error e -> Alcotest.fail e)
-    [ 1; 100; 1000; 3000 ]
-
-let test_fountain_survives_droplet_loss () =
-  let r = rng () in
-  let file = Bytes.init 1500 (fun _ -> Char.chr (Dna.Rng.int r 256)) in
-  let ok = ref 0 and trials = 10 in
-  for _ = 1 to trials do
-    let enc = Codec.Fountain.encode r file in
-    let survivors =
-      Array.to_list enc.Codec.Fountain.strands |> List.filteri (fun i _ -> i mod 5 <> 0)
-    in
-    match Codec.Fountain.decode ~k:enc.Codec.Fountain.k ~file_bytes:enc.file_bytes survivors with
-    | Ok (out, _) when Bytes.equal out file -> incr ok
-    | _ -> ()
-  done;
-  Alcotest.(check bool) (Printf.sprintf "20%% loss tolerated (%d/%d)" !ok trials) true (!ok >= 8)
-
-let test_fountain_rejects_garbage_droplets () =
-  let r = rng () in
-  let file = Bytes.init 800 (fun _ -> Char.chr (Dna.Rng.int r 256)) in
-  let enc = Codec.Fountain.encode r file in
-  let garbage =
-    List.init 10 (fun _ -> Dna.Strand.random r (Codec.Fountain.strand_nt enc.Codec.Fountain.params))
-  in
-  match
-    Codec.Fountain.decode ~k:enc.Codec.Fountain.k ~file_bytes:enc.file_bytes
-      (garbage @ Array.to_list enc.Codec.Fountain.strands)
-  with
-  | Ok (out, stats) ->
-      Alcotest.(check bytes) "decoded despite garbage" file out;
-      Alcotest.(check bool) "most garbage rejected by seed checksum" true
-        (stats.Codec.Fountain.droplets_bad >= 8)
-  | Error e -> Alcotest.fail e
-
-let test_fountain_seed_roundtrip () =
-  for v = 0 to 1000 do
-    let v = v * 65521 land Codec.Codec_seed.max_value in
-    match Codec.Codec_seed.decode32 (Codec.Codec_seed.encode32 v) with
-    | Some v' -> Alcotest.(check int) "seed roundtrip" v v'
-    | None -> Alcotest.fail "clean seed rejected"
-  done
-
-let test_fountain_soliton_normalized () =
-  List.iter
-    (fun k ->
-      let dist = Codec.Fountain.robust_soliton ~k ~c:0.1 ~delta:0.05 in
-      let sum = Array.fold_left ( +. ) 0.0 dist in
-      Alcotest.(check bool) "normalized" true (abs_float (sum -. 1.0) < 1e-9);
-      Array.iter (fun p -> Alcotest.(check bool) "nonnegative" true (p >= 0.0)) dist)
-    [ 2; 10; 67; 500 ]
 
 (* ---------- clover ---------- *)
 
@@ -332,13 +226,6 @@ let prop_ldpc_encode_valid =
 let () =
   Alcotest.run "alternatives"
     [
-      ( "synthesis",
-        [
-          Alcotest.test_case "perfect coupling" `Quick test_synthesis_perfect_coupling;
-          Alcotest.test_case "truncation" `Quick test_synthesis_truncation;
-          Alcotest.test_case "yield formula" `Quick test_synthesis_yield_formula;
-          Alcotest.test_case "channel nonempty" `Quick test_synthesis_channel_nonempty;
-        ] );
       ( "pcr",
         [
           Alcotest.test_case "exponential growth" `Quick test_pcr_growth;
@@ -353,14 +240,6 @@ let () =
           Alcotest.test_case "no homopolymers" `Quick test_constrained_no_homopolymers;
           Alcotest.test_case "density" `Quick test_constrained_density;
           Alcotest.test_case "detects repeats" `Quick test_constrained_detects_repeat;
-        ] );
-      ( "fountain",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_fountain_roundtrip;
-          Alcotest.test_case "droplet loss" `Quick test_fountain_survives_droplet_loss;
-          Alcotest.test_case "garbage droplets" `Quick test_fountain_rejects_garbage_droplets;
-          Alcotest.test_case "seed roundtrip" `Quick test_fountain_seed_roundtrip;
-          Alcotest.test_case "soliton normalized" `Quick test_fountain_soliton_normalized;
         ] );
       ( "clover",
         [

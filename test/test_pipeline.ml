@@ -226,6 +226,37 @@ let test_kv_put_failure_releases_pair () =
   | Ok (bytes, _) -> Alcotest.(check string) "retry decodes" "now valid" (Bytes.to_string bytes)
   | Error _ -> Alcotest.fail "retry after failed put did not decode"
 
+(* Random access degrades as [Pipeline.run] does: a raising cluster or
+   reconstruct stage is caught inside the shared read side, so a get
+   answers a value and never lets the exception out. *)
+let kv_get_with_broken_stage stages =
+  let file = Bytes.of_string (String.make 300 'r') in
+  let store = Dnastore.Kv_store.create ~seed:18 in
+  Dnastore.Kv_store.put_exn store ~key:"k" file;
+  match Dnastore.Kv_store.get ~stages ~domains:1 store ~key:"k" with
+  | Ok (bytes, _) -> Some (Bytes.equal bytes file)
+  | Error (Dnastore.Kv_store.Decode_failed _) -> None
+  | Error Dnastore.Kv_store.Key_not_found -> Alcotest.fail "stored key not found"
+  | exception e -> Alcotest.failf "get raised %s" (Printexc.to_string e)
+
+let test_kv_get_cluster_stage_raises () =
+  let stages =
+    { (Dnastore.Pipeline.default_stages ()) with cluster = (fun _ _ -> failwith "cluster bug") }
+  in
+  ignore (kv_get_with_broken_stage stages : bool option)
+
+let test_kv_get_reconstruct_stage_raises () =
+  let stages =
+    {
+      (Dnastore.Pipeline.default_stages ()) with
+      reconstruct = (fun ~target_len:_ _ _ -> failwith "reconstruct bug");
+    }
+  in
+  (* Every cluster falls back to NW -> BMA -> majority, which recovers
+     this clean, well-covered file exactly. *)
+  Alcotest.(check (option bool)) "fallback consensus decodes exactly" (Some true)
+    (kv_get_with_broken_stage stages)
+
 (* The tolerant full-pool scan that [Primer_index.select] replaced: the
    oracle the indexed gather must agree with whenever the index covers
    the pair. *)
@@ -512,6 +543,10 @@ let () =
           Alcotest.test_case "failed put releases pair" `Quick test_kv_put_failure_releases_pair;
           Alcotest.test_case "indexed select = scan" `Quick test_kv_indexed_select_matches_scan;
           Alcotest.test_case "get repeatable" `Quick test_kv_get_repeatable;
+          Alcotest.test_case "raising cluster stage degrades" `Quick
+            test_kv_get_cluster_stage_raises;
+          Alcotest.test_case "raising reconstruct stage degrades" `Quick
+            test_kv_get_reconstruct_stage_raises;
           Alcotest.test_case "E7 golden (3 seeds)" `Slow test_kv_e7_golden;
         ] );
       ( "wetlab-io",
