@@ -13,13 +13,6 @@ let ok_or_die label = function
   | Ok v -> v
   | Error e -> fail "store bench: %s: %s" label (Store.error_message e)
 
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
 let run () =
   print_string (section "Store: batched get, cache, compaction");
   let n_objects = pick ~fast:4 ~full:8 in

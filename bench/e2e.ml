@@ -2,11 +2,13 @@
 
    The paper synthesized one image with Twist BioScience, amplified it
    with PCR, sequenced it with Nanopore and recovered it exactly. The
-   substitute run stores an image-like file in the key-value store,
-   retrieves it through the full random-access path (PCR selection by
-   primers, sequencing in both orientations through the harsh wetlab
-   channel, orientation fixing, primer stripping, clustering,
-   reconstruction, decoding) and checks byte-exactness. *)
+   substitute run puts an image-like file and a decoy into one shard of
+   a durable store whose channel is the harsh wetlab model (error rate
+   0.10, base coverage 30), retrieves the image through the store's
+   random-access path (PCR selection by primers, sequencing in both
+   orientations, orientation fixing, primer stripping, clustering,
+   reconstruction, decoding) and checks byte-exactness. Exits 1 when
+   the store itself fails. *)
 
 open Exp_common
 
@@ -21,39 +23,36 @@ let run () =
         let x = i mod side and y = i / side in
         Char.chr ((x * x / max 1 side) + (y * 2) land 0xff))
   in
-  let store = Dnastore.Kv_store.create ~seed:909 in
+  let ok label = function
+    | Ok v -> v
+    | Error e -> fail "e2e: %s: %s" label (Store.error_message e)
+  in
+  let dir = Filename.temp_dir "dnastore_e2e" "" in
+  let config = { Store.default_config with Store.error_rate = 0.10; coverage = 30 } in
+  let store = ok "init" (Store.init ~config ~channel:Simulator.Channel_kind.Wetlab ~dir ~seed:909 ()) in
   (* Extra parity: the retrieval channel is the harsh wetlab model. *)
   let params = { Codec.Params.default with Codec.Params.rs_parity = 8 } in
-  Dnastore.Kv_store.put_exn ~params store ~key:"decoy.txt" (Bytes.of_string (String.make 500 'd'));
-  Dnastore.Kv_store.put_exn ~params store ~key:"image.raw" image;
-  Printf.printf "pool: %d molecules across %d files\n" (Dnastore.Kv_store.pool_size store)
-    (List.length (Dnastore.Kv_store.keys store));
-  let stages =
-    {
-      (Dnastore.Pipeline.default_stages ()) with
-      Dnastore.Pipeline.channel = Simulator.Wetlab_channel.create ();
-      sequencing = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 30);
-    }
-  in
-  let (result, elapsed) = time (fun () -> Dnastore.Kv_store.get ~stages store ~key:"image.raw") in
-  (match result with
-  | Ok (bytes, timings) ->
-      let exact = Bytes.equal bytes image in
-      (* Bytes that differ, counting a length mismatch as wrong bytes. *)
-      let n = Bytes.length bytes and m = Bytes.length image in
-      let wrong = ref (abs (n - m)) in
-      for i = 0 to min n m - 1 do
-        if Bytes.get bytes i <> Bytes.get image i then incr wrong
-      done;
-      Printf.printf "retrieved %d bytes in %.2fs: %s (%d of %d bytes wrong, crc32 %08x)\n" n
-        elapsed
-        (if exact then "EXACT" else "CORRUPTED")
-        !wrong m
-        (Store.Io.crc32 (Bytes.to_string bytes));
-      Printf.printf
-        "  sequencing %.2fs, demux %.2fs, clustering %.2fs, reconstruction %.2fs, decoding %.2fs\n"
-        timings.Dnastore.Pipeline.simulate_s timings.demux_s timings.cluster_s
-        timings.reconstruct_s timings.decode_s
-  | Error Dnastore.Kv_store.Key_not_found -> print_endline "key not found!"
-  | Error (Decode_failed e) -> Printf.printf "decode failed: %s\n" e);
+  ok "put decoy" (Store.put ~params store ~key:"decoy.txt" (Bytes.of_string (String.make 500 'd')));
+  ok "put image" (Store.put ~params store ~key:"image.raw" image);
+  let s = Store.stats store in
+  Printf.printf "store: %d molecules across %d files in %d shard(s), %s channel\n" s.Store.n_strands
+    s.Store.n_objects s.Store.n_shards
+    (Simulator.Channel_kind.name (Store.channel store));
+  let bytes, elapsed = time (fun () -> ok "get" (Store.get store ~key:"image.raw")) in
+  let exact = Bytes.equal bytes image in
+  (* Bytes that differ, counting a length mismatch as wrong bytes. *)
+  let n = Bytes.length bytes and m = Bytes.length image in
+  let wrong = ref (abs (n - m)) in
+  for i = 0 to min n m - 1 do
+    if Bytes.get bytes i <> Bytes.get image i then incr wrong
+  done;
+  Printf.printf "retrieved %d bytes in %.2fs: %s (%d of %d bytes wrong, crc32 %08x)\n" n elapsed
+    (if exact then "EXACT" else "CORRUPTED")
+    !wrong m
+    (Store.Io.crc32 (Bytes.to_string bytes));
+  let a = (Store.stats store).Store.access_s in
+  Printf.printf
+    "  sequencing %.2fs, demux %.2fs, clustering %.2fs, reconstruction %.2fs, decoding %.2fs\n"
+    a.Dnastore.Pipeline.simulate_s a.demux_s a.cluster_s a.reconstruct_s a.decode_s;
+  rm_rf dir;
   print_newline ()

@@ -54,6 +54,14 @@ let fail fmt =
       exit 1)
     fmt
 
+(* Remove a scratch directory tree (a bench store's directory). *)
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
 (* ---------- Timing ----------
 
    Every bench timing reads the monotonic clock, never the wall clock. *)

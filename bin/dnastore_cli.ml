@@ -140,7 +140,8 @@ let params_of ~payload ~data_cols ~parity =
   { Codec.Params.default with Codec.Params.payload_nt = payload; rs_data = data_cols; rs_parity = parity }
 
 let channel_arg =
-  Arg.(value & opt (enum [ ("iid", `Iid); ("solqc", `Solqc); ("wetlab", `Wetlab) ]) `Iid
+  let kinds = List.map (fun k -> (Simulator.Channel_kind.name k, k)) Simulator.Channel_kind.all in
+  Arg.(value & opt (enum kinds) Simulator.Channel_kind.Iid
        & info [ "channel" ] ~docv:"CHANNEL"
          ~doc:"Wetlab simulator: $(b,iid) (Rashtchian), $(b,solqc), or $(b,wetlab) (position-dependent, bursty).")
 
@@ -149,15 +150,6 @@ let error_rate_arg =
 
 let coverage_arg =
   Arg.(value & opt int 10 & info [ "coverage" ] ~docv:"N" ~doc:"Sequencing reads per strand.")
-
-let make_channel kind error_rate =
-  match kind with
-  | `Iid -> Simulator.Iid_channel.create_rate ~error_rate
-  | `Solqc -> Simulator.Solqc_channel.create_rate ~error_rate
-  | `Wetlab ->
-      Simulator.Wetlab_channel.create
-        ~params:{ Simulator.Wetlab_channel.default_params with base_error = error_rate }
-        ()
 
 let recon_arg =
   Arg.(value & opt (enum [ ("bma", `Bma); ("dbma", `Dbma); ("nw", `Nw); ("ensemble", `Ensemble) ]) `Nw
@@ -209,7 +201,7 @@ let simulate_cmd =
     let records, errors = Dna.Fasta.read_file strands in
     if errors <> [] then Printf.eprintf "warning: %d malformed FASTA records skipped\n" (List.length errors);
     let molecules = Array.of_list (List.map (fun r -> r.Dna.Fasta.seq) records) in
-    let ch = make_channel channel error_rate in
+    let ch = Simulator.Channel_kind.create channel ~error_rate in
     let sp = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed coverage) in
     let reads = Dna.Strand_pool.create () in
     ignore (Simulator.Sequencer.sequence_pool sp ch rng molecules ~pool:reads);
@@ -332,7 +324,7 @@ let pipeline_cmd =
     let rng = Dna.Rng.create seed in
     let stages =
       {
-        Dnastore.Pipeline.channel = make_channel channel error_rate;
+        Dnastore.Pipeline.channel = Simulator.Channel_kind.create channel ~error_rate;
         sequencing = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed coverage);
         cluster = Dnastore.Pipeline.cluster_default ~kind ~domains ();
         reconstruct = make_recon algo;

@@ -2,11 +2,13 @@
 
    Run with: dune exec examples/random_access.exe
 
-   Three files share one DNA pool, each tagged with its own PCR primer
-   pair. Retrieving a key runs the random-access path: PCR selection by
-   primers, sequencing (reads arrive in both orientations), orientation
-   normalization, primer stripping, clustering, reconstruction and
-   decoding — without touching the other files' molecules. *)
+   Three files share one store shard, each tagged with its own PCR
+   primer pair. Retrieving a key runs the random-access path: PCR
+   selection by primers, sequencing through the store's channel (reads
+   arrive in both orientations), orientation normalization, primer
+   stripping, clustering, reconstruction and decoding — without
+   touching the other files' molecules. The store lives in a temporary
+   directory that is removed at the end. *)
 
 let files =
   [
@@ -17,36 +19,45 @@ let files =
        tagged with that pair are the value." );
   ]
 
-let () =
-  let store = Dnastore.Kv_store.create ~seed:7 in
-  List.iter
-    (fun (key, content) -> Dnastore.Kv_store.put_exn store ~key (Bytes.of_string content))
-    files;
-  Printf.printf "pool holds %d molecules for %d files: %s\n\n"
-    (Dnastore.Kv_store.pool_size store)
-    (List.length (Dnastore.Kv_store.keys store))
-    (String.concat ", " (Dnastore.Kv_store.keys store));
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun name -> remove_tree (Filename.concat path name)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
 
-  (* Random access each file, including one twice to show reads are
-     regenerated (fresh PCR + sequencing run each time). *)
+let ok label = function
+  | Ok v -> v
+  | Error e ->
+      Printf.eprintf "%s: %s\n" label (Store.error_message e);
+      exit 1
+
+let () =
+  let dir = Filename.temp_dir "dnastore_random_access" "" in
+  at_exit (fun () -> remove_tree dir);
+  let store = ok "init" (Store.init ~dir ~seed:7 ()) in
+  List.iter (fun (key, content) -> ok ("put " ^ key) (Store.put store ~key (Bytes.of_string content))) files;
+  Printf.printf "store holds %d molecules for %d files: %s\n\n" (Store.stats store).Store.n_strands
+    (List.length (Store.keys store))
+    (String.concat ", " (Store.keys store));
+
+  (* Random access each file, including one twice without the cache to
+     show reads are regenerated (fresh PCR + sequencing run each time). *)
   List.iter
     (fun key ->
-      match Dnastore.Kv_store.get store ~key with
-      | Ok (bytes, timings) ->
-          Printf.printf "get %-14s -> %S\n" key (Bytes.to_string bytes);
-          Printf.printf
-            "   (sequence %.2fs, demux %.2fs, cluster %.2fs, reconstruct %.2fs, decode %.2fs)\n"
-            timings.Dnastore.Pipeline.simulate_s timings.demux_s timings.cluster_s
-            timings.reconstruct_s timings.decode_s;
-          let expected = List.assoc key files in
-          assert (String.equal (Bytes.to_string bytes) expected)
-      | Error Dnastore.Kv_store.Key_not_found -> Printf.printf "get %s -> not found\n" key
-      | Error (Decode_failed e) ->
-          Printf.eprintf "get %s -> decode failed: %s\n" key e;
-          exit 1)
+      let bytes = ok ("get " ^ key) (Store.get ~use_cache:false store ~key) in
+      Printf.printf "get %-14s -> %S\n" key (Bytes.to_string bytes);
+      if not (String.equal (Bytes.to_string bytes) (List.assoc key files)) then begin
+        Printf.eprintf "get %s -> wrong bytes\n" key;
+        exit 1
+      end)
     (List.map fst files @ [ "quote.txt" ]);
+  let a = (Store.stats store).Store.access_s in
+  Printf.printf "   (%d cold reads: sequence %.2fs, demux %.2fs, cluster %.2fs, reconstruct %.2fs, decode %.2fs)\n"
+    (Store.stats store).Store.cold_accesses a.Dnastore.Pipeline.simulate_s a.demux_s a.cluster_s
+    a.reconstruct_s a.decode_s;
 
-  (match Dnastore.Kv_store.get store ~key:"missing.txt" with
-  | Error Dnastore.Kv_store.Key_not_found -> print_endline "\nget missing.txt -> Key_not_found (as expected)"
-  | Ok _ | Error (Decode_failed _) -> assert false);
+  (match Store.get store ~key:"missing.txt" with
+  | Error (Store.Key_not_found _) -> print_endline "\nget missing.txt -> Key_not_found (as expected)"
+  | Ok _ | Error _ -> assert false);
   print_endline "random access: ALL EXACT"

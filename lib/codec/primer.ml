@@ -93,8 +93,8 @@ let mismatches_at s ~pos ~pattern =
     !d
   end
 
-(* A registry of reserved primer pairs: the shared bookkeeping behind
-   both the in-memory kv-store and the persistent store. Reserving keeps
+(* A registry of reserved primer pairs: the object store's primer
+   bookkeeping (live and retired pairs). Reserving keeps
    a pair (and, through [fresh], its neighborhood) out of circulation;
    releasing returns it — the reclamation step after a deleted object's
    molecules have physically left the pool.

@@ -33,8 +33,8 @@ val generate_pairs_exn : ?min_distance:int -> ?max_attempts:int -> Dna.Rng.t -> 
 (** {!generate_pairs} for callers without a recovery path; raises
     [Failure] with {!error_message} on exhaustion. *)
 
-(** A mutable set of reserved (in-use) pairs: the shared bookkeeping
-    behind the in-memory kv-store and the persistent object store.
+(** A mutable set of reserved (in-use) pairs: the persistent object
+    store's primer bookkeeping.
     {!Registry.fresh} generates a pair far from everything reserved and
     reserves it; {!Registry.release} reclaims a pair once a deleted
     object's molecules have physically left the pool (compaction).

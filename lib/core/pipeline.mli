@@ -146,8 +146,8 @@ val random_access :
   (Bytes.t * Codec.File_codec.decode_stats, string) result * timings
 (** The primer-addressed random-access read (Section II-F), from one
     file's PCR-selected molecules to its decoded bytes: the one recovery
-    behind {!Kv_store.get} and the persistent store's reads (gets,
-    degraded reads and scrub).
+    behind the persistent store's reads (gets, degraded reads and
+    scrub), which pass the store's channel in [stages].
 
     It sequences the molecules with [stages], each read reversed with
     probability one half as a real run delivers them, drawing from

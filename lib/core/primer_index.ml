@@ -36,8 +36,10 @@ let remove_pair (t : t) pair = Hashtbl.remove t (key_of_pair pair)
 
 (* Strict both-end primer match, as on clean synthesized molecules. The
    design keeps distinct pairs >= 8 mismatches apart, so a tolerance of
-   [max_mismatches] (default 2) per primer cannot cross-select. *)
-let matches ?(max_mismatches = 2) strand (pair : Codec.Primer.pair) =
+   2 per primer cannot cross-select. *)
+let max_mismatches = 2
+
+let matches strand (pair : Codec.Primer.pair) =
   Codec.Primer.mismatches_at strand ~pos:0 ~pattern:pair.Codec.Primer.forward <= max_mismatches
   && Codec.Primer.mismatches_at strand
        ~pos:(Dna.Strand.length strand - Codec.Primer.primer_length)

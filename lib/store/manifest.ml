@@ -24,11 +24,16 @@
     so a reader sees either the old or the new one, never a torn one.
     Version 1 and 2 checkpoints still load; the store's first write to
     one folds a version-3 checkpoint, so an older build never reads a
-    checkpoint whose journal it would ignore. All disk traffic goes
+    checkpoint whose journal it would ignore.
+
+    Format version 4 records the store's read channel as a top-level
+    ["channel"] name ({!Simulator.Channel_kind}); older checkpoints
+    load as [iid], the only channel they could read through, and fold
+    a version-4 checkpoint on their first write. All disk traffic goes
     through a {!Store_io.t}, so every write, append, rename and
     truncate is a fault-injection point. *)
 
-let format_version = 3
+let format_version = 4
 let manifest_name = "MANIFEST.json"
 let journal_name = "MANIFEST.journal"
 let shards_dir = "shards"
@@ -81,6 +86,7 @@ type t = {
   generation : int;  (** bumped by every manifest write *)
   next_shard_id : int;
   config : config;
+  channel : Simulator.Channel_kind.t;  (** the read channel, at [config.error_rate] *)
   shards : shard_meta list;
   objects : object_meta list;  (** insertion order *)
   retired : Codec.Primer.pair list;
@@ -89,13 +95,14 @@ type t = {
           compaction clears them *)
 }
 
-let empty ~seed ~config =
+let empty ~seed ~config ~channel =
   {
     version = format_version;
     seed;
     generation = 0;
     next_shard_id = 0;
     config;
+    channel;
     shards = [];
     objects = [];
     retired = [];
@@ -169,6 +176,7 @@ let to_json (t : t) =
             ("error_rate", J.Float t.config.error_rate);
             ("coverage", J.Int t.config.coverage);
           ] );
+      ("channel", J.String (Simulator.Channel_kind.name t.channel));
       ("shards", J.List (List.map json_of_shard t.shards));
       ("objects", J.List (List.map json_of_object t.objects));
       ("retired", J.List (List.map json_of_pair t.retired));
@@ -264,7 +272,7 @@ let object_of_json v =
       health;
     }
 
-let readable_versions = [ 1; 2; 3 ]
+let readable_versions = [ 1; 2; 3; 4 ]
 
 let of_json v : (t, string) result =
   let* version = J.int_field v "format_version" in
@@ -281,6 +289,13 @@ let of_json v : (t, string) result =
     let* cache_objects = J.int_field cfg "cache_objects" in
     let* error_rate = J.float_field cfg "error_rate" in
     let* coverage = J.int_field cfg "coverage" in
+    let* channel =
+      if version < 4 then Ok Simulator.Channel_kind.Iid
+      else
+        let* name = J.string_field v "channel" in
+        Option.to_result ~none:(Printf.sprintf "unknown channel %S" name)
+          (Simulator.Channel_kind.of_name name)
+    in
     let* shards = Result.bind (J.list_field v "shards") (map_result shard_of_json) in
     let* objects = Result.bind (J.list_field v "objects") (map_result object_of_json) in
     let* retired = Result.bind (J.list_field v "retired") (map_result pair_of_json) in
@@ -291,6 +306,7 @@ let of_json v : (t, string) result =
         generation;
         next_shard_id;
         config = { shard_target_strands; cache_objects; error_rate; coverage };
+        channel;
         shards;
         objects;
         retired;

@@ -5,10 +5,11 @@
     {!delta}s written since. The checkpoint is written temp-then-rename;
     a journal record is framed by its length and CRC-32s, and [load]
     replays the records newer than the checkpoint, dropping a torn
-    final record. Format version 3 is the checkpoint-plus-journal
-    layout; version 2 added shard/object CRC-32 checksums, object health
-    marks and shard quarantine flags; version-1 and -2 checkpoints
-    still load (version-1 metadata comes back absent). *)
+    final record. Format version 4 records the read channel; version 3
+    is the checkpoint-plus-journal layout; version 2 added shard/object
+    CRC-32 checksums, object health marks and shard quarantine flags.
+    Version-1 to -3 checkpoints still load (version-1 metadata comes
+    back absent, and versions below 4 read through [iid]). *)
 
 val format_version : int
 val manifest_name : string
@@ -67,6 +68,9 @@ type t = {
   generation : int;  (** bumped by every manifest write *)
   next_shard_id : int;
   config : config;
+  channel : Simulator.Channel_kind.t;
+      (** the read channel, built at [config.error_rate]; [Iid] in
+          checkpoints older than version 4 *)
   shards : shard_meta list;
   objects : object_meta list;  (** insertion order *)
   retired : Codec.Primer.pair list;
@@ -74,7 +78,7 @@ type t = {
           by compaction *)
 }
 
-val empty : seed:int -> config:config -> t
+val empty : seed:int -> config:config -> channel:Simulator.Channel_kind.t -> t
 
 val health_name : health -> string
 (** ["healthy"], ["degraded"] or ["lost"]. *)

@@ -290,7 +290,10 @@ module Workload = struct
     done;
     !lo
 
-  let run ?(config = default_config) ?(max_retries = 8) ~mix ~n_clients ~n_ops ~zipf_s ~seed ~keys
+  (* Consecutive rejections after which an operation is dropped. *)
+  let max_retries = 8
+
+  let run ?(config = default_config) ~mix ~n_clients ~n_ops ~zipf_s ~seed ~keys
       store_t =
     let keys = Array.of_list keys in
     if Array.length keys = 0 then invalid_arg "Serve.Workload.run: no keys";

@@ -132,7 +132,7 @@ module Workload : sig
     writes : int;
     rejected : int;  (** admission rejections *)
     retries : int;  (** resubmissions after {!Overloaded}, across all ops *)
-    gave_up : int;  (** ops abandoned after [max_retries] rejections *)
+    gave_up : int;  (** ops abandoned after 8 consecutive rejections *)
     timed_out : int;
     degraded : int;
     coalesced_reads : int;
@@ -150,7 +150,6 @@ module Workload : sig
 
   val run :
     ?config:config ->
-    ?max_retries:int ->
     mix:mix ->
     n_clients:int ->
     n_ops:int ->
@@ -164,7 +163,7 @@ module Workload : sig
       so the object population is stable across the run. An
       {!Overloaded} rejection backs the operation off a jittered,
       exponentially growing number of scheduler rounds (seeded — the
-      schedule replays), and after [max_retries] (default 8) consecutive
+      schedule replays), and after 8 consecutive
       rejections the operation is dropped and counted in
       [summary.gave_up]. *)
 

@@ -12,8 +12,9 @@
     - [put] encodes an object, reserves a fresh primer pair (the DNA
       "key") and appends the tagged molecules to the open shard;
     - [get] runs the wetlab read path against only the object's shard:
-      indexed PCR selection, sequencing at a depth scaled to the
-      selection ({!Simulator.Sequencer.shard_depth}), primer
+      indexed PCR selection, sequencing through the store's channel
+      (recorded in the manifest) at a depth scaled to the selection
+      ({!Simulator.Sequencer.shard_depth}), primer
       demultiplexing, clustering, reconstruction, decoding;
     - [overwrite] appends a new version under a fresh pair and retires
       the old one; [delete] retires the object's pair outright — in both
@@ -94,9 +95,9 @@ type t = {
           debris: the next write folds instead of appending after it *)
 }
 
-let dir t = t.dir
 let keys t = List.map (fun (o : Manifest.object_meta) -> o.key) t.manifest.Manifest.objects
 let config t = t.manifest.Manifest.config
+let channel t = t.manifest.Manifest.channel
 let generation t = t.manifest.Manifest.generation
 
 let find_object t key =
@@ -145,12 +146,13 @@ let of_manifest ~io ~dir ~orphans ~checkpoint_bytes (m : Manifest.t) =
     fold_pending = false;
   }
 
-let init ?(config = default_config) ?(io = Store_io.real) ~dir ~seed () : (t, error) result =
+let init ?(config = default_config) ?(channel = Simulator.Channel_kind.Iid) ?(io = Store_io.real)
+    ~dir ~seed () : (t, error) result =
   if Store_io.exists io (Filename.concat dir Manifest.manifest_name) then
     Error (Corrupt (Printf.sprintf "%s is already an initialized store" dir))
   else begin
     Store_io.mkdir_p io (Filename.concat dir Manifest.shards_dir);
-    let m = Manifest.empty ~seed ~config in
+    let m = Manifest.empty ~seed ~config ~channel in
     (* A journal without a checkpoint belongs to no store; empty it
        before the new checkpoint would make its records look current. *)
     if Store_io.exists io (Filename.concat dir Manifest.journal_name) then
@@ -347,6 +349,14 @@ let load_pool t shard_id : (pool, error) result =
                 let p = pool_of_records t shard_id records in
                 Hashtbl.replace t.pools shard_id p;
                 Ok p))
+
+let pcr_select t ~key =
+  match find_object t key with
+  | None -> [||]
+  | Some o -> (
+      match load_pool t o.shard with
+      | Ok p -> Dnastore.Primer_index.select p.index p.strands o.pair
+      | Error _ -> [||])
 
 (* Load whatever still parses from a (possibly damaged or quarantined)
    shard, skipping count and checksum verification: scrub and degraded
@@ -584,7 +594,8 @@ let access_rng t (o : Manifest.object_meta) =
 
 (* One object's access, after the serial PCR-selection phase: its
    selected molecules go through the shared random-access path on the
-   object's own streams, at the store's channel and at [depth], the
+   object's own streams, through the store's channel at
+   [config.error_rate] and at [depth], the
    per-strand sequencing depth of the shard pass the access rode on.
    Clustering and consensus stay at one domain inside a task. Pure given
    the access rng, so the whole wetlab read path fans out over the
@@ -599,8 +610,11 @@ let run_access_task t (o : Manifest.object_meta) ~depth selected :
   let cluster_rng = Dna.Rng.split rng in
   let stages =
     {
-      (Dnastore.Pipeline.default_stages ~error_rate:cfg.error_rate ~coverage:depth ()) with
-      Dnastore.Pipeline.cluster = Dnastore.Pipeline.cluster_default ~domains:1 ();
+      Dnastore.Pipeline.channel =
+        Simulator.Channel_kind.create t.manifest.Manifest.channel ~error_rate:cfg.error_rate;
+      sequencing = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed depth);
+      cluster = Dnastore.Pipeline.cluster_default ~domains:1 ();
+      reconstruct = Reconstruction.Nw_consensus.reconstruct_pool;
     }
   in
   let result, timings =

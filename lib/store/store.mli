@@ -12,9 +12,9 @@
     are addressed by primer pairs; [overwrite] and [delete] retire pairs
     without touching molecules, and {!compact} re-synthesizes live
     objects into fresh shards, reclaiming the retired primer space.
-    Reads run the full wetlab path (PCR selection, sequencing,
-    clustering, reconstruction, decode) against only the object's shard,
-    behind an LRU cache of decoded objects.
+    Reads run the full wetlab path (PCR selection, sequencing through
+    the store's channel, clustering, reconstruction, decode) against
+    only the object's shard, behind an LRU cache of decoded objects.
 
     Durability is part of the contract, not an assumption: every byte to
     or from disk goes through a {!Store_io.t} (pluggable, fault
@@ -38,17 +38,18 @@ module Io : module type of Store_io
 type config = Manifest.config = {
   shard_target_strands : int;  (** open a new shard once the current one reaches this *)
   cache_objects : int;  (** LRU capacity for decoded objects *)
-  error_rate : float;  (** per-base error rate of the sequencing channel *)
+  error_rate : float;  (** per-base error rate of the store's read channel *)
   coverage : int;  (** base sequencing depth; scaled per shard access *)
 }
 
 val default_config : config
 
 val format_version : int
-(** Version stamped into every checkpoint (3: checkpoint plus journal);
-    [open_store] also reads versions 2 and 1 (no journal; version 1
-    without checksums) and refuses others. The first write to a
-    version-1 or -2 store folds a version-3 checkpoint. *)
+(** Version stamped into every checkpoint (4: checkpoint plus journal,
+    with the read channel); [open_store] also reads versions 3 (no
+    channel), 2 (no journal) and 1 (no checksums), each as an [iid]
+    store, and refuses others. The first write to a version-1 to -3
+    store folds a version-4 checkpoint. *)
 
 type error =
   | Key_not_found of string
@@ -71,9 +72,13 @@ val error_message : error -> string
 
 type t
 
-val init : ?config:config -> ?io:Store_io.t -> dir:string -> seed:int -> unit -> (t, error) result
+val init :
+  ?config:config -> ?channel:Simulator.Channel_kind.t -> ?io:Store_io.t -> dir:string -> seed:int ->
+  unit -> (t, error) result
 (** Create a fresh store directory (made if missing); refuses a
-    directory that already holds a manifest. *)
+    directory that already holds a manifest. Every read sequences
+    through [channel] (default [Iid]) at [config.error_rate]; the
+    manifest records it, so a reopened store reads the same way. *)
 
 val open_store : ?io:Store_io.t -> dir:string -> unit -> (t, error) result
 (** Reopen an existing store. The rng stream is re-derived from the
@@ -87,8 +92,8 @@ val open_store : ?io:Store_io.t -> dir:string -> unit -> (t, error) result
     interrupted run — acked state never lives in either); the count
     lands in {!stats}. *)
 
-val dir : t -> string
 val config : t -> config
+val channel : t -> Simulator.Channel_kind.t
 val generation : t -> int
 val keys : t -> string list
 val mem : t -> string -> bool
@@ -255,6 +260,12 @@ val shards_dir : string
 val shard_files : t -> string list
 val shard_path : t -> shard:int -> string option
 val object_pair : t -> key:string -> Codec.Primer.pair option
+
+val pcr_select : t -> key:string -> Dna.Strand.t array
+(** The object's molecules as a read selects them: its shard's pool,
+    gathered through the shard's primer index; [[||]] for an unknown
+    key or an unreadable shard. *)
+
 val pair_reserved : t -> Codec.Primer.pair -> bool
 
 val manifest_json : t -> string

@@ -1,8 +1,9 @@
 (* Experiment E7's retrieval (bench/e2e.ml) at one store seed, shared by
-   the byte-for-byte golden in test_pipeline and the exact-seed ratchet
-   in test_claims: a 500 B decoy and the 2000 B gradient image share one
-   pool at parity 8, and the image is read back through the harsh
-   wetlab channel at coverage 30. *)
+   the byte-for-byte golden in test_pipeline, the exact-seed ratchet in
+   test_claims and the wetlab reopen test in test_store: a 500 B decoy
+   and the 2000 B gradient image share one shard of a store whose
+   channel is the harsh wetlab model at error rate 0.10, both at parity
+   8, and the image is read back at base coverage 30. *)
 
 let n = 2000
 
@@ -12,27 +13,43 @@ let image =
       let x = i mod side and y = i / side in
       Char.chr ((x * x / max 1 side) + (y * 2) land 0xff))
 
+let config = { Store.default_config with Store.error_rate = 0.10; coverage = 30 }
+let params = { Codec.Params.default with Codec.Params.rs_parity = 8 }
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun name -> remove_tree (Filename.concat path name)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let ok_or_fail seed label = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "seed %d: %s: %s" seed label (Store.error_message e)
+
+(* [f ~dir store] on a fresh E7 store at [seed] in a temporary
+   directory, removed afterwards. *)
+let with_store seed f =
+  let dir = Filename.temp_dir "dnastore_e7_" "" in
+  Fun.protect
+    ~finally:(fun () -> remove_tree dir)
+    (fun () ->
+      let ok label = ok_or_fail seed label in
+      let store = ok "init" (Store.init ~config ~channel:Simulator.Channel_kind.Wetlab ~dir ~seed ()) in
+      ok "put decoy" (Store.put ~params store ~key:"decoy.txt" (Bytes.of_string (String.make 500 'd')));
+      ok "put image" (Store.put ~params store ~key:"image.raw" image);
+      f ~dir store)
+
 (* [(wrong, crc32)]: the retrieved bytes that differ from the image (a
    length mismatch counts as wrong bytes) and the CRC-32 of what came
    back. *)
+let score bytes =
+  let m = Bytes.length bytes in
+  let wrong = ref (abs (m - n)) in
+  for i = 0 to min m n - 1 do
+    if Bytes.get bytes i <> Bytes.get image i then incr wrong
+  done;
+  (!wrong, Store.Io.crc32 (Bytes.to_string bytes))
+
 let retrieval seed =
-  let store = Dnastore.Kv_store.create ~seed in
-  let params = { Codec.Params.default with Codec.Params.rs_parity = 8 } in
-  Dnastore.Kv_store.put_exn ~params store ~key:"decoy.txt" (Bytes.of_string (String.make 500 'd'));
-  Dnastore.Kv_store.put_exn ~params store ~key:"image.raw" image;
-  let stages =
-    {
-      (Dnastore.Pipeline.default_stages ()) with
-      Dnastore.Pipeline.channel = Simulator.Wetlab_channel.create ();
-      sequencing = Simulator.Sequencer.default_params ~coverage:(Simulator.Sequencer.Fixed 30);
-    }
-  in
-  match Dnastore.Kv_store.get ~stages store ~key:"image.raw" with
-  | Error _ -> Alcotest.failf "seed %d: get failed" seed
-  | Ok (bytes, _) ->
-      let m = Bytes.length bytes in
-      let wrong = ref (abs (m - n)) in
-      for i = 0 to min m n - 1 do
-        if Bytes.get bytes i <> Bytes.get image i then incr wrong
-      done;
-      (!wrong, Store.Io.crc32 (Bytes.to_string bytes))
+  with_store seed (fun ~dir:_ store -> score (ok_or_fail seed "get" (Store.get store ~key:"image.raw")))

@@ -24,10 +24,11 @@
    end and double-sided BMA's in its middle. The fast 60-cluster setting
    cannot separate NWA from DBMA (22.56% against 22.55%).
 
-   E7 as a ratchet (Section IX): the retrieval of [E7.retrieval] over
-   store seeds 909 and 100-123 decodes exactly on at least 16 of the 25.
-   The other nine return a few wrong bytes (the known defect ROADMAP
-   items 2, 9 and 13 work on); the count may rise, never fall. *)
+   E7 as a ratchet (Section IX): the retrieval of [E7.retrieval], a
+   wetlab store read, over store seeds 909 and 100-123 decodes exactly
+   on at least 23 of the 25. Seeds 118 and 120 return 4 wrong bytes
+   each (the known defect ROADMAP items 2, 9 and 13 work on); the count
+   may rise, never fall. *)
 
 let error_rates = [ 0.03; 0.06; 0.09; 0.12; 0.15 ]
 let n_strands = 40
@@ -172,9 +173,9 @@ let test_e7_ratchet () =
     List.filter_map (fun (s, w) -> if w > 0 then Some (Printf.sprintf "%d:%d" s w) else None) wrong
   in
   Alcotest.(check bool)
-    (Printf.sprintf "%d of %d seeds exact (at least 16); wrong bytes %s" exact
+    (Printf.sprintf "%d of %d seeds exact (at least 23); wrong bytes %s" exact
        (List.length e7_seeds) (String.concat " " misses))
-    true (exact >= 16)
+    true (exact >= 23)
 
 let () =
   Alcotest.run "claims"
@@ -192,5 +193,5 @@ let () =
             test_clover;
         ] );
       ("fig6", [ Alcotest.test_case "avg error NWA < DBMA < BMA, peaks placed" `Quick test_fig6 ]);
-      ("e7", [ Alcotest.test_case "at least 16 of 25 store seeds exact" `Slow test_e7_ratchet ]);
+      ("e7", [ Alcotest.test_case "at least 23 of 25 store seeds exact" `Slow test_e7_ratchet ]);
     ]

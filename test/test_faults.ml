@@ -283,7 +283,7 @@ let test_partial_recovery_maps_lost_unit () =
             (Bytes.sub decoded a (b - a)))
         p.Codec.File_codec.recovered_ranges
 
-(* ---------- typed errors in primers and the kv store ---------- *)
+(* ---------- typed errors in primer generation ---------- *)
 
 let test_primer_attempt_cap_is_typed () =
   match Codec.Primer.generate ~min_distance:20 ~max_attempts:50 (Dna.Rng.create 1) 64 with
@@ -292,16 +292,6 @@ let test_primer_attempt_cap_is_typed () =
       Alcotest.(check bool) "partial progress reported" true (generated < requested);
       Alcotest.(check int) "attempt cap honored" 50 attempts
   | Ok _ -> Alcotest.fail "unsatisfiable constraints satisfied"
-
-let test_kv_duplicate_key_is_typed () =
-  let store = Dnastore.Kv_store.create ~seed:41 in
-  (match Dnastore.Kv_store.put store ~key:"x" (Bytes.of_string "data") with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail (Dnastore.Kv_store.put_error_message e));
-  match Dnastore.Kv_store.put store ~key:"x" (Bytes.of_string "other") with
-  | Error (Dnastore.Kv_store.Duplicate_key "x") -> ()
-  | Error e -> Alcotest.fail (Dnastore.Kv_store.put_error_message e)
-  | Ok () -> Alcotest.fail "duplicate key accepted"
 
 let () =
   Alcotest.run "faults"
@@ -338,6 +328,5 @@ let () =
       ( "typed-errors",
         [
           Alcotest.test_case "primer attempt cap" `Quick test_primer_attempt_cap_is_typed;
-          Alcotest.test_case "kv duplicate key" `Quick test_kv_duplicate_key_is_typed;
         ] );
     ]

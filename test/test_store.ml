@@ -383,18 +383,25 @@ let test_corrupt_manifest_rejected () =
   | Error e -> Alcotest.fail ("unexpected error: " ^ Store.error_message e)
 
 let test_format_version_gate () =
-  let dir = temp_store_dir () in
-  let _ = ok_or_fail "init" (Store.init ~dir ~seed:13 ()) in
-  patch_manifest dir (fun content ->
-      replace_substring
-        ~needle:(Printf.sprintf "\"format_version\": %d" Store.format_version)
-        ~into:"\"format_version\": 99" content);
-  match Store.open_store ~dir () with
-  | Error (Store.Corrupt msg) ->
-      Alcotest.(check bool) "error names the version" true
-        (contains_substring ~needle:"version" msg)
-  | Ok _ -> Alcotest.fail "opened a future-format store"
-  | Error e -> Alcotest.fail ("unexpected error: " ^ Store.error_message e)
+  (* A future format version and an unknown channel name are both
+     refused, each with an error that names it. *)
+  List.iter
+    (fun (what, needle, into) ->
+      let dir = temp_store_dir () in
+      let _ = ok_or_fail "init" (Store.init ~dir ~seed:13 ()) in
+      patch_manifest dir (replace_substring ~needle ~into);
+      match Store.open_store ~dir () with
+      | Error (Store.Corrupt msg) ->
+          Alcotest.(check bool) ("error names the " ^ what) true
+            (contains_substring ~needle:what msg)
+      | Ok _ -> Alcotest.fail ("opened a store with a bad " ^ what)
+      | Error e -> Alcotest.fail ("unexpected error: " ^ Store.error_message e))
+    [
+      ( "version",
+        Printf.sprintf "\"format_version\": %d" Store.format_version,
+        "\"format_version\": 99" );
+      ("channel", "\"channel\": \"iid\"", "\"channel\": \"bogus\"");
+    ]
 
 (* ---------- JSON hardening: adversarial and fuzzed inputs ---------- *)
 
@@ -790,16 +797,18 @@ let test_simulated_enospc_is_typed_and_recoverable () =
   let store = ok_or_fail "reopen" (Store.open_store ~dir ()) in
   Alcotest.(check bytes) "and survives reopen" data (ok_or_fail "get" (Store.get store ~key:"k"))
 
-let strip_v2_fields content =
-  (* Rewrite a version-2 manifest as the version-1 format: drop the
-     checksum/quarantined/health fields and fix the dangling commas. *)
+(* Drop the manifest lines that hold any of [fields] and fix the
+   dangling commas. *)
+let strip_fields fields content =
   let lines = String.split_on_char '\n' content in
   let keep line =
     let t = String.trim line in
     not
       (List.exists
-         (fun p -> String.length t >= String.length p && String.sub t 0 (String.length p) = p)
-         [ "\"checksum\""; "\"quarantined\""; "\"health\"" ])
+         (fun f ->
+           let p = Printf.sprintf "%S" f in
+           String.length t >= String.length p && String.sub t 0 (String.length p) = p)
+         fields)
   in
   let pruned = String.concat "\n" (List.filter keep lines) in
   (* Remove commas left trailing before a closing bracket. *)
@@ -818,9 +827,19 @@ let strip_v2_fields content =
     else Buffer.add_char buf c;
     incr i
   done;
+  Buffer.contents buf
+
+(* Rewrite a current manifest as format [version]: version 3 lacks the
+   channel, version 2 the journal (which the fixtures fold first) and
+   version 1 also the checksum/quarantined/health fields. *)
+let as_version version content =
+  let dropped =
+    if version = 1 then [ "channel"; "checksum"; "quarantined"; "health" ] else [ "channel" ]
+  in
   replace_substring
     ~needle:(Printf.sprintf "\"format_version\": %d" Store.format_version)
-    ~into:"\"format_version\": 1" (Buffer.contents buf)
+    ~into:(Printf.sprintf "\"format_version\": %d" version)
+    (strip_fields dropped content)
 
 let test_v1_manifest_opens_and_scrub_backfills () =
   let dir = temp_store_dir () in
@@ -830,7 +849,7 @@ let test_v1_manifest_opens_and_scrub_backfills () =
   (* The put went to the journal; fold it into the checkpoint so the
      object is in the document the fixture rewrites as version 1. *)
   ok_or_fail "checkpoint" (Store.checkpoint store);
-  patch_manifest dir strip_v2_fields;
+  patch_manifest dir (as_version 1);
   let store = ok_or_fail "open v1 manifest" (Store.open_store ~dir ()) in
   Alcotest.(check bytes) "v1 object reads back" data
     (ok_or_fail "get" (Store.get ~use_cache:false store ~key:"legacy"));
@@ -1024,25 +1043,32 @@ let test_journal_reopen_equals_live () =
     [ 1; 2 ]
 
 let test_old_formats_fold_on_first_write () =
-  (* Version-1 and -2 stores open and read; their first write folds a
-     version-3 checkpoint (an older build then refuses the store rather
-     than miss its journal), and later writes append. *)
+  (* Version-1 to -3 stores open as iid stores and read; their first
+     write folds a current-version checkpoint that records the channel
+     (an older build then refuses the store rather than miss its
+     journal or read a wetlab store as iid), and later writes append. *)
+  let stamp = Printf.sprintf "\"format_version\": %d" Store.format_version in
   List.iter
-    (fun (label, patch) ->
+    (fun version ->
+      let label = Printf.sprintf "v%d" version in
       let dir = temp_store_dir () in
       let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed:59 ()) in
       let r = Dna.Rng.create 59 in
       let old = random_file r 120 and d1 = random_file r 90 and d2 = random_file r 70 in
       ok_or_fail "put" (Store.put store ~key:"old" old);
       ok_or_fail "checkpoint" (Store.checkpoint store);
-      patch_manifest dir patch;
+      patch_manifest dir (as_version version);
       let store = ok_or_fail ("open " ^ label) (Store.open_store ~dir ()) in
+      Alcotest.(check string) (label ^ " opens as iid") "iid"
+        (Simulator.Channel_kind.name (Store.channel store));
       Alcotest.(check bytes) (label ^ " object reads back") old
         (ok_or_fail "get" (Store.get ~use_cache:false store ~key:"old"));
       ok_or_fail "first write" (Store.put store ~key:"new1" d1);
-      Alcotest.(check bool) (label ^ ": first write stamps version 3") true
-        (contains_substring ~needle:"\"format_version\": 3"
-           (read_whole (Filename.concat dir "MANIFEST.json")));
+      let checkpoint = read_whole (Filename.concat dir "MANIFEST.json") in
+      Alcotest.(check bool) (label ^ ": first write stamps the current version") true
+        (contains_substring ~needle:stamp checkpoint);
+      Alcotest.(check bool) (label ^ ": and records the channel") true
+        (contains_substring ~needle:"\"channel\": \"iid\"" checkpoint);
       Alcotest.(check int) (label ^ ": first write folded") 0
         (Store.stats store).Store.journal_records;
       ok_or_fail "second write" (Store.put store ~key:"new2" d2);
@@ -1054,13 +1080,19 @@ let test_old_formats_fold_on_first_write () =
           Alcotest.(check bytes) (label ^ " " ^ key) data
             (ok_or_fail "get" (Store.get store ~key)))
         [ ("old", old); ("new1", d1); ("new2", d2) ])
-    [
-      ( "v2",
-        replace_substring
-          ~needle:(Printf.sprintf "\"format_version\": %d" Store.format_version)
-          ~into:"\"format_version\": 2" );
-      ("v1", strip_v2_fields);
-    ]
+    [ 3; 2; 1 ]
+
+let test_wetlab_store_survives_reopen () =
+  (* The channel is part of the store: E7's wetlab store at seed 909
+     reads the image back to the same bytes from a fresh handle, whose
+     manifest names the channel. *)
+  E7.with_store 909 (fun ~dir store ->
+      let live = ok_or_fail "get" (Store.get store ~key:"image.raw") in
+      let reopened = ok_or_fail "reopen" (Store.open_store ~dir ()) in
+      Alcotest.(check string) "channel persisted" "wetlab"
+        (Simulator.Channel_kind.name (Store.channel reopened));
+      Alcotest.(check bytes) "same bytes after reopen" live
+        (ok_or_fail "get after reopen" (Store.get reopened ~key:"image.raw")))
 
 let test_stats_report_journal () =
   let dir, store, _ = journaled_store 61 in
@@ -1158,6 +1190,8 @@ let () =
           Alcotest.test_case "survives reopen (2 seeds)" `Slow test_store_survives_reopen;
           Alcotest.test_case "init refuses existing" `Quick test_init_refuses_existing;
           Alcotest.test_case "no temp leftovers" `Slow test_no_tmp_leftovers;
+          Alcotest.test_case "wetlab channel survives reopen" `Slow
+            test_wetlab_store_survives_reopen;
         ] );
       ( "rewrite",
         [
@@ -1224,7 +1258,7 @@ let () =
             test_journal_fuzz_never_raises;
           Alcotest.test_case "reopen equals live handle (2 seeds)" `Slow
             test_journal_reopen_equals_live;
-          Alcotest.test_case "v1/v2 stores fold v3 on first write" `Slow
+          Alcotest.test_case "v1/v2/v3 stores fold v4 on write" `Slow
             test_old_formats_fold_on_first_write;
           Alcotest.test_case "stats report the journal" `Quick test_stats_report_journal;
         ] );
