@@ -2,7 +2,8 @@
    workload and assert that reopening recovers a consistent prefix:
    acked writes intact, acked deletes still deleted, the in-flight
    operation atomic, the manifest generation where the acked writes
-   left it, no .tmp or orphan shard debris. *)
+   left it, no .tmp or orphan shard debris, and, after one more put, no
+   bytes past any shard's recorded prefix. *)
 
 type failure = { crash_at : int; point : string; detail : string }
 
@@ -185,6 +186,24 @@ let verify ~dir (model : model) : (unit, string) result =
           else if Filename.check_suffix name ".fasta" && not (List.mem name referenced) then
             problem "orphan shard file %s/%s survived reopen" Store.shards_dir name)
         (try Sys.readdir sdir with Sys_error _ -> [||]);
+      (* One more put cuts any debris an unacked append left past its
+         shard's recorded prefix: every shard file is then exactly the
+         canonical serialization of its recorded strands. *)
+      (match Store.put store ~key:"after-reopen" (payload 0 "after-reopen" 20) with
+      | Error e -> problem "put after reopen failed: %s" (Store.error_message e)
+      | Ok () ->
+          List.iter
+            (fun (path, n) ->
+              let content = In_channel.with_open_bin path In_channel.input_all in
+              let records, errors = Dna.Fasta.parse_string content in
+              let canonical =
+                Dna.Fasta.to_string
+                  (List.mapi (fun i r -> { r with Dna.Fasta.id = Printf.sprintf "m_%d" i }) records)
+              in
+              if errors <> [] || List.length records <> n || content <> canonical then
+                problem "after one more put, %s is not the canonical serialization of its %d \
+                         recorded strands" (Filename.basename path) n)
+            (Store.shard_strands store));
       if !problems = [] then Ok () else Error (String.concat "; " (List.rev !problems))
 
 let run ?(config = default_config) ?(params = default_params) ~seed ~dir () : outcome =

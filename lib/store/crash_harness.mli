@@ -18,7 +18,10 @@
       the old state or the new, never garbage;
     - the reopened manifest generation is the acked one, or one past
       it when the in-flight operation landed;
-    - reopening reclaims all [.tmp] and orphan shard files.
+    - reopening reclaims all [.tmp] and orphan shard files;
+    - after the reopen and one more put, every shard file is the
+      canonical serialization of its recorded strands (the put cut any
+      debris an unacked shard append left past them).
 
     Everything derives from the seed, so a sweep replays exactly. *)
 

@@ -52,7 +52,9 @@ let default_config =
 type shard_meta = {
   shard_id : int;
   file : string;  (** relative to the store directory *)
-  n_strands : int;  (** molecules recorded in the manifest (orphans of an interrupted put may exceed this) *)
+  n_strands : int;
+      (** molecules recorded in the manifest; records past them are
+          debris of an unacked append *)
   dead_strands : int;  (** molecules of deleted/overwritten objects, reclaimed by compaction *)
   checksum : int option;
       (** CRC-32 of the canonical FASTA serialization of the first
@@ -161,26 +163,31 @@ let json_of_object (o : object_meta) =
     @ (match o.checksum with None -> [] | Some c -> [ ("checksum", J.Int c) ])
     @ json_of_health o.health)
 
-let to_json (t : t) =
-  J.Obj
-    [
-      ("format_version", J.Int format_version);
-      ("seed", J.Int t.seed);
-      ("generation", J.Int t.generation);
-      ("next_shard_id", J.Int t.next_shard_id);
-      ( "config",
-        J.Obj
-          [
-            ("shard_target_strands", J.Int t.config.shard_target_strands);
-            ("cache_objects", J.Int t.config.cache_objects);
-            ("error_rate", J.Float t.config.error_rate);
-            ("coverage", J.Int t.config.coverage);
-          ] );
-      ("channel", J.String (Simulator.Channel_kind.name t.channel));
-      ("shards", J.List (List.map json_of_shard t.shards));
-      ("objects", J.List (List.map json_of_object t.objects));
-      ("retired", J.List (List.map json_of_pair t.retired));
-    ]
+(* The checkpoint document, its arrays as item sequences: [save] prints
+   it without ever holding the whole tree. *)
+let fields (t : t) : J.field list =
+  let items f l = `Items (Seq.map f (List.to_seq l)) in
+  [
+    ("format_version", `Value (J.Int format_version));
+    ("seed", `Value (J.Int t.seed));
+    ("generation", `Value (J.Int t.generation));
+    ("next_shard_id", `Value (J.Int t.next_shard_id));
+    ( "config",
+      `Value
+        (J.Obj
+           [
+             ("shard_target_strands", J.Int t.config.shard_target_strands);
+             ("cache_objects", J.Int t.config.cache_objects);
+             ("error_rate", J.Float t.config.error_rate);
+             ("coverage", J.Int t.config.coverage);
+           ]) );
+    ("channel", `Value (J.String (Simulator.Channel_kind.name t.channel)));
+    ("shards", items json_of_shard t.shards);
+    ("objects", items json_of_object t.objects);
+    ("retired", items json_of_pair t.retired);
+  ]
+
+let to_json t = J.Obj (List.map (fun (k, v) -> (k, J.field_value v)) (fields t))
 
 (* ---------- JSON decoding ---------- *)
 
@@ -446,9 +453,14 @@ let replay (checkpoint : t) records =
 
 
 let save ?(io = Store_io.real) ~dir (t : t) =
-  let content = J.to_string (to_json t) in
-  Store_io.write_file_atomic io ~dir ~name:manifest_name content;
-  String.length content
+  let bytes = ref 0 in
+  Store_io.write_file_atomic_with io ~dir ~name:manifest_name (fun put ->
+      J.output_fields
+        (fun piece ->
+          bytes := !bytes + String.length piece;
+          put piece)
+        (fields t));
+  !bytes
 
 type loaded = {
   manifest : t;

@@ -71,13 +71,24 @@ type pool = {
   index : Dnastore.Primer_index.t;  (** live pairs of the shard -> strand indices *)
 }
 
+(* What a put needs of its shard file: where the recorded prefix ends,
+   its checksum, and whether the file may hold more. *)
+type extent = {
+  bytes : int;  (** length of the recorded prefix on disk *)
+  crc : int;  (** CRC-32 of its canonical serialization *)
+  debris : bool;
+      (** bytes past the prefix may exist (an unacked append): the next
+          append cuts them first *)
+}
+
 type t = {
   dir : string;
   io : Store_io.t;  (** every byte to or from disk goes through this *)
   rng : Dna.Rng.t;  (** put/primer draws only: gets never touch it *)
   mutable manifest : Manifest.t;
   registry : Codec.Primer.Registry.t;  (** live + retired pairs *)
-  pools : (int, pool) Hashtbl.t;  (** shard id -> loaded pool *)
+  pools : (int, pool) Hashtbl.t;  (** shard id -> pool a read loaded *)
+  extents : (int, extent) Hashtbl.t;  (** shard id -> prefix this handle wrote or read *)
   cache : Bytes.t Lru.t;
   mutable sequencing_passes : int;
       (** wetlab sequencing passes run so far; a batched get counts one
@@ -113,6 +124,11 @@ let shard_files t =
     (fun (s : Manifest.shard_meta) -> Filename.concat t.dir s.file)
     t.manifest.Manifest.shards
 
+let shard_strands t =
+  List.map
+    (fun (s : Manifest.shard_meta) -> (Filename.concat t.dir s.file, s.n_strands))
+    t.manifest.Manifest.shards
+
 let shard_path t ~shard =
   List.find_map
     (fun (s : Manifest.shard_meta) ->
@@ -135,6 +151,7 @@ let of_manifest ~io ~dir ~orphans ~checkpoint_bytes (m : Manifest.t) =
     manifest = m;
     registry = Codec.Primer.Registry.of_pairs (live @ m.Manifest.retired);
     pools = Hashtbl.create 8;
+    extents = Hashtbl.create 8;
     cache = Lru.create ~capacity:m.Manifest.config.cache_objects;
     sequencing_passes = 0;
     orphans_reclaimed = orphans;
@@ -280,33 +297,65 @@ let live_pairs_of_shard t shard_id =
     (fun (o : Manifest.object_meta) -> if o.shard = shard_id then Some o.pair else None)
     t.manifest.Manifest.objects
 
-(* The one shard reader: read and parse a shard file. Never raises but
-   for [Store_io.Crashed] (a simulated crash must unwind): a missing
-   file is [`Missing], and any I/O or parser exception is [`Failed]
-   with its message. *)
+(* Where the [n]-th record (0-based) of FASTA text [s] starts, or the
+   end of [s] when it holds fewer: the end of the recorded prefix of a
+   shard whose manifest records [n] strands. A header is a line whose
+   first non-blank character is ['>'], as the parser reads it. *)
+let prefix_end s n =
+  let len = String.length s in
+  let rec first_visible i =
+    if i < len && (match s.[i] with ' ' | '\t' | '\r' | '\012' -> true | _ -> false) then
+      first_visible (i + 1)
+    else i
+  in
+  let rec scan pos seen =
+    if pos >= len then len
+    else begin
+      let i = first_visible pos in
+      let header = i < len && s.[i] = '>' in
+      if header && seen = n then pos
+      else
+        let seen = if header then seen + 1 else seen in
+        match String.index_from_opt s pos '\n' with None -> len | Some nl -> scan (nl + 1) seen
+    end
+  in
+  scan 0 0
+
+(* The one shard reader: read a shard file and parse its recorded
+   prefix, the first [n_strands] records. Bytes past it are debris of an
+   unacked append (a torn one still parses, as any prefix of a record
+   does), so no reader looks at them. Never raises but for
+   [Store_io.Crashed] (a simulated crash must unwind): a missing file is
+   [`Missing], and any I/O or parser exception is [`Failed] with its
+   message. [Ok] carries the records, their parse errors, the prefix's
+   byte length and whether the file holds more. *)
 let read_shard t (smeta : Manifest.shard_meta) =
   let path = Filename.concat t.dir smeta.file in
   if not (Store_io.exists t.io path) then Error `Missing
   else
-    match Dna.Fasta.parse_string (Store_io.read_file t.io path) with
+    match Store_io.read_file t.io path with
     | exception (Store_io.Crashed _ as e) -> raise e
     | exception Sys_error msg -> Error (`Failed msg)
     | exception e -> Error (`Failed (Printexc.to_string e))
-    | parsed -> Ok parsed
+    | content -> (
+        let stop = prefix_end content smeta.n_strands in
+        let prefix = if stop = String.length content then content else String.sub content 0 stop in
+        match Dna.Fasta.parse_string prefix with
+        | exception e -> Error (`Failed (Printexc.to_string e))
+        | records, errors -> Ok (records, errors, stop, stop < String.length content))
 
-(* Read a shard file and verify it against its manifest record: file
-   present, parseable, at least the recorded strand count, and — when
-   the manifest carries one — a matching CRC-32 over the canonical
-   serialization of the recorded prefix. Orphan records beyond the
-   prefix (an interrupted put) do not disturb the checksum. [`Ok]
-   carries the computed prefix checksum (scrub backfills it into
-   version-1 manifests) and the parsed records. *)
+(* Read a shard file and verify its recorded prefix against its
+   manifest record: file present, parseable, the recorded strand count,
+   and — when the manifest carries one — a matching CRC-32 over the
+   canonical serialization of the prefix. [`Ok] carries the prefix's
+   extent (its computed checksum is what scrub backfills into version-1
+   manifests) and the parsed records. *)
 let check_shard t (smeta : Manifest.shard_meta) :
-    [ `Ok of int * Dna.Fasta.record list | `Corrupt of string ] =
+    [ `Ok of extent * Dna.Fasta.record list | `Corrupt of string ] =
   match read_shard t smeta with
   | Error `Missing -> `Corrupt (Printf.sprintf "shard file %s is missing" smeta.file)
   | Error (`Failed msg) -> `Corrupt msg
-  | Ok (records, errors) ->
+  | Ok (records, errors, bytes, debris) ->
       if errors <> [] then
         `Corrupt (Printf.sprintf "%d unparsable FASTA records" (List.length errors))
       else if List.length records < smeta.n_strands then
@@ -314,19 +363,15 @@ let check_shard t (smeta : Manifest.shard_meta) :
           (Printf.sprintf "shard %s holds %d strands, manifest records %d" smeta.file
              (List.length records) smeta.n_strands)
       else begin
-        let prefix = List.filteri (fun i _ -> i < smeta.n_strands) records in
-        let crc = Store_io.crc32 (Dna.Fasta.to_string prefix) in
+        let crc = Store_io.crc32 (Dna.Fasta.to_string records) in
         match smeta.checksum with
         | Some expect when expect <> crc ->
             `Corrupt
               (Printf.sprintf "shard %s checksum mismatch (recorded %d, computed %d)" smeta.file
                  expect crc)
-        | _ -> `Ok (crc, records)
+        | _ -> `Ok ({ bytes; crc; debris }, records)
       end
 
-(* Strands beyond the manifest count are orphans of an interrupted put;
-   their pair is unreserved, so they are unselectable and [build] leaves
-   them unindexed. *)
 let pool_of_records t shard_id records =
   let strands = Array.of_list (List.map (fun r -> r.Dna.Fasta.seq) records) in
   { strands; index = Dnastore.Primer_index.build ~pairs:(live_pairs_of_shard t shard_id) strands }
@@ -345,10 +390,17 @@ let load_pool t shard_id : (pool, error) result =
           else (
             match check_shard t smeta with
             | `Corrupt reason -> Error (Corrupt_shard { shard = shard_id; reason })
-            | `Ok (_, records) ->
+            | `Ok (extent, records) ->
                 let p = pool_of_records t shard_id records in
                 Hashtbl.replace t.pools shard_id p;
+                Hashtbl.replace t.extents shard_id extent;
                 Ok p))
+
+(* Drop every loaded pool and remembered extent: compaction and scrub
+   rewrite or drop shard files, so later reads and puts go back to disk. *)
+let forget_shards t =
+  Hashtbl.reset t.pools;
+  Hashtbl.reset t.extents
 
 let pcr_select t ~key =
   match find_object t key with
@@ -370,23 +422,54 @@ let load_pool_lenient t shard_id : (pool, error) result =
       match read_shard t smeta with
       | Error `Missing -> corrupt "shard file is missing"
       | Error (`Failed msg) -> corrupt msg
-      | Ok (records, _errors) -> Ok (pool_of_records t shard_id records))
+      | Ok (records, _errors, _, _) -> Ok (pool_of_records t shard_id records))
 
-(* Write a shard pool atomically and return the CRC-32 of its canonical
-   serialization — the checksum the manifest records for the file. The
-   pool goes out one record at a time: every put rewrites its shard, and
-   building the whole file as one string made it the largest allocation
-   of a write. *)
+(* Pass the canonical FASTA records of [strands], numbered from [first]
+   (ids [m_first], [m_first+1], ...), to [put] one at a time, never
+   building them as one string; returns their byte length and [crc]
+   folded over them. *)
+let emit_records ~first ~crc strands put =
+  let bytes = ref 0 and crc = ref crc in
+  Array.iteri
+    (fun i s ->
+      let id = Printf.sprintf "m_%d" (first + i) in
+      let record = Dna.Fasta.to_string [ { Dna.Fasta.id; seq = s } ] in
+      bytes := !bytes + String.length record;
+      crc := Store_io.crc32_update !crc record;
+      put record)
+    strands;
+  (!bytes, !crc)
+
+(* Write a whole shard pool atomically and return the CRC-32 of its
+   canonical serialization — the checksum the manifest records for the
+   file. Only compaction and scrub repair write whole shards; a put
+   appends. *)
 let write_shard_file t ~file (strands : Dna.Strand.t array) =
   let crc = ref 0 in
   Store_io.write_file_atomic_with t.io ~dir:t.dir ~name:file (fun put ->
-      Array.iteri
-        (fun i s ->
-          let record = Dna.Fasta.to_string [ { Dna.Fasta.id = Printf.sprintf "m_%d" i; seq = s } ] in
-          crc := Store_io.crc32_update !crc record;
-          put record)
-        strands);
+      crc := snd (emit_records ~first:0 ~crc:0 strands put));
   !crc
+
+(* The recorded prefix of the put's target shard as this handle knows
+   it. A shard the handle has neither written nor loaded is read and
+   verified once; a new shard starts empty, and a file already at its
+   name (left by a failed append or compaction) is debris. *)
+let target_extent t ~file (open_shard : Manifest.shard_meta option) =
+  match open_shard with
+  | Some s -> (
+      match Hashtbl.find_opt t.extents s.shard_id with
+      | Some e -> Ok e
+      | None -> (
+          match check_shard t s with
+          | `Corrupt reason -> Error (Corrupt_shard { shard = s.shard_id; reason })
+          | `Ok (e, _) ->
+              Hashtbl.replace t.extents s.shard_id e;
+              Ok e))
+  | None -> (
+      match Hashtbl.find_opt t.extents t.manifest.Manifest.next_shard_id with
+      | Some e -> Ok e
+      | None ->
+          Ok { bytes = 0; crc = 0; debris = Store_io.exists t.io (Filename.concat t.dir file) })
 
 (* ---------- put / overwrite ---------- *)
 
@@ -394,7 +477,9 @@ let object_strand_count (o : Manifest.object_meta) = Codec.Params.columns o.para
 
 (* Append a freshly encoded object to the open shard (or a new one) and
    install the new manifest. [prev] is the overwritten version, if any:
-   its molecules become dead and its pair retires. *)
+   its molecules become dead and its pair retires. The put writes only
+   its own molecules: their FASTA records, numbered on from the shard's,
+   go to the end of the shard file. *)
 let append_object t ~key ~(prev : Manifest.object_meta option) ?(params = Codec.Params.default)
     ?(layout = Codec.Layout.Baseline) (data : Bytes.t) : (unit, error) result =
   let m = t.manifest in
@@ -414,14 +499,14 @@ let append_object t ~key ~(prev : Manifest.object_meta option) ?(params = Codec.
     | Some s when s.n_strands < m.Manifest.config.shard_target_strands -> Some s
     | _ -> None
   in
-  let existing =
+  let shard_id, file, first =
     match open_shard with
-    | None -> Ok [||]
-    | Some s -> Result.map (fun p -> p.strands) (load_pool t s.shard_id)
+    | Some s -> (s.shard_id, s.file, s.n_strands)
+    | None -> (m.Manifest.next_shard_id, Manifest.shard_file m.Manifest.next_shard_id, 0)
   in
-  match existing with
+  match target_extent t ~file open_shard with
   | Error e -> Error e
-  | Ok existing -> (
+  | Ok extent -> (
       match Codec.Primer.Registry.fresh ~max_attempts:1000 t.registry t.rng with
       | Error (Codec.Primer.Constraints_unsatisfiable { attempts; _ }) ->
           Error (Primer_space_exhausted { attempts })
@@ -435,25 +520,27 @@ let append_object t ~key ~(prev : Manifest.object_meta option) ?(params = Codec.
               let tagged =
                 Array.map (Codec.Primer.attach pair) encoded.Codec.File_codec.strands
               in
-              let shard_id, file =
-                match open_shard with
-                | Some s -> (s.shard_id, s.file)
-                | None -> (m.Manifest.next_shard_id, Manifest.shard_file m.Manifest.next_shard_id)
+              (* Until the manifest records the append, the file may hold
+                 bytes past the prefix: a torn or unacked append. *)
+              Hashtbl.replace t.extents shard_id { extent with debris = true };
+              let failed msg =
+                (* Nothing was acked: release the pair and report. The
+                   next append cuts whatever landed. *)
+                Codec.Primer.Registry.release t.registry pair;
+                Error (Io_error msg)
               in
-              let strands = Array.append existing tagged in
+              let appended = ref (0, extent.crc) in
               match
                 (* Shard first, manifest second: a crash in between leaves
-                   orphan molecules behind an old manifest, never a
-                   manifest pointing at missing data. *)
-                write_shard_file t ~file strands
+                   debris past the recorded prefix, never a manifest
+                   pointing at missing data. *)
+                if extent.debris then Store_io.truncate t.io ~dir:t.dir ~name:file extent.bytes;
+                Store_io.append_with t.io ~dir:t.dir ~name:file (fun put ->
+                    appended := emit_records ~first ~crc:extent.crc tagged put)
               with
-              | exception Store_io.Io_failure msg ->
-                  (* The write never landed (or only its temp file did):
-                     nothing was acked, so release the pair and report.
-                     Any stale temp file is reclaimed on the next open. *)
-                  Codec.Primer.Registry.release t.registry pair;
-                  Error (Io_error msg)
-              | shard_checksum ->
+              | exception (Store_io.Io_failure msg | Sys_error msg) -> failed msg
+              | () ->
+              let appended_bytes, shard_checksum = !appended in
               let dead_here =
                 (* Overwriting an object that lives in the open shard:
                    its dead molecules are in this shard's record. *)
@@ -463,7 +550,7 @@ let append_object t ~key ~(prev : Manifest.object_meta option) ?(params = Codec.
                 {
                   Manifest.shard_id;
                   file;
-                  n_strands = Array.length strands;
+                  n_strands = first + Array.length tagged;
                   dead_strands =
                     dead_here + (match open_shard with Some s -> s.dead_strands | None -> 0);
                   checksum = Some shard_checksum;
@@ -506,25 +593,25 @@ let append_object t ~key ~(prev : Manifest.object_meta option) ?(params = Codec.
                   }
               with
               | exception Store_io.Io_failure msg ->
-                  (* The shard file landed but the manifest record did
-                     not: the new molecules are unselectable orphans,
-                     exactly as after a crash between the two writes.
-                     Nothing was acked; drop the stale cached pool and
-                     release the pair. *)
-                  Codec.Primer.Registry.release t.registry pair;
-                  Hashtbl.remove t.pools shard_id;
-                  Error (Io_error msg)
+                  (* The molecules landed but the manifest record did not:
+                     they are debris past the prefix, exactly as after a
+                     crash between the two writes. *)
+                  failed msg
               | () ->
-              (* Keep the loaded pool in step with the file. *)
-              let index =
-                match Hashtbl.find_opt t.pools shard_id with
-                | Some p when Array.length existing > 0 -> p.index
-                | _ -> Dnastore.Primer_index.build ~pairs:(live_pairs_of_shard t shard_id) strands
-              in
-              if Array.length existing > 0 then
-                Dnastore.Primer_index.add_range index pair ~first:(Array.length existing)
-                  ~len:(Array.length tagged);
-              Hashtbl.replace t.pools shard_id { strands; index };
+              Hashtbl.replace t.extents shard_id
+                {
+                  bytes = extent.bytes + appended_bytes;
+                  crc = shard_checksum;
+                  debris = false;
+                };
+              (* A pool a read has loaded stays in step with the file;
+                 the write path builds none. *)
+              (match Hashtbl.find_opt t.pools shard_id with
+              | Some p ->
+                  Dnastore.Primer_index.add_range p.index pair ~first ~len:(Array.length tagged);
+                  Hashtbl.replace t.pools shard_id
+                    { p with strands = Array.append p.strands tagged }
+              | None -> ());
               Lru.remove t.cache key;
               Ok ()))
 
@@ -638,6 +725,8 @@ let record_access t (tm : Dnastore.Pipeline.timings) =
       decode_s = a.decode_s +. tm.decode_s;
     }
 
+let checksum_mismatch = "checksum mismatch"
+
 let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) t (keys : string list)
     : (string * (Bytes.t, error) result) list =
   (* Resolve keys against a hashed view of the directory: cache hits
@@ -727,7 +816,14 @@ let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) t (key
     Dna.Par.map_array ~label:"store.get_batch" ~domains
       (fun ((o : Manifest.object_meta), depth, selected) ->
         let r, timings = run_access_task t o ~depth selected in
-        (o.key, Result.map fst r, timings))
+        (* Bytes that fail the object's recorded CRC-32 are never acked. *)
+        let r =
+          match (r, o.checksum) with
+          | Ok (bytes, _), Some c when Store_io.crc32 (Bytes.to_string bytes) <> c ->
+              Error (Decode_failed { key = o.key; reason = checksum_mismatch })
+          | _ -> Result.map fst r
+        in
+        (o.key, r, timings))
       tasks
   in
   let outcomes : (string, (Bytes.t, error) result) Hashtbl.t =
@@ -836,6 +932,10 @@ let get_partial ?(use_cache = true) t ~key : (partial_read, error) result =
           | Error (Corrupt_shard _) ->
               (* Damage scrub has not classified yet: fall back to the
                  surviving molecules rather than failing the read. *)
+              partial_attempt t o
+          | Error (Decode_failed { reason; _ }) when reason = checksum_mismatch ->
+              (* The read decoded to bytes the payload checksum refuses:
+                 serve them as a best effort, never as exact. *)
               partial_attempt t o
           | Error e -> Error e))
 
@@ -987,7 +1087,7 @@ let compact t : (compact_stats, error) result =
           (fun path ->
             try Store_io.remove t.io path with Sys_error _ -> incr unlink_failures)
           old_files;
-        Hashtbl.reset t.pools;
+        forget_shards t;
         List.iter (fun (o : Manifest.object_meta) -> Lru.remove t.cache o.key) lost;
         let strands_after =
           List.fold_left
@@ -1008,7 +1108,7 @@ let compact t : (compact_stats, error) result =
       with Store_io.Io_failure msg ->
         (* New shard files written so far are unreferenced (the manifest
            never moved) and reclaimed on the next open. *)
-        Hashtbl.reset t.pools;
+        forget_shards t;
         Error (Io_error msg))
 
 (* ---------- scrub & self-repair ---------- *)
@@ -1027,8 +1127,8 @@ type scrub_report = {
 
 let scrub t : (scrub_report, error) result =
   let m = t.manifest in
-  (* Verify from disk, not from cached pools. *)
-  Hashtbl.reset t.pools;
+  (* Verify from disk, not from what this handle remembers. *)
+  forget_shards t;
   try
     let backfilled = ref 0 in
     let corrupt : (int, string) Hashtbl.t = Hashtbl.create 4 in
@@ -1037,9 +1137,9 @@ let scrub t : (scrub_report, error) result =
       (fun (s : Manifest.shard_meta) ->
         match check_shard t s with
         | `Corrupt reason -> Hashtbl.replace corrupt s.shard_id reason
-        | `Ok (crc, _) ->
+        | `Ok (extent, _) ->
             if s.checksum = None then incr backfilled;
-            Hashtbl.replace fresh_checksum s.shard_id crc)
+            Hashtbl.replace fresh_checksum s.shard_id extent.crc)
       m.Manifest.shards;
     (* Objects on a damaged shard — plus any the last scrub already
        marked — get the degraded read's salvage attempt ([partial_attempt])
@@ -1118,7 +1218,7 @@ let scrub t : (scrub_report, error) result =
         | `Degraded _ | `Lost -> Lru.remove t.cache o.key
         | `Keep -> ())
       outcomes;
-    Hashtbl.reset t.pools;
+    forget_shards t;
     let count f l = List.length (List.filter f l) in
     Ok
       {
@@ -1133,7 +1233,7 @@ let scrub t : (scrub_report, error) result =
         checksums_backfilled = !backfilled;
       }
   with Store_io.Io_failure msg ->
-    Hashtbl.reset t.pools;
+    forget_shards t;
     Error (Io_error msg)
 
 (* ---------- stats ---------- *)

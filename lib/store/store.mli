@@ -5,7 +5,9 @@
     append-only journal of the puts, overwrites and deletes since it
     ([MANIFEST.journal], one length- and CRC-framed delta per write, so
     a write's manifest cost does not grow with the store), plus
-    per-shard oligo pools serialized as FASTA under [shards/]. The
+    per-shard oligo pools serialized as FASTA under [shards/]. A put
+    appends only its own molecules to its shard file; [compact] and
+    scrub repair write whole shard files. The
     journal is folded into a fresh checkpoint once it outgrows the
     checkpoint; [compact], [scrub] and [init] write checkpoints
     directly. Objects
@@ -101,12 +103,14 @@ val mem : t -> string -> bool
 val put :
   ?params:Codec.Params.t -> ?layout:Codec.Layout.t -> t -> key:string -> Bytes.t ->
   (unit, error) result
-(** Encode under a fresh primer pair and append to the open shard
-    (shard file written before the manifest record, so a crash never
-    leaves the manifest pointing at missing molecules). If encoding raises, the
-    reserved pair is released before the exception propagates; a
-    simulated I/O failure returns [Io_error] with the pair released and
-    nothing acked. *)
+(** Encode under a fresh primer pair and append the object's FASTA
+    records to the end of the open shard file (or a new one), then its
+    manifest record: a crash never leaves the manifest pointing at
+    missing molecules, only debris past a shard's recorded prefix,
+    which readers ignore and the next append to that shard cuts. Builds
+    no shard pool. If encoding raises, the reserved pair is released
+    before the exception propagates; an I/O failure returns [Io_error]
+    with the pair released and nothing acked. *)
 
 val overwrite : t -> key:string -> Bytes.t -> (unit, error) result
 (** Append a new version under a fresh pair (same codec parameters);
@@ -120,7 +124,10 @@ val delete : t -> key:string -> (unit, error) result
 val get : ?use_cache:bool -> t -> key:string -> (Bytes.t, error) result
 (** Fails typed — never raises — on damage: [Corrupt_shard] when the
     object's pool is unreadable or checksum-mismatched, [Object_degraded]
-    / [Object_lost] when scrub has classified the object. *)
+    / [Object_lost] when scrub has classified the object, and
+    [Decode_failed] with reason ["checksum mismatch"] when the read
+    decodes to bytes that fail the object's recorded CRC-32 (they are
+    not cached; {!get_partial} serves them as inexact). *)
 
 val get_batch :
   ?domains:int -> ?use_cache:bool -> t -> string list -> (string * (Bytes.t, error) result) list
@@ -129,7 +136,8 @@ val get_batch :
     answer immediately; misses are deduplicated and grouped so each
     shard is PCR-selected and sequenced once, then the whole per-object
     wetlab path (sequencing, demux, clustering, reconstruction, decode)
-    fans out over the domain pool. Each object's stochastic draws come
+    fans out over the domain pool. Like {!get}, never answers [Ok] with
+    bytes that fail the object's recorded checksum. Each object's stochastic draws come
     from a stream derived from (store seed, key, version), so the bytes
     a key decodes to are identical across [get], any batch composition
     and any [domains]. Each object's demuxed core arena stays
@@ -150,8 +158,8 @@ type partial_read = {
 val get_partial : ?use_cache:bool -> t -> key:string -> (partial_read, error) result
 (** The degraded-read path: serve whatever survives. Healthy objects
     answer exactly like {!get} (with [exact = true]); if their shard
-    fails verification mid-read, or scrub has marked the object
-    Degraded, the read falls back to a lenient decode over the surviving
+    fails verification mid-read, their decode fails the payload
+    checksum, or scrub has marked the object Degraded, the read falls back to a lenient decode over the surviving
     molecules and maps the recovered byte ranges. [Object_lost] only
     when nothing is selectable or scrub marked the object Lost. *)
 
@@ -259,6 +267,11 @@ val render_stats : t -> string
 val shards_dir : string
 val shard_files : t -> string list
 val shard_path : t -> shard:int -> string option
+
+val shard_strands : t -> (string * int) list
+(** Every shard's file path and recorded strand count, in manifest
+    order. *)
+
 val object_pair : t -> key:string -> Codec.Primer.pair option
 
 val pcr_select : t -> key:string -> Dna.Strand.t array

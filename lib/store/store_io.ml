@@ -34,18 +34,21 @@ let points_hit = function Real -> 0 | Faulty s -> s.points
 (* ---------- CRC-32 (IEEE 802.3) ---------- *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
+(* A plain indexed loop: every put folds its appended records through
+   here. *)
 let crc32_update crc s =
-  let table = Lazy.force crc_table in
   let c = ref (crc lxor 0xFFFFFFFF) in
-  String.iter (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8)) s;
+  for i = 0 to String.length s - 1 do
+    c := Array.unsafe_get crc_table ((!c lxor Char.code (String.unsafe_get s i)) land 0xFF)
+         lxor (!c lsr 8)
+  done;
   !c lxor 0xFFFFFFFF
 
 let crc32 s = crc32_update 0 s
@@ -149,18 +152,19 @@ let write_file_atomic_with t ~dir ~name emit =
       Sys.rename tmp dst;
       ignore (point s ("write.done:" ^ name))
 
-let write_file_atomic t ~dir ~name content =
-  write_file_atomic_with t ~dir ~name (fun put -> put content)
-
-let append t ~dir ~name content =
+let append_with t ~dir ~name emit =
   let path = Filename.concat dir name in
   match t with
-  | Real -> append_raw path content
+  | Real -> output_raw Open_append path emit
   | Faulty s ->
+      let b = Buffer.create 4096 in
+      emit (Buffer.add_string b);
       let _ = point s ("append:" ^ name) in
-      (* A torn append leaves a prefix of the record at the file's tail. *)
-      data_write s ~point_name:("append.data:" ^ name) ~write:append_raw path content;
+      (* A torn append leaves a prefix of the content at the file's tail. *)
+      data_write s ~point_name:("append.data:" ^ name) ~write:append_raw path (Buffer.contents b);
       ignore (point s ("append.done:" ^ name))
+
+let append t ~dir ~name content = append_with t ~dir ~name (fun put -> put content)
 
 let truncate_raw path len =
   if Sys.file_exists path then

@@ -71,21 +71,24 @@ val read_file : t -> string -> string
 (** Whole-file read. Raises [Sys_error] if unreadable; a faulty backend
     may additionally apply bit-rot to [.fasta] content. *)
 
-val write_file_atomic : t -> dir:string -> name:string -> string -> unit
-(** Write [dir/name.tmp], then rename over [dir/name]. Fault points:
-    before the temp write, mid-data, before the rename, after it. *)
-
 val write_file_atomic_with :
   t -> dir:string -> name:string -> ((string -> unit) -> unit) -> unit
-(** {!write_file_atomic} of the concatenation of the pieces [emit]
-    passes to its argument, called once. The real backend streams them
-    to the temp file without building the whole content. *)
+(** Write the concatenation of the pieces [emit] passes to its argument
+    (called once) to [dir/name.tmp], then rename over [dir/name]. The
+    real backend streams the pieces to the temp file without building
+    the whole content. Fault points: before the temp write, mid-data,
+    before the rename, after it. *)
 
 val append : t -> dir:string -> name:string -> string -> unit
 (** Append to [dir/name], creating it if missing. Fault points: before
     the write, mid-data (a crash or ENOSPC there leaves a seeded prefix
     of the content at the tail: a torn append), after it. ENOSPC counts
     it as a data write. *)
+
+val append_with : t -> dir:string -> name:string -> ((string -> unit) -> unit) -> unit
+(** {!append} of the concatenation of the pieces [emit] passes to its
+    argument, called once. The real backend streams them to the file
+    without building the whole content. *)
 
 val truncate : t -> dir:string -> name:string -> int -> unit
 (** Cut [dir/name] to its first [len] bytes; a no-op when the file does

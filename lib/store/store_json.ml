@@ -39,46 +39,83 @@ let float_literal f =
   let s = if float_of_string s = f then s else Printf.sprintf "%.17g" f in
   if String.contains s '.' || String.contains s 'e' || String.contains s 'n' then s else s ^ ".0"
 
-let rec write buf ~indent v =
-  let pad n = String.make n ' ' in
+type field = string * [ `Value of t | `Items of t Seq.t ]
+
+let field_value = function `Value v -> v | `Items items -> List (List.of_seq items)
+
+(* The one container layout: [opening closing] when [seq] is empty, else
+   [opening], one entry per line at [indent + 2] (printed by [entry],
+   which is called only as its line is reached), [closing] on its own
+   line. *)
+let write_block ~spill buf ~indent opening closing entry seq =
+  Buffer.add_char buf opening;
+  match seq () with
+  | Seq.Nil -> Buffer.add_char buf closing
+  | Seq.Cons (first, rest) ->
+      let line x =
+        Buffer.add_string buf (String.make (indent + 2) ' ');
+        entry x;
+        spill buf
+      in
+      Buffer.add_char buf '\n';
+      line first;
+      Seq.iter
+        (fun x ->
+          Buffer.add_string buf ",\n";
+          line x)
+        rest;
+      Buffer.add_char buf '\n';
+      Buffer.add_string buf (String.make indent ' ');
+      Buffer.add_char buf closing
+
+(* [spill buf] runs after each array element and object field, so
+   {!output_fields} can pass the text on in pieces as it goes. *)
+let rec write ~spill buf ~indent v =
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f -> Buffer.add_string buf (float_literal f)
   | String s -> escape_string buf s
-  | List [] -> Buffer.add_string buf "[]"
-  | List items ->
-      Buffer.add_string buf "[\n";
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf (pad (indent + 2));
-          write buf ~indent:(indent + 2) item)
-        items;
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (pad indent);
-      Buffer.add_char buf ']'
-  | Obj [] -> Buffer.add_string buf "{}"
+  | List items -> write_items ~spill buf ~indent (List.to_seq items)
   | Obj fields ->
-      Buffer.add_string buf "{\n";
-      List.iteri
-        (fun i (k, item) ->
-          if i > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf (pad (indent + 2));
-          escape_string buf k;
-          Buffer.add_string buf ": ";
-          write buf ~indent:(indent + 2) item)
-        fields;
-      Buffer.add_char buf '\n';
-      Buffer.add_string buf (pad indent);
-      Buffer.add_char buf '}'
+      write_fields ~spill buf ~indent (Seq.map (fun (k, v) -> (k, `Value v)) (List.to_seq fields))
+
+and write_items ~spill buf ~indent items =
+  write_block ~spill buf ~indent '[' ']'
+    (write ~spill buf ~indent:(indent + 2))
+    items
+
+and write_fields ~spill buf ~indent (fields : field Seq.t) =
+  write_block ~spill buf ~indent '{' '}'
+    (fun (k, value) ->
+      escape_string buf k;
+      Buffer.add_string buf ": ";
+      match value with
+      | `Value v -> write ~spill buf ~indent:(indent + 2) v
+      | `Items items -> write_items ~spill buf ~indent:(indent + 2) items)
+    fields
 
 let to_string v =
   let buf = Buffer.create 1024 in
-  write buf ~indent:0 v;
+  write ~spill:ignore buf ~indent:0 v;
   Buffer.add_char buf '\n';
   Buffer.contents buf
+
+(* Pieces of about 1 KiB, and array items built one at a time: a whole
+   checkpoint built as one tree and one string (with its doubling
+   buffer) went to the major heap at every fold. *)
+let output_fields put fields =
+  let buf = Buffer.create 2048 in
+  let spill b =
+    if Buffer.length b >= 1024 then begin
+      put (Buffer.contents b);
+      Buffer.clear b
+    end
+  in
+  write_fields ~spill buf ~indent:0 (List.to_seq fields);
+  Buffer.add_char buf '\n';
+  put (Buffer.contents buf)
 
 (* ---------- parsing ---------- *)
 

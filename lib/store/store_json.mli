@@ -16,6 +16,19 @@ val to_string : t -> string
 (** Pretty-printed with two-space indentation and a trailing newline;
     strings are fully escaped (control characters as [\uXXXX]). *)
 
+type field = string * [ `Value of t | `Items of t Seq.t ]
+(** An object field whose value is given whole, or as an array whose
+    items are built one at a time. *)
+
+val field_value : [ `Value of t | `Items of t Seq.t ] -> t
+(** The value a field stands for ([`Items] as a [List]). *)
+
+val output_fields : (string -> unit) -> field list -> unit
+(** [output_fields put fields] passes {!to_string} of the object of
+    [fields] (each value as {!field_value} gives it) to [put] in pieces
+    of about 1 KiB. It never builds the text as one string, and builds
+    each array item only as it prints it. *)
+
 val max_depth : int
 (** Container-nesting bound enforced by {!of_string} (adversarial
     ["[[[[…"] input fails typed instead of overflowing the stack). *)

@@ -3,9 +3,9 @@
    point with a simulated kill landing there, reopen, and check that
    acked writes survive bit-identically, acked deletes stay deleted,
    the in-flight operation is atomic and no temp/orphan debris remains.
-   The sweep must reach the journal's own states: a torn append, a
-   whole one, and a fold. CI's crash-matrix job runs the same sweep at
-   a second seed. *)
+   The sweep must reach the journal's own states (a torn append, a
+   whole one, and a fold) and a put's shard append, torn or whole.
+   CI's crash-matrix job runs the same sweep at a second seed. *)
 
 let test_crash_matrix () =
   let dir =
@@ -28,6 +28,12 @@ let test_crash_matrix () =
     (visited "append.data:MANIFEST.journal" ~during:writes);
   Alcotest.(check bool) "a kill lands after a whole journal append" true
     (visited "append.done:MANIFEST.journal" ~during:writes);
+  (* A put appends its molecules to the open shard before its journal
+     record: a kill can tear that append or land between the two. *)
+  Alcotest.(check bool) "a kill lands inside a shard append (torn molecules)" true
+    (visited "append.data:shards/shard_00000.fasta" ~during:writes);
+  Alcotest.(check bool) "a kill lands after a whole shard append" true
+    (visited "append.done:shards/shard_00000.fasta" ~during:writes);
   (* Only a fold cuts the journal in the middle of a put, overwrite or
      delete; compaction's cut runs under "compact". *)
   Alcotest.(check bool) "a kill lands in a fold" true

@@ -4,15 +4,10 @@
 
 let random_file r n = Bytes.init n (fun _ -> Char.chr (Dna.Rng.int r 256))
 
-let temp_store_dir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "dnastore_test_%d_%d" (Unix.getpid ()) !counter)
-    in
-    dir
+(* [f dir] on a fresh temporary directory, removed afterwards. *)
+let with_store_dir f =
+  let dir = Filename.temp_dir "dnastore_test_" "" in
+  Fun.protect ~finally:(fun () -> E7.remove_tree dir) (fun () -> f dir)
 
 let file_size path = (Unix.stat path).Unix.st_size
 
@@ -74,6 +69,35 @@ let test_json_rejects_malformed () =
       | Error _ -> ())
     [ "{"; "[1,]"; "{\"a\":}"; "1 2"; "\"unterminated"; "{\"a\" 1}"; "nul"; "" ]
 
+let test_json_output_fields_equals_to_string () =
+  (* The streamed printer writes exactly what [to_string] writes for the
+     same object, in pieces, with array items built one at a time. *)
+  let items =
+    [ Store.Json.Obj [ ("a", Store.Json.Int 1); ("b", Store.Json.List []) ]; Store.Json.Null ]
+  in
+  let long = List.init 300 (fun i -> Store.Json.String (Printf.sprintf "item %d" i)) in
+  let fields : Store.Json.field list =
+    [
+      ("empty", `Items Seq.empty);
+      ("items", `Items (List.to_seq items));
+      ("long", `Items (List.to_seq long));
+      ("obj", `Value (Store.Json.Obj [ ("x", Store.Json.Float 0.5); ("y", Store.Json.Obj []) ]));
+      ("s", `Value (Store.Json.String "q\"uote"));
+    ]
+  in
+  let pieces = ref [] in
+  Store.Json.output_fields (fun p -> pieces := p :: !pieces) fields;
+  let expected =
+    Store.Json.to_string
+      (Store.Json.Obj (List.map (fun (k, v) -> (k, Store.Json.field_value v)) fields))
+  in
+  Alcotest.(check string) "same text" expected (String.concat "" (List.rev !pieces));
+  Alcotest.(check bool) "in pieces of at most a few KiB" true
+    (List.length !pieces > 1 && List.for_all (fun p -> String.length p < 4096) !pieces);
+  let none = ref [] in
+  Store.Json.output_fields (fun p -> none := p :: !none) [];
+  Alcotest.(check string) "empty object" "{}\n" (String.concat "" !none)
+
 (* ---------- durability ---------- *)
 
 let test_store_survives_reopen () =
@@ -81,7 +105,7 @@ let test_store_survives_reopen () =
     (fun seed ->
       let r = Dna.Rng.create (900 + seed) in
       let a = random_file r 300 and b = random_file r 450 in
-      let dir = temp_store_dir () in
+      with_store_dir @@ fun dir ->
       let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed ()) in
       ok_or_fail "put a" (Store.put store ~key:"a" a);
       ok_or_fail "put b" (Store.put store ~key:"b" b);
@@ -95,7 +119,7 @@ let test_store_survives_reopen () =
     [ 1; 2 ]
 
 let test_init_refuses_existing () =
-  let dir = temp_store_dir () in
+  with_store_dir @@ fun dir ->
   let _ = ok_or_fail "init" (Store.init ~dir ~seed:7 ()) in
   match Store.init ~dir ~seed:8 () with
   | Error (Store.Corrupt _) -> ()
@@ -103,7 +127,7 @@ let test_init_refuses_existing () =
   | Error e -> Alcotest.fail ("unexpected error: " ^ Store.error_message e)
 
 let test_no_tmp_leftovers () =
-  let dir = temp_store_dir () in
+  with_store_dir @@ fun dir ->
   let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed:3 ()) in
   ok_or_fail "put" (Store.put store ~key:"k" (random_file (Dna.Rng.create 31) 200));
   ok_or_fail "delete" (Store.delete store ~key:"k");
@@ -122,7 +146,7 @@ let test_delete_compact_reclaims () =
     (fun seed ->
       let r = Dna.Rng.create (7000 + seed) in
       let a = random_file r 400 and b = random_file r 250 in
-      let dir = temp_store_dir () in
+      with_store_dir @@ fun dir ->
       let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed ()) in
       ok_or_fail "put a" (Store.put store ~key:"a" a);
       ok_or_fail "put b" (Store.put store ~key:"b" b);
@@ -167,7 +191,7 @@ let test_delete_compact_reclaims () =
 let test_overwrite_appends_version () =
   let r = Dna.Rng.create 4242 in
   let v1 = random_file r 300 and v2 = random_file r 350 in
-  let dir = temp_store_dir () in
+  with_store_dir @@ fun dir ->
   let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed:11 ()) in
   ok_or_fail "put" (Store.put store ~key:"doc" v1);
   (match Store.put store ~key:"doc" v1 with
@@ -189,7 +213,7 @@ let test_overwrite_appends_version () =
 
 let test_get_batch_matches_sequential () =
   let r = Dna.Rng.create 808 in
-  let dir = temp_store_dir () in
+  with_store_dir @@ fun dir ->
   (* A small shard target spreads the objects over several shards, so
      the batch exercises the per-shard grouping. *)
   let config = { test_config with Store.shard_target_strands = 60 } in
@@ -222,7 +246,7 @@ let test_get_batch_thousand_keys () =
      entries equal and every ghost key failing individually. Each
      unique key decodes once, so this stays fast. *)
   let r = Dna.Rng.create 909 in
-  let dir = temp_store_dir () in
+  with_store_dir @@ fun dir ->
   let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed:17 ()) in
   let real = List.init 5 (fun i -> Printf.sprintf "k%d" i) in
   let payloads = List.map (fun key -> (key, random_file r 120)) real in
@@ -251,7 +275,7 @@ let test_get_batch_thousand_keys () =
     request results
 
 let test_get_batch_duplicate_keys_decode_once () =
-  let dir = temp_store_dir () in
+  with_store_dir @@ fun dir ->
   let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed:19 ()) in
   let data = random_file (Dna.Rng.create 55) 180 in
   ok_or_fail "put" (Store.put store ~key:"a" data);
@@ -275,7 +299,7 @@ let test_get_deterministic_across_batch_shapes () =
      so the bytes it decodes to cannot depend on which other keys
      share the batch, on batch order, or on how many gets ran before. *)
   let r = Dna.Rng.create 606 in
-  let dir = temp_store_dir () in
+  with_store_dir @@ fun dir ->
   let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed:23 ()) in
   List.iter
     (fun key -> ok_or_fail ("put " ^ key) (Store.put store ~key (random_file r 140)))
@@ -300,7 +324,7 @@ let test_get_deterministic_across_batch_shapes () =
 (* ---------- LRU cache ---------- *)
 
 let test_cache_hits_on_repeated_get () =
-  let dir = temp_store_dir () in
+  with_store_dir @@ fun dir ->
   let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed:21 ()) in
   let data = random_file (Dna.Rng.create 99) 250 in
   ok_or_fail "put" (Store.put store ~key:"hot" data);
@@ -318,7 +342,7 @@ let test_cache_hits_on_repeated_get () =
    times to [Store.stats]; a cache hit adds neither, and a key a batch
    asks for twice decodes (and counts) once. *)
 let test_cold_access_stats () =
-  let dir = temp_store_dir () in
+  with_store_dir @@ fun dir ->
   let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed:23 ()) in
   let r = Dna.Rng.create 7 in
   ok_or_fail "put a" (Store.put store ~key:"a" (random_file r 200));
@@ -374,7 +398,7 @@ let patch_manifest dir f =
   close_out oc
 
 let test_corrupt_manifest_rejected () =
-  let dir = temp_store_dir () in
+  with_store_dir @@ fun dir ->
   let _ = ok_or_fail "init" (Store.init ~dir ~seed:13 ()) in
   patch_manifest dir (fun _ -> "{ not json");
   match Store.open_store ~dir () with
@@ -387,7 +411,7 @@ let test_format_version_gate () =
      refused, each with an error that names it. *)
   List.iter
     (fun (what, needle, into) ->
-      let dir = temp_store_dir () in
+      with_store_dir @@ fun dir ->
       let _ = ok_or_fail "init" (Store.init ~dir ~seed:13 ()) in
       patch_manifest dir (replace_substring ~needle ~into);
       match Store.open_store ~dir () with
@@ -519,7 +543,7 @@ let test_get_on_damaged_shard_fails_typed () =
      exceptions. *)
   List.iter
     (fun (label, damage) ->
-      let dir = temp_store_dir () in
+      with_store_dir @@ fun dir ->
       let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed:29 ()) in
       ok_or_fail "put" (Store.put store ~key:"x" (random_file (Dna.Rng.create 12) 200));
       let path = shard_path_of store "x" in
@@ -568,7 +592,7 @@ let test_scrub_detects_and_repairs () =
     (fun seed ->
       let r = Dna.Rng.create (4_000 + seed) in
       let a = random_file r 300 and b = random_file r 150 in
-      let dir = temp_store_dir () in
+      with_store_dir @@ fun dir ->
       (* A small shard target keeps a and b in separate shards, so the
          damage (and the repair) stays scoped to one object. *)
       let config = { test_config with Store.shard_target_strands = 20 } in
@@ -604,7 +628,7 @@ let test_scrub_detects_and_repairs () =
 let test_scrub_classifies_lost_and_gates_reads () =
   (* Replace the pool with a useless one: nothing is selectable, so the
      object is Lost, normal reads fail typed, and compact drops it. *)
-  let dir = temp_store_dir () in
+  with_store_dir @@ fun dir ->
   let config = { test_config with Store.shard_target_strands = 20 } in
   let store = ok_or_fail "init" (Store.init ~config ~dir ~seed:31 ()) in
   let data = random_file (Dna.Rng.create 77) 220 in
@@ -637,7 +661,7 @@ let test_scrub_marks_degraded_and_partial_reads () =
      survive, so scrub must classify Degraded (not Lost), gate normal
      reads with the recovered fraction, and get_partial must return the
      surviving prefix bit-identically. *)
-  let dir = temp_store_dir () in
+  with_store_dir @@ fun dir ->
   let config = { test_config with Store.shard_target_strands = 200; error_rate = 0.005 } in
   let store = ok_or_fail "init" (Store.init ~config ~dir ~seed:37 ()) in
   let data = random_file (Dna.Rng.create 88) 300 in
@@ -684,7 +708,7 @@ let test_scrub_marks_degraded_and_partial_reads () =
    values when it changes clustering. *)
 let salvage_transcript seed =
   let keys = [ ("project", 300); ("license", 1600); ("tail", 200) ] in
-  let dir = temp_store_dir () in
+  with_store_dir @@ fun dir ->
   let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed ()) in
   let r = Dna.Rng.create (7_000 + seed) in
   List.iter
@@ -780,7 +804,7 @@ let test_simulated_enospc_is_typed_and_recoverable () =
   (* The second data write (the first put's shard file) hits ENOSPC:
      the put must fail with the typed Io_error, ack nothing, release
      the primer pair, and leave the store fully usable. *)
-  let dir = temp_store_dir () in
+  with_store_dir @@ fun dir ->
   let io = Store.Io.faulty { (Store.Io.no_faults ~seed:5) with Store.Io.enospc_at = Some 2 } in
   let store = ok_or_fail "init" (Store.init ~config:test_config ~io ~dir ~seed:41 ()) in
   let data = random_file (Dna.Rng.create 13) 180 in
@@ -842,7 +866,7 @@ let as_version version content =
     (strip_fields dropped content)
 
 let test_v1_manifest_opens_and_scrub_backfills () =
-  let dir = temp_store_dir () in
+  with_store_dir @@ fun dir ->
   let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed:43 ()) in
   let data = random_file (Dna.Rng.create 14) 160 in
   ok_or_fail "put" (Store.put store ~key:"legacy" data);
@@ -867,7 +891,7 @@ let test_compact_counts_unlink_failures () =
   (* Delete a retired shard file out from under compact: the missing
      unlink must be counted, not silently swallowed, and compaction
      must still succeed. *)
-  let dir = temp_store_dir () in
+  with_store_dir @@ fun dir ->
   let config = { test_config with Store.shard_target_strands = 20 } in
   let store = ok_or_fail "init" (Store.init ~config ~dir ~seed:47 ()) in
   ok_or_fail "put a" (Store.put store ~key:"a" (random_file (Dna.Rng.create 15) 250));
@@ -882,14 +906,196 @@ let test_compact_counts_unlink_failures () =
   Alcotest.(check bytes) "survivor intact" (random_file (Dna.Rng.create 16) 250)
     (ok_or_fail "get b" (Store.get ~use_cache:false store ~key:"b"))
 
+(* ---------- the shard append path ---------- *)
+
+(* Every shard file must be exactly the canonical FASTA of its recorded
+   strands, numbered m_0, m_1, ...: the bytes a whole-shard rewrite
+   would write, with nothing past them. *)
+let check_canonical_shards label store =
+  List.iter
+    (fun (path, n) ->
+      let content = read_whole path in
+      let records, errors = Dna.Fasta.parse_string content in
+      let name = Printf.sprintf "%s: %s" label (Filename.basename path) in
+      Alcotest.(check int) (name ^ " parses") 0 (List.length errors);
+      Alcotest.(check int) (name ^ " holds its recorded strands") n (List.length records);
+      Alcotest.(check string) (name ^ " is canonical") content
+        (Dna.Fasta.to_string
+           (List.mapi (fun i r -> { r with Dna.Fasta.id = Printf.sprintf "m_%d" i }) records)))
+    (Store.shard_strands store)
+
+let test_appends_write_canonical_shards () =
+  (* Puts and overwrites across a shard rollover: each shard file is the
+     canonical serialization of its recorded strands, scrub verifies
+     every recorded checksum, and a fresh handle reads every object. *)
+  with_store_dir @@ fun dir ->
+  let config = { test_config with Store.shard_target_strands = 60 } in
+  let store = ok_or_fail "init" (Store.init ~config ~dir ~seed:63 ()) in
+  let r = Dna.Rng.create 63 in
+  let live = Hashtbl.create 8 in
+  let put key n =
+    let data = random_file r n in
+    ok_or_fail ("put " ^ key) (Store.put store ~key data);
+    Hashtbl.replace live key data
+  in
+  let overwrite key n =
+    let data = random_file r n in
+    ok_or_fail ("overwrite " ^ key) (Store.overwrite store ~key data);
+    Hashtbl.replace live key data
+  in
+  put "a" 120;
+  put "b" 90;
+  overwrite "a" 100;
+  put "c" 150;
+  overwrite "b" 80;
+  put "d" 60;
+  Alcotest.(check bool) "the puts rolled over to a new shard" true
+    ((Store.stats store).Store.n_shards > 1);
+  check_canonical_shards "live" store;
+  let rep = ok_or_fail "scrub" (Store.scrub store) in
+  Alcotest.(check int) "every appended checksum verifies" 0 rep.Store.shards_corrupt;
+  let reopened = ok_or_fail "reopen" (Store.open_store ~dir ()) in
+  Hashtbl.iter
+    (fun key data ->
+      Alcotest.(check bytes) ("reopened " ^ key) data
+        (ok_or_fail ("get " ^ key) (Store.get reopened ~key)))
+    live
+
+(* Init, then put "a" on a fault-counting backend: the number of fault
+   points before the next put. *)
+let points_after_first_put () =
+  with_store_dir @@ fun dir ->
+  let io = Store.Io.faulty (Store.Io.no_faults ~seed:1) in
+  let store = ok_or_fail "init" (Store.init ~config:test_config ~io ~dir ~seed:67 ()) in
+  ok_or_fail "put a" (Store.put store ~key:"a" (random_file (Dna.Rng.create 1) 150));
+  Store.Io.points_hit io
+
+let test_crash_mid_shard_append () =
+  (* A kill inside the second put's shard append (torn molecules) or
+     just after it (whole ones, no journal record): the reopened store
+     lacks the object, its shard loads and scrubs clean, and the next
+     put cuts the debris so the file is canonical again. *)
+  let base = points_after_first_put () in
+  List.iter
+    (fun (label, offset) ->
+      with_store_dir @@ fun dir ->
+      let plan = { (Store.Io.no_faults ~seed:1) with Store.Io.crash_at = Some (base + offset) } in
+      let io = Store.Io.faulty plan in
+      let store = ok_or_fail "init" (Store.init ~config:test_config ~io ~dir ~seed:67 ()) in
+      let a = random_file (Dna.Rng.create 1) 150 in
+      ok_or_fail "put a" (Store.put store ~key:"a" a);
+      (match Store.put store ~key:"b" (random_file (Dna.Rng.create 2) 150) with
+      | exception Store.Io.Crashed { point; _ } ->
+          Alcotest.(check bool) (label ^ ": the kill lands in the shard append") true
+            (String.starts_with ~prefix:"append" point
+            && Filename.check_suffix point ".fasta")
+      | _ -> Alcotest.fail (label ^ ": the put survived its kill"));
+      let store = ok_or_fail "reopen" (Store.open_store ~dir ()) in
+      Alcotest.(check bool) (label ^ ": unacked put absent") false (Store.mem store "b");
+      if offset = 3 then
+        Alcotest.(check bool) (label ^ ": whole orphan records past the prefix") true
+          (List.exists
+             (fun (path, n) -> List.length (fst (Dna.Fasta.parse_string (read_whole path))) > n)
+             (Store.shard_strands store));
+      Alcotest.(check bytes) (label ^ ": acked put intact") a
+        (ok_or_fail "get a" (Store.get ~use_cache:false store ~key:"a"));
+      let rep = ok_or_fail "scrub" (Store.scrub store) in
+      Alcotest.(check int) (label ^ ": scrub finds no damage") 0 rep.Store.shards_corrupt;
+      let c = random_file (Dna.Rng.create 3) 150 in
+      ok_or_fail "put c" (Store.put store ~key:"c" c);
+      check_canonical_shards label store;
+      let store = ok_or_fail "reopen again" (Store.open_store ~dir ()) in
+      Alcotest.(check bytes) (label ^ ": later put reads back") c
+        (ok_or_fail "get c" (Store.get store ~key:"c")))
+    [ ("torn append", 2); ("whole append", 3) ]
+
+let test_enospc_mid_shard_append () =
+  (* Data writes: the init checkpoint, put a's shard append and journal
+     record, then put b's shard append, which runs out of space after a
+     torn prefix. The put fails typed with its pair released; the next
+     put cuts the torn bytes and lands. *)
+  with_store_dir @@ fun dir ->
+  let io = Store.Io.faulty { (Store.Io.no_faults ~seed:9) with Store.Io.enospc_at = Some 4 } in
+  let store = ok_or_fail "init" (Store.init ~config:test_config ~io ~dir ~seed:71 ()) in
+  let r = Dna.Rng.create 71 in
+  let a = random_file r 150 and b = random_file r 150 in
+  ok_or_fail "put a" (Store.put store ~key:"a" a);
+  (match Store.put store ~key:"b" b with
+  | Error (Store.Io_error _) -> ()
+  | Ok () -> Alcotest.fail "put succeeded through ENOSPC"
+  | Error e -> Alcotest.fail ("wrong error: " ^ Store.error_message e));
+  Alcotest.(check bool) "nothing acked" false (Store.mem store "b");
+  Alcotest.(check int) "pair released" 1 (Store.stats store).Store.live_primer_pairs;
+  ok_or_fail "retry put" (Store.put store ~key:"b" b);
+  check_canonical_shards "after retry" store;
+  let store = ok_or_fail "reopen" (Store.open_store ~dir ()) in
+  List.iter
+    (fun (key, data) ->
+      Alcotest.(check bytes) ("reopened " ^ key) data (ok_or_fail "get" (Store.get store ~key)))
+    [ ("a", a); ("b", b) ]
+
+let test_put_only_handle_reads_from_disk () =
+  (* The write path keeps no shard pools: a handle that has only put
+     loads each shard from disk on its first get. *)
+  with_store_dir @@ fun dir ->
+  let config = { test_config with Store.shard_target_strands = 60 } in
+  let store = ok_or_fail "init" (Store.init ~config ~dir ~seed:73 ()) in
+  let r = Dna.Rng.create 73 in
+  let objects = List.init 5 (fun i -> (Printf.sprintf "k%d" i, random_file r (80 + (30 * i)))) in
+  List.iter (fun (key, data) -> ok_or_fail ("put " ^ key) (Store.put store ~key data)) objects;
+  Alcotest.(check bool) "several shards" true ((Store.stats store).Store.n_shards > 1);
+  List.iter
+    (fun (key, data) ->
+      Alcotest.(check bytes) ("get " ^ key) data
+        (ok_or_fail ("get " ^ key) (Store.get ~use_cache:false store ~key)))
+    objects;
+  (* A put into a shard a read has loaded keeps that pool in step. *)
+  let late = random_file r 70 in
+  ok_or_fail "put late" (Store.put store ~key:"late" late);
+  Alcotest.(check bytes) "get after a put into a loaded shard" late
+    (ok_or_fail "get late" (Store.get ~use_cache:false store ~key:"late"))
+
+let test_get_refuses_checksum_mismatch () =
+  (* E7 seed 118 decodes the image to 4 wrong bytes: a plain get must
+     refuse them (and cache nothing), while the degraded read returns
+     them as inexact. *)
+  E7.with_store 118 (fun ~dir:_ store ->
+      let refused () =
+        match Store.get store ~key:"image.raw" with
+        | Error (Store.Decode_failed { reason; _ }) ->
+            Alcotest.(check string) "reason" "checksum mismatch" reason
+        | Ok _ -> Alcotest.fail "get acked bytes that fail the checksum"
+        | Error e -> Alcotest.fail ("wrong error: " ^ Store.error_message e)
+      in
+      refused ();
+      refused ();
+      Alcotest.(check int) "nothing cached: no hit" 0 (Store.stats store).Store.cache_hits;
+      let p = ok_or_fail "get_partial" (Store.get_partial store ~key:"image.raw") in
+      Alcotest.(check bool) "partial read is not exact" false p.Store.exact;
+      Alcotest.(check int) "partial read keeps the length" E7.n (Bytes.length p.Store.bytes))
+
+let test_crc32_vectors () =
+  Alcotest.(check int) "check value" 0xCBF43926 (Store.Io.crc32 "123456789");
+  Alcotest.(check int) "empty" 0 (Store.Io.crc32 "");
+  let s = "The quick brown fox jumps over the lazy dog" in
+  Alcotest.(check int) "pangram" 0x414FA339 (Store.Io.crc32 s);
+  for cut = 0 to String.length s do
+    Alcotest.(check int)
+      (Printf.sprintf "update at %d" cut)
+      (Store.Io.crc32 s)
+      (Store.Io.crc32_update
+         (Store.Io.crc32 (String.sub s 0 cut))
+         (String.sub s cut (String.length s - cut)))
+  done
+
 (* ---------- the manifest journal ---------- *)
 
 let journal_path dir = Filename.concat dir "MANIFEST.journal"
 
-(* A store whose journal holds three records (put a, put b, put c),
-   with the journal's length before the last one. *)
-let journaled_store seed =
-  let dir = temp_store_dir () in
+(* [f dir store before] on a store whose journal holds three records
+   (put a, put b, put c), with [before] its stats before the last one. *)
+let journaled_store seed f =
+  with_store_dir @@ fun dir ->
   let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed ()) in
   let r = Dna.Rng.create seed in
   ok_or_fail "put a" (Store.put store ~key:"a" (random_file r 60));
@@ -897,13 +1103,13 @@ let journaled_store seed =
   let before_last = Store.stats store in
   ok_or_fail "put c" (Store.put store ~key:"c" (random_file r 60));
   Alcotest.(check int) "three journaled writes" 3 (Store.stats store).Store.journal_records;
-  (dir, store, before_last)
+  f dir store before_last
 
 let test_journal_torn_tail_every_offset () =
   (* A crash mid-append leaves any prefix of the last record. Reopen
      must drop exactly that record, cut it away, and take later appends
      after the whole records. *)
-  let dir, _, before = journaled_store 51 in
+  journaled_store 51 @@ fun dir _ before ->
   let journal = read_whole (journal_path dir) in
   let start = before.Store.journal_bytes in
   for cut = start to String.length journal - 1 do
@@ -923,7 +1129,7 @@ let test_journal_flipped_byte_is_corrupt () =
   (* Damage to a record with more data after it is not a torn tail:
      every single-byte flip in the first record, header or payload,
      must refuse the store. *)
-  let dir, _, _ = journaled_store 53 in
+  journaled_store 53 @@ fun dir _ _ ->
   let journal = read_whole (journal_path dir) in
   let first_len = 12 + Int32.to_int (String.get_int32_be journal 0) in
   for i = 0 to first_len - 1 do
@@ -941,7 +1147,7 @@ let test_journal_stale_records_skipped () =
      leaves records the checkpoint already holds. Replay must skip them:
      re-applied after a compaction, they would point objects back at
      their old shards. *)
-  let dir, store, _ = journaled_store 55 in
+  journaled_store 55 @@ fun dir store _ ->
   let stale = read_whole (journal_path dir) in
   ignore (ok_or_fail "compact" (Store.compact store));
   write_whole (journal_path dir) stale;
@@ -958,7 +1164,7 @@ let test_journal_fuzz_never_raises () =
   (* Seeded mutations of a real journal — truncations, byte flips,
      splices of header-shaped bytes — must open or fail typed, never
      raise. *)
-  let dir, _, _ = journaled_store 57 in
+  journaled_store 57 @@ fun dir _ _ ->
   let journal = read_whole (journal_path dir) in
   let n = String.length journal in
   List.iter
@@ -997,7 +1203,7 @@ let test_journal_reopen_equals_live () =
   List.iter
     (fun seed ->
       let r = Dna.Rng.create (6_100 + seed) in
-      let dir = temp_store_dir () in
+      with_store_dir @@ fun dir ->
       let config = { test_config with Store.shard_target_strands = 60 } in
       let store = ok_or_fail "init" (Store.init ~config ~dir ~seed ()) in
       let live = ref [] and next = ref 0 and folds = ref 0 in
@@ -1051,7 +1257,7 @@ let test_old_formats_fold_on_first_write () =
   List.iter
     (fun version ->
       let label = Printf.sprintf "v%d" version in
-      let dir = temp_store_dir () in
+      with_store_dir @@ fun dir ->
       let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed:59 ()) in
       let r = Dna.Rng.create 59 in
       let old = random_file r 120 and d1 = random_file r 90 and d2 = random_file r 70 in
@@ -1094,8 +1300,18 @@ let test_wetlab_store_survives_reopen () =
       Alcotest.(check bytes) "same bytes after reopen" live
         (ok_or_fail "get after reopen" (Store.get reopened ~key:"image.raw")))
 
+let test_checkpoint_file_is_manifest_json () =
+  (* A fold streams the checkpoint to disk; the file holds exactly the
+     manifest's JSON text, and its size is what the stats report. *)
+  journaled_store 65 @@ fun dir store _ ->
+  ok_or_fail "checkpoint" (Store.checkpoint store);
+  let file = read_whole (Filename.concat dir "MANIFEST.json") in
+  Alcotest.(check string) "checkpoint bytes" (Store.manifest_json store) file;
+  Alcotest.(check int) "checkpoint size" (String.length file)
+    (Store.stats store).Store.checkpoint_bytes
+
 let test_stats_report_journal () =
-  let dir, store, _ = journaled_store 61 in
+  journaled_store 61 @@ fun dir store _ ->
   let s = Store.stats store in
   Alcotest.(check int) "journal bytes = file" (file_size (journal_path dir)) s.Store.journal_bytes;
   Alcotest.(check int) "checkpoint bytes = file"
@@ -1184,6 +1400,8 @@ let () =
         [
           Alcotest.test_case "round trip" `Quick test_json_round_trip;
           Alcotest.test_case "rejects malformed" `Quick test_json_rejects_malformed;
+          Alcotest.test_case "streamed fields equal to_string" `Quick
+            test_json_output_fields_equals_to_string;
         ] );
       ( "durability",
         [
@@ -1246,6 +1464,18 @@ let () =
             test_compact_counts_unlink_failures;
           Alcotest.test_case "salvage golden (3 seeds)" `Slow test_salvage_golden;
         ] );
+      ( "append",
+        [
+          Alcotest.test_case "shards stay canonical across rollover" `Slow
+            test_appends_write_canonical_shards;
+          Alcotest.test_case "crash mid shard append" `Slow test_crash_mid_shard_append;
+          Alcotest.test_case "ENOSPC mid shard append" `Slow test_enospc_mid_shard_append;
+          Alcotest.test_case "put-only handle reads from disk" `Slow
+            test_put_only_handle_reads_from_disk;
+          Alcotest.test_case "get refuses a checksum mismatch" `Slow
+            test_get_refuses_checksum_mismatch;
+          Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
+        ] );
       ( "journal",
         [
           Alcotest.test_case "torn tail cut at every offset" `Quick
@@ -1261,6 +1491,8 @@ let () =
           Alcotest.test_case "v1/v2/v3 stores fold v4 on write" `Slow
             test_old_formats_fold_on_first_write;
           Alcotest.test_case "stats report the journal" `Quick test_stats_report_journal;
+          Alcotest.test_case "checkpoint file is the manifest JSON" `Quick
+            test_checkpoint_file_is_manifest_json;
         ] );
       ( "formats",
         [
