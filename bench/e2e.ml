@@ -54,7 +54,11 @@ let run () =
     (if exact then "EXACT" else "CORRUPTED")
     !wrong m
     (Store.Io.crc32 (Bytes.to_string bytes));
-  let a = (Store.stats store).Store.access_s in
+  let s = Store.stats store in
+  Printf.printf "  %s\n"
+    (if s.Store.deepened_accesses > 0 then "deepened: the base-coverage first pass was refused"
+     else "acked on the base-coverage first pass");
+  let a = s.Store.access_s in
   Printf.printf
     "  sequencing %.2fs, demux %.2fs, clustering %.2fs, reconstruction %.2fs, decoding %.2fs\n"
     a.Dnastore.Pipeline.simulate_s a.demux_s a.cluster_s a.reconstruct_s a.decode_s;

@@ -8,7 +8,8 @@
      dune exec bench/main.exe -- --out-dir d store # write JSON elsewhere
 
    Paper experiments: fig3 (includes Table I), fig5, table2, fig6,
-   depth (NW reads used against error), table3, e2e, layout, density,
+   depth (NW reads used against error), table3, e2e, firstpass (cold
+   gets acked at base coverage), layout, density,
    ecc, clover. Perf trajectories: kernels
    (BENCH_micro.json, BENCH_cluster.json), recon (BENCH_recon.json),
    store (BENCH_store.json), scenarios (BENCH_scenarios.json). Flags are
@@ -24,6 +25,7 @@ let entries =
     ("depth", Depth.run);
     ("table3", Table3.run);
     ("e2e", E2e.run);
+    ("firstpass", First_pass.run);
     ("layout", Layout_ablation.run);
     ("density", Density.run);
     ("ecc", Ecc_compare.run);

@@ -767,7 +767,10 @@ let store_cmd =
         | [ (_, r) ] ->
             let bytes = or_die r in
             Out_channel.with_open_bin output (fun oc -> Out_channel.output_bytes oc bytes);
-            Printf.printf "recovered %s (%d bytes)\n" key (Bytes.length bytes)
+            Printf.printf "recovered %s (%d bytes%s)\n" key (Bytes.length bytes)
+              (if (Store.stats store).Store.deepened_accesses > 0 then
+                 ", first pass refused, deepened"
+               else "")
         | _ -> assert false
     in
     Cmd.v (Cmd.info "get" ~doc:"Sequence, reconstruct and decode one object.")

@@ -29,5 +29,7 @@ val shard_depth : base:int -> n_selected:int -> n_shard:int -> int
     [n_selected] molecules out of a shard of [n_shard]: the run's read
     budget concentrates on the amplified selection, so depth scales as
     [base * sqrt (n_shard / n_selected)], clamped to [\[base, 4*base\]].
-    0 when nothing is selected. Used by the persistent store to pick a
-    sequencing depth per shard access. *)
+    0 when nothing is selected. The persistent store reads at this
+    depth only in a get's deep pass (and in salvage reads): a get first
+    reads at [base], and deepens to this depth when that pass fails the
+    object's CRC-32. *)

@@ -13,9 +13,10 @@
       "key") and appends the tagged molecules to the open shard;
     - [get] runs the wetlab read path against only the object's shard:
       indexed PCR selection, sequencing through the store's channel
-      (recorded in the manifest) at a depth scaled to the selection
-      ({!Simulator.Sequencer.shard_depth}), primer
-      demultiplexing, clustering, reconstruction, decoding;
+      (recorded in the manifest) at the base coverage, primer
+      demultiplexing, clustering, reconstruction, decoding; a read the
+      object's CRC-32 refuses runs again at a depth scaled to the
+      selection ({!Simulator.Sequencer.shard_depth});
     - [overwrite] appends a new version under a fresh pair and retires
       the old one; [delete] retires the object's pair outright — in both
       cases the stale molecules stay in their shard until
@@ -97,6 +98,7 @@ type t = {
       (** leftover [.tmp] and unreferenced shard files removed when this
           store was opened (debris of an interrupted run) *)
   mutable cold_accesses : int;  (** wetlab read paths run (cache misses and salvage attempts) *)
+  mutable deepened_accesses : int;  (** get misses whose first pass was refused *)
   mutable access_s : Dnastore.Pipeline.timings;  (** their stage times, summed *)
   mutable checkpoint_bytes : int;  (** size of [MANIFEST.json] *)
   mutable journal_bytes : int;  (** whole records in [MANIFEST.journal] *)
@@ -156,6 +158,7 @@ let of_manifest ~io ~dir ~orphans ~checkpoint_bytes (m : Manifest.t) =
     sequencing_passes = 0;
     orphans_reclaimed = orphans;
     cold_accesses = 0;
+    deepened_accesses = 0;
     access_s = Dnastore.Pipeline.zero_timings;
     checkpoint_bytes;
     journal_bytes = 0;
@@ -679,22 +682,32 @@ let access_rng t (o : Manifest.object_meta) =
   String.iter (fun c -> fold (Char.code c)) o.key;
   Dna.Rng.create (Int64.to_int (Int64.shift_right_logical !h 1))
 
-(* One object's access, after the serial PCR-selection phase: its
-   selected molecules go through the shared random-access path on the
-   object's own streams, through the store's channel at
-   [config.error_rate] and at [depth], the
-   per-strand sequencing depth of the shard pass the access rode on.
+(* The streams of one object's access, as (sequencing, clustering)
+   pairs split from {!access_rng} in a fixed order: the deep pass's two
+   first, then a third split that yields the first pass's two the same
+   way. The deep pass's streams therefore do not depend on whether a
+   first pass runs. *)
+let access_streams t o =
+  let rng = access_rng t o in
+  let deep_seq = Dna.Rng.split rng in
+  let deep_cluster = Dna.Rng.split rng in
+  let first = Dna.Rng.split rng in
+  let first_seq = Dna.Rng.split first in
+  let first_cluster = Dna.Rng.split first in
+  ((deep_seq, deep_cluster), (first_seq, first_cluster))
+
+(* One pass of an object's access, after the serial PCR-selection phase:
+   its selected molecules go through the shared random-access path on
+   [streams], through the store's channel at [config.error_rate] and at
+   [depth] reads per strand.
    Clustering and consensus stay at one domain inside a task. Pure given
-   the access rng, so the whole wetlab read path fans out over the
+   the streams, so the whole wetlab read path fans out over the
    domain pool. Returns the decode stats alongside the bytes so partial
    (degraded) readers can map recovered ranges, and the path's stage
    times for {!record_access}. *)
-let run_access_task t (o : Manifest.object_meta) ~depth selected :
+let run_access_task t (o : Manifest.object_meta) ~depth ~streams:(seq_rng, cluster_rng) selected :
     (Bytes.t * Codec.File_codec.decode_stats, error) result * Dnastore.Pipeline.timings =
   let cfg = t.manifest.Manifest.config in
-  let rng = access_rng t o in
-  let seq_rng = Dna.Rng.split rng in
-  let cluster_rng = Dna.Rng.split rng in
   let stages =
     {
       Dnastore.Pipeline.channel =
@@ -710,22 +723,61 @@ let run_access_task t (o : Manifest.object_meta) ~depth selected :
   in
   (Result.map_error (fun reason -> Decode_failed { key = o.key; reason }) result, timings)
 
-(* Fold one access's stage times into the store's totals. Serial: the
-   parallel get path calls it after its tasks have joined. *)
-let record_access t (tm : Dnastore.Pipeline.timings) =
-  let a = t.access_s in
+let add_timings (a : Dnastore.Pipeline.timings) (b : Dnastore.Pipeline.timings) =
+  {
+    a with
+    Dnastore.Pipeline.simulate_s = a.simulate_s +. b.simulate_s;
+    demux_s = a.demux_s +. b.demux_s;
+    cluster_s = a.cluster_s +. b.cluster_s;
+    reconstruct_s = a.reconstruct_s +. b.reconstruct_s;
+    decode_s = a.decode_s +. b.decode_s;
+  }
+
+(* Fold one access's stage times (both passes of a deepened get) into
+   the store's totals. Serial: the parallel get path calls it after its
+   tasks have joined. *)
+let record_access ?(deepened = false) t (tm : Dnastore.Pipeline.timings) =
   t.cold_accesses <- t.cold_accesses + 1;
-  t.access_s <-
-    {
-      a with
-      Dnastore.Pipeline.simulate_s = a.simulate_s +. tm.simulate_s;
-      demux_s = a.demux_s +. tm.demux_s;
-      cluster_s = a.cluster_s +. tm.cluster_s;
-      reconstruct_s = a.reconstruct_s +. tm.reconstruct_s;
-      decode_s = a.decode_s +. tm.decode_s;
-    }
+  if deepened then t.deepened_accesses <- t.deepened_accesses + 1;
+  t.access_s <- add_timings t.access_s tm
 
 let checksum_mismatch = "checksum mismatch"
+let crc_matches c bytes = Store_io.crc32 (Bytes.to_string bytes) = c
+
+(* A get miss's access. [depth] is the
+   {!Simulator.Sequencer.shard_depth} of the shard pass the miss rode
+   on. When it is above the base coverage and the object has a recorded
+   CRC-32, a first pass reads at [config.coverage] and is acked only if
+   every unit decoded and the bytes match the checksum. Otherwise (and
+   always without a checksum or at base depth) the deep pass reads at
+   [depth] on the deep streams, so a deepened get answers exactly what
+   a get reading only at the shard depth answers. Returns the answer,
+   both passes' summed stage times and whether the get deepened. *)
+let get_access t (o : Manifest.object_meta) ~depth selected =
+  let deep_streams, first_streams = access_streams t o in
+  let deep () =
+    let r, tm = run_access_task t o ~depth ~streams:deep_streams selected in
+    let r =
+      match (r, o.checksum) with
+      | Ok (bytes, _), Some c when not (crc_matches c bytes) ->
+          Error (Decode_failed { key = o.key; reason = checksum_mismatch })
+      | _ -> Result.map fst r
+    in
+    (r, tm)
+  in
+  let base = t.manifest.Manifest.config.coverage in
+  match o.checksum with
+  | Some c when depth > base -> (
+      match run_access_task t o ~depth:base ~streams:first_streams selected with
+      | Ok (bytes, stats), first_tm
+        when Codec.File_codec.fully_recovered stats && crc_matches c bytes ->
+          (Ok bytes, first_tm, false)
+      | _, first_tm ->
+          let r, tm = deep () in
+          (r, add_timings first_tm tm, true))
+  | _ ->
+      let r, tm = deep () in
+      (r, tm, false)
 
 let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) t (keys : string list)
     : (string * (Bytes.t, error) result) list =
@@ -815,23 +867,16 @@ let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) t (key
   let outcome_arr =
     Dna.Par.map_array ~label:"store.get_batch" ~domains
       (fun ((o : Manifest.object_meta), depth, selected) ->
-        let r, timings = run_access_task t o ~depth selected in
-        (* Bytes that fail the object's recorded CRC-32 are never acked. *)
-        let r =
-          match (r, o.checksum) with
-          | Ok (bytes, _), Some c when Store_io.crc32 (Bytes.to_string bytes) <> c ->
-              Error (Decode_failed { key = o.key; reason = checksum_mismatch })
-          | _ -> Result.map fst r
-        in
-        (o.key, r, timings))
+        let r, timings, deepened = get_access t o ~depth selected in
+        (o.key, r, timings, deepened))
       tasks
   in
   let outcomes : (string, (Bytes.t, error) result) Hashtbl.t =
     Hashtbl.create (Array.length outcome_arr)
   in
   Array.iter
-    (fun (key, r, timings) ->
-      record_access t timings;
+    (fun (key, r, timings, deepened) ->
+      record_access ~deepened t timings;
       Hashtbl.replace outcomes key r;
       match r with Ok bytes when use_cache -> Lru.add t.cache key bytes | _ -> ())
     outcome_arr;
@@ -890,7 +935,9 @@ let partial_attempt t (o : Manifest.object_meta) : (partial_read, error) result 
           Simulator.Sequencer.shard_depth ~base:cfg.coverage ~n_selected:(Array.length selected)
             ~n_shard:(Array.length pool.strands)
         in
-        let r, timings = run_access_task t o ~depth selected in
+        (* The salvage read keeps a single pass at the shard depth. *)
+        let streams = fst (access_streams t o) in
+        let r, timings = run_access_task t o ~depth ~streams selected in
         record_access t timings;
         match r with
         | Error e -> Error e
@@ -898,9 +945,7 @@ let partial_attempt t (o : Manifest.object_meta) : (partial_read, error) result 
             let p = Codec.File_codec.partial ~params:o.params ~file_len:(Bytes.length bytes) stats in
             let exact =
               Codec.File_codec.fully_recovered stats
-              && (match o.checksum with
-                 | Some c -> Store_io.crc32 (Bytes.to_string bytes) = c
-                 | None -> true)
+              && match o.checksum with Some c -> crc_matches c bytes | None -> true
             in
             Ok
               {
@@ -1253,6 +1298,7 @@ type stats = {
   quarantined_shards : int;
   orphans_reclaimed : int;
   cold_accesses : int;
+  deepened_accesses : int;
   access_s : Dnastore.Pipeline.timings;
   checkpoint_bytes : int;
   journal_records : int;
@@ -1289,6 +1335,7 @@ let stats t =
         (List.filter (fun (s : Manifest.shard_meta) -> s.quarantined) m.Manifest.shards);
     orphans_reclaimed = t.orphans_reclaimed;
     cold_accesses = t.cold_accesses;
+    deepened_accesses = t.deepened_accesses;
     access_s = t.access_s;
     checkpoint_bytes = t.checkpoint_bytes;
     journal_records = t.journal_records;
@@ -1326,7 +1373,8 @@ let render_stats t =
      else
        let a = s.access_s in
        Printf.sprintf
-         "cold accesses: %d (sequence %.3fs, demux %.3fs, cluster %.3fs, reconstruct %.3fs, \
-          decode %.3fs)\n"
-         s.cold_accesses a.simulate_s a.demux_s a.cluster_s a.reconstruct_s a.decode_s)
+         "cold accesses: %d, %d deepened (sequence %.3fs, demux %.3fs, cluster %.3fs, \
+          reconstruct %.3fs, decode %.3fs)\n"
+         s.cold_accesses s.deepened_accesses a.simulate_s a.demux_s a.cluster_s a.reconstruct_s
+         a.decode_s)
   ^ Dnastore.Report.cache_counters ~label:"store" ~hits:s.cache_hits ~misses:s.cache_misses

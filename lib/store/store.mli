@@ -122,7 +122,9 @@ val delete : t -> key:string -> (unit, error) result
     molecules stay in their shard until {!compact}. *)
 
 val get : ?use_cache:bool -> t -> key:string -> (Bytes.t, error) result
-(** Fails typed — never raises — on damage: [Corrupt_shard] when the
+(** A one-key {!get_batch} at one domain, so it reads in the same
+    two-depth way. Fails typed — never raises — on damage:
+    [Corrupt_shard] when the
     object's pool is unreadable or checksum-mismatched, [Object_degraded]
     / [Object_lost] when scrub has classified the object, and
     [Decode_failed] with reason ["checksum mismatch"] when the read
@@ -137,12 +139,26 @@ val get_batch :
     shard is PCR-selected and sequenced once, then the whole per-object
     wetlab path (sequencing, demux, clustering, reconstruction, decode)
     fans out over the domain pool. Like {!get}, never answers [Ok] with
-    bytes that fail the object's recorded checksum. Each object's stochastic draws come
-    from a stream derived from (store seed, key, version), so the bytes
-    a key decodes to are identical across [get], any batch composition
-    and any [domains]. Each object's demuxed core arena stays
-    pool-native through clustering and consensus (index slices +
-    per-domain scratch, no boxed strand per read). *)
+    bytes that fail the object's recorded checksum.
+
+    Each miss reads at two depths. The shard pass's depth is
+    {!Simulator.Sequencer.shard_depth} of the whole selection. When it
+    is above [config.coverage] and the object has a recorded CRC-32, a
+    first pass reads at [config.coverage] and is acked only if every
+    unit decoded and the bytes match the checksum. Otherwise the miss
+    deepens: the deep pass reads at the shard depth on streams the
+    first pass does not touch, so a deepened get answers exactly what a
+    get reading only at the shard depth answers. Objects without a
+    checksum, and passes already at base depth, run only the deep pass.
+
+    Each object's stochastic draws come from streams derived from
+    (store seed, key, version), so the bytes a key decodes to are
+    identical across [get], any batch composition and any [domains],
+    and so is whether its first pass is acked (the first pass reads the
+    same molecules at the same depth in every batch; only whether it
+    runs depends on the shard pass's depth). Each object's demuxed core
+    arena stays pool-native through clustering and consensus (index
+    slices + per-domain scratch, no boxed strand per read). *)
 
 type partial_read = {
   bytes : Bytes.t;  (** best-effort reconstruction, length = original size *)
@@ -248,11 +264,16 @@ type stats = {
   orphans_reclaimed : int;  (** debris removed when this handle opened the store *)
   cold_accesses : int;
       (** wetlab read paths this handle ran: get misses and salvage
-          attempts (degraded reads, scrub); cache hits add nothing *)
+          attempts (degraded reads, scrub); cache hits add nothing, and
+          a get that deepened is one access *)
+  deepened_accesses : int;
+      (** get misses whose base-coverage first pass was refused, so
+          they also ran the deep pass (see {!get_batch}) *)
   access_s : Dnastore.Pipeline.timings;
       (** those accesses' stage times summed per stage (sequencing in
-          [simulate_s], then demux, cluster, reconstruct, decode); the
-          encode and percentile fields stay 0 *)
+          [simulate_s], then demux, cluster, reconstruct, decode), both
+          passes of a deepened get included; the encode and percentile
+          fields stay 0 *)
   checkpoint_bytes : int;  (** size of the last checkpoint this handle read or wrote *)
   journal_records : int;  (** whole records in the journal *)
   journal_bytes : int;  (** their bytes *)

@@ -3,7 +3,10 @@
    test_claims and the wetlab reopen test in test_store: a 500 B decoy
    and the 2000 B gradient image share one shard of a store whose
    channel is the harsh wetlab model at error rate 0.10, both at parity
-   8, and the image is read back at base coverage 30. *)
+   8, and the image is read back at base coverage 30. The shard pass
+   reads the image at depth 33 ([Simulator.Sequencer.shard_depth]), so
+   a get first reads at 30 and deepens to 33 only when that pass fails
+   the image's CRC-32. *)
 
 let n = 2000
 
@@ -28,8 +31,9 @@ let ok_or_fail seed label = function
   | Error e -> Alcotest.failf "seed %d: %s: %s" seed label (Store.error_message e)
 
 (* [f ~dir store] on a fresh E7 store at [seed] in a temporary
-   directory, removed afterwards. *)
-let with_store seed f =
+   directory, removed afterwards; [params] (E7's by default) encodes
+   both objects. *)
+let with_store ?(params = params) seed f =
   let dir = Filename.temp_dir "dnastore_e7_" "" in
   Fun.protect
     ~finally:(fun () -> remove_tree dir)

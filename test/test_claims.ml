@@ -26,9 +26,10 @@
 
    E7 as a ratchet (Section IX): the retrieval of [E7.retrieval], a
    wetlab store read, over store seeds 909 and 100-123 decodes exactly
-   on at least 23 of the 25. Seeds 118 and 120 return 4 wrong bytes
-   each (the known defect ROADMAP items 2, 9 and 13 work on); the count
-   may rise, never fall. *)
+   on all 25. While gets read only at the shard depth (33), seeds 118
+   and 120 returned 4 wrong bytes each; the base-30 first pass decodes
+   both (NW consensus is not monotone in depth), and 22 of the 25 are
+   acked on that pass. The count may rise, never fall. *)
 
 let error_rates = [ 0.03; 0.06; 0.09; 0.12; 0.15 ]
 let n_strands = 40
@@ -173,9 +174,9 @@ let test_e7_ratchet () =
     List.filter_map (fun (s, w) -> if w > 0 then Some (Printf.sprintf "%d:%d" s w) else None) wrong
   in
   Alcotest.(check bool)
-    (Printf.sprintf "%d of %d seeds exact (at least 23); wrong bytes %s" exact
+    (Printf.sprintf "%d of %d seeds exact (at least 25); wrong bytes %s" exact
        (List.length e7_seeds) (String.concat " " misses))
-    true (exact >= 23)
+    true (exact >= 25)
 
 let () =
   Alcotest.run "claims"

@@ -1056,10 +1056,12 @@ let test_put_only_handle_reads_from_disk () =
     (ok_or_fail "get late" (Store.get ~use_cache:false store ~key:"late"))
 
 let test_get_refuses_checksum_mismatch () =
-  (* E7 seed 118 decodes the image to 4 wrong bytes: a plain get must
-     refuse them (and cache nothing), while the degraded read returns
-     them as inexact. *)
-  E7.with_store 118 (fun ~dir:_ store ->
+  (* E7's store at parity 6 instead of 8, seed 118: the image decodes
+     to wrong bytes on both passes, the base-30 first pass and the
+     depth-33 deep one. A plain get must refuse them (and cache
+     nothing), while the degraded read returns them as inexact. *)
+  let params = { E7.params with Codec.Params.rs_parity = 6 } in
+  E7.with_store ~params 118 (fun ~dir:_ store ->
       let refused () =
         match Store.get store ~key:"image.raw" with
         | Error (Store.Decode_failed { reason; _ }) ->
@@ -1069,10 +1071,136 @@ let test_get_refuses_checksum_mismatch () =
       in
       refused ();
       refused ();
-      Alcotest.(check int) "nothing cached: no hit" 0 (Store.stats store).Store.cache_hits;
+      let s = Store.stats store in
+      Alcotest.(check int) "nothing cached: no hit" 0 s.Store.cache_hits;
+      Alcotest.(check int) "both refused gets deepened" 2 s.Store.deepened_accesses;
       let p = ok_or_fail "get_partial" (Store.get_partial store ~key:"image.raw") in
       Alcotest.(check bool) "partial read is not exact" false p.Store.exact;
       Alcotest.(check int) "partial read keeps the length" E7.n (Bytes.length p.Store.bytes))
+
+(* ---------- the two-depth get ---------- *)
+
+(* [f dir store objects] on an iid 6% store at base coverage 5, where
+   the first pass fails for some 256 B objects and the shard depth
+   decodes them all; a small shard target spreads the eight objects
+   over several shards. *)
+let shallow_store seed f =
+  with_store_dir @@ fun dir ->
+  let config =
+    { Store.default_config with Store.coverage = 5; shard_target_strands = 60 }
+  in
+  let store = ok_or_fail "init" (Store.init ~config ~dir ~seed ()) in
+  let r = Dna.Rng.create seed in
+  let objects = List.init 8 (fun i -> (Printf.sprintf "k%d" i, random_file r 256)) in
+  List.iter (fun (key, data) -> ok_or_fail ("put " ^ key) (Store.put store ~key data)) objects;
+  f dir store objects
+
+(* The answer of one solo get and whether it deepened. *)
+let solo_get store key =
+  let before = (Store.stats store).Store.deepened_accesses in
+  let r = Store.get ~use_cache:false store ~key in
+  (r, (Store.stats store).Store.deepened_accesses - before)
+
+let test_shallow_gets_deepen_exactly () =
+  List.iter
+    (fun seed ->
+      shallow_store seed @@ fun _ store objects ->
+      List.iter
+        (fun (key, data) ->
+          Alcotest.(check bytes) (Printf.sprintf "seed %d: get %s" seed key) data
+            (ok_or_fail ("get " ^ key) (fst (solo_get store key))))
+        objects;
+      let s = Store.stats store in
+      Alcotest.(check int) "one cold access per get" (List.length objects) s.Store.cold_accesses;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: some first passes refused (%d deepened)" seed
+           s.Store.deepened_accesses)
+        true
+        (s.Store.deepened_accesses > 0 && s.Store.deepened_accesses < List.length objects))
+    [ 1; 2 ]
+
+let test_two_depth_get_replays () =
+  (* One key per shard, so a batch of them keeps each key's shard pass
+     (and so its depth) what a solo get of it has. *)
+  shallow_store 3 @@ fun _ store objects ->
+  let seen = Hashtbl.create 4 in
+  let keys =
+    List.filter_map
+      (fun (key, _) ->
+        let shard = Option.get (Store.object_shard store ~key) in
+        if Hashtbl.mem seen shard then None
+        else begin
+          Hashtbl.add seen shard ();
+          Some key
+        end)
+      objects
+  in
+  Alcotest.(check bool) "keys on several shards" true (List.length keys > 1);
+  let solo = List.map (fun key -> (key, solo_get store key)) keys in
+  let deepened = List.fold_left (fun a (_, (_, d)) -> a + d) 0 solo in
+  Alcotest.(check bool)
+    (Printf.sprintf "some solo gets deepened (%d)" deepened)
+    true (deepened > 0);
+  List.iter
+    (fun domains ->
+      let before = (Store.stats store).Store.deepened_accesses in
+      let batch = Store.get_batch ~domains ~use_cache:false store keys in
+      List.iter2
+        (fun (key, (r, _)) (key', r') ->
+          Alcotest.(check string) "input order" key key';
+          Alcotest.(check bytes)
+            (Printf.sprintf "%s at --domains %d" key domains)
+            (ok_or_fail "solo" r) (ok_or_fail "batch" r');
+          Alcotest.(check bytes) (key ^ " exact") (List.assoc key objects) (ok_or_fail "batch" r'))
+        solo batch;
+      Alcotest.(check int)
+        (Printf.sprintf "deepened count at --domains %d" domains)
+        deepened
+        ((Store.stats store).Store.deepened_accesses - before))
+    [ 1; 2 ]
+
+let test_unmatched_checksum_refused_on_both_passes () =
+  (* A recorded checksum that no decode can match, on an object whose
+     first pass decodes exactly: that pass must still not be acked. *)
+  shallow_store 1 @@ fun dir store objects ->
+  let key, data =
+    match List.find_opt (fun (key, _) -> snd (solo_get store key) = 0) objects with
+    | Some o -> o
+    | None -> Alcotest.fail "every get deepened in the fixture"
+  in
+  ok_or_fail "checkpoint" (Store.checkpoint store);
+  let crc = Store.Io.crc32 (Bytes.to_string data) in
+  patch_manifest dir
+    (replace_substring
+       ~needle:(Printf.sprintf "\"checksum\": %d" crc)
+       ~into:(Printf.sprintf "\"checksum\": %d" (crc lxor 1)));
+  let store = ok_or_fail "reopen" (Store.open_store ~dir ()) in
+  (match Store.get store ~key with
+  | Error (Store.Decode_failed { reason; _ }) ->
+      Alcotest.(check string) "reason" "checksum mismatch" reason
+  | Ok _ -> Alcotest.fail "get acked bytes that fail the recorded checksum"
+  | Error e -> Alcotest.fail ("wrong error: " ^ Store.error_message e));
+  let s = Store.stats store in
+  Alcotest.(check int) "the get deepened" 1 s.Store.deepened_accesses;
+  Alcotest.(check int) "one cold access" 1 s.Store.cold_accesses
+
+let test_unchecksummed_get_reads_deep () =
+  (* A version-1 store records no object checksum, so its gets cannot
+     check a first pass and take only the deep one. The fixture's key
+     is one whose first pass is refused when the checksum is there. *)
+  shallow_store 1 @@ fun dir store objects ->
+  let key, data =
+    match List.find_opt (fun (key, _) -> snd (solo_get store key) = 1) objects with
+    | Some o -> o
+    | None -> Alcotest.fail "no get deepened in the fixture"
+  in
+  ok_or_fail "checkpoint" (Store.checkpoint store);
+  patch_manifest dir (as_version 1);
+  let store = ok_or_fail "open v1 manifest" (Store.open_store ~dir ()) in
+  Alcotest.(check bytes) "deep pass reads it back" data (ok_or_fail "get" (Store.get store ~key));
+  let s = Store.stats store in
+  Alcotest.(check int) "one cold access" 1 s.Store.cold_accesses;
+  Alcotest.(check int) "no first pass to refuse" 0 s.Store.deepened_accesses
 
 let test_crc32_vectors () =
   Alcotest.(check int) "check value" 0xCBF43926 (Store.Io.crc32 "123456789");
@@ -1475,6 +1603,17 @@ let () =
           Alcotest.test_case "get refuses a checksum mismatch" `Slow
             test_get_refuses_checksum_mismatch;
           Alcotest.test_case "crc32 vectors" `Quick test_crc32_vectors;
+        ] );
+      ( "two-depth get",
+        [
+          Alcotest.test_case "shallow store: exact gets, some deepen (2 seeds)" `Slow
+            test_shallow_gets_deepen_exactly;
+          Alcotest.test_case "replays alone, batched, across domains" `Slow
+            test_two_depth_get_replays;
+          Alcotest.test_case "no checksum: single deep pass" `Slow
+            test_unchecksummed_get_reads_deep;
+          Alcotest.test_case "unmatched checksum refused on both passes" `Slow
+            test_unmatched_checksum_refused_on_both_passes;
         ] );
       ( "journal",
         [
