@@ -26,18 +26,21 @@ let sibling rng s =
 
 (* Per-case micro workloads as (reference, production) thunks; each is
    timed both ways and the myers entry carries its speedup over the
-   scalar reference. *)
+   scalar reference. [run_micro] exits 1 when the two answer
+   differently. *)
 let micro_cases rng =
   let a = Dna.Strand.random rng read_len in
   let b = sibling rng a in
   let c = Dna.Strand.random rng read_len in
   let la = Dna.Strand.random rng 300 in
   let lb = sibling rng la in
-  let bound = 40 in
+  (* the strand every trip and get compares: 136 nt at default params *)
+  let sa = Dna.Strand.random rng (Codec.Params.strand_nt Codec.Params.default) in
+  let sb = sibling rng sa in
   let lev x y =
     ((fun () -> Kernel_oracle.levenshtein x y), fun () -> Dna.Distance.levenshtein x y)
   in
-  let leq x y =
+  let leq ?(bound = 40) x y =
     let d = function Some d -> d | None -> -1 in
     ( (fun () -> d (Kernel_oracle.levenshtein_leq ~bound x y)),
       fun () -> d (Dna.Distance.levenshtein_leq ~bound x y) )
@@ -45,9 +48,11 @@ let micro_cases rng =
   [
     ("levenshtein/siblings-120nt", lev a b);
     ("levenshtein/unrelated-120nt", lev a c);
+    ("levenshtein/siblings-136nt", lev sa sb);
     ("levenshtein/siblings-300nt", lev la lb);
     ("levenshtein_leq/bound-40-siblings-120nt", leq a b);
     ("levenshtein_leq/bound-40-unrelated-120nt", leq a c);
+    ("levenshtein_leq/bound-44-siblings-136nt", leq ~bound:44 sa sb);
   ]
 
 (* Primer locator cases on noisy default molecules (20 nt primers around
@@ -172,6 +177,8 @@ let run_micro () =
   let raced =
     List.concat_map
       (fun (name, (reference, production)) ->
+        let r = reference () and p = production () in
+        if r <> p then fail "kernel disagrees with the reference on %s (%d vs %d)" name r p;
         let ns_scalar = ns_per_op reference in
         let ns_myers = ns_per_op production in
         Printf.printf "%-42s reference %10.1f ns   myers %8.1f ns   %6.1fx\n" name ns_scalar

@@ -14,6 +14,21 @@
     greedy choices as the classic O(la*lb) matrix's and the script is
     bit-identical to it by construction — no band, no fallback.
 
+    Two forward loops store the same delta words. Up to three blocks
+    (references of at most 189 nt; every strand at default codec params
+    is 136 nt, 3 blocks) the loop is unrolled over the blocks and
+    carries each block's vertical state from column to column in local
+    variables (registers where ocamlopt's register pressure allows,
+    fixed stack slots otherwise). Past 189 nt a blocked loop reads that state back from the
+    previous column's stored words: a store-to-load round trip on the
+    loop-carried path, paid per block per column. The library builds
+    with [-opaque] in dune's dev profile, so nothing from [Strand] is
+    inlined or constant-folded here: the read's codes are filled by one
+    [Strand.blit_codes] call (16 bases per packed word) rather than one
+    call per base, and the block width is a literal 63 rather than
+    [Strand.mask_bits], which would turn every [/ 63] and [mod 63] of the
+    forward pass and the traceback into a hardware divide.
+
     The kernel runs over flat scratch arrays drawn from a per-domain
     arena (domain-local storage), so hot consensus loops — and the
     [Par.map_array] reconstruction workers — never reallocate alignment
@@ -72,11 +87,6 @@ let scratch_capacity_words () =
   Array.length s.deltas + Array.length s.codes_a + Array.length s.codes_b + Array.length s.ops
 
 let ensure arr n = if Array.length arr >= n then arr else Array.make (max n (2 * Array.length arr)) 0
-
-let fill_codes dst s len =
-  for i = 0 to len - 1 do
-    Array.unsafe_set dst i (Strand.unsafe_get_code s i)
-  done
 
 (* ---------- Packed scripts ---------- *)
 
@@ -140,7 +150,11 @@ let gap_tail ca cb i j k ops =
 
 (* ---------- Bit-parallel kernel ---------- *)
 
-let word_bits = Strand.mask_bits
+(* [Strand.mask_bits], as a literal: under [-opaque] the imported value
+   is unknown at compile time, which makes every shift by it a variable
+   shift and every division by it an [idiv]. *)
+let word_bits = 63
+let () = assert (word_bits = Strand.mask_bits)
 
 (* Forward pass: the blocked Myers/Hyyrö recurrence of [Distance], with
    [a] as the pattern (row i is bit (i-1) mod 63 of block (i-1) / 63;
@@ -154,12 +168,14 @@ let word_bits = Strand.mask_bits
    its horizontal delta from the block above, +1 for block 0 (row 0 is
    D[0][j] = j). Rows past [la] in the last block are padding: values
    only flow downward, so they never disturb real rows. Returns
-   D[la][lb], threaded along row [la] by its horizontal deltas. *)
-let bit_forward deltas masks nw la cb lb =
-  for w = 0 to nw - 1 do
-    Array.unsafe_set deltas ((4 * w) + 2) (-1);
-    Array.unsafe_set deltas ((4 * w) + 3) 0
-  done;
+   D[la][lb], threaded along row [la] by its horizontal deltas.
+
+   Two loops compute the same words. Up to three blocks (la <= 189, every
+   strand at default codec params), [forward_regs] carries each block's
+   Pv/Mv from column to column in locals and only stores them for the
+   traceback; past that, [forward_mem] reads them back from the previous
+   column's stored words. *)
+let forward_mem deltas masks nw la cb lb =
   let rbit = (la - 1) mod word_bits and rlast = 4 * (nw - 1) in
   let score = ref la in
   for j = 1 to lb do
@@ -192,6 +208,73 @@ let bit_forward deltas masks nw la cb lb =
       - ((Array.unsafe_get deltas (o + 1) lsr rbit) land 1)
   done;
   !score
+
+(* [forward_mem]'s step unrolled over blocks 0, 1 and 2 (the later two
+   guarded by [nw]); block w's state lives in [pvW]/[mvW]. *)
+let forward_regs deltas masks nw la cb lb =
+  let rbit = (la - 1) mod word_bits and rlast = 4 * (nw - 1) in
+  let pv0 = ref (-1) and mv0 = ref 0 in
+  let pv1 = ref (-1) and mv1 = ref 0 in
+  let pv2 = ref (-1) and mv2 = ref 0 in
+  let score = ref la in
+  for j = 1 to lb do
+    let base = Array.unsafe_get cb (j - 1) * nw in
+    let o = 4 * j * nw in
+    let eq = Array.unsafe_get masks base and pv = !pv0 and mv = !mv0 in
+    let xv = eq lor mv in
+    let xh = (((eq land pv) + pv) lxor pv) lor eq in
+    let ph = mv lor lnot (xh lor pv) and mh = pv land xh in
+    let phs = (ph lsl 1) lor 1 and mhs = mh lsl 1 in
+    pv0 := mhs lor lnot (xv lor phs);
+    mv0 := phs land xv;
+    Array.unsafe_set deltas o ph;
+    Array.unsafe_set deltas (o + 1) mh;
+    Array.unsafe_set deltas (o + 2) !pv0;
+    Array.unsafe_set deltas (o + 3) !mv0;
+    if nw > 1 then begin
+      let hp = ph lsr (word_bits - 1) and hm = mh lsr (word_bits - 1) in
+      let eq = Array.unsafe_get masks (base + 1) and pv = !pv1 and mv = !mv1 in
+      let eq_in = eq lor hm in
+      let xv = eq lor mv in
+      let xh = (((eq_in land pv) + pv) lxor pv) lor eq_in in
+      let ph = mv lor lnot (xh lor pv) and mh = pv land xh in
+      let phs = (ph lsl 1) lor hp and mhs = (mh lsl 1) lor hm in
+      pv1 := mhs lor lnot (xv lor phs);
+      mv1 := phs land xv;
+      Array.unsafe_set deltas (o + 4) ph;
+      Array.unsafe_set deltas (o + 5) mh;
+      Array.unsafe_set deltas (o + 6) !pv1;
+      Array.unsafe_set deltas (o + 7) !mv1;
+      if nw > 2 then begin
+        let hp = ph lsr (word_bits - 1) and hm = mh lsr (word_bits - 1) in
+        let eq = Array.unsafe_get masks (base + 2) and pv = !pv2 and mv = !mv2 in
+        let eq_in = eq lor hm in
+        let xv = eq lor mv in
+        let xh = (((eq_in land pv) + pv) lxor pv) lor eq_in in
+        let ph = mv lor lnot (xh lor pv) and mh = pv land xh in
+        let phs = (ph lsl 1) lor hp and mhs = (mh lsl 1) lor hm in
+        pv2 := mhs lor lnot (xv lor phs);
+        mv2 := phs land xv;
+        Array.unsafe_set deltas (o + 8) ph;
+        Array.unsafe_set deltas (o + 9) mh;
+        Array.unsafe_set deltas (o + 10) !pv2;
+        Array.unsafe_set deltas (o + 11) !mv2
+      end
+    end;
+    let o = o + rlast in
+    score :=
+      !score
+      + ((Array.unsafe_get deltas o lsr rbit) land 1)
+      - ((Array.unsafe_get deltas (o + 1) lsr rbit) land 1)
+  done;
+  !score
+
+let bit_forward deltas masks nw la cb lb =
+  for w = 0 to nw - 1 do
+    Array.unsafe_set deltas ((4 * w) + 2) (-1);
+    Array.unsafe_set deltas ((4 * w) + 3) 0
+  done;
+  if nw <= 3 then forward_regs deltas masks nw la cb lb else forward_mem deltas masks nw la cb lb
 
 (* The greedy walk over the stored deltas: every neighbor's value is the
    full matrix's, read off bits relative to here = D[i][j]:
@@ -256,14 +339,14 @@ let align_packed (a : Strand.t) (b : Strand.t) : packed =
     else begin
       let ca = ensure s.codes_a la in
       s.codes_a <- ca;
-      fill_codes ca a la;
+      Strand.blit_codes a ca;
       s.last_a <- a;
       ca
     end
   in
   let cb = ensure s.codes_b lb in
   s.codes_b <- cb;
-  fill_codes cb b lb;
+  Strand.blit_codes b cb;
   align_bit s a ca cb la lb
 
 let align (a : Strand.t) (b : Strand.t) : t =

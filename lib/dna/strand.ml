@@ -64,6 +64,24 @@ let get_code t i =
   if i < 0 || i >= t.len then invalid_arg "Strand.get_code";
   unsafe_get_code t i
 
+(* One packed word read per 16 bases, codes peeled off 2 bits at a
+   time: the kernels' per-call fill, in place of one [unsafe_get_code]
+   call per base (calls across modules are not inlined under [-opaque]). *)
+let blit_codes t (dst : int array) =
+  if Array.length dst < t.len then invalid_arg "Strand.blit_codes";
+  let i = ref 0 and j = ref t.off in
+  while !i < t.len do
+    let sh = !j land bpw_mask in
+    let n = min (bases_per_word - sh) (t.len - !i) in
+    let w = ref (Array.unsafe_get t.words (!j lsr bpw_shift) lsr (sh * 2)) in
+    for k = !i to !i + n - 1 do
+      Array.unsafe_set dst k (!w land 3);
+      w := !w lsr 2
+    done;
+    i := !i + n;
+    j := !j + n
+  done
+
 let get t i = Nucleotide.of_code (get_code t i)
 
 let char_of_code = [| 'A'; 'C'; 'G'; 'T' |]

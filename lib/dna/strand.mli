@@ -37,6 +37,13 @@ val get_code : t -> int -> int
 val unsafe_get_code : t -> int -> int
 (** No bounds check; for inner loops only. *)
 
+val blit_codes : t -> int array -> unit
+(** [blit_codes t dst] writes base [i]'s 0..3 code to [dst.(i)] for
+    every [i < length t], reading the packed words 16 bases at a time.
+    Raises [Invalid_argument] when [dst] is shorter than [t]. The
+    kernels' code fill: one call per strand instead of one
+    {!unsafe_get_code} call per base. *)
+
 val mask_bits : int
 (** Bits per match-mask word: 63, OCaml's native int width. *)
 

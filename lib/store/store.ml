@@ -752,18 +752,17 @@ let crc_matches c bytes = Store_io.crc32 (Bytes.to_string bytes) = c
    always without a checksum or at base depth) the deep pass reads at
    [depth] on the deep streams, so a deepened get answers exactly what
    a get reading only at the shard depth answers. Returns the answer,
-   both passes' summed stage times and whether the get deepened. *)
+   both passes' summed stage times, whether the get deepened, and the
+   deep pass's bytes and decode stats when the checksum refused them
+   (what {!get_partial} serves, without a pass of its own). *)
 let get_access t (o : Manifest.object_meta) ~depth selected =
   let deep_streams, first_streams = access_streams t o in
   let deep () =
     let r, tm = run_access_task t o ~depth ~streams:deep_streams selected in
-    let r =
-      match (r, o.checksum) with
-      | Ok (bytes, _), Some c when not (crc_matches c bytes) ->
-          Error (Decode_failed { key = o.key; reason = checksum_mismatch })
-      | _ -> Result.map fst r
-    in
-    (r, tm)
+    match (r, o.checksum) with
+    | Ok ((bytes, _) as pass), Some c when not (crc_matches c bytes) ->
+        (Error (Decode_failed { key = o.key; reason = checksum_mismatch }), tm, Some pass)
+    | _ -> (Result.map fst r, tm, None)
   in
   let base = t.manifest.Manifest.config.coverage in
   match o.checksum with
@@ -771,16 +770,19 @@ let get_access t (o : Manifest.object_meta) ~depth selected =
       match run_access_task t o ~depth:base ~streams:first_streams selected with
       | Ok (bytes, stats), first_tm
         when Codec.File_codec.fully_recovered stats && crc_matches c bytes ->
-          (Ok bytes, first_tm, false)
+          (Ok bytes, first_tm, false, None)
       | _, first_tm ->
-          let r, tm = deep () in
-          (r, add_timings first_tm tm, true))
+          let r, tm, refused = deep () in
+          (r, add_timings first_tm tm, true, refused))
   | _ ->
-      let r, tm = deep () in
-      (r, tm, false)
+      let r, tm, refused = deep () in
+      (r, tm, false, refused)
 
-let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) t (keys : string list)
-    : (string * (Bytes.t, error) result) list =
+(* {!get_batch}, each answer paired with the deep pass a checksum
+   refused (see {!get_access}). *)
+let get_batch_passes ~domains ~use_cache t (keys : string list) :
+    (string * (Bytes.t, error) result * (Bytes.t * Codec.File_codec.decode_stats) option) list
+    =
   (* Resolve keys against a hashed view of the directory: cache hits
      answer immediately; misses are deduplicated (a key requested twice
      decodes once) and grouped by shard so each shard is PCR-selected
@@ -867,37 +869,41 @@ let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) t (key
   let outcome_arr =
     Dna.Par.map_array ~label:"store.get_batch" ~domains
       (fun ((o : Manifest.object_meta), depth, selected) ->
-        let r, timings, deepened = get_access t o ~depth selected in
-        (o.key, r, timings, deepened))
+        let r, timings, deepened, refused = get_access t o ~depth selected in
+        (o.key, r, timings, deepened, refused))
       tasks
   in
-  let outcomes : (string, (Bytes.t, error) result) Hashtbl.t =
-    Hashtbl.create (Array.length outcome_arr)
-  in
+  let outcomes = Hashtbl.create (Array.length outcome_arr) in
   Array.iter
-    (fun (key, r, timings, deepened) ->
+    (fun (key, r, timings, deepened, refused) ->
       record_access ~deepened t timings;
-      Hashtbl.replace outcomes key r;
+      Hashtbl.replace outcomes key (r, refused);
       match r with Ok bytes when use_cache -> Lru.add t.cache key bytes | _ -> ())
     outcome_arr;
   List.map
     (fun (key, r) ->
       match r with
-      | `Err e -> (key, Error e)
-      | `Hit bytes -> (key, Ok bytes)
+      | `Err e -> (key, Error e, None)
+      | `Hit bytes -> (key, Ok bytes, None)
       | `Miss _ -> (
           match Hashtbl.find_opt pool_errors key with
-          | Some e -> (key, Error e)
+          | Some e -> (key, Error e, None)
           | None -> (
               match Hashtbl.find_opt outcomes key with
-              | Some outcome -> (key, outcome)
-              | None -> (key, Error (Corrupt ("no outcome for key " ^ key))))))
+              | Some (outcome, refused) -> (key, outcome, refused)
+              | None -> (key, Error (Corrupt ("no outcome for key " ^ key)), None))))
     resolved
 
-let get ?(use_cache = true) t ~key : (Bytes.t, error) result =
-  match get_batch ~domains:1 ~use_cache t [ key ] with
-  | [ (_, r) ] -> r
-  | _ -> Error (Corrupt "single-key batch returned a different shape")
+let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) t keys =
+  List.map (fun (key, r, _) -> (key, r)) (get_batch_passes ~domains ~use_cache t keys)
+
+(* A one-key batch at one domain: its answer and refused deep pass. *)
+let get_passes ~use_cache t ~key =
+  match get_batch_passes ~domains:1 ~use_cache t [ key ] with
+  | [ (_, r, refused) ] -> (r, refused)
+  | _ -> (Error (Corrupt "single-key batch returned a different shape"), None)
+
+let get ?(use_cache = true) t ~key : (Bytes.t, error) result = fst (get_passes ~use_cache t ~key)
 
 type health = Manifest.health =
   | Healthy
@@ -919,6 +925,22 @@ type partial_read = {
   exact : bool;
 }
 
+(* One pass's bytes as a partial read: the decode stats mapped onto
+   recovered byte ranges, exact only on a full decode the checksum
+   accepts. *)
+let partial_of_pass (o : Manifest.object_meta) (bytes, stats) =
+  let p = Codec.File_codec.partial ~params:o.params ~file_len:(Bytes.length bytes) stats in
+  let exact =
+    Codec.File_codec.fully_recovered stats
+    && match o.checksum with Some c -> crc_matches c bytes | None -> true
+  in
+  {
+    bytes;
+    recovered_fraction = p.Codec.File_codec.recovered_fraction;
+    recovered_ranges = p.Codec.File_codec.recovered_ranges;
+    exact;
+  }
+
 (* Best-effort read against whatever molecules survive in the object's
    (possibly damaged) shard: lenient pool load, then the ordinary wetlab
    path, mapping the decode stats onto recovered byte ranges. *)
@@ -939,21 +961,7 @@ let partial_attempt t (o : Manifest.object_meta) : (partial_read, error) result 
         let streams = fst (access_streams t o) in
         let r, timings = run_access_task t o ~depth ~streams selected in
         record_access t timings;
-        match r with
-        | Error e -> Error e
-        | Ok (bytes, stats) ->
-            let p = Codec.File_codec.partial ~params:o.params ~file_len:(Bytes.length bytes) stats in
-            let exact =
-              Codec.File_codec.fully_recovered stats
-              && match o.checksum with Some c -> crc_matches c bytes | None -> true
-            in
-            Ok
-              {
-                bytes;
-                recovered_fraction = p.Codec.File_codec.recovered_fraction;
-                recovered_ranges = p.Codec.File_codec.recovered_ranges;
-                exact;
-              }
+        Result.map (partial_of_pass o) r
       end)
 
 let get_partial ?(use_cache = true) t ~key : (partial_read, error) result =
@@ -964,8 +972,8 @@ let get_partial ?(use_cache = true) t ~key : (partial_read, error) result =
       | Manifest.Lost -> Error (Object_lost key)
       | Manifest.Degraded _ -> partial_attempt t o
       | Manifest.Healthy -> (
-          match get ~use_cache t ~key with
-          | Ok bytes ->
+          match get_passes ~use_cache t ~key with
+          | Ok bytes, _ ->
               let n = Bytes.length bytes in
               Ok
                 {
@@ -974,15 +982,17 @@ let get_partial ?(use_cache = true) t ~key : (partial_read, error) result =
                   recovered_ranges = (if n = 0 then [] else [ (0, n) ]);
                   exact = true;
                 }
-          | Error (Corrupt_shard _) ->
+          | Error (Corrupt_shard _), _ ->
               (* Damage scrub has not classified yet: fall back to the
                  surviving molecules rather than failing the read. *)
               partial_attempt t o
-          | Error (Decode_failed { reason; _ }) when reason = checksum_mismatch ->
-              (* The read decoded to bytes the payload checksum refuses:
-                 serve them as a best effort, never as exact. *)
-              partial_attempt t o
-          | Error e -> Error e))
+          | Error _, Some pass ->
+              (* The deep pass decoded to bytes the payload checksum
+                 refuses: serve them as a best effort, never as exact.
+                 The salvage pass would rerun that pass on the same
+                 streams, so its bytes and stats are mapped directly. *)
+              Ok (partial_of_pass o pass)
+          | Error e, None -> Error e))
 
 (* ---------- compaction ---------- *)
 

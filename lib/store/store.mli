@@ -173,11 +173,14 @@ type partial_read = {
 
 val get_partial : ?use_cache:bool -> t -> key:string -> (partial_read, error) result
 (** The degraded-read path: serve whatever survives. Healthy objects
-    answer exactly like {!get} (with [exact = true]); if their shard
-    fails verification mid-read, their decode fails the payload
-    checksum, or scrub has marked the object Degraded, the read falls back to a lenient decode over the surviving
-    molecules and maps the recovered byte ranges. [Object_lost] only
-    when nothing is selectable or scrub marked the object Lost. *)
+    answer exactly like {!get} (with [exact = true]). If their decode
+    fails the payload checksum, the get's refused deep pass is served
+    as it stands (its decode stats mapped onto recovered byte ranges,
+    [exact = false]) without a further pass. If their shard fails
+    verification mid-read, or scrub has marked the object Degraded, the
+    read falls back to a lenient decode over the surviving molecules
+    and maps the recovered byte ranges. [Object_lost] only when nothing
+    is selectable or scrub marked the object Lost. *)
 
 type health = Manifest.health =
   | Healthy

@@ -2,7 +2,7 @@
    scalar two-row DP oracle ([Kernel_oracle.levenshtein],
    [Kernel_oracle.levenshtein_leq]). The bit-parallel kernels are exact, so
    on every input they must agree with the oracle bit for bit: on the
-   full distance (single-word and blocked kernels) and on the
+   full distance (register and array kernels) and on the
    thresholded [levenshtein_leq] (both [Some] and [None] outcomes). *)
 
 let seeds = [ 1; 7; 42 ]
@@ -89,14 +89,15 @@ let test_empty_vs_nonempty () =
       Alcotest.(check (option int)) "empty leq below n" None (leq ~bound:(n - 1) e a))
     [ 0; 1; 63; 64; 65; 200 ]
 
-(* Lengths straddling the 63-bit word boundary exercise the carry
-   between the single-word and blocked kernels (and the final-block
-   bookkeeping of the thresholded one). *)
+(* Lengths straddling the 63-bit word boundaries exercise the carry
+   between blocks and the final-block bookkeeping of the thresholded
+   kernel; 188/189/190 straddle the handover from the register kernel
+   (up to three blocks) to the array one. *)
 let test_word_boundary () =
   List.iter
     (fun seed ->
       let rng = Dna.Rng.create seed in
-      let lens = [ 62; 63; 64; 65; 126; 127; 128 ] in
+      let lens = [ 62; 63; 64; 65; 126; 127; 128; 188; 189; 190 ] in
       List.iter
         (fun la ->
           List.iter
@@ -125,6 +126,35 @@ let test_leq_outcomes () =
   done;
   Alcotest.(check bool) "saw Le outcomes" true (!le > 0);
   Alcotest.(check bool) "saw Gt outcomes" true (!gt > 0)
+
+(* The merge test on the strands every trip and get compares (136 nt at
+   default codec params): a call allocates at most the option it
+   returns, 2 minor words for a [Some], nothing for a [None]. *)
+let test_leq_allocation () =
+  let rng = Dna.Rng.create 19 in
+  let pairs =
+    Array.init 64 (fun _ ->
+        let a = Dna.Strand.random rng 136 in
+        let b = mutate rng 0.06 a in
+        ignore (Dna.Strand.eq_masks a);
+        ignore (Dna.Strand.eq_masks b);
+        (a, b))
+  in
+  let calls = 10_000 in
+  let run () =
+    for i = 1 to calls do
+      let a, b = pairs.(i land 63) in
+      ignore (Sys.opaque_identity (leq ~bound:44 a b))
+    done
+  in
+  run ();
+  let before = Gc.minor_words () in
+  run ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "<= 2 minor words per call (%.0f for %d calls)" words calls)
+    true
+    (words <= 2.0 *. float_of_int calls)
 
 (* Structure of the cached Eq masks: one word-set per base code, bit i of
    word w set exactly when base w*63+i has that code. *)
@@ -159,6 +189,7 @@ let () =
           Alcotest.test_case "empty vs non-empty" `Quick test_empty_vs_nonempty;
           Alcotest.test_case "63/64/65 word boundary" `Quick test_word_boundary;
           Alcotest.test_case "leq Le and Gt outcomes" `Quick test_leq_outcomes;
+          Alcotest.test_case "leq allocates only its option (136 nt)" `Quick test_leq_allocation;
         ] );
       ("eq-masks", [ Alcotest.test_case "structure and caching" `Quick test_eq_masks_structure ]);
     ]

@@ -815,7 +815,18 @@ let prop_packed_sub =
       let pos = if n = 0 then 0 else p mod (n + 1) in
       let len = if n - pos = 0 then 0 else l mod (n - pos + 1) in
       let s = Dna.Strand.of_codes codes in
-      Dna.Strand.to_codes (Dna.Strand.sub s ~pos ~len) = Array.sub codes pos len)
+      let v = Dna.Strand.sub s ~pos ~len in
+      (* [blit_codes] fills exactly the view's codes, and refuses a
+         destination shorter than the view *)
+      let dst = Array.make (len + 1) (-1) in
+      Dna.Strand.blit_codes v dst;
+      Dna.Strand.to_codes v = Array.sub codes pos len
+      && Array.sub dst 0 len = Array.sub codes pos len
+      && dst.(len) = -1
+      && (len = 0
+         || match Dna.Strand.blit_codes v (Array.make (len - 1) 0) with
+            | () -> false
+            | exception Invalid_argument _ -> true))
 
 let prop_packed_sub_of_sub =
   (* Slices of slices alias the same packed words at a composed offset. *)

@@ -1059,7 +1059,11 @@ let test_get_refuses_checksum_mismatch () =
   (* E7's store at parity 6 instead of 8, seed 118: the image decodes
      to wrong bytes on both passes, the base-30 first pass and the
      depth-33 deep one. A plain get must refuse them (and cache
-     nothing), while the degraded read returns them as inexact. *)
+     nothing), while the degraded read returns them as inexact. The
+     degraded read serves its own get's refused deep pass: one cold
+     access of two passes (first, deep), where a salvage pass after it
+     made three, with the partial read the salvage pass gave (pinned
+     below: the bytes' CRC-32, fraction and ranges). *)
   let params = { E7.params with Codec.Params.rs_parity = 6 } in
   E7.with_store ~params 118 (fun ~dir:_ store ->
       let refused () =
@@ -1074,9 +1078,19 @@ let test_get_refuses_checksum_mismatch () =
       let s = Store.stats store in
       Alcotest.(check int) "nothing cached: no hit" 0 s.Store.cache_hits;
       Alcotest.(check int) "both refused gets deepened" 2 s.Store.deepened_accesses;
+      let passes = Store.sequencing_passes store in
       let p = ok_or_fail "get_partial" (Store.get_partial store ~key:"image.raw") in
       Alcotest.(check bool) "partial read is not exact" false p.Store.exact;
-      Alcotest.(check int) "partial read keeps the length" E7.n (Bytes.length p.Store.bytes))
+      Alcotest.(check int) "partial read keeps the length" E7.n (Bytes.length p.Store.bytes);
+      Alcotest.(check string) "partial bytes' crc32" "424f07a4"
+        (Printf.sprintf "%08x" (Store.Io.crc32 (Bytes.to_string p.Store.bytes)));
+      Alcotest.(check (float 0.)) "partial fraction" 0.255 p.Store.recovered_fraction;
+      Alcotest.(check (list (pair int int))) "partial ranges" [ (0, 510) ] p.Store.recovered_ranges;
+      let s' = Store.stats store in
+      Alcotest.(check int) "one more cold access" 1 (s'.Store.cold_accesses - s.Store.cold_accesses);
+      Alcotest.(check int) "and it deepened: two passes" 1
+        (s'.Store.deepened_accesses - s.Store.deepened_accesses);
+      Alcotest.(check int) "one shard pass" 1 (Store.sequencing_passes store - passes))
 
 (* ---------- the two-depth get ---------- *)
 
