@@ -36,8 +36,6 @@
 let format_version = 4
 let manifest_name = "MANIFEST.json"
 let journal_name = "MANIFEST.journal"
-let shards_dir = "shards"
-let shard_file shard_id = Filename.concat shards_dir (Printf.sprintf "shard_%05d.fasta" shard_id)
 
 type config = {
   shard_target_strands : int;  (** open a new shard once the current one reaches this *)
@@ -82,6 +80,40 @@ type object_meta = {
   health : health;
 }
 
+(* The live objects keyed by name, each with its insertion ordinal:
+   [to_list] sorts by ordinal, so an object [add] replaces keeps its
+   place and a checkpoint lists objects in the order they were put. *)
+module Directory = struct
+  module Keys = Map.Make (String)
+
+  type t = { by_key : (int * object_meta) Keys.t; next : int }
+
+  let empty = { by_key = Keys.empty; next = 0 }
+  let find t key = Option.map snd (Keys.find_opt key t.by_key)
+  let cardinal t = Keys.cardinal t.by_key
+  let remove key t = { t with by_key = Keys.remove key t.by_key }
+
+  let add (o : object_meta) t =
+    match Keys.find_opt o.key t.by_key with
+    | Some (ordinal, _) -> { t with by_key = Keys.add o.key (ordinal, o) t.by_key }
+    | None -> { by_key = Keys.add o.key (t.next, o) t.by_key; next = t.next + 1 }
+
+  let to_list t =
+    Keys.fold (fun _ entry acc -> entry :: acc) t.by_key []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
+
+  let of_list objects =
+    List.fold_left
+      (fun acc (o : object_meta) ->
+        match acc with
+        | Ok t when Keys.mem o.key t.by_key ->
+            Error (Printf.sprintf "manifest lists key %S twice" o.key)
+        | Ok t -> Ok (add o t)
+        | Error _ -> acc)
+      (Ok empty) objects
+end
+
 type t = {
   version : int;
   seed : int;
@@ -90,7 +122,7 @@ type t = {
   config : config;
   channel : Simulator.Channel_kind.t;  (** the read channel, at [config.error_rate] *)
   shards : shard_meta list;
-  objects : object_meta list;  (** insertion order *)
+  objects : Directory.t;
   retired : Codec.Primer.pair list;
       (** pairs of deleted/overwritten objects; their molecules are
           still physically present, so the pairs stay unavailable until
@@ -106,7 +138,7 @@ let empty ~seed ~config ~channel =
     config;
     channel;
     shards = [];
-    objects = [];
+    objects = Directory.empty;
     retired = [];
   }
 
@@ -183,7 +215,7 @@ let fields (t : t) : J.field list =
            ]) );
     ("channel", `Value (J.String (Simulator.Channel_kind.name t.channel)));
     ("shards", items json_of_shard t.shards);
-    ("objects", items json_of_object t.objects);
+    ("objects", items json_of_object (Directory.to_list t.objects));
     ("retired", items json_of_pair t.retired);
   ]
 
@@ -305,6 +337,7 @@ let of_json v : (t, string) result =
     in
     let* shards = Result.bind (J.list_field v "shards") (map_result shard_of_json) in
     let* objects = Result.bind (J.list_field v "objects") (map_result object_of_json) in
+    let* objects = Directory.of_list objects in
     let* retired = Result.bind (J.list_field v "retired") (map_result pair_of_json) in
     Ok
       {
@@ -333,22 +366,13 @@ type delta = {
 (* The one state transition of a journaled write, shared by the live
    store and replay, so a reopened manifest equals the live one. A
    removal goes first; an upserted object replaces its key in place or
-   joins the end; an upserted shard replaces its id in place or joins
-   the front. *)
+   joins the end (O(log n) each); an upserted shard replaces its id in
+   place or joins the front. *)
 let apply (t : t) (d : delta) =
   let objects =
-    match d.remove with
-    | None -> t.objects
-    | Some key -> List.filter (fun (o : object_meta) -> o.key <> key) t.objects
+    match d.remove with None -> t.objects | Some key -> Directory.remove key t.objects
   in
-  let objects =
-    match d.upsert with
-    | None -> objects
-    | Some o ->
-        if List.exists (fun (x : object_meta) -> x.key = o.key) objects then
-          List.map (fun (x : object_meta) -> if x.key = o.key then o else x) objects
-        else objects @ [ o ]
-  in
+  let objects = match d.upsert with None -> objects | Some o -> Directory.add o objects in
   let shards =
     List.fold_left
       (fun shards (s : shard_meta) ->

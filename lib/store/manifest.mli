@@ -14,10 +14,6 @@
 val format_version : int
 val manifest_name : string
 val journal_name : string
-val shards_dir : string
-
-val shard_file : int -> string
-(** Relative path of a shard's oligo pool, e.g. [shards/shard_00003.fasta]. *)
 
 type config = {
   shard_target_strands : int;  (** open a new shard once the current one reaches this *)
@@ -62,6 +58,28 @@ type object_meta = {
   health : health;
 }
 
+(** The live objects, keyed: one map lookup per key, and O(log n) to
+    add, replace or remove one. *)
+module Directory : sig
+  type t
+
+  val empty : t
+  val find : t -> string -> object_meta option
+  val cardinal : t -> int
+
+  val add : object_meta -> t -> t
+  (** Replace the object under the same key in place, or join the end. *)
+
+  val remove : string -> t -> t
+
+  val to_list : t -> object_meta list
+  (** Insertion order: the order objects were first added, a replaced
+      object in its old place. *)
+
+  val of_list : object_meta list -> (t, string) result
+  (** The objects in list order; [Error] naming a key listed twice. *)
+end
+
 type t = {
   version : int;
   seed : int;
@@ -72,7 +90,7 @@ type t = {
       (** the read channel, built at [config.error_rate]; [Iid] in
           checkpoints older than version 4 *)
   shards : shard_meta list;
-  objects : object_meta list;  (** insertion order *)
+  objects : Directory.t;
   retired : Codec.Primer.pair list;
       (** pairs whose molecules are still physically present; reclaimed
           by compaction *)
@@ -85,7 +103,8 @@ val health_name : health -> string
 
 val to_json : t -> Store_json.t
 val of_json : Store_json.t -> (t, string) result
-(** Rejects unknown format versions and malformed fields. *)
+(** Rejects unknown format versions, malformed fields and a key listed
+    twice. *)
 
 val save : ?io:Store_io.t -> dir:string -> t -> int
 (** Write [t] as the checkpoint (stamped {!format_version}), temp then
@@ -104,9 +123,10 @@ type delta = {
 (** One journaled write: what [put], [overwrite] or [delete] changed. *)
 
 val apply : t -> delta -> t
-(** The write's new manifest: [remove] drops its key; [upsert] replaces
-    its key in place or joins the end; each of [shards] replaces its id
-    in place or joins the front; [retire] joins the front of
+(** The write's new manifest: [remove] drops its key from the
+    directory; [upsert] replaces its key in place or joins the end,
+    each in O(log n) of the directory's size; each of [shards] replaces
+    its id in place or joins the front; [retire] joins the front of
     [retired]. The live store and replay both go through it. *)
 
 val journal_record : delta -> string

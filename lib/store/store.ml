@@ -5,9 +5,11 @@
     manifest checkpoint ([MANIFEST.json], written temp-then-rename so a
     crash never tears it) with an append-only journal of the writes
     since ([MANIFEST.journal]), plus per-shard oligo pools serialized
-    as FASTA — and
-    serves primer-addressed random access in the style of Yazdi et al.'s
-    rewritable DNA storage system:
+    as FASTA ({!Shard_file}, the one module that reads or writes them) —
+    and serves primer-addressed random access in the style of Yazdi et
+    al.'s rewritable DNA storage system. The manifest's directory is
+    keyed ({!Manifest.Directory}): every key lookup is one map lookup,
+    and a write updates it in O(log n).
 
     - [put] encodes an object, reserves a fresh primer pair (the DNA
       "key") and appends the tagged molecules to the open shard;
@@ -72,16 +74,6 @@ type pool = {
   index : Dnastore.Primer_index.t;  (** live pairs of the shard -> strand indices *)
 }
 
-(* What a put needs of its shard file: where the recorded prefix ends,
-   its checksum, and whether the file may hold more. *)
-type extent = {
-  bytes : int;  (** length of the recorded prefix on disk *)
-  crc : int;  (** CRC-32 of its canonical serialization *)
-  debris : bool;
-      (** bytes past the prefix may exist (an unacked append): the next
-          append cuts them first *)
-}
-
 type t = {
   dir : string;
   io : Store_io.t;  (** every byte to or from disk goes through this *)
@@ -89,7 +81,8 @@ type t = {
   mutable manifest : Manifest.t;
   registry : Codec.Primer.Registry.t;  (** live + retired pairs *)
   pools : (int, pool) Hashtbl.t;  (** shard id -> pool a read loaded *)
-  extents : (int, extent) Hashtbl.t;  (** shard id -> prefix this handle wrote or read *)
+  extents : (int, Shard_file.extent) Hashtbl.t;
+      (** shard id -> prefix this handle wrote or read *)
   cache : Bytes.t Lru.t;
   mutable sequencing_passes : int;
       (** wetlab sequencing passes run so far; a batched get counts one
@@ -108,13 +101,12 @@ type t = {
           debris: the next write folds instead of appending after it *)
 }
 
-let keys t = List.map (fun (o : Manifest.object_meta) -> o.key) t.manifest.Manifest.objects
+let objects t = Manifest.Directory.to_list t.manifest.Manifest.objects
+let keys t = List.map (fun (o : Manifest.object_meta) -> o.key) (objects t)
 let config t = t.manifest.Manifest.config
 let channel t = t.manifest.Manifest.channel
 let generation t = t.manifest.Manifest.generation
-
-let find_object t key =
-  List.find_opt (fun (o : Manifest.object_meta) -> o.key = key) t.manifest.Manifest.objects
+let find_object t key = Manifest.Directory.find t.manifest.Manifest.objects key
 
 let mem t key = find_object t key <> None
 let object_pair t ~key = Option.map (fun (o : Manifest.object_meta) -> o.pair) (find_object t key)
@@ -145,7 +137,9 @@ let rng_of_manifest (m : Manifest.t) =
   Dna.Rng.create (m.Manifest.seed + (1000003 * m.Manifest.generation))
 
 let of_manifest ~io ~dir ~orphans ~checkpoint_bytes (m : Manifest.t) =
-  let live = List.map (fun (o : Manifest.object_meta) -> o.pair) m.Manifest.objects in
+  let live =
+    List.map (fun (o : Manifest.object_meta) -> o.pair) (Manifest.Directory.to_list m.objects)
+  in
   {
     dir;
     io;
@@ -171,7 +165,7 @@ let init ?(config = default_config) ?(channel = Simulator.Channel_kind.Iid) ?(io
   if Store_io.exists io (Filename.concat dir Manifest.manifest_name) then
     Error (Corrupt (Printf.sprintf "%s is already an initialized store" dir))
   else begin
-    Store_io.mkdir_p io (Filename.concat dir Manifest.shards_dir);
+    Store_io.mkdir_p io (Filename.concat dir Shard_file.subdir);
     let m = Manifest.empty ~seed ~config ~channel in
     (* A journal without a checkpoint belongs to no store; empty it
        before the new checkpoint would make its records look current. *)
@@ -193,25 +187,19 @@ let reclaim_orphans ~io ~dir (m : Manifest.t) =
     (fun (s : Manifest.shard_meta) -> Hashtbl.replace referenced (Filename.basename s.file) ())
     m.Manifest.shards;
   let removed = ref 0 in
-  let try_remove path =
-    match Store_io.remove io path with () -> incr removed | exception Sys_error _ -> ()
+  let sweep sub orphan =
+    let d = Filename.concat dir sub in
+    Array.iter
+      (fun name ->
+        if Filename.check_suffix name ".tmp" || orphan name then
+          match Store_io.remove io (Filename.concat d name) with
+          | () -> incr removed
+          | exception Sys_error _ -> ())
+      (Store_io.list_dir io d)
   in
-  Array.iter
-    (fun name ->
-      if Filename.check_suffix name ".tmp" then try_remove (Filename.concat dir name))
-    (Store_io.list_dir io dir);
-  let sdir = Filename.concat dir Manifest.shards_dir in
-  Array.iter
-    (fun name ->
-      let path = Filename.concat sdir name in
-      if Filename.check_suffix name ".tmp" then try_remove path
-      else if
-        Filename.check_suffix name ".fasta"
-        && String.length name >= 6
-        && String.sub name 0 6 = "shard_"
-        && not (Hashtbl.mem referenced name)
-      then try_remove path)
-    (Store_io.list_dir io sdir);
+  sweep "" (fun _ -> false);
+  sweep Shard_file.subdir (fun name ->
+      Shard_file.is_file name && not (Hashtbl.mem referenced name));
   !removed
 
 let open_store ?(io = Store_io.real) ~dir () : (t, error) result =
@@ -298,85 +286,9 @@ let shard_meta t shard_id =
 let live_pairs_of_shard t shard_id =
   List.filter_map
     (fun (o : Manifest.object_meta) -> if o.shard = shard_id then Some o.pair else None)
-    t.manifest.Manifest.objects
+    (objects t)
 
-(* Where the [n]-th record (0-based) of FASTA text [s] starts, or the
-   end of [s] when it holds fewer: the end of the recorded prefix of a
-   shard whose manifest records [n] strands. A header is a line whose
-   first non-blank character is ['>'], as the parser reads it. *)
-let prefix_end s n =
-  let len = String.length s in
-  let rec first_visible i =
-    if i < len && (match s.[i] with ' ' | '\t' | '\r' | '\012' -> true | _ -> false) then
-      first_visible (i + 1)
-    else i
-  in
-  let rec scan pos seen =
-    if pos >= len then len
-    else begin
-      let i = first_visible pos in
-      let header = i < len && s.[i] = '>' in
-      if header && seen = n then pos
-      else
-        let seen = if header then seen + 1 else seen in
-        match String.index_from_opt s pos '\n' with None -> len | Some nl -> scan (nl + 1) seen
-    end
-  in
-  scan 0 0
-
-(* The one shard reader: read a shard file and parse its recorded
-   prefix, the first [n_strands] records. Bytes past it are debris of an
-   unacked append (a torn one still parses, as any prefix of a record
-   does), so no reader looks at them. Never raises but for
-   [Store_io.Crashed] (a simulated crash must unwind): a missing file is
-   [`Missing], and any I/O or parser exception is [`Failed] with its
-   message. [Ok] carries the records, their parse errors, the prefix's
-   byte length and whether the file holds more. *)
-let read_shard t (smeta : Manifest.shard_meta) =
-  let path = Filename.concat t.dir smeta.file in
-  if not (Store_io.exists t.io path) then Error `Missing
-  else
-    match Store_io.read_file t.io path with
-    | exception (Store_io.Crashed _ as e) -> raise e
-    | exception Sys_error msg -> Error (`Failed msg)
-    | exception e -> Error (`Failed (Printexc.to_string e))
-    | content -> (
-        let stop = prefix_end content smeta.n_strands in
-        let prefix = if stop = String.length content then content else String.sub content 0 stop in
-        match Dna.Fasta.parse_string prefix with
-        | exception e -> Error (`Failed (Printexc.to_string e))
-        | records, errors -> Ok (records, errors, stop, stop < String.length content))
-
-(* Read a shard file and verify its recorded prefix against its
-   manifest record: file present, parseable, the recorded strand count,
-   and — when the manifest carries one — a matching CRC-32 over the
-   canonical serialization of the prefix. [`Ok] carries the prefix's
-   extent (its computed checksum is what scrub backfills into version-1
-   manifests) and the parsed records. *)
-let check_shard t (smeta : Manifest.shard_meta) :
-    [ `Ok of extent * Dna.Fasta.record list | `Corrupt of string ] =
-  match read_shard t smeta with
-  | Error `Missing -> `Corrupt (Printf.sprintf "shard file %s is missing" smeta.file)
-  | Error (`Failed msg) -> `Corrupt msg
-  | Ok (records, errors, bytes, debris) ->
-      if errors <> [] then
-        `Corrupt (Printf.sprintf "%d unparsable FASTA records" (List.length errors))
-      else if List.length records < smeta.n_strands then
-        `Corrupt
-          (Printf.sprintf "shard %s holds %d strands, manifest records %d" smeta.file
-             (List.length records) smeta.n_strands)
-      else begin
-        let crc = Store_io.crc32 (Dna.Fasta.to_string records) in
-        match smeta.checksum with
-        | Some expect when expect <> crc ->
-            `Corrupt
-              (Printf.sprintf "shard %s checksum mismatch (recorded %d, computed %d)" smeta.file
-                 expect crc)
-        | _ -> `Ok ({ bytes; crc; debris }, records)
-      end
-
-let pool_of_records t shard_id records =
-  let strands = Array.of_list (List.map (fun r -> r.Dna.Fasta.seq) records) in
+let pool_of_strands t shard_id strands =
   { strands; index = Dnastore.Primer_index.build ~pairs:(live_pairs_of_shard t shard_id) strands }
 
 let load_pool t shard_id : (pool, error) result =
@@ -391,10 +303,10 @@ let load_pool t shard_id : (pool, error) result =
               (Corrupt_shard
                  { shard = shard_id; reason = "quarantined: scrub found unrepaired damage" })
           else (
-            match check_shard t smeta with
-            | `Corrupt reason -> Error (Corrupt_shard { shard = shard_id; reason })
-            | `Ok (extent, records) ->
-                let p = pool_of_records t shard_id records in
+            match Shard_file.check t.io ~dir:t.dir smeta with
+            | Error reason -> Error (Corrupt_shard { shard = shard_id; reason })
+            | Ok (extent, strands) ->
+                let p = pool_of_strands t shard_id strands in
                 Hashtbl.replace t.pools shard_id p;
                 Hashtbl.replace t.extents shard_id extent;
                 Ok p))
@@ -421,58 +333,28 @@ let load_pool_lenient t shard_id : (pool, error) result =
   match shard_meta t shard_id with
   | None -> Error (Corrupt (Printf.sprintf "shard %d is not in the manifest" shard_id))
   | Some smeta -> (
-      let corrupt reason = Error (Corrupt_shard { shard = shard_id; reason }) in
-      match read_shard t smeta with
-      | Error `Missing -> corrupt "shard file is missing"
-      | Error (`Failed msg) -> corrupt msg
-      | Ok (records, _errors, _, _) -> Ok (pool_of_records t shard_id records))
-
-(* Pass the canonical FASTA records of [strands], numbered from [first]
-   (ids [m_first], [m_first+1], ...), to [put] one at a time, never
-   building them as one string; returns their byte length and [crc]
-   folded over them. *)
-let emit_records ~first ~crc strands put =
-  let bytes = ref 0 and crc = ref crc in
-  Array.iteri
-    (fun i s ->
-      let id = Printf.sprintf "m_%d" (first + i) in
-      let record = Dna.Fasta.to_string [ { Dna.Fasta.id; seq = s } ] in
-      bytes := !bytes + String.length record;
-      crc := Store_io.crc32_update !crc record;
-      put record)
-    strands;
-  (!bytes, !crc)
-
-(* Write a whole shard pool atomically and return the CRC-32 of its
-   canonical serialization — the checksum the manifest records for the
-   file. Only compaction and scrub repair write whole shards; a put
-   appends. *)
-let write_shard_file t ~file (strands : Dna.Strand.t array) =
-  let crc = ref 0 in
-  Store_io.write_file_atomic_with t.io ~dir:t.dir ~name:file (fun put ->
-      crc := snd (emit_records ~first:0 ~crc:0 strands put));
-  !crc
+      match Shard_file.read t.io ~dir:t.dir smeta with
+      | Error reason -> Error (Corrupt_shard { shard = shard_id; reason })
+      | Ok strands -> Ok (pool_of_strands t shard_id strands))
 
 (* The recorded prefix of the put's target shard as this handle knows
    it. A shard the handle has neither written nor loaded is read and
-   verified once; a new shard starts empty, and a file already at its
-   name (left by a failed append or compaction) is debris. *)
+   verified once; a new shard starts empty. *)
 let target_extent t ~file (open_shard : Manifest.shard_meta option) =
   match open_shard with
   | Some s -> (
       match Hashtbl.find_opt t.extents s.shard_id with
       | Some e -> Ok e
       | None -> (
-          match check_shard t s with
-          | `Corrupt reason -> Error (Corrupt_shard { shard = s.shard_id; reason })
-          | `Ok (e, _) ->
+          match Shard_file.check t.io ~dir:t.dir s with
+          | Error reason -> Error (Corrupt_shard { shard = s.shard_id; reason })
+          | Ok (e, _) ->
               Hashtbl.replace t.extents s.shard_id e;
               Ok e))
   | None -> (
       match Hashtbl.find_opt t.extents t.manifest.Manifest.next_shard_id with
       | Some e -> Ok e
-      | None ->
-          Ok { bytes = 0; crc = 0; debris = Store_io.exists t.io (Filename.concat t.dir file) })
+      | None -> Ok (Shard_file.start t.io ~dir:t.dir ~file))
 
 (* ---------- put / overwrite ---------- *)
 
@@ -505,7 +387,7 @@ let append_object t ~key ~(prev : Manifest.object_meta option) ?(params = Codec.
   let shard_id, file, first =
     match open_shard with
     | Some s -> (s.shard_id, s.file, s.n_strands)
-    | None -> (m.Manifest.next_shard_id, Manifest.shard_file m.Manifest.next_shard_id, 0)
+    | None -> (m.Manifest.next_shard_id, Shard_file.file m.Manifest.next_shard_id, 0)
   in
   match target_extent t ~file open_shard with
   | Error e -> Error e
@@ -532,18 +414,12 @@ let append_object t ~key ~(prev : Manifest.object_meta option) ?(params = Codec.
                 Codec.Primer.Registry.release t.registry pair;
                 Error (Io_error msg)
               in
-              let appended = ref (0, extent.crc) in
-              match
-                (* Shard first, manifest second: a crash in between leaves
-                   debris past the recorded prefix, never a manifest
-                   pointing at missing data. *)
-                if extent.debris then Store_io.truncate t.io ~dir:t.dir ~name:file extent.bytes;
-                Store_io.append_with t.io ~dir:t.dir ~name:file (fun put ->
-                    appended := emit_records ~first ~crc:extent.crc tagged put)
-              with
+              (* Shard first, manifest second: a crash in between leaves
+                 debris past the recorded prefix, never a manifest
+                 pointing at missing data. *)
+              match Shard_file.append t.io ~dir:t.dir ~file extent ~first tagged with
               | exception (Store_io.Io_failure msg | Sys_error msg) -> failed msg
-              | () ->
-              let appended_bytes, shard_checksum = !appended in
+              | appended ->
               let dead_here =
                 (* Overwriting an object that lives in the open shard:
                    its dead molecules are in this shard's record. *)
@@ -556,7 +432,7 @@ let append_object t ~key ~(prev : Manifest.object_meta option) ?(params = Codec.
                   n_strands = first + Array.length tagged;
                   dead_strands =
                     dead_here + (match open_shard with Some s -> s.dead_strands | None -> 0);
-                  checksum = Some shard_checksum;
+                  checksum = Some appended.crc;
                   quarantined = false;
                 }
               in
@@ -601,12 +477,7 @@ let append_object t ~key ~(prev : Manifest.object_meta option) ?(params = Codec.
                      crash between the two writes. *)
                   failed msg
               | () ->
-              Hashtbl.replace t.extents shard_id
-                {
-                  bytes = extent.bytes + appended_bytes;
-                  crc = shard_checksum;
-                  debris = false;
-                };
+              Hashtbl.replace t.extents shard_id appended;
               (* A pool a read has loaded stays in step with the file;
                  the write path builds none. *)
               (match Hashtbl.find_opt t.pools shard_id with
@@ -778,120 +649,106 @@ let get_access t (o : Manifest.object_meta) ~depth selected =
       let r, tm, refused = deep () in
       (r, tm, false, refused)
 
+(* A key a batch must read, shared by every request for it in the
+   batch, and its answer once read. *)
+type miss = {
+  obj : Manifest.object_meta;
+  mutable answer : (Bytes.t, error) result * (Bytes.t * Codec.File_codec.decode_stats) option;
+}
+
+module Misses = Map.Make (String)
+
 (* {!get_batch}, each answer paired with the deep pass a checksum
    refused (see {!get_access}). *)
 let get_batch_passes ~domains ~use_cache t (keys : string list) :
     (string * (Bytes.t, error) result * (Bytes.t * Codec.File_codec.decode_stats) option) list
     =
-  (* Resolve keys against a hashed view of the directory: cache hits
-     answer immediately; misses are deduplicated (a key requested twice
-     decodes once) and grouped by shard so each shard is PCR-selected
-     and sequenced in one pass. *)
-  let by_key : (string, Manifest.object_meta) Hashtbl.t =
-    Hashtbl.create (List.length t.manifest.Manifest.objects)
-  in
-  List.iter
-    (fun (o : Manifest.object_meta) -> Hashtbl.replace by_key o.key o)
-    t.manifest.Manifest.objects;
+  (* Resolve keys against the directory: cache hits answer immediately;
+     misses are deduplicated (a key requested twice decodes once) and
+     grouped by shard so each shard is PCR-selected and sequenced in one
+     pass. *)
+  let seen = ref Misses.empty and misses = ref [] in
   let resolved =
     List.map
       (fun key ->
-        match Hashtbl.find_opt by_key key with
-        | None -> (key, `Err (Key_not_found key))
+        match find_object t key with
+        | None -> (key, `Done (Error (Key_not_found key)))
         | Some (o : Manifest.object_meta) -> (
             (* Health gate: scrub-marked objects never enter the normal
                decode path (their shard may be quarantined); callers opt
                into partial bytes via [get_partial]. *)
             match o.health with
-            | Manifest.Lost -> (key, `Err (Object_lost key))
+            | Manifest.Lost -> (key, `Done (Error (Object_lost key)))
             | Manifest.Degraded { recovered_fraction; _ } ->
-                (key, `Err (Object_degraded { key; recovered_fraction }))
+                (key, `Done (Error (Object_degraded { key; recovered_fraction })))
             | Manifest.Healthy -> (
                 match if use_cache then Lru.find t.cache key else None with
-                | Some bytes -> (key, `Hit bytes)
-                | None -> (key, `Miss o))))
+                | Some bytes -> (key, `Done (Ok bytes))
+                | None -> (
+                    match Misses.find_opt key !seen with
+                    | Some m -> (key, `Miss m)
+                    | None ->
+                        let no_outcome = Error (Corrupt ("no outcome for key " ^ key)) in
+                        let m = { obj = o; answer = (no_outcome, None) } in
+                        seen := Misses.add key m !seen;
+                        misses := m :: !misses;
+                        (key, `Miss m)))))
       keys
   in
-  let miss_seen : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-  let misses =
-    List.filter_map
-      (function
-        | key, `Miss (o : Manifest.object_meta) when not (Hashtbl.mem miss_seen key) ->
-            Hashtbl.add miss_seen key ();
-            Some o
-        | _ -> None)
-      resolved
-  in
   (* Group misses by shard, first appearance first. *)
-  let shard_groups : (int, Manifest.object_meta list ref) Hashtbl.t = Hashtbl.create 8 in
+  let shard_groups : (int, miss list ref) Hashtbl.t = Hashtbl.create 8 in
   let shard_order = ref [] in
   List.iter
-    (fun (o : Manifest.object_meta) ->
-      match Hashtbl.find_opt shard_groups o.shard with
-      | Some group -> group := o :: !group
+    (fun m ->
+      match Hashtbl.find_opt shard_groups m.obj.shard with
+      | Some group -> group := m :: !group
       | None ->
-          Hashtbl.add shard_groups o.shard (ref [ o ]);
-          shard_order := o.shard :: !shard_order)
-    misses;
+          Hashtbl.add shard_groups m.obj.shard (ref [ m ]);
+          shard_order := m.obj.shard :: !shard_order)
+    (List.rev !misses);
   (* Serial phase: per shard, load the pool and run one indexed PCR
      selection covering every coalesced object. The pass's read budget
      spreads over the whole selection ({!Simulator.Sequencer.shard_depth}),
      so coalesced objects sequence shallower — and cheaper — than the
      same keys fetched one by one. Everything downstream of selection
      runs inside the parallel tasks. *)
-  let pool_errors : (string, error) Hashtbl.t = Hashtbl.create 4 in
   let tasks = ref [] in
   let cfg = t.manifest.Manifest.config in
   List.iter
     (fun shard_id ->
-      let objs = List.rev !(Hashtbl.find shard_groups shard_id) in
+      let group = List.rev !(Hashtbl.find shard_groups shard_id) in
       match load_pool t shard_id with
-      | Error e ->
-          List.iter
-            (fun (o : Manifest.object_meta) -> Hashtbl.replace pool_errors o.key e)
-            objs
+      | Error e -> List.iter (fun m -> m.answer <- (Error e, None)) group
       | Ok pool ->
           t.sequencing_passes <- t.sequencing_passes + 1;
           let selected =
             List.map
-              (fun (o : Manifest.object_meta) ->
-                Dnastore.Primer_index.select pool.index pool.strands o.pair)
-              objs
+              (fun m -> Dnastore.Primer_index.select pool.index pool.strands m.obj.pair)
+              group
           in
           let n_union = List.fold_left (fun a s -> a + Array.length s) 0 selected in
           let depth =
             Simulator.Sequencer.shard_depth ~base:cfg.coverage ~n_selected:n_union
               ~n_shard:(Array.length pool.strands)
           in
-          List.iter2 (fun o sel -> tasks := (o, depth, sel) :: !tasks) objs selected)
+          List.iter2 (fun m sel -> tasks := (m, depth, sel) :: !tasks) group selected)
     (List.rev !shard_order);
   let tasks = Array.of_list (List.rev !tasks) in
-  let outcome_arr =
+  let outcomes =
     Dna.Par.map_array ~label:"store.get_batch" ~domains
-      (fun ((o : Manifest.object_meta), depth, selected) ->
-        let r, timings, deepened, refused = get_access t o ~depth selected in
-        (o.key, r, timings, deepened, refused))
+      (fun (m, depth, selected) -> get_access t m.obj ~depth selected)
       tasks
   in
-  let outcomes = Hashtbl.create (Array.length outcome_arr) in
-  Array.iter
-    (fun (key, r, timings, deepened, refused) ->
+  Array.iteri
+    (fun i (r, timings, deepened, refused) ->
+      let m, _, _ = tasks.(i) in
       record_access ~deepened t timings;
-      Hashtbl.replace outcomes key (r, refused);
-      match r with Ok bytes when use_cache -> Lru.add t.cache key bytes | _ -> ())
-    outcome_arr;
+      m.answer <- (r, refused);
+      match r with Ok bytes when use_cache -> Lru.add t.cache m.obj.key bytes | _ -> ())
+    outcomes;
   List.map
-    (fun (key, r) ->
-      match r with
-      | `Err e -> (key, Error e, None)
-      | `Hit bytes -> (key, Ok bytes, None)
-      | `Miss _ -> (
-          match Hashtbl.find_opt pool_errors key with
-          | Some e -> (key, Error e, None)
-          | None -> (
-              match Hashtbl.find_opt outcomes key with
-              | Some (outcome, refused) -> (key, outcome, refused)
-              | None -> (key, Error (Corrupt ("no outcome for key " ^ key)), None))))
+    (function
+      | key, `Done r -> (key, r, None) | key, `Miss m -> (key, fst m.answer, snd m.answer))
     resolved
 
 let get_batch ?(domains = Dna.Par.default_domains ()) ?(use_cache = true) t keys =
@@ -911,7 +768,7 @@ type health = Manifest.health =
   | Lost
 
 let health_name = Manifest.health_name
-let shards_dir = Manifest.shards_dir
+let shards_dir = Shard_file.subdir
 
 let object_health t ~key =
   Option.map (fun (o : Manifest.object_meta) -> o.health) (find_object t key)
@@ -1017,8 +874,8 @@ let pack_objects t ~next_id ~target (items : (Manifest.object_meta * Bytes.t) li
   let flush () =
     if !current <> [] then begin
       let strands = Array.concat (List.rev !current) in
-      let file = Manifest.shard_file !next in
-      let checksum = write_shard_file t ~file strands in
+      let file = Shard_file.file !next in
+      let checksum = Shard_file.write t.io ~dir:t.dir ~file strands in
       shards :=
         {
           Manifest.shard_id = !next;
@@ -1060,9 +917,7 @@ let compact t : (compact_stats, error) result =
      shard (the surviving molecules are all they have); Lost ones are
      dropped and their pairs reclaimed. *)
   let healthy, unhealthy =
-    List.partition
-      (fun (o : Manifest.object_meta) -> o.health = Manifest.Healthy)
-      m.Manifest.objects
+    List.partition (fun (o : Manifest.object_meta) -> o.health = Manifest.Healthy) (objects t)
   in
   let degraded =
     List.filter
@@ -1108,18 +963,14 @@ let compact t : (compact_stats, error) result =
               else Some (Filename.concat t.dir s.file))
             m.Manifest.shards
         in
-        (* Rebuild the directory in the original insertion order. *)
-        let fresh = Hashtbl.create 8 in
-        List.iter (fun (o : Manifest.object_meta) -> Hashtbl.replace fresh o.key o) new_objects;
+        (* Lost objects leave the directory; rewritten ones keep their
+           place in it. *)
         let objects =
-          List.filter_map
-            (fun (o : Manifest.object_meta) ->
-              match o.health with
-              | Manifest.Lost -> None
-              | Manifest.Degraded _ -> Some o
-              | Manifest.Healthy -> Hashtbl.find_opt fresh o.key)
-            m.Manifest.objects
+          List.fold_left
+            (fun d (o : Manifest.object_meta) -> Manifest.Directory.remove o.key d)
+            m.Manifest.objects lost
         in
+        let objects = List.fold_left (Fun.flip Manifest.Directory.add) objects new_objects in
         let reclaimed =
           m.Manifest.retired @ List.map (fun (o : Manifest.object_meta) -> o.pair) lost
         in
@@ -1190,9 +1041,9 @@ let scrub t : (scrub_report, error) result =
     let fresh_checksum : (int, int) Hashtbl.t = Hashtbl.create 4 in
     List.iter
       (fun (s : Manifest.shard_meta) ->
-        match check_shard t s with
-        | `Corrupt reason -> Hashtbl.replace corrupt s.shard_id reason
-        | `Ok (extent, _) ->
+        match Shard_file.check t.io ~dir:t.dir s with
+        | Error reason -> Hashtbl.replace corrupt s.shard_id reason
+        | Ok (extent, _) ->
             if s.checksum = None then incr backfilled;
             Hashtbl.replace fresh_checksum s.shard_id extent.crc)
       m.Manifest.shards;
@@ -1215,7 +1066,7 @@ let scrub t : (scrub_report, error) result =
       List.map
         (fun (o : Manifest.object_meta) ->
           if needs_attention o then (o, evaluate o) else (o, `Keep))
-        m.Manifest.objects
+        (objects t)
     in
     let repairs =
       List.filter_map (function o, `Repair b -> Some (o, b) | _ -> None) outcomes
@@ -1224,26 +1075,26 @@ let scrub t : (scrub_report, error) result =
       pack_objects t ~next_id:m.Manifest.next_shard_id
         ~target:m.Manifest.config.shard_target_strands repairs
     in
-    let repaired_by_key = Hashtbl.create 8 in
-    List.iter
-      (fun (o : Manifest.object_meta) -> Hashtbl.replace repaired_by_key o.key o)
-      repaired_objs;
+    (* Every verdict replaces its object in place. *)
     let objects =
-      List.map
-        (fun ((o : Manifest.object_meta), verdict) ->
+      List.fold_left
+        (fun d ((o : Manifest.object_meta), verdict) ->
           match verdict with
-          | `Keep -> o
-          | `Repair _ -> Hashtbl.find repaired_by_key o.key
+          | `Keep | `Repair _ -> d
           | `Degraded (recovered_fraction, ranges) ->
-              { o with Manifest.health = Manifest.Degraded { recovered_fraction; ranges } }
-          | `Lost -> { o with Manifest.health = Manifest.Lost })
-        outcomes
+              let health = Manifest.Degraded { recovered_fraction; ranges } in
+              Manifest.Directory.add { o with Manifest.health } d
+          | `Lost -> Manifest.Directory.add { o with Manifest.health = Manifest.Lost } d)
+        m.Manifest.objects outcomes
     in
+    let objects = List.fold_left (Fun.flip Manifest.Directory.add) objects repaired_objs in
     (* A damaged shard survives — quarantined — only while degraded or
        lost objects still point into it; once everything it held has
        been repaired elsewhere, drop it. *)
     let still_referenced = Hashtbl.create 8 in
-    List.iter (fun (o : Manifest.object_meta) -> Hashtbl.replace still_referenced o.shard ()) objects;
+    List.iter
+      (fun (o : Manifest.object_meta) -> Hashtbl.replace still_referenced o.shard ())
+      (Manifest.Directory.to_list objects);
     let kept, dropped =
       List.partition
         (fun (s : Manifest.shard_meta) ->
@@ -1281,7 +1132,7 @@ let scrub t : (scrub_report, error) result =
         shards_corrupt = Hashtbl.length corrupt;
         shards_quarantined = count (fun (s : Manifest.shard_meta) -> s.quarantined) kept;
         shards_dropped = List.length dropped;
-        objects_checked = List.length m.Manifest.objects;
+        objects_checked = Manifest.Directory.cardinal m.Manifest.objects;
         objects_repaired = List.length repairs;
         objects_degraded = count (function _, `Degraded _ -> true | _ -> false) outcomes;
         objects_lost = count (function _, `Lost -> true | _ -> false) outcomes;
@@ -1317,29 +1168,26 @@ type stats = {
 
 let stats t =
   let m = t.manifest in
+  let live = objects t in
+  let count f = List.length (List.filter f live) in
   {
-    n_objects = List.length m.Manifest.objects;
+    n_objects = Manifest.Directory.cardinal m.Manifest.objects;
     n_shards = List.length m.Manifest.shards;
     n_strands =
       List.fold_left (fun a (s : Manifest.shard_meta) -> a + s.n_strands) 0 m.Manifest.shards;
     dead_strands =
       List.fold_left (fun a (s : Manifest.shard_meta) -> a + s.dead_strands) 0 m.Manifest.shards;
-    live_primer_pairs = List.length m.Manifest.objects;
+    (* Every reserved pair not awaiting compaction, so a pair a failed
+       put leaked shows here. *)
+    live_primer_pairs = Codec.Primer.Registry.size t.registry - List.length m.Manifest.retired;
     retired_primer_pairs = List.length m.Manifest.retired;
     cache_hits = Lru.hits t.cache;
     cache_misses = Lru.misses t.cache;
     generation = m.Manifest.generation;
     degraded_objects =
-      List.length
-        (List.filter
-           (fun (o : Manifest.object_meta) ->
-             match o.health with Manifest.Degraded _ -> true | _ -> false)
-           m.Manifest.objects);
-    lost_objects =
-      List.length
-        (List.filter
-           (fun (o : Manifest.object_meta) -> o.health = Manifest.Lost)
-           m.Manifest.objects);
+      count (fun (o : Manifest.object_meta) ->
+          match o.health with Manifest.Degraded _ -> true | _ -> false);
+    lost_objects = count (fun (o : Manifest.object_meta) -> o.health = Manifest.Lost);
     quarantined_shards =
       List.length
         (List.filter (fun (s : Manifest.shard_meta) -> s.quarantined) m.Manifest.shards);

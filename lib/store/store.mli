@@ -257,6 +257,8 @@ type stats = {
   n_strands : int;
   dead_strands : int;
   live_primer_pairs : int;
+      (** reserved primer pairs not awaiting compaction: one per object,
+          plus any pair a failed put failed to release *)
   retired_primer_pairs : int;
   cache_hits : int;
   cache_misses : int;

@@ -1466,6 +1466,151 @@ let test_stats_report_journal () =
     ((Store.stats reopened).Store.journal_bytes = s.Store.journal_bytes
     && (Store.stats reopened).Store.journal_records = 3)
 
+(* ---------- the keyed directory ---------- *)
+
+(* One MD5 over everything a store holds: the checkpoint, the journal
+   and every shard file (each named, absent ones included), and the
+   order of [Store.keys]. *)
+let store_digest dir store =
+  let digest path =
+    if Sys.file_exists path then Digest.to_hex (Digest.file path) else "absent"
+  in
+  let shards = Array.to_list (Sys.readdir (Filename.concat dir "shards")) in
+  let files =
+    [ "MANIFEST.json"; "MANIFEST.journal" ]
+    @ List.map (Filename.concat "shards") (List.sort compare shards)
+  in
+  let listing = List.map (fun f -> f ^ " " ^ digest (Filename.concat dir f)) files in
+  Digest.to_hex (Digest.string (String.concat "\n" (listing @ Store.keys store)))
+
+(* A scripted history over several shards, with the store's digest
+   after each stage. *)
+let byte_stability_stages seed =
+  with_store_dir @@ fun dir ->
+  let config = { test_config with Store.shard_target_strands = 64 } in
+  let r = Dna.Rng.create (7_700 + seed) in
+  let store = ref (ok_or_fail "init" (Store.init ~config ~dir ~seed ())) in
+  let stages = ref [] in
+  let stage name = stages := (name ^ " " ^ store_digest dir !store) :: !stages in
+  let data () = random_file r (16 + Dna.Rng.int r 80) in
+  let key i = Printf.sprintf "k%03d" i in
+  let puts first last =
+    for i = first to last do
+      ok_or_fail "put" (Store.put !store ~key:(key i) (data ()))
+    done
+  in
+  let pick () =
+    let keys = Store.keys !store in
+    List.nth keys (Dna.Rng.int r (List.length keys))
+  in
+  puts 0 89;
+  Alcotest.(check bool) "several shards" true ((Store.stats !store).Store.n_shards >= 3);
+  stage "puts";
+  for _ = 1 to 30 do
+    ok_or_fail "overwrite" (Store.overwrite !store ~key:(pick ()) (data ()))
+  done;
+  stage "overwrites";
+  for _ = 1 to 15 do
+    ok_or_fail "delete" (Store.delete !store ~key:(pick ()))
+  done;
+  stage "deletes";
+  store := ok_or_fail "reopen" (Store.open_store ~dir ());
+  stage "reopen";
+  puts 90 104;
+  stage "puts after reopen";
+  ignore (ok_or_fail "compact" (Store.compact !store));
+  stage "compact";
+  puts 105 119;
+  stage "puts after compact";
+  ok_or_fail "checkpoint" (Store.checkpoint !store);
+  stage "checkpoint";
+  List.rev !stages
+
+let test_byte_stability_golden () =
+  (* The files a scripted history leaves, and the key order, pinned
+     byte for byte: a change to how the store keeps its directory or
+     writes its shards must not move them. *)
+  List.iter
+    (fun (seed, expected) ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "seed %d" seed)
+        expected (byte_stability_stages seed))
+    [
+      ( 1,
+        [
+          "puts 0013e67fe59a4e9a42e0df134bab14f3";
+          "overwrites b17c26603bdea5bb87b3eeab87ab83ae";
+          "deletes 590920b5e282a61b6f2aefb10d93e77c";
+          "reopen 590920b5e282a61b6f2aefb10d93e77c";
+          "puts after reopen 7314e1c2376576a4cf807461fc20a269";
+          "compact ee632857a985d85bac29463cd45ed166";
+          "puts after compact d904ed52bb12b1ceda108ebc408f0c1e";
+          "checkpoint 7dc655d89cb79d23218f6cab0bf11fe3";
+        ] );
+      ( 2,
+        [
+          "puts fc634d813acb3bbd9e7156af6815d53e";
+          "overwrites ff64d53c3417444e5f93a5601b8b8576";
+          "deletes 9505159b2116b365a778209afab19993";
+          "reopen 9505159b2116b365a778209afab19993";
+          "puts after reopen c4168b27b1f5d8b8ff822e9d073b96e9";
+          "compact 0edcb1e2ebf764b1ace4f36f41ec7afb";
+          "puts after compact 9870854e53098e3739715c6a314fbfb6";
+          "checkpoint 1c25b94a95890453a2d8d1fb597819c7";
+        ] );
+    ]
+
+let test_checkpoint_key_listed_twice_is_corrupt () =
+  (* A keyed directory holds one object per key: a checkpoint listing a
+     key twice is refused, never loaded with one of the two dropped. *)
+  with_store_dir @@ fun dir ->
+  let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed:67 ()) in
+  let r = Dna.Rng.create 67 in
+  ok_or_fail "put a" (Store.put store ~key:"a" (random_file r 40));
+  ok_or_fail "put b" (Store.put store ~key:"b" (random_file r 40));
+  ok_or_fail "checkpoint" (Store.checkpoint store);
+  let needle = "\"key\": \"b\"" in
+  Alcotest.(check bool) "checkpoint lists b" true
+    (contains_substring ~needle (read_whole (Filename.concat dir "MANIFEST.json")));
+  patch_manifest dir (replace_substring ~needle ~into:"\"key\": \"a\"");
+  match Store.open_store ~dir () with
+  | Error (Store.Corrupt msg) ->
+      Alcotest.(check bool) "error names the repeat" true
+        (contains_substring ~needle:"twice" msg)
+  | Ok _ -> Alcotest.fail "opened a checkpoint that lists a key twice"
+  | Error e -> Alcotest.fail ("unexpected error: " ^ Store.error_message e)
+
+(* Minor words one delete allocates, averaged over 8 deletes spread
+   through a store of [n] small objects. *)
+let words_per_delete n =
+  with_store_dir @@ fun dir ->
+  let store = ok_or_fail "init" (Store.init ~config:test_config ~dir ~seed:n ()) in
+  let r = Dna.Rng.create n in
+  let key i = Printf.sprintf "k%04d" i in
+  for i = 0 to n - 1 do
+    ok_or_fail "put" (Store.put store ~key:(key i) (random_file r 8))
+  done;
+  ok_or_fail "checkpoint" (Store.checkpoint store);
+  let deletes = 8 in
+  let before = Gc.minor_words () in
+  for i = 0 to deletes - 1 do
+    ok_or_fail "delete" (Store.delete store ~key:(key (i * n / deletes)))
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int deletes in
+  Alcotest.(check int)
+    (Printf.sprintf "%d objects: every delete journaled, none folded" n)
+    deletes (Store.stats store).Store.journal_records;
+  words
+
+let test_delete_cost_flat () =
+  (* A directory write costs the same at any store size: a delete at
+     1,024 objects allocates at most 1.5x what one at 64 does. The
+     window opens right after a checkpoint, so no fold lands in it. *)
+  let small = words_per_delete 64 and large = words_per_delete 1024 in
+  if large > 1.5 *. small then
+    Alcotest.failf "words per delete: %.0f at 64 objects, %.0f at 1024 (%.2fx)" small large
+      (large /. small)
+
 (* ---------- wetlab serialization at store-pool sizes ---------- *)
 
 let random_strand r n =
@@ -1646,6 +1791,13 @@ let () =
           Alcotest.test_case "stats report the journal" `Quick test_stats_report_journal;
           Alcotest.test_case "checkpoint file is the manifest JSON" `Quick
             test_checkpoint_file_is_manifest_json;
+        ] );
+      ( "directory",
+        [
+          Alcotest.test_case "byte-stability golden (2 seeds)" `Slow test_byte_stability_golden;
+          Alcotest.test_case "delete cost flat in store size" `Slow test_delete_cost_flat;
+          Alcotest.test_case "checkpoint listing a key twice is Corrupt" `Quick
+            test_checkpoint_key_listed_twice_is_corrupt;
         ] );
       ( "formats",
         [
