@@ -10,9 +10,8 @@
 
    Guards (any violation exits nonzero):
    - every (scenario, fault, seed) cell must recover at least its
-     declared floor;
-   - every cell must replay bit-identically when rerun with the same
-     seed;
+     declared floor and replay bit-identically (the sweep runs each
+     cell twice; [Scenario_run.failures] names the ones that did not);
    - the trace-replay scenario's fitted mean error rate must agree with
      the synthetic trace's empirical per-base quality rate within 20%
      relative tolerance. *)
@@ -72,26 +71,10 @@ let run () =
     | Error e, _ -> fail "scenario sweep failed: %s" e
   in
 
-  (* Floor guard. *)
+  (* Floor and replay guard: the sweep replays every cell. *)
   List.iter
-    (fun (o : Dnastore.Scenario_run.outcome) ->
-      violate "%s/%s seed %d: recovered %.4f below floor %.2f" o.Dnastore.Scenario_run.scenario
-        o.fault o.seed o.recovered_fraction
-        (match o.floor with Some f -> f | None -> 0.0))
+    (fun o -> violate "%s" (Dnastore.Report.scenario_failure o))
     (Dnastore.Scenario_run.failures outcomes);
-
-  (* Replay guard: rerunning one cell per scenario with its seed must
-     reproduce the outcome exactly (recovered bytes included). *)
-  List.iter
-    (fun sc ->
-      let seed = List.hd seeds in
-      let go () = Dnastore.Scenario_run.run_full ~fault:"clean" ~seed ~data sc in
-      match (go (), go ()) with
-      | Ok (_, p), Ok (_, p') ->
-          if not (Dnastore.Pipeline.replays p p') then
-            violate "%s seed %d: replay diverged" sc.Simulator.Scenario.name seed
-      | Error e, _ | _, Error e -> violate "%s: %s" sc.Simulator.Scenario.name e)
-    scenarios;
 
   print_string (Dnastore.Report.scenario_summary outcomes);
 

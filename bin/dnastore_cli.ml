@@ -93,7 +93,7 @@ let dir_arg =
 let key_arg =
   Arg.(required & opt (some string) None & info [ "key"; "k" ] ~docv:"KEY" ~doc:"Object key.")
 
-(* The file a fault or scenario run pushes through the pipeline. *)
+(* The file a scenario sweep pushes through the pipeline. *)
 let data_arg =
   let input =
     Arg.(value & opt (some file) None & info [ "input"; "i" ] ~docv:"FILE"
@@ -361,137 +361,22 @@ let pipeline_cmd =
           $ channel_arg $ error_rate_arg $ coverage_arg $ recon_arg $ sig_kind_arg $ seed_arg
           $ domains_arg)
 
-(* faults: run the named fault-scenario matrix and print a recovery
-   report. The graceful-degradation contract under test: the pipeline
-   never raises, reports what fraction of the file survived, and every
-   scenario replays bit-identically from its seed. *)
-
-let faults_cmd =
-  let scenario_arg =
-    Arg.(value & opt (some string) None & info [ "scenario" ] ~docv:"NAME"
-         ~doc:"Run only this scenario (default: the whole matrix). Use $(b,--list) to see names.")
-  in
-  let list_arg =
-    Arg.(value & flag & info [ "list" ] ~doc:"List the scenario matrix and exit.")
-  in
-  let run data scenario_name seeds list_only _domains =
-    if list_only then begin
-      print_string
-        (Dnastore.Report.table
-           ([ "scenario"; "faults"; "min recovered" ]
-           :: List.map
-                (fun s ->
-                  [
-                    s.Dnastore.Faults.scenario_name;
-                    (match s.Dnastore.Faults.scenario_faults with
-                    | [] -> "(none)"
-                    | fs -> String.concat " " (List.map Dnastore.Faults.fault_name fs));
-                    Printf.sprintf "%.2f" s.Dnastore.Faults.min_recovered;
-                  ])
-                Dnastore.Faults.scenarios))
-    end
-    else begin
-      let scenarios =
-        match scenario_name with
-        | None -> Dnastore.Faults.scenarios
-        | Some name -> (
-            match Dnastore.Faults.find_scenario name with
-            | Some s -> [ s ]
-            | None -> die "faults: unknown scenario %s" name)
-      in
-      let violations = ref [] in
-      let run_one scenario seed =
-        let go () =
-          let rng = Dna.Rng.create seed in
-          Dnastore.Pipeline.run ~faults:(Dnastore.Faults.plan_of_scenario ~seed scenario) rng data
-        in
-        let out = go () in
-        (* Replay: the same pipeline and fault seeds must reproduce the
-           outcome bit-identically. *)
-        let replay_ok = Dnastore.Pipeline.replays out (go ()) in
-        let fraction = out.Dnastore.Pipeline.partial.Codec.File_codec.recovered_fraction in
-        if fraction < scenario.Dnastore.Faults.min_recovered then
-          violations :=
-            Printf.sprintf "%s seed %d: recovered %.4f < floor %.2f"
-              scenario.Dnastore.Faults.scenario_name seed fraction
-              scenario.Dnastore.Faults.min_recovered
-            :: !violations;
-        if not replay_ok then
-          violations :=
-            Printf.sprintf "%s seed %d: replay diverged" scenario.Dnastore.Faults.scenario_name seed
-            :: !violations;
-        (out, fraction, replay_ok)
-      in
-      let rows = ref [] in
-      List.iter
-        (fun scenario ->
-          List.iter
-            (fun seed ->
-              let out, fraction, replay_ok = run_one scenario seed in
-              let r, d, l =
-                Array.fold_left
-                  (fun (r, d, l) s ->
-                    match s with
-                    | Codec.File_codec.Recovered -> (r + 1, d, l)
-                    | Codec.File_codec.Degraded _ -> (r, d + 1, l)
-                    | Codec.File_codec.Lost -> (r, d, l + 1))
-                  (0, 0, 0)
-                  out.Dnastore.Pipeline.partial.Codec.File_codec.unit_status
-              in
-              rows :=
-                [
-                  scenario.Dnastore.Faults.scenario_name;
-                  string_of_int seed;
-                  (if out.Dnastore.Pipeline.exact then "exact"
-                   else if out.Dnastore.Pipeline.file <> None then "partial"
-                   else "failed");
-                  Printf.sprintf "%.4f" fraction;
-                  Printf.sprintf "%d/%d/%d" r d l;
-                  (if replay_ok then "ok" else "DIVERGED");
-                  (match out.Dnastore.Pipeline.stage_failures with
-                  | [] -> "-"
-                  | fs ->
-                      String.concat ";"
-                        (List.map (fun (s, _) -> Dnastore.Faults.stage_name s) fs));
-                ]
-                :: !rows)
-            seeds)
-        scenarios;
-      print_string
-        (Dnastore.Report.table
-           ([ "scenario"; "seed"; "outcome"; "recovered"; "units R/D/L"; "replay"; "degraded stages" ]
-           :: List.rev !rows));
-      match !violations with
-      | [] -> Printf.printf "\nfault matrix clean: %d scenario runs, no contract violations\n"
-                (List.length scenarios * List.length seeds)
-      | vs ->
-          Printf.eprintf "\n%d contract violation(s):\n" (List.length vs);
-          List.iter (fun v -> Printf.eprintf "  %s\n" v) (List.rev vs);
-          exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "faults"
-       ~doc:"Run the fault-injection scenario matrix and print a recovery report.")
-    Term.(const run $ data_arg $ scenario_arg $ seeds_arg $ list_arg $ domains_arg)
-
 (* scenario: the declarative channel-stack engine. list/describe browse
-   the builtin registry; run executes one (scenario, fault) cell per
-   seed and double-checks bit-identical replay; sweep runs the scenario
-   x fault-plan matrix and asserts every recovered-fraction floor. *)
+   the builtin scenarios and the fault-plan registry; sweep runs every
+   (scenario, fault plan, seed) cell through [Scenario_run], which
+   replays each cell, and exits 1 on a cell below its floor or one that
+   diverged on replay. *)
 
 let scenario_cmd =
   let action =
     Arg.(
       required
-      & pos 0
-          (some (enum [ ("list", `List); ("describe", `Describe); ("run", `Run); ("sweep", `Sweep) ]))
-          None
+      & pos 0 (some (enum [ ("list", `List); ("describe", `Describe); ("sweep", `Sweep) ])) None
       & info [] ~docv:"ACTION"
           ~doc:
-            "$(b,list) the builtin scenarios, $(b,describe) one as JSON, $(b,run) one \
-             scenario/fault cell per seed (with a replay check), or $(b,sweep) the scenario x \
-             fault matrix against its floors.")
+            "$(b,list) the builtin scenarios and fault plans, $(b,describe) one scenario as \
+             JSON, or $(b,sweep) scenarios x fault plans x seeds against their floors, \
+             replaying every cell.")
   in
   let name_arg =
     Arg.(value & pos 1 (some string) None & info [] ~docv:"NAME"
@@ -501,13 +386,10 @@ let scenario_cmd =
     Arg.(value & opt (some file) None & info [ "file" ] ~docv:"JSON"
          ~doc:"Load the scenario from a JSON description instead of the builtin registry.")
   in
-  let fault_arg =
-    Arg.(value & opt string "clean" & info [ "fault" ] ~docv:"NAME"
-         ~doc:"Fault plan for $(b,run) (a name from $(b,dnastore faults --list)).")
-  in
   let faults_arg =
-    Arg.(value & opt (list string) [ "clean"; "dropout-10"; "corruption-2" ] & info [ "faults" ]
-         ~docv:"NAMES" ~doc:"Comma-separated fault plans for $(b,sweep).")
+    Arg.(value & opt (some (list string)) None & info [ "faults" ] ~docv:"NAMES"
+         ~doc:"Comma-separated fault plans for $(b,sweep) (see $(b,list)); by default each \
+               scenario sweeps the plans its floors name.")
   in
   let trace_arg =
     Arg.(value & opt (some file) None & info [ "trace" ] ~docv:"FASTQ"
@@ -517,7 +399,7 @@ let scenario_cmd =
     Arg.(value & opt (some string) None & info [ "out" ] ~docv:"JSON"
          ~doc:"Also write the outcome cells as JSON.")
   in
-  let run action name file fault faults seeds data trace out _domains =
+  let run action name file faults seeds data trace out _domains =
     let load_file path =
       match Simulator.Scenario.of_string (In_channel.with_open_bin path In_channel.input_all) with
       | Ok sc -> sc
@@ -547,21 +429,6 @@ let scenario_cmd =
         in
         Simulator.Scenario.with_trace_path sc path
     in
-    let finish outcomes violations =
-      print_string (Dnastore.Report.scenario_summary outcomes);
-      (match out with
-      | None -> ()
-      | Some path ->
-          Out_channel.with_open_text path (fun oc ->
-              output_string oc (Store_json.to_string (Dnastore.Scenario_run.outcomes_json outcomes)));
-          Printf.printf "wrote %s\n" path);
-      match violations with
-      | [] -> ()
-      | vs ->
-          Printf.eprintf "\n%d scenario violation(s):\n" (List.length vs);
-          List.iter (fun v -> Printf.eprintf "  %s\n" v) (List.rev vs);
-          exit 1
-    in
     match action with
     | `List ->
         print_string
@@ -577,82 +444,59 @@ let scenario_cmd =
                            (fun (f, m) -> Printf.sprintf "%s>=%.2f" f m)
                            sc.Simulator.Scenario.floors);
                     ])
-                  Simulator.Scenario.builtins))
+                  Simulator.Scenario.builtins));
+        print_newline ();
+        print_string
+          (Dnastore.Report.table
+             ([ "fault plan"; "faults" ]
+             :: List.map
+                  (fun (name, faults) ->
+                    [
+                      name;
+                      (match faults with
+                      | [] -> "(none)"
+                      | fs -> String.concat " " (List.map Dnastore.Faults.fault_name fs));
+                    ])
+                  Dnastore.Faults.plans))
     | `Describe ->
         let sc = resolve name in
         Printf.printf "%s: %s\n%s\n\n%s" sc.Simulator.Scenario.name
           sc.Simulator.Scenario.description
           (Simulator.Scenario.summary sc)
           (Simulator.Scenario.to_string sc)
-    | `Run ->
-        let sc = with_trace (resolve name) in
-        let violations = ref [] in
-        let outcomes =
-          List.map
-            (fun seed ->
-              let go () =
-                match Dnastore.Scenario_run.run_full ~fault ~seed ~data sc with
-                | Ok r -> r
-                | Error e -> die "scenario: %s" e
-              in
-              let o, pipe = go () in
-              let _, pipe' = go () in
-              (match pipe.Dnastore.Pipeline.decode_error with
-              | Some e -> Printf.eprintf "%s seed %d: decode error: %s\n" sc.Simulator.Scenario.name seed e
-              | None -> ());
-              (match pipe.Dnastore.Pipeline.stage_failures with
-              | [] -> ()
-              | fs ->
-                  Printf.eprintf "%s seed %d: degraded stages: %s\n" sc.Simulator.Scenario.name seed
-                    (String.concat ", "
-                       (List.map
-                          (fun (s, m) -> Dnastore.Faults.stage_name s ^ " (" ^ m ^ ")")
-                          fs)));
-              (* The replay contract: same (scenario, fault, seed, data)
-                 must reproduce the recovered bytes bit-identically. *)
-              if not (Dnastore.Pipeline.replays pipe pipe') then
-                violations :=
-                  Printf.sprintf "%s/%s seed %d: replay diverged" o.Dnastore.Scenario_run.scenario
-                    fault seed
-                  :: !violations;
-              if not o.Dnastore.Scenario_run.passed then
-                violations :=
-                  Printf.sprintf "%s/%s seed %d: recovered %.4f below floor"
-                    o.Dnastore.Scenario_run.scenario fault seed
-                    o.Dnastore.Scenario_run.recovered_fraction
-                  :: !violations;
-              o)
-            seeds
-        in
-        finish outcomes !violations
-    | `Sweep ->
+    | `Sweep -> (
         let scenarios =
           match (file, name) with
           | None, None -> List.map with_trace Simulator.Scenario.builtins
           | _ -> [ with_trace (resolve name) ]
         in
         let outcomes =
-          match Dnastore.Scenario_run.sweep ~faults ~seeds ~data scenarios with
+          match Dnastore.Scenario_run.sweep ?faults ~seeds ~data scenarios with
+          | Ok [] -> die "scenario: no cells to run (no floors name a fault plan; give --faults)"
           | Ok os -> os
           | Error e -> die "scenario: %s" e
         in
-        let violations =
-          List.map
-            (fun (o : Dnastore.Scenario_run.outcome) ->
-              Printf.sprintf "%s/%s seed %d: recovered %.4f below floor %.2f"
-                o.Dnastore.Scenario_run.scenario o.Dnastore.Scenario_run.fault
-                o.Dnastore.Scenario_run.seed o.Dnastore.Scenario_run.recovered_fraction
-                (match o.Dnastore.Scenario_run.floor with Some f -> f | None -> 0.0))
-            (Dnastore.Scenario_run.failures outcomes)
-        in
-        finish outcomes violations
+        print_string (Dnastore.Report.scenario_summary outcomes);
+        (match out with
+        | None -> ()
+        | Some path ->
+            Out_channel.with_open_text path (fun oc ->
+                output_string oc
+                  (Store_json.to_string (Dnastore.Scenario_run.outcomes_json outcomes)));
+            Printf.printf "wrote %s\n" path);
+        match Dnastore.Scenario_run.failures outcomes with
+        | [] -> ()
+        | fs ->
+            Printf.eprintf "\n%d scenario cell(s) failed:\n" (List.length fs);
+            List.iter (fun o -> Printf.eprintf "  %s\n" (Dnastore.Report.scenario_failure o)) fs;
+            exit 1)
   in
   Cmd.v
     (Cmd.info "scenario"
        ~doc:"Compose and run declarative channel-stack scenarios against fault plans.")
     Term.(
-      const run $ action $ name_arg $ file_arg $ fault_arg $ faults_arg $ seeds_arg $ data_arg
-      $ trace_arg $ out_arg $ domains_arg)
+      const run $ action $ name_arg $ file_arg $ faults_arg $ seeds_arg $ data_arg $ trace_arg
+      $ out_arg $ domains_arg)
 
 (* inspect: pool statistics a lab would sanity-check before synthesis *)
 
@@ -1009,7 +853,7 @@ let main =
   Cmd.group (Cmd.info "dnastore" ~version:"1.0.0" ~doc)
     [
       encode_cmd; simulate_cmd; cluster_cmd; reconstruct_cmd; decode_cmd; pipeline_cmd;
-      inspect_cmd; faults_cmd; scenario_cmd; store_cmd; serve_cmd;
+      inspect_cmd; scenario_cmd; store_cmd; serve_cmd;
     ]
 
 let () = exit (Cmd.eval main)

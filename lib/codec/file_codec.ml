@@ -20,9 +20,13 @@ type decode_stats = {
 }
 
 (* The 8-byte length header is stored three times, one copy per matrix
-   *column* (data fills column-major, so copy c goes at offset c*rows):
-   a misreconstructed molecule or a failed codeword can corrupt one copy,
-   and the per-byte majority vote recovers from the other two. Requires
+   *column* (data fills column-major, so copy c goes at offset c*rows),
+   and read back by a per-byte majority vote. The vote outvotes one bad
+   copy, but it does not survive a failed codeword: under the Baseline
+   layout all three copies of header byte i sit in codeword row i
+   (columns 0-2), so a row RS cannot decode leaves all three as received
+   (an erased column reads 0). A corrupt header fails the whole decode,
+   and every unit is then reported Lost (ROADMAP item 3). Requires
    rows >= 8 (payload of at least 32 bases). *)
 let header_copies = 3
 
@@ -178,6 +182,12 @@ type partial_recovery = {
 
 let no_recovery ~n_units =
   { unit_status = Array.make (max n_units 0) Lost; recovered_fraction = 0.0; recovered_ranges = [] }
+
+let unit_counts p =
+  Array.fold_left
+    (fun (r, d, l) -> function
+      | Recovered -> (r + 1, d, l) | Degraded _ -> (r, d + 1, l) | Lost -> (r, d, l + 1))
+    (0, 0, 0) p.unit_status
 
 let status_of_unit ~rows (u : Matrix_codec.unit_stats) =
   match List.length u.Matrix_codec.failed_codewords with

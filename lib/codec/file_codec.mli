@@ -66,6 +66,9 @@ type partial_recovery = {
 val no_recovery : n_units:int -> partial_recovery
 (** The all-lost record, for outright decode failures. *)
 
+val unit_counts : partial_recovery -> int * int * int
+(** Units recovered, degraded and lost. *)
+
 val partial : params:Params.t -> file_len:int -> decode_stats -> partial_recovery
 (** Map {!decode}'s stats onto the returned file: a byte is recovered
     iff the RS codeword covering it decoded. *)

@@ -2,7 +2,7 @@
 
     A {!plan} names a set of faults plus a seed; every injection draws
     from a stream derived from that seed alone — never from the
-    pipeline's ambient rng — so a scenario replays bit-identically
+    pipeline's ambient rng — so a plan replays bit-identically
     regardless of what else the pipeline draws, and adding a fault at one
     site cannot shift the draws at another.
 
@@ -137,46 +137,22 @@ let inject_cluster_slices plan (clusters : int array list) : int array list =
       | _ -> clusters)
     clusters plan.faults
 
-(* ---------- the named scenario matrix ---------- *)
+(* ---------- the named plan registry ---------- *)
 
-type scenario = {
-  scenario_name : string;
-  scenario_faults : fault list;
-  min_recovered : float;
-      (** recovered-fraction floor this scenario must report (0.0 when
-          the fault budget intentionally exceeds what RS erasures can
-          absorb and only never-raise is asserted) *)
-}
-
-let scenarios =
+(* No floors here: a scenario's floors name the plans it must survive. *)
+let plans =
   [
-    { scenario_name = "clean"; scenario_faults = []; min_recovered = 1.0 };
-    { scenario_name = "dropout-10"; scenario_faults = [ Strand_dropout 0.10 ]; min_recovered = 0.9 };
-    { scenario_name = "dropout-20"; scenario_faults = [ Strand_dropout 0.20 ]; min_recovered = 0.0 };
-    { scenario_name = "cluster-loss-10"; scenario_faults = [ Cluster_loss 0.10 ]; min_recovered = 0.9 };
-    {
-      scenario_name = "truncation";
-      scenario_faults = [ Read_truncation { p = 0.1; keep_min = 0.5 } ];
-      min_recovered = 0.9;
-    };
-    { scenario_name = "corruption-2"; scenario_faults = [ Read_corruption 0.02 ]; min_recovered = 0.9 };
-    { scenario_name = "undersample-70"; scenario_faults = [ Undersampling 0.7 ]; min_recovered = 0.9 };
-    { scenario_name = "undersample-50"; scenario_faults = [ Undersampling 0.5 ]; min_recovered = 0.0 };
-    {
-      scenario_name = "combined";
-      scenario_faults = [ Strand_dropout 0.05; Read_corruption 0.01; Cluster_loss 0.05 ];
-      min_recovered = 0.9;
-    };
-    { scenario_name = "crash-cluster"; scenario_faults = [ Stage_crash Cluster ]; min_recovered = 0.0 };
-    {
-      scenario_name = "stuck-reconstruct";
-      scenario_faults = [ Stage_stuck Reconstruct ];
-      min_recovered = 0.9;
-    };
-    { scenario_name = "crash-decode"; scenario_faults = [ Stage_crash Decode ]; min_recovered = 0.0 };
-    { scenario_name = "crash-encode"; scenario_faults = [ Stage_crash Encode ]; min_recovered = 0.0 };
+    ("clean", []);
+    ("dropout-10", [ Strand_dropout 0.10 ]);
+    ("dropout-20", [ Strand_dropout 0.20 ]);
+    ("cluster-loss-10", [ Cluster_loss 0.10 ]);
+    ("truncation", [ Read_truncation { p = 0.1; keep_min = 0.5 } ]);
+    ("corruption-2", [ Read_corruption 0.02 ]);
+    ("undersample-70", [ Undersampling 0.7 ]);
+    ("undersample-50", [ Undersampling 0.5 ]);
+    ("combined", [ Strand_dropout 0.05; Read_corruption 0.01; Cluster_loss 0.05 ]);
+    ("crash-cluster", [ Stage_crash Cluster ]);
+    ("stuck-reconstruct", [ Stage_stuck Reconstruct ]);
+    ("crash-decode", [ Stage_crash Decode ]);
+    ("crash-encode", [ Stage_crash Encode ]);
   ]
-
-let find_scenario name = List.find_opt (fun s -> s.scenario_name = name) scenarios
-
-let plan_of_scenario ~seed s = { seed; faults = s.scenario_faults }

@@ -2,7 +2,7 @@
 
     A {!plan} pairs a fault list with a seed; every injection draws from
     a stream derived from that seed alone, never from the pipeline's
-    ambient rng, so a scenario replays bit-identically and fault sites
+    ambient rng, so a plan replays bit-identically and fault sites
     stay independent of each other. Wire a plan into
     {!Pipeline.run} via its [?faults] argument. *)
 
@@ -57,23 +57,10 @@ val inject_cluster_slices : plan -> int array list -> int array list
 (** Apply {!Cluster_loss} between clustering and reconstruction, over
     the pipeline's cluster index-slices. *)
 
-(** {2 The named scenario matrix} *)
+(** {2 The named plan registry} *)
 
-type scenario = {
-  scenario_name : string;
-  scenario_faults : fault list;
-  min_recovered : float;
-      (** recovered-fraction floor this scenario must report (0.0 when
-          the fault budget intentionally exceeds the RS erasure budget
-          and only never-raise is asserted) *)
-}
-
-val scenarios : scenario list
+val plans : (string * fault list) list
 (** Dropout, cluster loss, truncation, corruption, undersampling,
-    combined, and stage crash/stuck scenarios — all within (or
-    deliberately beyond, with [min_recovered = 0.0]) the codec's
-    documented budgets. *)
-
-val find_scenario : string -> scenario option
-
-val plan_of_scenario : seed:int -> scenario -> plan
+    combined, and stage crash/stuck plans, by name. A plan carries no
+    floor: the scenarios that run it ({!Simulator.Scenario.t}) say what
+    it must recover, and [Scenario_run] runs them. *)

@@ -80,18 +80,10 @@ let par_counters (counters : Dna.Par.counter list) : string =
 
 (* One-block rendering of a partial-recovery record: the per-unit
    status line, the recovered fraction, and the surviving byte ranges.
-   Used by the CLI's [faults] subcommand after a degraded decode. *)
+   Used by the CLI's [pipeline] subcommand after a degraded decode. *)
 let recovery (p : Codec.File_codec.partial_recovery) : string =
   let buf = Buffer.create 256 in
-  let counts = Array.fold_left
-      (fun (r, d, l) s ->
-        match s with
-        | Codec.File_codec.Recovered -> (r + 1, d, l)
-        | Codec.File_codec.Degraded _ -> (r, d + 1, l)
-        | Codec.File_codec.Lost -> (r, d, l + 1))
-      (0, 0, 0) p.Codec.File_codec.unit_status
-  in
-  let r, d, l = counts in
+  let r, d, l = Codec.File_codec.unit_counts p in
   Buffer.add_string buf
     (Printf.sprintf "units: %d recovered, %d degraded, %d lost\n" r d l);
   Buffer.add_string buf
@@ -175,27 +167,36 @@ let section title =
   let bar = String.make (String.length title + 4) '=' in
   Printf.sprintf "\n%s\n= %s =\n%s\n" bar title bar
 
-(* One scenario-sweep cell per row: recovery against the floor plus the
-   configured-vs-realized channel error rate, so a drifting channel
-   model is visible next to the recovery number it explains. *)
+(* One scenario-sweep cell per row: recovery against the floor, the
+   units it decoded, whether it replayed and which stages degraded, plus
+   the configured-vs-realized channel error rate, so a drifting channel
+   model is visible next to the recovery number it explains. The
+   realized rate counts substitutions and deletions per source base, not
+   insertions ([Simulator.Channel.measure_error_profile]), so it reads
+   below the configured rate of a channel that inserts (iid 6% reads
+   about 4%). *)
 let scenario_summary (outcomes : Scenario_run.outcome list) =
   let header =
-    [ "scenario"; "fault"; "seed"; "recovered"; "floor"; "configured"; "realized"; "wall";
-      "status" ]
+    [ "scenario"; "fault"; "seed"; "recovered"; "floor"; "units R/D/L"; "replay";
+      "degraded stages"; "configured"; "realized"; "wall"; "status" ]
   in
   let rows =
     List.map
       (fun (o : Scenario_run.outcome) ->
+        let r, d, l = o.units in
         [
-          o.Scenario_run.scenario;
+          o.scenario;
           o.fault;
           string_of_int o.seed;
           pct o.recovered_fraction;
           (match o.floor with None -> "-" | Some f -> pct f);
+          Printf.sprintf "%d/%d/%d" r d l;
+          (if o.replayed then "ok" else "DIVERGED");
+          (match o.degraded with [] -> "-" | ss -> String.concat ";" ss);
           pct o.configured_error_rate;
           pct o.realized_error_rate;
           Printf.sprintf "%.2fs" o.wall_s;
-          (if o.passed then "ok" else "FLOOR");
+          (if not o.floor_met then "FLOOR" else if not o.replayed then "REPLAY" else "ok");
         ])
       outcomes
   in
@@ -203,7 +204,17 @@ let scenario_summary (outcomes : Scenario_run.outcome list) =
   let verdict =
     if outcomes = [] then "no scenario cells ran\n"
     else if n_fail = 0 then
-      Printf.sprintf "all %d cells at or above their floors\n" (List.length outcomes)
-    else Printf.sprintf "%d of %d cells BELOW their floors\n" n_fail (List.length outcomes)
+      Printf.sprintf "all %d cells at or above their floors, all replayed\n" (List.length outcomes)
+    else Printf.sprintf "%d of %d cells FAILED\n" n_fail (List.length outcomes)
   in
   table (header :: rows) ^ verdict
+
+(* Why a cell is in [Scenario_run.failures]: below its floor, diverged
+   on replay, or both. *)
+let scenario_failure (o : Scenario_run.outcome) =
+  Printf.sprintf "%s/%s seed %d:%s%s" o.scenario o.fault o.seed
+    (if o.floor_met then ""
+     else
+       Printf.sprintf " recovered %.4f below floor %.2f" o.recovered_fraction
+         (Option.value o.floor ~default:0.0))
+    (if o.replayed then "" else " replay diverged")

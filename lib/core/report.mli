@@ -70,6 +70,10 @@ val section : string -> string
 
 val scenario_summary : Scenario_run.outcome list -> string
 (** One scenario-sweep cell per row — recovered fraction against its
-    floor, configured vs realized channel error rate, wall clock — with
-    a one-line verdict (used by [dnastore scenario] and the [scenarios]
-    entry of [bench/main.exe]). *)
+    floor, units R/D/L, replay, degraded stages, configured vs realized
+    channel error rate, wall clock — with a one-line verdict (used by
+    [dnastore scenario] and the [scenarios] entry of [bench/main.exe]). *)
+
+val scenario_failure : Scenario_run.outcome -> string
+(** One line naming a failed cell and why it failed (below its floor,
+    diverged on replay, or both). *)

@@ -1,7 +1,9 @@
 (** Execute declarative scenarios ({!Simulator.Scenario}) through the
-    end-to-end pipeline, resolving their fault-plan floors against the
-    named {!Faults} matrix — the layer where the simulator's plain-data
-    scenario descriptions meet injection and recovery accounting.
+    end-to-end pipeline, resolving their floor names against the
+    {!Faults} plan registry — the layer where the simulator's
+    plain-data scenario descriptions meet injection and recovery
+    accounting, and the one robustness harness: every cell is checked
+    against its floor and replayed here, nowhere else.
 
     Determinism: one seed fixes everything — the pipeline rng, the fault
     plan and the error-rate probe — so [run] with equal (scenario,
@@ -9,18 +11,19 @@
 
 type outcome = {
   scenario : string;
-  fault : string;  (** fault-plan name from the {!Faults} matrix *)
+  fault : string;
   seed : int;
   n_bytes : int;
   exact : bool;
   recovered_fraction : float;
+  units : int * int * int;
+  degraded : string list;
+  digest : string;
+  replayed : bool;
   configured_error_rate : float;
-      (** analytic per-base rate of the scenario's read-level stack *)
   realized_error_rate : float;
-      (** measured by probing the composed channel against known strands *)
   floor : float option;
-      (** the scenario's recovered-fraction floor for this fault plan *)
-  passed : bool;  (** [recovered_fraction >= floor] (true when no floor) *)
+  floor_met : bool;
   wall_s : float;
 }
 
@@ -33,86 +36,88 @@ let realized_rate ?(strand_len = 120) ?(trials = 200) channel ~seed =
   let n = Array.length profile in
   if n = 0 then 0.0 else Array.fold_left ( +. ) 0.0 profile /. float_of_int n
 
-let run_full ?params ?layout ?(coverage = 10) ?domains ?(fault = "clean") ~seed ~data
+let run ?params ?layout ?(coverage = 10) ?domains ?(fault = "clean") ~seed ~data
     (scenario : Simulator.Scenario.t) =
   match Simulator.Scenario.build scenario with
   | Error e -> Error (Printf.sprintf "scenario %s: %s" scenario.Simulator.Scenario.name e)
   | Ok built -> (
-      match Faults.find_scenario fault with
-      | None -> Error (Printf.sprintf "unknown fault scenario %S" fault)
-      | Some fs ->
-          let plan = Faults.plan_of_scenario ~seed fs in
+      match List.assoc_opt fault Faults.plans with
+      | None -> Error (Printf.sprintf "unknown fault plan %S" fault)
+      | Some faults ->
           let stages =
             { (Pipeline.default_stages ~coverage ()) with Pipeline.channel = built.channel }
           in
-          let rng = Dna.Rng.create seed in
+          let go () =
+            Pipeline.run ?params ?layout ~stages ?domains ~faults:(Faults.plan ~seed faults)
+              ?prepare:built.Simulator.Scenario.prepare (Dna.Rng.create seed) data
+          in
           let t0 = Dna.Clock.now () in
-          let out =
-            Pipeline.run ?params ?layout ~stages ?domains ~faults:plan
-              ?prepare:built.Simulator.Scenario.prepare rng data
-          in
+          let out = go () in
           let wall_s = Dna.Clock.now () -. t0 in
-          let recovered_fraction =
-            out.Pipeline.partial.Codec.File_codec.recovered_fraction
-          in
+          (* The replay contract: the same (scenario, fault, seed, data)
+             must reproduce the recovered bytes bit-identically. *)
+          let replayed = Pipeline.replays out (go ()) in
+          let partial = out.Pipeline.partial in
+          let recovered_fraction = partial.Codec.File_codec.recovered_fraction in
           let floor = List.assoc_opt fault scenario.Simulator.Scenario.floors in
-          let passed = match floor with None -> true | Some f -> recovered_fraction >= f in
           Ok
-            ( {
-                scenario = scenario.Simulator.Scenario.name;
-                fault;
-                seed;
-                n_bytes = Bytes.length data;
-                exact = out.Pipeline.exact;
-                recovered_fraction;
-                configured_error_rate = built.Simulator.Scenario.configured_error_rate;
-                realized_error_rate = realized_rate built.Simulator.Scenario.channel ~seed;
-                floor;
-                passed;
-                wall_s;
-              },
-              out ))
+            {
+              scenario = scenario.Simulator.Scenario.name;
+              fault;
+              seed;
+              n_bytes = Bytes.length data;
+              exact = out.Pipeline.exact;
+              recovered_fraction;
+              units = Codec.File_codec.unit_counts partial;
+              degraded = List.map (fun (s, _) -> Faults.stage_name s) out.Pipeline.stage_failures;
+              digest =
+                (match out.Pipeline.file with
+                | Some f -> Digest.to_hex (Digest.bytes f)
+                | None -> "");
+              replayed;
+              configured_error_rate = built.Simulator.Scenario.configured_error_rate;
+              realized_error_rate = realized_rate built.Simulator.Scenario.channel ~seed;
+              floor;
+              floor_met = (match floor with None -> true | Some f -> recovered_fraction >= f);
+              wall_s;
+            })
 
-let run ?params ?layout ?coverage ?domains ?fault ~seed ~data scenario =
-  Result.map fst (run_full ?params ?layout ?coverage ?domains ?fault ~seed ~data scenario)
-
-let sweep ?params ?layout ?coverage ?domains ~faults ~seeds ~data scenarios =
+let sweep ?params ?layout ?coverage ?domains ?faults ~seeds ~data scenarios =
   let ( let* ) = Result.bind in
-  let rec over_scenarios acc = function
-    | [] -> Ok (List.rev acc)
-    | sc :: rest ->
-        (* Every floor the scenario declares must name a known fault
-           plan, whether or not this sweep exercises it. *)
-        let* () =
-          List.fold_left
-            (fun ok (fault, _) ->
-              let* () = ok in
-              match Faults.find_scenario fault with
-              | Some _ -> Ok ()
-              | None ->
-                  Error
-                    (Printf.sprintf "scenario %s: floor references unknown fault %S"
-                       sc.Simulator.Scenario.name fault))
-            (Ok ()) sc.Simulator.Scenario.floors
-        in
-        let rec over_faults acc = function
-          | [] -> Ok acc
-          | fault :: faults ->
-              let rec over_seeds acc = function
-                | [] -> Ok acc
-                | seed :: seeds ->
-                    let* o = run ?params ?layout ?coverage ?domains ~fault ~seed ~data sc in
-                    over_seeds (o :: acc) seeds
-              in
-              let* acc = over_seeds acc seeds in
-              over_faults acc faults
-        in
-        let* acc = over_faults acc faults in
-        over_scenarios acc rest
+  let rec each f acc = function
+    | [] -> Ok acc
+    | x :: rest ->
+        let* acc = f acc x in
+        each f acc rest
   in
-  over_scenarios [] scenarios
+  let scenario acc (sc : Simulator.Scenario.t) =
+    (* Every floor the scenario declares must name a known fault plan,
+       whether or not this sweep exercises it. *)
+    let* () =
+      match
+        List.find_opt
+          (fun (fault, _) -> not (List.mem_assoc fault Faults.plans))
+          sc.Simulator.Scenario.floors
+      with
+      | None -> Ok ()
+      | Some (fault, _) ->
+          Error
+            (Printf.sprintf "scenario %s: floor references unknown fault %S"
+               sc.Simulator.Scenario.name fault)
+    in
+    let plans = match faults with Some fs -> fs | None -> List.map fst sc.floors in
+    each
+      (fun acc fault ->
+        each
+          (fun acc seed ->
+            let* o = run ?params ?layout ?coverage ?domains ~fault ~seed ~data sc in
+            Ok (o :: acc))
+          acc seeds)
+      acc plans
+  in
+  Result.map List.rev (each scenario [] scenarios)
 
-let failures outcomes = List.filter (fun o -> not o.passed) outcomes
+let failures outcomes = List.filter (fun o -> not (o.floor_met && o.replayed)) outcomes
 
 (* JSON for sweep artifacts (BENCH_scenarios.json, --out files): one
    object per cell, shaped for a guard script to assert floors on. *)
@@ -125,11 +130,12 @@ let outcome_json (o : outcome) =
       ("n_bytes", Store_json.Int o.n_bytes);
       ("exact", Store_json.Bool o.exact);
       ("recovered_fraction", Store_json.Float o.recovered_fraction);
+      ("replayed", Store_json.Bool o.replayed);
       ("configured_error_rate", Store_json.Float o.configured_error_rate);
       ("realized_error_rate", Store_json.Float o.realized_error_rate);
       ( "floor",
         match o.floor with None -> Store_json.Null | Some f -> Store_json.Float f );
-      ("passed", Store_json.Bool o.passed);
+      ("passed", Store_json.Bool (o.floor_met && o.replayed));
       ("wall_s", Store_json.Float o.wall_s);
     ]
 

@@ -14,7 +14,7 @@
     pool) and one pool [prepare] function (pool stages folded in
     order).
 
-    Floors reference fault scenarios by {e name} only — the simulator
+    Floors reference fault plans by {e name} only — the simulator
     layer cannot see [Faults]; the resolution happens one layer up in
     [Scenario_run]. *)
 
@@ -36,7 +36,8 @@ type t = {
   stages : stage list;
   floors : (string * float) list;
       (** fault-plan name -> recovered-fraction floor; names are
-          resolved against [Faults.scenarios] by [Scenario_run] *)
+          resolved against [Faults.plans] by [Scenario_run], which
+          sweeps these plans when its caller names none *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -286,12 +287,30 @@ let of_string s =
 (* ------------------------------------------------------------------ *)
 (* Builtin registry *)
 
+(* The fault matrix: every named plan with its floor. A 0.0 floor
+   asserts only that the run never raises: those plans exceed what RS
+   erasures can absorb, or crash a stage that has no fallback. *)
 let baseline_iid =
   {
     name = "baseline-iid";
-    description = "control: the pipeline's default 3% iid channel, no pool physics";
-    stages = [ Read (Iid 0.03) ];
-    floors = [ ("clean", 1.0); ("dropout-10", 0.9); ("corruption-2", 0.9) ];
+    description = "control: the pipeline's default 6% iid channel, no pool physics";
+    stages = [ Read (Iid 0.06) ];
+    floors =
+      [
+        ("clean", 1.0);
+        ("dropout-10", 0.9);
+        ("dropout-20", 0.0);
+        ("cluster-loss-10", 0.9);
+        ("truncation", 0.9);
+        ("corruption-2", 0.9);
+        ("undersample-70", 0.9);
+        ("undersample-50", 0.0);
+        ("combined", 0.9);
+        ("crash-cluster", 0.0);
+        ("stuck-reconstruct", 0.9);
+        ("crash-decode", 0.0);
+        ("crash-encode", 0.0);
+      ];
   }
 
 let aging_5y =

@@ -27,7 +27,8 @@ type t = {
   description : string;
   stages : stage list;
   floors : (string * float) list;
-      (** fault-plan name -> recovered-fraction floor *)
+      (** fault-plan name -> recovered-fraction floor. The only home of
+          floors: a sweep that names no plans runs these. *)
 }
 
 type built = {
@@ -65,7 +66,9 @@ val of_string : string -> (t, string) result
 (** {2 Builtin registry} *)
 
 val builtins : t list
-(** baseline-iid, aging-5y, pcr-bias, nanopore-burst, archival-decade
-    (the full aging + PCR-bias + burst stack) and trace-replay. *)
+(** baseline-iid (the pipeline's default channel, with a floor for every
+    named fault plan), aging-5y, pcr-bias, nanopore-burst,
+    archival-decade (the full aging + PCR-bias + burst stack) and
+    trace-replay. *)
 
 val find : string -> t option

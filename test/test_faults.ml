@@ -1,29 +1,41 @@
 (* Tests for the fault-injection harness and the graceful-degradation
-   decode path: the scenario matrix never raises and honors its
-   recovered-fraction floors, fault plans replay bit-identically, and
-   malformed inputs surface as structured errors instead of exceptions. *)
+   decode path: every named fault plan never raises and honors its
+   recovered-fraction floor on baseline-iid, fault plans replay
+   bit-identically, and malformed inputs surface as structured errors
+   instead of exceptions. *)
 
 let strand = Alcotest.testable Dna.Strand.pp Dna.Strand.equal
 
 let random_file r n = Bytes.init n (fun _ -> Char.chr (Dna.Rng.int r 256))
 
-(* ---------- scenario matrix ---------- *)
+(* ---------- the plan registry under baseline-iid's floors ---------- *)
 
 let scenario_file_bytes = 2000
 let scenario_seeds = [ 1; 2 ]
 
-let run_scenario sc seed =
-  let plan = Dnastore.Faults.plan_of_scenario ~seed sc in
+(* The fault matrix: baseline-iid (the pipeline's default channel)
+   carries one floor per named plan. *)
+let baseline_iid = Option.get (Simulator.Scenario.find "baseline-iid")
+
+let run_plan name seed =
+  let faults =
+    match List.assoc_opt name Dnastore.Faults.plans with
+    | Some faults -> faults
+    | None -> Alcotest.fail ("unknown fault plan " ^ name)
+  in
+  let plan = Dnastore.Faults.plan ~seed faults in
   let file = random_file (Dna.Rng.create (0xF11E + seed)) scenario_file_bytes in
   (file, Dnastore.Pipeline.run ~faults:plan (Dna.Rng.create seed) file)
 
 let test_scenarios_never_raise_and_meet_floors () =
+  let floors = baseline_iid.Simulator.Scenario.floors in
+  Alcotest.(check (list string)) "baseline-iid floors every plan, in registry order"
+    (List.map fst Dnastore.Faults.plans) (List.map fst floors);
   List.iter
-    (fun sc ->
+    (fun (name, floor) ->
       List.iter
         (fun seed ->
-          let name = sc.Dnastore.Faults.scenario_name in
-          match run_scenario sc seed with
+          match run_plan name seed with
           | exception e ->
               Alcotest.fail
                 (Printf.sprintf "%s seed %d raised %s" name seed (Printexc.to_string e))
@@ -32,23 +44,17 @@ let test_scenarios_never_raise_and_meet_floors () =
                 out.Dnastore.Pipeline.partial.Codec.File_codec.recovered_fraction
               in
               Alcotest.(check bool)
-                (Printf.sprintf "%s seed %d: recovered %.4f >= floor %.2f" name seed frac
-                   sc.Dnastore.Faults.min_recovered)
+                (Printf.sprintf "%s seed %d: recovered %.4f >= floor %.2f" name seed frac floor)
                 true
-                (frac >= sc.Dnastore.Faults.min_recovered -. 1e-9))
+                (frac >= floor -. 1e-9))
         scenario_seeds)
-    Dnastore.Faults.scenarios
+    floors
 
 let test_scenario_replay_bit_identical () =
   List.iter
     (fun name ->
-      let sc =
-        match Dnastore.Faults.find_scenario name with
-        | Some sc -> sc
-        | None -> Alcotest.fail ("unknown scenario " ^ name)
-      in
-      let _, a = run_scenario sc 7 in
-      let _, b = run_scenario sc 7 in
+      let _, a = run_plan name 7 in
+      let _, b = run_plan name 7 in
       let bytes_of out =
         match out.Dnastore.Pipeline.file with Some f -> Bytes.to_string f | None -> ""
       in
@@ -83,6 +89,61 @@ let test_stuck_reconstruct_falls_back () =
   Alcotest.(check bool) "stuck stage recorded" true
     (List.exists (fun (s, _) -> s = Dnastore.Faults.Reconstruct) out.Dnastore.Pipeline.stage_failures);
   Alcotest.(check bool) "file still recovered" true out.Dnastore.Pipeline.exact
+
+(* ---------- fault-matrix golden ---------- *)
+
+(* The 26 cells CI runs: the CLI's default payload (2000 B from
+   [Rng.create 0xF11E]) under every named plan at seeds 1 and 2. One
+   line per cell: plan, seed, MD5 of the decoded bytes ("" when there
+   are none), recovered fraction, units R/D/L and degraded stages. A
+   change that moves any decoded byte or unit status fails here. *)
+let golden_line ~plan ~seed ~digest ~fraction ~units:(r, d, l) ~degraded =
+  Printf.sprintf "%s %d %s %.17g %d/%d/%d %s" plan seed digest fraction r d l
+    (match degraded with [] -> "-" | ss -> String.concat ";" ss)
+
+let golden_matrix =
+  [
+    "clean 1 c6682c6df3e347bcdeac4b29b2f8284f 1 4/0/0 -";
+    "clean 2 c6682c6df3e347bcdeac4b29b2f8284f 1 4/0/0 -";
+    "dropout-10 1 c6682c6df3e347bcdeac4b29b2f8284f 1 4/0/0 -";
+    "dropout-10 2 c6682c6df3e347bcdeac4b29b2f8284f 1 4/0/0 -";
+    "dropout-20 1 d141475917dfdc3758aa3b5c9df634e8 0.69999999999999996 3/0/1 -";
+    "dropout-20 2 535508523e065ad50f8f7f7b7cb17d49 0.14499999999999999 1/0/3 -";
+    "cluster-loss-10 1 c6682c6df3e347bcdeac4b29b2f8284f 1 4/0/0 -";
+    "cluster-loss-10 2 c6682c6df3e347bcdeac4b29b2f8284f 1 4/0/0 -";
+    "truncation 1 c6682c6df3e347bcdeac4b29b2f8284f 1 4/0/0 -";
+    "truncation 2 c6682c6df3e347bcdeac4b29b2f8284f 1 4/0/0 -";
+    "corruption-2 1 c6682c6df3e347bcdeac4b29b2f8284f 1 4/0/0 -";
+    "corruption-2 2 c6682c6df3e347bcdeac4b29b2f8284f 1 4/0/0 -";
+    "undersample-70 1 c6682c6df3e347bcdeac4b29b2f8284f 1 4/0/0 -";
+    "undersample-70 2 c6682c6df3e347bcdeac4b29b2f8284f 1 4/0/0 -";
+    "undersample-50 1 9ba00fe570fca7e36e86c1d803272070 0.45300000000000001 0/4/0 -";
+    "undersample-50 2 012c9192d5517ef8700c6cf20a95a7e7 0.77949999999999997 2/2/0 -";
+    "combined 1 c6682c6df3e347bcdeac4b29b2f8284f 1 4/0/0 -";
+    "combined 2 c6682c6df3e347bcdeac4b29b2f8284f 1 4/0/0 -";
+    "crash-cluster 1  0 0/0/4 cluster";
+    "crash-cluster 2  0 0/0/4 cluster";
+    "stuck-reconstruct 1 c6682c6df3e347bcdeac4b29b2f8284f 1 4/0/0 reconstruct";
+    "stuck-reconstruct 2 c6682c6df3e347bcdeac4b29b2f8284f 1 4/0/0 reconstruct";
+    "crash-decode 1  0 0/0/4 decode";
+    "crash-decode 2  0 0/0/4 decode";
+    "crash-encode 1  0 0/0/0 encode";
+    "crash-encode 2  0 0/0/0 encode";
+  ]
+
+let observed_matrix () =
+  let data = random_file (Dna.Rng.create 0xF11E) 2000 in
+  match Dnastore.Scenario_run.sweep ~seeds:[ 1; 2 ] ~data [ baseline_iid ] with
+  | Error e -> Alcotest.fail e
+  | Ok outcomes ->
+      List.map
+        (fun (o : Dnastore.Scenario_run.outcome) ->
+          golden_line ~plan:o.fault ~seed:o.seed ~digest:o.digest
+            ~fraction:o.recovered_fraction ~units:o.units ~degraded:o.degraded)
+        outcomes
+
+let test_fault_matrix_golden () =
+  Alcotest.(check (list string)) "fault matrix cells" golden_matrix (observed_matrix ())
 
 (* ---------- fault-stream determinism ---------- *)
 
@@ -304,6 +365,7 @@ let () =
           Alcotest.test_case "stage crashes degrade" `Quick test_stage_crash_degrades_not_raises;
           Alcotest.test_case "stuck reconstruct falls back" `Quick
             test_stuck_reconstruct_falls_back;
+          Alcotest.test_case "fault matrix golden (26 cells)" `Slow test_fault_matrix_golden;
         ] );
       ( "determinism",
         [

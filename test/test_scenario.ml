@@ -394,33 +394,33 @@ let payload n =
   let r = Dna.Rng.create 0xBEEF in
   Bytes.init n (fun _ -> Char.chr (Dna.Rng.int r 256))
 
-let run_ok ?fault ~seed sc =
-  match Dnastore.Scenario_run.run_full ?fault ~seed ~data:(payload 600) sc with
-  | Ok r -> r
+let run_ok ?domains ?fault ~seed sc =
+  match Dnastore.Scenario_run.run ?domains ?fault ~seed ~data:(payload 600) sc with
+  | Ok o -> o
   | Error e -> Alcotest.failf "run: %s" e
 
 let test_scenario_replay_bit_identical () =
   (* The acceptance stack: aging + PCR bias + bursts, composed with a
-     fault plan. Same (scenario, fault, seed) twice => bit-identical. *)
+     fault plan. Same (scenario, fault, seed) twice => bit-identical,
+     both inside one cell (its own replay) and across two cells. *)
   let sc = Option.get (Simulator.Scenario.find "archival-decade") in
   List.iter
     (fun fault ->
       List.iter
         (fun seed ->
-          let o1, p1 = run_ok ~fault ~seed sc in
-          let o2, p2 = run_ok ~fault ~seed sc in
+          let o1 = run_ok ~fault ~seed sc in
+          let o2 = run_ok ~fault ~seed sc in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s seed %d: the cell replayed" fault seed)
+            true o1.Dnastore.Scenario_run.replayed;
           Alcotest.(check bool)
             (Printf.sprintf "%s seed %d: same recovery" fault seed)
             true
             (o1.Dnastore.Scenario_run.recovered_fraction
             = o2.Dnastore.Scenario_run.recovered_fraction);
-          match (p1.Dnastore.Pipeline.file, p2.Dnastore.Pipeline.file) with
-          | Some a, Some b ->
-              Alcotest.(check bool)
-                (Printf.sprintf "%s seed %d: same bytes" fault seed)
-                true (Bytes.equal a b)
-          | None, None -> ()
-          | _ -> Alcotest.failf "%s seed %d: replay diverged in outcome shape" fault seed)
+          Alcotest.(check string)
+            (Printf.sprintf "%s seed %d: same bytes" fault seed)
+            o1.Dnastore.Scenario_run.digest o2.Dnastore.Scenario_run.digest)
         [ 1; 2 ])
     [ "clean"; "dropout-10" ]
 
@@ -447,22 +447,12 @@ let test_scenario_domains_invariant () =
      before any parallel region, so two worker counts give the
      identical outcome. *)
   let sc = Option.get (Simulator.Scenario.find "aging-5y") in
-  let o1, p1 =
-    match Dnastore.Scenario_run.run_full ~domains:2 ~seed:3 ~data:(payload 600) sc with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
-  in
-  let o2, p2 =
-    match Dnastore.Scenario_run.run_full ~domains:3 ~seed:3 ~data:(payload 600) sc with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
-  in
+  let o1 = run_ok ~domains:2 ~seed:3 sc in
+  let o2 = run_ok ~domains:3 ~seed:3 sc in
   Alcotest.(check bool) "same recovery across domains" true
     (o1.Dnastore.Scenario_run.recovered_fraction = o2.Dnastore.Scenario_run.recovered_fraction);
-  match (p1.Dnastore.Pipeline.file, p2.Dnastore.Pipeline.file) with
-  | Some a, Some b -> Alcotest.(check bool) "same bytes across domains" true (Bytes.equal a b)
-  | None, None -> ()
-  | _ -> Alcotest.fail "domain count changed the outcome shape"
+  Alcotest.(check string) "same bytes across domains" o1.Dnastore.Scenario_run.digest
+    o2.Dnastore.Scenario_run.digest
 
 let test_scenario_unknown_fault () =
   let sc = Option.get (Simulator.Scenario.find "baseline-iid") in
@@ -482,10 +472,10 @@ let test_scenario_clean_floors () =
   List.iter
     (fun name ->
       let sc = Option.get (Simulator.Scenario.find name) in
-      let o, _ = run_ok ~seed:1 sc in
+      let o = run_ok ~seed:1 sc in
       Alcotest.(check bool) (name ^ ": full recovery") true
         (o.Dnastore.Scenario_run.recovered_fraction = 1.0);
-      Alcotest.(check bool) (name ^ ": passed its floor") true o.Dnastore.Scenario_run.passed;
+      Alcotest.(check bool) (name ^ ": passed its floor") true o.Dnastore.Scenario_run.floor_met;
       Alcotest.(check bool) (name ^ ": realized rate sane") true
         (o.Dnastore.Scenario_run.realized_error_rate > 0.0
         && o.Dnastore.Scenario_run.realized_error_rate
